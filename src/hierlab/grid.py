@@ -191,6 +191,27 @@ def free_propagate(f: Field, t: float, signs: Sequence[int] | None = None) -> Fi
     return apply_multiplier(f, per_slot)
 
 
+def free_symbol(grid: GridSpec, signs: Sequence[int]) -> np.ndarray:
+    """Additive symbol sum_s sign_s * |xi_s|^2 over the slots, full-rank shape:
+    free_propagate(f, t, signs) multiplies the spectrum by exp(-i*t*symbol)."""
+    rank = len(signs)
+    symbol = np.zeros(grid.slot_shape(rank))
+    for slot, sign in enumerate(signs):
+        symbol = symbol + sign * _slot_multiplier(grid, grid.k2, slot, rank)
+    return symbol
+
+
+def sobolev_weight(grid: GridSpec, rank: int, alpha: float) -> np.ndarray:
+    """Parseval weight of the H^alpha norm on dft_forward spectra:
+    sobolev_norm_field(f, alpha)**2 == sum(weight * |dft_forward(f).data|**2),
+    i.e. prod_s (1 + |xi_s|^2)^alpha / L^(d*rank)."""
+    weight = np.full(grid.slot_shape(rank), grid.L ** (-grid.dim * rank))
+    sym = (1.0 + grid.k2) ** alpha
+    for slot in range(rank):
+        weight = weight * _slot_multiplier(grid, sym, slot, rank)
+    return weight
+
+
 # ---------------------------------------------------------------------------
 # Norms, inner products, random data
 

@@ -317,14 +317,17 @@ def run_duhamel_check(cfg: ExperimentConfig) -> tuple[Report, dict]:
     report = Report()
     fitted = {}
     horizons = (0.01, 0.02, 0.04)
-    for j in range(1, cfg.j_max + 1):
-        norms = []
-        for T in horizons:
-            series = free_flow_series(base, T / 16.0, 16)
-            val = duhamel_iterate(series, j, pot, T)
-            norms.append(hierarchy_norm(val, 1.0))
-            report.add("duhamel", f"duh{j}_h1_norm", norms[-1], t=T)
-        slope = float(np.polyfit(np.log(horizons), np.log(norms), 1)[0])
+    depths = range(1, cfg.j_max + 1)
+    # one series per horizon, shared by every depth
+    norms = {j: [] for j in depths}
+    for T in horizons:
+        series = free_flow_series(base, T / 16.0, 16)
+        for j in depths:
+            norms[j].append(hierarchy_norm(duhamel_iterate(series, j, pot, T), 1.0))
+    for j in depths:
+        for T, norm in zip(horizons, norms[j]):
+            report.add("duhamel", f"duh{j}_h1_norm", norm, t=T)
+        slope = float(np.polyfit(np.log(horizons), np.log(norms[j]), 1)[0])
         fitted[j] = slope
         report.add("duhamel", f"duh{j}_fitted_exponent", slope)
     return report, {"fitted_exponents": fitted}

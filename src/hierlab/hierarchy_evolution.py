@@ -15,18 +15,21 @@ integrator failure, which aborts the run.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .budget import TensorBudget, default_budget
-from .grid import Field
+from .grid import Field, sobolev_weight
 from .interactions import (PotentialSpec, bbgky_main_level, bbgky_rhs,
                            gp_collision_level)
-from .marginals import (HierarchyState, Marginal, free_propagate_marginal,
-                        hierarchy_norm, pure_product_marginal, sobolev_norm,
-                        trace, zero_marginal, free_generator)
+from .marginals import (HierarchyState, Marginal, flow_symbol,
+                        free_generator, free_propagate_marginal,
+                        marginal_from_spectrum, marginal_spectrum,
+                        pure_product_marginal, sobolev_norm, trace,
+                        zero_marginal)
 
 
 class InstabilityError(RuntimeError):
@@ -327,30 +330,54 @@ class TimeSeries:
 
 
 def free_flow_series(state0: HierarchyState, dt: float, n_steps: int) -> TimeSeries:
-    return TimeSeries(dt, [free_flow(state0, j * dt) for j in range(n_steps + 1)])
+    """Free flow of ``state0`` sampled at j * dt, j = 0..n_steps.
+
+    One forward transform per level; the spectrum then steps by the one-step
+    phase exp(-i dt S_k) and each later sample costs one inverse transform.
+    Sample 0 is a copy of ``state0``.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if n_steps < 0:
+        raise ValueError("n_steps must be nonnegative")
+    grid = state0.grid
+    levels = []
+    for m in state0.entries:
+        phase = np.exp(-1j * dt * flow_symbol(grid, m.k))
+        spec = marginal_spectrum(m)
+        samples = [m.copy()]
+        for _ in range(n_steps):
+            spec = spec * phase
+            samples.append(marginal_from_spectrum(grid, m.k, spec))
+        levels.append(samples)
+    return TimeSeries(dt, [HierarchyState(list(entries), state0.xi)
+                           for entries in zip(*levels)])
 
 
-def _level_series(series: TimeSeries, level: int) -> list[Marginal]:
-    return [s.entry(level) for s in series.states]
+def _flowed_prefix(spectra: Iterable[np.ndarray], phase: np.ndarray, dt: float,
+                   simpson: bool = False) -> Iterator[np.ndarray]:
+    """Spectra of A_i = U(t_i) int_0^t_i U(-s) theta(s) ds for t_i = i * dt,
+    from the spectra of theta(t_i); ``phase`` is exp(-i dt S), one step of U.
 
-
-def _prefix_trapezoid(items: list[Marginal], dt: float) -> list[Marginal]:
-    acc = [items[0] * 0.0]
-    for i in range(1, len(items)):
-        acc.append(acc[-1] + (items[i - 1] + items[i]) * (dt / 2.0))
-    return acc
-
-
-def _prefix_simpson(items: list[Marginal], dt: float) -> list[Marginal]:
-    """Cumulative composite Simpson; odd endpoints close with one trapezoid."""
-    acc = [items[0] * 0.0]
-    for i in range(1, len(items)):
-        if i % 2 == 0:
-            acc.append(acc[i - 2] + (items[i - 2] + items[i - 1] * 4.0 + items[i])
-                       * (dt / 3.0))
+    Since U(t_i) = U(dt) U(t_(i-1)), the forward-propagated trapezoid prefix
+    obeys A_i = E (A_(i-1) + dt/2 theta_(i-1)) + dt/2 theta_i; composite
+    Simpson's even points use E^2 with weights dt/3, 4 dt/3, dt/3 and its odd
+    points close with one trapezoid step.  Spectra are read lazily, one
+    sample at a time.
+    """
+    a_prev = a_prev2 = th_prev = th_prev2 = None
+    for i, th in enumerate(spectra):
+        if i == 0:
+            acc = np.zeros_like(th)
+        elif simpson and i % 2 == 0:
+            acc = (phase * (phase * (a_prev2 + (dt / 3.0) * th_prev2)
+                            + (4.0 * dt / 3.0) * th_prev)
+                   + (dt / 3.0) * th)
         else:
-            acc.append(acc[i - 1] + (items[i - 1] + items[i]) * (dt / 2.0))
-    return acc
+            acc = phase * (a_prev + (dt / 2.0) * th_prev) + (dt / 2.0) * th
+        yield acc
+        a_prev2, a_prev = a_prev, acc
+        th_prev2, th_prev = th_prev, th
 
 
 def duhamel_iterate(series: TimeSeries, j: int, pot: PotentialSpec, t: float,
@@ -359,6 +386,11 @@ def duhamel_iterate(series: TimeSeries, j: int, pot: PotentialSpec, t: float,
     collision operator with free flows, evaluated by composite trapezoid on
     the ordered simplex (the same grid as the series).
 
+    Each integral layer is accumulated on spectra: one forward transform per
+    sample, the running prefix stepped by the free-flow phase (see
+    ``_flowed_prefix``), and one inverse transform per sample feeding the
+    collision operator; the last layer inverts only the sample at t.
+
     j = 0 returns the series value at t.
     """
     if j < 0:
@@ -366,7 +398,8 @@ def duhamel_iterate(series: TimeSeries, j: int, pot: PotentialSpec, t: float,
     budget = budget or default_budget()
     dt = series.dt
     n_idx = int(round(t / dt))
-    if abs(n_idx * dt - t) > 1e-9 * max(1.0, t) or n_idx >= len(series.states) + 1:
+    if t < 0 or abs(n_idx * dt - t) > 1e-9 * max(1.0, t) \
+            or n_idx >= len(series.states):
         raise ValueError("t must be a grid time inside the series")
     n_pts = n_idx + 1
     base = series.states[0]
@@ -377,20 +410,22 @@ def duhamel_iterate(series: TimeSeries, j: int, pot: PotentialSpec, t: float,
         raise ValueError(f"series truncated at {K} is too shallow for j={j}")
     budget.check_elements(grid.num_points ** (2 * K), f"duhamel level {K}")
 
-    times = dt * np.arange(n_pts)
     comps = []
     for k in range(1, k_out + 1):
         current = [series.states[i].entry(k + j) for i in range(n_pts)]
         for depth in range(j):
-            target = k + j - depth - 1
             # push through one integral layer: i * int_0^s B U(s-sigma) current
-            back = [free_propagate_marginal(current[i], -times[i]) for i in range(n_pts)]
-            prefix = _prefix_trapezoid(back, dt)
+            level = k + j - depth
+            phase = np.exp(-1j * dt * flow_symbol(grid, level))
+            prefix = _flowed_prefix((marginal_spectrum(m) for m in current),
+                                    phase, dt)
+            if depth == j - 1:  # the last layer is needed only at t
+                prefix = deque(prefix, maxlen=1)
             current = [
-                bbgky_main_level(free_propagate_marginal(prefix[i], times[i]), pot) * 1j
-                for i in range(n_pts)
+                bbgky_main_level(marginal_from_spectrum(grid, level, a), pot) * 1j
+                for a in prefix
             ]
-        comps.append(current[n_idx])
+        comps.append(current[-1])
     return HierarchyState(comps, base.xi)
 
 
@@ -404,10 +439,6 @@ class PicardResult:
     residual: float | None
 
 
-def _series_distance(a: list[HierarchyState], b: list[HierarchyState]) -> float:
-    return max(hierarchy_norm(x - y, 1.0) for x, y in zip(a, b))
-
-
 def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec,
                        config: EvolutionConfig, tol: float = 1e-8,
                        max_iter: int = 50,
@@ -415,6 +446,12 @@ def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec,
     """Iterate Theta <- Xi + i Int_0^t B_N U(t-s) Theta(s) ds on the series
     grid (trapezoid in s) until successive iterates are closer than ``tol``
     in the weighted order-1 norm.
+
+    The iterate is carried as spectra.  A sweep steps the forward-propagated
+    prefix integral through the samples (see ``_flowed_prefix``), inverts it
+    once per sample and level to apply B_N, and transforms the new iterate
+    once; that spectrum gives the update norm by Parseval and feeds the next
+    sweep.
 
     The horizon must sit inside the heuristic contraction gate xi^2/c0.  A
     ratio of successive updates >= 1 three times in a row aborts: the horizon
@@ -426,19 +463,38 @@ def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec,
     if T >= gate:
         raise ValueError(f"horizon T={T} is not below the gate T0={gate}")
     dt = xi_series.dt
-    n_pts = len(xi_series.states)
-    times = xi_series.times
+    grid = xi_series.states[0].grid
+    K = xi_series.states[0].K
+    xi = xi_series.states[0].xi
+    phases = [np.exp(-1j * dt * flow_symbol(grid, k)) for k in range(1, K + 1)]
+    weights = [sobolev_weight(grid, 2 * k, 1.0) for k in range(1, K + 1)]
 
-    def sweep(theta: list[HierarchyState], simpson: bool) -> list[HierarchyState]:
-        # B_N U(t-s) Theta(s) = B_N U(t) [U(-s) Theta(s)], so one pass of
-        # prefix sums replaces the quadratic double loop over (t, s).
-        back = [free_flow(theta[i], -times[i]) for i in range(n_pts)]
-        prefixes = _prefix_states(back, dt, simpson=simpson)
-        return [xi_series.states[i]
-                + bbgky_rhs(free_flow(prefixes[i], times[i]), pot) * 1j
-                for i in range(n_pts)]
+    def spectra(state: HierarchyState) -> list[np.ndarray]:
+        return [marginal_spectrum(m) for m in state.entries]
+
+    def sweep(theta_hat: list[list[np.ndarray]], simpson: bool):
+        """New iterate, its spectra, and its max-over-samples distance to
+        theta in hierarchy_norm(., 1.0), by Parseval."""
+        # B_N U(t-s) Theta(s) = B_N U(t) [U(-s) Theta(s)], so one running
+        # prefix per level replaces the quadratic double loop over (t, s).
+        prefixes = zip(*[_flowed_prefix([s[k] for s in theta_hat], phases[k],
+                                        dt, simpson) for k in range(K)])
+        states, hats, dist = [], [], 0.0
+        for xi_state, old_hat, prefix in zip(xi_series.states, theta_hat, prefixes):
+            acc = HierarchyState([marginal_from_spectrum(grid, k, a)
+                                  for k, a in enumerate(prefix, start=1)], xi)
+            new = xi_state + bbgky_rhs(acc, pot) * 1j
+            new_hat = spectra(new)
+            dist = max(dist, sum(
+                xi**k * math.sqrt(np.sum(w * np.abs(a - b) ** 2))
+                for k, (a, b, w) in enumerate(zip(new_hat, old_hat, weights),
+                                              start=1)))
+            states.append(new)
+            hats.append(new_hat)
+        return states, hats, dist
 
     theta = [s.copy() for s in xi_series.states]
+    theta_hat = [spectra(s) for s in theta]
     update_norms: list[float] = []
     ratios: list[float] = []
     converged = False
@@ -446,8 +502,7 @@ def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec,
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
-        new_theta = sweep(theta, simpson=False)
-        delta = _series_distance(new_theta, theta)
+        new_theta, new_hat, delta = sweep(theta_hat, simpson=False)
         update_norms.append(delta)
         if len(update_norms) >= 2 and update_norms[-2] > 0:
             ratio = delta / update_norms[-2]
@@ -458,26 +513,13 @@ def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec,
                     f"no contraction after {it} sweeps (last ratios "
                     f"{ratios[-3:]}); the horizon is too large for the "
                     f"discrete surrogate")
-        theta = new_theta
+        theta, theta_hat = new_theta, new_hat
         if delta < tol:
             converged = True
             break
 
     residual = None
     if compute_residual:
-        residual = _series_distance(sweep(theta, simpson=True), theta)
+        residual = sweep(theta_hat, simpson=True)[2]
     return PicardResult(TimeSeries(dt, theta), iterations, update_norms,
                         ratios, converged, residual)
-
-
-def _prefix_states(states: list[HierarchyState], dt: float,
-                   simpson: bool) -> list[HierarchyState]:
-    zero = states[0] * 0.0
-    acc = [zero]
-    for i in range(1, len(states)):
-        if simpson and i % 2 == 0:
-            acc.append(acc[i - 2] + (states[i - 2] + states[i - 1] * 4.0 + states[i])
-                       * (dt / 3.0))
-        else:
-            acc.append(acc[i - 1] + (states[i - 1] + states[i]) * (dt / 2.0))
-    return acc

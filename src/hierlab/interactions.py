@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,13 @@ class PotentialSpec:
     width: float | None = None
     resolvable: bool = True
     mass_ratio: float = 1.0
+
+    @cached_property
+    def difference_table(self) -> np.ndarray:
+        """Dense W[a, b] = V(x_a - x_b), built on first use and kept."""
+        default_budget().check_elements(self.grid.num_points ** 2,
+                                        "potential difference table")
+        return potential_difference_tensor(self.realized)
 
 
 def gaussian_profile(grid: GridSpec, width: float, images: int = 3) -> Field:
@@ -243,8 +251,7 @@ def _main_contract(gamma: Marginal, pot: PotentialSpec, slot: int) -> Marginal:
                   if ax // d not in (k, 2 * kp1 - 1)]
     v_labels = [labels[slot * d + i] for i in range(d)] + y_labels
     sub = "".join(v_labels) + "," + "".join(labels) + "->" + "".join(out_labels)
-    w = potential_difference_tensor(pot.realized)
-    contracted = np.einsum(sub, w, gamma.kernel)
+    contracted = np.einsum(sub, pot.difference_table, gamma.kernel)
     return Marginal(gamma.grid, k, contracted * gamma.grid.h**d)
 
 
@@ -286,7 +293,7 @@ def bbgky_collision_error(gamma: Marginal, i: int, j: int, sign: str,
         raise ValueError("sign must be '+' or '-'")
     if not (1 <= i < j <= k):
         raise ValueError(f"need 1 <= i < j <= k, got i={i}, j={j}, k={k}")
-    w = potential_difference_tensor(pot.realized)
+    w = pot.difference_table
     offset = 0 if sign == "+" else k
     # w's axes are (x_i axes, x_j axes) and i < j, so the target positions are
     # increasing and a singleton-padded reshape broadcasts it into the kernel

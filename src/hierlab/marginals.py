@@ -16,8 +16,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .budget import TensorBudget, default_budget
-from .grid import (Field, GridSpec, bessel_multiply, free_propagate,
-                   l2_norm)
+from .grid import (Field, GridSpec, bessel_multiply, dft_forward, dft_inverse,
+                   free_propagate, free_symbol, l2_norm)
 
 
 @dataclass
@@ -241,19 +241,28 @@ def free_propagate_marginal(gamma: Marginal, t: float) -> Marginal:
                     free_propagate(gamma.as_field(), t, signs).data)
 
 
+def flow_symbol(grid: GridSpec, k: int) -> np.ndarray:
+    """Level-k free-flow symbol S_k = sum |xi_j|^2 - sum |xi'_j|^2:
+    free_propagate_marginal(gamma, t) multiplies the spectrum by exp(-i t S_k)."""
+    return free_symbol(grid, [1] * k + [-1] * k)
+
+
+def marginal_spectrum(gamma: Marginal) -> np.ndarray:
+    """Quadrature-weighted DFT of the kernel over all 2k slots."""
+    return dft_forward(gamma.as_field()).data
+
+
+def marginal_from_spectrum(grid: GridSpec, k: int, spec: np.ndarray) -> Marginal:
+    """Inverse of marginal_spectrum."""
+    return Marginal(grid, k, dft_inverse(Field(grid, 2 * k, spec)).data)
+
+
 def free_generator(gamma: Marginal) -> Marginal:
     """Kernel of the commutator with the (negative) Laplacian: the additive
     symbol sum |xi_j|^2 - sum |xi'_j|^2 applied in Fourier space."""
-    g, k, d = gamma.grid, gamma.k, gamma.grid.dim
-    symbol = np.zeros(g.slot_shape(2 * k))
-    for slot in range(2 * k):
-        shape = [1] * (2 * k * d)
-        for ax in g.slot_axes(slot):
-            shape[ax] = g.n
-        sign = 1.0 if slot < k else -1.0
-        symbol = symbol + sign * g.k2.reshape(shape)
+    symbol = flow_symbol(gamma.grid, gamma.k)
     out = np.fft.ifftn(symbol * np.fft.fftn(gamma.kernel))
-    return Marginal(g, k, out)
+    return Marginal(gamma.grid, gamma.k, out)
 
 
 def weakstar_metric(gamma_a: Marginal, gamma_b: Marginal,

@@ -7,6 +7,7 @@ lines.  Tolerances are fixed here, not tuned at runtime.
 import warnings
 
 import numpy as np
+import pytest
 
 from hierlab.definetti import (Mixture, energy_functional_direct,
                                energy_functional_mixture, flow_mixture,
@@ -161,6 +162,7 @@ def test_criterion_08_gp_residual_scaling():
            f"halving dt changed residual by {ratio:.3f} (target 4 +- 25%)")
 
 
+@pytest.mark.slow
 def test_criterion_09_derivation_endpoint():
     beta, t_final, dt = 0.2, 0.2, 2e-3
     rng = np.random.default_rng(109)
@@ -194,6 +196,7 @@ def test_criterion_10_energy_estimate_instances():
            f"min ratio {worst:.3f} over C=1/2, k in {{1,2}}, N in {{4,6}}")
 
 
+@pytest.mark.slow
 def test_criterion_11_picard_fixed_point():
     pot = quiet_potential(G16, 0.6, 0.2, 16)
     cfg = EvolutionConfig(dt=1e-3, t_final=0.05, K=2, xi=0.5)

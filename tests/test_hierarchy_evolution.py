@@ -303,6 +303,7 @@ def test_duhamel_j1_matches_independent_quadrature():
     assert rel < 1e-6
 
 
+@pytest.mark.slow
 def test_duhamel_horizon_scaling_exponent():
     pot = realize_potential(gaussian_profile(G8, 0.7), 0.2, 16)
     base = factorized_state(atom(G8, 16), 3, xi=0.5)
@@ -321,6 +322,18 @@ def test_duhamel_rejects_shallow_series():
     series = free_flow_series(state, 1e-3, 4)
     with pytest.raises(ValueError):
         duhamel_iterate(series, 2, pot16(16), 4e-3)
+
+
+def test_duhamel_rejects_negative_time():
+    series = free_flow_series(factorized_state(atom(G16, 17), 2, xi=0.5), 1e-3, 4)
+    with pytest.raises(ValueError):
+        duhamel_iterate(series, 1, pot16(16), -1e-3)
+
+
+def test_duhamel_rejects_time_past_the_series():
+    series = free_flow_series(factorized_state(atom(G16, 17), 2, xi=0.5), 1e-3, 4)
+    with pytest.raises(ValueError):
+        duhamel_iterate(series, 1, pot16(16), 5e-3)  # samples end at 4e-3
 
 
 # -- fixed point ------------------------------------------------------------------------------
@@ -355,6 +368,7 @@ def test_picard_zero_potential_returns_input():
     assert diff == 0.0
 
 
+@pytest.mark.slow
 def test_picard_converges_with_contraction_and_small_residual():
     series, pot, cfg = picard_setup(20, steps=128)
     result = picard_fixed_point(series, pot, cfg)

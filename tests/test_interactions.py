@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hierlab.budget import BudgetExceeded
 from hierlab.grid import Field, make_grid, normalized, random_low_mode_field
 from hierlab.interactions import (bbgky_collision_error, bbgky_collision_main,
                                   bbgky_rhs, bump_profile,
@@ -183,6 +184,17 @@ def test_bbgky_error_multiplies_kernel():
     assert np.max(np.abs(out.kernel - expected)) < 1e-13
     bound = np.max(pot.realized.data.real) * sobolev_norm(g2, 0.0)
     assert sobolev_norm(out, 0.0) <= bound * (1 + 1e-12)
+
+
+def test_potential_table_built_once_and_budget_checked(monkeypatch):
+    pot = realize_potential(gaussian_profile(G8, 0.7), 0.2, 4)
+    table = pot.difference_table
+    assert pot.difference_table is table
+    assert np.array_equal(table, potential_difference_tensor(pot.realized))
+    monkeypatch.setenv("HLAB_BUDGET", str(8 * 8 - 1))
+    fresh = realize_potential(gaussian_profile(G8, 0.7), 0.2, 4)
+    with pytest.raises(BudgetExceeded):
+        fresh.difference_table
 
 
 def test_bbgky_error_index_order_enforced():
