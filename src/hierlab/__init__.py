@@ -9,8 +9,7 @@ from .grid import (Field, GridSpec, bessel_multiply, dft_forward, dft_inverse,
                    random_low_mode_field, sobolev_norm_field, zero_field)
 from .marginals import (HierarchyState, Marginal, admissibility_defect,
                         factorized_state, free_propagate_marginal,
-                        hierarchy_norm, hermiticity_defect,
-                        is_positive_semidefinite, mixture_marginal,
+                        hierarchy_norm, hermiticity_defect, mixture_marginal,
                         mixture_state, partial_trace, permutation_defect,
                         psd_defect, pure_product_marginal, sobolev_norm,
                         symmetrize, trace, trace_sobolev_norm, weakstar_metric,

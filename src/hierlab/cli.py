@@ -48,6 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "conservation":
             p.add_argument("--m-max", type=int, dest="m_max")
             p.add_argument("--windows", type=int)
+            p.add_argument("--atoms", type=int)
         if name == "convergence":
             p.add_argument("--ladder", help="comma-separated particle numbers")
         if name == "collision-limit":
@@ -55,8 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated potential ladder")
         if name == "duhamel-check":
             p.add_argument("--j-max", type=int, dest="j_max")
-        if name == "conservation" or name == "simulate-gp":
-            p.add_argument("--atoms", type=int)
     return parser
 
 

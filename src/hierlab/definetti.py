@@ -17,9 +17,9 @@ import numpy as np
 from .budget import TensorBudget
 from .grid import (Field, GridSpec, bessel_multiply, l2_norm,
                    sobolev_norm_field)
-from .marginals import (_LABELS, HierarchyState, Marginal, admissibility_defect,
-                        hierarchy_norm, mixture_state, partial_trace_at,
-                        psd_defect, trace)
+from .marginals import (HierarchyState, Marginal, admissibility_defect,
+                        hierarchy_norm, mixture_state, pair_subscripts,
+                        partial_trace_at, psd_defect, trace)
 
 
 @dataclass
@@ -151,22 +151,6 @@ def energy_functional_mixture(mix: Mixture, m: int) -> float:
     return float(sum(w * (0.5 + nls_energy(phi)) ** m for w, phi in mix.atoms))
 
 
-def _consume_pair_plus(gamma: Marginal, src_pos: int, eat_pos: int) -> Marginal:
-    """Plus-type contact contraction with the consumed particle at an
-    arbitrary position: set both halves of pair ``eat_pos`` to the unprimed
-    variable at ``src_pos`` and drop the pair."""
-    k, d = gamma.k, gamma.grid.dim
-    labels = list(_LABELS[: 2 * k * d])
-    for i in range(d):
-        src = labels[src_pos * d + i]
-        labels[eat_pos * d + i] = src
-        labels[(k + eat_pos) * d + i] = src
-    out_labels = [lab for ax, lab in enumerate(labels)
-                  if ax // d not in (eat_pos, k + eat_pos)]
-    sub = "".join(labels) + "->" + "".join(out_labels)
-    return Marginal(gamma.grid, k - 1, np.einsum(sub, gamma.kernel))
-
-
 def energy_functional_direct(state: HierarchyState, m: int,
                              imag_tol: float = 1e-10) -> float:
     """Evaluate the m-th energy functional by explicit kernel algebra.
@@ -188,10 +172,11 @@ def energy_functional_direct(state: HierarchyState, m: int,
     for ell in range(2 * m - 1, 0, -2):
         reduced = partial_trace_at(cur, ell)
         dressed = bessel_multiply(reduced.as_field(), 2.0, slots=[ell - 1])
-        contact = _consume_pair_plus(cur, ell - 1, ell)
+        # plus-type contact contraction of pair ell onto the unprimed x_ell
+        inp, out = pair_subscripts(cur.k, cur.grid.dim, ell, ell - 1)
+        contact = np.einsum(f"{inp}->{out}", cur.kernel)
         cur = Marginal(cur.grid, cur.k - 1,
-                       0.5 * dressed.data + 0.5 * reduced.kernel
-                       + 0.25 * contact.kernel)
+                       0.5 * dressed.data + 0.5 * reduced.kernel + 0.25 * contact)
     val = trace(cur)
     if abs(val.imag) > imag_tol * max(1.0, abs(val.real)):
         raise ArithmeticError(f"energy functional has imaginary residue {val.imag}")
@@ -258,7 +243,7 @@ def gwp_window_chain(mix: Mixture, window: float, windows: int, K: int = 2,
     for w in range(windows):
         state = mixture_state(current, K, xi=xi, budget=budget)
         cfg = EvolutionConfig(dt=dt, t_final=window, closure="mixture_closure",
-                              K=K, xi=xi, xi_prime=xi_prime)
+                              xi=xi)
         traj = gp_evolve(state, cfg, kappa0=kappa0, mixture=current,
                          store_every=0)
         terminal = traj.states[-1]

@@ -118,13 +118,6 @@ class Field:
     __rmul__ = __mul__
 
 
-def field_from_flat(grid: GridSpec, rank: int, flat: np.ndarray,
-                    budget: TensorBudget | None = None) -> Field:
-    budget = budget or default_budget()
-    budget.check_elements(grid.num_points**rank, "field")
-    return Field(grid, rank, np.asarray(flat, dtype=np.complex128))
-
-
 def zero_field(grid: GridSpec, rank: int) -> Field:
     return Field(grid, rank, np.zeros(grid.slot_shape(rank), dtype=np.complex128))
 
@@ -144,11 +137,15 @@ def dft_inverse(f: Field) -> Field:
     return Field(f.grid, f.rank, np.fft.ifftn(f.data) / scale)
 
 
-def _slot_multiplier(grid: GridSpec, values: np.ndarray, slot: int, rank: int) -> np.ndarray:
-    """Broadcast a one-slot multiplier (shape (n,)*d) to the full-rank shape."""
-    shape = [1] * (grid.dim * rank)
-    for i, ax in enumerate(grid.slot_axes(slot)):
-        shape[ax] = grid.n
+def place_axes(values: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray:
+    """Reshape ``values`` so that its axes land on the increasing ``axes`` of
+    an ndim-tensor, size 1 everywhere else; the result broadcasts against that
+    tensor.  Slot forms pass GridSpec.slot_axes (concatenated for a pair)."""
+    if len(axes) != values.ndim or list(axes) != sorted(set(axes)):
+        raise ValueError(f"need {values.ndim} increasing axes, got {axes}")
+    shape = [1] * ndim
+    for ax, size in zip(axes, values.shape):
+        shape[ax] = size
     return values.reshape(shape)
 
 
@@ -160,7 +157,7 @@ def apply_multiplier(f: Field, per_slot: Sequence[np.ndarray | None]) -> Field:
     axes = [ax for s in active for ax in f.grid.slot_axes(s)]
     spec = np.fft.fftn(f.data, axes=axes)
     for s in active:
-        spec *= _slot_multiplier(f.grid, per_slot[s], s, f.rank)
+        spec *= place_axes(per_slot[s], f.grid.slot_axes(s), f.data.ndim)
     return Field(f.grid, f.rank, np.fft.ifftn(spec, axes=axes))
 
 
@@ -197,7 +194,8 @@ def free_symbol(grid: GridSpec, signs: Sequence[int]) -> np.ndarray:
     rank = len(signs)
     symbol = np.zeros(grid.slot_shape(rank))
     for slot, sign in enumerate(signs):
-        symbol = symbol + sign * _slot_multiplier(grid, grid.k2, slot, rank)
+        symbol = symbol + sign * place_axes(grid.k2, grid.slot_axes(slot),
+                                            symbol.ndim)
     return symbol
 
 
@@ -208,7 +206,7 @@ def sobolev_weight(grid: GridSpec, rank: int, alpha: float) -> np.ndarray:
     weight = np.full(grid.slot_shape(rank), grid.L ** (-grid.dim * rank))
     sym = (1.0 + grid.k2) ** alpha
     for slot in range(rank):
-        weight = weight * _slot_multiplier(grid, sym, slot, rank)
+        weight = weight * place_axes(sym, grid.slot_axes(slot), weight.ndim)
     return weight
 
 
@@ -255,11 +253,8 @@ def random_low_mode_field(grid: GridSpec, rank: int, rng: np.random.Generator,
     keep_1d = np.abs(modes) <= max_mode
     weight_1d = np.exp(-0.5 * (modes / (decay * max(max_mode, 1))) ** 2) * keep_1d
     full = np.ones(grid.slot_shape(rank))
-    for slot in range(rank):
-        for ax in grid.slot_axes(slot):
-            shape = [1] * (grid.dim * rank)
-            shape[ax] = grid.n
-            full = full * weight_1d.reshape(shape)
+    for ax in range(full.ndim):
+        full = full * place_axes(weight_1d, (ax,), full.ndim)
     spec = rng.standard_normal(full.shape) + 1j * rng.standard_normal(full.shape)
     data = np.fft.ifftn(spec * full)
     f = Field(grid, rank, data)

@@ -207,8 +207,7 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[Report, dict]:
         nstate = nbody_factorized(phi0, big_n, pot)
         ntraj = nbody_evolve(nstate, cfg.dt, cfg.t_final, store_every=stride)
         evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final,
-                              closure="mixture_closure", K=K,
-                              xi=cfg.xi, xi_prime=cfg.xi_prime)
+                              closure="mixture_closure", xi=cfg.xi)
         gtraj = gp_evolve(factorized_state(phi0, K, xi=cfg.xi), evo,
                           kappa0=pot.kappa0, mixture=mixture,
                           store_every=stride)
@@ -340,8 +339,7 @@ def run_picard(cfg: ExperimentConfig) -> tuple[Report, dict]:
     grid = cfg.grid()
     rng = cfg.rng()
     pot = cfg.potential(grid=grid)
-    evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final, K=2,
-                          xi=cfg.xi, xi_prime=cfg.xi_prime)
+    evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final, xi=cfg.xi)
     horizon = evo.t0_gate() / 4.0
     steps = 128
     entries = [random_hermitian_marginal(grid, k, rng, max_mode=2, symmetric=True)
@@ -382,8 +380,7 @@ def run_simulate_gp(cfg: ExperimentConfig) -> tuple[Report, dict]:
     mixture = Mixture([(1.0, phi)])
     state0 = factorized_state(phi, cfg.k_max, xi=cfg.xi)
     evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final,
-                          closure="mixture_closure", K=cfg.k_max,
-                          xi=cfg.xi, xi_prime=cfg.xi_prime)
+                          closure="mixture_closure", xi=cfg.xi)
     traj = gp_evolve(state0, evo, kappa0=1.0, mixture=mixture, store_every=1,
                      log_collision_norms=True)
     report = Report()
@@ -413,8 +410,7 @@ def run_simulate_bbgky(cfg: ExperimentConfig) -> tuple[Report, dict]:
     pot = cfg.potential(grid=grid)
     K = min(cfg.k_max, pot.big_n)
     state0 = factorized_state(phi, K, xi=cfg.xi)
-    evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final, K=K,
-                          xi=cfg.xi, xi_prime=cfg.xi_prime)
+    evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final, xi=cfg.xi)
     traj = bbgky_evolve(state0, evo, pot, store_every=1,
                         log_collision_norms=True)
     report = Report()

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .budget import TensorBudget, default_budget
-from .grid import Field, sobolev_weight
+from .grid import Field, place_axes, sobolev_weight
 from .interactions import (PotentialSpec, bbgky_main_level, bbgky_rhs,
                            gp_collision_level)
 from .marginals import (HierarchyState, Marginal, flow_symbol,
@@ -42,18 +42,15 @@ class EvolutionConfig:
     t_final: float = 0.1
     method: str = "rk4_interaction_picture"
     closure: str = "zero_top"
-    K: int = 2
-    b1: float = 2.0
     xi: float = 0.5
-    xi_prime: float = 0.7
     c0: float = 1.0
     trace_drift_abort: float = 0.01
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if not 0 < self.xi < self.xi_prime < 1:
-            raise ValueError("weights must satisfy 0 < xi < xi_prime < 1")
+        if not 0 < self.xi < 1:
+            raise ValueError("xi must lie in (0, 1)")
         if self.method not in ("rk4_interaction_picture", "strang_splitting"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.closure not in ("zero_top", "mixture_closure"):
@@ -91,35 +88,34 @@ def free_flow(state: HierarchyState, t: float) -> HierarchyState:
 # Closures for the top level
 
 
-class ZeroTopClosure:
-    """Truncated hierarchy: the level above K is identically zero."""
-
-    def top_collision(self, t: float) -> Marginal | None:
-        return None
-
-
 class MixtureClosure:
     """Supply the missing top-level collision term from a mixture whose atoms
     are advanced alongside the hierarchy (cubic flow at half-step resolution).
 
     ``top_collision(t)`` returns the level-K collision kernel computed on the
     mixture side without materializing the (K+1)-level kernel.
+
+    Only the latest atom frame is kept: the steppers query half-step indices
+    in non-decreasing order, so an earlier index raises ``ValueError``.
     """
 
     def __init__(self, mixture, K: int, dt_half: float, coupling: float = 1.0):
         self.K = K
         self.dt_half = dt_half
         self.coupling = coupling
-        self._atom_frames: list[list[tuple[float, Field]]] = [list(mixture.pairs())]
+        self._index = 0
+        self._atoms: list[tuple[float, Field]] = list(mixture.pairs())
 
     def _atoms_at(self, index: int) -> list[tuple[float, Field]]:
         from .definetti import nls_flow
-        while len(self._atom_frames) <= index:
-            prev = self._atom_frames[-1]
-            self._atom_frames.append(
-                [(w, nls_flow(phi, self.dt_half, self.dt_half, self.coupling))
-                 for w, phi in prev])
-        return self._atom_frames[index]
+        if index < self._index:
+            raise ValueError(f"closure queried at half-step {index} after "
+                             f"{self._index}; frames are not kept")
+        while self._index < index:
+            self._atoms = [(w, nls_flow(phi, self.dt_half, self.dt_half,
+                                        self.coupling)) for w, phi in self._atoms]
+            self._index += 1
+        return self._atoms
 
     def top_collision(self, t: float) -> Marginal:
         index = int(round(t / self.dt_half))
@@ -127,21 +123,17 @@ class MixtureClosure:
             raise ValueError(f"closure queried off the half-step grid, t={t}")
         atoms = self._atoms_at(index)
         K, grid = self.K, atoms[0][1].grid
-        d = grid.dim
-        out = zero_marginal(grid, K)
+        ndim = 2 * K * grid.dim
+        out = None
         for w, phi in atoms:
             prod = pure_product_marginal(phi, K)
             dens = np.abs(phi.data) ** 2
             mult = np.zeros(grid.slot_shape(2 * K))
             for j in range(K):
-                shape_u = [1] * (2 * K * d)
-                shape_p = [1] * (2 * K * d)
-                for ax_i, ax in enumerate(grid.slot_axes(j)):
-                    shape_u[ax] = grid.n
-                for ax_i, ax in enumerate(grid.slot_axes(K + j)):
-                    shape_p[ax] = grid.n
-                mult = mult + dens.reshape(shape_u) - dens.reshape(shape_p)
-            out = out + Marginal(grid, K, prod.kernel * mult) * w
+                mult = (mult + place_axes(dens, grid.slot_axes(j), ndim)
+                        - place_axes(dens, grid.slot_axes(K + j), ndim))
+            term = Marginal(grid, K, prod.kernel * mult) * w
+            out = term if out is None else out + term
         return out
 
 
@@ -250,16 +242,17 @@ def gp_evolve(state0: HierarchyState, config: EvolutionConfig,
             raise ValueError("mixture_closure needs a mixture")
         closure = MixtureClosure(mixture, K, config.dt / 2.0, coupling=kappa0)
     else:
-        closure = ZeroTopClosure()
+        closure = None
 
     def rhs(state: HierarchyState, t: float) -> HierarchyState:
         comps = []
         for k in range(1, K + 1):
             if k < K:
                 term = gp_collision_level(state.entry(k + 1))
+            elif closure is not None:
+                term = closure.top_collision(t)
             else:
-                top = closure.top_collision(t)
-                term = top if top is not None else zero_marginal(state.grid, K)
+                term = zero_marginal(state.grid, K)
             comps.append(term * (-1j * kappa0))
         return HierarchyState(comps, state.xi)
 

@@ -20,8 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .budget import TensorBudget, default_budget
-from .grid import Field, GridSpec
-from .marginals import _LABELS, HierarchyState, Marginal, zero_marginal
+from .grid import Field, GridSpec, place_axes
+from .marginals import HierarchyState, Marginal, pair_subscripts, zero_marginal
 
 
 # ---------------------------------------------------------------------------
@@ -167,34 +167,12 @@ def potential_difference_tensor(realized: Field) -> np.ndarray:
     grid = realized.grid
     n, d = grid.n, grid.dim
     diff = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    index_arrays = []
-    for ax in range(d):
-        shape = [1] * (2 * d)
-        shape[ax] = n
-        shape[d + ax] = n
-        index_arrays.append(diff.reshape(shape))
-    return realized.data.real[tuple(index_arrays)]
+    return realized.data.real[tuple(place_axes(diff, (ax, d + ax), 2 * d)
+                                    for ax in range(d))]
 
 
 # ---------------------------------------------------------------------------
 # Contact (delta-limit) collision operators
-
-
-def _restrict_pair(gamma: Marginal, source_axis_slot: int) -> Marginal:
-    """Set both halves of the last particle pair equal to the variable held by
-    ``source_axis_slot`` (a slot index into the rank-2(k+1) kernel) and drop
-    the pair."""
-    kp1, d = gamma.k, gamma.grid.dim
-    k = kp1 - 1
-    labels = list(_LABELS[: 2 * kp1 * d])
-    for i in range(d):
-        src = labels[source_axis_slot * d + i]
-        labels[k * d + i] = src              # consumed unprimed slot
-        labels[(2 * kp1 - 1) * d + i] = src  # consumed primed slot
-    out_labels = [lab for ax, lab in enumerate(labels)
-                  if ax // d not in (k, 2 * kp1 - 1)]
-    sub = "".join(labels) + "->" + "".join(out_labels)
-    return Marginal(gamma.grid, k, np.einsum(sub, gamma.kernel))
 
 
 def gp_collision(gamma_next: Marginal, j: int, sign: str) -> Marginal:
@@ -206,11 +184,13 @@ def gp_collision(gamma_next: Marginal, j: int, sign: str) -> Marginal:
     k = gamma_next.k - 1
     if not 1 <= j <= k:
         raise ValueError(f"j={j} out of range for k={k}")
-    if sign == "+":
-        return _restrict_pair(gamma_next, j - 1)
-    if sign == "-":
-        return _restrict_pair(gamma_next, gamma_next.k + j - 1)
-    raise ValueError("sign must be '+' or '-'")
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    # the last pair is consumed onto x_j (slot j-1) or x'_j (slot k+1+j-1)
+    source = j - 1 if sign == "+" else gamma_next.k + j - 1
+    inp, out = pair_subscripts(gamma_next.k, gamma_next.grid.dim, k, source)
+    return Marginal(gamma_next.grid, k,
+                    np.einsum(f"{inp}->{out}", gamma_next.kernel))
 
 
 def gp_collision_full(gamma_next: Marginal, j: int) -> Marginal:
@@ -220,8 +200,8 @@ def gp_collision_full(gamma_next: Marginal, j: int) -> Marginal:
 def gp_collision_level(gamma_next: Marginal) -> Marginal:
     """Sum over j of the full contact operator, one hierarchy level down."""
     k = gamma_next.k - 1
-    out = zero_marginal(gamma_next.grid, k)
-    for j in range(1, k + 1):
+    out = gp_collision_full(gamma_next, 1)
+    for j in range(2, k + 1):
         out = out + gp_collision_full(gamma_next, j)
     return out
 
@@ -243,15 +223,10 @@ def _main_contract(gamma: Marginal, pot: PotentialSpec, slot: int) -> Marginal:
     """h^d sum_y V(x_slot - y) gamma(..., y; ..., y) with the pair diagonal."""
     kp1, d = gamma.k, gamma.grid.dim
     k = kp1 - 1
-    labels = list(_LABELS[: 2 * kp1 * d])
-    for i in range(d):
-        labels[(2 * kp1 - 1) * d + i] = labels[k * d + i]  # primed y = unprimed y
-    y_labels = [labels[k * d + i] for i in range(d)]
-    out_labels = [lab for ax, lab in enumerate(labels)
-                  if ax // d not in (k, 2 * kp1 - 1)]
-    v_labels = [labels[slot * d + i] for i in range(d)] + y_labels
-    sub = "".join(v_labels) + "," + "".join(labels) + "->" + "".join(out_labels)
-    contracted = np.einsum(sub, pot.difference_table, gamma.kernel)
+    # the last pair's diagonal y is the partial-trace pattern; V reads (x_slot, y)
+    inp, out = pair_subscripts(kp1, d, k, k)
+    v = inp[slot * d:(slot + 1) * d] + inp[k * d:kp1 * d]
+    contracted = np.einsum(f"{v},{inp}->{out}", pot.difference_table, gamma.kernel)
     return Marginal(gamma.grid, k, contracted * gamma.grid.h**d)
 
 
@@ -274,12 +249,14 @@ def bbgky_main_level(gamma_next: Marginal, pot: PotentialSpec,
                      weighted: bool = True, plus_only: bool = False) -> Marginal:
     """Sum over j of the finite-N main operator, with the (N-k)/N weight."""
     k = gamma_next.k - 1
-    out = zero_marginal(gamma_next.grid, k)
+    out = None
     for j in range(1, k + 1):
         term = bbgky_collision_main(gamma_next, j, "+", pot)
         if not plus_only:
             term = term - bbgky_collision_main(gamma_next, j, "-", pot)
-        out = out + term
+        out = term if out is None else out + term
+    if out is None:
+        raise ValueError("the main term needs a kernel of at least 2 particles")
     if weighted:
         out = out * ((pot.big_n - k) / pot.big_n)
     return out
@@ -288,30 +265,29 @@ def bbgky_main_level(gamma_next: Marginal, pot: PotentialSpec,
 def bbgky_collision_error(gamma: Marginal, i: int, j: int, sign: str,
                           pot: PotentialSpec) -> Marginal:
     """Same-level term: multiply the kernel by V(x_i - x_j) (or primed pair)."""
-    k, d = gamma.k, gamma.grid.dim
+    k, grid = gamma.k, gamma.grid
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     if not (1 <= i < j <= k):
         raise ValueError(f"need 1 <= i < j <= k, got i={i}, j={j}, k={k}")
-    w = pot.difference_table
     offset = 0 if sign == "+" else k
-    # w's axes are (x_i axes, x_j axes) and i < j, so the target positions are
-    # increasing and a singleton-padded reshape broadcasts it into the kernel
-    full_shape = [1] * (2 * k * d)
-    for ax in range(d):
-        full_shape[(offset + i - 1) * d + ax] = gamma.grid.n
-        full_shape[(offset + j - 1) * d + ax] = gamma.grid.n
-    return Marginal(gamma.grid, k, gamma.kernel * w.reshape(full_shape))
+    # w's axes are (x_i axes, x_j axes) and i < j, so the target axes increase
+    axes = grid.slot_axes(offset + i - 1) + grid.slot_axes(offset + j - 1)
+    w = place_axes(pot.difference_table, axes, gamma.kernel.ndim)
+    return Marginal(gamma.grid, k, gamma.kernel * w)
 
 
 def bbgky_error_level(gamma: Marginal, pot: PotentialSpec,
                       weighted: bool = True) -> Marginal:
     """Sum over pairs i<j of plus-minus error terms, with the 1/N weight."""
     k = gamma.k
-    out = zero_marginal(gamma.grid, k)
+    if k < 2:
+        return zero_marginal(gamma.grid, k)
+    out = None
     for i in range(1, k + 1):
         for j in range(i + 1, k + 1):
-            out = out + bbgky_collision_error(gamma, i, j, "+", pot)
+            plus = bbgky_collision_error(gamma, i, j, "+", pot)
+            out = plus if out is None else out + plus
             out = out - bbgky_collision_error(gamma, i, j, "-", pot)
     if weighted:
         out = out * (1.0 / pot.big_n)
@@ -325,12 +301,11 @@ def bbgky_rhs(state: HierarchyState, pot: PotentialSpec) -> HierarchyState:
         raise ValueError(f"state truncated at K={state.K} > N={pot.big_n}")
     comps = []
     for k in range(1, state.K + 1):
-        term = zero_marginal(state.grid, k)
-        if k < state.K:
-            term = term + bbgky_main_level(state.entry(k + 1), pot)
+        term = bbgky_main_level(state.entry(k + 1), pot) if k < state.K else None
         if k >= 2:
-            term = term + bbgky_error_level(state.entry(k), pot)
-        comps.append(term)
+            error = bbgky_error_level(state.entry(k), pot)
+            term = error if term is None else term + error
+        comps.append(zero_marginal(state.grid, k) if term is None else term)
     return HierarchyState(comps, state.xi)
 
 
@@ -362,16 +337,10 @@ def collision_fourier_oracle(gamma_next: Marginal, t: float,
 
     spec = np.fft.fftn(gamma_next.kernel)
     if t != 0.0:
-        for slot in range(kp1):
-            shape = [1] * (2 * kp1 * d)
-            for i, ax in enumerate(grid.slot_axes(slot)):
-                shape[ax] = n
-            spec = spec * np.exp(-1j * t * grid.k2).reshape(shape)
-        for slot in range(kp1, 2 * kp1):
-            shape = [1] * (2 * kp1 * d)
-            for i, ax in enumerate(grid.slot_axes(slot)):
-                shape[ax] = n
-            spec = spec * np.exp(+1j * t * grid.k2).reshape(shape)
+        forward, backward = np.exp(-1j * t * grid.k2), np.exp(+1j * t * grid.k2)
+        for slot in range(2 * kp1):
+            phase = forward if slot < kp1 else backward
+            spec = spec * place_axes(phase, grid.slot_axes(slot), spec.ndim)
 
     if pot is None:
         vhat = np.ones(grid.slot_shape(1))

@@ -75,6 +75,21 @@ def zero_marginal(grid: GridSpec, k: int) -> Marginal:
 _LABELS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
+def pair_subscripts(k: int, d: int, pair: int, tie: int) -> tuple[str, str]:
+    """Einsum input and output subscripts that consume particle pair ``pair``
+    (slots pair and k + pair) of a level-k kernel in dimension d.
+
+    Both halves of the pair take the labels of slot ``tie`` and drop out of
+    the output: tie = pair is the partial trace, any other slot restricts the
+    pair to that slot's variable (the contact contraction).
+    """
+    labels = list(_LABELS[: 2 * k * d])
+    for i in range(d):
+        labels[pair * d + i] = labels[(k + pair) * d + i] = labels[tie * d + i]
+    out = [lab for ax, lab in enumerate(labels) if ax // d not in (pair, k + pair)]
+    return "".join(labels), "".join(out)
+
+
 def _tensor_product(factors: Sequence[np.ndarray]) -> np.ndarray:
     out = factors[0]
     for f in factors[1:]:
@@ -129,13 +144,8 @@ def partial_trace_at(gamma: Marginal, pos: int) -> Marginal:
         raise ValueError("partial trace needs k >= 2 (use trace for k = 1)")
     if not 0 <= pos < k:
         raise ValueError(f"position {pos} out of range for k={k}")
-    labels = list(_LABELS[: 2 * k * d])
-    for i in range(d):
-        labels[(k + pos) * d + i] = labels[pos * d + i]
-    out_labels = [lab for ax, lab in enumerate(labels)
-                  if ax // d not in (pos, k + pos)]
-    sub = "".join(labels) + "->" + "".join(out_labels)
-    contracted = np.einsum(sub, gamma.kernel)
+    inp, out = pair_subscripts(k, d, pos, pos)
+    contracted = np.einsum(f"{inp}->{out}", gamma.kernel)
     return Marginal(gamma.grid, k - 1, contracted * gamma.grid.h**d)
 
 
@@ -173,12 +183,6 @@ def psd_defect(gamma: Marginal, budget: TensorBudget | None = None) -> float:
     herm = 0.5 * (m + m.conj().T)
     lam_min = float(np.linalg.eigvalsh(herm)[0])
     return max(0.0, -lam_min)
-
-
-def is_positive_semidefinite(gamma: Marginal, rtol: float = 1e-10) -> bool:
-    """psd up to the eigensolver noise floor, scaled by the kernel's trace."""
-    scale = abs(trace(gamma)) or 1.0
-    return psd_defect(gamma) <= rtol * scale
 
 
 def hermiticity_defect(gamma: Marginal) -> float:

@@ -14,33 +14,19 @@ from functools import cached_property
 import numpy as np
 
 from .budget import TensorBudget, default_budget
-from .grid import Field, GridSpec, inner, l2_norm, normalized
-from .interactions import PotentialSpec, potential_difference_tensor
-from .marginals import Marginal
+from .grid import (Field, GridSpec, free_symbol, inner, l2_norm, normalized,
+                   place_axes)
+from .interactions import PotentialSpec
+from .marginals import Marginal, _tensor_product
 
 
 def _pair_potential_total(grid: GridSpec, big_n: int, pot: PotentialSpec) -> np.ndarray:
     """sum_{i<j} V(x_i - x_j) over the full rank-N grid (no 1/N factor)."""
-    n, d = grid.n, grid.dim
-    w = potential_difference_tensor(pot.realized)
     total = np.zeros(grid.slot_shape(big_n))
     for i in range(big_n):
         for j in range(i + 1, big_n):
-            shape = [1] * (big_n * d)
-            for ax in range(d):
-                shape[i * d + ax] = n
-                shape[j * d + ax] = n
-            total = total + w.reshape(shape)
-    return total
-
-
-def _kinetic_symbol(grid: GridSpec, big_n: int) -> np.ndarray:
-    total = np.zeros(grid.slot_shape(big_n))
-    for slot in range(big_n):
-        shape = [1] * (big_n * grid.dim)
-        for ax in grid.slot_axes(slot):
-            shape[ax] = grid.n
-        total = total + grid.k2.reshape(shape)
+            axes = grid.slot_axes(i) + grid.slot_axes(j)
+            total = total + place_axes(pot.difference_table, axes, total.ndim)
     return total
 
 
@@ -63,7 +49,7 @@ class NBodyState:
 
     @cached_property
     def kinetic(self) -> np.ndarray:
-        return _kinetic_symbol(self.grid, self.big_n)
+        return free_symbol(self.grid, [1] * self.big_n)
 
 
 def factorized_state(phi: Field, big_n: int, pot: PotentialSpec | None = None,
@@ -72,9 +58,7 @@ def factorized_state(phi: Field, big_n: int, pot: PotentialSpec | None = None,
     budget = budget or default_budget()
     grid = phi.grid
     budget.check_elements(grid.num_points**big_n, f"N-body state N={big_n}")
-    data = phi.data
-    for _ in range(big_n - 1):
-        data = np.tensordot(data, phi.data, axes=0)
+    data = _tensor_product([phi.data] * big_n)
     return NBodyState(grid, big_n, normalized(Field(grid, big_n, data)), pot)
 
 
@@ -87,10 +71,7 @@ def perturbed_product_state(phi: Field, bump: Field, eps: float, big_n: int,
     grid = phi.grid
     mod = np.zeros(grid.slot_shape(big_n), dtype=np.complex128)
     for slot in range(big_n):
-        shape = [1] * (big_n * grid.dim)
-        for ax in grid.slot_axes(slot):
-            shape[ax] = grid.n
-        mod = mod + bump.data.reshape(shape)
+        mod = mod + place_axes(bump.data, grid.slot_axes(slot), mod.ndim)
     data = state.psi.data * (1.0 + eps * mod)
     return NBodyState(grid, big_n, normalized(Field(grid, big_n, data)), pot)
 
@@ -222,10 +203,8 @@ def energy_estimate_check(state: NBodyState, k: int, c: float) -> float:
     spec = np.fft.fftn(state.psi.data)
     mult = np.ones(state.grid.slot_shape(big_n))
     for slot in range(k):
-        shape = [1] * (big_n * state.grid.dim)
-        for ax in state.grid.slot_axes(slot):
-            shape[ax] = state.grid.n
-        mult = mult * (1.0 + state.grid.k2).reshape(shape)
+        mult = mult * place_axes(1.0 + state.grid.k2, state.grid.slot_axes(slot),
+                                 mult.ndim)
     dressed = Field(state.grid, big_n, np.fft.ifftn(mult * spec))
     denominator = inner(state.psi, dressed).real
     return float(numerator / (c**k * big_n**k * denominator))

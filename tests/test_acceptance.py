@@ -152,8 +152,7 @@ def test_criterion_08_gp_residual_scaling():
     mix = random_mixture(G16, 3, np.random.default_rng(108), max_mode=2)
     maxima = []
     for dt in (2e-3, 1e-3):
-        cfg = EvolutionConfig(dt=dt, t_final=0.02, closure="mixture_closure",
-                              K=2)
+        cfg = EvolutionConfig(dt=dt, t_final=0.02, closure="mixture_closure")
         traj = gp_evolve(mixture_state(mix, 2), cfg, kappa0=1.0, mixture=mix,
                          store_every=1)
         maxima.append(float(np.max(gp_residual(traj)[1])))
@@ -199,7 +198,7 @@ def test_criterion_10_energy_estimate_instances():
 @pytest.mark.slow
 def test_criterion_11_picard_fixed_point():
     pot = quiet_potential(G16, 0.6, 0.2, 16)
-    cfg = EvolutionConfig(dt=1e-3, t_final=0.05, K=2, xi=0.5)
+    cfg = EvolutionConfig(dt=1e-3, t_final=0.05, xi=0.5)
     horizon = cfg.t0_gate() / 4.0
     rng = np.random.default_rng(111)
     entries = [random_hermitian_marginal(G16, k, rng, max_mode=2,

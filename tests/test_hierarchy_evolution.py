@@ -4,8 +4,8 @@ import pytest
 from hierlab.definetti import Mixture, nls_flow, random_mixture
 from hierlab.grid import make_grid, random_low_mode_field
 from hierlab.hierarchy_evolution import (EvolutionConfig, HierarchyTrajectory,
-                                         TimeSeries, bbgky_evolve,
-                                         duhamel_iterate, free_flow,
+                                         MixtureClosure, TimeSeries,
+                                         bbgky_evolve, duhamel_iterate, free_flow,
                                          free_flow_series, gp_evolve,
                                          gp_residual, k_schedule,
                                          picard_fixed_point, truncate)
@@ -77,7 +77,7 @@ def test_k_schedule_rejects():
 
 def test_gp_evolve_collision_disabled_is_free_flow():
     state = factorized_state(atom(G16, 1), 2)
-    cfg = EvolutionConfig(dt=1e-3, t_final=0.02, K=2)
+    cfg = EvolutionConfig(dt=1e-3, t_final=0.02)
     traj = gp_evolve(state, cfg, kappa0=0.0, store_every=0)
     exact = free_flow(state, 0.02)
     assert hierarchy_norm(traj.final() - exact, 0.0) < 1e-11
@@ -86,7 +86,7 @@ def test_gp_evolve_collision_disabled_is_free_flow():
 def test_gp_evolve_tracks_cubic_flow():
     phi = atom(G16, 2)
     mix = Mixture([(1.0, phi)])
-    cfg = EvolutionConfig(dt=1e-3, t_final=0.05, closure="mixture_closure", K=2)
+    cfg = EvolutionConfig(dt=1e-3, t_final=0.05, closure="mixture_closure")
     traj = gp_evolve(factorized_state(phi, 2), cfg, kappa0=1.0, mixture=mix,
                      store_every=0)
     oracle = pure_product_marginal(nls_flow(phi, 0.05, 1e-5), 1)
@@ -98,7 +98,7 @@ def test_gp_evolve_second_order_against_same_dt_oracle():
     mix = Mixture([(1.0, phi)])
     errs = []
     for dt in (2e-3, 1e-3):
-        cfg = EvolutionConfig(dt=dt, t_final=0.05, closure="mixture_closure", K=2)
+        cfg = EvolutionConfig(dt=dt, t_final=0.05, closure="mixture_closure")
         traj = gp_evolve(factorized_state(phi, 2), cfg, kappa0=1.0,
                          mixture=mix, store_every=0)
         oracle = pure_product_marginal(nls_flow(phi, 0.05, dt), 1)
@@ -109,7 +109,7 @@ def test_gp_evolve_second_order_against_same_dt_oracle():
 def test_gp_evolve_structure_preserved_each_step():
     phi = atom(G16, 4)
     mix = Mixture([(1.0, phi)])
-    cfg = EvolutionConfig(dt=1e-3, t_final=0.02, closure="mixture_closure", K=2)
+    cfg = EvolutionConfig(dt=1e-3, t_final=0.02, closure="mixture_closure")
     traj = gp_evolve(factorized_state(phi, 2), cfg, kappa0=1.0, mixture=mix,
                      store_every=1)
     for k, vals in traj.traces.items():
@@ -125,7 +125,7 @@ def test_gp_evolve_admissibility_transport():
     mix = random_mixture(G8, 2, np.random.default_rng(21), max_mode=2)
     state0 = mixture_state(mix, 3, xi=0.5)
     dt = 2e-3
-    cfg = EvolutionConfig(dt=dt, t_final=0.04, closure="mixture_closure", K=3)
+    cfg = EvolutionConfig(dt=dt, t_final=0.04, closure="mixture_closure")
     traj = gp_evolve(state0, cfg, kappa0=1.0, mixture=mix, store_every=5)
     # transport constant fitted on this configuration once, then frozen
     C_FROZEN = 2e-6
@@ -135,9 +135,17 @@ def test_gp_evolve_admissibility_transport():
 
 def test_gp_evolve_zero_top_closure_runs():
     state = factorized_state(atom(G16, 5), 2)
-    cfg = EvolutionConfig(dt=1e-3, t_final=0.01, K=2, closure="zero_top")
+    cfg = EvolutionConfig(dt=1e-3, t_final=0.01, closure="zero_top")
     traj = gp_evolve(state, cfg, kappa0=1.0, store_every=0)
     assert traj.final().K == 2
+
+
+def test_mixture_closure_rejects_an_earlier_half_step():
+    closure = MixtureClosure(Mixture([(1.0, atom(G8, 5))]), 2, dt_half=1e-3)
+    closure.top_collision(2e-3)
+    closure.top_collision(2e-3)  # the latest frame may be queried again
+    with pytest.raises(ValueError):
+        closure.top_collision(1e-3)
 
 
 def test_gp_evolve_requires_mixture_for_closure():
@@ -152,7 +160,7 @@ def test_gp_evolve_requires_mixture_for_closure():
 
 def test_bbgky_zero_mass_potential_is_free_flow():
     state = factorized_state(atom(G16, 7), 2)
-    cfg = EvolutionConfig(dt=1e-3, t_final=0.02, K=2)
+    cfg = EvolutionConfig(dt=1e-3, t_final=0.02)
     traj = bbgky_evolve(state, cfg, zero_potential(G16), store_every=0)
     exact = free_flow(state, 0.02)
     assert hierarchy_norm(traj.final() - exact, 0.0) < 1e-11
@@ -166,7 +174,7 @@ def test_bbgky_two_body_von_neumann_oracle():
     ntraj = nbody_evolve(nstate, dt, t_final, store_every=0)
     state0 = HierarchyState([extract_marginal(nstate.psi, 1),
                              extract_marginal(nstate.psi, 2)], 0.5)
-    cfg = EvolutionConfig(dt=dt, t_final=t_final, K=2)
+    cfg = EvolutionConfig(dt=dt, t_final=t_final)
     btraj = bbgky_evolve(state0, cfg, pot, store_every=0)
     for k in (1, 2):
         diff = sobolev_norm(btraj.final().entry(k)
@@ -177,7 +185,7 @@ def test_bbgky_two_body_von_neumann_oracle():
 def test_bbgky_trace_conserved():
     phi = atom(G16, 9)
     pot = pot16(8)
-    cfg = EvolutionConfig(dt=1e-3, t_final=0.05, K=2)
+    cfg = EvolutionConfig(dt=1e-3, t_final=0.05)
     traj = bbgky_evolve(factorized_state(phi, 2), cfg, pot, store_every=0)
     for vals in traj.traces.values():
         assert np.max(np.abs(vals - vals[0])) < 1e-8
@@ -187,7 +195,7 @@ def test_bbgky_approaches_contact_hierarchy_along_ladder():
     import warnings
     phi = atom(G16, 5)
     state = factorized_state(phi, 2, xi=0.5)
-    cfg = EvolutionConfig(dt=2e-3, t_final=0.04, K=2, closure="zero_top")
+    cfg = EvolutionConfig(dt=2e-3, t_final=0.04, closure="zero_top")
     ref = gp_evolve(state, cfg, kappa0=1.0, store_every=0).final()
     dists = []
     for big_n in (16, 64, 256):
@@ -202,7 +210,7 @@ def test_bbgky_approaches_contact_hierarchy_along_ladder():
 
 def test_bbgky_rejects_k_above_n():
     state = factorized_state(atom(G16, 10), 3)
-    cfg = EvolutionConfig(dt=1e-3, t_final=0.01, K=3)
+    cfg = EvolutionConfig(dt=1e-3, t_final=0.01)
     with pytest.raises(ValueError):
         bbgky_evolve(state, cfg, pot16(2))
 
@@ -262,7 +270,7 @@ def test_residual_free_flow_equals_collision_norm():
 def test_residual_needs_stride_one():
     phi = atom(G16, 13)
     mix = Mixture([(1.0, phi)])
-    cfg = EvolutionConfig(dt=1e-3, t_final=0.02, closure="mixture_closure", K=2)
+    cfg = EvolutionConfig(dt=1e-3, t_final=0.02, closure="mixture_closure")
     traj = gp_evolve(factorized_state(phi, 2), cfg, kappa0=1.0, mixture=mix,
                      store_every=5)
     with pytest.raises(ValueError):
@@ -341,7 +349,7 @@ def test_duhamel_rejects_time_past_the_series():
 
 def picard_setup(seed, steps=64):
     pot = pot16(16)
-    cfg = EvolutionConfig(dt=1e-3, t_final=0.05, K=2, xi=0.5)
+    cfg = EvolutionConfig(dt=1e-3, t_final=0.05, xi=0.5)
     horizon = cfg.t0_gate() / 4.0
     rng = np.random.default_rng(seed)
     entries = [random_hermitian_marginal(G16, k, rng, max_mode=2, symmetric=True)
@@ -392,7 +400,7 @@ def test_strang_method_tracks_cubic_flow_second_order():
     errs = []
     for dt in (2e-3, 1e-3):
         cfg = EvolutionConfig(dt=dt, t_final=0.04, closure="mixture_closure",
-                              K=2, method="strang_splitting")
+                              method="strang_splitting")
         traj = gp_evolve(factorized_state(phi, 2), cfg, kappa0=1.0,
                          mixture=mix, store_every=0)
         errs.append(sobolev_norm(traj.final().entry(1) - oracle, 0.0))
@@ -403,6 +411,6 @@ def test_instability_detector_aborts_blowup():
     from hierlab.hierarchy_evolution import InstabilityError
     state = factorized_state(atom(G16, 23), 2)
     # absurd step size makes the explicit stage amplification catastrophic
-    cfg = EvolutionConfig(dt=100.0, t_final=10000.0, K=2)
+    cfg = EvolutionConfig(dt=100.0, t_final=10000.0)
     with pytest.raises(InstabilityError):
         bbgky_evolve(state, cfg, pot16(4), store_every=0)

@@ -125,7 +125,7 @@ def test_duhamel_iterate_matches_physical_reference(grid, j):
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
 def test_picard_sweep_matches_physical_reference(grid):
     pot = pot_for(grid)
-    cfg = EvolutionConfig(K=2, xi=0.5)
+    cfg = EvolutionConfig(xi=0.5)
     rng = np.random.default_rng(3)
     base = HierarchyState([random_hermitian_marginal(grid, k, rng, max_mode=1)
                            for k in (1, 2)], 0.5)
