@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import TensorBudget
-from .grid import (Field, GridSpec, bessel_multiply, l2_norm,
-                   sobolev_norm_field)
+from .grid import (Field, GridSpec, apply_axes, bessel_multiply, flow_matrix,
+                   l2_norm, sobolev_norm_field)
 from .marginals import (HierarchyState, Marginal, admissibility_defect,
                         hierarchy_norm, mixture_state, pair_subscripts,
                         partial_trace_at, psd_defect, trace)
@@ -100,13 +100,13 @@ def nls_evolve(phi: Field, dt: float, t_final: float, coupling: float = 1.0,
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ValueError("t_final must be a multiple of dt")
     grid = phi.grid
-    kinetic = np.exp(-1j * dt * grid.k2)
+    kinetic = [flow_matrix(grid, dt)] * grid.dim
     data = phi.data.copy()
     times = [0.0]
     fields = [Field(grid, 1, data.copy())]
     for step in range(1, n_steps + 1):
         data = data * np.exp(-0.5j * dt * coupling * np.abs(data) ** 2)
-        data = np.fft.ifftn(kinetic * np.fft.fftn(data))
+        data = apply_axes(data, kinetic)
         data = data * np.exp(-0.5j * dt * coupling * np.abs(data) ** 2)
         if store_every and (step % store_every == 0 or step == n_steps):
             times.append(step * dt)

@@ -445,7 +445,7 @@ def run_simulate_nbody(cfg: ExperimentConfig) -> tuple[Report, dict]:
     report.add("simulate_nbody", "norm_drift",
                float(np.max(np.abs(traj.norms - traj.norms[0]))),
                N=cfg.big_n, t=cfg.t_final)
-    final_state = type(state)(grid, cfg.big_n, final, pot)
+    final_state = state.with_psi(final)
     moments1 = {k: energy_moment(final_state, k) for k in (1, 2)}
     for k in (1, 2):
         report.add("simulate_nbody", f"moment{k}_drift",

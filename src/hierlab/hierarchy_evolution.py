@@ -446,7 +446,8 @@ def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec,
     once; that spectrum gives the update norm by Parseval and feeds the next
     sweep.
 
-    The horizon must sit inside the heuristic contraction gate xi^2/c0.  A
+    The horizon must sit inside the heuristic contraction gate xi^2/c0, and
+    config.xi must be the series' xi, which weights the update norms.  A
     ratio of successive updates >= 1 three times in a row aborts: the horizon
     is too large for the discrete surrogate.  The reported residual re-checks
     the converged iterate with an independent (Simpson) quadrature.
@@ -459,6 +460,9 @@ def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec,
     grid = xi_series.states[0].grid
     K = xi_series.states[0].K
     xi = xi_series.states[0].xi
+    if xi != config.xi:
+        raise ValueError(f"series weights xi={xi} differ from the gate's "
+                         f"config.xi={config.xi}")
     phases = [np.exp(-1j * dt * flow_symbol(grid, k)) for k in range(1, K + 1)]
     weights = [sobolev_weight(grid, 2 * k, 1.0) for k in range(1, K + 1)]
 

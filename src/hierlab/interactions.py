@@ -207,11 +207,11 @@ def gp_collision_level(gamma_next: Marginal) -> Marginal:
 
 
 def gp_collision_sum(state: HierarchyState, kappa0: float = 1.0) -> HierarchyState:
-    """Contact collision term of the whole state; level k reads level k+1,
-    the top level reads the implicit zero entry."""
-    comps = []
-    for k in range(1, state.K + 1):
-        comps.append(gp_collision_level(state.entry(k + 1)) * kappa0)
+    """Contact collision term of the whole state; level k reads level k+1.
+    The top level would read the implicit zero entry, so it is zero."""
+    comps = [gp_collision_level(gamma_next) * kappa0
+             for gamma_next in state.entries[1:]]
+    comps.append(zero_marginal(state.grid, state.K))
     return HierarchyState(comps, state.xi)
 
 

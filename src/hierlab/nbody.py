@@ -8,14 +8,15 @@ regime is a ladder of small N rather than any single large run.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .budget import TensorBudget, default_budget
-from .grid import (Field, GridSpec, free_symbol, inner, l2_norm, normalized,
-                   place_axes)
+from .grid import (Field, GridSpec, apply_axes, flow_matrix, free_symbol,
+                   inner, l2_norm, normalized, place_axes)
 from .interactions import PotentialSpec
 from .marginals import Marginal, _tensor_product
 
@@ -50,6 +51,14 @@ class NBodyState:
     @cached_property
     def kinetic(self) -> np.ndarray:
         return free_symbol(self.grid, [1] * self.big_n)
+
+    def with_psi(self, psi: Field) -> "NBodyState":
+        """The same system in another state; the cached pair potential and
+        kinetic symbol are shared, not rebuilt."""
+        other = copy.copy(self)  # shallow: keeps the cached_property values
+        other.psi = psi
+        other.__post_init__()
+        return other
 
 
 def factorized_state(phi: Field, big_n: int, pot: PotentialSpec | None = None,
@@ -128,23 +137,21 @@ class NBodyTrajectory:
 
 def nbody_evolve(state: NBodyState, dt: float, t_final: float,
                  store_every: int = 1) -> NBodyTrajectory:
-    """Symmetric split-step trajectory (pointwise potential halves around an
-    exact spectral kinetic step).  Unitary, so the norm is conserved to
-    rounding; energy drift is bounded at second order."""
+    """Symmetric split-step trajectory (pointwise potential halves around the
+    exact kinetic step, one grid.flow_matrix per axis).  Unitary, so the norm is
+    conserved to rounding; energy drift is bounded at second order."""
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
         raise ValueError("t_final must be a multiple of dt")
     grid = state.grid
     vhalf = np.exp(-0.5j * dt * state.pair_potential / state.big_n)
-    kfull = np.exp(-1j * dt * state.kinetic)
+    kinetic = [flow_matrix(grid, dt)] * (grid.dim * state.big_n)
     data = state.psi.data.copy()
     times = [0.0]
     norms = [l2_norm(state.psi)]
     snapshots = [(0.0, Field(grid, state.big_n, data.copy()))]
     for step in range(1, n_steps + 1):
-        data = vhalf * data
-        data = np.fft.ifftn(kfull * np.fft.fftn(data))
-        data = vhalf * data
+        data = vhalf * apply_axes(vhalf * data, kinetic)
         t = step * dt
         times.append(t)
         norms.append(float(np.sqrt(grid.h ** (grid.dim * state.big_n)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from hierlab.grid import (Field, bessel_multiply, dft_forward, dft_inverse,
-                          free_propagate, inner, l2_norm, make_grid,
-                          normalized, random_low_mode_field, sobolev_norm_field,
-                          zero_field)
+from hierlab.grid import (Field, apply_axes, apply_multiplier, bessel_multiply,
+                          dft_forward, dft_inverse, flow_matrix, free_propagate,
+                          inner, l2_norm, make_grid, normalized,
+                          random_low_mode_field, sobolev_norm_field, zero_field)
 
 
 def plane_wave(grid, mode=1):
@@ -147,3 +147,41 @@ def test_inner_and_norm_consistency():
     rng = np.random.default_rng(7)
     f = random_low_mode_field(g, 1, rng, unit_norm=False)
     assert l2_norm(f) ** 2 == pytest.approx(inner(f, f).real, rel=1e-12)
+
+
+# -- free flow as per-axis matrices ------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [4, 16, 128])
+def test_flow_matrix_unitary_group(n):
+    g = make_grid(1, n, 2 * np.pi)
+    eye = np.eye(n)
+    for t, s in [(0.3, -0.7), (-1.25, 0.05), (2.0, 2.0)]:
+        m = flow_matrix(g, t)
+        assert np.max(np.abs(m @ m.conj().T - eye)) <= 1e-13
+        assert np.max(np.abs(m @ flow_matrix(g, s) - flow_matrix(g, t + s))) <= 1e-13
+
+
+# (dim, n, signs), mixed signs in every dimension
+FLOW_CASES = [(1, 8, [1, -1, -1, 1]), (2, 8, [1, -1]), (3, 8, [-1, 1]),
+              (1, 128, [1, -1])]
+
+
+@pytest.mark.parametrize("dim,n,signs", FLOW_CASES,
+                         ids=[f"d{d}n{n}r{len(s)}" for d, n, s in FLOW_CASES])
+def test_free_propagate_matches_fft_phases(dim, n, signs):
+    g = make_grid(dim, n, 2 * np.pi)
+    rng = np.random.default_rng(dim * 1000 + n)
+    shape = g.slot_shape(len(signs))
+    f = Field(g, len(signs), rng.standard_normal(shape)
+              + 1j * rng.standard_normal(shape))
+    t = 0.37
+    ref = apply_multiplier(f, [np.exp(-1j * s * t * g.k2) for s in signs]).data
+    got = free_propagate(f, t, signs).data
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_apply_axes_needs_one_matrix_per_axis():
+    g = make_grid(2, 4, 1.0)
+    with pytest.raises(ValueError):
+        apply_axes(np.zeros(g.slot_shape(1)), [flow_matrix(g, 0.1)])

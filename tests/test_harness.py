@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hierlab.nbody as nbody_mod
 from hierlab.cli import main
 from hierlab.harness import (CSV_HEADER, ExperimentConfig, Report,
                              run_collision_limit, run_conservation,
@@ -136,6 +137,21 @@ def test_simulate_nbody_moments_and_files(tmp_path):
     assert vals["norm_drift"] < 1e-10
     assert vals["marginal_trace_k1"] == pytest.approx(1.0, abs=1e-10)
     assert (Path(cfg.outdir) / "nbody_k2_final.hlab").exists()
+
+
+def test_simulate_nbody_builds_its_operators_once(tmp_path, monkeypatch):
+    built = {"_pair_potential_total": 0, "free_symbol": 0}
+    for name in built:
+        real = getattr(nbody_mod, name)
+
+        def counting(*args, _name=name, _real=real):
+            built[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(nbody_mod, name, counting)
+    cfg = small_cfg(outdir=str(tmp_path / "nb"), big_n=3, t_final=0.01,
+                    dt=1e-3, k_marginals=2)
+    run_simulate_nbody(cfg)
+    assert built == {"_pair_potential_total": 1, "free_symbol": 1}
 
 
 def test_cli_runs_collision_limit(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hierlab.hierarchy_evolution as hierarchy_evolution
 from hierlab.definetti import Mixture, nls_flow, random_mixture
 from hierlab.grid import make_grid, random_low_mode_field
 from hierlab.hierarchy_evolution import (EvolutionConfig, HierarchyTrajectory,
@@ -391,6 +392,15 @@ def test_picard_rejects_horizon_beyond_gate():
     long_series = TimeSeries(cfg.t0_gate() / 8, series.states)  # horizon > gate
     with pytest.raises(ValueError):
         picard_fixed_point(long_series, pot, cfg)
+
+
+def test_picard_rejects_xi_differing_from_config(monkeypatch):
+    series, pot, _ = picard_setup(23, steps=8)
+    cfg = EvolutionConfig(dt=1e-3, t_final=0.05, xi=0.6)  # series carries 0.5
+    monkeypatch.setattr(hierarchy_evolution, "_flowed_prefix",
+                        lambda *a: pytest.fail("sweep started"))
+    with pytest.raises(ValueError, match="xi"):
+        picard_fixed_point(series, pot, cfg)
 
 
 def test_strang_method_tracks_cubic_flow_second_order():

@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
 
+import hierlab.grid as grid_mod
+import hierlab.interactions as interactions_mod
+import hierlab.marginals as marginals_mod
 from hierlab.budget import BudgetExceeded
 from hierlab.grid import Field, make_grid, normalized, random_low_mode_field
 from hierlab.interactions import (bbgky_collision_error, bbgky_collision_main,
                                   bbgky_rhs, bump_profile,
                                   collision_fourier_oracle, delta_surrogate,
                                   gaussian_profile, gp_collision,
-                                  gp_collision_full,
+                                  gp_collision_full, gp_collision_level,
                                   gp_collision_sum, potential_difference_tensor,
                                   realize_potential)
 from hierlab.marginals import (HierarchyState, Marginal, factorized_state,
                                free_propagate_marginal, hermiticity_defect,
                                hierarchy_norm, mixture_marginal,
-                               pure_product_marginal, sobolev_norm, trace)
+                               pure_product_marginal, sobolev_norm, trace,
+                               zero_marginal)
 
 G16 = make_grid(1, 16, 2 * np.pi)
 G8 = make_grid(1, 8, 2 * np.pi)
@@ -149,6 +153,22 @@ def test_gp_collision_sum_k1_factorized():
     assert sobolev_norm(out.entry(1) - expected, 0.0) < 1e-12
 
 
+@pytest.mark.parametrize("K", [1, 2])
+def test_gp_collision_sum_top_level_without_upper_kernel(monkeypatch, K):
+    state = factorized_state(unit_atom(G8, 6), K)
+    levels = []
+    for mod in (marginals_mod, interactions_mod):
+        monkeypatch.setattr(mod, "zero_marginal",
+                            lambda grid, k: levels.append(k) or zero_marginal(grid, k))
+    out = gp_collision_sum(state, kappa0=-1.5)
+    assert max(levels) <= K
+    # the old path: every level, the top one included, contracts level k+1
+    for k in range(1, K + 1):
+        upper = state.entry(k + 1) if k < K else zero_marginal(G8, K + 1)
+        old = gp_collision_level(upper) * -1.5
+        assert np.array_equal(out.entry(k).kernel, old.kernel)
+
+
 # -- finite-N operators -----------------------------------------------------------
 
 
@@ -279,6 +299,18 @@ def test_oracle_matches_spatial_path_with_potential():
                                        1, "+", pot)
         rel = sobolev_norm(oracle - spatial, 0.0) / sobolev_norm(spatial, 0.0)
         assert rel < 1e-9
+
+
+def test_oracle_calls_no_flow_matrix(monkeypatch):
+    calls = []
+    for mod in (grid_mod, marginals_mod, interactions_mod):
+        for name in ("flow_matrix", "apply_axes"):
+            monkeypatch.setattr(mod, name, lambda *a, _n=name: calls.append(_n),
+                                raising=False)
+    gamma = hermitian_mixture(G8, 15, 2)
+    pot = realize_potential(gaussian_profile(G8, 0.7), 0.2, 8)
+    collision_fourier_oracle(gamma, 0.1, pot)
+    assert calls == []
 
 
 def test_oracle_flat_spectrum_equals_contact_case():

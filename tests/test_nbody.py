@@ -100,6 +100,36 @@ def test_evolve_free_matches_spectral_flow():
     assert np.max(np.abs(traj.final().data - exact.data)) < 1e-11
 
 
+def test_evolve_matches_fft_split_step():
+    # reference: the split step with the kinetic factor as an fftn round trip
+    pot = pot8(3)
+    state = smooth_symmetric_state(G8, 3, pot, 30)
+    dt, n_steps = 2e-3, 25
+    vhalf = np.exp(-0.5j * dt * state.pair_potential / 3)
+    kfull = np.exp(-1j * dt * state.kinetic)
+    data = state.psi.data.copy()
+    for _ in range(n_steps):
+        data = vhalf * np.fft.ifftn(kfull * np.fft.fftn(vhalf * data))
+    traj = nbody_evolve(state, dt, n_steps * dt, store_every=0)
+    assert np.max(np.abs(traj.final().data - data)) <= 1e-12
+
+
+def test_with_psi_shares_cached_operators():
+    pot = pot8(3)
+    state = smooth_symmetric_state(G8, 3, pot, 31)
+    energy_moment(state, 1)  # builds both cached operators
+    final = nbody_evolve(state, 1e-3, 0.01, store_every=0).final()
+    moved = state.with_psi(final)
+    assert moved.psi is final and state.psi is not final
+    assert moved.pair_potential is state.pair_potential
+    assert moved.kinetic is state.kinetic
+    fresh = NBodyState(G8, 3, final, pot)
+    for k in (1, 2):
+        assert energy_moment(moved, k) == energy_moment(fresh, k)
+    with pytest.raises(ValueError):
+        state.with_psi(smooth_atom(G8, 32))
+
+
 def test_evolve_norm_and_symmetry_preserved():
     pot = pot16(2)
     state = smooth_symmetric_state(G16, 2, pot, 7)
