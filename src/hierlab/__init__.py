@@ -24,7 +24,7 @@ from .definetti import (EnergyReport, Mixture, energy_functional_direct,
                         energy_functional_mixture, energy_report, flow_mixture,
                         gwp_window_chain, nls_energy, nls_evolve, nls_flow,
                         random_mixture, support_bound)
-from .nbody import (NBodyState, energy_estimate_check, energy_moment,
+from .nbody import (NBodyState, energy_estimate_check, energy_moments,
                     extract_marginal, factorized_state as nbody_factorized_state,
                     hamiltonian_apply, nbody_evolve, perturbed_product_state,
                     symmetry_defect, two_mode_state)
@@ -32,7 +32,7 @@ from .hierarchy_evolution import (EvolutionConfig, HierarchyTrajectory,
                                   InstabilityError, TimeSeries, bbgky_evolve,
                                   duhamel_iterate, free_flow, free_flow_series,
                                   gp_evolve, gp_residual, k_schedule,
-                                  picard_fixed_point, truncate)
+                                  picard_fixed_point, t0_gate, truncate)
 from .harness import ExperimentConfig, Report, run_experiment
 from .storage import (read_field, read_marginal, read_mixture, write_field,
                       write_marginal, write_mixture)

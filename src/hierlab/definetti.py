@@ -21,6 +21,11 @@ from .marginals import (HierarchyState, Marginal, admissibility_defect,
                         hierarchy_norm, mixture_state, pair_subscripts,
                         partial_trace_at, psd_defect, trace)
 
+# relative imaginary residue of the energy functional tolerated as rounding
+FUNCTIONAL_IMAG_TOL = 1e-10
+# relative slack of the window chain's norm bound
+WINDOW_SLACK = 1e-6
+
 
 @dataclass
 class Mixture:
@@ -151,8 +156,7 @@ def energy_functional_mixture(mix: Mixture, m: int) -> float:
     return float(sum(w * (0.5 + nls_energy(phi)) ** m for w, phi in mix.atoms))
 
 
-def energy_functional_direct(state: HierarchyState, m: int,
-                             imag_tol: float = 1e-10) -> float:
+def energy_functional_direct(state: HierarchyState, m: int) -> float:
     """Evaluate the m-th energy functional by explicit kernel algebra.
 
     Starting from the 2m-particle kernel, each stage consumes one particle:
@@ -178,7 +182,7 @@ def energy_functional_direct(state: HierarchyState, m: int,
         cur = Marginal(cur.grid, cur.k - 1,
                        0.5 * dressed.data + 0.5 * reduced.kernel + 0.25 * contact)
     val = trace(cur)
-    if abs(val.imag) > imag_tol * max(1.0, abs(val.real)):
+    if abs(val.imag) > FUNCTIONAL_IMAG_TOL * max(1.0, abs(val.real)):
         raise ArithmeticError(f"energy functional has imaginary residue {val.imag}")
     return float(val.real)
 
@@ -220,13 +224,14 @@ def energy_report(mix: Mixture, m_max: int = 2) -> EnergyReport:
 
 def gwp_window_chain(mix: Mixture, window: float, windows: int, K: int = 2,
                      xi: float = 0.5, xi_prime: float = 0.7, dt: float = 1e-3,
-                     kappa0: float = 1.0, slack: float = 1e-6,
+                     kappa0: float = 1.0,
                      budget: TensorBudget | None = None) -> dict:
     """Run the truncated contact hierarchy window by window, re-anchoring the
     mixture after each window, and log the weighted norm against the
     trace-flavor bound of the initial data.
 
-    Any window whose norm exceeds the bound beyond ``slack`` flags failure.
+    Any window whose norm exceeds the bound beyond ``WINDOW_SLACK`` (relative)
+    flags failure.
     """
     from .hierarchy_evolution import EvolutionConfig, gp_evolve
 
@@ -242,15 +247,14 @@ def gwp_window_chain(mix: Mixture, window: float, windows: int, K: int = 2,
     ok = True
     for w in range(windows):
         state = mixture_state(current, K, xi=xi, budget=budget)
-        cfg = EvolutionConfig(dt=dt, t_final=window, closure="mixture_closure",
-                              xi=xi)
+        cfg = EvolutionConfig(dt=dt, t_final=window)
         traj = gp_evolve(state, cfg, kappa0=kappa0, mixture=current,
                          store_every=0)
         terminal = traj.states[-1]
         h1 = hierarchy_norm(terminal, 1.0)
         psd = max(psd_defect(gamma) for gamma in terminal.entries)
         adm = max(admissibility_defect(terminal)) if K >= 2 else 0.0
-        within = h1 <= bound + slack * max(1.0, bound)
+        within = h1 <= bound + WINDOW_SLACK * max(1.0, bound)
         ok = ok and within
         rows.append({"window": w, "t_end": (w + 1) * window, "h1_norm": h1,
                      "bound": bound, "psd_defect": psd,

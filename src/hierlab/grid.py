@@ -271,7 +271,7 @@ def normalized(f: Field) -> Field:
 
 
 def random_low_mode_field(grid: GridSpec, rank: int, rng: np.random.Generator,
-                          max_mode: int | None = None, decay: float = 1.0,
+                          max_mode: int | None = None,
                           unit_norm: bool = True,
                           budget: TensorBudget | None = None) -> Field:
     """Seeded random field with spectrum supported on |m| <= max_mode per axis.
@@ -285,7 +285,7 @@ def random_low_mode_field(grid: GridSpec, rank: int, rng: np.random.Generator,
         max_mode = grid.n // 4
     modes = np.fft.fftfreq(grid.n, d=1.0 / grid.n)  # integer mode numbers
     keep_1d = np.abs(modes) <= max_mode
-    weight_1d = np.exp(-0.5 * (modes / (decay * max(max_mode, 1))) ** 2) * keep_1d
+    weight_1d = np.exp(-0.5 * (modes / max(max_mode, 1)) ** 2) * keep_1d
     full = np.ones(grid.slot_shape(rank))
     for ax in range(full.ndim):
         full = full * place_axes(weight_1d, (ax,), full.ndim)

@@ -25,7 +25,7 @@ from .grid import Field, GridSpec, make_grid, random_low_mode_field
 from .hierarchy_evolution import (EvolutionConfig, HierarchyTrajectory,
                                   bbgky_evolve, duhamel_iterate,
                                   free_flow_series, gp_evolve, gp_residual,
-                                  k_schedule, picard_fixed_point)
+                                  k_schedule, picard_fixed_point, t0_gate)
 from .interactions import (PROFILES, PotentialSpec, bbgky_main_level,
                            bbgky_rhs, collision_fourier_oracle, gp_collision,
                            gp_collision_sum, realize_potential,
@@ -35,7 +35,7 @@ from .marginals import (HierarchyState, admissibility_defect, factorized_state,
                         free_propagate_marginal, psd_defect,
                         random_hermitian_marginal, sobolev_norm)
 from .nbody import extract_marginal, factorized_state as nbody_factorized, \
-    nbody_evolve, energy_moment, symmetry_defect
+    nbody_evolve, energy_moments, symmetry_defect
 from .storage import write_marginal
 
 
@@ -206,8 +206,7 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[Report, dict]:
         K = k_schedule(big_n, cfg.b1, cap=min(cfg.k_max, big_n))
         nstate = nbody_factorized(phi0, big_n, pot)
         ntraj = nbody_evolve(nstate, cfg.dt, cfg.t_final, store_every=stride)
-        evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final,
-                              closure="mixture_closure", xi=cfg.xi)
+        evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final)
         gtraj = gp_evolve(factorized_state(phi0, K, xi=cfg.xi), evo,
                           kappa0=pot.kappa0, mixture=mixture,
                           store_every=stride)
@@ -291,7 +290,7 @@ def run_collision_limit(cfg: ExperimentConfig) -> tuple[Report, dict]:
     report = Report()
     for big_n in cfg.collision_ladder:
         pot = cfg.potential(big_n, grid)
-        lhs = bbgky_main_level(gamma2, pot, weighted=True, plus_only=True)
+        lhs = bbgky_main_level(gamma2, pot, plus_only=True)
         dist = sobolev_norm(lhs - target_plus * pot.kappa0, 0.0)
         report.add("collision_limit", "main_minus_contact_hs", dist, N=big_n)
         for t in (0.0, 0.1):
@@ -339,14 +338,13 @@ def run_picard(cfg: ExperimentConfig) -> tuple[Report, dict]:
     grid = cfg.grid()
     rng = cfg.rng()
     pot = cfg.potential(grid=grid)
-    evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final, xi=cfg.xi)
-    horizon = evo.t0_gate() / 4.0
+    horizon = t0_gate(cfg.xi) / 4.0
     steps = 128
     entries = [random_hermitian_marginal(grid, k, rng, max_mode=2, symmetric=True)
                for k in (1, 2)]
     base = HierarchyState(entries, cfg.xi)
     series = free_flow_series(base, horizon / steps, steps)
-    result = picard_fixed_point(series, pot, evo)
+    result = picard_fixed_point(series, pot)
     report = Report()
     report.add("picard", "iterations", result.iterations, N=pot.big_n, t=horizon)
     report.add("picard", "converged", result.converged, N=pot.big_n, t=horizon)
@@ -379,8 +377,7 @@ def run_simulate_gp(cfg: ExperimentConfig) -> tuple[Report, dict]:
     phi = smooth_unit_field(grid, rng)
     mixture = Mixture([(1.0, phi)])
     state0 = factorized_state(phi, cfg.k_max, xi=cfg.xi)
-    evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final,
-                          closure="mixture_closure", xi=cfg.xi)
+    evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final)
     traj = gp_evolve(state0, evo, kappa0=1.0, mixture=mixture, store_every=1,
                      log_collision_norms=True)
     report = Report()
@@ -410,7 +407,7 @@ def run_simulate_bbgky(cfg: ExperimentConfig) -> tuple[Report, dict]:
     pot = cfg.potential(grid=grid)
     K = min(cfg.k_max, pot.big_n)
     state0 = factorized_state(phi, K, xi=cfg.xi)
-    evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final, xi=cfg.xi)
+    evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final)
     traj = bbgky_evolve(state0, evo, pot, store_every=1,
                         log_collision_norms=True)
     report = Report()
@@ -436,7 +433,8 @@ def run_simulate_nbody(cfg: ExperimentConfig) -> tuple[Report, dict]:
     phi = smooth_unit_field(grid, rng)
     pot = cfg.potential(grid=grid)
     state = nbody_factorized(phi, cfg.big_n, pot)
-    moments0 = {k: energy_moment(state, k) for k in (1, 2)}
+    moments = energy_moments(state, 2)
+    moments0 = {k: moments[k] for k in (1, 2)}
     n_steps = int(round(cfg.t_final / cfg.dt))
     traj = nbody_evolve(state, cfg.dt, cfg.t_final,
                         store_every=max(1, n_steps // 4))
@@ -446,7 +444,8 @@ def run_simulate_nbody(cfg: ExperimentConfig) -> tuple[Report, dict]:
                float(np.max(np.abs(traj.norms - traj.norms[0]))),
                N=cfg.big_n, t=cfg.t_final)
     final_state = state.with_psi(final)
-    moments1 = {k: energy_moment(final_state, k) for k in (1, 2)}
+    moments = energy_moments(final_state, 2)
+    moments1 = {k: moments[k] for k in (1, 2)}
     for k in (1, 2):
         report.add("simulate_nbody", f"moment{k}_drift",
                    abs(moments1[k] - moments0[k]) / max(1.0, abs(moments0[k])),

@@ -1,10 +1,8 @@
 """Time evolution of truncated hierarchies.
 
 The free part is exponentiated exactly (it is a Fourier multiplier), the
-level-coupling collision term is integrated in the interaction picture.  The
-default stepper is the classical fourth-order Runge-Kutta scheme anchored at
-the step midpoint of the interaction picture; a second-order splitting with a
-midpoint collision update is available for comparison.
+level-coupling collision term is integrated in the interaction picture by the
+classical fourth-order Runge-Kutta scheme anchored at the step midpoint.
 
 The collision term annihilates traces identically on the grid (the plus and
 minus restrictions agree on the kernel diagonal), so per-level traces are
@@ -32,6 +30,10 @@ from .marginals import (HierarchyState, Marginal, flow_symbol,
                         zero_marginal)
 
 
+# relative trace drift of any level that aborts an evolution
+TRACE_DRIFT_ABORT = 0.01
+
+
 class InstabilityError(RuntimeError):
     """Trace drift exceeded the abort threshold during evolution."""
 
@@ -40,25 +42,17 @@ class InstabilityError(RuntimeError):
 class EvolutionConfig:
     dt: float = 1e-3
     t_final: float = 0.1
-    method: str = "rk4_interaction_picture"
-    closure: str = "zero_top"
-    xi: float = 0.5
-    c0: float = 1.0
-    trace_drift_abort: float = 0.01
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if not 0 < self.xi < 1:
-            raise ValueError("xi must lie in (0, 1)")
-        if self.method not in ("rk4_interaction_picture", "strang_splitting"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.closure not in ("zero_top", "mixture_closure"):
-            raise ValueError(f"unknown closure {self.closure!r}")
 
-    def t0_gate(self) -> float:
-        """Heuristic contraction horizon xi^2 / c0."""
-        return self.xi**2 / self.c0
+
+def t0_gate(xi: float) -> float:
+    """Heuristic contraction horizon xi^2 of the H^1_xi-weighted Picard map."""
+    if not 0 < xi < 1:
+        raise ValueError("xi must lie in (0, 1)")
+    return xi**2
 
 
 def truncate(state: HierarchyState, K: int) -> HierarchyState:
@@ -152,14 +146,6 @@ def _rk4ip_step(state: HierarchyState, t: float, dt: float,
     return half(state_i + (k1 + 2.0 * k2 + 2.0 * k3) * (1.0 / 6.0)) + k4 * (1.0 / 6.0)
 
 
-def _strang_step(state: HierarchyState, t: float, dt: float,
-                 rhs: Callable[[HierarchyState, float], HierarchyState]) -> HierarchyState:
-    out = free_flow(state, dt / 2.0)
-    mid = out + rhs(out, t + dt / 2.0) * (dt / 2.0)
-    out = out + rhs(mid, t + dt / 2.0) * dt
-    return free_flow(out, dt / 2.0)
-
-
 @dataclass
 class HierarchyTrajectory:
     times: np.ndarray
@@ -184,7 +170,6 @@ def _evolve(state0: HierarchyState, config: EvolutionConfig,
     if abs(n_steps * config.dt - config.t_final) > 1e-9 * max(1.0, config.t_final):
         raise ValueError("t_final must be a multiple of dt")
     dt = config.dt
-    step_fn = _rk4ip_step if config.method == "rk4_interaction_picture" else _strang_step
     K = state0.K
     state = state0.copy()
     base_traces = [trace(m).real for m in state.entries]
@@ -198,7 +183,7 @@ def _evolve(state0: HierarchyState, config: EvolutionConfig,
 
     for step in range(1, n_steps + 1):
         t = (step - 1) * dt
-        state = step_fn(state, t, dt, rhs)
+        state = _rk4ip_step(state, t, dt, rhs)
         for k in range(1, K + 1):
             tr = trace(state.entry(k)).real
             traces[k].append(tr)
@@ -207,10 +192,10 @@ def _evolve(state0: HierarchyState, config: EvolutionConfig,
             # the collision term is traceless on the grid, so a drifting or
             # non-finite trace is an integrator blow-up, not physics
             if not np.isfinite(tr) or \
-                    drift > config.trace_drift_abort * max(1.0, abs(base_traces[k - 1])):
+                    drift > TRACE_DRIFT_ABORT * max(1.0, abs(base_traces[k - 1])):
                 raise InstabilityError(
                     f"trace of level {k} drifted by {drift:.3e} at t={step * dt:.4f} "
-                    f"(dt={dt}, method={config.method})")
+                    f"(dt={dt})")
         if log_collision_norms:
             deriv = rhs(state, step * dt)
             for k in range(1, K + 1):
@@ -232,17 +217,14 @@ def gp_evolve(state0: HierarchyState, config: EvolutionConfig,
               log_collision_norms: bool = False) -> HierarchyTrajectory:
     """Evolve the K-truncated contact hierarchy.
 
-    zero_top closes the system with a vanishing (K+1)-level; mixture_closure
-    supplies that level from a mixture advanced by the cubic flow, which keeps
-    the truncated system exact on de Finetti data up to integrator error.
+    Without a mixture the (K+1)-level is zero.  A mixture supplies that level
+    (``MixtureClosure``) from its atoms advanced by the cubic flow, which
+    keeps the truncated system exact on de Finetti data up to integrator
+    error.
     """
     K = state0.K
-    if config.closure == "mixture_closure":
-        if mixture is None:
-            raise ValueError("mixture_closure needs a mixture")
-        closure = MixtureClosure(mixture, K, config.dt / 2.0, coupling=kappa0)
-    else:
-        closure = None
+    closure = None if mixture is None else \
+        MixtureClosure(mixture, K, config.dt / 2.0, coupling=kappa0)
 
     def rhs(state: HierarchyState, t: float) -> HierarchyState:
         comps = []
@@ -275,14 +257,13 @@ def bbgky_evolve(state0: HierarchyState, config: EvolutionConfig,
                    log_collision_norms=log_collision_norms, kappa0=pot.kappa0)
 
 
-def gp_residual(traj: HierarchyTrajectory, kappa0: float | None = None) -> dict[int, np.ndarray]:
+def gp_residual(traj: HierarchyTrajectory) -> dict[int, np.ndarray]:
     """Central-difference defect of the stored trajectory against the contact
-    hierarchy, per level k < K, at interior stored steps.  Requires every step
-    stored (stride one)."""
+    hierarchy with the trajectory's coupling, per level k < K, at interior
+    stored steps.  Requires every step stored (stride one)."""
     steps = traj.stored_steps
     if len(steps) < 3 or any(b - a != 1 for a, b in zip(steps, steps[1:])):
         raise ValueError("residual needs a trajectory stored at every step")
-    kappa0 = traj.kappa0 if kappa0 is None else kappa0
     K = traj.states[0].K
     out: dict[int, list[float]] = {k: [] for k in range(1, K)}
     dt = traj.dt
@@ -291,7 +272,7 @@ def gp_residual(traj: HierarchyTrajectory, kappa0: float | None = None) -> dict[
         for k in range(1, K):
             dgamma = (nxt.entry(k) - prev_s.entry(k)) * (1.0 / (2.0 * dt))
             lhs = dgamma * 1j
-            rhs = free_generator(cur.entry(k)) + gp_collision_level(cur.entry(k + 1)) * kappa0
+            rhs = free_generator(cur.entry(k)) + gp_collision_level(cur.entry(k + 1)) * traj.kappa0
             out[k].append(sobolev_norm(lhs - rhs, 0.0))
     return {k: np.array(v) for k, v in out.items()}
 
@@ -327,12 +308,16 @@ def free_flow_series(state0: HierarchyState, dt: float, n_steps: int) -> TimeSer
 
     One forward transform per level; the spectrum then steps by the one-step
     phase exp(-i dt S_k) and each later sample costs one inverse transform.
-    Sample 0 is a copy of ``state0``.
+    Sample 0 is a copy of ``state0``.  The entries of the whole series are
+    checked against the budget before the first transform.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
+    default_budget().check_elements(
+        (n_steps + 1) * sum(m.kernel.size for m in state0.entries),
+        f"free-flow series of {n_steps + 1} samples")
     grid = state0.grid
     levels = []
     for m in state0.entries:
@@ -429,13 +414,11 @@ class PicardResult:
     update_norms: list[float]
     contraction_ratios: list[float]
     converged: bool
-    residual: float | None
+    residual: float
 
 
 def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec,
-                       config: EvolutionConfig, tol: float = 1e-8,
-                       max_iter: int = 50,
-                       compute_residual: bool = True) -> PicardResult:
+                       tol: float = 1e-8, max_iter: int = 50) -> PicardResult:
     """Iterate Theta <- Xi + i Int_0^t B_N U(t-s) Theta(s) ds on the series
     grid (trapezoid in s) until successive iterates are closer than ``tol``
     in the weighted order-1 norm.
@@ -446,23 +429,20 @@ def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec,
     once; that spectrum gives the update norm by Parseval and feeds the next
     sweep.
 
-    The horizon must sit inside the heuristic contraction gate xi^2/c0, and
-    config.xi must be the series' xi, which weights the update norms.  A
-    ratio of successive updates >= 1 three times in a row aborts: the horizon
-    is too large for the discrete surrogate.  The reported residual re-checks
-    the converged iterate with an independent (Simpson) quadrature.
+    The series' xi weights the update norms, and the horizon must sit inside
+    the heuristic contraction gate ``t0_gate(xi)``.  A ratio of successive
+    updates >= 1 three times in a row aborts: the horizon is too large for
+    the discrete surrogate.  The reported residual re-checks the converged
+    iterate with an independent (Simpson) quadrature.
     """
     T = xi_series.horizon
-    gate = config.t0_gate()
-    if T >= gate:
-        raise ValueError(f"horizon T={T} is not below the gate T0={gate}")
     dt = xi_series.dt
     grid = xi_series.states[0].grid
     K = xi_series.states[0].K
     xi = xi_series.states[0].xi
-    if xi != config.xi:
-        raise ValueError(f"series weights xi={xi} differ from the gate's "
-                         f"config.xi={config.xi}")
+    gate = t0_gate(xi)
+    if T >= gate:
+        raise ValueError(f"horizon T={T} is not below the gate T0={gate}")
     phases = [np.exp(-1j * dt * flow_symbol(grid, k)) for k in range(1, K + 1)]
     weights = [sobolev_weight(grid, 2 * k, 1.0) for k in range(1, K + 1)]
 
@@ -515,8 +495,6 @@ def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec,
             converged = True
             break
 
-    residual = None
-    if compute_residual:
-        residual = sweep(theta_hat, simpson=True)[2]
+    residual = sweep(theta_hat, simpson=True)[2]
     return PicardResult(TimeSeries(dt, theta), iterations, update_norms,
                         ratios, converged, residual)

@@ -23,6 +23,9 @@ from .budget import TensorBudget, default_budget
 from .grid import Field, GridSpec, place_axes
 from .marginals import HierarchyState, Marginal, pair_subscripts, zero_marginal
 
+# boxes summed on each side when a Gaussian profile is periodized
+PERIODIC_IMAGES = 3
+
 
 # ---------------------------------------------------------------------------
 # Scaled potentials
@@ -51,10 +54,11 @@ class PotentialSpec:
         return potential_difference_tensor(self.realized)
 
 
-def gaussian_profile(grid: GridSpec, width: float, images: int = 3) -> Field:
-    """Centered Gaussian of the given width, periodized per axis."""
+def gaussian_profile(grid: GridSpec, width: float) -> Field:
+    """Centered Gaussian of the given width, periodized per axis over
+    PERIODIC_IMAGES boxes on each side."""
     x = grid.points
-    offsets = np.arange(-images, images + 1) * grid.L
+    offsets = np.arange(-PERIODIC_IMAGES, PERIODIC_IMAGES + 1) * grid.L
     axis_val = np.exp(-0.5 * ((x[:, None] - offsets[None, :]) / width) ** 2).sum(axis=1)
     val = axis_val
     for _ in range(grid.dim - 1):
@@ -246,7 +250,7 @@ def bbgky_collision_main(gamma_next: Marginal, j: int, sign: str,
 
 
 def bbgky_main_level(gamma_next: Marginal, pot: PotentialSpec,
-                     weighted: bool = True, plus_only: bool = False) -> Marginal:
+                     plus_only: bool = False) -> Marginal:
     """Sum over j of the finite-N main operator, with the (N-k)/N weight."""
     k = gamma_next.k - 1
     out = None
@@ -257,9 +261,7 @@ def bbgky_main_level(gamma_next: Marginal, pot: PotentialSpec,
         out = term if out is None else out + term
     if out is None:
         raise ValueError("the main term needs a kernel of at least 2 particles")
-    if weighted:
-        out = out * ((pot.big_n - k) / pot.big_n)
-    return out
+    return out * ((pot.big_n - k) / pot.big_n)
 
 
 def bbgky_collision_error(gamma: Marginal, i: int, j: int, sign: str,
@@ -277,8 +279,7 @@ def bbgky_collision_error(gamma: Marginal, i: int, j: int, sign: str,
     return Marginal(gamma.grid, k, gamma.kernel * w)
 
 
-def bbgky_error_level(gamma: Marginal, pot: PotentialSpec,
-                      weighted: bool = True) -> Marginal:
+def bbgky_error_level(gamma: Marginal, pot: PotentialSpec) -> Marginal:
     """Sum over pairs i<j of plus-minus error terms, with the 1/N weight."""
     k = gamma.k
     if k < 2:
@@ -289,9 +290,7 @@ def bbgky_error_level(gamma: Marginal, pot: PotentialSpec,
             plus = bbgky_collision_error(gamma, i, j, "+", pot)
             out = plus if out is None else out + plus
             out = out - bbgky_collision_error(gamma, i, j, "-", pot)
-    if weighted:
-        out = out * (1.0 / pot.big_n)
-    return out
+    return out * (1.0 / pot.big_n)
 
 
 def bbgky_rhs(state: HierarchyState, pot: PotentialSpec) -> HierarchyState:

@@ -15,10 +15,13 @@ from functools import cached_property
 import numpy as np
 
 from .budget import TensorBudget, default_budget
-from .grid import (Field, GridSpec, apply_axes, flow_matrix, free_symbol,
-                   inner, l2_norm, normalized, place_axes)
+from .grid import (Field, GridSpec, apply_axes, bessel_multiply, flow_matrix,
+                   free_symbol, inner, l2_norm, normalized, place_axes)
 from .interactions import PotentialSpec
 from .marginals import Marginal, _tensor_product
+
+# relative imaginary residue of <psi, H^j psi> tolerated as rounding
+MOMENT_IMAG_TOL = 1e-9
 
 
 def _pair_potential_total(grid: GridSpec, big_n: int, pot: PotentialSpec) -> np.ndarray:
@@ -176,20 +179,23 @@ def extract_marginal(state_or_psi, k: int, budget: TensorBudget | None = None) -
     return Marginal(grid, k, kern.reshape(grid.slot_shape(2 * k)))
 
 
-def energy_moment(state: NBodyState, k: int, imag_tol: float = 1e-9) -> float:
-    """<psi, H^k psi> by repeated application; the imaginary part is checked
-    against the Hermiticity tolerance."""
+def energy_moments(state: NBodyState, k: int) -> list[float]:
+    """[<psi, H^j psi> for j = 0..k] from k successive applications of H; each
+    imaginary part is checked against the Hermiticity tolerance."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k > 3:
         raise ValueError("moments above k=3 are outside the budget")
     vec = state.psi
-    for _ in range(k):
-        vec = hamiltonian_apply(state, vec)
-    val = inner(state.psi, vec)
-    if abs(val.imag) > imag_tol * max(1.0, abs(val.real)):
-        raise ArithmeticError(f"moment has imaginary part {val.imag}")
-    return float(val.real)
+    out = []
+    for j in range(k + 1):
+        if j:
+            vec = hamiltonian_apply(state, vec)
+        val = inner(state.psi, vec)
+        if abs(val.imag) > MOMENT_IMAG_TOL * max(1.0, abs(val.real)):
+            raise ArithmeticError(f"moment {j} has imaginary part {val.imag}")
+        out.append(float(val.real))
+    return out
 
 
 def energy_estimate_check(state: NBodyState, k: int, c: float) -> float:
@@ -206,12 +212,6 @@ def energy_estimate_check(state: NBodyState, k: int, c: float) -> float:
         vec = Field(state.grid, big_n,
                     hamiltonian_apply(state, vec).data + big_n * vec.data)
     numerator = inner(state.psi, vec).real
-
-    spec = np.fft.fftn(state.psi.data)
-    mult = np.ones(state.grid.slot_shape(big_n))
-    for slot in range(k):
-        mult = mult * place_axes(1.0 + state.grid.k2, state.grid.slot_axes(slot),
-                                 mult.ndim)
-    dressed = Field(state.grid, big_n, np.fft.ifftn(mult * spec))
+    dressed = bessel_multiply(state.psi, 2.0, slots=range(k))
     denominator = inner(state.psi, dressed).real
     return float(numerator / (c**k * big_n**k * denominator))

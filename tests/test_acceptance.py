@@ -16,7 +16,7 @@ from hierlab.grid import make_grid, random_low_mode_field, sobolev_norm_field
 from hierlab.harness import ExperimentConfig, run_experiment
 from hierlab.hierarchy_evolution import (EvolutionConfig, free_flow_series,
                                          gp_evolve, gp_residual,
-                                         picard_fixed_point)
+                                         picard_fixed_point, t0_gate)
 from hierlab.interactions import (bbgky_collision_main, bbgky_main_level,
                                   collision_fourier_oracle, gaussian_profile,
                                   gp_collision, realize_potential)
@@ -98,7 +98,7 @@ def test_criterion_04_collision_limit_ladder():
     dists = []
     for big_n in (4, 16, 64, 256):
         pot = quiet_potential(G16, 0.6, 0.2, big_n)
-        lhs = bbgky_main_level(gamma2, pot, weighted=True, plus_only=True)
+        lhs = bbgky_main_level(gamma2, pot, plus_only=True)
         dists.append(sobolev_norm(lhs - target * pot.kappa0, 0.0))
     decreasing = all(b < a for a, b in zip(dists, dists[1:]))
     small_end = dists[-1] < 0.1 * dists[0]
@@ -152,7 +152,7 @@ def test_criterion_08_gp_residual_scaling():
     mix = random_mixture(G16, 3, np.random.default_rng(108), max_mode=2)
     maxima = []
     for dt in (2e-3, 1e-3):
-        cfg = EvolutionConfig(dt=dt, t_final=0.02, closure="mixture_closure")
+        cfg = EvolutionConfig(dt=dt, t_final=0.02)
         traj = gp_evolve(mixture_state(mix, 2), cfg, kappa0=1.0, mixture=mix,
                          store_every=1)
         maxima.append(float(np.max(gp_residual(traj)[1])))
@@ -198,13 +198,12 @@ def test_criterion_10_energy_estimate_instances():
 @pytest.mark.slow
 def test_criterion_11_picard_fixed_point():
     pot = quiet_potential(G16, 0.6, 0.2, 16)
-    cfg = EvolutionConfig(dt=1e-3, t_final=0.05, xi=0.5)
-    horizon = cfg.t0_gate() / 4.0
+    horizon = t0_gate(0.5) / 4.0
     rng = np.random.default_rng(111)
     entries = [random_hermitian_marginal(G16, k, rng, max_mode=2,
                                          symmetric=True) for k in (1, 2)]
     series = free_flow_series(HierarchyState(entries, 0.5), horizon / 128, 128)
-    result = picard_fixed_point(series, pot, cfg)
+    result = picard_fixed_point(series, pot)
     contracting = all(r < 1.0 for r in result.contraction_ratios)
     ok = result.converged and contracting and result.residual < 1e-7
     record(11, "picard fixed point", ok,

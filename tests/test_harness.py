@@ -203,3 +203,29 @@ def test_budget_env_override(monkeypatch):
     assert budget.default_budget().max_elements == 123456
     monkeypatch.delenv("HLAB_BUDGET")
     assert budget.default_budget().max_elements == budget.DEFAULT_MAX_ELEMENTS
+
+
+def test_simulate_nbody_applies_h_four_times(tmp_path, monkeypatch):
+    calls = []
+    real = nbody_mod.hamiltonian_apply
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+    monkeypatch.setattr(nbody_mod, "hamiltonian_apply", counting)
+    cfg = small_cfg(outdir=str(tmp_path / "nb"), big_n=3, t_final=0.01,
+                    dt=1e-3, k_marginals=2)
+    run_simulate_nbody(cfg)
+    # moments 1 and 2 of the initial and the final state, one pass each
+    assert len(calls) == 4
+
+
+def test_duhamel_check_series_over_budget_raises_before_transforms(
+        tmp_path, monkeypatch):
+    import hierlab.hierarchy_evolution as evolution
+    from hierlab.budget import BudgetExceeded
+    monkeypatch.setenv("HLAB_BUDGET", "262144")  # one 8^6 kernel fits
+    monkeypatch.setattr(evolution, "marginal_spectrum",
+                        lambda *a: pytest.fail("series transformed"))
+    with pytest.raises(BudgetExceeded, match="series"):
+        main(["duhamel-check", "--n", "8", "--outdir", str(tmp_path)])

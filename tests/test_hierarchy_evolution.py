@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import hierlab.hierarchy_evolution as hierarchy_evolution
 from hierlab.definetti import Mixture, nls_flow, random_mixture
 from hierlab.grid import make_grid, random_low_mode_field
 from hierlab.hierarchy_evolution import (EvolutionConfig, HierarchyTrajectory,
@@ -9,7 +8,7 @@ from hierlab.hierarchy_evolution import (EvolutionConfig, HierarchyTrajectory,
                                          bbgky_evolve, duhamel_iterate, free_flow,
                                          free_flow_series, gp_evolve,
                                          gp_residual, k_schedule,
-                                         picard_fixed_point, truncate)
+                                         picard_fixed_point, t0_gate, truncate)
 from hierlab.interactions import (PotentialSpec, bbgky_main_level,
                                   gaussian_profile, realize_potential)
 from hierlab.marginals import (HierarchyState, admissibility_defect,
@@ -87,7 +86,7 @@ def test_gp_evolve_collision_disabled_is_free_flow():
 def test_gp_evolve_tracks_cubic_flow():
     phi = atom(G16, 2)
     mix = Mixture([(1.0, phi)])
-    cfg = EvolutionConfig(dt=1e-3, t_final=0.05, closure="mixture_closure")
+    cfg = EvolutionConfig(dt=1e-3, t_final=0.05)
     traj = gp_evolve(factorized_state(phi, 2), cfg, kappa0=1.0, mixture=mix,
                      store_every=0)
     oracle = pure_product_marginal(nls_flow(phi, 0.05, 1e-5), 1)
@@ -99,7 +98,7 @@ def test_gp_evolve_second_order_against_same_dt_oracle():
     mix = Mixture([(1.0, phi)])
     errs = []
     for dt in (2e-3, 1e-3):
-        cfg = EvolutionConfig(dt=dt, t_final=0.05, closure="mixture_closure")
+        cfg = EvolutionConfig(dt=dt, t_final=0.05)
         traj = gp_evolve(factorized_state(phi, 2), cfg, kappa0=1.0,
                          mixture=mix, store_every=0)
         oracle = pure_product_marginal(nls_flow(phi, 0.05, dt), 1)
@@ -110,7 +109,7 @@ def test_gp_evolve_second_order_against_same_dt_oracle():
 def test_gp_evolve_structure_preserved_each_step():
     phi = atom(G16, 4)
     mix = Mixture([(1.0, phi)])
-    cfg = EvolutionConfig(dt=1e-3, t_final=0.02, closure="mixture_closure")
+    cfg = EvolutionConfig(dt=1e-3, t_final=0.02)
     traj = gp_evolve(factorized_state(phi, 2), cfg, kappa0=1.0, mixture=mix,
                      store_every=1)
     for k, vals in traj.traces.items():
@@ -126,7 +125,7 @@ def test_gp_evolve_admissibility_transport():
     mix = random_mixture(G8, 2, np.random.default_rng(21), max_mode=2)
     state0 = mixture_state(mix, 3, xi=0.5)
     dt = 2e-3
-    cfg = EvolutionConfig(dt=dt, t_final=0.04, closure="mixture_closure")
+    cfg = EvolutionConfig(dt=dt, t_final=0.04)
     traj = gp_evolve(state0, cfg, kappa0=1.0, mixture=mix, store_every=5)
     # transport constant fitted on this configuration once, then frozen
     C_FROZEN = 2e-6
@@ -136,7 +135,7 @@ def test_gp_evolve_admissibility_transport():
 
 def test_gp_evolve_zero_top_closure_runs():
     state = factorized_state(atom(G16, 5), 2)
-    cfg = EvolutionConfig(dt=1e-3, t_final=0.01, closure="zero_top")
+    cfg = EvolutionConfig(dt=1e-3, t_final=0.01)
     traj = gp_evolve(state, cfg, kappa0=1.0, store_every=0)
     assert traj.final().K == 2
 
@@ -147,13 +146,6 @@ def test_mixture_closure_rejects_an_earlier_half_step():
     closure.top_collision(2e-3)  # the latest frame may be queried again
     with pytest.raises(ValueError):
         closure.top_collision(1e-3)
-
-
-def test_gp_evolve_requires_mixture_for_closure():
-    state = factorized_state(atom(G16, 6), 2)
-    cfg = EvolutionConfig(dt=1e-3, t_final=0.01, closure="mixture_closure")
-    with pytest.raises(ValueError):
-        gp_evolve(state, cfg, kappa0=1.0)
 
 
 # -- finite-N hierarchy evolution ------------------------------------------------------
@@ -196,7 +188,7 @@ def test_bbgky_approaches_contact_hierarchy_along_ladder():
     import warnings
     phi = atom(G16, 5)
     state = factorized_state(phi, 2, xi=0.5)
-    cfg = EvolutionConfig(dt=2e-3, t_final=0.04, closure="zero_top")
+    cfg = EvolutionConfig(dt=2e-3, t_final=0.04)
     ref = gp_evolve(state, cfg, kappa0=1.0, store_every=0).final()
     dists = []
     for big_n in (16, 64, 256):
@@ -271,7 +263,7 @@ def test_residual_free_flow_equals_collision_norm():
 def test_residual_needs_stride_one():
     phi = atom(G16, 13)
     mix = Mixture([(1.0, phi)])
-    cfg = EvolutionConfig(dt=1e-3, t_final=0.02, closure="mixture_closure")
+    cfg = EvolutionConfig(dt=1e-3, t_final=0.02)
     traj = gp_evolve(factorized_state(phi, 2), cfg, kappa0=1.0, mixture=mix,
                      store_every=5)
     with pytest.raises(ValueError):
@@ -350,27 +342,26 @@ def test_duhamel_rejects_time_past_the_series():
 
 def picard_setup(seed, steps=64):
     pot = pot16(16)
-    cfg = EvolutionConfig(dt=1e-3, t_final=0.05, xi=0.5)
-    horizon = cfg.t0_gate() / 4.0
+    horizon = t0_gate(0.5) / 4.0
     rng = np.random.default_rng(seed)
     entries = [random_hermitian_marginal(G16, k, rng, max_mode=2, symmetric=True)
                for k in (1, 2)]
     base = HierarchyState(entries, 0.5)
     series = free_flow_series(base, horizon / steps, steps)
-    return series, pot, cfg
+    return series, pot
 
 
 def test_picard_zero_input_fixed_at_zero():
-    series, pot, cfg = picard_setup(18)
+    series, pot = picard_setup(18)
     zeroed = TimeSeries(series.dt, [s * 0.0 for s in series.states])
-    result = picard_fixed_point(zeroed, pot, cfg)
+    result = picard_fixed_point(zeroed, pot)
     assert result.converged
     assert max(hierarchy_norm(s, 1.0) for s in result.series.states) == 0.0
 
 
 def test_picard_zero_potential_returns_input():
-    series, _, cfg = picard_setup(19)
-    result = picard_fixed_point(series, zero_potential(G16, 16), cfg)
+    series, _ = picard_setup(19)
+    result = picard_fixed_point(series, zero_potential(G16, 16))
     assert result.converged
     diff = max(hierarchy_norm(a - b, 1.0)
                for a, b in zip(result.series.states, series.states))
@@ -379,8 +370,8 @@ def test_picard_zero_potential_returns_input():
 
 @pytest.mark.slow
 def test_picard_converges_with_contraction_and_small_residual():
-    series, pot, cfg = picard_setup(20, steps=128)
-    result = picard_fixed_point(series, pot, cfg)
+    series, pot = picard_setup(20, steps=128)
+    result = picard_fixed_point(series, pot)
     assert result.converged
     assert result.update_norms[-1] < 1e-8
     assert all(r < 1.0 for r in result.contraction_ratios)
@@ -388,33 +379,24 @@ def test_picard_converges_with_contraction_and_small_residual():
 
 
 def test_picard_rejects_horizon_beyond_gate():
-    series, pot, cfg = picard_setup(21)
-    long_series = TimeSeries(cfg.t0_gate() / 8, series.states)  # horizon > gate
+    series, pot = picard_setup(21)
+    long_series = TimeSeries(t0_gate(0.5) / 8, series.states)  # horizon > gate
     with pytest.raises(ValueError):
-        picard_fixed_point(long_series, pot, cfg)
+        picard_fixed_point(long_series, pot)
 
 
-def test_picard_rejects_xi_differing_from_config(monkeypatch):
-    series, pot, _ = picard_setup(23, steps=8)
-    cfg = EvolutionConfig(dt=1e-3, t_final=0.05, xi=0.6)  # series carries 0.5
-    monkeypatch.setattr(hierarchy_evolution, "_flowed_prefix",
-                        lambda *a: pytest.fail("sweep started"))
-    with pytest.raises(ValueError, match="xi"):
-        picard_fixed_point(series, pot, cfg)
-
-
-def test_strang_method_tracks_cubic_flow_second_order():
-    phi = atom(G16, 22)
-    mix = Mixture([(1.0, phi)])
-    oracle = pure_product_marginal(nls_flow(phi, 0.04, 1e-5), 1)
-    errs = []
-    for dt in (2e-3, 1e-3):
-        cfg = EvolutionConfig(dt=dt, t_final=0.04, closure="mixture_closure",
-                              method="strang_splitting")
-        traj = gp_evolve(factorized_state(phi, 2), cfg, kappa0=1.0,
-                         mixture=mix, store_every=0)
-        errs.append(sobolev_norm(traj.final().entry(1) - oracle, 0.0))
-    assert 3.0 < errs[0] / errs[1] < 5.0
+def test_picard_gate_follows_the_series_xi():
+    rng = np.random.default_rng(24)
+    base = HierarchyState([random_hermitian_marginal(G16, k, rng, max_mode=2,
+                                                     symmetric=True)
+                           for k in (1, 2)], 0.6)
+    # 0.3 is past the gate of xi = 0.5 (0.25) and inside that of 0.6 (0.36)
+    result = picard_fixed_point(free_flow_series(base, 0.3 / 8, 8),
+                                zero_potential(G16, 16))
+    assert result.converged
+    with pytest.raises(ValueError):
+        picard_fixed_point(free_flow_series(base, 0.4 / 8, 8),
+                           zero_potential(G16, 16))
 
 
 def test_instability_detector_aborts_blowup():

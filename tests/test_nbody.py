@@ -6,7 +6,7 @@ from hierlab.grid import (Field, inner, l2_norm, make_grid, normalized,
 from hierlab.interactions import gaussian_profile, realize_potential
 from hierlab.marginals import (admissibility_defect, HierarchyState,
                                pure_product_marginal, sobolev_norm)
-from hierlab.nbody import (NBodyState, energy_estimate_check, energy_moment,
+from hierlab.nbody import (NBodyState, energy_estimate_check, energy_moments,
                            extract_marginal, factorized_state,
                            hamiltonian_apply, nbody_evolve,
                            perturbed_product_state, symmetry_defect,
@@ -117,7 +117,7 @@ def test_evolve_matches_fft_split_step():
 def test_with_psi_shares_cached_operators():
     pot = pot8(3)
     state = smooth_symmetric_state(G8, 3, pot, 31)
-    energy_moment(state, 1)  # builds both cached operators
+    energy_moments(state, 1)  # builds both cached operators
     final = nbody_evolve(state, 1e-3, 0.01, store_every=0).final()
     moved = state.with_psi(final)
     assert moved.psi is final and state.psi is not final
@@ -125,7 +125,7 @@ def test_with_psi_shares_cached_operators():
     assert moved.kinetic is state.kinetic
     fresh = NBodyState(G8, 3, final, pot)
     for k in (1, 2):
-        assert energy_moment(moved, k) == energy_moment(fresh, k)
+        assert energy_moments(moved, k)[k] == energy_moments(fresh, k)[k]
     with pytest.raises(ValueError):
         state.with_psi(smooth_atom(G8, 32))
 
@@ -150,9 +150,9 @@ def test_evolve_second_order_richardson():
 def test_evolve_energy_moment_conserved():
     pot = pot16(2)
     state = factorized_state(smooth_atom(G16, 9), 2, pot)
-    m0 = energy_moment(state, 1)
+    m0 = energy_moments(state, 1)[1]
     traj = nbody_evolve(state, 1e-3, 0.1, store_every=0)
-    m1 = energy_moment(NBodyState(G16, 2, traj.final(), pot), 1)
+    m1 = energy_moments(NBodyState(G16, 2, traj.final(), pot), 1)[1]
     assert abs(m1 - m0) / abs(m0) < 1e-8
 
 
@@ -197,9 +197,9 @@ def test_extract_unit_trace_and_psd():
 
 def test_energy_moment_free_plane_waves():
     state = factorized_state(plane_wave_atom(G16, 1), 3, pot=None)
-    assert energy_moment(state, 0) == pytest.approx(1.0, abs=1e-12)
-    assert energy_moment(state, 1) == pytest.approx(3.0, rel=1e-10)
-    assert energy_moment(state, 2) == pytest.approx(9.0, rel=1e-10)
+    assert energy_moments(state, 0)[0] == pytest.approx(1.0, abs=1e-12)
+    assert energy_moments(state, 1)[1] == pytest.approx(3.0, rel=1e-10)
+    assert energy_moments(state, 2)[2] == pytest.approx(9.0, rel=1e-10)
 
 
 def test_energy_moment_growth_constant_stable():
@@ -209,7 +209,7 @@ def test_energy_moment_growth_constant_stable():
         state = factorized_state(smooth_atom(G8, 14), big_n, pot)
         for k in (1, 2):
             ratios.setdefault(k, []).append(
-                (energy_moment(state, k) / big_n**k) ** (1.0 / k))
+                (energy_moments(state, k)[k] / big_n**k) ** (1.0 / k))
     for k, vals in ratios.items():
         assert max(vals) / min(vals) < 2.0
 

@@ -11,9 +11,9 @@ import pytest
 
 from hierlab.grid import (dft_forward, make_grid, random_low_mode_field,
                           sobolev_norm_field, sobolev_weight)
-from hierlab.hierarchy_evolution import (EvolutionConfig, TimeSeries,
-                                         duhamel_iterate, free_flow,
-                                         free_flow_series, picard_fixed_point)
+from hierlab.hierarchy_evolution import (TimeSeries, duhamel_iterate,
+                                         free_flow, free_flow_series,
+                                         picard_fixed_point, t0_gate)
 from hierlab.interactions import (bbgky_main_level, bbgky_rhs,
                                   gaussian_profile, realize_potential)
 from hierlab.marginals import (HierarchyState, factorized_state,
@@ -125,13 +125,12 @@ def test_duhamel_iterate_matches_physical_reference(grid, j):
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
 def test_picard_sweep_matches_physical_reference(grid):
     pot = pot_for(grid)
-    cfg = EvolutionConfig(xi=0.5)
     rng = np.random.default_rng(3)
     base = HierarchyState([random_hermitian_marginal(grid, k, rng, max_mode=1)
                            for k in (1, 2)], 0.5)
-    xi_series = free_flow_series(base, cfg.t0_gate() / 4.0 / 8, 8)
+    xi_series = free_flow_series(base, t0_gate(0.5) / 4.0 / 8, 8)
 
-    result = picard_fixed_point(xi_series, pot, cfg, max_iter=1)
+    result = picard_fixed_point(xi_series, pot, max_iter=1)
     new = ref_sweep(xi_series, xi_series.states, pot, simpson=False)
     assert result.update_norms[0] == pytest.approx(
         ref_distance(new, xi_series.states), abs=1e-12)
@@ -140,7 +139,7 @@ def test_picard_sweep_matches_physical_reference(grid):
     assert ref_distance(result.series.states, new) <= 1e-12
 
     # the full iteration follows the reference sweep for sweep
-    result = picard_fixed_point(xi_series, pot, cfg)
+    result = picard_fixed_point(xi_series, pot)
     theta, norms = xi_series.states, []
     for _ in range(result.iterations):
         new = ref_sweep(xi_series, theta, pot, simpson=False)
