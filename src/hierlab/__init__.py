@@ -13,7 +13,7 @@ from .marginals import (HierarchyState, Marginal, admissibility_defect,
                         mixture_state, partial_trace, permutation_defect,
                         psd_defect, pure_product_marginal, sobolev_norm,
                         symmetrize, trace, trace_sobolev_norm, weakstar_metric,
-                        zero_marginal, zero_state)
+                        zero_marginal)
 from .interactions import (PotentialSpec, bbgky_collision_error,
                            bbgky_collision_main, bbgky_main_level, bbgky_rhs,
                            bump_profile, collision_fourier_oracle,
@@ -30,9 +30,10 @@ from .nbody import (NBodyState, energy_estimate_check, energy_moments,
                     symmetry_defect, two_mode_state)
 from .hierarchy_evolution import (EvolutionConfig, HierarchyTrajectory,
                                   InstabilityError, TimeSeries, bbgky_evolve,
-                                  duhamel_iterate, free_flow, free_flow_series,
-                                  gp_evolve, gp_residual, k_schedule,
-                                  picard_fixed_point, t0_gate, truncate)
+                                  check_series_budget, duhamel_iterate,
+                                  free_flow, free_flow_series, gp_evolve,
+                                  gp_residual, k_schedule, picard_fixed_point,
+                                  t0_gate, truncate)
 from .harness import ExperimentConfig, Report, run_experiment
 from .storage import (read_field, read_marginal, read_mixture, write_field,
                       write_marginal, write_mixture)

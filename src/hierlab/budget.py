@@ -2,9 +2,11 @@
 
 Dense kernels grow like (n^d)^(2k) and wavefunctions like n^(N*d); every
 operation that allocates one checks against a cap first so that an oversized
-request fails loudly instead of thrashing the machine.  The element cap can be
-overridden with the HLAB_BUDGET environment variable (an integer element
-count).
+request fails loudly instead of thrashing the machine.  The cap bounds the
+complex entries one public call holds for its result (a kernel, a
+wavefunction, or a whole series).  Every check reads it through
+``default_budget()``; the HLAB_BUDGET environment variable (a positive integer
+element count) is its only setting.
 """
 
 from __future__ import annotations
@@ -41,6 +43,13 @@ class TensorBudget:
 
 def default_budget() -> TensorBudget:
     raw = os.environ.get("HLAB_BUDGET")
-    if raw:
-        return TensorBudget(max_elements=int(raw))
-    return TensorBudget()
+    if not raw:
+        return TensorBudget()
+    bad = f"HLAB_BUDGET must be a positive integer element count, got {raw!r}"
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ValueError(bad) from None
+    if cap < 1:
+        raise ValueError(bad)
+    return TensorBudget(max_elements=cap)

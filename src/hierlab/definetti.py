@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import TensorBudget
 from .grid import (Field, GridSpec, apply_axes, bessel_multiply, flow_matrix,
                    l2_norm, sobolev_norm_field)
 from .marginals import (HierarchyState, Marginal, admissibility_defect,
@@ -224,8 +223,7 @@ def energy_report(mix: Mixture, m_max: int = 2) -> EnergyReport:
 
 def gwp_window_chain(mix: Mixture, window: float, windows: int, K: int = 2,
                      xi: float = 0.5, xi_prime: float = 0.7, dt: float = 1e-3,
-                     kappa0: float = 1.0,
-                     budget: TensorBudget | None = None) -> dict:
+                     kappa0: float = 1.0) -> dict:
     """Run the truncated contact hierarchy window by window, re-anchoring the
     mixture after each window, and log the weighted norm against the
     trace-flavor bound of the initial data.
@@ -239,14 +237,14 @@ def gwp_window_chain(mix: Mixture, window: float, windows: int, K: int = 2,
         raise ValueError("window chaining requires a sphere-supported mixture")
     if xi >= xi_prime:
         raise ValueError("need xi < xi_prime")
-    state0 = mixture_state(mix, K, xi=xi, budget=budget)
+    state0 = mixture_state(mix, K, xi=xi)
     bound = hierarchy_norm(HierarchyState(state0.entries, xi_prime), 1.0,
                            flavor="trace")
     current = mix
     rows = []
     ok = True
     for w in range(windows):
-        state = mixture_state(current, K, xi=xi, budget=budget)
+        state = mixture_state(current, K, xi=xi)
         cfg = EvolutionConfig(dt=dt, t_final=window)
         traj = gp_evolve(state, cfg, kappa0=kappa0, mixture=current,
                          store_every=0)

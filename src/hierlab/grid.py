@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .budget import TensorBudget, default_budget
+from .budget import default_budget
 
 
 @dataclass(frozen=True)
@@ -272,15 +272,13 @@ def normalized(f: Field) -> Field:
 
 def random_low_mode_field(grid: GridSpec, rank: int, rng: np.random.Generator,
                           max_mode: int | None = None,
-                          unit_norm: bool = True,
-                          budget: TensorBudget | None = None) -> Field:
+                          unit_norm: bool = True) -> Field:
     """Seeded random field with spectrum supported on |m| <= max_mode per axis.
 
     Smooth by construction (Gaussian mode decay), so resolution studies are
     not starved by unresolved content.  Default max_mode is n//4.
     """
-    budget = budget or default_budget()
-    budget.check_elements(grid.num_points**rank, "random field")
+    default_budget().check_elements(grid.num_points**rank, "random field")
     if max_mode is None:
         max_mode = grid.n // 4
     modes = np.fft.fftfreq(grid.n, d=1.0 / grid.n)  # integer mode numbers

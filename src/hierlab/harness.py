@@ -23,9 +23,10 @@ from .definetti import (Mixture, energy_functional_mixture, flow_mixture,
                         gwp_window_chain, random_mixture)
 from .grid import Field, GridSpec, make_grid, random_low_mode_field
 from .hierarchy_evolution import (EvolutionConfig, HierarchyTrajectory,
-                                  bbgky_evolve, duhamel_iterate,
-                                  free_flow_series, gp_evolve, gp_residual,
-                                  k_schedule, picard_fixed_point, t0_gate)
+                                  bbgky_evolve, check_series_budget,
+                                  duhamel_iterate, free_flow_series, gp_evolve,
+                                  gp_residual, k_schedule, picard_fixed_point,
+                                  t0_gate)
 from .interactions import (PROFILES, PotentialSpec, bbgky_main_level,
                            bbgky_rhs, collision_fourier_oracle, gp_collision,
                            gp_collision_sum, realize_potential,
@@ -307,10 +308,11 @@ def run_duhamel_check(cfg: ExperimentConfig) -> tuple[Report, dict]:
     """Norms of the nested collision integrals over a doubling horizon ladder
     and the fitted growth exponent per depth."""
     grid = cfg.grid()
+    levels, steps = 1 + cfg.j_max, 16
+    check_series_budget(grid, levels, steps)
     rng = cfg.rng()
     phi = smooth_unit_field(grid, rng)
     pot = cfg.potential(grid=grid)
-    levels = 1 + cfg.j_max
     base = factorized_state(phi, levels, xi=cfg.xi)
     report = Report()
     fitted = {}
@@ -319,7 +321,7 @@ def run_duhamel_check(cfg: ExperimentConfig) -> tuple[Report, dict]:
     # one series per horizon, shared by every depth
     norms = {j: [] for j in depths}
     for T in horizons:
-        series = free_flow_series(base, T / 16.0, 16)
+        series = free_flow_series(base, T / steps, steps)
         for j in depths:
             norms[j].append(hierarchy_norm(duhamel_iterate(series, j, pot, T), 1.0))
     for j in depths:

@@ -19,8 +19,8 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .budget import TensorBudget, default_budget
-from .grid import Field, place_axes, sobolev_weight
+from .budget import default_budget
+from .grid import Field, GridSpec, place_axes, sobolev_weight
 from .interactions import (PotentialSpec, bbgky_main_level, bbgky_rhs,
                            gp_collision_level)
 from .marginals import (HierarchyState, Marginal, flow_symbol,
@@ -303,6 +303,15 @@ class TimeSeries:
         return self.dt * (len(self.states) - 1)
 
 
+def check_series_budget(grid: GridSpec, K: int, n_steps: int) -> None:
+    """Raise ``BudgetExceeded`` unless a series of n_steps + 1 samples of a
+    level-1..K hierarchy, (n_steps + 1) * sum_k n^(2kd) complex entries, fits
+    the budget.  Allocates nothing."""
+    default_budget().check_elements(
+        (n_steps + 1) * sum(grid.num_points ** (2 * k) for k in range(1, K + 1)),
+        f"free-flow series of {n_steps + 1} samples")
+
+
 def free_flow_series(state0: HierarchyState, dt: float, n_steps: int) -> TimeSeries:
     """Free flow of ``state0`` sampled at j * dt, j = 0..n_steps.
 
@@ -315,10 +324,8 @@ def free_flow_series(state0: HierarchyState, dt: float, n_steps: int) -> TimeSer
         raise ValueError("dt must be positive")
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    default_budget().check_elements(
-        (n_steps + 1) * sum(m.kernel.size for m in state0.entries),
-        f"free-flow series of {n_steps + 1} samples")
     grid = state0.grid
+    check_series_budget(grid, state0.K, n_steps)
     levels = []
     for m in state0.entries:
         phase = np.exp(-1j * dt * flow_symbol(grid, m.k))
@@ -358,8 +365,8 @@ def _flowed_prefix(spectra: Iterable[np.ndarray], phase: np.ndarray, dt: float,
         th_prev2, th_prev = th_prev, th
 
 
-def duhamel_iterate(series: TimeSeries, j: int, pot: PotentialSpec, t: float,
-                    budget: TensorBudget | None = None) -> HierarchyState:
+def duhamel_iterate(series: TimeSeries, j: int, pot: PotentialSpec,
+                    t: float) -> HierarchyState:
     """j-fold nested time-ordered integral interleaving the weighted main
     collision operator with free flows, evaluated by composite trapezoid on
     the ordered simplex (the same grid as the series).
@@ -373,7 +380,6 @@ def duhamel_iterate(series: TimeSeries, j: int, pot: PotentialSpec, t: float,
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
-    budget = budget or default_budget()
     dt = series.dt
     n_idx = int(round(t / dt))
     if t < 0 or abs(n_idx * dt - t) > 1e-9 * max(1.0, t) \
@@ -386,7 +392,8 @@ def duhamel_iterate(series: TimeSeries, j: int, pot: PotentialSpec, t: float,
     k_out = K - j
     if k_out < 1:
         raise ValueError(f"series truncated at {K} is too shallow for j={j}")
-    budget.check_elements(grid.num_points ** (2 * K), f"duhamel level {K}")
+    default_budget().check_elements(grid.num_points ** (2 * K),
+                                    f"duhamel level {K}")
 
     comps = []
     for k in range(1, k_out + 1):

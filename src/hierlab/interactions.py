@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .budget import TensorBudget, default_budget
+from .budget import default_budget
 from .grid import Field, GridSpec, place_axes
 from .marginals import HierarchyState, Marginal, pair_subscripts, zero_marginal
 
@@ -33,16 +33,13 @@ PERIODIC_IMAGES = 3
 
 @dataclass
 class PotentialSpec:
-    """Base profile plus its strength-scaled, argument-compressed realization
-    N^(d*beta) * V(N^beta x) sampled back onto the grid."""
+    """Strength-scaled, argument-compressed realization N^(d*beta) * V(N^beta x)
+    of a base profile, sampled back onto the grid."""
 
     grid: GridSpec
-    profile: Field
-    beta: float
     big_n: int
     kappa0: float
     realized: Field
-    width: float | None = None
     resolvable: bool = True
     mass_ratio: float = 1.0
 
@@ -149,21 +146,20 @@ def realize_potential(profile: Field, beta: float, big_n: int,
             f"scaled potential support {4.0 * width / scale:.3g} is below 4 "
             f"mesh cells; the realization is under-resolved at N={big_n}",
             RuntimeWarning, stacklevel=2)
-    return PotentialSpec(grid=grid, profile=Field(grid, 1, base), beta=beta,
-                         big_n=big_n, kappa0=mass, realized=Field(grid, 1, realized),
-                         width=width, resolvable=resolvable, mass_ratio=mass_ratio)
+    return PotentialSpec(grid=grid, big_n=big_n, kappa0=mass,
+                         realized=Field(grid, 1, realized),
+                         resolvable=resolvable, mass_ratio=mass_ratio)
 
 
-def delta_surrogate(grid: GridSpec, big_n: int = 1, beta: float = 0.2) -> PotentialSpec:
+def delta_surrogate(grid: GridSpec, big_n: int = 1) -> PotentialSpec:
     """Unit-mass point potential: one grid-point spike of height 1/h^d.
 
     Contracting against it reduces the finite-N operator to the contact one.
     """
     data = np.zeros(grid.slot_shape(1), dtype=np.complex128)
     data[(0,) * grid.dim] = 1.0 / grid.h**grid.dim
-    spike = Field(grid, 1, data)
-    return PotentialSpec(grid=grid, profile=spike, beta=beta, big_n=big_n,
-                         kappa0=1.0, realized=spike.copy())
+    return PotentialSpec(grid=grid, big_n=big_n, kappa0=1.0,
+                         realized=Field(grid, 1, data))
 
 
 def potential_difference_tensor(realized: Field) -> np.ndarray:
@@ -313,8 +309,7 @@ def bbgky_rhs(state: HierarchyState, pot: PotentialSpec) -> HierarchyState:
 
 
 def collision_fourier_oracle(gamma_next: Marginal, t: float,
-                             pot: PotentialSpec | None = None,
-                             budget: TensorBudget | None = None) -> Marginal:
+                             pot: PotentialSpec | None = None) -> Marginal:
     """Evaluate (plus-main at j=1) applied to the freely propagated kernel
     entirely in the momentum domain.
 
@@ -324,7 +319,6 @@ def collision_fourier_oracle(gamma_next: Marginal, t: float,
     the spectrum factor is identically one (the delta limit).  Used as an
     independent cross-check of the spatial-domain path.
     """
-    budget = budget or default_budget()
     grid = gamma_next.grid
     kp1, d, n = gamma_next.k, grid.dim, grid.n
     k = kp1 - 1
@@ -332,7 +326,8 @@ def collision_fourier_oracle(gamma_next: Marginal, t: float,
         raise ValueError("need a kernel with at least 2 particles")
     if kp1 > 3:
         raise ValueError("oracle supports up to 3 particles upstairs")
-    budget.check_elements(grid.num_points ** (2 * kp1), "fourier oracle input")
+    default_budget().check_elements(grid.num_points ** (2 * kp1),
+                                    "fourier oracle input")
 
     spec = np.fft.fftn(gamma_next.kernel)
     if t != 0.0:

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .budget import TensorBudget, default_budget
+from .budget import default_budget
 from .grid import (Field, GridSpec, bessel_multiply, dft_forward, dft_inverse,
                    free_propagate, free_symbol, l2_norm)
 
@@ -101,21 +101,19 @@ def _tensor_product(factors: Sequence[np.ndarray]) -> np.ndarray:
 # Constructors
 
 
-def pure_product_marginal(phi: Field, k: int,
-                          budget: TensorBudget | None = None) -> Marginal:
+def pure_product_marginal(phi: Field, k: int) -> Marginal:
     """Rank-one product kernel, prod_j phi(x_j) * conj(phi(x'_j))."""
     if phi.rank != 1:
         raise ValueError("phi must be a rank-1 field")
     if k < 1:
         raise ValueError("k must be >= 1")
-    budget = budget or default_budget()
-    budget.check_elements(phi.grid.num_points ** (2 * k), f"product kernel k={k}")
+    default_budget().check_elements(phi.grid.num_points ** (2 * k),
+                                    f"product kernel k={k}")
     kern = _tensor_product([phi.data] * k + [np.conj(phi.data)] * k)
     return Marginal(phi.grid, k, kern)
 
 
-def mixture_marginal(atoms: Iterable[tuple[float, Field]] | object, k: int,
-                     budget: TensorBudget | None = None) -> Marginal:
+def mixture_marginal(atoms: Iterable[tuple[float, Field]] | object, k: int) -> Marginal:
     """Convex combination of product kernels from (weight, wavefunction) pairs.
 
     Accepts either an iterable of pairs or any object exposing ``.pairs()``
@@ -128,7 +126,7 @@ def mixture_marginal(atoms: Iterable[tuple[float, Field]] | object, k: int,
     for w, phi in pairs:
         if w < 0:
             raise ValueError("mixture weights must be nonnegative")
-        term = pure_product_marginal(phi, k, budget=budget)
+        term = pure_product_marginal(phi, k)
         out = term * w if out is None else out + term * w
     return out
 
@@ -164,21 +162,18 @@ def sobolev_norm(gamma: Marginal, alpha: float) -> float:
     return l2_norm(bessel_multiply(gamma.as_field(), alpha))
 
 
-def trace_sobolev_norm(gamma: Marginal, alpha: float,
-                       budget: TensorBudget | None = None) -> float:
+def trace_sobolev_norm(gamma: Marginal, alpha: float) -> float:
     """Trace norm of the Hermitian part of the multiplier-dressed operator."""
-    budget = budget or default_budget()
-    budget.check_eig_rows(gamma.rows, f"trace norm k={gamma.k}")
+    default_budget().check_eig_rows(gamma.rows, f"trace norm k={gamma.k}")
     dressed = bessel_multiply(gamma.as_field(), alpha) if alpha > 0 else gamma.as_field()
     m = Marginal(gamma.grid, gamma.k, dressed.data).weighted_matrix()
     herm = 0.5 * (m + m.conj().T)
     return float(np.sum(np.abs(np.linalg.eigvalsh(herm))))
 
 
-def psd_defect(gamma: Marginal, budget: TensorBudget | None = None) -> float:
+def psd_defect(gamma: Marginal) -> float:
     """max(0, -lambda_min) of the Hermitized operator; 0 means psd."""
-    budget = budget or default_budget()
-    budget.check_eig_rows(gamma.rows, f"psd defect k={gamma.k}")
+    default_budget().check_eig_rows(gamma.rows, f"psd defect k={gamma.k}")
     m = gamma.weighted_matrix()
     herm = 0.5 * (m + m.conj().T)
     lam_min = float(np.linalg.eigvalsh(herm)[0])
@@ -348,19 +343,13 @@ class HierarchyState:
     __rmul__ = __mul__
 
 
-def zero_state(grid: GridSpec, K: int, xi: float = 0.5) -> HierarchyState:
-    return HierarchyState([zero_marginal(grid, k) for k in range(1, K + 1)], xi)
-
-
-def factorized_state(phi: Field, K: int, xi: float = 0.5,
-                     budget: TensorBudget | None = None) -> HierarchyState:
-    return HierarchyState([pure_product_marginal(phi, k, budget=budget)
+def factorized_state(phi: Field, K: int, xi: float = 0.5) -> HierarchyState:
+    return HierarchyState([pure_product_marginal(phi, k)
                            for k in range(1, K + 1)], xi)
 
 
-def mixture_state(atoms, K: int, xi: float = 0.5,
-                  budget: TensorBudget | None = None) -> HierarchyState:
-    return HierarchyState([mixture_marginal(atoms, k, budget=budget)
+def mixture_state(atoms, K: int, xi: float = 0.5) -> HierarchyState:
+    return HierarchyState([mixture_marginal(atoms, k)
                            for k in range(1, K + 1)], xi)
 
 
@@ -389,12 +378,11 @@ def admissibility_defect(state: HierarchyState) -> list[float]:
 
 def random_hermitian_marginal(grid: GridSpec, k: int, rng: np.random.Generator,
                               max_mode: int | None = None,
-                              symmetric: bool = False,
-                              budget: TensorBudget | None = None) -> Marginal:
+                              symmetric: bool = False) -> Marginal:
     """Seeded smooth Hermitian test kernel (optionally permutation symmetric)."""
     from .grid import random_low_mode_field
     raw = random_low_mode_field(grid, 2 * k, rng, max_mode=max_mode,
-                                unit_norm=False, budget=budget)
+                                unit_norm=False)
     gamma = hermitize(Marginal(grid, k, raw.data))
     if symmetric and k > 1:
         gamma = symmetrize(gamma)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .budget import TensorBudget, default_budget
+from .budget import default_budget
 from .grid import (Field, GridSpec, apply_axes, bessel_multiply, flow_matrix,
                    free_symbol, inner, l2_norm, normalized, place_axes)
 from .interactions import PotentialSpec
@@ -64,22 +64,21 @@ class NBodyState:
         return other
 
 
-def factorized_state(phi: Field, big_n: int, pot: PotentialSpec | None = None,
-                     budget: TensorBudget | None = None) -> NBodyState:
+def factorized_state(phi: Field, big_n: int,
+                     pot: PotentialSpec | None = None) -> NBodyState:
     """Product wavefunction phi tensored N times (normalized)."""
-    budget = budget or default_budget()
     grid = phi.grid
-    budget.check_elements(grid.num_points**big_n, f"N-body state N={big_n}")
+    default_budget().check_elements(grid.num_points**big_n,
+                                    f"N-body state N={big_n}")
     data = _tensor_product([phi.data] * big_n)
     return NBodyState(grid, big_n, normalized(Field(grid, big_n, data)), pot)
 
 
 def perturbed_product_state(phi: Field, bump: Field, eps: float, big_n: int,
-                            pot: PotentialSpec | None = None,
-                            budget: TensorBudget | None = None) -> NBodyState:
+                            pot: PotentialSpec | None = None) -> NBodyState:
     """Non-factorized but exactly bosonic data: a product state modulated by
     the symmetric polynomial 1 + eps * sum_j bump(x_j)."""
-    state = factorized_state(phi, big_n, pot, budget=budget)
+    state = factorized_state(phi, big_n, pot)
     grid = phi.grid
     mod = np.zeros(grid.slot_shape(big_n), dtype=np.complex128)
     for slot in range(big_n):
@@ -89,11 +88,10 @@ def perturbed_product_state(phi: Field, bump: Field, eps: float, big_n: int,
 
 
 def two_mode_state(phi: Field, chi: Field, big_n: int, amplitudes=(1.0, 0.5),
-                   pot: PotentialSpec | None = None,
-                   budget: TensorBudget | None = None) -> NBodyState:
+                   pot: PotentialSpec | None = None) -> NBodyState:
     """Superposition of two product states, bosonic and non-factorized."""
-    a = factorized_state(phi, big_n, pot, budget=budget)
-    b = factorized_state(chi, big_n, pot, budget=budget)
+    a = factorized_state(phi, big_n, pot)
+    b = factorized_state(chi, big_n, pot)
     data = amplitudes[0] * a.psi.data + amplitudes[1] * b.psi.data
     return NBodyState(phi.grid, big_n, normalized(Field(phi.grid, big_n, data)), pot)
 
@@ -164,15 +162,14 @@ def nbody_evolve(state: NBodyState, dt: float, t_final: float,
     return NBodyTrajectory(np.array(times), snapshots, np.array(norms), state)
 
 
-def extract_marginal(state_or_psi, k: int, budget: TensorBudget | None = None) -> Marginal:
+def extract_marginal(state_or_psi, k: int) -> Marginal:
     """k-particle reduction: contract the trailing slots of psi (x) conj(psi)
     with quadrature weights.  Unit-norm input gives a unit-trace kernel."""
-    budget = budget or default_budget()
     psi = state_or_psi.psi if isinstance(state_or_psi, NBodyState) else state_or_psi
     grid, big_n = psi.grid, psi.rank
     if not 1 <= k <= big_n:
         raise ValueError(f"k must lie in 1..{big_n}")
-    budget.check_elements(grid.num_points ** (2 * k), f"marginal k={k}")
+    default_budget().check_elements(grid.num_points ** (2 * k), f"marginal k={k}")
     rows = grid.num_points**k
     mat = psi.data.reshape(rows, -1)
     kern = (mat @ mat.conj().T) * grid.h ** (grid.dim * (big_n - k))

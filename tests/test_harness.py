@@ -229,3 +229,28 @@ def test_duhamel_check_series_over_budget_raises_before_transforms(
                         lambda *a: pytest.fail("series transformed"))
     with pytest.raises(BudgetExceeded, match="series"):
         main(["duhamel-check", "--n", "8", "--outdir", str(tmp_path)])
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-1"])
+def test_malformed_budget_env_rejected(monkeypatch, raw):
+    from hierlab import budget
+    monkeypatch.setenv("HLAB_BUDGET", raw)
+    with pytest.raises(ValueError, match="HLAB_BUDGET"):
+        budget.default_budget()
+
+
+def test_default_duhamel_check_raises_before_building_kernels(
+        tmp_path, monkeypatch):
+    import hierlab.marginals as marginals_mod
+    from hierlab.budget import BudgetExceeded
+    monkeypatch.delenv("HLAB_BUDGET", raising=False)
+    calls = []
+    real = marginals_mod.pure_product_marginal
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(marginals_mod, "pure_product_marginal", spy)
+    with pytest.raises(BudgetExceeded, match="series"):
+        main(["duhamel-check", "--outdir", str(tmp_path)])
+    assert calls == []

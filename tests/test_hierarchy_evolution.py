@@ -5,7 +5,8 @@ from hierlab.definetti import Mixture, nls_flow, random_mixture
 from hierlab.grid import make_grid, random_low_mode_field
 from hierlab.hierarchy_evolution import (EvolutionConfig, HierarchyTrajectory,
                                          MixtureClosure, TimeSeries,
-                                         bbgky_evolve, duhamel_iterate, free_flow,
+                                         bbgky_evolve, check_series_budget,
+                                         duhamel_iterate, free_flow,
                                          free_flow_series, gp_evolve,
                                          gp_residual, k_schedule,
                                          picard_fixed_point, t0_gate, truncate)
@@ -36,8 +37,7 @@ def pot16(big_n):
 def zero_potential(grid, big_n=4):
     from hierlab.grid import zero_field
     z = zero_field(grid, 1)
-    return PotentialSpec(grid=grid, profile=z, beta=0.2, big_n=big_n,
-                         kappa0=0.0, realized=z.copy())
+    return PotentialSpec(grid=grid, big_n=big_n, kappa0=0.0, realized=z.copy())
 
 
 # -- truncation and schedule ------------------------------------------------------
@@ -268,6 +268,20 @@ def test_residual_needs_stride_one():
                      store_every=5)
     with pytest.raises(ValueError):
         gp_residual(traj)
+
+
+def test_series_budget_counts_every_sample_and_level(monkeypatch):
+    from hierlab.budget import BudgetExceeded
+    state = factorized_state(atom(G8, 13), 2, xi=0.5)
+    need = 4 * (8**2 + 8**4)  # 4 samples of the k = 1 and k = 2 kernels
+    monkeypatch.setenv("HLAB_BUDGET", str(need))
+    check_series_budget(G8, 2, 3)
+    assert len(free_flow_series(state, 1e-3, 3).states) == 4
+    monkeypatch.setenv("HLAB_BUDGET", str(need - 1))
+    with pytest.raises(BudgetExceeded, match="4 samples"):
+        check_series_budget(G8, 2, 3)
+    with pytest.raises(BudgetExceeded, match="4 samples"):
+        free_flow_series(state, 1e-3, 3)
 
 
 # -- nested collision integrals ------------------------------------------------------------

@@ -309,11 +309,13 @@ def test_mixture_state_full_invariant_battery():
     assert max(admissibility_defect(state)) < 1e-12
 
 
-def test_eigensolver_budget_guard():
+def test_eigensolver_budget_guard(monkeypatch):
+    import hierlab.marginals as marginals_mod
     from hierlab.budget import BudgetExceeded, TensorBudget
-    tiny = TensorBudget(max_eig_rows=4)
     gamma = random_hermitian_marginal(G8, 1, np.random.default_rng(34))
+    monkeypatch.setattr(marginals_mod, "default_budget",
+                        lambda: TensorBudget(max_eig_rows=4))
     with pytest.raises(BudgetExceeded):
-        psd_defect(gamma, budget=tiny)
+        psd_defect(gamma)
     with pytest.raises(BudgetExceeded):
-        trace_sobolev_norm(gamma, 0.0, budget=tiny)
+        trace_sobolev_norm(gamma, 0.0)

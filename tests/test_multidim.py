@@ -86,8 +86,7 @@ def _random_potential(seed):
     on swapped or transposed axes changes the product."""
     v = np.random.default_rng(seed).standard_normal(G24.slot_shape(1))
     field = Field(G24, 1, v)
-    pot = PotentialSpec(grid=G24, profile=field, beta=0.2, big_n=3, kappa0=1.0,
-                        realized=field.copy())
+    pot = PotentialSpec(grid=G24, big_n=3, kappa0=1.0, realized=field.copy())
     return pot, v
 
 

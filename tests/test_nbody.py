@@ -238,8 +238,8 @@ def test_energy_estimate_rejects_bad_arguments():
         energy_estimate_check(state, 1, 1.5)
 
 
-def test_budget_guards_large_state():
-    from hierlab.budget import BudgetExceeded, TensorBudget
-    tiny = TensorBudget(max_elements=100)
+def test_budget_guards_large_state(monkeypatch):
+    from hierlab.budget import BudgetExceeded
+    monkeypatch.setenv("HLAB_BUDGET", "100")
     with pytest.raises(BudgetExceeded):
-        factorized_state(smooth_atom(G8, 16), 3, budget=tiny)
+        factorized_state(smooth_atom(G8, 16), 3)
