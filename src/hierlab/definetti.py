@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Field, GridSpec, apply_axes, bessel_multiply, flow_matrix,
-                   l2_norm, sobolev_norm_field)
+from .grid import (Field, GridSpec, bessel_multiply, free_propagate, l2_norm,
+                   sobolev_norm_field, step_count)
 from .marginals import (HierarchyState, Marginal, admissibility_defect,
                         hierarchy_norm, mixture_state, pair_subscripts,
                         partial_trace_at, psd_defect, trace)
@@ -98,19 +98,14 @@ def nls_evolve(phi: Field, dt: float, t_final: float, coupling: float = 1.0,
     rounding and energy drift is bounded at second order."""
     if phi.rank != 1:
         raise ValueError("flow acts on one-particle fields")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
-        raise ValueError("t_final must be a multiple of dt")
+    n_steps = step_count(t_final, dt)
     grid = phi.grid
-    kinetic = [flow_matrix(grid, dt)] * grid.dim
     data = phi.data.copy()
     times = [0.0]
     fields = [Field(grid, 1, data.copy())]
     for step in range(1, n_steps + 1):
         data = data * np.exp(-0.5j * dt * coupling * np.abs(data) ** 2)
-        data = apply_axes(data, kinetic)
+        data = free_propagate(Field(grid, 1, data), dt).data
         data = data * np.exp(-0.5j * dt * coupling * np.abs(data) ** 2)
         if store_every and (step % store_every == 0 or step == n_steps):
             times.append(step * dt)

@@ -11,12 +11,13 @@ Conventions used by every other module:
 * The forward transform is h^(d*r) * fftn and the inverse is its exact
   inverse, which makes Parseval hold in the form
   h^(d*r) * sum |f|^2 == L^(-d*r) * sum |fhat|^2.
-* The exact free flow exp(-i t sum_s sign_s |xi_s|^2) is separable: it is one
-  n x n unitary per axis, M(t) = F^-1 diag(exp(-i t xi^2)) F, with M(t) on a
-  slot of sign +1 and M(-t) on a slot of sign -1.  It runs as one matrix
-  product per axis (flow_matrix, apply_axes), exact up to rounding.
-  Generators, Bessel multipliers and the spectral Duhamel series stay on the
-  FFT.
+* This module owns every transform.  The exact free flow
+  exp(-i t sum_s sign_s |xi_s|^2) is one n x n unitary per axis,
+  M(t) = F^-1 diag(exp(-i t xi^2)) F (M(-t) on a slot of sign -1), which
+  free_propagate alone applies by one matrix product per axis (flow_matrix,
+  apply_axes).  Generators (apply_symbol), multipliers and the spectral
+  series stay on the FFT.  Only realize_potential and the momentum-domain
+  collision oracle (kept independent) call numpy's FFT outside this module.
 
 A Field is a complex tensor with ``rank`` particle slots; slot j owns the d
 consecutive axes [j*d, (j+1)*d).  Flattened in row-major order this is indexed
@@ -167,6 +168,12 @@ def apply_multiplier(f: Field, per_slot: Sequence[np.ndarray | None]) -> Field:
     return Field(f.grid, f.rank, np.fft.ifftn(spec, axes=axes))
 
 
+def apply_symbol(f: Field, symbol: np.ndarray) -> Field:
+    """Multiply the spectrum over all slots by a full-rank symbol, e.g. a
+    generator's additive symbol from free_symbol: ifftn(symbol * fftn(f))."""
+    return Field(f.grid, f.rank, np.fft.ifftn(symbol * np.fft.fftn(f.data)))
+
+
 def bessel_multiply(f: Field, alpha: float, slots: Iterable[int] | None = None) -> Field:
     """Apply (1 - Laplacian)^(alpha/2) on the selected slots (default: all)."""
     if alpha < 0:
@@ -203,6 +210,17 @@ def apply_axes(data: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     for mat in mats:
         out = out.reshape(mat.shape[1], -1).T @ mat.T
     return out.reshape(data.shape)
+
+
+def step_count(t: float, dt: float) -> int:
+    """Number of dt steps in t; dt must be positive and t a nonnegative
+    multiple of dt (to 1e-9 relative)."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    n_steps = int(round(t / dt))
+    if t < 0 or abs(n_steps * dt - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValueError(f"t={t} is not a nonnegative multiple of dt={dt}")
+    return n_steps
 
 
 def free_propagate(f: Field, t: float, signs: Sequence[int] | None = None) -> Field:

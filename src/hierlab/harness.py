@@ -21,7 +21,8 @@ from . import __version__
 from .budget import default_budget
 from .definetti import (Mixture, energy_functional_mixture, flow_mixture,
                         gwp_window_chain, random_mixture)
-from .grid import Field, GridSpec, make_grid, random_low_mode_field
+from .grid import (Field, GridSpec, make_grid, random_low_mode_field,
+                   step_count)
 from .hierarchy_evolution import (EvolutionConfig, HierarchyTrajectory,
                                   bbgky_evolve, check_series_budget,
                                   duhamel_iterate, free_flow_series, gp_evolve,
@@ -73,7 +74,8 @@ class ExperimentConfig:
     @classmethod
     def from_ini(cls, path: str | Path, **overrides) -> "ExperimentConfig":
         """Load `key = value` sections; any section name is accepted and keys
-        map to config fields with dashes normalized to underscores."""
+        map to config fields with dashes normalized to underscores; a key
+        that names no field raises ValueError."""
         parser = configparser.ConfigParser()
         with open(path) as fh:
             parser.read_file(fh)
@@ -86,8 +88,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, values: dict) -> "ExperimentConfig":
+        """Build from field-name keys; a key that names no field raises."""
+        fields = dataclasses.fields(cls)
+        unknown = sorted(set(values) - {f.name for f in fields})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         kwargs = {}
-        for f in dataclasses.fields(cls):
+        for f in fields:
             if f.name not in values or values[f.name] is None:
                 continue
             raw = values[f.name]
@@ -200,7 +207,7 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[Report, dict]:
     phi0 = smooth_unit_field(grid, rng)
     mixture = Mixture([(1.0, phi0)])
     report = Report()
-    n_steps = int(round(cfg.t_final / cfg.dt))
+    n_steps = step_count(cfg.t_final, cfg.dt)
     stride = max(1, n_steps // 2)
     for big_n in cfg.ladder:
         pot = cfg.potential(big_n, grid)
@@ -437,7 +444,7 @@ def run_simulate_nbody(cfg: ExperimentConfig) -> tuple[Report, dict]:
     state = nbody_factorized(phi, cfg.big_n, pot)
     moments = energy_moments(state, 2)
     moments0 = {k: moments[k] for k in (1, 2)}
-    n_steps = int(round(cfg.t_final / cfg.dt))
+    n_steps = step_count(cfg.t_final, cfg.dt)
     traj = nbody_evolve(state, cfg.dt, cfg.t_final,
                         store_every=max(1, n_steps // 4))
     final = traj.final()

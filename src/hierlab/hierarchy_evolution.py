@@ -20,14 +20,13 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .budget import default_budget
-from .grid import Field, GridSpec, place_axes, sobolev_weight
+from .grid import Field, GridSpec, place_axes, sobolev_weight, step_count
 from .interactions import (PotentialSpec, bbgky_main_level, bbgky_rhs,
-                           gp_collision_level)
+                           gp_collision_level, gp_collision_sum)
 from .marginals import (HierarchyState, Marginal, flow_symbol,
                         free_generator, free_propagate_marginal,
                         marginal_from_spectrum, marginal_spectrum,
-                        pure_product_marginal, sobolev_norm, trace,
-                        zero_marginal)
+                        pure_product_marginal, sobolev_norm, trace)
 
 
 # relative trace drift of any level that aborts an evolution
@@ -56,7 +55,7 @@ def t0_gate(xi: float) -> float:
 
 
 def truncate(state: HierarchyState, K: int) -> HierarchyState:
-    """Keep the first K levels (entries above K are zero by convention)."""
+    """Keep the first K levels."""
     if K < 1:
         raise ValueError("K must be >= 1")
     if K >= state.K:
@@ -112,10 +111,7 @@ class MixtureClosure:
         return self._atoms
 
     def top_collision(self, t: float) -> Marginal:
-        index = int(round(t / self.dt_half))
-        if abs(index * self.dt_half - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"closure queried off the half-step grid, t={t}")
-        atoms = self._atoms_at(index)
+        atoms = self._atoms_at(step_count(t, self.dt_half))
         K, grid = self.K, atoms[0][1].grid
         ndim = 2 * K * grid.dim
         out = None
@@ -166,9 +162,7 @@ def _evolve(state0: HierarchyState, config: EvolutionConfig,
             store_every: int = 1,
             log_collision_norms: bool = False,
             kappa0: float = 1.0) -> HierarchyTrajectory:
-    n_steps = int(round(config.t_final / config.dt))
-    if abs(n_steps * config.dt - config.t_final) > 1e-9 * max(1.0, config.t_final):
-        raise ValueError("t_final must be a multiple of dt")
+    n_steps = step_count(config.t_final, config.dt)
     dt = config.dt
     K = state0.K
     state = state0.copy()
@@ -222,21 +216,14 @@ def gp_evolve(state0: HierarchyState, config: EvolutionConfig,
     keeps the truncated system exact on de Finetti data up to integrator
     error.
     """
-    K = state0.K
     closure = None if mixture is None else \
-        MixtureClosure(mixture, K, config.dt / 2.0, coupling=kappa0)
+        MixtureClosure(mixture, state0.K, config.dt / 2.0, coupling=kappa0)
 
     def rhs(state: HierarchyState, t: float) -> HierarchyState:
-        comps = []
-        for k in range(1, K + 1):
-            if k < K:
-                term = gp_collision_level(state.entry(k + 1))
-            elif closure is not None:
-                term = closure.top_collision(t)
-            else:
-                term = zero_marginal(state.grid, K)
-            comps.append(term * (-1j * kappa0))
-        return HierarchyState(comps, state.xi)
+        out = gp_collision_sum(state, -1j * kappa0)
+        if closure is not None:
+            out.entries[-1] = closure.top_collision(t) * (-1j * kappa0)
+        return out
 
     return _evolve(state0, config, rhs, store_every=store_every,
                    log_collision_norms=log_collision_norms, kappa0=kappa0)
@@ -381,10 +368,9 @@ def duhamel_iterate(series: TimeSeries, j: int, pot: PotentialSpec,
     if j < 0:
         raise ValueError("j must be nonnegative")
     dt = series.dt
-    n_idx = int(round(t / dt))
-    if t < 0 or abs(n_idx * dt - t) > 1e-9 * max(1.0, t) \
-            or n_idx >= len(series.states):
-        raise ValueError("t must be a grid time inside the series")
+    n_idx = step_count(t, dt)
+    if n_idx >= len(series.states):
+        raise ValueError(f"t={t} lies beyond the series horizon {series.horizon}")
     n_pts = n_idx + 1
     base = series.states[0]
     K = base.K

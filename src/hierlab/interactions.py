@@ -175,6 +175,30 @@ def potential_difference_tensor(realized: Field) -> np.ndarray:
 # Contact (delta-limit) collision operators
 
 
+def _target_slot(gamma_next: Marginal, j: int, sign: str) -> int:
+    """Slot x_j ('+') or x'_j ('-') that the consumed last pair lands on."""
+    k = gamma_next.k - 1
+    if not 1 <= j <= k:
+        raise ValueError(f"j={j} out of range for k={k}")
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    return j - 1 if sign == "+" else gamma_next.k + j - 1
+
+
+def _sum_over_j(gamma_next: Marginal, contract, plus_only: bool = False) -> Marginal:
+    """sum_{j=1..k} [contract(j, '+') - contract(j, '-')] for a level-(k+1)
+    kernel, accumulated in increasing j; ``plus_only`` drops the minus part."""
+    out = None
+    for j in range(1, gamma_next.k):
+        term = contract(j, "+")
+        if not plus_only:
+            term = term - contract(j, "-")
+        out = term if out is None else out + term
+    if out is None:
+        raise ValueError("a collision term needs a kernel of at least 2 particles")
+    return out
+
+
 def gp_collision(gamma_next: Marginal, j: int, sign: str) -> Marginal:
     """Contact contraction of a (k+1)-particle kernel down to k particles.
 
@@ -182,13 +206,8 @@ def gp_collision(gamma_next: Marginal, j: int, sign: str) -> Marginal:
     two is the level-coupling term of the contact hierarchy.
     """
     k = gamma_next.k - 1
-    if not 1 <= j <= k:
-        raise ValueError(f"j={j} out of range for k={k}")
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    # the last pair is consumed onto x_j (slot j-1) or x'_j (slot k+1+j-1)
-    source = j - 1 if sign == "+" else gamma_next.k + j - 1
-    inp, out = pair_subscripts(gamma_next.k, gamma_next.grid.dim, k, source)
+    inp, out = pair_subscripts(gamma_next.k, gamma_next.grid.dim, k,
+                               _target_slot(gamma_next, j, sign))
     return Marginal(gamma_next.grid, k,
                     np.einsum(f"{inp}->{out}", gamma_next.kernel))
 
@@ -199,16 +218,13 @@ def gp_collision_full(gamma_next: Marginal, j: int) -> Marginal:
 
 def gp_collision_level(gamma_next: Marginal) -> Marginal:
     """Sum over j of the full contact operator, one hierarchy level down."""
-    k = gamma_next.k - 1
-    out = gp_collision_full(gamma_next, 1)
-    for j in range(2, k + 1):
-        out = out + gp_collision_full(gamma_next, j)
-    return out
+    return _sum_over_j(gamma_next,
+                       lambda j, sign: gp_collision(gamma_next, j, sign))
 
 
-def gp_collision_sum(state: HierarchyState, kappa0: float = 1.0) -> HierarchyState:
-    """Contact collision term of the whole state; level k reads level k+1.
-    The top level would read the implicit zero entry, so it is zero."""
+def gp_collision_sum(state: HierarchyState, kappa0: complex = 1.0) -> HierarchyState:
+    """Contact collision term of the whole state times kappa0; level k reads
+    level k+1.  The top level has no level above it, so it is zero."""
     comps = [gp_collision_level(gamma_next) * kappa0
              for gamma_next in state.entries[1:]]
     comps.append(zero_marginal(state.grid, state.K))
@@ -219,44 +235,29 @@ def gp_collision_sum(state: HierarchyState, kappa0: float = 1.0) -> HierarchySta
 # Finite-N collision operators
 
 
-def _main_contract(gamma: Marginal, pot: PotentialSpec, slot: int) -> Marginal:
-    """h^d sum_y V(x_slot - y) gamma(..., y; ..., y) with the pair diagonal."""
-    kp1, d = gamma.k, gamma.grid.dim
-    k = kp1 - 1
-    # the last pair's diagonal y is the partial-trace pattern; V reads (x_slot, y)
-    inp, out = pair_subscripts(kp1, d, k, k)
-    v = inp[slot * d:(slot + 1) * d] + inp[k * d:kp1 * d]
-    contracted = np.einsum(f"{v},{inp}->{out}", pot.difference_table, gamma.kernel)
-    return Marginal(gamma.grid, k, contracted * gamma.grid.h**d)
-
-
 def bbgky_collision_main(gamma_next: Marginal, j: int, sign: str,
                          pot: PotentialSpec) -> Marginal:
-    """Finite-N analogue of the contact contraction: convolve the diagonal of
-    the consumed pair against the realized potential centered at x_j ('+') or
-    x'_j ('-')."""
-    k = gamma_next.k - 1
-    if not 1 <= j <= k:
-        raise ValueError(f"j={j} out of range for k={k}")
-    if sign == "+":
-        return _main_contract(gamma_next, pot, j - 1)
-    if sign == "-":
-        return _main_contract(gamma_next, pot, gamma_next.k + j - 1)
-    raise ValueError("sign must be '+' or '-'")
+    """Finite-N analogue of the contact contraction: h^d sum_y V(x_s - y)
+    gamma(..., y; ..., y), the diagonal of the consumed pair convolved with
+    the realized potential centered at x_s = x_j ('+') or x'_j ('-')."""
+    kp1, d = gamma_next.k, gamma_next.grid.dim
+    k = kp1 - 1
+    slot = _target_slot(gamma_next, j, sign)
+    # the last pair's diagonal y is the partial-trace pattern; V reads (x_s, y)
+    inp, out = pair_subscripts(kp1, d, k, k)
+    v = inp[slot * d:(slot + 1) * d] + inp[k * d:kp1 * d]
+    contracted = np.einsum(f"{v},{inp}->{out}", pot.difference_table,
+                           gamma_next.kernel)
+    return Marginal(gamma_next.grid, k, contracted * gamma_next.grid.h**d)
 
 
 def bbgky_main_level(gamma_next: Marginal, pot: PotentialSpec,
                      plus_only: bool = False) -> Marginal:
     """Sum over j of the finite-N main operator, with the (N-k)/N weight."""
     k = gamma_next.k - 1
-    out = None
-    for j in range(1, k + 1):
-        term = bbgky_collision_main(gamma_next, j, "+", pot)
-        if not plus_only:
-            term = term - bbgky_collision_main(gamma_next, j, "-", pot)
-        out = term if out is None else out + term
-    if out is None:
-        raise ValueError("the main term needs a kernel of at least 2 particles")
+    out = _sum_over_j(gamma_next,
+                      lambda j, sign: bbgky_collision_main(gamma_next, j, sign, pot),
+                      plus_only)
     return out * ((pot.big_n - k) / pot.big_n)
 
 

@@ -16,8 +16,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .budget import default_budget
-from .grid import (Field, GridSpec, bessel_multiply, dft_forward, dft_inverse,
-                   free_propagate, free_symbol, l2_norm)
+from .grid import (Field, GridSpec, apply_symbol, bessel_multiply, dft_forward,
+                   dft_inverse, free_propagate, free_symbol,
+                   sobolev_norm_field)
 
 
 @dataclass
@@ -159,7 +160,7 @@ def trace(gamma: Marginal) -> complex:
 
 def sobolev_norm(gamma: Marginal, alpha: float) -> float:
     """Hilbert-Schmidt Sobolev norm, the order-alpha multiplier on all slots."""
-    return l2_norm(bessel_multiply(gamma.as_field(), alpha))
+    return sobolev_norm_field(gamma.as_field(), alpha)
 
 
 def trace_sobolev_norm(gamma: Marginal, alpha: float) -> float:
@@ -259,9 +260,8 @@ def marginal_from_spectrum(grid: GridSpec, k: int, spec: np.ndarray) -> Marginal
 def free_generator(gamma: Marginal) -> Marginal:
     """Kernel of the commutator with the (negative) Laplacian: the additive
     symbol sum |xi_j|^2 - sum |xi'_j|^2 applied in Fourier space."""
-    symbol = flow_symbol(gamma.grid, gamma.k)
-    out = np.fft.ifftn(symbol * np.fft.fftn(gamma.kernel))
-    return Marginal(gamma.grid, gamma.k, out)
+    out = apply_symbol(gamma.as_field(), flow_symbol(gamma.grid, gamma.k))
+    return Marginal(gamma.grid, gamma.k, out.data)
 
 
 def weakstar_metric(gamma_a: Marginal, gamma_b: Marginal,
@@ -288,8 +288,7 @@ def weakstar_metric(gamma_a: Marginal, gamma_b: Marginal,
 @dataclass
 class HierarchyState:
     """Finite truncated sequence (gamma^(1), ..., gamma^(K)) with a geometric
-    level weight xi used by the hierarchy norms.  Entries above K are zero by
-    convention."""
+    level weight xi used by the hierarchy norms."""
 
     entries: list[Marginal]
     xi: float = 0.5
@@ -315,12 +314,10 @@ class HierarchyState:
         return len(self.entries)
 
     def entry(self, k: int) -> Marginal:
-        """1-based accessor; levels above K are identically zero."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if k <= self.K:
-            return self.entries[k - 1]
-        return zero_marginal(self.grid, k)
+        """1-based accessor of the levels 1..K."""
+        if not 1 <= k <= self.K:
+            raise ValueError(f"level {k} outside 1..{self.K}")
+        return self.entries[k - 1]
 
     def copy(self) -> "HierarchyState":
         return HierarchyState([m.copy() for m in self.entries], self.xi)

@@ -15,8 +15,9 @@ from functools import cached_property
 import numpy as np
 
 from .budget import default_budget
-from .grid import (Field, GridSpec, apply_axes, bessel_multiply, flow_matrix,
-                   free_symbol, inner, l2_norm, normalized, place_axes)
+from .grid import (Field, GridSpec, apply_symbol, bessel_multiply,
+                   free_propagate, free_symbol, inner, l2_norm, normalized,
+                   place_axes, step_count)
 from .interactions import PotentialSpec
 from .marginals import Marginal, _tensor_product
 
@@ -119,8 +120,7 @@ def symmetry_defect(psi: Field) -> float:
 def hamiltonian_apply(state: NBodyState, psi: Field | None = None) -> Field:
     """Kinetic part spectrally, pair potential pointwise with the 1/N weight."""
     f = psi if psi is not None else state.psi
-    spec = np.fft.fftn(f.data)
-    kin = np.fft.ifftn(state.kinetic * spec)
+    kin = apply_symbol(f, state.kinetic).data
     out = kin + (state.pair_potential / state.big_n) * f.data
     return Field(state.grid, state.big_n, out)
 
@@ -139,26 +139,21 @@ class NBodyTrajectory:
 def nbody_evolve(state: NBodyState, dt: float, t_final: float,
                  store_every: int = 1) -> NBodyTrajectory:
     """Symmetric split-step trajectory (pointwise potential halves around the
-    exact kinetic step, one grid.flow_matrix per axis).  Unitary, so the norm is
+    exact kinetic step, grid.free_propagate).  Unitary, so the norm is
     conserved to rounding; energy drift is bounded at second order."""
-    n_steps = int(round(t_final / dt))
-    if abs(n_steps * dt - t_final) > 1e-9 * max(1.0, abs(t_final)):
-        raise ValueError("t_final must be a multiple of dt")
-    grid = state.grid
-    vhalf = np.exp(-0.5j * dt * state.pair_potential / state.big_n)
-    kinetic = [flow_matrix(grid, dt)] * (grid.dim * state.big_n)
-    data = state.psi.data.copy()
-    times = [0.0]
-    norms = [l2_norm(state.psi)]
-    snapshots = [(0.0, Field(grid, state.big_n, data.copy()))]
+    n_steps = step_count(t_final, dt)
+    grid, big_n = state.grid, state.big_n
+    vhalf = np.exp(-0.5j * dt * state.pair_potential / big_n)
+    psi = state.psi.copy()
+    times, norms, snapshots = [0.0], [l2_norm(psi)], [(0.0, psi)]
     for step in range(1, n_steps + 1):
-        data = vhalf * apply_axes(vhalf * data, kinetic)
+        flowed = free_propagate(Field(grid, big_n, vhalf * psi.data), dt)
+        psi = Field(grid, big_n, vhalf * flowed.data)
         t = step * dt
         times.append(t)
-        norms.append(float(np.sqrt(grid.h ** (grid.dim * state.big_n)
-                                   * np.sum(np.abs(data) ** 2))))
+        norms.append(l2_norm(psi))
         if (store_every and step % store_every == 0) or step == n_steps:
-            snapshots.append((t, Field(grid, state.big_n, data.copy())))
+            snapshots.append((t, psi))
     return NBodyTrajectory(np.array(times), snapshots, np.array(norms), state)
 
 

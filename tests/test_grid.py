@@ -4,7 +4,8 @@ import pytest
 from hierlab.grid import (Field, apply_axes, apply_multiplier, bessel_multiply,
                           dft_forward, dft_inverse, flow_matrix, free_propagate,
                           inner, l2_norm, make_grid, normalized,
-                          random_low_mode_field, sobolev_norm_field, zero_field)
+                          random_low_mode_field, sobolev_norm_field,
+                          step_count, zero_field)
 
 
 def plane_wave(grid, mode=1):
@@ -185,3 +186,12 @@ def test_apply_axes_needs_one_matrix_per_axis():
     g = make_grid(2, 4, 1.0)
     with pytest.raises(ValueError):
         apply_axes(np.zeros(g.slot_shape(1)), [flow_matrix(g, 0.1)])
+
+
+def test_step_count():
+    assert step_count(0.1, 1e-3) == 100
+    assert step_count(0.0, 0.5) == 0
+    assert step_count(0.3, 0.1) == 3  # 0.3 / 0.1 is 2.9999999999999996
+    for t, dt in [(-0.1, 1e-3), (0.15, 0.1), (0.1, 0.0), (0.1, -1e-3)]:
+        with pytest.raises(ValueError):
+            step_count(t, dt)

@@ -48,6 +48,15 @@ seed = 99
     assert cfg.ladder == (2, 3, 4) and cfg.seed == 99 and cfg.dt == 5e-3
 
 
+def test_config_rejects_misspelled_keys(tmp_path):
+    ini = tmp_path / "typo.ini"
+    ini.write_text("[experiment]\nt_fnal = 0.5\nseeed = 3\nn = 8\n")
+    with pytest.raises(ValueError, match="seeed, t_fnal"):
+        ExperimentConfig.from_ini(ini)
+    with pytest.raises(ValueError, match="t_fnal"):
+        ExperimentConfig.from_mapping({"t_fnal": 0.5})
+
+
 def test_report_schema_and_formatting():
     rep = Report()
     rep.add("demo", "metric_a", 1.5, N=4, K=2, t=0.1)

@@ -140,6 +140,13 @@ def test_gp_evolve_zero_top_closure_runs():
     assert traj.final().K == 2
 
 
+@pytest.mark.parametrize("t_final", [-0.1, 0.0105])
+def test_gp_evolve_rejects_a_final_time_off_the_grid(t_final):
+    state = factorized_state(atom(G8, 4), 2)
+    with pytest.raises(ValueError, match="nonnegative multiple"):
+        gp_evolve(state, EvolutionConfig(dt=1e-3, t_final=t_final))
+
+
 def test_mixture_closure_rejects_an_earlier_half_step():
     closure = MixtureClosure(Mixture([(1.0, atom(G8, 5))]), 2, dt_half=1e-3)
     closure.top_collision(2e-3)

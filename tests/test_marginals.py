@@ -319,3 +319,11 @@ def test_eigensolver_budget_guard(monkeypatch):
         psd_defect(gamma)
     with pytest.raises(BudgetExceeded):
         trace_sobolev_norm(gamma, 0.0)
+
+
+def test_entry_outside_the_levels_raises():
+    state = factorized_state(random_atoms(G8, 1, 35)[0][1], 2)
+    assert state.entry(2) is state.entries[1]
+    for k in (0, 3, -1):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            state.entry(k)
