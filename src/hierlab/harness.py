@@ -5,6 +5,8 @@ with an INI file and flag overrides), draws all randomness from one seeded
 generator, and emits a fixed-schema CSV plus a JSON manifest that echoes the
 configuration.  Identical config and seed give bit-identical CSV output;
 ladder entries are executed in a fixed order for that reason.
+Each reported quantity is computed once per run; ``convergence`` evolves the
+contact hierarchy once per distinct K (and kappa0), shared by its ladder.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .interactions import (PROFILES, PotentialSpec, bbgky_main_level,
 from .marginals import (HierarchyState, admissibility_defect, factorized_state,
                         hierarchy_norm, mixture_marginal, mixture_state,
                         free_propagate_marginal, psd_defect,
-                        random_hermitian_marginal, sobolev_norm)
+                        random_hermitian_marginal, sobolev_norm, trace)
 from .nbody import extract_marginal, factorized_state as nbody_factorized, \
     nbody_evolve, energy_moments, symmetry_defect
 from .storage import write_marginal
@@ -188,11 +190,6 @@ def write_manifest(path: str | Path, cfg: ExperimentConfig, experiment: str,
     return path
 
 
-def smooth_unit_field(grid: GridSpec, rng: np.random.Generator,
-                      max_mode: int = 2) -> Field:
-    return random_low_mode_field(grid, 1, rng, max_mode=max_mode)
-
-
 # ---------------------------------------------------------------------------
 # Experiments
 
@@ -204,21 +201,24 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[Report, dict]:
     terms."""
     grid = cfg.grid()
     rng = cfg.rng()
-    phi0 = smooth_unit_field(grid, rng)
+    phi0 = random_low_mode_field(grid, 1, rng, max_mode=2)
     mixture = Mixture([(1.0, phi0)])
     report = Report()
     n_steps = step_count(cfg.t_final, cfg.dt)
     stride = max(1, n_steps // 2)
+    evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final)
+    gp_runs = {}  # (K, kappa0) -> GP states by step; they do not depend on N
     for big_n in cfg.ladder:
         pot = cfg.potential(big_n, grid)
         K = k_schedule(big_n, cfg.b1, cap=min(cfg.k_max, big_n))
         nstate = nbody_factorized(phi0, big_n, pot)
         ntraj = nbody_evolve(nstate, cfg.dt, cfg.t_final, store_every=stride)
-        evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final)
-        gtraj = gp_evolve(factorized_state(phi0, K, xi=cfg.xi), evo,
-                          kappa0=pot.kappa0, mixture=mixture,
-                          store_every=stride)
-        gp_at = {round(t / cfg.dt): s for t, s in zip(gtraj.times, gtraj.states)}
+        if (K, pot.kappa0) not in gp_runs:
+            gtraj = gp_evolve(factorized_state(phi0, K, xi=cfg.xi), evo,
+                              kappa0=pot.kappa0, mixture=mixture,
+                              store_every=stride)
+            gp_runs[K, pot.kappa0] = dict(zip(gtraj.stored_steps, gtraj.states))
+        gp_at = gp_runs[K, pot.kappa0]
         for t, psi in ntraj.snapshots:
             step = round(t / cfg.dt)
             if step == 0 or step not in gp_at:
@@ -243,32 +243,35 @@ def run_conservation(cfg: ExperimentConfig) -> tuple[Report, dict]:
     mix = random_mixture(grid, cfg.atoms, rng, max_mode=2)
     report = Report()
 
+    # each frame continues the previous one, bit-identical to a flow from 0
+    samples = 5
+    times = [cfg.t_final * i / samples for i in range(1, samples + 1)]
+    steps = [0] + [step_count(t, cfg.dt) for t in times]
+    frames = [mix]
+    for a, b in zip(steps, steps[1:]):
+        frames.append(flow_mixture(frames[-1], (b - a) * cfg.dt, cfg.dt))
+
     for m in range(1, cfg.m_max + 1):
         at0 = energy_functional_mixture(mix, m)
-        flowed = flow_mixture(mix, cfg.t_final, cfg.dt)
-        at1 = energy_functional_mixture(flowed, m)
+        at1 = energy_functional_mixture(frames[-1], m)
         report.add("conservation", f"functional_m{m}_drift",
                    abs(at1 - at0) / max(1.0, abs(at0)), t=cfg.t_final)
 
-    samples = 5
-    for i in range(1, samples + 1):
-        t = cfg.t_final * i / samples
-        flowed = flow_mixture(mix, t, cfg.dt)
+    for t, frame in zip(times, frames[1:]):
         for k in (1, 2):
             report.add("conservation", f"psd_defect_k{k}",
-                       psd_defect(mixture_marginal(flowed, k)), K=k, t=t)
+                       psd_defect(mixture_marginal(frame, k)), K=k, t=t)
 
     state0 = mixture_state(mix, 2, xi=cfg.xi1)
+    state1 = mixture_state(frames[-1], 2, xi=cfg.xi1)
     report.add("conservation", "admissibility_defect_t0",
                max(admissibility_defect(state0)), t=0.0)
-    flowed = flow_mixture(mix, cfg.t_final, cfg.dt)
     report.add("conservation", "admissibility_defect",
-               max(admissibility_defect(mixture_state(flowed, 2, xi=cfg.xi1))),
-               t=cfg.t_final)
+               max(admissibility_defect(state1)), t=cfg.t_final)
 
     bound = hierarchy_norm(HierarchyState(state0.entries, cfg.xi_prime), 1.0,
                            flavor="trace")
-    h1 = hierarchy_norm(mixture_state(flowed, 2, xi=cfg.xi1), 1.0)
+    h1 = hierarchy_norm(state1, 1.0)
     report.add("conservation", "h1_norm_flowed", h1, t=cfg.t_final)
     report.add("conservation", "trace_norm_bound", bound, t=0.0)
     report.add("conservation", "norm_bound_satisfied", h1 <= bound + 1e-9,
@@ -292,18 +295,18 @@ def run_collision_limit(cfg: ExperimentConfig) -> tuple[Report, dict]:
     target along the potential ladder, plus momentum-domain oracle agreement."""
     grid = cfg.grid()
     rng = cfg.rng()
-    phi = smooth_unit_field(grid, rng, max_mode=1)
+    phi = random_low_mode_field(grid, 1, rng, max_mode=1)
     gamma2 = mixture_marginal([(1.0, phi)], 2)
     target_plus = gp_collision(gamma2, 1, "+")
+    flowed = {t: free_propagate_marginal(gamma2, t) for t in (0.0, 0.1)}
     report = Report()
     for big_n in cfg.collision_ladder:
         pot = cfg.potential(big_n, grid)
         lhs = bbgky_main_level(gamma2, pot, plus_only=True)
         dist = sobolev_norm(lhs - target_plus * pot.kappa0, 0.0)
         report.add("collision_limit", "main_minus_contact_hs", dist, N=big_n)
-        for t in (0.0, 0.1):
-            spatial = bbgky_collision_main(free_propagate_marginal(gamma2, t),
-                                           1, "+", pot)
+        for t, gamma_t in flowed.items():
+            spatial = bbgky_collision_main(gamma_t, 1, "+", pot)
             oracle = collision_fourier_oracle(gamma2, t, pot)
             rel = sobolev_norm(oracle - spatial, 0.0) / max(sobolev_norm(spatial, 0.0), 1e-300)
             report.add("collision_limit", "fourier_oracle_rel_err", rel,
@@ -318,7 +321,7 @@ def run_duhamel_check(cfg: ExperimentConfig) -> tuple[Report, dict]:
     levels, steps = 1 + cfg.j_max, 16
     check_series_budget(grid, levels, steps)
     rng = cfg.rng()
-    phi = smooth_unit_field(grid, rng)
+    phi = random_low_mode_field(grid, 1, rng, max_mode=2)
     pot = cfg.potential(grid=grid)
     base = factorized_state(phi, levels, xi=cfg.xi)
     report = Report()
@@ -370,76 +373,66 @@ def run_picard(cfg: ExperimentConfig) -> tuple[Report, dict]:
 # Simulation commands with tensor dumps
 
 
-def _dump_trajectory(traj: HierarchyTrajectory, outdir: Path, prefix: str) -> list[str]:
+def _report_hierarchy_run(cfg: ExperimentConfig, traj: HierarchyTrajectory,
+                          name: str, N: int | None = None) -> tuple[Report, dict]:
+    """Trace-drift and collision-norm rows of ``simulate-<name>``, its stored
+    kernels dumped to the outdir, and the manifest's files, traces, hs_norms."""
+    experiment = f"simulate_{name}"
+    report = Report()
+    for k, vals in traj.traces.items():
+        report.add(experiment, f"trace_drift_k{k}",
+                   float(np.max(np.abs(vals - vals[0]))), N=N, K=k,
+                   t=cfg.t_final)
+    for k, vals in traj.collision_h1.items():
+        report.add(experiment, f"collision_h1_max_k{k}",
+                   float(np.max(vals)) if len(vals) else 0.0, N=N, K=k)
+    outdir = Path(cfg.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
     files = []
-    for idx, (step, state) in enumerate(zip(traj.stored_steps, traj.states)):
-        for k in range(1, state.K + 1):
-            name = f"{prefix}_k{k}_step{step:05d}.hlab"
-            write_marginal(outdir / name, state.grid, k, state.entry(k).kernel)
-            files.append(name)
-    return files
+    for step, state in zip(traj.stored_steps, traj.states):
+        for k, gamma in enumerate(state.entries, start=1):
+            fname = f"{name}_k{k}_step{step:05d}.hlab"
+            write_marginal(outdir / fname, state.grid, k, gamma.kernel)
+            files.append(fname)
+    return report, {"files": files,
+                    "traces": {k: v.tolist() for k, v in traj.traces.items()},
+                    "hs_norms": {k: v.tolist() for k, v in traj.hs_norms.items()}}
 
 
 def run_simulate_gp(cfg: ExperimentConfig) -> tuple[Report, dict]:
     grid = cfg.grid()
     rng = cfg.rng()
-    phi = smooth_unit_field(grid, rng)
+    phi = random_low_mode_field(grid, 1, rng, max_mode=2)
     mixture = Mixture([(1.0, phi)])
     state0 = factorized_state(phi, cfg.k_max, xi=cfg.xi)
     evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final)
     traj = gp_evolve(state0, evo, kappa0=1.0, mixture=mixture, store_every=1,
                      log_collision_norms=True)
-    report = Report()
-    for k, vals in traj.traces.items():
-        report.add("simulate_gp", f"trace_drift_k{k}",
-                   float(np.max(np.abs(vals - vals[0]))), K=k, t=cfg.t_final)
-    for k, vals in traj.collision_h1.items():
-        report.add("simulate_gp", f"collision_h1_max_k{k}",
-                   float(np.max(vals)) if len(vals) else 0.0, K=k)
+    report, extra = _report_hierarchy_run(cfg, traj, "gp")
     residual = gp_residual(traj) if len(traj.states) >= 3 else {}
     for k, vals in residual.items():
         report.add("simulate_gp", f"residual_max_k{k}", float(np.max(vals)), K=k)
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    files = _dump_trajectory(traj, outdir, "gp")
-    extra = {"files": files,
-             "traces": {k: v.tolist() for k, v in traj.traces.items()},
-             "hs_norms": {k: v.tolist() for k, v in traj.hs_norms.items()},
-             "residual_max": {k: float(np.max(v)) for k, v in residual.items()}}
+    extra["residual_max"] = {k: float(np.max(v)) for k, v in residual.items()}
     return report, extra
 
 
 def run_simulate_bbgky(cfg: ExperimentConfig) -> tuple[Report, dict]:
     grid = cfg.grid()
     rng = cfg.rng()
-    phi = smooth_unit_field(grid, rng)
+    phi = random_low_mode_field(grid, 1, rng, max_mode=2)
     pot = cfg.potential(grid=grid)
     K = min(cfg.k_max, pot.big_n)
     state0 = factorized_state(phi, K, xi=cfg.xi)
     evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final)
     traj = bbgky_evolve(state0, evo, pot, store_every=1,
                         log_collision_norms=True)
-    report = Report()
-    for k, vals in traj.traces.items():
-        report.add("simulate_bbgky", f"trace_drift_k{k}",
-                   float(np.max(np.abs(vals - vals[0]))), N=pot.big_n, K=k,
-                   t=cfg.t_final)
-    for k, vals in traj.collision_h1.items():
-        report.add("simulate_bbgky", f"collision_h1_max_k{k}",
-                   float(np.max(vals)) if len(vals) else 0.0, N=pot.big_n, K=k)
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    files = _dump_trajectory(traj, outdir, "bbgky")
-    extra = {"files": files,
-             "traces": {k: v.tolist() for k, v in traj.traces.items()},
-             "hs_norms": {k: v.tolist() for k, v in traj.hs_norms.items()}}
-    return report, extra
+    return _report_hierarchy_run(cfg, traj, "bbgky", N=pot.big_n)
 
 
 def run_simulate_nbody(cfg: ExperimentConfig) -> tuple[Report, dict]:
     grid = cfg.grid()
     rng = cfg.rng()
-    phi = smooth_unit_field(grid, rng)
+    phi = random_low_mode_field(grid, 1, rng, max_mode=2)
     pot = cfg.potential(grid=grid)
     state = nbody_factorized(phi, cfg.big_n, pot)
     moments = energy_moments(state, 2)
@@ -470,8 +463,7 @@ def run_simulate_nbody(cfg: ExperimentConfig) -> tuple[Report, dict]:
         write_marginal(outdir / name, grid, k, gamma.kernel)
         files.append(name)
         report.add("simulate_nbody", f"marginal_trace_k{k}",
-                   float(np.real(np.trace(gamma.as_matrix())
-                                 * grid.h ** (grid.dim * k))), N=cfg.big_n, K=k)
+                   trace(gamma).real, N=cfg.big_n, K=k)
     extra = {"files": files, "moments_initial": moments0,
              "moments_final": moments1}
     return report, extra

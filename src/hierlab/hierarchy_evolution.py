@@ -220,10 +220,11 @@ def gp_evolve(state0: HierarchyState, config: EvolutionConfig,
         MixtureClosure(mixture, state0.K, config.dt / 2.0, coupling=kappa0)
 
     def rhs(state: HierarchyState, t: float) -> HierarchyState:
-        out = gp_collision_sum(state, -1j * kappa0)
-        if closure is not None:
-            out.entries[-1] = closure.top_collision(t) * (-1j * kappa0)
-        return out
+        if closure is None:
+            return gp_collision_sum(state, -1j * kappa0)
+        levels = [gp_collision_level(g) for g in state.entries[1:]]
+        levels.append(closure.top_collision(t))
+        return HierarchyState(levels, state.xi) * (-1j * kappa0)
 
     return _evolve(state0, config, rhs, store_every=store_every,
                    log_collision_norms=log_collision_norms, kappa0=kappa0)

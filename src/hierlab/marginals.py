@@ -10,6 +10,7 @@ values are the operator-level quantities.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -323,15 +324,18 @@ class HierarchyState:
         return HierarchyState([m.copy() for m in self.entries], self.xi)
 
     def __add__(self, other: "HierarchyState") -> "HierarchyState":
-        if self.K != other.K:
-            raise ValueError("states truncated at different levels")
-        return HierarchyState([a + b for a, b in zip(self.entries, other.entries)],
-                              self.xi)
+        return self._levelwise(operator.add, other)
 
     def __sub__(self, other: "HierarchyState") -> "HierarchyState":
+        return self._levelwise(operator.sub, other)
+
+    def _levelwise(self, op, other: "HierarchyState") -> "HierarchyState":
+        """The result keeps one xi, so both operands must carry it."""
         if self.K != other.K:
             raise ValueError("states truncated at different levels")
-        return HierarchyState([a - b for a, b in zip(self.entries, other.entries)],
+        if self.xi != other.xi:
+            raise ValueError(f"states carry different xi: {self.xi}, {other.xi}")
+        return HierarchyState([op(a, b) for a, b in zip(self.entries, other.entries)],
                               self.xi)
 
     def __mul__(self, c) -> "HierarchyState":

@@ -33,13 +33,18 @@ def write_field(path: str | Path, f: Field, flags: int = 0) -> None:
 def read_field(path: str | Path) -> tuple[Field, int]:
     path = Path(path)
     raw = path.read_bytes()
+    if len(raw) < _HEADER.size:
+        raise ValueError(f"{path} is shorter than the HLAB header")
     magic, version, dim, n, L, rank, flags = _HEADER.unpack_from(raw, 0)
     if magic != MAGIC:
         raise ValueError(f"{path} is not a HLAB tensor file")
     if version != VERSION:
         raise ValueError(f"unsupported HLAB version {version}")
+    count = n ** (dim * rank)  # entries of 16 bytes ("<c16")
+    if len(raw) != _HEADER.size + 16 * count:
+        raise ValueError(f"{path} has {len(raw)} bytes, not the header's "
+                         f"{_HEADER.size} plus {count} complex entries")
     grid = make_grid(dim, n, L)
-    count = grid.num_points**rank
     data = np.frombuffer(raw, dtype="<c16", count=count, offset=_HEADER.size)
     return Field(grid, rank, data.astype(np.complex128).copy()), flags
 

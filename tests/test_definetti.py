@@ -248,6 +248,28 @@ def test_window_chain_four_windows_within_bound():
         assert row["admissibility_defect"] < 1e-8
 
 
+def test_window_chain_flows_between_windows_only(monkeypatch):
+    import hierlab.definetti as definetti_mod
+    calls = []
+    real = definetti_mod.flow_mixture
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(definetti_mod, "flow_mixture", counting)
+    mix = random_mixture(G8, 2, np.random.default_rng(17))
+    out = gwp_window_chain(mix, window=0.01, windows=2, K=2, dt=2e-3)
+    assert calls == [0.01] and len(out["rows"]) == 2
+
+
+def test_flow_mixture_continued_frame_is_bit_identical():
+    mix = random_mixture(G8, 2, np.random.default_rng(18))
+    direct = flow_mixture(mix, 0.01, 1e-3)
+    continued = flow_mixture(flow_mixture(mix, 0.004, 1e-3), 0.006, 1e-3)
+    for (_, a), (_, b) in zip(direct.atoms, continued.atoms):
+        assert np.array_equal(a.data, b.data)
+
+
 def test_window_chain_requires_sphere():
     phi = constant_atom(G8)
     mix = Mixture([(1.0, phi * 0.9)], support="ball")

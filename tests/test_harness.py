@@ -4,6 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hierlab.definetti as definetti_mod
+import hierlab.harness as harness_mod
 import hierlab.nbody as nbody_mod
 from hierlab.cli import main
 from hierlab.harness import (CSV_HEADER, ExperimentConfig, Report,
@@ -89,6 +91,44 @@ def test_convergence_run_shape():
     assert set(by_metric) == {"hierarchy_h1_distance", "collision_h1_distance"}
     # ladder (2, 3) at two sample times
     assert len(by_metric["hierarchy_h1_distance"]) == 4
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Replace ``name`` in every module by one counting wrapper."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    for mod in modules:
+        monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_convergence_evolves_the_contact_hierarchy_once_per_k(monkeypatch):
+    # K = floor(2 ln N) capped at 2 is 2 for both N, and kappa0 is 1
+    calls = count_calls(monkeypatch, "gp_evolve", harness_mod)
+    rep, _ = run_convergence(small_cfg(ladder=(3, 4), k_max=2, b1=2.0))
+    assert len(calls) == 1
+    assert [row[2] for row in rep.rows] == [3] * 4 + [4] * 4
+
+
+def test_conservation_flows_its_mixture_once(monkeypatch):
+    flows = count_calls(monkeypatch, "flow_mixture", harness_mod, definetti_mod)
+    states = count_calls(monkeypatch, "mixture_state", harness_mod,
+                         definetti_mod)
+    run_conservation(small_cfg())
+    # five sample frames; the window chain's one window needs no flow
+    assert len(flows) == 5
+    # t = 0 and t_final here, and the chain's bound state serves window 0
+    assert len(states) == 3
+
+
+def test_collision_limit_flows_the_kernel_once_per_time(monkeypatch):
+    calls = count_calls(monkeypatch, "free_propagate_marginal", harness_mod)
+    run_collision_limit(small_cfg())
+    assert len(calls) == 2
 
 
 def test_conservation_run_reports_small_defects():

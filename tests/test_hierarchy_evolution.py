@@ -155,6 +155,20 @@ def test_mixture_closure_rejects_an_earlier_half_step():
         closure.top_collision(1e-3)
 
 
+def test_gp_evolve_with_mixture_builds_no_zero_top_level(monkeypatch):
+    import hierlab.interactions as interactions_mod
+    import hierlab.marginals as marginals_mod
+    for mod in (interactions_mod, marginals_mod):
+        monkeypatch.setattr(mod, "zero_marginal",
+                            lambda *a: pytest.fail("zero kernel built"))
+    phi = atom(G8, 6)
+    cfg = EvolutionConfig(dt=1e-3, t_final=4e-3)
+    traj = gp_evolve(factorized_state(phi, 2), cfg, kappa0=1.0,
+                     mixture=Mixture([(1.0, phi)]), store_every=0,
+                     log_collision_norms=True)
+    assert traj.final().K == 2
+
+
 # -- finite-N hierarchy evolution ------------------------------------------------------
 
 

@@ -175,6 +175,17 @@ def test_hierarchy_norm_zero_state():
     assert hierarchy_norm(state, 1.0) == 0.0
 
 
+def test_hierarchy_state_sum_needs_one_xi():
+    entries = [pure_product_marginal(unit_atom(G8, 19), k) for k in (1, 2)]
+    a, b = HierarchyState(entries, 0.3), HierarchyState(entries, 0.6)
+    for left, right in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="xi"):
+            left + right
+        with pytest.raises(ValueError, match="xi"):
+            left - right
+    assert (a + a).xi == 0.3 and (b - b).xi == 0.6
+
+
 def test_hierarchy_trace_flavor_dominates_hs_flavor():
     atoms = random_atoms(G8, 2, 18)
     state = mixture_state(atoms, 2, xi=0.5)

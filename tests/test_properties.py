@@ -1,0 +1,90 @@
+"""Property tests of the hierarchy invariants over drawn seeds and grids.
+
+The collision grids stop at d = 2, n = 4, upper level 2: a level-2 kernel at
+d = 3, n = 4 already holds 4^12 = 2^24 entries, the whole default budget.
+Tolerances are those of the fixed-seed tests in test_interactions.py and
+test_spectral_series.py.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hierlab.grid import (dft_forward, make_grid, random_low_mode_field,
+                          sobolev_norm_field, sobolev_weight)
+from hierlab.interactions import (bbgky_collision_main, bbgky_main_level,
+                                  delta_surrogate, gaussian_profile,
+                                  gp_collision, gp_collision_level,
+                                  realize_potential)
+from hierlab.marginals import random_hermitian_marginal, sobolev_norm, trace
+
+FEW = settings(max_examples=12, deadline=None)
+SEEDS = st.integers(0, 2**32 - 1)
+# (d, n, upper level k + 1) of the kernel a collision operator consumes
+COLLISION_CASES = st.one_of(
+    st.tuples(st.just(1), st.sampled_from([4, 6, 8]), st.sampled_from([2, 3])),
+    st.tuples(st.just(2), st.just(4), st.just(2)))
+
+
+def hermitian_kernel(case, seed):
+    d, n, level = case
+    grid = make_grid(d, n, 2 * np.pi)
+    return random_hermitian_marginal(grid, level, np.random.default_rng(seed),
+                                     max_mode=1)
+
+
+@FEW
+@given(case=COLLISION_CASES, seed=SEEDS, big_n=st.sampled_from([4, 64]))
+def test_collision_levels_annihilate_traces(case, seed, big_n):
+    gamma = hermitian_kernel(case, seed)
+    pot = realize_potential(gaussian_profile(gamma.grid, 0.6), 0.2, big_n)
+    scale = sobolev_norm(gamma, 0.0)
+    # plain floats in the asserts keep failure reports (and shrinking) fast
+    contact = abs(trace(gp_collision_level(gamma)))
+    finite_n = abs(trace(bbgky_main_level(gamma, pot)))
+    assert contact < 1e-10 * scale
+    assert finite_n < 1e-10 * scale
+
+
+@FEW
+@given(case=COLLISION_CASES, seed=SEEDS, data=st.data())
+def test_gp_collision_minus_is_adjoint_of_plus(case, seed, data):
+    gamma = hermitian_kernel(case, seed)
+    k, d = gamma.k - 1, gamma.grid.dim
+    j = data.draw(st.integers(1, k), label="j")
+    plus = gp_collision(gamma, j, "+")
+    minus = gp_collision(gamma, j, "-")
+    swap = list(range(k * d, 2 * k * d)) + list(range(k * d))
+    adjoint = np.conj(np.transpose(plus.kernel, swap))
+    defect = float(np.max(np.abs(adjoint - minus.kernel)))
+    assert defect < 1e-12
+
+
+@FEW
+@given(case=COLLISION_CASES, seed=SEEDS, data=st.data())
+def test_delta_surrogate_reduces_to_contact(case, seed, data):
+    gamma = hermitian_kernel(case, seed)
+    j = data.draw(st.integers(1, gamma.k - 1), label="j")
+    pot = delta_surrogate(gamma.grid)
+    for sign in ("+", "-"):
+        a = bbgky_collision_main(gamma, j, sign, pot)
+        b = gp_collision(gamma, j, sign)
+        defect = float(np.max(np.abs(a.kernel - b.kernel)))
+        assert defect < 1e-12
+
+
+@FEW
+@given(grid_case=st.sampled_from([(1, 4), (1, 6), (1, 16), (2, 4), (2, 8),
+                                  (3, 4), (3, 6)]),
+       L=st.sampled_from([2 * np.pi, 5.0]), rank=st.sampled_from([1, 2]),
+       alpha=st.sampled_from([0.0, 0.5, 1.0, 2.0]), seed=SEEDS)
+def test_sobolev_weight_is_parseval(grid_case, L, rank, alpha, seed):
+    d, n = grid_case
+    grid = make_grid(d, n, L)
+    f = random_low_mode_field(grid, rank, np.random.default_rng(seed),
+                              max_mode=n // 2 - 1)
+    spec = dft_forward(f).data
+    got = float(np.sqrt(np.sum(sobolev_weight(grid, rank, alpha)
+                               * np.abs(spec) ** 2)))
+    assert got == pytest.approx(sobolev_norm_field(f, alpha), rel=1e-13)

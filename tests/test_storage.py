@@ -27,6 +27,20 @@ def test_header_magic_checked(tmp_path):
         read_field(path)
 
 
+@pytest.mark.parametrize("damage", ["short_header", "short_payload",
+                                    "trailing_bytes"])
+def test_file_size_checked_against_header(tmp_path, damage):
+    g = make_grid(1, 8, 2 * np.pi)
+    path = tmp_path / "damaged.hlab"
+    write_field(path, random_low_mode_field(g, 2, np.random.default_rng(3)))
+    raw = path.read_bytes()
+    path.write_bytes({"short_header": raw[:20],
+                      "short_payload": raw[:-16],
+                      "trailing_bytes": raw + bytes(1)}[damage])
+    with pytest.raises(ValueError, match="damaged.hlab"):
+        read_field(path)
+
+
 def test_marginal_roundtrip_carries_split_flag(tmp_path):
     g = make_grid(1, 8, 2 * np.pi)
     rng = np.random.default_rng(1)
