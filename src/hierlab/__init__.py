@@ -22,7 +22,7 @@ from .interactions import (PotentialSpec, bbgky_collision_error,
                            gp_collision_sum, realize_potential)
 from .definetti import (EnergyReport, Mixture, energy_functional_direct,
                         energy_functional_mixture, energy_report, flow_mixture,
-                        gwp_window_chain, nls_energy, nls_evolve, nls_flow,
+                        gwp_window_chain, nls_energy, nls_evolve,
                         random_mixture, support_bound)
 from .nbody import (NBodyState, energy_estimate_check, energy_moments,
                     extract_marginal, factorized_state as nbody_factorized_state,

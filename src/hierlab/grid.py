@@ -223,6 +223,16 @@ def step_count(t: float, dt: float) -> int:
     return n_steps
 
 
+def stored_steps(n_steps: int, store_every: int) -> list[int]:
+    """Steps a time loop of n_steps steps stores: step 0, every
+    store_every-th step and the last; store_every = 0 keeps only the ends."""
+    if not isinstance(store_every, (int, np.integer)) or store_every < 0:
+        raise ValueError(f"store_every must be a nonnegative integer, "
+                         f"got {store_every!r}")
+    return [s for s in range(n_steps + 1)
+            if s in (0, n_steps) or (store_every and s % store_every == 0)]
+
+
 def free_propagate(f: Field, t: float, signs: Sequence[int] | None = None) -> Field:
     """Free Schroedinger flow, slot spectrum times exp(-i*sign*t*|xi|^2).
 

@@ -6,7 +6,8 @@ generator, and emits a fixed-schema CSV plus a JSON manifest that echoes the
 configuration.  Identical config and seed give bit-identical CSV output;
 ladder entries are executed in a fixed order for that reason.
 Each reported quantity is computed once per run; ``convergence`` evolves the
-contact hierarchy once per distinct K (and kappa0), shared by its ladder.
+contact hierarchy, and takes its collision sums, once per distinct K (and
+kappa0), shared by its ladder.
 """
 
 from __future__ import annotations
@@ -207,7 +208,8 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[Report, dict]:
     n_steps = step_count(cfg.t_final, cfg.dt)
     stride = max(1, n_steps // 2)
     evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final)
-    gp_runs = {}  # (K, kappa0) -> GP states by step; they do not depend on N
+    # (K, kappa0) -> {step: (GP state, its collision sum)}; neither depends on N
+    gp_runs = {}
     for big_n in cfg.ladder:
         pot = cfg.potential(big_n, grid)
         K = k_schedule(big_n, cfg.b1, cap=min(cfg.k_max, big_n))
@@ -217,19 +219,21 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[Report, dict]:
             gtraj = gp_evolve(factorized_state(phi0, K, xi=cfg.xi), evo,
                               kappa0=pot.kappa0, mixture=mixture,
                               store_every=stride)
-            gp_runs[K, pot.kappa0] = dict(zip(gtraj.stored_steps, gtraj.states))
+            gp_runs[K, pot.kappa0] = {
+                step: (s, gp_collision_sum(s, pot.kappa0))
+                for step, s in zip(gtraj.stored_steps, gtraj.states) if step}
         gp_at = gp_runs[K, pot.kappa0]
-        for t, psi in ntraj.snapshots:
-            step = round(t / cfg.dt)
-            if step == 0 or step not in gp_at:
+        for step, psi in zip(ntraj.stored_steps, ntraj.psis):
+            if step not in gp_at:
                 continue
+            t = step * cfg.dt
             extracted = HierarchyState(
                 [extract_marginal(psi, k) for k in range(1, K + 1)], cfg.xi)
-            gp_state = gp_at[step]
+            gp_state, gp_coll = gp_at[step]
             dist = hierarchy_norm(extracted - gp_state, 1.0)
             report.add("convergence", "hierarchy_h1_distance", dist,
                        N=big_n, K=K, t=t)
-            coll = bbgky_rhs(extracted, pot) - gp_collision_sum(gp_state, pot.kappa0)
+            coll = bbgky_rhs(extracted, pot) - gp_coll
             report.add("convergence", "collision_h1_distance",
                        hierarchy_norm(coll, 1.0), N=big_n, K=K, t=t)
     return report, {}
@@ -319,7 +323,7 @@ def run_duhamel_check(cfg: ExperimentConfig) -> tuple[Report, dict]:
     and the fitted growth exponent per depth."""
     grid = cfg.grid()
     levels, steps = 1 + cfg.j_max, 16
-    check_series_budget(grid, levels, steps)
+    check_series_budget(grid, levels, steps + 1)
     rng = cfg.rng()
     phi = random_low_mode_field(grid, 1, rng, max_mode=2)
     pot = cfg.potential(grid=grid)
@@ -437,9 +441,8 @@ def run_simulate_nbody(cfg: ExperimentConfig) -> tuple[Report, dict]:
     state = nbody_factorized(phi, cfg.big_n, pot)
     moments = energy_moments(state, 2)
     moments0 = {k: moments[k] for k in (1, 2)}
-    n_steps = step_count(cfg.t_final, cfg.dt)
-    traj = nbody_evolve(state, cfg.dt, cfg.t_final,
-                        store_every=max(1, n_steps // 4))
+    # the report reads the norms and the final wavefunction only
+    traj = nbody_evolve(state, cfg.dt, cfg.t_final, store_every=0)
     final = traj.final()
     report = Report()
     report.add("simulate_nbody", "norm_drift",

@@ -20,7 +20,8 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .budget import default_budget
-from .grid import Field, GridSpec, place_axes, sobolev_weight, step_count
+from .grid import (Field, GridSpec, place_axes, sobolev_weight, step_count,
+                   stored_steps)
 from .interactions import (PotentialSpec, bbgky_main_level, bbgky_rhs,
                            gp_collision_level, gp_collision_sum)
 from .marginals import (HierarchyState, Marginal, flow_symbol,
@@ -100,13 +101,13 @@ class MixtureClosure:
         self._atoms: list[tuple[float, Field]] = list(mixture.pairs())
 
     def _atoms_at(self, index: int) -> list[tuple[float, Field]]:
-        from .definetti import nls_flow
+        from .definetti import nls_evolve
         if index < self._index:
             raise ValueError(f"closure queried at half-step {index} after "
                              f"{self._index}; frames are not kept")
         while self._index < index:
-            self._atoms = [(w, nls_flow(phi, self.dt_half, self.dt_half,
-                                        self.coupling)) for w, phi in self._atoms]
+            self._atoms = [(w, nls_evolve(phi, self.dt_half, self.dt_half,
+                                          self.coupling)) for w, phi in self._atoms]
             self._index += 1
         return self._atoms
 
@@ -144,7 +145,8 @@ def _rk4ip_step(state: HierarchyState, t: float, dt: float,
 
 @dataclass
 class HierarchyTrajectory:
-    times: np.ndarray
+    """States at ``stored_steps``; traces and norms at every step."""
+
     states: list[HierarchyState]
     stored_steps: list[int]
     traces: dict[int, np.ndarray]
@@ -163,14 +165,14 @@ def _evolve(state0: HierarchyState, config: EvolutionConfig,
             log_collision_norms: bool = False,
             kappa0: float = 1.0) -> HierarchyTrajectory:
     n_steps = step_count(config.t_final, config.dt)
+    keep = stored_steps(n_steps, store_every)
+    check_series_budget(state0.grid, state0.K, len(keep))
     dt = config.dt
     K = state0.K
     state = state0.copy()
     base_traces = [trace(m).real for m in state.entries]
 
-    times = [0.0]
     states = [state.copy()]
-    stored = [0]
     traces = {k: [base_traces[k - 1]] for k in range(1, K + 1)}
     hs = {k: [sobolev_norm(m, 0.0)] for k, m in enumerate(state.entries, start=1)}
     coll = {k: [] for k in range(1, K + 1)}
@@ -194,12 +196,10 @@ def _evolve(state0: HierarchyState, config: EvolutionConfig,
             deriv = rhs(state, step * dt)
             for k in range(1, K + 1):
                 coll[k].append(sobolev_norm(deriv.entry(k), 1.0))
-        if (store_every and step % store_every == 0) or step == n_steps:
-            times.append(step * dt)
+        if step == keep[len(states)]:  # the next step to store
             states.append(state.copy())
-            stored.append(step)
     return HierarchyTrajectory(
-        times=np.array(times), states=states, stored_steps=stored,
+        states=states, stored_steps=keep,
         traces={k: np.array(v) for k, v in traces.items()},
         hs_norms={k: np.array(v) for k, v in hs.items()},
         collision_h1={k: np.array(v) for k, v in coll.items()},
@@ -291,13 +291,13 @@ class TimeSeries:
         return self.dt * (len(self.states) - 1)
 
 
-def check_series_budget(grid: GridSpec, K: int, n_steps: int) -> None:
-    """Raise ``BudgetExceeded`` unless a series of n_steps + 1 samples of a
-    level-1..K hierarchy, (n_steps + 1) * sum_k n^(2kd) complex entries, fits
-    the budget.  Allocates nothing."""
+def check_series_budget(grid: GridSpec, K: int, samples: int) -> None:
+    """Raise ``BudgetExceeded`` unless ``samples`` states of a level-1..K
+    hierarchy, samples * sum_k n^(2kd) complex entries, fit the budget: a
+    time series or a stored trajectory.  Allocates nothing."""
     default_budget().check_elements(
-        (n_steps + 1) * sum(grid.num_points ** (2 * k) for k in range(1, K + 1)),
-        f"free-flow series of {n_steps + 1} samples")
+        samples * sum(grid.num_points ** (2 * k) for k in range(1, K + 1)),
+        f"hierarchy series of {samples} samples")
 
 
 def free_flow_series(state0: HierarchyState, dt: float, n_steps: int) -> TimeSeries:
@@ -313,7 +313,7 @@ def free_flow_series(state0: HierarchyState, dt: float, n_steps: int) -> TimeSer
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     grid = state0.grid
-    check_series_budget(grid, state0.K, n_steps)
+    check_series_budget(grid, state0.K, n_steps + 1)
     levels = []
     for m in state0.entries:
         phase = np.exp(-1j * dt * flow_symbol(grid, m.k))

@@ -17,7 +17,7 @@ import numpy as np
 from .budget import default_budget
 from .grid import (Field, GridSpec, apply_symbol, bessel_multiply,
                    free_propagate, free_symbol, inner, l2_norm, normalized,
-                   place_axes, step_count)
+                   place_axes, step_count, stored_steps)
 from .interactions import PotentialSpec
 from .marginals import Marginal, _tensor_product
 
@@ -127,13 +127,14 @@ def hamiltonian_apply(state: NBodyState, psi: Field | None = None) -> Field:
 
 @dataclass
 class NBodyTrajectory:
-    times: np.ndarray
-    snapshots: list[tuple[float, Field]]
+    """Wavefunctions at ``stored_steps``; norms at every step."""
+
+    stored_steps: list[int]
+    psis: list[Field]
     norms: np.ndarray
-    state: NBodyState
 
     def final(self) -> Field:
-        return self.snapshots[-1][1]
+        return self.psis[-1]
 
 
 def nbody_evolve(state: NBodyState, dt: float, t_final: float,
@@ -142,19 +143,20 @@ def nbody_evolve(state: NBodyState, dt: float, t_final: float,
     exact kinetic step, grid.free_propagate).  Unitary, so the norm is
     conserved to rounding; energy drift is bounded at second order."""
     n_steps = step_count(t_final, dt)
+    keep = stored_steps(n_steps, store_every)
+    default_budget().check_elements(len(keep) * state.psi.data.size,
+                                    f"N-body trajectory of {len(keep)} samples")
     grid, big_n = state.grid, state.big_n
     vhalf = np.exp(-0.5j * dt * state.pair_potential / big_n)
     psi = state.psi.copy()
-    times, norms, snapshots = [0.0], [l2_norm(psi)], [(0.0, psi)]
+    norms, psis = [l2_norm(psi)], [psi]
     for step in range(1, n_steps + 1):
         flowed = free_propagate(Field(grid, big_n, vhalf * psi.data), dt)
         psi = Field(grid, big_n, vhalf * flowed.data)
-        t = step * dt
-        times.append(t)
         norms.append(l2_norm(psi))
-        if (store_every and step % store_every == 0) or step == n_steps:
-            snapshots.append((t, psi))
-    return NBodyTrajectory(np.array(times), snapshots, np.array(norms), state)
+        if step == keep[len(psis)]:  # the next step to store
+            psis.append(psi)
+    return NBodyTrajectory(keep, psis, np.array(norms))
 
 
 def extract_marginal(state_or_psi, k: int) -> Marginal:

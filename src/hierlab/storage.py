@@ -46,7 +46,7 @@ def read_field(path: str | Path) -> tuple[Field, int]:
                          f"{_HEADER.size} plus {count} complex entries")
     grid = make_grid(dim, n, L)
     data = np.frombuffer(raw, dtype="<c16", count=count, offset=_HEADER.size)
-    return Field(grid, rank, data.astype(np.complex128).copy()), flags
+    return Field(grid, rank, data.astype(np.complex128)), flags
 
 
 def write_marginal(path: str | Path, grid: GridSpec, k: int, kernel: np.ndarray) -> None:

@@ -11,7 +11,7 @@ import pytest
 
 from hierlab.definetti import (Mixture, energy_functional_direct,
                                energy_functional_mixture, flow_mixture,
-                               nls_flow, random_mixture)
+                               nls_evolve, random_mixture)
 from hierlab.grid import make_grid, random_low_mode_field, sobolev_norm_field
 from hierlab.harness import ExperimentConfig, run_experiment
 from hierlab.hierarchy_evolution import (EvolutionConfig, free_flow_series,
@@ -166,7 +166,7 @@ def test_criterion_09_derivation_endpoint():
     beta, t_final, dt = 0.2, 0.2, 2e-3
     rng = np.random.default_rng(109)
     phi = random_low_mode_field(G16, 1, rng, max_mode=1)
-    target = pure_product_marginal(nls_flow(phi, t_final, 1e-3), 1)
+    target = pure_product_marginal(nls_evolve(phi, 1e-3, t_final), 1)
     dists = []
     for big_n in (2, 3, 4, 5):
         pot = quiet_potential(G16, 0.6, beta, big_n)

@@ -5,7 +5,7 @@ from hierlab.grid import (Field, apply_axes, apply_multiplier, bessel_multiply,
                           dft_forward, dft_inverse, flow_matrix, free_propagate,
                           inner, l2_norm, make_grid, normalized,
                           random_low_mode_field, sobolev_norm_field,
-                          step_count, zero_field)
+                          step_count, stored_steps, zero_field)
 
 
 def plane_wave(grid, mode=1):
@@ -195,3 +195,15 @@ def test_step_count():
     for t, dt in [(-0.1, 1e-3), (0.15, 0.1), (0.1, 0.0), (0.1, -1e-3)]:
         with pytest.raises(ValueError):
             step_count(t, dt)
+
+
+def test_stored_steps():
+    assert stored_steps(0, 0) == [0]
+    assert stored_steps(0, 2) == [0]
+    assert stored_steps(5, 0) == [0, 5]
+    assert stored_steps(5, 1) == [0, 1, 2, 3, 4, 5]
+    assert stored_steps(5, 2) == [0, 2, 4, 5]
+    assert stored_steps(5, 7) == [0, 5]
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError):
+            stored_steps(5, bad)

@@ -114,6 +114,13 @@ def test_convergence_evolves_the_contact_hierarchy_once_per_k(monkeypatch):
     assert [row[2] for row in rep.rows] == [3] * 4 + [4] * 4
 
 
+def test_convergence_takes_each_gp_collision_sum_once(monkeypatch):
+    # both entries share K = 2 and kappa0 = 1: one sum per stored step t > 0
+    calls = count_calls(monkeypatch, "gp_collision_sum", harness_mod)
+    run_convergence(small_cfg(ladder=(3, 4), k_max=2, b1=2.0))
+    assert len(calls) == 2
+
+
 def test_conservation_flows_its_mixture_once(monkeypatch):
     flows = count_calls(monkeypatch, "flow_mixture", harness_mod, definetti_mod)
     states = count_calls(monkeypatch, "mixture_state", harness_mod,

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from hierlab.definetti import Mixture, nls_flow, random_mixture
-from hierlab.grid import make_grid, random_low_mode_field
+from hierlab.definetti import Mixture, nls_evolve, random_mixture
+from hierlab.grid import (free_propagate, l2_norm, make_grid,
+                          random_low_mode_field)
 from hierlab.hierarchy_evolution import (EvolutionConfig, HierarchyTrajectory,
                                          MixtureClosure, TimeSeries,
                                          bbgky_evolve, check_series_budget,
@@ -89,7 +90,7 @@ def test_gp_evolve_tracks_cubic_flow():
     cfg = EvolutionConfig(dt=1e-3, t_final=0.05)
     traj = gp_evolve(factorized_state(phi, 2), cfg, kappa0=1.0, mixture=mix,
                      store_every=0)
-    oracle = pure_product_marginal(nls_flow(phi, 0.05, 1e-5), 1)
+    oracle = pure_product_marginal(nls_evolve(phi, 1e-5, 0.05), 1)
     assert sobolev_norm(traj.final().entry(1) - oracle, 0.0) < 1e-9
 
 
@@ -101,7 +102,7 @@ def test_gp_evolve_second_order_against_same_dt_oracle():
         cfg = EvolutionConfig(dt=dt, t_final=0.05)
         traj = gp_evolve(factorized_state(phi, 2), cfg, kappa0=1.0,
                          mixture=mix, store_every=0)
-        oracle = pure_product_marginal(nls_flow(phi, 0.05, dt), 1)
+        oracle = pure_product_marginal(nls_evolve(phi, dt, 0.05), 1)
         errs.append(sobolev_norm(traj.final().entry(1) - oracle, 0.0))
     assert 3.2 < errs[0] / errs[1] < 4.8
 
@@ -236,10 +237,10 @@ def _injected_trajectory(phi, dt, t_final):
     n_steps = int(round(t_final / dt))
     states = []
     for i in range(n_steps + 1):
-        p = nls_flow(phi, i * dt, 1e-5) if i else phi
+        p = nls_evolve(phi, 1e-5, i * dt) if i else phi
         states.append(HierarchyState([pure_product_marginal(p, 1),
                                       pure_product_marginal(p, 2)], 0.5))
-    return HierarchyTrajectory(times=dt * np.arange(n_steps + 1), states=states,
+    return HierarchyTrajectory(states=states,
                                stored_steps=list(range(n_steps + 1)),
                                traces={}, hs_norms={}, collision_h1={},
                                dt=dt, kappa0=1.0)
@@ -255,8 +256,7 @@ def test_residual_quarters_when_dt_halves():
 
 def test_residual_zero_state():
     zero = HierarchyState([zero_marginal(G16, 1), zero_marginal(G16, 2)], 0.5)
-    traj = HierarchyTrajectory(times=np.arange(4) * 1e-3,
-                               states=[zero.copy() for _ in range(4)],
+    traj = HierarchyTrajectory(states=[zero.copy() for _ in range(4)],
                                stored_steps=list(range(4)), traces={},
                                hs_norms={}, collision_h1={}, dt=1e-3,
                                kappa0=1.0)
@@ -269,7 +269,7 @@ def test_residual_free_flow_equals_collision_norm():
     state = factorized_state(phi, 2)
     dt = 1e-3
     states = [free_flow(state, i * dt) for i in range(5)]
-    traj = HierarchyTrajectory(times=dt * np.arange(5), states=states,
+    traj = HierarchyTrajectory(states=states,
                                stored_steps=list(range(5)), traces={},
                                hs_norms={}, collision_h1={}, dt=dt, kappa0=1.0)
     res = gp_residual(traj)
@@ -291,16 +291,67 @@ def test_residual_needs_stride_one():
         gp_residual(traj)
 
 
+@pytest.mark.parametrize("store_every, steps", [(2, [0, 2, 4, 5]), (0, [0, 5])])
+def test_time_loops_store_the_same_steps(store_every, steps):
+    # without interaction each loop is the free flow, so the sample stored
+    # for a step must be the free flow to that step's time
+    phi = atom(G8, 20)
+    state, nstate = factorized_state(phi, 2), nb_factorized(phi, 3)
+    cfg = EvolutionConfig(dt=1e-3, t_final=5e-3)
+    gp = gp_evolve(state, cfg, kappa0=0.0, store_every=store_every)
+    bb = bbgky_evolve(state, cfg, zero_potential(G8), store_every=store_every)
+    nb = nbody_evolve(nstate, 1e-3, 5e-3, store_every=store_every)
+    assert gp.stored_steps == bb.stored_steps == nb.stored_steps == steps
+    assert len(gp.states) == len(bb.states) == len(nb.psis) == len(steps)
+    for step, g, b, psi in zip(steps, gp.states, bb.states, nb.psis):
+        exact = free_flow(state, step * 1e-3)
+        assert hierarchy_norm(g - exact, 0.0) < 1e-11
+        assert hierarchy_norm(b - exact, 0.0) < 1e-11
+        assert l2_norm(psi - free_propagate(nstate.psi, step * 1e-3)) < 1e-11
+
+
+def _counting(calls, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_trajectory_budget_counts_every_stored_sample(monkeypatch):
+    import hierlab.hierarchy_evolution as evolution
+    import hierlab.nbody as nbody_mod
+    from hierlab.budget import BudgetExceeded
+    calls = []
+    for mod, name in ((evolution, "bbgky_rhs"), (nbody_mod, "free_propagate")):
+        monkeypatch.setattr(mod, name, _counting(calls, getattr(mod, name)))
+    phi = atom(G8, 21)
+    pot = realize_potential(gaussian_profile(G8, 0.6), 0.2, 3)
+    state, nstate = factorized_state(phi, 2), nb_factorized(phi, 3, pot)
+    cfg = EvolutionConfig(dt=1e-3, t_final=5e-3)
+    # store_every=2 over 5 steps stores 4 samples
+    runs = [(4 * (8**2 + 8**4), lambda: bbgky_evolve(state, cfg, pot, store_every=2)),
+            (4 * 8**3, lambda: nbody_evolve(nstate, 1e-3, 5e-3, store_every=2))]
+    for need, run in runs:
+        monkeypatch.setenv("HLAB_BUDGET", str(need - 1))
+        with pytest.raises(BudgetExceeded, match="of 4 samples"):
+            run()
+        assert calls == []
+        monkeypatch.setenv("HLAB_BUDGET", str(need))
+        run()
+        assert calls
+        calls.clear()
+
+
 def test_series_budget_counts_every_sample_and_level(monkeypatch):
     from hierlab.budget import BudgetExceeded
     state = factorized_state(atom(G8, 13), 2, xi=0.5)
     need = 4 * (8**2 + 8**4)  # 4 samples of the k = 1 and k = 2 kernels
     monkeypatch.setenv("HLAB_BUDGET", str(need))
-    check_series_budget(G8, 2, 3)
+    check_series_budget(G8, 2, 4)
     assert len(free_flow_series(state, 1e-3, 3).states) == 4
     monkeypatch.setenv("HLAB_BUDGET", str(need - 1))
     with pytest.raises(BudgetExceeded, match="4 samples"):
-        check_series_budget(G8, 2, 3)
+        check_series_budget(G8, 2, 4)
     with pytest.raises(BudgetExceeded, match="4 samples"):
         free_flow_series(state, 1e-3, 3)
 

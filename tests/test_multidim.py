@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hierlab.definetti import Mixture, nls_flow
+from hierlab.definetti import Mixture, nls_evolve
 from hierlab.grid import Field, make_grid, normalized, random_low_mode_field
 from hierlab.hierarchy_evolution import MixtureClosure
 from hierlab.interactions import (PotentialSpec, bbgky_collision_error,
@@ -58,7 +58,7 @@ def test_cubic_flow_in_three_dimensions():
     g3 = make_grid(3, 4, 2 * np.pi)
     c = 0.3 + 0.2j
     phi = Field(g3, 1, np.full(g3.slot_shape(1), c))
-    out = nls_flow(phi, 0.4, 1e-3)
+    out = nls_evolve(phi, 1e-3, 0.4)
     expected = c * np.exp(-1j * abs(c) ** 2 * 0.4)
     assert np.max(np.abs(out.data - expected)) < 1e-12
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,21 @@ def test_mixture_roundtrip(tmp_path):
     for (w0, a0), (w1, a1) in zip(mix.atoms, back.atoms):
         assert w0 == pytest.approx(w1)
         assert np.array_equal(a0.data, a1.data)
+
+
+def test_read_field_copies_the_payload_once(tmp_path):
+    g = make_grid(1, 16, 2 * np.pi)
+    f = random_low_mode_field(g, 4, np.random.default_rng(5), unit_norm=False)
+    path = tmp_path / "rank4.hlab"
+    write_field(path, f)
+    payload = 16 * f.data.size
+    tracemalloc.start()
+    try:
+        back, _ = read_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file's bytes plus one decoded copy
+    assert peak <= 2.1 * payload
+    assert back.data.flags.writeable
+    assert np.array_equal(back.data, f.data)
