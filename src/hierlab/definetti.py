@@ -189,12 +189,12 @@ def energy_report(mix: Mixture, m_max: int = 2) -> EnergyReport:
 # Windowed global-flow battery
 
 
-def gwp_window_chain(mix: Mixture, window: float, windows: int, K: int = 2,
-                     xi: float = 0.5, xi_prime: float = 0.7, dt: float = 1e-3,
+def gwp_window_chain(mix: Mixture, state0: HierarchyState, bound: float,
+                     window: float, windows: int, xi: float, dt: float = 1e-3,
                      kappa0: float = 1.0) -> dict:
-    """Run the truncated contact hierarchy window by window, re-anchoring the
-    mixture after each window, and log the weighted norm against the
-    trace-flavor bound of the initial data.
+    """Run the truncated contact hierarchy window by window from ``state0``,
+    the hierarchy of ``mix``, re-anchoring on the flowed mixture after each
+    window, and log each window's H^1_xi norm against ``bound``.
 
     Any window whose norm exceeds the bound beyond ``WINDOW_SLACK`` (relative)
     flags failure.
@@ -203,27 +203,21 @@ def gwp_window_chain(mix: Mixture, window: float, windows: int, K: int = 2,
 
     if mix.support != "sphere":
         raise ValueError("window chaining requires a sphere-supported mixture")
-    if xi >= xi_prime:
-        raise ValueError("need xi < xi_prime")
-    state0 = mixture_state(mix, K, xi=xi)
-    bound = hierarchy_norm(HierarchyState(state0.entries, xi_prime), 1.0,
-                           flavor="trace")
     cfg = EvolutionConfig(dt=dt, t_final=window)
     current, state = mix, state0
     rows = []
     for w in range(windows):
         if w > 0:  # re-anchor on the mixture flowed through the last window
             current = flow_mixture(current, window, dt, coupling=kappa0)
-            state = mixture_state(current, K, xi=xi)
+            state = mixture_state(current, state0.K)
         traj = gp_evolve(state, cfg, kappa0=kappa0, mixture=current,
                          store_every=0)
         terminal = traj.states[-1]
-        h1 = hierarchy_norm(terminal, 1.0)
+        h1 = hierarchy_norm(terminal, 1.0, xi)
         psd = max(psd_defect(gamma) for gamma in terminal.entries)
-        adm = max(admissibility_defect(terminal)) if K >= 2 else 0.0
+        adm = max(admissibility_defect(terminal)) if state0.K >= 2 else 0.0
         within = h1 <= bound + WINDOW_SLACK * max(1.0, bound)
         rows.append({"window": w, "t_end": (w + 1) * window, "h1_norm": h1,
                      "bound": bound, "psd_defect": psd,
                      "admissibility_defect": adm, "within_bound": within})
-    return {"rows": rows, "bound": bound,
-            "passed": all(row["within_bound"] for row in rows)}
+    return {"rows": rows, "passed": all(row["within_bound"] for row in rows)}

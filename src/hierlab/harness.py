@@ -216,7 +216,7 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[Report, dict]:
         nstate = nbody_factorized(phi0, big_n, pot)
         ntraj = nbody_evolve(nstate, cfg.dt, cfg.t_final, store_every=stride)
         if (K, pot.kappa0) not in gp_runs:
-            gtraj = gp_evolve(factorized_state(phi0, K, xi=cfg.xi), evo,
+            gtraj = gp_evolve(factorized_state(phi0, K), evo,
                               kappa0=pot.kappa0, mixture=mixture,
                               store_every=stride)
             gp_runs[K, pot.kappa0] = {
@@ -227,15 +227,14 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[Report, dict]:
             if step not in gp_at:
                 continue
             t = step * cfg.dt
-            extracted = HierarchyState(
-                [extract_marginal(psi, k) for k in range(1, K + 1)], cfg.xi)
+            extracted = HierarchyState([extract_marginal(psi, k) for k in range(1, K + 1)])
             gp_state, gp_coll = gp_at[step]
-            dist = hierarchy_norm(extracted - gp_state, 1.0)
+            dist = hierarchy_norm(extracted - gp_state, 1.0, cfg.xi)
             report.add("convergence", "hierarchy_h1_distance", dist,
                        N=big_n, K=K, t=t)
             coll = bbgky_rhs(extracted, pot) - gp_coll
             report.add("convergence", "collision_h1_distance",
-                       hierarchy_norm(coll, 1.0), N=big_n, K=K, t=t)
+                       hierarchy_norm(coll, 1.0, cfg.xi), N=big_n, K=K, t=t)
     return report, {}
 
 
@@ -266,16 +265,15 @@ def run_conservation(cfg: ExperimentConfig) -> tuple[Report, dict]:
             report.add("conservation", f"psd_defect_k{k}",
                        psd_defect(mixture_marginal(frame, k)), K=k, t=t)
 
-    state0 = mixture_state(mix, 2, xi=cfg.xi1)
-    state1 = mixture_state(frames[-1], 2, xi=cfg.xi1)
+    state0 = mixture_state(mix, 2)
+    state1 = mixture_state(frames[-1], 2)
     report.add("conservation", "admissibility_defect_t0",
                max(admissibility_defect(state0)), t=0.0)
     report.add("conservation", "admissibility_defect",
                max(admissibility_defect(state1)), t=cfg.t_final)
 
-    bound = hierarchy_norm(HierarchyState(state0.entries, cfg.xi_prime), 1.0,
-                           flavor="trace")
-    h1 = hierarchy_norm(state1, 1.0)
+    bound = hierarchy_norm(state0, 1.0, cfg.xi_prime, flavor="trace")
+    h1 = hierarchy_norm(state1, 1.0, cfg.xi1)
     report.add("conservation", "h1_norm_flowed", h1, t=cfg.t_final)
     report.add("conservation", "trace_norm_bound", bound, t=0.0)
     report.add("conservation", "norm_bound_satisfied", h1 <= bound + 1e-9,
@@ -283,9 +281,8 @@ def run_conservation(cfg: ExperimentConfig) -> tuple[Report, dict]:
 
     chain = None
     if cfg.windows >= 1:
-        chain = gwp_window_chain(mix, window=cfg.t_final, windows=cfg.windows,
-                                 K=2, xi=cfg.xi, xi_prime=cfg.xi_prime,
-                                 dt=cfg.dt)
+        chain = gwp_window_chain(mix, state0, bound, window=cfg.t_final,
+                                 windows=cfg.windows, xi=cfg.xi, dt=cfg.dt)
         for row in chain["rows"]:
             report.add("conservation", "window_h1_norm", row["h1_norm"],
                        t=row["t_end"])
@@ -327,7 +324,7 @@ def run_duhamel_check(cfg: ExperimentConfig) -> tuple[Report, dict]:
     rng = cfg.rng()
     phi = random_low_mode_field(grid, 1, rng, max_mode=2)
     pot = cfg.potential(grid=grid)
-    base = factorized_state(phi, levels, xi=cfg.xi)
+    base = factorized_state(phi, levels)
     report = Report()
     fitted = {}
     horizons = (0.01, 0.02, 0.04)
@@ -337,7 +334,8 @@ def run_duhamel_check(cfg: ExperimentConfig) -> tuple[Report, dict]:
     for T in horizons:
         series = free_flow_series(base, T / steps, steps)
         for j in depths:
-            norms[j].append(hierarchy_norm(duhamel_iterate(series, j, pot, T), 1.0))
+            norms[j].append(hierarchy_norm(duhamel_iterate(series, j, pot, T),
+                                           1.0, cfg.xi))
     for j in depths:
         for T, norm in zip(horizons, norms[j]):
             report.add("duhamel", f"duh{j}_h1_norm", norm, t=T)
@@ -358,9 +356,9 @@ def run_picard(cfg: ExperimentConfig) -> tuple[Report, dict]:
     steps = 128
     entries = [random_hermitian_marginal(grid, k, rng, max_mode=2, symmetric=True)
                for k in (1, 2)]
-    base = HierarchyState(entries, cfg.xi)
+    base = HierarchyState(entries)
     series = free_flow_series(base, horizon / steps, steps)
-    result = picard_fixed_point(series, pot)
+    result = picard_fixed_point(series, pot, cfg.xi)
     report = Report()
     report.add("picard", "iterations", result.iterations, N=pot.big_n, t=horizon)
     report.add("picard", "converged", result.converged, N=pot.big_n, t=horizon)
@@ -408,7 +406,7 @@ def run_simulate_gp(cfg: ExperimentConfig) -> tuple[Report, dict]:
     rng = cfg.rng()
     phi = random_low_mode_field(grid, 1, rng, max_mode=2)
     mixture = Mixture([(1.0, phi)])
-    state0 = factorized_state(phi, cfg.k_max, xi=cfg.xi)
+    state0 = factorized_state(phi, cfg.k_max)
     evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final)
     traj = gp_evolve(state0, evo, kappa0=1.0, mixture=mixture, store_every=1,
                      log_collision_norms=True)
@@ -426,7 +424,7 @@ def run_simulate_bbgky(cfg: ExperimentConfig) -> tuple[Report, dict]:
     phi = random_low_mode_field(grid, 1, rng, max_mode=2)
     pot = cfg.potential(grid=grid)
     K = min(cfg.k_max, pot.big_n)
-    state0 = factorized_state(phi, K, xi=cfg.xi)
+    state0 = factorized_state(phi, K)
     evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final)
     traj = bbgky_evolve(state0, evo, pot, store_every=1,
                         log_collision_norms=True)

@@ -59,9 +59,7 @@ def truncate(state: HierarchyState, K: int) -> HierarchyState:
     """Keep the first K levels."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    if K >= state.K:
-        return state.copy()
-    return HierarchyState([m.copy() for m in state.entries[:K]], state.xi)
+    return HierarchyState([m.copy() for m in state.entries[:K]])
 
 
 def k_schedule(big_n: int, b1: float, cap: int = 8) -> int:
@@ -74,8 +72,7 @@ def k_schedule(big_n: int, b1: float, cap: int = 8) -> int:
 
 
 def free_flow(state: HierarchyState, t: float) -> HierarchyState:
-    return HierarchyState([free_propagate_marginal(m, t) for m in state.entries],
-                          state.xi)
+    return HierarchyState([free_propagate_marginal(m, t) for m in state.entries])
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +129,13 @@ class MixtureClosure:
 # Steppers
 
 
+# Hierarchy states a step holds beyond the stored samples, the current state
+# being the next one stored: state_i, k1..k3 and k4's argument while k4's
+# right-hand side runs, which holds up to 5 more with a mixture closure (its
+# sum, an atom's product kernel, two copies of it and the multiplier).
+RK4IP_WORKING_STATES = 10
+
+
 def _rk4ip_step(state: HierarchyState, t: float, dt: float,
                 rhs: Callable[[HierarchyState, float], HierarchyState]) -> HierarchyState:
     half = lambda s: free_flow(s, dt / 2.0)
@@ -166,7 +170,7 @@ def _evolve(state0: HierarchyState, config: EvolutionConfig,
             kappa0: float = 1.0) -> HierarchyTrajectory:
     n_steps = step_count(config.t_final, config.dt)
     keep = stored_steps(n_steps, store_every)
-    check_series_budget(state0.grid, state0.K, len(keep))
+    check_series_budget(state0.grid, state0.K, len(keep), RK4IP_WORKING_STATES)
     dt = config.dt
     K = state0.K
     state = state0.copy()
@@ -192,10 +196,10 @@ def _evolve(state0: HierarchyState, config: EvolutionConfig,
                 raise InstabilityError(
                     f"trace of level {k} drifted by {drift:.3e} at t={step * dt:.4f} "
                     f"(dt={dt})")
-        if log_collision_norms:
-            deriv = rhs(state, step * dt)
-            for k in range(1, K + 1):
-                coll[k].append(sobolev_norm(deriv.entry(k), 1.0))
+        if log_collision_norms:  # the derivative is dropped before the next step
+            norms = [sobolev_norm(m, 1.0) for m in rhs(state, step * dt).entries]
+            for k, v in enumerate(norms, start=1):
+                coll[k].append(v)
         if step == keep[len(states)]:  # the next step to store
             states.append(state.copy())
     return HierarchyTrajectory(
@@ -224,7 +228,7 @@ def gp_evolve(state0: HierarchyState, config: EvolutionConfig,
             return gp_collision_sum(state, -1j * kappa0)
         levels = [gp_collision_level(g) for g in state.entries[1:]]
         levels.append(closure.top_collision(t))
-        return HierarchyState(levels, state.xi) * (-1j * kappa0)
+        return HierarchyState(levels) * (-1j * kappa0)
 
     return _evolve(state0, config, rhs, store_every=store_every,
                    log_collision_norms=log_collision_norms, kappa0=kappa0)
@@ -291,13 +295,14 @@ class TimeSeries:
         return self.dt * (len(self.states) - 1)
 
 
-def check_series_budget(grid: GridSpec, K: int, samples: int) -> None:
-    """Raise ``BudgetExceeded`` unless ``samples`` states of a level-1..K
-    hierarchy, samples * sum_k n^(2kd) complex entries, fit the budget: a
-    time series or a stored trajectory.  Allocates nothing."""
+def check_series_budget(grid: GridSpec, K: int, samples: int, working: int = 0) -> None:
+    """Raise ``BudgetExceeded`` unless ``samples`` + ``working`` states of a
+    level-1..K hierarchy, sum_k n^(2kd) complex entries each, fit the budget:
+    a time series, or a stored trajectory and the states its time loop works
+    in.  Allocates nothing."""
     default_budget().check_elements(
-        samples * sum(grid.num_points ** (2 * k) for k in range(1, K + 1)),
-        f"hierarchy series of {samples} samples")
+        (samples + working) * sum(grid.num_points ** (2 * k) for k in range(1, K + 1)),
+        f"hierarchy series of {samples} samples and {working} working states")
 
 
 def free_flow_series(state0: HierarchyState, dt: float, n_steps: int) -> TimeSeries:
@@ -323,8 +328,7 @@ def free_flow_series(state0: HierarchyState, dt: float, n_steps: int) -> TimeSer
             spec = spec * phase
             samples.append(marginal_from_spectrum(grid, m.k, spec))
         levels.append(samples)
-    return TimeSeries(dt, [HierarchyState(list(entries), state0.xi)
-                           for entries in zip(*levels)])
+    return TimeSeries(dt, [HierarchyState(list(entries)) for entries in zip(*levels)])
 
 
 def _flowed_prefix(spectra: Iterable[np.ndarray], phase: np.ndarray, dt: float,
@@ -398,7 +402,7 @@ def duhamel_iterate(series: TimeSeries, j: int, pot: PotentialSpec,
                 for a in prefix
             ]
         comps.append(current[-1])
-    return HierarchyState(comps, base.xi)
+    return HierarchyState(comps)
 
 
 @dataclass
@@ -411,7 +415,7 @@ class PicardResult:
     residual: float
 
 
-def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec,
+def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec, xi: float,
                        tol: float = 1e-8, max_iter: int = 50) -> PicardResult:
     """Iterate Theta <- Xi + i Int_0^t B_N U(t-s) Theta(s) ds on the series
     grid (trapezoid in s) until successive iterates are closer than ``tol``
@@ -423,17 +427,17 @@ def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec,
     once; that spectrum gives the update norm by Parseval and feeds the next
     sweep.
 
-    The series' xi weights the update norms, and the horizon must sit inside
-    the heuristic contraction gate ``t0_gate(xi)``.  A ratio of successive
-    updates >= 1 three times in a row aborts: the horizon is too large for
-    the discrete surrogate.  The reported residual re-checks the converged
-    iterate with an independent (Simpson) quadrature.
+    ``xi_series`` is the free term Xi(t), capital Xi; ``xi`` is the H^1_xi
+    level weight in (0, 1), which sets both the update norms and the
+    heuristic contraction gate ``t0_gate(xi)`` the horizon must sit inside.
+    A ratio of successive updates >= 1 three times in a row aborts: the
+    horizon is too large for the discrete surrogate.  The reported residual
+    re-checks the converged iterate with an independent (Simpson) quadrature.
     """
     T = xi_series.horizon
     dt = xi_series.dt
     grid = xi_series.states[0].grid
     K = xi_series.states[0].K
-    xi = xi_series.states[0].xi
     gate = t0_gate(xi)
     if T >= gate:
         raise ValueError(f"horizon T={T} is not below the gate T0={gate}")
@@ -445,7 +449,7 @@ def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec,
 
     def sweep(theta_hat: list[list[np.ndarray]], simpson: bool):
         """New iterate, its spectra, and its max-over-samples distance to
-        theta in hierarchy_norm(., 1.0), by Parseval."""
+        theta in hierarchy_norm(., 1.0, xi), by Parseval."""
         # B_N U(t-s) Theta(s) = B_N U(t) [U(-s) Theta(s)], so one running
         # prefix per level replaces the quadratic double loop over (t, s).
         prefixes = zip(*[_flowed_prefix([s[k] for s in theta_hat], phases[k],
@@ -453,7 +457,7 @@ def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec,
         states, hats, dist = [], [], 0.0
         for xi_state, old_hat, prefix in zip(xi_series.states, theta_hat, prefixes):
             acc = HierarchyState([marginal_from_spectrum(grid, k, a)
-                                  for k, a in enumerate(prefix, start=1)], xi)
+                                  for k, a in enumerate(prefix, start=1)])
             new = xi_state + bbgky_rhs(acc, pot) * 1j
             new_hat = spectra(new)
             dist = max(dist, sum(

@@ -228,7 +228,7 @@ def gp_collision_sum(state: HierarchyState, kappa0: complex = 1.0) -> HierarchyS
     comps = [gp_collision_level(gamma_next) * kappa0
              for gamma_next in state.entries[1:]]
     comps.append(zero_marginal(state.grid, state.K))
-    return HierarchyState(comps, state.xi)
+    return HierarchyState(comps)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +302,7 @@ def bbgky_rhs(state: HierarchyState, pot: PotentialSpec) -> HierarchyState:
             error = bbgky_error_level(state.entry(k), pot)
             term = error if term is None else term + error
         comps.append(zero_marginal(state.grid, k) if term is None else term)
-    return HierarchyState(comps, state.xi)
+    return HierarchyState(comps)
 
 
 # ---------------------------------------------------------------------------

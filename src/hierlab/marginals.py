@@ -288,11 +288,10 @@ def weakstar_metric(gamma_a: Marginal, gamma_b: Marginal,
 
 @dataclass
 class HierarchyState:
-    """Finite truncated sequence (gamma^(1), ..., gamma^(K)) with a geometric
-    level weight xi used by the hierarchy norms."""
+    """Finite truncated sequence (gamma^(1), ..., gamma^(K)) of kernels on one
+    grid, level k holding a k-particle kernel."""
 
     entries: list[Marginal]
-    xi: float = 0.5
 
     def __post_init__(self):
         if not self.entries:
@@ -303,8 +302,6 @@ class HierarchyState:
                 raise ValueError("all levels must share one grid")
             if m.k != j:
                 raise ValueError(f"entry {j} has particle number {m.k}")
-        if not 0 < self.xi < 1:
-            raise ValueError("xi must lie in (0, 1)")
 
     @property
     def grid(self) -> GridSpec:
@@ -321,7 +318,7 @@ class HierarchyState:
         return self.entries[k - 1]
 
     def copy(self) -> "HierarchyState":
-        return HierarchyState([m.copy() for m in self.entries], self.xi)
+        return HierarchyState([m.copy() for m in self.entries])
 
     def __add__(self, other: "HierarchyState") -> "HierarchyState":
         return self._levelwise(operator.add, other)
@@ -330,40 +327,37 @@ class HierarchyState:
         return self._levelwise(operator.sub, other)
 
     def _levelwise(self, op, other: "HierarchyState") -> "HierarchyState":
-        """The result keeps one xi, so both operands must carry it."""
         if self.K != other.K:
             raise ValueError("states truncated at different levels")
-        if self.xi != other.xi:
-            raise ValueError(f"states carry different xi: {self.xi}, {other.xi}")
-        return HierarchyState([op(a, b) for a, b in zip(self.entries, other.entries)],
-                              self.xi)
+        return HierarchyState([op(a, b) for a, b in zip(self.entries, other.entries)])
 
     def __mul__(self, c) -> "HierarchyState":
-        return HierarchyState([m * c for m in self.entries], self.xi)
+        return HierarchyState([m * c for m in self.entries])
 
     __rmul__ = __mul__
 
 
-def factorized_state(phi: Field, K: int, xi: float = 0.5) -> HierarchyState:
-    return HierarchyState([pure_product_marginal(phi, k)
-                           for k in range(1, K + 1)], xi)
+def factorized_state(phi: Field, K: int) -> HierarchyState:
+    return HierarchyState([pure_product_marginal(phi, k) for k in range(1, K + 1)])
 
 
-def mixture_state(atoms, K: int, xi: float = 0.5) -> HierarchyState:
-    return HierarchyState([mixture_marginal(atoms, k)
-                           for k in range(1, K + 1)], xi)
+def mixture_state(atoms, K: int) -> HierarchyState:
+    return HierarchyState([mixture_marginal(atoms, k) for k in range(1, K + 1)])
 
 
-def hierarchy_norm(state: HierarchyState, alpha: float,
+def hierarchy_norm(state: HierarchyState, alpha: float, xi: float, *,
                    flavor: str = "hilbert_schmidt") -> float:
-    """Sum over levels of xi^k times the level norm of the chosen flavor."""
+    """Weighted hierarchy norm sum_k xi^k ||gamma^(k)||, the level norm of
+    order alpha in the chosen flavor; xi is the H_xi weight, in (0, 1)."""
+    if not 0 < xi < 1:
+        raise ValueError(f"xi must lie in (0, 1), got {xi}")
     if flavor == "hilbert_schmidt":
         per_k = (sobolev_norm(m, alpha) for m in state.entries)
     elif flavor == "trace":
         per_k = (trace_sobolev_norm(m, alpha) for m in state.entries)
     else:
         raise ValueError(f"unknown flavor {flavor!r}")
-    return float(sum(state.xi**k * v for k, v in enumerate(per_k, start=1)))
+    return float(sum(xi**k * v for k, v in enumerate(per_k, start=1)))
 
 
 def admissibility_defect(state: HierarchyState) -> list[float]:

@@ -137,6 +137,12 @@ class NBodyTrajectory:
         return self.psis[-1]
 
 
+# Wavefunctions a split step holds beyond the stored samples, the current psi
+# being the next one stored: the half-step phase, the kicked input, the two
+# grid.apply_axes buffers, and the real pair potential if the call builds it.
+SPLIT_STEP_WORKING_FIELDS = 5
+
+
 def nbody_evolve(state: NBodyState, dt: float, t_final: float,
                  store_every: int = 1) -> NBodyTrajectory:
     """Symmetric split-step trajectory (pointwise potential halves around the
@@ -144,15 +150,17 @@ def nbody_evolve(state: NBodyState, dt: float, t_final: float,
     conserved to rounding; energy drift is bounded at second order."""
     n_steps = step_count(t_final, dt)
     keep = stored_steps(n_steps, store_every)
-    default_budget().check_elements(len(keep) * state.psi.data.size,
-                                    f"N-body trajectory of {len(keep)} samples")
+    default_budget().check_elements(
+        (len(keep) + SPLIT_STEP_WORKING_FIELDS) * state.psi.data.size,
+        f"N-body trajectory of {len(keep)} samples and "
+        f"{SPLIT_STEP_WORKING_FIELDS} working wavefunctions")
     grid, big_n = state.grid, state.big_n
     vhalf = np.exp(-0.5j * dt * state.pair_potential / big_n)
     psi = state.psi.copy()
     norms, psis = [l2_norm(psi)], [psi]
     for step in range(1, n_steps + 1):
-        flowed = free_propagate(Field(grid, big_n, vhalf * psi.data), dt)
-        psi = Field(grid, big_n, vhalf * flowed.data)
+        kicked = Field(grid, big_n, vhalf * psi.data)
+        psi = Field(grid, big_n, vhalf * free_propagate(kicked, dt).data)
         norms.append(l2_norm(psi))
         if step == keep[len(psis)]:  # the next step to store
             psis.append(psi)

@@ -67,7 +67,7 @@ def test_criterion_02_admissibility_from_wavefunctions():
     phi = random_low_mode_field(G16, 1, rng, max_mode=2)
     bump = random_low_mode_field(G16, 1, rng, max_mode=1, unit_norm=False)
     state = perturbed_product_state(phi, bump, 0.2, 4, pot)
-    stack = HierarchyState([extract_marginal(state, k) for k in (1, 2, 3)], 0.5)
+    stack = HierarchyState([extract_marginal(state, k) for k in (1, 2, 3)])
     worst = max(admissibility_defect(stack))
     record(2, "admissibility from wavefunctions", worst < 1e-12,
            f"max chain defect {worst:.2e}")
@@ -202,8 +202,8 @@ def test_criterion_11_picard_fixed_point():
     rng = np.random.default_rng(111)
     entries = [random_hermitian_marginal(G16, k, rng, max_mode=2,
                                          symmetric=True) for k in (1, 2)]
-    series = free_flow_series(HierarchyState(entries, 0.5), horizon / 128, 128)
-    result = picard_fixed_point(series, pot)
+    series = free_flow_series(HierarchyState(entries), horizon / 128, 128)
+    result = picard_fixed_point(series, pot, 0.5)
     contracting = all(r < 1.0 for r in result.contraction_ratios)
     ok = result.converged and contracting and result.residual < 1e-7
     record(11, "picard fixed point", ok,

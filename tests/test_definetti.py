@@ -218,7 +218,7 @@ def test_energy_report_fields():
 def test_norm_chain_termwise():
     mix = random_mixture(G8, 2, np.random.default_rng(14))
     xi = 0.4
-    state = mixture_state(mix, 2, xi=xi)
+    state = mixture_state(mix, 2)
     for m in (1, 2):
         hs = sobolev_norm(state.entry(m), 1.0)
         tr = trace_sobolev_norm(state.entry(m), 1.0)
@@ -230,19 +230,26 @@ def test_norm_chain_termwise():
 # -- window chain ---------------------------------------------------------------------
 
 
+def window_chain(mix, **kw):
+    """The chain from the K = 2 hierarchy of ``mix`` at xi = 0.5, against the
+    trace-flavor bound at xi' = 0.7, as ``conservation`` runs it."""
+    state0 = mixture_state(mix, 2)
+    bound = hierarchy_norm(state0, 1.0, 0.7, flavor="trace")
+    return gwp_window_chain(mix, state0, bound, xi=0.5, **kw)
+
+
 def test_window_chain_free_flow_exact_norm():
     mix = random_mixture(G8, 2, np.random.default_rng(15))
-    out = gwp_window_chain(mix, window=0.02, windows=2, K=2, dt=2e-3,
-                           kappa0=0.0)
+    out = window_chain(mix, window=0.02, windows=2, dt=2e-3, kappa0=0.0)
     h1s = [row["h1_norm"] for row in out["rows"]]
-    first = hierarchy_norm(mixture_state(mix, 2, xi=0.5), 1.0)
+    first = hierarchy_norm(mixture_state(mix, 2), 1.0, 0.5)
     for v in h1s:
         assert v == pytest.approx(first, rel=1e-9)
 
 
 def test_window_chain_four_windows_within_bound():
     mix = random_mixture(G8, 3, np.random.default_rng(16))
-    out = gwp_window_chain(mix, window=0.05, windows=4, K=2, dt=1e-3)
+    out = window_chain(mix, window=0.05, windows=4, dt=1e-3)
     assert out["passed"]
     for row in out["rows"]:
         assert row["h1_norm"] <= row["bound"] + 1e-6 * row["bound"]
@@ -260,7 +267,7 @@ def test_window_chain_flows_between_windows_only(monkeypatch):
         return real(*args, **kwargs)
     monkeypatch.setattr(definetti_mod, "flow_mixture", counting)
     mix = random_mixture(G8, 2, np.random.default_rng(17))
-    out = gwp_window_chain(mix, window=0.01, windows=2, K=2, dt=2e-3)
+    out = window_chain(mix, window=0.01, windows=2, dt=2e-3)
     assert calls == [0.01] and len(out["rows"]) == 2
 
 
@@ -276,4 +283,4 @@ def test_window_chain_requires_sphere():
     phi = constant_atom(G8)
     mix = Mixture([(1.0, phi * 0.9)], support="ball")
     with pytest.raises(ValueError):
-        gwp_window_chain(mix, window=0.01, windows=1)
+        window_chain(mix, window=0.01, windows=1)

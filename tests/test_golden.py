@@ -5,6 +5,7 @@ change of result does not.  Regenerate a golden CSV only with a stated reason
 per metric."""
 
 import csv
+import json
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,17 @@ def test_experiments_match_golden_outputs(tmp_path, monkeypatch):
     expected = (GOLDEN / "hlab_files.txt").read_text().split()
     assert len(hlab) == 46
     assert hlab == expected
+
+
+def test_conservation_without_windows_drops_only_the_window_rows(tmp_path):
+    main(["conservation", *ARGS, "--windows", "0", "--outdir", str(tmp_path)])
+    got = _rows(tmp_path / "conservation.csv")
+    want = [r for r in _rows(GOLDEN / "conservation.csv")
+            if not r["metric"].startswith("window_")]
+    assert [tuple(r[c] for c in KEYS) for r in got] == \
+        [tuple(r[c] for c in KEYS) for r in want]
+    for g, w in zip(got, want):
+        a, b = float(g["value"]), float(w["value"])
+        assert abs(a - b) <= 1e-12 + 1e-9 * abs(b), (w["metric"], a, b)
+    manifest = json.loads((tmp_path / "conservation_manifest.json").read_text())
+    assert manifest["results"] == {"window_chain_passed": None}

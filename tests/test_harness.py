@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 
 import hierlab.definetti as definetti_mod
 import hierlab.harness as harness_mod
+import hierlab.marginals as marginals_mod
 import hierlab.nbody as nbody_mod
-from hierlab.cli import main
-from hierlab.harness import (CSV_HEADER, ExperimentConfig, Report,
+from hierlab.cli import build_parser, main
+from hierlab.harness import (CSV_HEADER, EXPERIMENTS, ExperimentConfig, Report,
                              run_collision_limit, run_conservation,
                              run_convergence, run_duhamel_check, run_experiment,
                              run_picard, run_simulate_bbgky,
@@ -125,11 +127,14 @@ def test_conservation_flows_its_mixture_once(monkeypatch):
     flows = count_calls(monkeypatch, "flow_mixture", harness_mod, definetti_mod)
     states = count_calls(monkeypatch, "mixture_state", harness_mod,
                          definetti_mod)
+    trace_norms = count_calls(monkeypatch, "trace_sobolev_norm", marginals_mod)
     run_conservation(small_cfg())
     # five sample frames; the window chain's one window needs no flow
     assert len(flows) == 5
-    # t = 0 and t_final here, and the chain's bound state serves window 0
-    assert len(states) == 3
+    # t = 0 and t_final; the t = 0 state also starts the chain's window 0
+    assert len(states) == 2
+    # one trace-flavor bound, one eigensolve per level, shared with the chain
+    assert len(trace_norms) == 2
 
 
 def test_collision_limit_flows_the_kernel_once_per_time(monkeypatch):
@@ -310,3 +315,14 @@ def test_default_duhamel_check_raises_before_building_kernels(
     with pytest.raises(BudgetExceeded, match="series"):
         main(["duhamel-check", "--outdir", str(tmp_path)])
     assert calls == []
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = [line for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("hierlab ")]
+    parser = build_parser()
+    commands = [parser.parse_args(shlex.split(line)[1:]).command
+                for line in lines]
+    assert sorted(commands) == sorted(EXPERIMENTS)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -81,7 +83,7 @@ def test_gp_evolve_collision_disabled_is_free_flow():
     cfg = EvolutionConfig(dt=1e-3, t_final=0.02)
     traj = gp_evolve(state, cfg, kappa0=0.0, store_every=0)
     exact = free_flow(state, 0.02)
-    assert hierarchy_norm(traj.final() - exact, 0.0) < 1e-11
+    assert hierarchy_norm(traj.final() - exact, 0.0, 0.5) < 1e-11
 
 
 def test_gp_evolve_tracks_cubic_flow():
@@ -124,7 +126,7 @@ def test_gp_evolve_structure_preserved_each_step():
 
 def test_gp_evolve_admissibility_transport():
     mix = random_mixture(G8, 2, np.random.default_rng(21), max_mode=2)
-    state0 = mixture_state(mix, 3, xi=0.5)
+    state0 = mixture_state(mix, 3)
     dt = 2e-3
     cfg = EvolutionConfig(dt=dt, t_final=0.04)
     traj = gp_evolve(state0, cfg, kappa0=1.0, mixture=mix, store_every=5)
@@ -178,7 +180,7 @@ def test_bbgky_zero_mass_potential_is_free_flow():
     cfg = EvolutionConfig(dt=1e-3, t_final=0.02)
     traj = bbgky_evolve(state, cfg, zero_potential(G16), store_every=0)
     exact = free_flow(state, 0.02)
-    assert hierarchy_norm(traj.final() - exact, 0.0) < 1e-11
+    assert hierarchy_norm(traj.final() - exact, 0.0, 0.5) < 1e-11
 
 
 def test_bbgky_two_body_von_neumann_oracle():
@@ -188,7 +190,7 @@ def test_bbgky_two_body_von_neumann_oracle():
     nstate = nb_factorized(phi, 2, pot)
     ntraj = nbody_evolve(nstate, dt, t_final, store_every=0)
     state0 = HierarchyState([extract_marginal(nstate.psi, 1),
-                             extract_marginal(nstate.psi, 2)], 0.5)
+                             extract_marginal(nstate.psi, 2)])
     cfg = EvolutionConfig(dt=dt, t_final=t_final)
     btraj = bbgky_evolve(state0, cfg, pot, store_every=0)
     for k in (1, 2):
@@ -209,7 +211,7 @@ def test_bbgky_trace_conserved():
 def test_bbgky_approaches_contact_hierarchy_along_ladder():
     import warnings
     phi = atom(G16, 5)
-    state = factorized_state(phi, 2, xi=0.5)
+    state = factorized_state(phi, 2)
     cfg = EvolutionConfig(dt=2e-3, t_final=0.04)
     ref = gp_evolve(state, cfg, kappa0=1.0, store_every=0).final()
     dists = []
@@ -219,7 +221,7 @@ def test_bbgky_approaches_contact_hierarchy_along_ladder():
             pot = realize_potential(gaussian_profile(G16, 0.6), 0.2, big_n,
                                     width=0.6)
         traj = bbgky_evolve(state, cfg, pot, store_every=0)
-        dists.append(hierarchy_norm(traj.final() - ref, 1.0))
+        dists.append(hierarchy_norm(traj.final() - ref, 1.0, 0.5))
     assert dists[0] > dists[1] > dists[2]
 
 
@@ -239,7 +241,7 @@ def _injected_trajectory(phi, dt, t_final):
     for i in range(n_steps + 1):
         p = nls_evolve(phi, 1e-5, i * dt) if i else phi
         states.append(HierarchyState([pure_product_marginal(p, 1),
-                                      pure_product_marginal(p, 2)], 0.5))
+                                      pure_product_marginal(p, 2)]))
     return HierarchyTrajectory(states=states,
                                stored_steps=list(range(n_steps + 1)),
                                traces={}, hs_norms={}, collision_h1={},
@@ -255,7 +257,7 @@ def test_residual_quarters_when_dt_halves():
 
 
 def test_residual_zero_state():
-    zero = HierarchyState([zero_marginal(G16, 1), zero_marginal(G16, 2)], 0.5)
+    zero = HierarchyState([zero_marginal(G16, 1), zero_marginal(G16, 2)])
     traj = HierarchyTrajectory(states=[zero.copy() for _ in range(4)],
                                stored_steps=list(range(4)), traces={},
                                hs_norms={}, collision_h1={}, dt=1e-3,
@@ -305,8 +307,8 @@ def test_time_loops_store_the_same_steps(store_every, steps):
     assert len(gp.states) == len(bb.states) == len(nb.psis) == len(steps)
     for step, g, b, psi in zip(steps, gp.states, bb.states, nb.psis):
         exact = free_flow(state, step * 1e-3)
-        assert hierarchy_norm(g - exact, 0.0) < 1e-11
-        assert hierarchy_norm(b - exact, 0.0) < 1e-11
+        assert hierarchy_norm(g - exact, 0.0, 0.5) < 1e-11
+        assert hierarchy_norm(b - exact, 0.0, 0.5) < 1e-11
         assert l2_norm(psi - free_propagate(nstate.psi, step * 1e-3)) < 1e-11
 
 
@@ -328,9 +330,10 @@ def test_trajectory_budget_counts_every_stored_sample(monkeypatch):
     pot = realize_potential(gaussian_profile(G8, 0.6), 0.2, 3)
     state, nstate = factorized_state(phi, 2), nb_factorized(phi, 3, pot)
     cfg = EvolutionConfig(dt=1e-3, t_final=5e-3)
-    # store_every=2 over 5 steps stores 4 samples
-    runs = [(4 * (8**2 + 8**4), lambda: bbgky_evolve(state, cfg, pot, store_every=2)),
-            (4 * 8**3, lambda: nbody_evolve(nstate, 1e-3, 5e-3, store_every=2))]
+    # store_every=2 over 5 steps stores 4 samples; the RK4 step works in 10
+    # more hierarchy states, the split step in 5 more wavefunctions
+    runs = [(14 * (8**2 + 8**4), lambda: bbgky_evolve(state, cfg, pot, store_every=2)),
+            (9 * 8**3, lambda: nbody_evolve(nstate, 1e-3, 5e-3, store_every=2))]
     for need, run in runs:
         monkeypatch.setenv("HLAB_BUDGET", str(need - 1))
         with pytest.raises(BudgetExceeded, match="of 4 samples"):
@@ -342,9 +345,58 @@ def test_trajectory_budget_counts_every_stored_sample(monkeypatch):
         calls.clear()
 
 
+def _peak_and_checked(monkeypatch, run):
+    """tracemalloc peak of run() in bytes, and the entries its trajectory
+    budget checks asked for."""
+    from hierlab.budget import TensorBudget
+    checked = []
+    real = TensorBudget.check_elements
+
+    def spy(self, count, what):
+        if "samples" in what:
+            checked.append(count)
+        return real(self, count, what)
+    monkeypatch.setattr(TensorBudget, "check_elements", spy)
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, checked
+
+
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("loop", ["gp", "gp_mixture", "bbgky"])
+def test_hierarchy_loop_peak_fits_its_budget_check(monkeypatch, loop, K):
+    mix = random_mixture(G8, 2, np.random.default_rng(25))
+    state = mixture_state(mix, K)
+    pot = realize_potential(gaussian_profile(G8, 0.6), 0.2, 4)
+    cfg = EvolutionConfig(dt=1e-3, t_final=5e-3)
+    runs = {"gp": lambda: gp_evolve(state, cfg, store_every=0,
+                                    log_collision_norms=True),
+            "gp_mixture": lambda: gp_evolve(state, cfg, mixture=mix,
+                                            store_every=0,
+                                            log_collision_norms=True),
+            "bbgky": lambda: bbgky_evolve(state, cfg, pot, store_every=0,
+                                          log_collision_norms=True)}
+    peak, checked = _peak_and_checked(monkeypatch, runs[loop])
+    assert len(checked) == 1
+    assert peak <= 16 * checked[0]
+
+
+def test_nbody_loop_peak_fits_its_budget_check(monkeypatch):
+    # the pair potential is built inside the call, as in convergence
+    nstate = nb_factorized(atom(G16, 26), 3, pot16(3))
+    peak, checked = _peak_and_checked(
+        monkeypatch, lambda: nbody_evolve(nstate, 1e-3, 5e-3, store_every=0))
+    assert len(checked) == 1
+    assert peak <= 16 * checked[0]
+
+
 def test_series_budget_counts_every_sample_and_level(monkeypatch):
     from hierlab.budget import BudgetExceeded
-    state = factorized_state(atom(G8, 13), 2, xi=0.5)
+    state = factorized_state(atom(G8, 13), 2)
     need = 4 * (8**2 + 8**4)  # 4 samples of the k = 1 and k = 2 kernels
     monkeypatch.setenv("HLAB_BUDGET", str(need))
     check_series_budget(G8, 2, 4)
@@ -360,16 +412,16 @@ def test_series_budget_counts_every_sample_and_level(monkeypatch):
 
 
 def test_duhamel_j0_is_identity():
-    state = factorized_state(atom(G16, 14), 2, xi=0.5)
+    state = factorized_state(atom(G16, 14), 2)
     series = free_flow_series(state, 1e-3, 8)
     out = duhamel_iterate(series, 0, pot16(16), 8e-3)
-    diff = hierarchy_norm(out - series.states[-1], 0.0)
+    diff = hierarchy_norm(out - series.states[-1], 0.0, 0.5)
     assert diff < 1e-14
 
 
 def test_duhamel_j1_matches_independent_quadrature():
     pot = pot16(16)
-    base = factorized_state(atom(G16, 15), 2, xi=0.5)
+    base = factorized_state(atom(G16, 15), 2)
     T = 0.04
     # a genuinely time-dependent series: backwards free flow
     series = TimeSeries(T / 128, [free_flow(base, -i * T / 128)
@@ -393,32 +445,32 @@ def test_duhamel_j1_matches_independent_quadrature():
 @pytest.mark.slow
 def test_duhamel_horizon_scaling_exponent():
     pot = realize_potential(gaussian_profile(G8, 0.7), 0.2, 16)
-    base = factorized_state(atom(G8, 16), 3, xi=0.5)
+    base = factorized_state(atom(G8, 16), 3)
     for j in (1, 2):
         norms = []
         horizons = (0.01, 0.02, 0.04)
         for T in horizons:
             series = free_flow_series(base, T / 16, 16)
-            norms.append(hierarchy_norm(duhamel_iterate(series, j, pot, T), 1.0))
+            norms.append(hierarchy_norm(duhamel_iterate(series, j, pot, T), 1.0, 0.5))
         slope = float(np.polyfit(np.log(horizons), np.log(norms), 1)[0])
         assert j / 2 - 0.6 <= slope <= j + 0.1
 
 
 def test_duhamel_rejects_shallow_series():
-    state = factorized_state(atom(G8, 17), 2, xi=0.5)
+    state = factorized_state(atom(G8, 17), 2)
     series = free_flow_series(state, 1e-3, 4)
     with pytest.raises(ValueError):
         duhamel_iterate(series, 2, pot16(16), 4e-3)
 
 
 def test_duhamel_rejects_negative_time():
-    series = free_flow_series(factorized_state(atom(G16, 17), 2, xi=0.5), 1e-3, 4)
+    series = free_flow_series(factorized_state(atom(G16, 17), 2), 1e-3, 4)
     with pytest.raises(ValueError):
         duhamel_iterate(series, 1, pot16(16), -1e-3)
 
 
 def test_duhamel_rejects_time_past_the_series():
-    series = free_flow_series(factorized_state(atom(G16, 17), 2, xi=0.5), 1e-3, 4)
+    series = free_flow_series(factorized_state(atom(G16, 17), 2), 1e-3, 4)
     with pytest.raises(ValueError):
         duhamel_iterate(series, 1, pot16(16), 5e-3)  # samples end at 4e-3
 
@@ -432,7 +484,7 @@ def picard_setup(seed, steps=64):
     rng = np.random.default_rng(seed)
     entries = [random_hermitian_marginal(G16, k, rng, max_mode=2, symmetric=True)
                for k in (1, 2)]
-    base = HierarchyState(entries, 0.5)
+    base = HierarchyState(entries)
     series = free_flow_series(base, horizon / steps, steps)
     return series, pot
 
@@ -440,16 +492,16 @@ def picard_setup(seed, steps=64):
 def test_picard_zero_input_fixed_at_zero():
     series, pot = picard_setup(18)
     zeroed = TimeSeries(series.dt, [s * 0.0 for s in series.states])
-    result = picard_fixed_point(zeroed, pot)
+    result = picard_fixed_point(zeroed, pot, 0.5)
     assert result.converged
-    assert max(hierarchy_norm(s, 1.0) for s in result.series.states) == 0.0
+    assert max(hierarchy_norm(s, 1.0, 0.5) for s in result.series.states) == 0.0
 
 
 def test_picard_zero_potential_returns_input():
     series, _ = picard_setup(19)
-    result = picard_fixed_point(series, zero_potential(G16, 16))
+    result = picard_fixed_point(series, zero_potential(G16, 16), 0.5)
     assert result.converged
-    diff = max(hierarchy_norm(a - b, 1.0)
+    diff = max(hierarchy_norm(a - b, 1.0, 0.5)
                for a, b in zip(result.series.states, series.states))
     assert diff == 0.0
 
@@ -457,7 +509,7 @@ def test_picard_zero_potential_returns_input():
 @pytest.mark.slow
 def test_picard_converges_with_contraction_and_small_residual():
     series, pot = picard_setup(20, steps=128)
-    result = picard_fixed_point(series, pot)
+    result = picard_fixed_point(series, pot, 0.5)
     assert result.converged
     assert result.update_norms[-1] < 1e-8
     assert all(r < 1.0 for r in result.contraction_ratios)
@@ -468,21 +520,23 @@ def test_picard_rejects_horizon_beyond_gate():
     series, pot = picard_setup(21)
     long_series = TimeSeries(t0_gate(0.5) / 8, series.states)  # horizon > gate
     with pytest.raises(ValueError):
-        picard_fixed_point(long_series, pot)
+        picard_fixed_point(long_series, pot, 0.5)
 
 
-def test_picard_gate_follows_the_series_xi():
+def test_picard_gate_follows_the_xi_argument():
     rng = np.random.default_rng(24)
     base = HierarchyState([random_hermitian_marginal(G16, k, rng, max_mode=2,
                                                      symmetric=True)
-                           for k in (1, 2)], 0.6)
+                           for k in (1, 2)])
+    series = free_flow_series(base, 0.3 / 8, 8)
     # 0.3 is past the gate of xi = 0.5 (0.25) and inside that of 0.6 (0.36)
-    result = picard_fixed_point(free_flow_series(base, 0.3 / 8, 8),
-                                zero_potential(G16, 16))
+    with pytest.raises(ValueError):
+        picard_fixed_point(series, zero_potential(G16, 16), 0.5)
+    result = picard_fixed_point(series, zero_potential(G16, 16), 0.6)
     assert result.converged
     with pytest.raises(ValueError):
         picard_fixed_point(free_flow_series(base, 0.4 / 8, 8),
-                           zero_potential(G16, 16))
+                           zero_potential(G16, 16), 0.6)
 
 
 def test_instability_detector_aborts_blowup():

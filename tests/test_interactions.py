@@ -140,9 +140,9 @@ def test_gp_collision_rejects_bad_j():
 
 def test_gp_collision_sum_zero_state():
     state = HierarchyState([Marginal(G8, 1, np.zeros((8, 8))),
-                            Marginal(G8, 2, np.zeros((8,) * 4))], 0.5)
+                            Marginal(G8, 2, np.zeros((8,) * 4))])
     out = gp_collision_sum(state)
-    assert hierarchy_norm(out, 0.0) == 0.0
+    assert hierarchy_norm(out, 0.0, 0.5) == 0.0
 
 
 def test_gp_collision_sum_k1_factorized():
@@ -259,7 +259,7 @@ def test_bbgky_rhs_converges_to_contact_sum():
             with _w.catch_warnings():
                 _w.simplefilter("ignore")
                 pot = realize_potential(prof, 0.2, big_n, width=0.8)
-        dists.append(hierarchy_norm(bbgky_rhs(state, pot) - target, 0.0))
+        dists.append(hierarchy_norm(bbgky_rhs(state, pot) - target, 0.0, 0.5))
     assert dists[0] > dists[1] > dists[2]
 
 
@@ -274,7 +274,7 @@ def test_full_collision_distance_monotone_on_geometric_ladder():
         with _w.catch_warnings():
             _w.simplefilter("ignore")
             pot = realize_potential(prof, 0.2, big_n, width=0.6)
-        dists.append(hierarchy_norm(bbgky_rhs(state, pot) - target, 0.0))
+        dists.append(hierarchy_norm(bbgky_rhs(state, pot) - target, 0.0, 0.5))
     for a, b in zip(dists, dists[1:]):
         assert b <= a + 1e-10
 

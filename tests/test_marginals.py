@@ -164,33 +164,38 @@ def test_trace_norm_dominates_hs_norm():
 
 def test_hierarchy_norm_factorized_geometric():
     phi = unit_atom(G8, 17)
-    state = factorized_state(phi, 3, xi=0.4)
+    state = factorized_state(phi, 3)
     c2 = sobolev_norm_field(phi, 1.0) ** 2
     expected = sum(0.4**k * c2**k for k in (1, 2, 3))
-    assert hierarchy_norm(state, 1.0) == pytest.approx(expected, rel=1e-10)
+    assert hierarchy_norm(state, 1.0, 0.4) == pytest.approx(expected, rel=1e-10)
+
+
+def test_hierarchy_norm_weights_one_state_at_any_xi():
+    state = mixture_state(random_atoms(G8, 2, 19), 3)
+    for xi in (0.3, 0.7):
+        expected = sum(xi**k * sobolev_norm(state.entry(k), 1.0)
+                       for k in (1, 2, 3))
+        assert hierarchy_norm(state, 1.0, xi) == pytest.approx(expected,
+                                                               rel=1e-14)
+
+
+@pytest.mark.parametrize("xi", [0.0, 1.0, -0.1])
+def test_hierarchy_norm_rejects_xi_outside_unit_interval(xi):
+    state = HierarchyState([zero_marginal(G8, 1)])
+    with pytest.raises(ValueError, match="xi"):
+        hierarchy_norm(state, 1.0, xi)
 
 
 def test_hierarchy_norm_zero_state():
-    state = HierarchyState([zero_marginal(G8, 1), zero_marginal(G8, 2)], 0.5)
-    assert hierarchy_norm(state, 1.0) == 0.0
-
-
-def test_hierarchy_state_sum_needs_one_xi():
-    entries = [pure_product_marginal(unit_atom(G8, 19), k) for k in (1, 2)]
-    a, b = HierarchyState(entries, 0.3), HierarchyState(entries, 0.6)
-    for left, right in ((a, b), (b, a)):
-        with pytest.raises(ValueError, match="xi"):
-            left + right
-        with pytest.raises(ValueError, match="xi"):
-            left - right
-    assert (a + a).xi == 0.3 and (b - b).xi == 0.6
+    state = HierarchyState([zero_marginal(G8, 1), zero_marginal(G8, 2)])
+    assert hierarchy_norm(state, 1.0, 0.5) == 0.0
 
 
 def test_hierarchy_trace_flavor_dominates_hs_flavor():
     atoms = random_atoms(G8, 2, 18)
-    state = mixture_state(atoms, 2, xi=0.5)
-    assert hierarchy_norm(state, 0.0, "trace") >= \
-        hierarchy_norm(state, 0.0, "hilbert_schmidt") - 1e-12
+    state = mixture_state(atoms, 2)
+    assert hierarchy_norm(state, 0.0, 0.5, flavor="trace") >= \
+        hierarchy_norm(state, 0.0, 0.5, flavor="hilbert_schmidt") - 1e-12
 
 
 # -- positivity ---------------------------------------------------------------
@@ -303,7 +308,7 @@ def test_free_flow_preserves_admissibility():
     atoms = random_atoms(G8, 2, 32)
     state = mixture_state(atoms, 3)
     moved = HierarchyState([free_propagate_marginal(m, 0.21)
-                            for m in state.entries], state.xi)
+                            for m in state.entries])
     assert max(admissibility_defect(moved)) < 1e-10
 
 

@@ -179,7 +179,7 @@ def test_extract_top_marginal_is_projector():
 def test_extract_admissibility_chain():
     pot = pot8(4)
     state = smooth_symmetric_state(G8, 4, pot, 12)
-    stack = HierarchyState([extract_marginal(state, k) for k in (1, 2, 3)], 0.5)
+    stack = HierarchyState([extract_marginal(state, k) for k in (1, 2, 3)])
     assert max(admissibility_defect(stack)) < 1e-12
 
 

@@ -52,7 +52,7 @@ def ref_duhamel(series, j, pot, t):
             current = [bbgky_main_level(free_propagate_marginal(prefix[i], times[i]),
                                         pot) * 1j for i in range(n_pts)]
         comps.append(current[-1])
-    return HierarchyState(comps, series.states[0].xi)
+    return HierarchyState(comps)
 
 
 def ref_sweep(xi_series, theta, pot, simpson):
@@ -64,7 +64,7 @@ def ref_sweep(xi_series, theta, pot, simpson):
 
 
 def ref_distance(a, b):
-    return max(hierarchy_norm(x - y, 1.0) for x, y in zip(a, b))
+    return max(hierarchy_norm(x - y, 1.0, 0.5) for x, y in zip(a, b))
 
 
 def pot_for(grid):
@@ -92,18 +92,18 @@ def test_sobolev_weight_is_parseval_of_the_h_alpha_norm(grid):
 def test_free_flow_series_matches_per_sample_free_flow(grid):
     rng = np.random.default_rng(2)
     state = HierarchyState([random_hermitian_marginal(grid, k, rng, max_mode=1)
-                            for k in (1, 2)], 0.5)
+                            for k in (1, 2)])
     series = free_flow_series(state, 0.01, 8)
     assert series.dt == 0.01 and len(series.states) == 9
-    worst = max(hierarchy_norm(s - free_flow(state, j * 0.01), 0.0)
+    worst = max(hierarchy_norm(s - free_flow(state, j * 0.01), 0.0, 0.5)
                 for j, s in enumerate(series.states))
     assert worst <= 1e-13
-    assert hierarchy_norm(series.states[0] - state, 0.0) == 0.0
+    assert hierarchy_norm(series.states[0] - state, 0.0, 0.5) == 0.0
 
 
 def test_free_flow_series_rejects_bad_steps():
     state = HierarchyState([random_hermitian_marginal(GRIDS[0], 1,
-                                                      np.random.default_rng(4))], 0.5)
+                                                      np.random.default_rng(4))])
     for dt, n_steps in ((0.0, 4), (-0.01, 4), (0.01, -1)):
         with pytest.raises(ValueError):
             free_flow_series(state, dt, n_steps)
@@ -118,7 +118,7 @@ def test_duhamel_iterate_matches_physical_reference(grid, j):
     for t in (0.02, 0.04):  # an interior sample and the last one
         got = duhamel_iterate(series, j, pot, t)
         ref = ref_duhamel(series, j, pot, t)
-        rel = hierarchy_norm(got - ref, 0.0) / hierarchy_norm(ref, 0.0)
+        rel = hierarchy_norm(got - ref, 0.0, 0.5) / hierarchy_norm(ref, 0.0, 0.5)
         assert rel <= 1e-12
 
 
@@ -127,10 +127,10 @@ def test_picard_sweep_matches_physical_reference(grid):
     pot = pot_for(grid)
     rng = np.random.default_rng(3)
     base = HierarchyState([random_hermitian_marginal(grid, k, rng, max_mode=1)
-                           for k in (1, 2)], 0.5)
+                           for k in (1, 2)])
     xi_series = free_flow_series(base, t0_gate(0.5) / 4.0 / 8, 8)
 
-    result = picard_fixed_point(xi_series, pot, max_iter=1)
+    result = picard_fixed_point(xi_series, pot, 0.5, max_iter=1)
     new = ref_sweep(xi_series, xi_series.states, pot, simpson=False)
     assert result.update_norms[0] == pytest.approx(
         ref_distance(new, xi_series.states), abs=1e-12)
@@ -139,7 +139,7 @@ def test_picard_sweep_matches_physical_reference(grid):
     assert ref_distance(result.series.states, new) <= 1e-12
 
     # the full iteration follows the reference sweep for sweep
-    result = picard_fixed_point(xi_series, pot)
+    result = picard_fixed_point(xi_series, pot, 0.5)
     theta, norms = xi_series.states, []
     for _ in range(result.iterations):
         new = ref_sweep(xi_series, theta, pot, simpson=False)
