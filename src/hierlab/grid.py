@@ -134,14 +134,20 @@ def zero_field(grid: GridSpec, rank: int) -> Field:
 
 
 def dft_forward(f: Field) -> Field:
-    """Quadrature-weighted DFT over all slots (h^(d*rank) * fftn)."""
+    """Quadrature-weighted DFT over all slots (h^(d*rank) * fftn).  Both
+    transforms work in one output buffer, so they hold one tensor beyond
+    their input."""
     scale = f.grid.h ** (f.grid.dim * f.rank)
-    return Field(f.grid, f.rank, np.fft.fftn(f.data) * scale)
+    spec = np.fft.fftn(f.data, out=np.empty(f.data.shape, complex))
+    spec *= scale
+    return Field(f.grid, f.rank, spec)
 
 
 def dft_inverse(f: Field) -> Field:
     scale = f.grid.h ** (f.grid.dim * f.rank)
-    return Field(f.grid, f.rank, np.fft.ifftn(f.data) / scale)
+    data = np.fft.ifftn(f.data, out=np.empty(f.data.shape, complex))
+    data /= scale
+    return Field(f.grid, f.rank, data)
 
 
 def place_axes(values: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray:
@@ -215,6 +221,8 @@ def apply_axes(data: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
 def step_count(t: float, dt: float) -> int:
     """Number of dt steps in t; dt must be positive and t a nonnegative
     multiple of dt (to 1e-9 relative)."""
+    if not (np.isfinite(t) and np.isfinite(dt)):
+        raise ValueError(f"t={t} and dt={dt} must be finite")
     if dt <= 0:
         raise ValueError("dt must be positive")
     n_steps = int(round(t / dt))

@@ -26,11 +26,12 @@ from .definetti import (Mixture, energy_functional_mixture, flow_mixture,
                         gwp_window_chain, random_mixture)
 from .grid import (Field, GridSpec, make_grid, random_low_mode_field,
                    step_count)
-from .hierarchy_evolution import (EvolutionConfig, HierarchyTrajectory,
-                                  bbgky_evolve, check_series_budget,
-                                  duhamel_iterate, free_flow_series, gp_evolve,
-                                  gp_residual, k_schedule, picard_fixed_point,
-                                  t0_gate)
+from .hierarchy_evolution import (DUHAMEL_WORKING_STATES,
+                                  FREE_FLOW_WORKING_STATES, EvolutionConfig,
+                                  HierarchyTrajectory, bbgky_evolve,
+                                  check_series_budget, duhamel_tower,
+                                  free_flow_series, gp_evolve, gp_residual,
+                                  k_schedule, picard_fixed_point, t0_gate)
 from .interactions import (PROFILES, PotentialSpec, bbgky_main_level,
                            bbgky_rhs, collision_fourier_oracle, gp_collision,
                            gp_collision_sum, realize_potential,
@@ -73,6 +74,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0 < self.xi1 < self.xi < self.xi_prime < 1:
             raise ValueError("weights must satisfy 0 < xi1 < xi < xi_prime < 1")
+        if self.j_max < 1:
+            raise ValueError(f"j_max must be >= 1, got {self.j_max}")
 
     @classmethod
     def from_ini(cls, path: str | Path, **overrides) -> "ExperimentConfig":
@@ -320,7 +323,10 @@ def run_duhamel_check(cfg: ExperimentConfig) -> tuple[Report, dict]:
     and the fitted growth exponent per depth."""
     grid = cfg.grid()
     levels, steps = 1 + cfg.j_max, 16
-    check_series_budget(grid, levels, steps + 1)
+    # the base state and its spectrum, the free flow's phase and stepped
+    # sample, and one Duhamel pass
+    check_series_budget(grid, levels, 2,
+                        FREE_FLOW_WORKING_STATES + DUHAMEL_WORKING_STATES)
     rng = cfg.rng()
     phi = random_low_mode_field(grid, 1, rng, max_mode=2)
     pot = cfg.potential(grid=grid)
@@ -329,13 +335,14 @@ def run_duhamel_check(cfg: ExperimentConfig) -> tuple[Report, dict]:
     fitted = {}
     horizons = (0.01, 0.02, 0.04)
     depths = range(1, cfg.j_max + 1)
-    # one series per horizon, shared by every depth
+    # one series and one pass per top level per horizon give every depth;
+    # each series is released before the next is built
     norms = {j: [] for j in depths}
     for T in horizons:
-        series = free_flow_series(base, T / steps, steps)
-        for j in depths:
-            norms[j].append(hierarchy_norm(duhamel_iterate(series, j, pot, T),
-                                           1.0, cfg.xi))
+        tower = duhamel_tower(free_flow_series(base, T / steps, steps),
+                              cfg.j_max, pot, T)
+        for j, state in tower.items():
+            norms[j].append(hierarchy_norm(state, 1.0, cfg.xi))
     for j in depths:
         for T, norm in zip(horizons, norms[j]):
             report.add("duhamel", f"duh{j}_h1_norm", norm, t=T)

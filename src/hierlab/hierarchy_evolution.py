@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import islice
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -273,26 +274,83 @@ def gp_residual(traj: HierarchyTrajectory) -> dict[int, np.ndarray]:
 # Time series, iterated collision integrals, fixed point
 
 
-@dataclass
 class TimeSeries:
-    """Hierarchy states sampled on the uniform grid j * dt, j = 0..len-1."""
+    """Hierarchy states sampled on the uniform grid j * dt, j = 0..len-1.
 
-    dt: float
-    states: list[HierarchyState]
+    ``states`` lists the physical samples; ``iter_states()`` and
+    ``level_spectra(k)`` stream them, and the spectra of level k, one sample
+    at a time.  This series stores its samples and transforms one as its
+    spectrum is read; a free-flow series (``free_flow_series``) stores no
+    sample at all.
+    """
 
-    def __post_init__(self):
-        if self.dt <= 0:
+    def __init__(self, dt: float, states: Sequence[HierarchyState]):
+        if dt <= 0:
             raise ValueError("dt must be positive")
-        if not self.states:
+        if not states:
             raise ValueError("series must not be empty")
+        self.dt, self.grid, self.K = dt, states[0].grid, states[0].K
+        self._states = list(states)
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    @property
+    def states(self) -> list[HierarchyState]:
+        return self._states
+
+    def iter_states(self) -> Iterator[HierarchyState]:
+        return iter(self._states)
+
+    def level_spectra(self, k: int) -> Iterator[np.ndarray]:
+        return (marginal_spectrum(s.entry(k)) for s in self._states)
 
     @property
     def times(self) -> np.ndarray:
-        return self.dt * np.arange(len(self.states))
+        return self.dt * np.arange(len(self))
 
     @property
     def horizon(self) -> float:
-        return self.dt * (len(self.states) - 1)
+        return self.dt * (len(self) - 1)
+
+
+class _FreeFlowSeries(TimeSeries):
+    """The free flow of ``start`` as a series: level k of sample j is
+    base_k * E_k^j, with base_k the spectrum of the start's level k and
+    E_k = exp(-i dt S_k) the one-step phase, stepped as it is read."""
+
+    def __init__(self, start: HierarchyState, dt: float, n_steps: int):
+        self.dt, self.grid, self.K = dt, start.grid, start.K
+        self.start, self._length = start, n_steps + 1
+        self._bases = [marginal_spectrum(m) for m in start.entries]
+        self._phases = [np.exp(-1j * dt * flow_symbol(self.grid, k))
+                        for k in range(1, self.K + 1)]
+
+    def __len__(self) -> int:
+        return self._length
+
+    @property
+    def states(self) -> list[HierarchyState]:
+        """The samples of ``iter_states``, checked against the budget first."""
+        check_series_budget(self.grid, self.K, len(self))
+        return list(self.iter_states())
+
+    def iter_states(self) -> Iterator[HierarchyState]:
+        """Sample 0 is the start itself; each later one costs one inverse
+        transform per level."""
+        yield self.start
+        later = zip(*[islice(self.level_spectra(k), 1, None)
+                      for k in range(1, self.K + 1)])
+        for hats in later:
+            yield HierarchyState([marginal_from_spectrum(self.grid, k, a)
+                                  for k, a in enumerate(hats, start=1)])
+
+    def level_spectra(self, k: int) -> Iterator[np.ndarray]:
+        spec, phase = self._bases[k - 1], self._phases[k - 1]
+        yield spec
+        for _ in range(len(self) - 1):
+            spec = spec * phase
+            yield spec
 
 
 def check_series_budget(grid: GridSpec, K: int, samples: int, working: int = 0) -> None:
@@ -305,30 +363,28 @@ def check_series_budget(grid: GridSpec, K: int, samples: int, working: int = 0) 
         f"hierarchy series of {samples} samples and {working} working states")
 
 
+# States a free-flow series holds besides its base spectrum: the phase, and
+# the sample being stepped while a consumer reads it.
+FREE_FLOW_WORKING_STATES = 2
+
+
 def free_flow_series(state0: HierarchyState, dt: float, n_steps: int) -> TimeSeries:
     """Free flow of ``state0`` sampled at j * dt, j = 0..n_steps.
 
-    One forward transform per level; the spectrum then steps by the one-step
-    phase exp(-i dt S_k) and each later sample costs one inverse transform.
-    Sample 0 is a copy of ``state0``.  The entries of the whole series are
-    checked against the budget before the first transform.
+    One forward transform per level gives the base spectrum; level k of
+    sample j is the base times E^j, E = exp(-i dt S_k), stepped as a
+    consumer reads it.  The series stores no sample, so a consumer of its
+    spectra never transforms one; its physical samples cost one inverse
+    transform per later sample and level, on demand.  What the series holds,
+    the base and the phase, is checked against the budget before the first
+    transform.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    grid = state0.grid
-    check_series_budget(grid, state0.K, n_steps + 1)
-    levels = []
-    for m in state0.entries:
-        phase = np.exp(-1j * dt * flow_symbol(grid, m.k))
-        spec = marginal_spectrum(m)
-        samples = [m.copy()]
-        for _ in range(n_steps):
-            spec = spec * phase
-            samples.append(marginal_from_spectrum(grid, m.k, spec))
-        levels.append(samples)
-    return TimeSeries(dt, [HierarchyState(list(entries)) for entries in zip(*levels)])
+    check_series_budget(state0.grid, state0.K, 1, FREE_FLOW_WORKING_STATES)
+    return _FreeFlowSeries(state0, dt, n_steps)
 
 
 def _flowed_prefix(spectra: Iterable[np.ndarray], phase: np.ndarray, dt: float,
@@ -340,7 +396,8 @@ def _flowed_prefix(spectra: Iterable[np.ndarray], phase: np.ndarray, dt: float,
     obeys A_i = E (A_(i-1) + dt/2 theta_(i-1)) + dt/2 theta_i; composite
     Simpson's even points use E^2 with weights dt/3, 4 dt/3, dt/3 and its odd
     points close with one trapezoid step.  Spectra are read lazily, one
-    sample at a time.
+    sample at a time: theta_i has been read when A_i is yielded, and no
+    earlier prefix or sample than the next step needs is held.
     """
     a_prev = a_prev2 = th_prev = th_prev2 = None
     for i, th in enumerate(spectra):
@@ -352,67 +409,137 @@ def _flowed_prefix(spectra: Iterable[np.ndarray], phase: np.ndarray, dt: float,
                    + (dt / 3.0) * th)
         else:
             acc = phase * (a_prev + (dt / 2.0) * th_prev) + (dt / 2.0) * th
+        if simpson:
+            a_prev2, th_prev2 = a_prev, th_prev
+        a_prev, th_prev = acc, th
         yield acc
-        a_prev2, a_prev = a_prev, acc
-        th_prev2, th_prev = th_prev, th
+
+
+def _points_to(series: TimeSeries, t: float) -> int:
+    """Number of samples from 0 to the sample at t."""
+    n_idx = step_count(t, series.dt)
+    if n_idx >= len(series):
+        raise ValueError(f"t={t} lies beyond the series horizon {series.horizon}")
+    return n_idx + 1
+
+
+# Hierarchy states a Duhamel pass holds besides its series.  Per layer, at
+# the layer's input level: the phase, the prefix and the sample a step starts
+# from, the sample it reads, two temporaries and the new prefix while that
+# forms, and then the prefix's inverse transform.  The layers of one pass sit
+# at different levels, so together they fit in this many whole level-1..K
+# states at any depth.
+DUHAMEL_WORKING_STATES = 8
+
+
+def _duhamel_pass(series: TimeSeries, top: int, layers: int, pot: PotentialSpec,
+                  n_pts: int) -> list[Marginal]:
+    """Push level ``top`` of the series through ``layers`` integral layers,
+    each i int_0^s B U(s - sigma) (.) d sigma, and return depth j's level
+    top - j kernel at the last of the first ``n_pts`` samples, j = 1..layers.
+
+    The layers chain as generators over the samples.  A layer steps the
+    forward-propagated prefix of its input (``_flowed_prefix``), inverts it
+    once per sample to apply the collision operator, and transforms the
+    result once for the layer below; the deepest layer inverts only the
+    sample at t.
+    """
+    grid, dt = series.grid, series.dt
+    at_t: list[Marginal] = []
+
+    def layer(spectra: Iterable[np.ndarray], level: int, deepest: bool):
+        phase = np.exp(-1j * dt * flow_symbol(grid, level))
+        for i, a in enumerate(_flowed_prefix(spectra, phase, dt)):
+            if deepest and i < n_pts - 1:
+                continue
+            out = bbgky_main_level(marginal_from_spectrum(grid, level, a), pot) * 1j
+            if i == n_pts - 1:
+                at_t.append(out)
+            if not deepest:
+                yield marginal_spectrum(out)
+
+    stream = islice(series.level_spectra(top), n_pts)
+    for depth in range(1, layers + 1):
+        stream = layer(stream, top - depth + 1, depth == layers)
+    deque(stream, maxlen=0)  # drives every layer through the samples
+    return at_t
+
+
+def duhamel_tower(series: TimeSeries, j_max: int, pot: PotentialSpec,
+                  t: float) -> dict[int, HierarchyState]:
+    """The j-fold nested time-ordered integrals at t, j = 1..j_max, each
+    interleaving the weighted main collision operator with free flows and
+    evaluated by composite trapezoid on the ordered simplex (the grid of the
+    series).
+
+    Depth j's level k reads level k + j of the series, so one pass per top
+    level (``_duhamel_pass``) gives every depth at once: the level-2
+    component of j = 1 is the last sample of the first layer that j = 2
+    pushes level 3 through.  The pass's working states are checked against
+    the budget before its first transform.
+    """
+    if j_max < 1:
+        raise ValueError(f"j_max must be >= 1, got {j_max}")
+    n_pts = _points_to(series, t)
+    K = series.K
+    if K - j_max < 1:
+        raise ValueError(f"series truncated at {K} is too shallow for j={j_max}")
+    check_series_budget(series.grid, K, 0, DUHAMEL_WORKING_STATES)
+    comps: dict[int, list[Marginal]] = {j: [] for j in range(1, j_max + 1)}
+    for top in range(2, K + 1):
+        for j, m in enumerate(_duhamel_pass(series, top, min(top - 1, j_max),
+                                            pot, n_pts), start=1):
+            comps[j].append(m)
+    return {j: HierarchyState(c) for j, c in comps.items()}
 
 
 def duhamel_iterate(series: TimeSeries, j: int, pot: PotentialSpec,
                     t: float) -> HierarchyState:
-    """j-fold nested time-ordered integral interleaving the weighted main
-    collision operator with free flows, evaluated by composite trapezoid on
-    the ordered simplex (the same grid as the series).
-
-    Each integral layer is accumulated on spectra: one forward transform per
-    sample, the running prefix stepped by the free-flow phase (see
-    ``_flowed_prefix``), and one inverse transform per sample feeding the
-    collision operator; the last layer inverts only the sample at t.
-
-    j = 0 returns the series value at t.
-    """
+    """Depth j of ``duhamel_tower``; j = 0 returns the series value at t."""
     if j < 0:
         raise ValueError("j must be nonnegative")
-    dt = series.dt
-    n_idx = step_count(t, dt)
-    if n_idx >= len(series.states):
-        raise ValueError(f"t={t} lies beyond the series horizon {series.horizon}")
-    n_pts = n_idx + 1
-    base = series.states[0]
-    K = base.K
-    grid = base.grid
-    k_out = K - j
-    if k_out < 1:
-        raise ValueError(f"series truncated at {K} is too shallow for j={j}")
-    default_budget().check_elements(grid.num_points ** (2 * K),
-                                    f"duhamel level {K}")
-
-    comps = []
-    for k in range(1, k_out + 1):
-        current = [series.states[i].entry(k + j) for i in range(n_pts)]
-        for depth in range(j):
-            # push through one integral layer: i * int_0^s B U(s-sigma) current
-            level = k + j - depth
-            phase = np.exp(-1j * dt * flow_symbol(grid, level))
-            prefix = _flowed_prefix((marginal_spectrum(m) for m in current),
-                                    phase, dt)
-            if depth == j - 1:  # the last layer is needed only at t
-                prefix = deque(prefix, maxlen=1)
-            current = [
-                bbgky_main_level(marginal_from_spectrum(grid, level, a), pot) * 1j
-                for a in prefix
-            ]
-        comps.append(current[-1])
-    return HierarchyState(comps)
+    if j == 0:
+        return series.states[_points_to(series, t) - 1]
+    return duhamel_tower(series, j, pot, t)[j]
 
 
 @dataclass
 class PicardResult:
-    series: TimeSeries
+    """The fixed point Theta, held as its spectra ``spectra[k - 1][i]`` beside
+    the free term Xi, with the record of the sweeps."""
+
+    free_term: TimeSeries
+    spectra: list[list[np.ndarray]]
     iterations: int
     update_norms: list[float]
     contraction_ratios: list[float]
     converged: bool
     residual: float
+
+    @property
+    def series(self) -> TimeSeries:
+        """Theta in physical space, as Xi plus the inverse transform of
+        Theta_hat - F(Xi), so that a vanishing Duhamel term returns Xi's
+        samples as they are; two transforms per sample and level."""
+        grid = self.free_term.grid
+
+        def theta(xi_state: HierarchyState, hats) -> HierarchyState:
+            return HierarchyState([
+                m + marginal_from_spectrum(grid, k, hat - marginal_spectrum(m))
+                for k, (m, hat) in enumerate(zip(xi_state.entries, hats), start=1)])
+
+        return TimeSeries(self.free_term.dt, [
+            theta(x, hats)
+            for x, hats in zip(self.free_term.iter_states(), zip(*self.spectra))])
+
+
+# Hierarchy states a Picard sweep holds besides the iterate's spectra: the
+# phases and the norm weights, the free term's sample and the spectrum it is
+# inverted from, the prefix (with the previous prefix for Simpson), the
+# prefix in physical space and the three kernels bbgky_error_level works in,
+# or the new sample and its spectrum, plus the temporaries of a prefix step.
+# tracemalloc puts the peak at 11.6 of them at d = 1 and d = 2.
+PICARD_WORKING_STATES = 14
 
 
 def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec, xi: float,
@@ -421,55 +548,64 @@ def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec, xi: float,
     grid (trapezoid in s) until successive iterates are closer than ``tol``
     in the weighted order-1 norm.
 
-    The iterate is carried as spectra.  A sweep steps the forward-propagated
-    prefix integral through the samples (see ``_flowed_prefix``), inverts it
-    once per sample and level to apply B_N, and transforms the new iterate
-    once; that spectrum gives the update norm by Parseval and feeds the next
-    sweep.
+    The iterate is one list of spectra per level, the only series-sized
+    thing held; it and the working states are checked against the budget
+    before the first transform.  A sweep steps the forward-propagated prefix
+    integral through the samples (see ``_flowed_prefix``) and inverts it
+    once per sample and level to apply B_N.  The new sample is Xi + i B_N A
+    formed in physical space, as the sweep reads Xi's samples one at a time,
+    and transformed once; its spectrum gives the update norm by Parseval and
+    overwrites the old one, which the prefix has read by then.  Forming it
+    in physical space keeps the iterate's rounding that of an iteration
+    on stored physical samples.
 
     ``xi_series`` is the free term Xi(t), capital Xi; ``xi`` is the H^1_xi
     level weight in (0, 1), which sets both the update norms and the
     heuristic contraction gate ``t0_gate(xi)`` the horizon must sit inside.
     A ratio of successive updates >= 1 three times in a row aborts: the
     horizon is too large for the discrete surrogate.  The reported residual
-    re-checks the converged iterate with an independent (Simpson) quadrature.
+    re-checks the converged iterate with an independent (Simpson)
+    quadrature, in a sweep that stores nothing.
     """
-    T = xi_series.horizon
-    dt = xi_series.dt
-    grid = xi_series.states[0].grid
-    K = xi_series.states[0].K
+    T, dt, grid, K = xi_series.horizon, xi_series.dt, xi_series.grid, xi_series.K
     gate = t0_gate(xi)
     if T >= gate:
         raise ValueError(f"horizon T={T} is not below the gate T0={gate}")
+    check_series_budget(grid, K, len(xi_series), PICARD_WORKING_STATES)
+    theta = [list(level) for level in zip(*(
+        [marginal_spectrum(m) for m in s.entries] for s in xi_series.iter_states()))]
     phases = [np.exp(-1j * dt * flow_symbol(grid, k)) for k in range(1, K + 1)]
     weights = [sobolev_weight(grid, 2 * k, 1.0) for k in range(1, K + 1)]
 
-    def spectra(state: HierarchyState) -> list[np.ndarray]:
-        return [marginal_spectrum(m) for m in state.entries]
+    def advance(i: int, xi_state: HierarchyState, prefix, keep: bool) -> float:
+        """Form sample i of the next iterate, Xi + i B_N A, from Xi and the
+        spectra of A, and return its distance to theta's sample i in
+        hierarchy_norm(., 1.0, xi), by Parseval; with ``keep`` it then
+        replaces that sample."""
+        new = xi_state + bbgky_rhs(HierarchyState(
+            [marginal_from_spectrum(grid, k, a)
+             for k, a in enumerate(prefix, start=1)]), pot) * 1j
+        gap = 0.0
+        for k, (m, level, w) in enumerate(zip(new.entries, theta, weights),
+                                          start=1):
+            spec = marginal_spectrum(m)
+            gap += xi**k * math.sqrt(np.sum(w * np.abs(spec - level[i]) ** 2))
+            if keep:
+                level[i] = spec
+        return gap
 
-    def sweep(theta_hat: list[list[np.ndarray]], simpson: bool):
-        """New iterate, its spectra, and its max-over-samples distance to
-        theta in hierarchy_norm(., 1.0, xi), by Parseval."""
+    def sweep(simpson: bool) -> float:
+        """Max-over-samples distance of the next iterate to theta.  The
+        trapezoid sweep overwrites theta with the next iterate; the Simpson
+        sweep keeps it."""
         # B_N U(t-s) Theta(s) = B_N U(t) [U(-s) Theta(s)], so one running
         # prefix per level replaces the quadratic double loop over (t, s).
-        prefixes = zip(*[_flowed_prefix([s[k] for s in theta_hat], phases[k],
-                                        dt, simpson) for k in range(K)])
-        states, hats, dist = [], [], 0.0
-        for xi_state, old_hat, prefix in zip(xi_series.states, theta_hat, prefixes):
-            acc = HierarchyState([marginal_from_spectrum(grid, k, a)
-                                  for k, a in enumerate(prefix, start=1)])
-            new = xi_state + bbgky_rhs(acc, pot) * 1j
-            new_hat = spectra(new)
-            dist = max(dist, sum(
-                xi**k * math.sqrt(np.sum(w * np.abs(a - b) ** 2))
-                for k, (a, b, w) in enumerate(zip(new_hat, old_hat, weights),
-                                              start=1)))
-            states.append(new)
-            hats.append(new_hat)
-        return states, hats, dist
+        prefixes = zip(*[_flowed_prefix(level, phase, dt, simpson)
+                         for level, phase in zip(theta, phases)])
+        return max(advance(i, xi_state, prefix, keep=not simpson)
+                   for i, (xi_state, prefix)
+                   in enumerate(zip(xi_series.iter_states(), prefixes)))
 
-    theta = [s.copy() for s in xi_series.states]
-    theta_hat = [spectra(s) for s in theta]
     update_norms: list[float] = []
     ratios: list[float] = []
     converged = False
@@ -477,7 +613,7 @@ def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec, xi: float,
     iterations = 0
     for it in range(1, max_iter + 1):
         iterations = it
-        new_theta, new_hat, delta = sweep(theta_hat, simpson=False)
+        delta = sweep(simpson=False)
         update_norms.append(delta)
         if len(update_norms) >= 2 and update_norms[-2] > 0:
             ratio = delta / update_norms[-2]
@@ -488,11 +624,10 @@ def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec, xi: float,
                     f"no contraction after {it} sweeps (last ratios "
                     f"{ratios[-3:]}); the horizon is too large for the "
                     f"discrete surrogate")
-        theta, theta_hat = new_theta, new_hat
         if delta < tol:
             converged = True
             break
 
-    residual = sweep(theta_hat, simpson=True)[2]
-    return PicardResult(TimeSeries(dt, theta), iterations, update_norms,
-                        ratios, converged, residual)
+    residual = sweep(simpson=True)
+    return PicardResult(xi_series, theta, iterations, update_norms, ratios,
+                        converged, residual)

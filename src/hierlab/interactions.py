@@ -286,6 +286,7 @@ def bbgky_error_level(gamma: Marginal, pot: PotentialSpec) -> Marginal:
         for j in range(i + 1, k + 1):
             plus = bbgky_collision_error(gamma, i, j, "+", pot)
             out = plus if out is None else out + plus
+            del plus  # released before the minus term is formed
             out = out - bbgky_collision_error(gamma, i, j, "-", pot)
     return out * (1.0 / pot.big_n)
 

@@ -317,6 +317,22 @@ def test_default_duhamel_check_raises_before_building_kernels(
     assert calls == []
 
 
+@pytest.mark.parametrize("argv,match,config", [
+    (["duhamel-check", "--j-max", "0"], "j_max", True),
+    (["simulate-gp", "--n", "8", "--dt", "nan"], "finite", False),
+    (["simulate-gp", "--n", "8", "--t-final", "inf"], "finite", False),
+])
+def test_series_inputs_fail_fast(tmp_path, monkeypatch, argv, match, config):
+    # a bad config field fails before any kernel is built; a non-finite time
+    # fails in grid.step_count, where the time loop counts its steps
+    if config:
+        monkeypatch.setattr(marginals_mod, "pure_product_marginal",
+                            lambda *a: pytest.fail("a kernel was built"))
+    with pytest.raises(ValueError, match=match):
+        main([*argv, "--outdir", str(tmp_path)])
+    assert not list(tmp_path.iterdir())
+
+
 def test_readme_command_lines_parse():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]

@@ -6,11 +6,13 @@ import pytest
 from hierlab.definetti import Mixture, nls_evolve, random_mixture
 from hierlab.grid import (free_propagate, l2_norm, make_grid,
                           random_low_mode_field)
-from hierlab.hierarchy_evolution import (EvolutionConfig, HierarchyTrajectory,
+from hierlab.hierarchy_evolution import (DUHAMEL_WORKING_STATES,
+                                         PICARD_WORKING_STATES,
+                                         EvolutionConfig, HierarchyTrajectory,
                                          MixtureClosure, TimeSeries,
                                          bbgky_evolve, check_series_budget,
-                                         duhamel_iterate, free_flow,
-                                         free_flow_series, gp_evolve,
+                                         duhamel_iterate, duhamel_tower,
+                                         free_flow, free_flow_series, gp_evolve,
                                          gp_residual, k_schedule,
                                          picard_fixed_point, t0_gate, truncate)
 from hierlab.interactions import (PotentialSpec, bbgky_main_level,
@@ -385,6 +387,40 @@ def test_hierarchy_loop_peak_fits_its_budget_check(monkeypatch, loop, K):
     assert peak <= 16 * checked[0]
 
 
+def test_bbgky_loop_peaks_no_higher_than_gp_loop(monkeypatch):
+    # the error sum releases each plus term before it forms the minus one,
+    # so at K = 3 (three pairs) it works in three level-K kernels, not four;
+    # one more level-3 kernel would add 0.97 of a state to the peak
+    state = mixture_state(random_mixture(G8, 2, np.random.default_rng(25)), 3)
+    pot = realize_potential(gaussian_profile(G8, 0.6), 0.2, 4)
+    cfg = EvolutionConfig(dt=1e-3, t_final=5e-3)
+    gp_peak, _ = _peak_and_checked(
+        monkeypatch, lambda: gp_evolve(state, cfg, store_every=0))
+    bbgky_peak, _ = _peak_and_checked(
+        monkeypatch, lambda: bbgky_evolve(state, cfg, pot, store_every=0))
+    one_state = 16 * (8**2 + 8**4 + 8**6)
+    assert bbgky_peak <= gp_peak + 0.1 * one_state
+
+
+def test_picard_peak_is_one_series_list_and_fixed_kernels(monkeypatch):
+    series, pot = picard_setup(27, steps=32)
+    peak, checked = _peak_and_checked(
+        monkeypatch, lambda: picard_fixed_point(series, pot, 0.5))
+    assert checked == [(33 + PICARD_WORKING_STATES) * (16**2 + 16**4)]
+    assert peak <= 16 * checked[0]
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_duhamel_tower_peak_fits_its_budget_check(monkeypatch, K):
+    pot = realize_potential(gaussian_profile(G8, 0.6), 0.2, 16)
+    series = free_flow_series(factorized_state(atom(G8, 28), K), 0.04 / 16, 16)
+    peak, checked = _peak_and_checked(
+        monkeypatch, lambda: duhamel_tower(series, K - 1, pot, 0.04))
+    state = sum(8 ** (2 * k) for k in range(1, K + 1))
+    assert checked == [DUHAMEL_WORKING_STATES * state]
+    assert peak <= 16 * checked[0]
+
+
 def test_nbody_loop_peak_fits_its_budget_check(monkeypatch):
     # the pair potential is built inside the call, as in convergence
     nstate = nb_factorized(atom(G16, 26), 3, pot16(3))
@@ -404,8 +440,9 @@ def test_series_budget_counts_every_sample_and_level(monkeypatch):
     monkeypatch.setenv("HLAB_BUDGET", str(need - 1))
     with pytest.raises(BudgetExceeded, match="4 samples"):
         check_series_budget(G8, 2, 4)
+    series = free_flow_series(state, 1e-3, 3)  # stores no sample
     with pytest.raises(BudgetExceeded, match="4 samples"):
-        free_flow_series(state, 1e-3, 3)
+        series.states
 
 
 # -- nested collision integrals ------------------------------------------------------------

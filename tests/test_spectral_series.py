@@ -6,14 +6,18 @@ list of trapezoid (or Simpson) sums of physical kernels, and each prefix is
 pushed forward by its own free flow again.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from hierlab.cli import main
 from hierlab.grid import (dft_forward, make_grid, random_low_mode_field,
                           sobolev_norm_field, sobolev_weight)
 from hierlab.hierarchy_evolution import (TimeSeries, duhamel_iterate,
-                                         free_flow, free_flow_series,
-                                         picard_fixed_point, t0_gate)
+                                         duhamel_tower, free_flow,
+                                         free_flow_series, picard_fixed_point,
+                                         t0_gate)
 from hierlab.interactions import (bbgky_main_level, bbgky_rhs,
                                   gaussian_profile, realize_potential)
 from hierlab.marginals import (HierarchyState, factorized_state,
@@ -53,6 +57,17 @@ def ref_duhamel(series, j, pot, t):
                                         pot) * 1j for i in range(n_pts)]
         comps.append(current[-1])
     return HierarchyState(comps)
+
+
+def count_transforms(monkeypatch):
+    """Count np.fft.fftn / ifftn calls by the rank of the array transformed."""
+    counts = Counter()
+    for name in ("fftn", "ifftn"):
+        def spy(a, *args, _real=getattr(np.fft, name), _name=name, **kwargs):
+            counts[_name, np.ndim(a)] += 1
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, spy)
+    return counts
 
 
 def ref_sweep(xi_series, theta, pot, simpson):
@@ -120,6 +135,57 @@ def test_duhamel_iterate_matches_physical_reference(grid, j):
         ref = ref_duhamel(series, j, pot, t)
         rel = hierarchy_norm(got - ref, 0.0, 0.5) / hierarchy_norm(ref, 0.0, 0.5)
         assert rel <= 1e-12
+
+
+TOWER_CASES = [(GRIDS[0], 3), (make_grid(1, 4), 4), (GRIDS[1], 2)]
+
+
+@pytest.mark.parametrize("free", [False, True], ids=["stored", "free-flow"])
+@pytest.mark.parametrize("grid,K", TOWER_CASES, ids=["d1n8-K3", "d1n4-K4", "d2n4-K2"])
+def test_duhamel_tower_matches_physical_reference_at_every_depth(grid, K, free):
+    pot = pot_for(grid)
+    if free:
+        phi = random_low_mode_field(grid, 1, np.random.default_rng(30 + K),
+                                    max_mode=1)
+        series = free_flow_series(factorized_state(phi, K), 0.005, 8)
+    else:
+        series = random_series(grid, K, 9, 0.005, seed=30 + K)
+    stored = TimeSeries(series.dt, series.states)  # what the reference reads
+    for t in (0.02, 0.04):  # an interior sample and the last one
+        tower = duhamel_tower(series, K - 1, pot, t)
+        assert sorted(tower) == list(range(1, K))
+        for j, got in tower.items():
+            ref = ref_duhamel(stored, j, pot, t)
+            rel = hierarchy_norm(got - ref, 0.0, 0.5) / hierarchy_norm(ref, 0.0, 0.5)
+            assert rel <= 1e-12
+
+
+def test_duhamel_check_makes_one_level3_inverse_per_sample(tmp_path, monkeypatch):
+    counts = count_transforms(monkeypatch)
+    main(["duhamel-check", "--n", "8", "--j-max", "2", "--outdir", str(tmp_path)])
+    # per horizon: the forward transform of the level-3 base, and one inverse
+    # per sample (17) of the layer that takes level 3 to level 2
+    assert counts["fftn", 6] == 3
+    assert counts["ifftn", 6] == 3 * 17
+    assert counts["fftn", 6] + counts["ifftn", 6] <= 60
+
+
+def test_picard_transform_counts(monkeypatch):
+    grid, n = GRIDS[0], 8
+    pot = pot_for(grid)
+    rng = np.random.default_rng(5)
+    base = HierarchyState([random_hermitian_marginal(grid, k, rng, max_mode=1)
+                           for k in (1, 2)])
+    counts = count_transforms(monkeypatch)
+    result = picard_fixed_point(free_flow_series(base, t0_gate(0.5) / 4.0 / n, n),
+                                pot, 0.5)
+    sweeps = result.iterations + 1  # and the Simpson residual sweep
+    for rank in (2, 4):  # levels 1 and 2
+        # the base; the first iterate, a round trip per later sample; then
+        # per sweep and sample one forward transform of the new sample, one
+        # inverse of the prefix and, past sample 0, one inverse of Xi
+        assert counts["fftn", rank] == 1 + (n + 1) + (n + 1) * sweeps
+        assert counts["ifftn", rank] == n + (2 * n + 1) * sweeps
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
