@@ -54,10 +54,6 @@ class Mixture:
             if self.support == "ball" and nrm > 1.0 + 1e-10:
                 raise ValueError(f"ball atom has norm {nrm} > 1")
 
-    @property
-    def grid(self) -> GridSpec:
-        return self.atoms[0][1].grid
-
     def pairs(self) -> list[tuple[float, Field]]:
         return list(self.atoms)
 
@@ -72,7 +68,7 @@ def random_mixture(grid: GridSpec, n_atoms: int, rng: np.random.Generator,
     for w in weights:
         phi = random_low_mode_field(grid, 1, rng, max_mode=max_mode)
         if support == "ball":
-            phi = phi * float(0.5 + 0.5 * rng.random())
+            phi = Field(grid, 1, phi.data * float(0.5 + 0.5 * rng.random()))
         atoms.append((float(w), phi))
     return Mixture(atoms, support=support)
 
@@ -152,37 +148,6 @@ def energy_functional_direct(state: HierarchyState, m: int) -> float:
     if abs(val.imag) > FUNCTIONAL_IMAG_TOL * max(1.0, abs(val.real)):
         raise ArithmeticError(f"energy functional has imaginary residue {val.imag}")
     return float(val.real)
-
-
-def support_bound(mix: Mixture) -> float:
-    """Largest H^1 norm over the atoms (the essential support radius of the
-    discrete measure)."""
-    return max(sobolev_norm_field(phi, 1.0) for _, phi in mix.atoms)
-
-
-def moment_ladder(mix: Mixture, orders) -> list[float]:
-    """(sum_i w_i |phi_i|_{H1}^(2k))^(1/2k) for each requested k; approaches
-    the support bound as k grows."""
-    vals = []
-    for k in orders:
-        s = sum(w * sobolev_norm_field(phi, 1.0) ** (2 * k) for w, phi in mix.atoms)
-        vals.append(float(s ** (1.0 / (2 * k))))
-    return vals
-
-
-@dataclass
-class EnergyReport:
-    atom_energies: list[float]
-    functionals: dict[int, float]
-    support_bound: float
-
-
-def energy_report(mix: Mixture, m_max: int = 2) -> EnergyReport:
-    return EnergyReport(
-        atom_energies=[nls_energy(phi) for _, phi in mix.atoms],
-        functionals={m: energy_functional_mixture(mix, m) for m in range(1, m_max + 1)},
-        support_bound=support_bound(mix),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,8 @@ def make_grid(dim: int, n: int, L: float = 2.0 * np.pi) -> GridSpec:
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
     if n % 2 != 0 or n < 4:
         raise ValueError(f"n must be even and >= 4, got {n}")
-    if L <= 0:
-        raise ValueError(f"L must be positive, got {L}")
+    if not (np.isfinite(L) and L > 0):
+        raise ValueError(f"L must be positive and finite, got {L}")
     return GridSpec(dim=dim, n=int(n), L=float(L))
 
 
@@ -106,27 +106,8 @@ class Field:
         if self.data.dtype != np.complex128:
             self.data = self.data.astype(np.complex128)
 
-    @property
-    def flat(self) -> np.ndarray:
-        return self.data.reshape(-1)
-
     def copy(self) -> "Field":
         return Field(self.grid, self.rank, self.data.copy())
-
-    def __add__(self, other: "Field") -> "Field":
-        return Field(self.grid, self.rank, self.data + other.data)
-
-    def __sub__(self, other: "Field") -> "Field":
-        return Field(self.grid, self.rank, self.data - other.data)
-
-    def __mul__(self, c) -> "Field":
-        return Field(self.grid, self.rank, self.data * c)
-
-    __rmul__ = __mul__
-
-
-def zero_field(grid: GridSpec, rank: int) -> Field:
-    return Field(grid, rank, np.zeros(grid.slot_shape(rank), dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +163,8 @@ def apply_symbol(f: Field, symbol: np.ndarray) -> Field:
 
 def bessel_multiply(f: Field, alpha: float, slots: Iterable[int] | None = None) -> Field:
     """Apply (1 - Laplacian)^(alpha/2) on the selected slots (default: all)."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
     if alpha == 0:
         return f.copy()
     chosen = set(range(f.rank)) if slots is None else set(slots)

@@ -448,7 +448,7 @@ def run_simulate_nbody(cfg: ExperimentConfig) -> tuple[Report, dict]:
     moments0 = {k: moments[k] for k in (1, 2)}
     # the report reads the norms and the final wavefunction only
     traj = nbody_evolve(state, cfg.dt, cfg.t_final, store_every=0)
-    final = traj.final()
+    final = traj.psis[-1]
     report = Report()
     report.add("simulate_nbody", "norm_drift",
                float(np.max(np.abs(traj.norms - traj.norms[0]))),

@@ -56,13 +56,6 @@ def t0_gate(xi: float) -> float:
     return xi**2
 
 
-def truncate(state: HierarchyState, K: int) -> HierarchyState:
-    """Keep the first K levels."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    return HierarchyState([m.copy() for m in state.entries[:K]])
-
-
 def k_schedule(big_n: int, b1: float, cap: int = 8) -> int:
     """Truncation level floor(b1 * ln N), clamped to [1, cap]."""
     if big_n < 2:
@@ -159,9 +152,6 @@ class HierarchyTrajectory:
     collision_h1: dict[int, np.ndarray]
     dt: float
     kappa0: float = 1.0
-
-    def final(self) -> HierarchyState:
-        return self.states[-1]
 
 
 def _evolve(state0: HierarchyState, config: EvolutionConfig,
@@ -304,10 +294,6 @@ class TimeSeries:
 
     def level_spectra(self, k: int) -> Iterator[np.ndarray]:
         return (marginal_spectrum(s.entry(k)) for s in self._states)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(len(self))
 
     @property
     def horizon(self) -> float:
@@ -493,44 +479,17 @@ def duhamel_tower(series: TimeSeries, j_max: int, pot: PotentialSpec,
     return {j: HierarchyState(c) for j, c in comps.items()}
 
 
-def duhamel_iterate(series: TimeSeries, j: int, pot: PotentialSpec,
-                    t: float) -> HierarchyState:
-    """Depth j of ``duhamel_tower``; j = 0 returns the series value at t."""
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    if j == 0:
-        return series.states[_points_to(series, t) - 1]
-    return duhamel_tower(series, j, pot, t)[j]
-
-
 @dataclass
 class PicardResult:
-    """The fixed point Theta, held as its spectra ``spectra[k - 1][i]`` beside
-    the free term Xi, with the record of the sweeps."""
+    """The fixed point Theta, held as its spectra ``spectra[k - 1][i]``, with
+    the record of the sweeps."""
 
-    free_term: TimeSeries
     spectra: list[list[np.ndarray]]
     iterations: int
     update_norms: list[float]
     contraction_ratios: list[float]
     converged: bool
     residual: float
-
-    @property
-    def series(self) -> TimeSeries:
-        """Theta in physical space, as Xi plus the inverse transform of
-        Theta_hat - F(Xi), so that a vanishing Duhamel term returns Xi's
-        samples as they are; two transforms per sample and level."""
-        grid = self.free_term.grid
-
-        def theta(xi_state: HierarchyState, hats) -> HierarchyState:
-            return HierarchyState([
-                m + marginal_from_spectrum(grid, k, hat - marginal_spectrum(m))
-                for k, (m, hat) in enumerate(zip(xi_state.entries, hats), start=1)])
-
-        return TimeSeries(self.free_term.dt, [
-            theta(x, hats)
-            for x, hats in zip(self.free_term.iter_states(), zip(*self.spectra))])
 
 
 # Hierarchy states a Picard sweep holds besides the iterate's spectra: the
@@ -629,5 +588,5 @@ def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec, xi: float,
             break
 
     residual = sweep(simpson=True)
-    return PicardResult(xi_series, theta, iterations, update_norms, ratios,
-                        converged, residual)
+    return PicardResult(theta, iterations, update_norms, ratios, converged,
+                        residual)

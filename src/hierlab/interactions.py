@@ -40,8 +40,6 @@ class PotentialSpec:
     big_n: int
     kappa0: float
     realized: Field
-    resolvable: bool = True
-    mass_ratio: float = 1.0
 
     @cached_property
     def difference_table(self) -> np.ndarray:
@@ -51,9 +49,15 @@ class PotentialSpec:
         return potential_difference_tensor(self.realized)
 
 
+def _check_width(width: float) -> None:
+    if not (np.isfinite(width) and width > 0):
+        raise ValueError(f"profile width must be positive and finite, got {width}")
+
+
 def gaussian_profile(grid: GridSpec, width: float) -> Field:
     """Centered Gaussian of the given width, periodized per axis over
     PERIODIC_IMAGES boxes on each side."""
+    _check_width(width)
     x = grid.points
     offsets = np.arange(-PERIODIC_IMAGES, PERIODIC_IMAGES + 1) * grid.L
     axis_val = np.exp(-0.5 * ((x[:, None] - offsets[None, :]) / width) ** 2).sum(axis=1)
@@ -65,6 +69,7 @@ def gaussian_profile(grid: GridSpec, width: float) -> Field:
 
 def bump_profile(grid: GridSpec, width: float) -> Field:
     """Compactly supported smooth bump of the given radius."""
+    _check_width(width)
     x = grid.points
     centered = np.minimum(x, grid.L - x)  # torus distance to the origin
     axes = np.meshgrid(*([centered] * grid.dim), indexing="ij")
@@ -135,20 +140,15 @@ def realize_potential(profile: Field, beta: float, big_n: int,
         spec = 0.5 * (spec + np.roll(np.flip(spec, axis=ax), 1, axis=ax))
     realized = np.fft.ifftn(spec.real).real / grid.h**d
 
-    realized_mass = float(grid.h**d * realized.sum())
-    mass_ratio = realized_mass / mass
-    resolvable = True
     # support heuristic: the bump spans about 4*width, under-resolved when
     # the compressed support covers fewer than 4 mesh cells
     if width is not None and 4.0 * width / scale < 4.0 * grid.h:
-        resolvable = False
         warnings.warn(
             f"scaled potential support {4.0 * width / scale:.3g} is below 4 "
             f"mesh cells; the realization is under-resolved at N={big_n}",
             RuntimeWarning, stacklevel=2)
     return PotentialSpec(grid=grid, big_n=big_n, kappa0=mass,
-                         realized=Field(grid, 1, realized),
-                         resolvable=resolvable, mass_ratio=mass_ratio)
+                         realized=Field(grid, 1, realized))
 
 
 def delta_surrogate(grid: GridSpec, big_n: int = 1) -> PotentialSpec:
@@ -210,10 +210,6 @@ def gp_collision(gamma_next: Marginal, j: int, sign: str) -> Marginal:
                                _target_slot(gamma_next, j, sign))
     return Marginal(gamma_next.grid, k,
                     np.einsum(f"{inp}->{out}", gamma_next.kernel))
-
-
-def gp_collision_full(gamma_next: Marginal, j: int) -> Marginal:
-    return gp_collision(gamma_next, j, "+") - gp_collision(gamma_next, j, "-")
 
 
 def gp_collision_level(gamma_next: Marginal) -> Marginal:

@@ -167,7 +167,7 @@ def sobolev_norm(gamma: Marginal, alpha: float) -> float:
 def trace_sobolev_norm(gamma: Marginal, alpha: float) -> float:
     """Trace norm of the Hermitian part of the multiplier-dressed operator."""
     default_budget().check_eig_rows(gamma.rows, f"trace norm k={gamma.k}")
-    dressed = bessel_multiply(gamma.as_field(), alpha) if alpha > 0 else gamma.as_field()
+    dressed = bessel_multiply(gamma.as_field(), alpha)
     m = Marginal(gamma.grid, gamma.k, dressed.data).weighted_matrix()
     herm = 0.5 * (m + m.conj().T)
     return float(np.sum(np.abs(np.linalg.eigvalsh(herm))))
@@ -182,13 +182,6 @@ def psd_defect(gamma: Marginal) -> float:
     return max(0.0, -lam_min)
 
 
-def hermiticity_defect(gamma: Marginal) -> float:
-    k, d = gamma.k, gamma.grid.dim
-    swap = list(range(k * d, 2 * k * d)) + list(range(k * d))
-    adj = np.conj(np.transpose(gamma.kernel, swap))
-    return float(np.max(np.abs(gamma.kernel - adj)))
-
-
 def _permute_kernel(kernel: np.ndarray, k: int, d: int,
                     perm_unprimed: Sequence[int], perm_primed: Sequence[int]) -> np.ndarray:
     axes = []
@@ -197,22 +190,6 @@ def _permute_kernel(kernel: np.ndarray, k: int, d: int,
     for slot in perm_primed:
         axes.extend(range((k + slot) * d, (k + slot + 1) * d))
     return np.transpose(kernel, axes)
-
-
-def permutation_defect(gamma: Marginal) -> float:
-    """Max deviation under adjacent transpositions of either variable block."""
-    k, d = gamma.k, gamma.grid.dim
-    if k == 1:
-        return 0.0
-    worst = 0.0
-    ident = list(range(k))
-    for i in range(k - 1):
-        swapped = ident.copy()
-        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-        for pu, pp in ((swapped, ident), (ident, swapped)):
-            moved = _permute_kernel(gamma.kernel, k, d, pu, pp)
-            worst = max(worst, float(np.max(np.abs(gamma.kernel - moved))))
-    return worst
 
 
 def hermitize(gamma: Marginal) -> Marginal:

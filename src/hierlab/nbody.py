@@ -68,33 +68,13 @@ class NBodyState:
 def factorized_state(phi: Field, big_n: int,
                      pot: PotentialSpec | None = None) -> NBodyState:
     """Product wavefunction phi tensored N times (normalized)."""
+    if big_n < 1:
+        raise ValueError(f"big_n must be >= 1, got {big_n}")
     grid = phi.grid
     default_budget().check_elements(grid.num_points**big_n,
                                     f"N-body state N={big_n}")
     data = _tensor_product([phi.data] * big_n)
     return NBodyState(grid, big_n, normalized(Field(grid, big_n, data)), pot)
-
-
-def perturbed_product_state(phi: Field, bump: Field, eps: float, big_n: int,
-                            pot: PotentialSpec | None = None) -> NBodyState:
-    """Non-factorized but exactly bosonic data: a product state modulated by
-    the symmetric polynomial 1 + eps * sum_j bump(x_j)."""
-    state = factorized_state(phi, big_n, pot)
-    grid = phi.grid
-    mod = np.zeros(grid.slot_shape(big_n), dtype=np.complex128)
-    for slot in range(big_n):
-        mod = mod + place_axes(bump.data, grid.slot_axes(slot), mod.ndim)
-    data = state.psi.data * (1.0 + eps * mod)
-    return NBodyState(grid, big_n, normalized(Field(grid, big_n, data)), pot)
-
-
-def two_mode_state(phi: Field, chi: Field, big_n: int, amplitudes=(1.0, 0.5),
-                   pot: PotentialSpec | None = None) -> NBodyState:
-    """Superposition of two product states, bosonic and non-factorized."""
-    a = factorized_state(phi, big_n, pot)
-    b = factorized_state(chi, big_n, pot)
-    data = amplitudes[0] * a.psi.data + amplitudes[1] * b.psi.data
-    return NBodyState(phi.grid, big_n, normalized(Field(phi.grid, big_n, data)), pot)
 
 
 def symmetry_defect(psi: Field) -> float:
@@ -132,9 +112,6 @@ class NBodyTrajectory:
     stored_steps: list[int]
     psis: list[Field]
     norms: np.ndarray
-
-    def final(self) -> Field:
-        return self.psis[-1]
 
 
 # Wavefunctions a split step holds beyond the stored samples, the current psi

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from hierlab.definetti import (EnergyReport, Mixture, energy_functional_direct,
-                               energy_functional_mixture, energy_report,
-                               flow_mixture, gwp_window_chain, moment_ladder,
-                               nls_energy, nls_evolve, random_mixture,
-                               support_bound)
-from hierlab.grid import (Field, l2_norm, make_grid, normalized,
-                          random_low_mode_field, sobolev_norm_field)
+from hierlab.definetti import (Mixture, energy_functional_direct,
+                               energy_functional_mixture, flow_mixture,
+                               gwp_window_chain, nls_energy, nls_evolve,
+                               random_mixture)
+from hierlab.grid import Field, l2_norm, make_grid, random_low_mode_field
 from hierlab.marginals import (hierarchy_norm, mixture_marginal, mixture_state,
                                psd_defect, pure_product_marginal, sobolev_norm,
                                trace_sobolev_norm)
@@ -43,7 +41,7 @@ def test_nls_second_order_richardson():
     errs = []
     for dt in (2e-3, 1e-3):
         out = nls_evolve(phi, dt, 0.1)
-        errs.append(l2_norm(out - ref))
+        errs.append(l2_norm(Field(G16, 1, out.data - ref.data)))
     ratio = errs[0] / errs[1]
     assert 3.2 < ratio < 4.8
 
@@ -97,8 +95,8 @@ def test_mixture_validation():
     with pytest.raises(ValueError):
         Mixture([(0.5, phi)])  # weights must sum to one
     with pytest.raises(ValueError):
-        Mixture([(1.0, phi * 1.5)])  # off the sphere
-    Mixture([(1.0, phi * 0.5)], support="ball")  # inside the ball is fine
+        Mixture([(1.0, Field(G16, 1, phi.data * 1.5))])  # off the sphere
+    Mixture([(1.0, Field(G16, 1, phi.data * 0.5))], support="ball")  # inside the ball is fine
 
 
 def test_flow_mixture_identity_at_t0():
@@ -179,39 +177,6 @@ def test_functional_conserved_along_flow():
         assert abs(after - before) / abs(before) < 1e-7
 
 
-# -- support bound ----------------------------------------------------------------
-
-
-def test_support_bound_constant_atom():
-    mix = Mixture([(1.0, constant_atom(G16))])
-    assert support_bound(mix) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_support_bound_raised_by_rougher_atom():
-    smooth = constant_atom(G16)
-    rough = normalized(Field(G16, 1, np.exp(2j * G16.points)))
-    mix = Mixture([(0.5, smooth), (0.5, rough)])
-    assert support_bound(mix) == pytest.approx(sobolev_norm_field(rough, 1.0),
-                                               rel=1e-12)
-
-
-def test_moment_ladder_approaches_support_bound():
-    mix = random_mixture(G16, 3, np.random.default_rng(12))
-    ladder = moment_ladder(mix, (1, 2, 4, 8))
-    bound = support_bound(mix)
-    assert all(b >= a - 1e-12 for a, b in zip(ladder, ladder[1:]))
-    assert all(v <= bound + 1e-12 for v in ladder)
-    assert bound - ladder[-1] < bound - ladder[0]
-
-
-def test_energy_report_fields():
-    mix = random_mixture(G16, 2, np.random.default_rng(13))
-    rep = energy_report(mix, m_max=2)
-    assert isinstance(rep, EnergyReport)
-    assert set(rep.functionals) == {1, 2}
-    assert len(rep.atom_energies) == 2
-
-
 # -- norm ordering chain -------------------------------------------------------------
 
 
@@ -281,6 +246,6 @@ def test_flow_mixture_continued_frame_is_bit_identical():
 
 def test_window_chain_requires_sphere():
     phi = constant_atom(G8)
-    mix = Mixture([(1.0, phi * 0.9)], support="ball")
+    mix = Mixture([(1.0, Field(G8, 1, phi.data * 0.9))], support="ball")
     with pytest.raises(ValueError):
         window_chain(mix, window=0.01, windows=1)

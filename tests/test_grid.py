@@ -5,7 +5,7 @@ from hierlab.grid import (Field, apply_axes, apply_multiplier, bessel_multiply,
                           dft_forward, dft_inverse, flow_matrix, free_propagate,
                           inner, l2_norm, make_grid, normalized,
                           random_low_mode_field, sobolev_norm_field,
-                          step_count, stored_steps, zero_field)
+                          step_count, stored_steps)
 
 
 def plane_wave(grid, mode=1):
@@ -93,7 +93,7 @@ def test_bessel_alpha_zero_identity():
 def test_bessel_rejects_negative_alpha():
     g = make_grid(1, 8, 2 * np.pi)
     with pytest.raises(ValueError):
-        bessel_multiply(zero_field(g, 1), -1.0)
+        bessel_multiply(Field(g, 1, np.zeros(g.n)), -1.0)
 
 
 def test_free_propagate_t0_identity():

@@ -4,27 +4,29 @@ import numpy as np
 import pytest
 
 from hierlab.definetti import Mixture, nls_evolve, random_mixture
-from hierlab.grid import (free_propagate, l2_norm, make_grid,
+from hierlab.grid import (Field, free_propagate, l2_norm, make_grid,
                           random_low_mode_field)
 from hierlab.hierarchy_evolution import (DUHAMEL_WORKING_STATES,
                                          PICARD_WORKING_STATES,
                                          EvolutionConfig, HierarchyTrajectory,
                                          MixtureClosure, TimeSeries,
                                          bbgky_evolve, check_series_budget,
-                                         duhamel_iterate, duhamel_tower,
-                                         free_flow, free_flow_series, gp_evolve,
+                                         duhamel_tower, free_flow,
+                                         free_flow_series, gp_evolve,
                                          gp_residual, k_schedule,
-                                         picard_fixed_point, t0_gate, truncate)
+                                         picard_fixed_point, t0_gate)
 from hierlab.interactions import (PotentialSpec, bbgky_main_level,
                                   gaussian_profile, realize_potential)
 from hierlab.marginals import (HierarchyState, admissibility_defect,
                                factorized_state, free_propagate_marginal,
-                               hermiticity_defect, hierarchy_norm,
-                               mixture_state, permutation_defect, psd_defect,
+                               hierarchy_norm, marginal_spectrum,
+                               mixture_state, psd_defect,
                                pure_product_marginal, random_hermitian_marginal,
                                sobolev_norm, zero_marginal)
 from hierlab.nbody import extract_marginal, factorized_state as nb_factorized, \
     nbody_evolve
+
+from kernel_tools import hermiticity_defect, permutation_defect
 
 G16 = make_grid(1, 16, 2 * np.pi)
 G8 = make_grid(1, 8, 2 * np.pi)
@@ -40,22 +42,11 @@ def pot16(big_n):
 
 
 def zero_potential(grid, big_n=4):
-    from hierlab.grid import zero_field
-    z = zero_field(grid, 1)
-    return PotentialSpec(grid=grid, big_n=big_n, kappa0=0.0, realized=z.copy())
+    return PotentialSpec(grid=grid, big_n=big_n, kappa0=0.0,
+                         realized=Field(grid, 1, np.zeros(grid.slot_shape(1))))
 
 
-# -- truncation and schedule ------------------------------------------------------
-
-
-def test_truncate_examples():
-    state = factorized_state(atom(G8, 0), 3)
-    assert truncate(state, 5).K == 3
-    assert truncate(state, 1).K == 1
-    twice = truncate(truncate(state, 3), 2)
-    once = truncate(state, 2)
-    assert all(sobolev_norm(a - b, 0.0) < 1e-15
-               for a, b in zip(twice.entries, once.entries))
+# -- schedule ------------------------------------------------------------------------
 
 
 def test_k_schedule_examples():
@@ -85,7 +76,7 @@ def test_gp_evolve_collision_disabled_is_free_flow():
     cfg = EvolutionConfig(dt=1e-3, t_final=0.02)
     traj = gp_evolve(state, cfg, kappa0=0.0, store_every=0)
     exact = free_flow(state, 0.02)
-    assert hierarchy_norm(traj.final() - exact, 0.0, 0.5) < 1e-11
+    assert hierarchy_norm(traj.states[-1] - exact, 0.0, 0.5) < 1e-11
 
 
 def test_gp_evolve_tracks_cubic_flow():
@@ -95,7 +86,7 @@ def test_gp_evolve_tracks_cubic_flow():
     traj = gp_evolve(factorized_state(phi, 2), cfg, kappa0=1.0, mixture=mix,
                      store_every=0)
     oracle = pure_product_marginal(nls_evolve(phi, 1e-5, 0.05), 1)
-    assert sobolev_norm(traj.final().entry(1) - oracle, 0.0) < 1e-9
+    assert sobolev_norm(traj.states[-1].entry(1) - oracle, 0.0) < 1e-9
 
 
 def test_gp_evolve_second_order_against_same_dt_oracle():
@@ -107,7 +98,7 @@ def test_gp_evolve_second_order_against_same_dt_oracle():
         traj = gp_evolve(factorized_state(phi, 2), cfg, kappa0=1.0,
                          mixture=mix, store_every=0)
         oracle = pure_product_marginal(nls_evolve(phi, dt, 0.05), 1)
-        errs.append(sobolev_norm(traj.final().entry(1) - oracle, 0.0))
+        errs.append(sobolev_norm(traj.states[-1].entry(1) - oracle, 0.0))
     assert 3.2 < errs[0] / errs[1] < 4.8
 
 
@@ -142,7 +133,7 @@ def test_gp_evolve_zero_top_closure_runs():
     state = factorized_state(atom(G16, 5), 2)
     cfg = EvolutionConfig(dt=1e-3, t_final=0.01)
     traj = gp_evolve(state, cfg, kappa0=1.0, store_every=0)
-    assert traj.final().K == 2
+    assert traj.states[-1].K == 2
 
 
 @pytest.mark.parametrize("t_final", [-0.1, 0.0105])
@@ -171,7 +162,7 @@ def test_gp_evolve_with_mixture_builds_no_zero_top_level(monkeypatch):
     traj = gp_evolve(factorized_state(phi, 2), cfg, kappa0=1.0,
                      mixture=Mixture([(1.0, phi)]), store_every=0,
                      log_collision_norms=True)
-    assert traj.final().K == 2
+    assert traj.states[-1].K == 2
 
 
 # -- finite-N hierarchy evolution ------------------------------------------------------
@@ -182,7 +173,7 @@ def test_bbgky_zero_mass_potential_is_free_flow():
     cfg = EvolutionConfig(dt=1e-3, t_final=0.02)
     traj = bbgky_evolve(state, cfg, zero_potential(G16), store_every=0)
     exact = free_flow(state, 0.02)
-    assert hierarchy_norm(traj.final() - exact, 0.0, 0.5) < 1e-11
+    assert hierarchy_norm(traj.states[-1] - exact, 0.0, 0.5) < 1e-11
 
 
 def test_bbgky_two_body_von_neumann_oracle():
@@ -196,8 +187,8 @@ def test_bbgky_two_body_von_neumann_oracle():
     cfg = EvolutionConfig(dt=dt, t_final=t_final)
     btraj = bbgky_evolve(state0, cfg, pot, store_every=0)
     for k in (1, 2):
-        diff = sobolev_norm(btraj.final().entry(k)
-                            - extract_marginal(ntraj.final(), k), 0.0)
+        diff = sobolev_norm(btraj.states[-1].entry(k)
+                            - extract_marginal(ntraj.psis[-1], k), 0.0)
         assert diff < 1e-6
 
 
@@ -215,7 +206,7 @@ def test_bbgky_approaches_contact_hierarchy_along_ladder():
     phi = atom(G16, 5)
     state = factorized_state(phi, 2)
     cfg = EvolutionConfig(dt=2e-3, t_final=0.04)
-    ref = gp_evolve(state, cfg, kappa0=1.0, store_every=0).final()
+    ref = gp_evolve(state, cfg, kappa0=1.0, store_every=0).states[-1]
     dists = []
     for big_n in (16, 64, 256):
         with warnings.catch_warnings():
@@ -223,7 +214,7 @@ def test_bbgky_approaches_contact_hierarchy_along_ladder():
             pot = realize_potential(gaussian_profile(G16, 0.6), 0.2, big_n,
                                     width=0.6)
         traj = bbgky_evolve(state, cfg, pot, store_every=0)
-        dists.append(hierarchy_norm(traj.final() - ref, 1.0, 0.5))
+        dists.append(hierarchy_norm(traj.states[-1] - ref, 1.0, 0.5))
     assert dists[0] > dists[1] > dists[2]
 
 
@@ -311,7 +302,8 @@ def test_time_loops_store_the_same_steps(store_every, steps):
         exact = free_flow(state, step * 1e-3)
         assert hierarchy_norm(g - exact, 0.0, 0.5) < 1e-11
         assert hierarchy_norm(b - exact, 0.0, 0.5) < 1e-11
-        assert l2_norm(psi - free_propagate(nstate.psi, step * 1e-3)) < 1e-11
+        exact_psi = free_propagate(nstate.psi, step * 1e-3)
+        assert l2_norm(Field(G8, 3, psi.data - exact_psi.data)) < 1e-11
 
 
 def _counting(calls, fn):
@@ -448,14 +440,6 @@ def test_series_budget_counts_every_sample_and_level(monkeypatch):
 # -- nested collision integrals ------------------------------------------------------------
 
 
-def test_duhamel_j0_is_identity():
-    state = factorized_state(atom(G16, 14), 2)
-    series = free_flow_series(state, 1e-3, 8)
-    out = duhamel_iterate(series, 0, pot16(16), 8e-3)
-    diff = hierarchy_norm(out - series.states[-1], 0.0, 0.5)
-    assert diff < 1e-14
-
-
 def test_duhamel_j1_matches_independent_quadrature():
     pot = pot16(16)
     base = factorized_state(atom(G16, 15), 2)
@@ -463,7 +447,7 @@ def test_duhamel_j1_matches_independent_quadrature():
     # a genuinely time-dependent series: backwards free flow
     series = TimeSeries(T / 128, [free_flow(base, -i * T / 128)
                                   for i in range(129)])
-    got = duhamel_iterate(series, 1, pot, T)
+    got = duhamel_tower(series, 1, pot, T)[1]
 
     def integrand(s):
         g2 = free_propagate_marginal(free_propagate_marginal(base.entry(2), -s),
@@ -488,7 +472,8 @@ def test_duhamel_horizon_scaling_exponent():
         horizons = (0.01, 0.02, 0.04)
         for T in horizons:
             series = free_flow_series(base, T / 16, 16)
-            norms.append(hierarchy_norm(duhamel_iterate(series, j, pot, T), 1.0, 0.5))
+            tower = duhamel_tower(series, j, pot, T)
+            norms.append(hierarchy_norm(tower[j], 1.0, 0.5))
         slope = float(np.polyfit(np.log(horizons), np.log(norms), 1)[0])
         assert j / 2 - 0.6 <= slope <= j + 0.1
 
@@ -497,19 +482,19 @@ def test_duhamel_rejects_shallow_series():
     state = factorized_state(atom(G8, 17), 2)
     series = free_flow_series(state, 1e-3, 4)
     with pytest.raises(ValueError):
-        duhamel_iterate(series, 2, pot16(16), 4e-3)
+        duhamel_tower(series, 2, pot16(16), 4e-3)
 
 
 def test_duhamel_rejects_negative_time():
     series = free_flow_series(factorized_state(atom(G16, 17), 2), 1e-3, 4)
     with pytest.raises(ValueError):
-        duhamel_iterate(series, 1, pot16(16), -1e-3)
+        duhamel_tower(series, 1, pot16(16), -1e-3)
 
 
 def test_duhamel_rejects_time_past_the_series():
     series = free_flow_series(factorized_state(atom(G16, 17), 2), 1e-3, 4)
     with pytest.raises(ValueError):
-        duhamel_iterate(series, 1, pot16(16), 5e-3)  # samples end at 4e-3
+        duhamel_tower(series, 1, pot16(16), 5e-3)  # samples end at 4e-3
 
 
 # -- fixed point ------------------------------------------------------------------------------
@@ -531,16 +516,17 @@ def test_picard_zero_input_fixed_at_zero():
     zeroed = TimeSeries(series.dt, [s * 0.0 for s in series.states])
     result = picard_fixed_point(zeroed, pot, 0.5)
     assert result.converged
-    assert max(hierarchy_norm(s, 1.0, 0.5) for s in result.series.states) == 0.0
+    assert all(np.array_equal(a, np.zeros_like(a))
+               for level in result.spectra for a in level)
 
 
 def test_picard_zero_potential_returns_input():
     series, _ = picard_setup(19)
     result = picard_fixed_point(series, zero_potential(G16, 16), 0.5)
     assert result.converged
-    diff = max(hierarchy_norm(a - b, 1.0, 0.5)
-               for a, b in zip(result.series.states, series.states))
-    assert diff == 0.0
+    assert all(np.array_equal(a, marginal_spectrum(s.entry(k)))
+               for k, level in enumerate(result.spectra, start=1)
+               for a, s in zip(level, series.states, strict=True))
 
 
 @pytest.mark.slow

@@ -10,14 +10,15 @@ from hierlab.interactions import (bbgky_collision_error, bbgky_collision_main,
                                   bbgky_rhs, bump_profile,
                                   collision_fourier_oracle, delta_surrogate,
                                   gaussian_profile, gp_collision,
-                                  gp_collision_full, gp_collision_level,
-                                  gp_collision_sum, potential_difference_tensor,
+                                  gp_collision_level, gp_collision_sum,
+                                  potential_difference_tensor,
                                   realize_potential)
 from hierlab.marginals import (HierarchyState, Marginal, factorized_state,
-                               free_propagate_marginal, hermiticity_defect,
-                               hierarchy_norm, mixture_marginal,
-                               pure_product_marginal, sobolev_norm, trace,
-                               zero_marginal)
+                               free_propagate_marginal, hierarchy_norm,
+                               mixture_marginal, pure_product_marginal,
+                               sobolev_norm, trace, zero_marginal)
+
+from kernel_tools import hermiticity_defect
 
 G16 = make_grid(1, 16, 2 * np.pi)
 G8 = make_grid(1, 8, 2 * np.pi)
@@ -50,7 +51,8 @@ def test_realize_identity_at_n1():
 def test_realize_normalized_mass_is_one():
     pot = realize_potential(gaussian_profile(G16, 0.6), 0.2, 16)
     assert pot.kappa0 == 1.0
-    assert abs(pot.mass_ratio - 1.0) < 0.05
+    mass_ratio = G16.h * pot.realized.data.real.sum() / pot.kappa0
+    assert abs(mass_ratio - 1.0) < 0.05
 
 
 def test_realize_sup_scaling():
@@ -61,9 +63,8 @@ def test_realize_sup_scaling():
 
 
 def test_realize_warns_when_under_resolved():
-    with pytest.warns(RuntimeWarning):
-        pot = realize_potential(gaussian_profile(G16, 0.3), 0.2, 64, width=0.3)
-    assert not pot.resolvable
+    with pytest.warns(RuntimeWarning, match="under-resolved"):
+        realize_potential(gaussian_profile(G16, 0.3), 0.2, 64, width=0.3)
 
 
 def test_realize_rejects_bad_inputs():
@@ -104,7 +105,7 @@ def test_gp_collision_factorized_plus():
 def test_gp_collision_full_factorized():
     phi = unit_atom(G16, 1)
     g2 = pure_product_marginal(phi, 2)
-    out = gp_collision_full(g2, 1)
+    out = gp_collision_level(g2)
     dens = np.abs(phi.data) ** 2
     expected = (dens[:, None] - dens[None, :]) * phi.data[:, None] \
         * np.conj(phi.data)[None, :]
@@ -114,13 +115,13 @@ def test_gp_collision_full_factorized():
 def test_gp_collision_real_atom_diagonal_vanishes():
     data = np.cos(G16.points) + 1.2
     phi = normalized(Field(G16, 1, data))
-    out = gp_collision_full(pure_product_marginal(phi, 2), 1)
+    out = gp_collision_level(pure_product_marginal(phi, 2))
     assert np.max(np.abs(np.diag(out.kernel))) < 1e-13
 
 
 def test_gp_collision_trace_annihilation():
     gamma = hermitian_mixture(G16, 2, 2)
-    out = gp_collision_full(gamma, 1)
+    out = gp_collision_level(gamma)
     assert abs(trace(out)) < 1e-10 * sobolev_norm(gamma, 0.0)
 
 
@@ -149,7 +150,8 @@ def test_gp_collision_sum_k1_factorized():
     phi = unit_atom(G16, 5)
     state = factorized_state(phi, 2)
     out = gp_collision_sum(state, kappa0=2.0)
-    expected = gp_collision_full(state.entry(2), 1) * 2.0
+    gamma2 = state.entry(2)
+    expected = (gp_collision(gamma2, 1, "+") - gp_collision(gamma2, 1, "-")) * 2.0
     assert sobolev_norm(out.entry(1) - expected, 0.0) < 1e-12
 
 

@@ -5,13 +5,14 @@ from hierlab.grid import (Field, make_grid, normalized, random_low_mode_field,
                           sobolev_norm_field)
 from hierlab.marginals import (HierarchyState, Marginal, admissibility_defect,
                                factorized_state, free_propagate_marginal,
-                               hierarchy_norm, hermiticity_defect,
-                               mixture_marginal, mixture_state, partial_trace,
-                               partial_trace_at, permutation_defect, psd_defect,
+                               hierarchy_norm, mixture_marginal, mixture_state,
+                               partial_trace, partial_trace_at, psd_defect,
                                pure_product_marginal, random_hermitian_marginal,
                                sobolev_norm, symmetrize, trace,
                                trace_sobolev_norm, weakstar_metric,
                                zero_marginal)
+
+from kernel_tools import hermiticity_defect, permutation_defect
 
 G8 = make_grid(1, 8, 2 * np.pi)
 G16 = make_grid(1, 16, 2 * np.pi)

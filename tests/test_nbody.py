@@ -8,9 +8,9 @@ from hierlab.marginals import (admissibility_defect, HierarchyState,
                                pure_product_marginal, sobolev_norm)
 from hierlab.nbody import (NBodyState, energy_estimate_check, energy_moments,
                            extract_marginal, factorized_state,
-                           hamiltonian_apply, nbody_evolve,
-                           perturbed_product_state, symmetry_defect,
-                           two_mode_state)
+                           hamiltonian_apply, nbody_evolve, symmetry_defect)
+
+from kernel_tools import perturbed_product_state
 
 G16 = make_grid(1, 16, 2 * np.pi)
 G8 = make_grid(1, 8, 2 * np.pi)
@@ -31,6 +31,14 @@ def smooth_symmetric_state(grid, big_n, pot, seed, eps=0.2):
     phi = random_low_mode_field(grid, 1, rng, max_mode=2)
     bump = random_low_mode_field(grid, 1, rng, max_mode=1, unit_norm=False)
     return perturbed_product_state(phi, bump, eps, big_n, pot)
+
+
+def two_mode_state(phi, chi, big_n, amplitudes=(1.0, 0.5), pot=None):
+    """Superposition of two product states, bosonic and non-factorized."""
+    a = factorized_state(phi, big_n, pot)
+    b = factorized_state(chi, big_n, pot)
+    data = amplitudes[0] * a.psi.data + amplitudes[1] * b.psi.data
+    return NBodyState(phi.grid, big_n, normalized(Field(phi.grid, big_n, data)), pot)
 
 
 def pot16(big_n=2):
@@ -97,7 +105,7 @@ def test_evolve_free_matches_spectral_flow():
     traj = nbody_evolve(state, 1e-3, 0.05, store_every=0)
     from hierlab.grid import free_propagate
     exact = free_propagate(state.psi, 0.05)
-    assert np.max(np.abs(traj.final().data - exact.data)) < 1e-11
+    assert np.max(np.abs(traj.psis[-1].data - exact.data)) < 1e-11
 
 
 def test_evolve_matches_fft_split_step():
@@ -111,14 +119,14 @@ def test_evolve_matches_fft_split_step():
     for _ in range(n_steps):
         data = vhalf * np.fft.ifftn(kfull * np.fft.fftn(vhalf * data))
     traj = nbody_evolve(state, dt, n_steps * dt, store_every=0)
-    assert np.max(np.abs(traj.final().data - data)) <= 1e-12
+    assert np.max(np.abs(traj.psis[-1].data - data)) <= 1e-12
 
 
 def test_with_psi_shares_cached_operators():
     pot = pot8(3)
     state = smooth_symmetric_state(G8, 3, pot, 31)
     energy_moments(state, 1)  # builds both cached operators
-    final = nbody_evolve(state, 1e-3, 0.01, store_every=0).final()
+    final = nbody_evolve(state, 1e-3, 0.01, store_every=0).psis[-1]
     moved = state.with_psi(final)
     assert moved.psi is final and state.psi is not final
     assert moved.pair_potential is state.pair_potential
@@ -135,15 +143,17 @@ def test_evolve_norm_and_symmetry_preserved():
     state = smooth_symmetric_state(G16, 2, pot, 7)
     traj = nbody_evolve(state, 1e-3, 0.1, store_every=0)
     assert np.max(np.abs(traj.norms - traj.norms[0])) < 1e-12
-    assert symmetry_defect(traj.final()) < 1e-11
+    assert symmetry_defect(traj.psis[-1]) < 1e-11
 
 
 def test_evolve_second_order_richardson():
     pot = pot16(2)
     state = smooth_symmetric_state(G16, 2, pot, 8)
-    ref = nbody_evolve(state, 0.05 / 512, 0.05, store_every=0).final()
-    errs = [l2_norm(nbody_evolve(state, dt, 0.05, store_every=0).final() - ref)
-            for dt in (2e-3, 1e-3)]
+    ref = nbody_evolve(state, 0.05 / 512, 0.05, store_every=0).psis[-1].data
+    errs = []
+    for dt in (2e-3, 1e-3):
+        psi = nbody_evolve(state, dt, 0.05, store_every=0).psis[-1]
+        errs.append(l2_norm(Field(G16, 2, psi.data - ref)))
     assert 3.2 < errs[0] / errs[1] < 4.8
 
 
@@ -152,7 +162,7 @@ def test_evolve_energy_moment_conserved():
     state = factorized_state(smooth_atom(G16, 9), 2, pot)
     m0 = energy_moments(state, 1)[1]
     traj = nbody_evolve(state, 1e-3, 0.1, store_every=0)
-    m1 = energy_moments(NBodyState(G16, 2, traj.final(), pot), 1)[1]
+    m1 = energy_moments(NBodyState(G16, 2, traj.psis[-1], pot), 1)[1]
     assert abs(m1 - m0) / abs(m0) < 1e-8
 
 
