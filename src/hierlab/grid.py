@@ -295,9 +295,14 @@ def random_low_mode_field(grid: GridSpec, rank: int, rng: np.random.Generator,
     Smooth by construction (Gaussian mode decay), so resolution studies are
     not starved by unresolved content.  Default max_mode is n//4.
     """
-    default_budget().check_elements(grid.num_points**rank, "random field")
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
     if max_mode is None:
         max_mode = grid.n // 4
+    if not 0 <= max_mode <= grid.n // 2:
+        raise ValueError(f"max_mode must lie in 0..{grid.n // 2} (n // 2), "
+                         f"got {max_mode}")
+    default_budget().check_elements(grid.num_points**rank, "random field")
     modes = np.fft.fftfreq(grid.n, d=1.0 / grid.n)  # integer mode numbers
     keep_1d = np.abs(modes) <= max_mode
     weight_1d = np.exp(-0.5 * (modes / max(max_mode, 1)) ** 2) * keep_1d

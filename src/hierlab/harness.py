@@ -15,6 +15,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -72,10 +73,36 @@ class ExperimentConfig:
     outdir: str = "out"
 
     def __post_init__(self):
+        """Reject a bad field with a ValueError that names it, before any
+        experiment computes with it."""
+        def need(ok: bool, name: str, rule: str) -> None:
+            if not ok:
+                raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
+
+        need(math.isfinite(self.box_length) and self.box_length > 0,
+             "box_length", "L must be positive and finite")
+        for f in dataclasses.fields(self):
+            if f.type == "float":
+                need(math.isfinite(getattr(self, f.name)), f.name,
+                     "must be finite")
+        need(self.dim in (1, 2, 3), "dim", "must be 1, 2 or 3")
+        need(self.n % 2 == 0 and self.n >= 4, "n", "must be even and >= 4")
+        need(self.profile in PROFILES or self.profile.endswith(".hlab"),
+             "profile", f"must name one of {sorted(PROFILES)} or a .hlab file")
+        need(self.profile_width > 0, "profile_width", "must be positive")
+        need(self.dt > 0, "dt", "must be positive")
+        need(self.t_final >= 0, "t_final", "must be nonnegative")
+        for name in ("big_n", "k_max", "k_marginals", "m_max", "atoms",
+                     "j_max"):
+            need(getattr(self, name) >= 1, name, "must be >= 1")
+        for name in ("ladder", "collision_ladder"):
+            entries = getattr(self, name)
+            need(len(entries) > 0 and min(entries) >= 1, name,
+                 "must be a nonempty list of entries >= 1")
+        need(self.windows >= 0, "windows", "must be >= 0")
+        need(self.seed >= 0, "seed", "must be >= 0")
         if not 0 < self.xi1 < self.xi < self.xi_prime < 1:
             raise ValueError("weights must satisfy 0 < xi1 < xi < xi_prime < 1")
-        if self.j_max < 1:
-            raise ValueError(f"j_max must be >= 1, got {self.j_max}")
 
     @classmethod
     def from_ini(cls, path: str | Path, **overrides) -> "ExperimentConfig":
@@ -150,6 +177,9 @@ class Report:
         self.rows: list[tuple] = []
 
     def add(self, experiment: str, metric: str, value, N=None, K=None, t=None):
+        if not np.isfinite(value):
+            raise ValueError(
+                f"{experiment} metric {metric} is not finite: {value}")
         self.rows.append((experiment, len(self.rows), N, K, t, metric, value))
 
     @staticmethod
@@ -170,6 +200,10 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def write_csv(self, path: str | Path) -> Path:
+        """Write the CSV; a report with no rows raises instead of writing a
+        header-only file."""
+        if not self.rows:
+            raise ValueError(f"report for {path} has no rows")
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(self.to_csv())

@@ -21,14 +21,13 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .budget import default_budget
-from .grid import (Field, GridSpec, place_axes, sobolev_weight, step_count,
-                   stored_steps)
+from .grid import Field, GridSpec, sobolev_weight, step_count, stored_steps
 from .interactions import (PotentialSpec, bbgky_main_level, bbgky_rhs,
                            gp_collision_level, gp_collision_sum)
 from .marginals import (HierarchyState, Marginal, flow_symbol,
                         free_generator, free_propagate_marginal,
                         marginal_from_spectrum, marginal_spectrum,
-                        pure_product_marginal, sobolev_norm, trace)
+                        sobolev_norm, trace)
 
 
 # relative trace drift of any level that aborts an evolution
@@ -78,7 +77,14 @@ class MixtureClosure:
     are advanced alongside the hierarchy (cubic flow at half-step resolution).
 
     ``top_collision(t)`` returns the level-K collision kernel computed on the
-    mixture side without materializing the (K+1)-level kernel.
+    mixture side without materializing the (K+1)-level kernel.  On de Finetti
+    data that kernel is sum_a w_a Q_a(x) conj Q_a(x') (S_a(x) - S_a(x')),
+    with Q_a = phi_a^(tensor K) and S_a(x) = sum_j |phi_a(x_j)|^2, so with
+    the atoms stacked as the rows of Q, S and R = conj Q (A rows of n^(Kd)
+    entries each) it is one matrix product,
+    [w S Q ; -w Q]^T @ [R ; S R].  The closure holds those 2A-row factors and
+    the one level-K kernel the product writes, checked against the budget
+    before it is formed.
 
     Only the latest atom frame is kept: the steppers query half-step indices
     in non-decreasing order, so an earlier index raises ``ValueError``.
@@ -105,18 +111,19 @@ class MixtureClosure:
     def top_collision(self, t: float) -> Marginal:
         atoms = self._atoms_at(step_count(t, self.dt_half))
         K, grid = self.K, atoms[0][1].grid
-        ndim = 2 * K * grid.dim
-        out = None
-        for w, phi in atoms:
-            prod = pure_product_marginal(phi, K)
-            dens = np.abs(phi.data) ** 2
-            mult = np.zeros(grid.slot_shape(2 * K))
-            for j in range(K):
-                mult = (mult + place_axes(dens, grid.slot_axes(j), ndim)
-                        - place_axes(dens, grid.slot_axes(K + j), ndim))
-            term = Marginal(grid, K, prod.kernel * mult) * w
-            out = term if out is None else out + term
-        return out
+        default_budget().check_elements(grid.num_points ** (2 * K),
+                                        f"mixture closure kernel k={K}")
+        weights = np.array([w for w, _ in atoms])[:, None]
+        phi = np.stack([p.data.reshape(-1) for _, p in atoms])
+        dens = np.abs(phi) ** 2
+        q, s = phi, dens
+        for _ in range(K - 1):  # one more slot: Q times phi, S plus |phi|^2
+            q = (q[:, :, None] * phi[:, None, :]).reshape(len(atoms), -1)
+            s = (s[:, :, None] + dens[:, None, :]).reshape(len(atoms), -1)
+        r = np.conj(q)
+        left = np.concatenate([weights * s * q, -weights * q])
+        right = np.concatenate([r, s * r])
+        return Marginal(grid, K, left.T @ right)
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +132,11 @@ class MixtureClosure:
 
 # Hierarchy states a step holds beyond the stored samples, the current state
 # being the next one stored: state_i, k1..k3 and k4's argument while k4's
-# right-hand side runs, which holds up to 5 more with a mixture closure (its
-# sum, an atom's product kernel, two copies of it and the multiplier).
-RK4IP_WORKING_STATES = 10
+# right-hand side runs, and that right-hand side's levels and their scaled
+# copy; a mixture closure adds only its one top-level kernel.  tracemalloc
+# puts the peak of a loop that stores its two ends at 10.25 states (d = 1,
+# K = 2 and 3, contact with and without a closure, and finite N).
+RK4IP_WORKING_STATES = 9
 
 
 def _rk4ip_step(state: HierarchyState, t: float, dt: float,

@@ -1,13 +1,18 @@
 """Entry points reject a bad value with a ValueError that names it, before
 they compute with it."""
 
+import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hierlab.cli import main
 from hierlab.grid import make_grid, random_low_mode_field, sobolev_norm_field
+from hierlab.harness import ExperimentConfig, Report
 from hierlab.interactions import bump_profile, gaussian_profile
 from hierlab.marginals import (factorized_state, hierarchy_norm, sobolev_norm,
                                trace_sobolev_norm)
@@ -35,6 +40,17 @@ PROBES = {
         lambda: trace_sobolev_norm(STATE.entry(1), math.inf), "alpha"),
     "field-sobolev-norm-alpha-nan": (lambda: sobolev_norm_field(PHI, math.nan),
                                      "alpha"),
+    "random-field-rank-0": (
+        lambda: random_low_mode_field(G8, 0, np.random.default_rng(0)), "rank"),
+    "random-field-max-mode-above-half": (
+        lambda: random_low_mode_field(G8, 1, np.random.default_rng(0),
+                                      max_mode=5), "max_mode"),
+    "report-value-nan": (lambda: Report().add("demo", "drift", math.nan),
+                         "drift"),
+    "report-value-inf": (lambda: Report().add("demo", "drift", -math.inf),
+                         "drift"),
+    # os.devnull: a missing check writes nothing anywhere
+    "report-no-rows": (lambda: Report().write_csv(os.devnull), "no rows"),
 }
 
 
@@ -53,3 +69,60 @@ def test_cli_rejects_bad_value_before_writing(tmp_path, argv, names):
         main(argv + ["--n", "8", "--dt", "2e-3", "--t-final", "0.004",
                      "--outdir", str(tmp_path)])
     assert list(tmp_path.iterdir()) == []
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+NONPOSITIVE = st.one_of(NON_FINITE, st.floats(max_value=0.0, allow_nan=False))
+BELOW_ONE = st.integers(max_value=0)
+BAD_LADDER = st.lists(st.integers(-4, 64), min_size=1, max_size=4).filter(
+    lambda entries: min(entries) < 1)
+# config field -> its bad values; the float fields besides those listed take
+# the non-finite ones
+BAD_FIELDS = {
+    "dim": st.integers(-4, 9).filter(lambda d: d not in (1, 2, 3)),
+    "n": st.integers(-8, 64).filter(lambda n: n % 2 or n < 4),
+    "box_length": NONPOSITIVE,
+    "profile": st.sampled_from(["", "square", "gaussian.csv"]),
+    "profile_width": NONPOSITIVE,
+    "dt": NONPOSITIVE,
+    "t_final": st.one_of(NON_FINITE, st.floats(max_value=-1e-9,
+                                               allow_infinity=False)),
+    "big_n": BELOW_ONE, "k_max": BELOW_ONE, "k_marginals": BELOW_ONE,
+    "m_max": BELOW_ONE, "atoms": BELOW_ONE, "j_max": BELOW_ONE,
+    "ladder": BAD_LADDER, "collision_ladder": BAD_LADDER,
+    "windows": st.integers(max_value=-1),
+    "seed": st.integers(max_value=-1),
+    **{name: NON_FINITE for name in ("beta", "b1", "xi", "xi_prime", "xi1")},
+}
+# the subcommand whose flags include the field; every other field is common
+COMMAND = {"ladder": "convergence", "collision_ladder": "collision-limit",
+           "k_marginals": "simulate-nbody", "m_max": "conservation",
+           "windows": "conservation", "atoms": "conservation",
+           "j_max": "duhamel-check"}
+
+
+def test_every_config_field_has_a_bad_value_strategy():
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(BAD_FIELDS) == fields - {"outdir"}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(BAD_FIELDS)).flatmap(
+    lambda name: st.tuples(st.just(name), BAD_FIELDS[name])))
+def test_bad_config_field_raises_before_a_random_field_is_drawn(
+        tmp_path, monkeypatch, case):
+    import hierlab.grid as grid_mod
+    import hierlab.harness as harness_mod
+    name, value = case
+    for mod in (harness_mod, grid_mod):
+        monkeypatch.setattr(mod, "random_low_mode_field", lambda *a, **k:
+                            pytest.fail("random_low_mode_field was called"))
+    names_it = rf"^{name}\b"
+    with pytest.raises(ValueError, match=names_it):
+        ExperimentConfig(**{name: value})
+    text = ",".join(map(str, value)) if "ladder" in name else str(value)
+    with pytest.raises(ValueError, match=names_it):
+        main([COMMAND.get(name, "simulate-gp"),
+              f"--{name.replace('_', '-')}={text}", "--outdir", str(tmp_path)])
+    assert not list(tmp_path.iterdir())

@@ -323,8 +323,8 @@ def test_default_duhamel_check_raises_before_building_kernels(
     (["simulate-gp", "--n", "8", "--t-final", "inf"], "finite", False),
 ])
 def test_series_inputs_fail_fast(tmp_path, monkeypatch, argv, match, config):
-    # a bad config field fails before any kernel is built; a non-finite time
-    # fails in grid.step_count, where the time loop counts its steps
+    # a bad config field, a non-finite time among them, fails in
+    # ExperimentConfig before any kernel is built
     if config:
         monkeypatch.setattr(marginals_mod, "pure_product_marginal",
                             lambda *a: pytest.fail("a kernel was built"))

@@ -324,9 +324,9 @@ def test_trajectory_budget_counts_every_stored_sample(monkeypatch):
     pot = realize_potential(gaussian_profile(G8, 0.6), 0.2, 3)
     state, nstate = factorized_state(phi, 2), nb_factorized(phi, 3, pot)
     cfg = EvolutionConfig(dt=1e-3, t_final=5e-3)
-    # store_every=2 over 5 steps stores 4 samples; the RK4 step works in 10
+    # store_every=2 over 5 steps stores 4 samples; the RK4 step works in 9
     # more hierarchy states, the split step in 5 more wavefunctions
-    runs = [(14 * (8**2 + 8**4), lambda: bbgky_evolve(state, cfg, pot, store_every=2)),
+    runs = [(13 * (8**2 + 8**4), lambda: bbgky_evolve(state, cfg, pot, store_every=2)),
             (9 * 8**3, lambda: nbody_evolve(nstate, 1e-3, 5e-3, store_every=2))]
     for need, run in runs:
         monkeypatch.setenv("HLAB_BUDGET", str(need - 1))
@@ -361,9 +361,11 @@ def _peak_and_checked(monkeypatch, run):
 
 
 @pytest.mark.parametrize("K", [2, 3])
-@pytest.mark.parametrize("loop", ["gp", "gp_mixture", "bbgky"])
-def test_hierarchy_loop_peak_fits_its_budget_check(monkeypatch, loop, K):
-    mix = random_mixture(G8, 2, np.random.default_rng(25))
+@pytest.mark.parametrize("loop,atoms", [
+    pytest.param(loop, atoms, id=loop if atoms == 2 else f"{loop}-{atoms}atoms")
+    for atoms in (2, 3) for loop in ("gp", "gp_mixture", "bbgky")])
+def test_hierarchy_loop_peak_fits_its_budget_check(monkeypatch, loop, K, atoms):
+    mix = random_mixture(G8, atoms, np.random.default_rng(25))
     state = mixture_state(mix, K)
     pot = realize_potential(gaussian_profile(G8, 0.6), 0.2, 4)
     cfg = EvolutionConfig(dt=1e-3, t_final=5e-3)

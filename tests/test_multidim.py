@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from hierlab.definetti import Mixture, nls_evolve
-from hierlab.grid import Field, make_grid, normalized, random_low_mode_field
+from hierlab.grid import (Field, make_grid, normalized, place_axes,
+                          random_low_mode_field)
 from hierlab.hierarchy_evolution import MixtureClosure
 from hierlab.interactions import (PotentialSpec, bbgky_collision_error,
                                   bbgky_collision_main,
@@ -178,3 +179,24 @@ def test_planar_mixture_top_collision_against_loops():
         prod = f[a] * f[b] * np.conj(f[ap]) * np.conj(f[bp])
         ref += w * prod * (dens[a] + dens[b] - dens[ap] - dens[bp])
     _assert_close(closure.top_collision(0.0).kernel.reshape(P, P, P, P), ref)
+
+
+@pytest.mark.parametrize("dim,n,K", [(1, 8, 1), (1, 8, 2), (1, 8, 3),
+                                     (2, 4, 1), (2, 4, 2)])
+def test_mixture_top_collision_is_product_times_multiplier(dim, n, K):
+    # the closure's kernel is sum_a w_a (product kernel of phi_a) times
+    # (sum_j |phi_a(x_j)|^2 - sum_j |phi_a(x'_j)|^2), built here term by term
+    grid = make_grid(dim, n, 2 * np.pi)
+    atoms = [(w, random_low_mode_field(grid, 1, np.random.default_rng(s),
+                                       max_mode=1))
+             for w, s in ((0.5, 48), (0.3, 49), (0.2, 50))]
+    ndim = 2 * K * dim
+    ref = np.zeros(grid.slot_shape(2 * K), dtype=complex)
+    for w, phi in atoms:
+        dens = np.abs(phi.data) ** 2
+        mult = sum(place_axes(dens, grid.slot_axes(j), ndim)
+                   - place_axes(dens, grid.slot_axes(K + j), ndim)
+                   for j in range(K))
+        ref += w * pure_product_marginal(phi, K).kernel * mult
+    closure = MixtureClosure(Mixture(atoms), K, dt_half=1e-3)
+    _assert_close(closure.top_collision(0.0).kernel, ref)
