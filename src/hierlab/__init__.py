@@ -29,8 +29,8 @@ from .nbody import (NBodyState, energy_estimate_check, energy_moments,
 from .hierarchy_evolution import (EvolutionConfig, HierarchyTrajectory,
                                   InstabilityError, TimeSeries, bbgky_evolve,
                                   check_series_budget, duhamel_tower, free_flow,
-                                  free_flow_series, gp_evolve, gp_residual,
-                                  k_schedule, picard_fixed_point, t0_gate)
+                                  free_flow_series, gp_evolve, k_schedule,
+                                  picard_fixed_point, t0_gate)
 from .harness import ExperimentConfig, Report, run_experiment
 from .storage import (read_field, read_marginal, read_mixture, write_field,
                       write_marginal, write_mixture)

@@ -16,6 +16,7 @@ import configparser
 import dataclasses
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,8 +32,9 @@ from .hierarchy_evolution import (DUHAMEL_WORKING_STATES,
                                   FREE_FLOW_WORKING_STATES, EvolutionConfig,
                                   HierarchyTrajectory, bbgky_evolve,
                                   check_series_budget, duhamel_tower,
-                                  free_flow_series, gp_evolve, gp_residual,
-                                  k_schedule, picard_fixed_point, t0_gate)
+                                  free_flow_series, gp_evolve,
+                                  gp_residual_row, k_schedule,
+                                  picard_fixed_point, t0_gate)
 from .interactions import (PROFILES, PotentialSpec, bbgky_main_level,
                            bbgky_rhs, collision_fourier_oracle, gp_collision,
                            gp_collision_sum, realize_potential,
@@ -416,11 +418,56 @@ def run_picard(cfg: ExperimentConfig) -> tuple[Report, dict]:
 # Simulation commands with tensor dumps
 
 
+class _KernelFiles:
+    """Store (``hierarchy_evolution.Store``) of ``simulate-<name>``: writes
+    each stored state's kernels to the outdir as the time loop hands it over,
+    one ``<name>_k<k>_step<step>.hlab`` file per level, and records the file
+    names in order.  It keeps no hierarchy state."""
+
+    held = 0
+
+    def __init__(self, outdir: Path, name: str):
+        self.outdir, self.name = outdir, name
+        self.files: list[str] = []
+        outdir.mkdir(parents=True, exist_ok=True)
+
+    def __call__(self, step: int, state: HierarchyState) -> None:
+        for k, gamma in enumerate(state.entries, start=1):
+            fname = f"{self.name}_k{k}_step{step:05d}.hlab"
+            write_marginal(self.outdir / fname, state.grid, k, gamma.kernel)
+            self.files.append(fname)
+
+
+class _KernelFilesAndResidual(_KernelFiles):
+    """``_KernelFiles`` that also keeps the last three stored states, every
+    step being stored, and takes the contact-hierarchy residual at the middle
+    one (``gp_residual_row``): ``residual[k]`` lists level k's rows, as
+    ``gp_residual`` of the whole trajectory would."""
+
+    held = 3
+
+    def __init__(self, outdir: Path, name: str, dt: float, kappa0: float):
+        super().__init__(outdir, name)
+        self.dt, self.kappa0 = dt, kappa0
+        self.window: deque[HierarchyState] = deque(maxlen=self.held)
+        self.residual: dict[int, list[float]] = {}
+
+    def __call__(self, step: int, state: HierarchyState) -> None:
+        super().__call__(step, state)
+        self.window.append(state)
+        if len(self.window) == self.held:
+            row = gp_residual_row(*self.window, self.dt, self.kappa0)
+            for k, v in enumerate(row, start=1):
+                self.residual.setdefault(k, []).append(v)
+
+
 def _report_hierarchy_run(cfg: ExperimentConfig, traj: HierarchyTrajectory,
-                          name: str, N: int | None = None) -> tuple[Report, dict]:
-    """Trace-drift and collision-norm rows of ``simulate-<name>``, its stored
-    kernels dumped to the outdir, and the manifest's files, traces, hs_norms."""
-    experiment = f"simulate_{name}"
+                          store: _KernelFiles, N: int | None = None
+                          ) -> tuple[Report, dict]:
+    """Trace-drift and collision-norm rows of ``simulate-<name>``, and the
+    manifest's files, traces and hs_norms.  The kernels were written by
+    ``store`` during the time loop."""
+    experiment = f"simulate_{store.name}"
     report = Report()
     for k, vals in traj.traces.items():
         report.add(experiment, f"trace_drift_k{k}",
@@ -429,15 +476,7 @@ def _report_hierarchy_run(cfg: ExperimentConfig, traj: HierarchyTrajectory,
     for k, vals in traj.collision_h1.items():
         report.add(experiment, f"collision_h1_max_k{k}",
                    float(np.max(vals)) if len(vals) else 0.0, N=N, K=k)
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    files = []
-    for step, state in zip(traj.stored_steps, traj.states):
-        for k, gamma in enumerate(state.entries, start=1):
-            fname = f"{name}_k{k}_step{step:05d}.hlab"
-            write_marginal(outdir / fname, state.grid, k, gamma.kernel)
-            files.append(fname)
-    return report, {"files": files,
+    return report, {"files": store.files,
                     "traces": {k: v.tolist() for k, v in traj.traces.items()},
                     "hs_norms": {k: v.tolist() for k, v in traj.hs_norms.items()}}
 
@@ -449,13 +488,14 @@ def run_simulate_gp(cfg: ExperimentConfig) -> tuple[Report, dict]:
     mixture = Mixture([(1.0, phi)])
     state0 = factorized_state(phi, cfg.k_max)
     evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final)
+    store = _KernelFilesAndResidual(Path(cfg.outdir), "gp", cfg.dt, kappa0=1.0)
     traj = gp_evolve(state0, evo, kappa0=1.0, mixture=mixture, store_every=1,
-                     log_collision_norms=True)
-    report, extra = _report_hierarchy_run(cfg, traj, "gp")
-    residual = gp_residual(traj) if len(traj.states) >= 3 else {}
-    for k, vals in residual.items():
+                     log_collision_norms=True, store=store)
+    report, extra = _report_hierarchy_run(cfg, traj, store)
+    for k, vals in store.residual.items():
         report.add("simulate_gp", f"residual_max_k{k}", float(np.max(vals)), K=k)
-    extra["residual_max"] = {k: float(np.max(v)) for k, v in residual.items()}
+    extra["residual_max"] = {k: float(np.max(v))
+                             for k, v in store.residual.items()}
     return report, extra
 
 
@@ -467,9 +507,10 @@ def run_simulate_bbgky(cfg: ExperimentConfig) -> tuple[Report, dict]:
     K = min(cfg.k_max, pot.big_n)
     state0 = factorized_state(phi, K)
     evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final)
+    store = _KernelFiles(Path(cfg.outdir), "bbgky")
     traj = bbgky_evolve(state0, evo, pot, store_every=1,
-                        log_collision_norms=True)
-    return _report_hierarchy_run(cfg, traj, "bbgky", N=pot.big_n)
+                        log_collision_norms=True, store=store)
+    return _report_hierarchy_run(cfg, traj, store, N=pot.big_n)
 
 
 def run_simulate_nbody(cfg: ExperimentConfig) -> tuple[Report, dict]:

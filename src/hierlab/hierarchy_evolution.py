@@ -16,7 +16,7 @@ import math
 from collections import deque
 from itertools import islice
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -130,13 +130,14 @@ class MixtureClosure:
 # Steppers
 
 
-# Hierarchy states a step holds beyond the stored samples, the current state
-# being the next one stored: state_i, k1..k3 and k4's argument while k4's
-# right-hand side runs, and that right-hand side's levels and their scaled
-# copy; a mixture closure adds only its one top-level kernel.  tracemalloc
-# puts the peak of a loop that stores its two ends at 10.25 states (d = 1,
-# K = 2 and 3, contact with and without a closure, and finite N).
-RK4IP_WORKING_STATES = 9
+# Hierarchy states a step holds besides those its store keeps: the current
+# state, state_i, k1..k3 and k4's argument while k4's right-hand side runs,
+# and that right-hand side's levels and their scaled copy; a mixture closure
+# adds only its one top-level kernel.  tracemalloc puts the peak of a loop
+# whose store keeps nothing at 9.2 states, and of one that stores its two
+# ends at 10.2 (d = 1 and 2, K = 2 and 3, contact with and without a
+# closure, and finite N).
+RK4IP_WORKING_STATES = 10
 
 
 def _rk4ip_step(state: HierarchyState, t: float, dt: float,
@@ -152,7 +153,12 @@ def _rk4ip_step(state: HierarchyState, t: float, dt: float,
 
 @dataclass
 class HierarchyTrajectory:
-    """States at ``stored_steps``; traces and norms at every step."""
+    """States at ``stored_steps``; traces and norms at every step.
+
+    ``states`` holds the stored states only when the time loop ran with its
+    default store; a loop given its own ``store`` hands each stored state to
+    that store instead and leaves ``states`` empty.
+    """
 
     states: list[HierarchyState]
     stored_steps: list[int]
@@ -163,20 +169,37 @@ class HierarchyTrajectory:
     kappa0: float = 1.0
 
 
+class Store(Protocol):
+    """Takes each stored sample of a time loop as ``store(step, state)``, in
+    step order.  ``held`` is the number of hierarchy states it keeps at
+    once; the loop's budget check counts those as its stored samples."""
+
+    held: int
+
+    def __call__(self, step: int, state: HierarchyState) -> None: ...
+
+
 def _evolve(state0: HierarchyState, config: EvolutionConfig,
             rhs: Callable[[HierarchyState, float], HierarchyState],
             store_every: int = 1,
             log_collision_norms: bool = False,
-            kappa0: float = 1.0) -> HierarchyTrajectory:
+            kappa0: float = 1.0,
+            store: Store | None = None) -> HierarchyTrajectory:
     n_steps = step_count(config.t_final, config.dt)
     keep = stored_steps(n_steps, store_every)
-    check_series_budget(state0.grid, state0.K, len(keep), RK4IP_WORKING_STATES)
+    states: list[HierarchyState] = []
+    held = len(keep) if store is None else store.held
+    check_series_budget(state0.grid, state0.K, held, RK4IP_WORKING_STATES)
+    if store is None:  # the default store keeps every sample in the trajectory
+        def store(step: int, s: HierarchyState) -> None:
+            states.append(s)
+    kept = set(keep)
     dt = config.dt
     K = state0.K
     state = state0.copy()
     base_traces = [trace(m).real for m in state.entries]
 
-    states = [state.copy()]
+    store(0, state)
     traces = {k: [base_traces[k - 1]] for k in range(1, K + 1)}
     hs = {k: [sobolev_norm(m, 0.0)] for k, m in enumerate(state.entries, start=1)}
     coll = {k: [] for k in range(1, K + 1)}
@@ -200,8 +223,8 @@ def _evolve(state0: HierarchyState, config: EvolutionConfig,
             norms = [sobolev_norm(m, 1.0) for m in rhs(state, step * dt).entries]
             for k, v in enumerate(norms, start=1):
                 coll[k].append(v)
-        if step == keep[len(states)]:  # the next step to store
-            states.append(state.copy())
+        if step in kept:
+            store(step, state)
     return HierarchyTrajectory(
         states=states, stored_steps=keep,
         traces={k: np.array(v) for k, v in traces.items()},
@@ -212,13 +235,15 @@ def _evolve(state0: HierarchyState, config: EvolutionConfig,
 
 def gp_evolve(state0: HierarchyState, config: EvolutionConfig,
               kappa0: float = 1.0, mixture=None, store_every: int = 1,
-              log_collision_norms: bool = False) -> HierarchyTrajectory:
+              log_collision_norms: bool = False,
+              store: Store | None = None) -> HierarchyTrajectory:
     """Evolve the K-truncated contact hierarchy.
 
     Without a mixture the (K+1)-level is zero.  A mixture supplies that level
     (``MixtureClosure``) from its atoms advanced by the cubic flow, which
     keeps the truncated system exact on de Finetti data up to integrator
-    error.
+    error.  A ``store`` takes the stored samples in place of the
+    trajectory's ``states`` (see ``Store``).
     """
     closure = None if mixture is None else \
         MixtureClosure(mixture, state0.K, config.dt / 2.0, coupling=kappa0)
@@ -231,14 +256,17 @@ def gp_evolve(state0: HierarchyState, config: EvolutionConfig,
         return HierarchyState(levels) * (-1j * kappa0)
 
     return _evolve(state0, config, rhs, store_every=store_every,
-                   log_collision_norms=log_collision_norms, kappa0=kappa0)
+                   log_collision_norms=log_collision_norms, kappa0=kappa0,
+                   store=store)
 
 
 def bbgky_evolve(state0: HierarchyState, config: EvolutionConfig,
                  pot: PotentialSpec, store_every: int = 1,
-                 log_collision_norms: bool = False) -> HierarchyTrajectory:
+                 log_collision_norms: bool = False,
+                 store: Store | None = None) -> HierarchyTrajectory:
     """Evolve the K-truncated finite-N hierarchy (levels above K stay zero,
-    so the top level sees only its same-level interaction term)."""
+    so the top level sees only its same-level interaction term).  A
+    ``store`` takes the stored samples as in ``gp_evolve``."""
     if state0.K > pot.big_n:
         raise ValueError(f"K={state0.K} exceeds N={pot.big_n}")
 
@@ -246,26 +274,38 @@ def bbgky_evolve(state0: HierarchyState, config: EvolutionConfig,
         return bbgky_rhs(state, pot) * (-1j)
 
     return _evolve(state0, config, rhs, store_every=store_every,
-                   log_collision_norms=log_collision_norms, kappa0=pot.kappa0)
+                   log_collision_norms=log_collision_norms, kappa0=pot.kappa0,
+                   store=store)
+
+
+def gp_residual_row(prev_s: HierarchyState, cur: HierarchyState,
+                    nxt: HierarchyState, dt: float,
+                    kappa0: float) -> list[float]:
+    """Central-difference defect at ``cur`` of three states dt apart against
+    the contact hierarchy with coupling ``kappa0``, per level k < K."""
+    row = []
+    for k in range(1, cur.K):
+        dgamma = (nxt.entry(k) - prev_s.entry(k)) * (1.0 / (2.0 * dt))
+        lhs = dgamma * 1j
+        rhs = free_generator(cur.entry(k)) + gp_collision_level(cur.entry(k + 1)) * kappa0
+        row.append(sobolev_norm(lhs - rhs, 0.0))
+    return row
 
 
 def gp_residual(traj: HierarchyTrajectory) -> dict[int, np.ndarray]:
     """Central-difference defect of the stored trajectory against the contact
     hierarchy with the trajectory's coupling, per level k < K, at interior
-    stored steps.  Requires every step stored (stride one)."""
+    stored steps (``gp_residual_row``).  Requires every step stored (stride
+    one)."""
     steps = traj.stored_steps
     if len(steps) < 3 or any(b - a != 1 for a, b in zip(steps, steps[1:])):
         raise ValueError("residual needs a trajectory stored at every step")
     K = traj.states[0].K
     out: dict[int, list[float]] = {k: [] for k in range(1, K)}
-    dt = traj.dt
-    for i in range(1, len(traj.states) - 1):
-        prev_s, cur, nxt = traj.states[i - 1], traj.states[i], traj.states[i + 1]
-        for k in range(1, K):
-            dgamma = (nxt.entry(k) - prev_s.entry(k)) * (1.0 / (2.0 * dt))
-            lhs = dgamma * 1j
-            rhs = free_generator(cur.entry(k)) + gp_collision_level(cur.entry(k + 1)) * traj.kappa0
-            out[k].append(sobolev_norm(lhs - rhs, 0.0))
+    for triple in zip(traj.states, traj.states[1:], traj.states[2:]):
+        row = gp_residual_row(*triple, traj.dt, traj.kappa0)
+        for k, v in enumerate(row, start=1):
+            out[k].append(v)
     return {k: np.array(v) for k, v in out.items()}
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import hierlab.definetti as definetti_mod
 import hierlab.harness as harness_mod
+import hierlab.hierarchy_evolution as evolution_mod
 import hierlab.marginals as marginals_mod
 import hierlab.nbody as nbody_mod
 from hierlab.cli import build_parser, main
@@ -15,7 +16,8 @@ from hierlab.harness import (CSV_HEADER, EXPERIMENTS, ExperimentConfig, Report,
                              run_convergence, run_duhamel_check, run_experiment,
                              run_picard, run_simulate_bbgky,
                              run_simulate_nbody)
-from hierlab.storage import read_marginal
+from hierlab.hierarchy_evolution import InstabilityError, gp_residual
+from hierlab.storage import read_marginal, write_marginal
 
 
 def small_cfg(**kw):
@@ -187,6 +189,64 @@ def test_simulate_bbgky_trace_drift_small(tmp_path):
     rep, extra = run_simulate_bbgky(cfg)
     drifts = [row[6] for row in rep.rows if row[5].startswith("trace_drift")]
     assert max(drifts) < 1e-10
+
+
+@pytest.mark.parametrize("t_final", [0.01, 2e-3], ids=["10steps", "1step"])
+@pytest.mark.parametrize("name, evolve", [("gp", "gp_evolve"),
+                                          ("bbgky", "bbgky_evolve")])
+def test_streamed_outputs_equal_in_memory_outputs(tmp_path, monkeypatch,
+                                                  name, evolve, t_final):
+    # the harness's own inputs go through the default store too, whose
+    # states are written after the loop, as simulate runs did before
+    real, kept = getattr(harness_mod, evolve), []
+
+    def both(*args, store, **kw):
+        kept.append(real(*args, **kw))
+        return real(*args, store=store, **kw)
+    monkeypatch.setattr(harness_mod, evolve, both)
+    cfg = small_cfg(outdir=str(tmp_path / "streamed"), t_final=t_final)
+    csv_path, manifest_path = run_experiment(f"simulate-{name}", cfg)
+    (traj,) = kept
+    ref_dir, ref_files = tmp_path / "in_memory", []
+    ref_dir.mkdir()
+    for step, state in zip(traj.stored_steps, traj.states):
+        for k, gamma in enumerate(state.entries, start=1):
+            fname = f"{name}_k{k}_step{step:05d}.hlab"
+            write_marginal(ref_dir / fname, state.grid, k, gamma.kernel)
+            ref_files.append(fname)
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["results"]["files"] == ref_files
+    for fname in ref_files:
+        assert (Path(cfg.outdir) / fname).read_bytes() == \
+            (ref_dir / fname).read_bytes()
+    rows = {line.split(",")[5]: float(line.split(",")[6])
+            for line in csv_path.read_text().splitlines()[1:]
+            if ",residual_max_k" in line}
+    residual = gp_residual(traj) if len(traj.states) >= 3 else {}
+    expected = {f"residual_max_k{k}": float(np.max(v))
+                for k, v in residual.items()} if name == "gp" else {}
+    assert rows == expected
+    assert (len(traj.states) >= 3) == (t_final > 2e-3)
+
+
+@pytest.mark.parametrize("experiment", ["simulate-gp", "simulate-bbgky"])
+def test_failed_simulate_run_keeps_the_files_written_so_far(
+        tmp_path, monkeypatch, experiment):
+    real, calls = evolution_mod._rk4ip_step, []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 3:
+            raise InstabilityError("injected at step 3")
+        return real(*args)
+    monkeypatch.setattr(evolution_mod, "_rk4ip_step", failing)
+    cfg = small_cfg(outdir=str(tmp_path / "run"), t_final=0.01)
+    with pytest.raises(InstabilityError, match="step 3"):
+        run_experiment(experiment, cfg)
+    name = experiment.split("-")[1]
+    written = sorted(p.name for p in (tmp_path / "run").iterdir())
+    assert written == [f"{name}_k{k}_step{step:05d}.hlab"
+                       for k in (1, 2) for step in (0, 1, 2)]
 
 
 def test_simulate_nbody_moments_and_files(tmp_path):

@@ -6,8 +6,11 @@ import pytest
 from hierlab.definetti import Mixture, nls_evolve, random_mixture
 from hierlab.grid import (Field, free_propagate, l2_norm, make_grid,
                           random_low_mode_field)
+from hierlab.harness import (ExperimentConfig, run_simulate_bbgky,
+                             run_simulate_gp)
 from hierlab.hierarchy_evolution import (DUHAMEL_WORKING_STATES,
                                          PICARD_WORKING_STATES,
+                                         RK4IP_WORKING_STATES,
                                          EvolutionConfig, HierarchyTrajectory,
                                          MixtureClosure, TimeSeries,
                                          bbgky_evolve, check_series_budget,
@@ -324,9 +327,10 @@ def test_trajectory_budget_counts_every_stored_sample(monkeypatch):
     pot = realize_potential(gaussian_profile(G8, 0.6), 0.2, 3)
     state, nstate = factorized_state(phi, 2), nb_factorized(phi, 3, pot)
     cfg = EvolutionConfig(dt=1e-3, t_final=5e-3)
-    # store_every=2 over 5 steps stores 4 samples; the RK4 step works in 9
-    # more hierarchy states, the split step in 5 more wavefunctions
-    runs = [(13 * (8**2 + 8**4), lambda: bbgky_evolve(state, cfg, pot, store_every=2)),
+    # store_every=2 over 5 steps stores 4 samples; the RK4 step works in 10
+    # more hierarchy states (its current state among them), the split step
+    # in 5 more wavefunctions
+    runs = [(14 * (8**2 + 8**4), lambda: bbgky_evolve(state, cfg, pot, store_every=2)),
             (9 * 8**3, lambda: nbody_evolve(nstate, 1e-3, 5e-3, store_every=2))]
     for need, run in runs:
         monkeypatch.setenv("HLAB_BUDGET", str(need - 1))
@@ -360,10 +364,21 @@ def _peak_and_checked(monkeypatch, run):
     return peak, checked
 
 
+class _KeepNothing:
+    """A store that drops every sample, as a writing store does."""
+
+    held = 0
+
+    def __call__(self, step, state):
+        pass
+
+
 @pytest.mark.parametrize("K", [2, 3])
 @pytest.mark.parametrize("loop,atoms", [
     pytest.param(loop, atoms, id=loop if atoms == 2 else f"{loop}-{atoms}atoms")
-    for atoms in (2, 3) for loop in ("gp", "gp_mixture", "bbgky")])
+    for atoms in (2, 3) for loop in ("gp", "gp_mixture", "bbgky",
+                                     "gp_mixture_kept_nothing",
+                                     "bbgky_kept_nothing")])
 def test_hierarchy_loop_peak_fits_its_budget_check(monkeypatch, loop, K, atoms):
     mix = random_mixture(G8, atoms, np.random.default_rng(25))
     state = mixture_state(mix, K)
@@ -375,7 +390,15 @@ def test_hierarchy_loop_peak_fits_its_budget_check(monkeypatch, loop, K, atoms):
                                             store_every=0,
                                             log_collision_norms=True),
             "bbgky": lambda: bbgky_evolve(state, cfg, pot, store_every=0,
-                                          log_collision_norms=True)}
+                                          log_collision_norms=True),
+            # the loop still holds its current state when its store keeps
+            # none, as the simulate commands' stores do
+            "gp_mixture_kept_nothing": lambda: gp_evolve(
+                state, cfg, mixture=mix, log_collision_norms=True,
+                store=_KeepNothing()),
+            "bbgky_kept_nothing": lambda: bbgky_evolve(
+                state, cfg, pot, log_collision_norms=True,
+                store=_KeepNothing())}
     peak, checked = _peak_and_checked(monkeypatch, runs[loop])
     assert len(checked) == 1
     assert peak <= 16 * checked[0]
@@ -422,6 +445,38 @@ def test_nbody_loop_peak_fits_its_budget_check(monkeypatch):
         monkeypatch, lambda: nbody_evolve(nstate, 1e-3, 5e-3, store_every=0))
     assert len(checked) == 1
     assert peak <= 16 * checked[0]
+
+
+@pytest.mark.parametrize("run, held", [(run_simulate_bbgky, 0),
+                                       (run_simulate_gp, 3)])
+def test_simulate_peak_does_not_grow_with_stored_steps(monkeypatch, tmp_path,
+                                                       run, held):
+    # each stored state goes to its files as it is stored, so 35 more stored
+    # steps must not add a hierarchy state to the peak; the budget check
+    # counts what the store holds, not the 41 stored steps
+    state = 16 * (8**2 + 8**4)
+    peaks = []
+    # a first run pays the lazy imports (about 0.9 MB of module objects)
+    run(ExperimentConfig(n=8, dt=1e-3, t_final=1e-3, outdir=str(tmp_path)))
+    for steps in (5, 40):
+        cfg = ExperimentConfig(n=8, dt=1e-3, t_final=steps * 1e-3, seed=11,
+                               outdir=str(tmp_path / str(steps)))
+        peak, checked = _peak_and_checked(monkeypatch, lambda: run(cfg))
+        assert checked == [(held + RK4IP_WORKING_STATES) * state // 16]
+        peaks.append(peak)
+    assert abs(peaks[1] - peaks[0]) < state
+
+
+def test_series_budget_estimator_allocates_nothing():
+    from hierlab.budget import BudgetExceeded
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            check_series_budget(make_grid(1, 64, 2 * np.pi), 3, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_series_budget_counts_every_sample_and_level(monkeypatch):
