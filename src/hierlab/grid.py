@@ -157,8 +157,11 @@ def apply_multiplier(f: Field, per_slot: Sequence[np.ndarray | None]) -> Field:
 
 def apply_symbol(f: Field, symbol: np.ndarray) -> Field:
     """Multiply the spectrum over all slots by a full-rank symbol, e.g. a
-    generator's additive symbol from free_symbol: ifftn(symbol * fftn(f))."""
-    return Field(f.grid, f.rank, np.fft.ifftn(symbol * np.fft.fftn(f.data)))
+    generator's additive symbol from free_symbol: ifftn(symbol * fftn(f)),
+    transformed in one output buffer."""
+    spec = np.fft.fftn(f.data, out=np.empty(f.data.shape, complex))
+    spec *= symbol
+    return Field(f.grid, f.rank, np.fft.ifftn(spec, out=spec))
 
 
 def bessel_multiply(f: Field, alpha: float, slots: Iterable[int] | None = None) -> Field:
@@ -181,10 +184,17 @@ def flow_matrix(grid: GridSpec, t: float) -> np.ndarray:
     return column[(idx[:, None] - idx[None, :]) % grid.n]
 
 
-def apply_axes(data: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+def apply_axes(data: np.ndarray, mats: Sequence[np.ndarray],
+               scratch: np.ndarray | None = None) -> np.ndarray:
     """Apply mats[i] along axis i of ``data``, one GEMM per axis.  Each pass
     contracts the leading axis and moves it to the end, so after data.ndim
     passes the axes are back in their original order.
+
+    Without ``scratch`` each pass writes a new array.  With a C-contiguous
+    complex ``scratch`` of data's size (and square mats), the passes write
+    alternately into scratch and ``data``, which is overwritten; the result
+    is a view of whichever of the two the last pass wrote (scratch when
+    data.ndim is odd).  The products are the same either way.
 
     A pass costs n complex multiply-adds per entry against the FFT's ~log n,
     but BLAS runs them near peak speed without pocketfft's per-axis overhead,
@@ -194,8 +204,13 @@ def apply_axes(data: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     if len(mats) != data.ndim:
         raise ValueError(f"need one matrix per axis ({data.ndim}), got {len(mats)}")
     out = data
-    for mat in mats:
-        out = out.reshape(mat.shape[1], -1).T @ mat.T
+    for i, mat in enumerate(mats):
+        lhs = out.reshape(mat.shape[1], -1).T
+        if scratch is None:
+            out = lhs @ mat.T
+        else:
+            dest = (scratch, data)[i % 2].reshape(-1, mat.shape[0])
+            out = np.matmul(lhs, mat.T, out=dest)
     return out.reshape(data.shape)
 
 
@@ -222,21 +237,24 @@ def stored_steps(n_steps: int, store_every: int) -> list[int]:
             if s in (0, n_steps) or (store_every and s % store_every == 0)]
 
 
-def free_propagate(f: Field, t: float, signs: Sequence[int] | None = None) -> Field:
+def free_propagate(f: Field, t: float, signs: Sequence[int] | None = None,
+                   scratch: np.ndarray | None = None) -> Field:
     """Free Schroedinger flow, slot spectrum times exp(-i*sign*t*|xi|^2).
 
     sign +1 is exp(i*t*Laplacian); -1 its inverse.  Default is +1 on every
-    slot.
+    slot.  With ``scratch`` (an array like f.data) the flow works in f.data
+    and scratch, overwriting f, and the result lives in one of the two
+    (apply_axes); without it f is left alone.
     """
     if t == 0:
-        return f.copy()
+        return f if scratch is not None else f.copy()
     if signs is None:
         signs = [1] * f.rank
     if len(signs) != f.rank:
         raise ValueError("one sign per slot required")
     by_sign = {s: flow_matrix(f.grid, s * t) for s in set(signs)}
     mats = [by_sign[s] for s in signs for _ in range(f.grid.dim)]
-    return Field(f.grid, f.rank, apply_axes(f.data, mats))
+    return Field(f.grid, f.rank, apply_axes(f.data, mats, scratch))
 
 
 def free_symbol(grid: GridSpec, signs: Sequence[int]) -> np.ndarray:
@@ -245,8 +263,7 @@ def free_symbol(grid: GridSpec, signs: Sequence[int]) -> np.ndarray:
     rank = len(signs)
     symbol = np.zeros(grid.slot_shape(rank))
     for slot, sign in enumerate(signs):
-        symbol = symbol + sign * place_axes(grid.k2, grid.slot_axes(slot),
-                                            symbol.ndim)
+        symbol += sign * place_axes(grid.k2, grid.slot_axes(slot), symbol.ndim)
     return symbol
 
 
@@ -267,12 +284,16 @@ def sobolev_weight(grid: GridSpec, rank: int, alpha: float) -> np.ndarray:
 
 def l2_norm(f: Field) -> float:
     w = f.grid.h ** (f.grid.dim * f.rank)
-    return float(np.sqrt(w * np.sum(np.abs(f.data) ** 2)))
+    sq = np.abs(f.data)
+    np.square(sq, out=sq)
+    return float(np.sqrt(w * np.sum(sq)))
 
 
 def inner(f: Field, g: Field) -> complex:
     w = f.grid.h ** (f.grid.dim * f.rank)
-    return complex(w * np.sum(np.conj(f.data) * g.data))
+    prod = np.conj(f.data)
+    prod *= g.data
+    return complex(w * np.sum(prod))
 
 
 def sobolev_norm_field(f: Field, alpha: float) -> float:

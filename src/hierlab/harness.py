@@ -521,14 +521,16 @@ def run_simulate_nbody(cfg: ExperimentConfig) -> tuple[Report, dict]:
     state = nbody_factorized(phi, cfg.big_n, pot)
     moments = energy_moments(state, 2)
     moments0 = {k: moments[k] for k in (1, 2)}
-    # the report reads the norms and the final wavefunction only
+    # the report reads the norms and the final wavefunction only, so the
+    # trajectory and the initial state go before the final moments
     traj = nbody_evolve(state, cfg.dt, cfg.t_final, store_every=0)
-    final = traj.psis[-1]
+    final, norms = traj.psis[-1], traj.norms
+    final_state = state.with_psi(final)
+    del traj, state
     report = Report()
     report.add("simulate_nbody", "norm_drift",
-               float(np.max(np.abs(traj.norms - traj.norms[0]))),
+               float(np.max(np.abs(norms - norms[0]))),
                N=cfg.big_n, t=cfg.t_final)
-    final_state = state.with_psi(final)
     moments = energy_moments(final_state, 2)
     moments1 = {k: moments[k] for k in (1, 2)}
     for k in (1, 2):

@@ -31,7 +31,7 @@ def _pair_potential_total(grid: GridSpec, big_n: int, pot: PotentialSpec) -> np.
     for i in range(big_n):
         for j in range(i + 1, big_n):
             axes = grid.slot_axes(i) + grid.slot_axes(j)
-            total = total + place_axes(pot.difference_table, axes, total.ndim)
+            total += place_axes(pot.difference_table, axes, total.ndim)
     return total
 
 
@@ -97,11 +97,22 @@ def symmetry_defect(psi: Field) -> float:
 # Generator, evolution, reductions
 
 
+# Wavefunctions hamiltonian_apply works in: the result, the potential term
+# and its real factor V/N (2.5), and the real kinetic symbol and pair
+# potential (0.5 each) when the call builds them.
+HAMILTONIAN_WORKING_FIELDS = 4
+
+
 def hamiltonian_apply(state: NBodyState, psi: Field | None = None) -> Field:
-    """Kinetic part spectrally, pair potential pointwise with the 1/N weight."""
+    """Kinetic part spectrally, pair potential pointwise with the 1/N weight,
+    added into the kinetic part's buffer."""
     f = psi if psi is not None else state.psi
-    kin = apply_symbol(f, state.kinetic).data
-    out = kin + (state.pair_potential / state.big_n) * f.data
+    default_budget().check_elements(
+        HAMILTONIAN_WORKING_FIELDS * f.data.size,
+        f"N-body Hamiltonian of {HAMILTONIAN_WORKING_FIELDS} working "
+        f"wavefunctions")
+    out = apply_symbol(f, state.kinetic).data
+    out += (state.pair_potential / state.big_n) * f.data
     return Field(state.grid, state.big_n, out)
 
 
@@ -114,17 +125,22 @@ class NBodyTrajectory:
     norms: np.ndarray
 
 
-# Wavefunctions a split step holds beyond the stored samples, the current psi
-# being the next one stored: the half-step phase, the kicked input, the two
-# grid.apply_axes buffers, and the real pair potential if the call builds it.
-SPLIT_STEP_WORKING_FIELDS = 5
+# Wavefunctions a split step holds beyond the stored samples, the one it
+# works in being the next one stored: the free flow's scratch buffer, the
+# half-step phase, the real pair potential if the call builds it (0.5) and
+# l2_norm's real temporary (0.5).
+SPLIT_STEP_WORKING_FIELDS = 3
 
 
 def nbody_evolve(state: NBodyState, dt: float, t_final: float,
                  store_every: int = 1) -> NBodyTrajectory:
     """Symmetric split-step trajectory (pointwise potential halves around the
     exact kinetic step, grid.free_propagate).  Unitary, so the norm is
-    conserved to rounding; energy drift is bounded at second order."""
+    conserved to rounding; energy drift is bounded at second order.
+
+    The step works in one wavefunction and the flow's scratch buffer and
+    leaves state.psi alone: psis[0] is state.psi itself, later samples are
+    copies, and the last is the working wavefunction."""
     n_steps = step_count(t_final, dt)
     keep = stored_steps(n_steps, store_every)
     default_budget().check_elements(
@@ -132,15 +148,22 @@ def nbody_evolve(state: NBodyState, dt: float, t_final: float,
         f"N-body trajectory of {len(keep)} samples and "
         f"{SPLIT_STEP_WORKING_FIELDS} working wavefunctions")
     grid, big_n = state.grid, state.big_n
-    vhalf = np.exp(-0.5j * dt * state.pair_potential / big_n)
-    psi = state.psi.copy()
-    norms, psis = [l2_norm(psi)], [psi]
+    vhalf = -0.5j * dt * state.pair_potential
+    vhalf /= big_n
+    np.exp(vhalf, out=vhalf)
+    psi = state.psi.data.copy()
+    scratch = np.empty_like(psi)
+    norms, psis = [l2_norm(state.psi)], [state.psi]
     for step in range(1, n_steps + 1):
-        kicked = Field(grid, big_n, vhalf * psi.data)
-        psi = Field(grid, big_n, vhalf * free_propagate(kicked, dt).data)
-        norms.append(l2_norm(psi))
+        np.multiply(vhalf, psi, out=psi)
+        flowed = free_propagate(Field(grid, big_n, psi), dt, scratch=scratch)
+        if np.may_share_memory(flowed.data, scratch):  # an odd N*d passes
+            psi, scratch = scratch, psi
+        np.multiply(vhalf, psi, out=psi)
+        norms.append(l2_norm(Field(grid, big_n, psi)))
         if step == keep[len(psis)]:  # the next step to store
-            psis.append(psi)
+            psis.append(Field(grid, big_n,
+                              psi if step == n_steps else psi.copy()))
     return NBodyTrajectory(keep, psis, np.array(norms))
 
 

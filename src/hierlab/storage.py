@@ -27,7 +27,8 @@ def write_field(path: str | Path, f: Field, flags: int = 0) -> None:
     with path.open("wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, f.grid.dim, f.grid.n, f.grid.L,
                               f.rank, flags))
-        fh.write(np.ascontiguousarray(f.data).astype("<c16").tobytes())
+        # the array's own bytes: no copy unless the layout or dtype differs
+        fh.write(memoryview(np.ascontiguousarray(f.data, dtype="<c16")).cast("B"))
 
 
 def read_field(path: str | Path) -> tuple[Field, int]:

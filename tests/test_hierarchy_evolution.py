@@ -7,7 +7,7 @@ from hierlab.definetti import Mixture, nls_evolve, random_mixture
 from hierlab.grid import (Field, free_propagate, l2_norm, make_grid,
                           random_low_mode_field)
 from hierlab.harness import (ExperimentConfig, run_simulate_bbgky,
-                             run_simulate_gp)
+                             run_simulate_gp, run_simulate_nbody)
 from hierlab.hierarchy_evolution import (DUHAMEL_WORKING_STATES,
                                          PICARD_WORKING_STATES,
                                          RK4IP_WORKING_STATES,
@@ -26,8 +26,10 @@ from hierlab.marginals import (HierarchyState, admissibility_defect,
                                mixture_state, psd_defect,
                                pure_product_marginal, random_hermitian_marginal,
                                sobolev_norm, zero_marginal)
-from hierlab.nbody import extract_marginal, factorized_state as nb_factorized, \
-    nbody_evolve
+from hierlab.nbody import (HAMILTONIAN_WORKING_FIELDS,
+                           SPLIT_STEP_WORKING_FIELDS, extract_marginal,
+                           factorized_state as nb_factorized,
+                           hamiltonian_apply, nbody_evolve)
 
 from kernel_tools import hermiticity_defect, permutation_defect
 
@@ -329,9 +331,9 @@ def test_trajectory_budget_counts_every_stored_sample(monkeypatch):
     cfg = EvolutionConfig(dt=1e-3, t_final=5e-3)
     # store_every=2 over 5 steps stores 4 samples; the RK4 step works in 10
     # more hierarchy states (its current state among them), the split step
-    # in 5 more wavefunctions
+    # in 3 more wavefunctions
     runs = [(14 * (8**2 + 8**4), lambda: bbgky_evolve(state, cfg, pot, store_every=2)),
-            (9 * 8**3, lambda: nbody_evolve(nstate, 1e-3, 5e-3, store_every=2))]
+            (7 * 8**3, lambda: nbody_evolve(nstate, 1e-3, 5e-3, store_every=2))]
     for need, run in runs:
         monkeypatch.setenv("HLAB_BUDGET", str(need - 1))
         with pytest.raises(BudgetExceeded, match="of 4 samples"):
@@ -343,15 +345,16 @@ def test_trajectory_budget_counts_every_stored_sample(monkeypatch):
         calls.clear()
 
 
-def _peak_and_checked(monkeypatch, run):
-    """tracemalloc peak of run() in bytes, and the entries its trajectory
-    budget checks asked for."""
+def _peak_and_checked(monkeypatch, run, marker="samples"):
+    """tracemalloc peak of run() in bytes, and the entries asked for by its
+    budget checks whose description holds ``marker`` (by default the
+    trajectory checks)."""
     from hierlab.budget import TensorBudget
     checked = []
     real = TensorBudget.check_elements
 
     def spy(self, count, what):
-        if "samples" in what:
+        if marker in what:
             checked.append(count)
         return real(self, count, what)
     monkeypatch.setattr(TensorBudget, "check_elements", spy)
@@ -447,6 +450,37 @@ def test_nbody_loop_peak_fits_its_budget_check(monkeypatch):
     assert peak <= 16 * checked[0]
 
 
+def test_hamiltonian_budget_counts_its_working_fields(monkeypatch):
+    import hierlab.nbody as nbody_mod
+    from hierlab.budget import BudgetExceeded
+    calls = []
+    monkeypatch.setattr(nbody_mod, "apply_symbol",
+                        _counting(calls, nbody_mod.apply_symbol))
+    nstate = nb_factorized(atom(G8, 29), 3, realize_potential(
+        gaussian_profile(G8, 0.6), 0.2, 3))
+    need = HAMILTONIAN_WORKING_FIELDS * 8**3
+    monkeypatch.setenv("HLAB_BUDGET", str(need - 1))
+    with pytest.raises(BudgetExceeded, match="Hamiltonian"):
+        hamiltonian_apply(nstate)
+    assert calls == []
+    monkeypatch.setenv("HLAB_BUDGET", str(need))
+    hamiltonian_apply(nstate)
+    assert calls == ["apply_symbol"]
+
+
+def test_hamiltonian_peak_fits_its_budget_check(monkeypatch):
+    # 16^4 entries (1 MB) per wavefunction; a first state pays the FFT's
+    # plan caches, the traced one builds its kinetic symbol and pair
+    # potential inside the call
+    pot = pot16(4)
+    hamiltonian_apply(nb_factorized(atom(G16, 30), 4, pot))
+    nstate = nb_factorized(atom(G16, 31), 4, pot)
+    peak, checked = _peak_and_checked(
+        monkeypatch, lambda: hamiltonian_apply(nstate), marker="Hamiltonian")
+    assert checked == [HAMILTONIAN_WORKING_FIELDS * 16**4]
+    assert peak <= 16 * checked[0]
+
+
 @pytest.mark.parametrize("run, held", [(run_simulate_bbgky, 0),
                                        (run_simulate_gp, 3)])
 def test_simulate_peak_does_not_grow_with_stored_steps(monkeypatch, tmp_path,
@@ -465,6 +499,24 @@ def test_simulate_peak_does_not_grow_with_stored_steps(monkeypatch, tmp_path,
         assert checked == [(held + RK4IP_WORKING_STATES) * state // 16]
         peaks.append(peak)
     assert abs(peaks[1] - peaks[0]) < state
+
+
+def test_simulate_nbody_peak_in_wavefunctions(monkeypatch, tmp_path):
+    # n = 16, N = 4: one wavefunction is 16^4 entries, 1 MB.  The run holds
+    # the wavefunction, the cached operators (1) and the Hamiltonian's or the
+    # split step's working fields, never the initial state beside the final
+    # one: about 5.6 wavefunctions, where holding both and copying each step
+    # made 8
+    wavefunction = 16 * 16**4
+    # a first run pays the lazy imports and the FFT's plan caches
+    run_simulate_nbody(ExperimentConfig(n=16, big_n=2, dt=2e-3, t_final=4e-3,
+                                        outdir=str(tmp_path / "warm")))
+    cfg = ExperimentConfig(n=16, big_n=4, dt=2e-3, t_final=0.01, seed=11,
+                           k_marginals=2, outdir=str(tmp_path / "run"))
+    peak, checked = _peak_and_checked(monkeypatch,
+                                      lambda: run_simulate_nbody(cfg))
+    assert checked == [(2 + SPLIT_STEP_WORKING_FIELDS) * 16**4]
+    assert peak <= 6 * wavefunction
 
 
 def test_series_budget_estimator_allocates_nothing():

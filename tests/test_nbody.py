@@ -122,6 +122,36 @@ def test_evolve_matches_fft_split_step():
     assert np.max(np.abs(traj.psis[-1].data - data)) <= 1e-12
 
 
+@pytest.mark.parametrize("dim,big_n", [(1, 3), (2, 2)])  # odd, even passes
+def test_evolve_in_place_loop_leaves_its_input_and_samples_apart(dim, big_n):
+    from hierlab.grid import free_propagate
+    grid = make_grid(dim, 8, 2 * np.pi)
+    pot = realize_potential(gaussian_profile(grid, 0.7), 0.2, big_n)
+    state = smooth_symmetric_state(grid, big_n, pot, 33)
+    before = state.psi.data.copy()
+    dt, n_steps = 2e-3, 4
+    # the allocate-per-step formula the in-place loop must reproduce
+    vhalf = np.exp(-0.5j * dt * state.pair_potential / big_n)
+    psi, want = state.psi, [state.psi.data]
+    for _ in range(n_steps):
+        psi = Field(grid, big_n,
+                    vhalf * free_propagate(Field(grid, big_n, vhalf * psi.data),
+                                           dt).data)
+        want.append(psi.data)
+    traj = nbody_evolve(state, dt, n_steps * dt, store_every=1)
+    assert np.array_equal(state.psi.data, before)
+    assert traj.psis[0] is state.psi
+    assert len(traj.psis) == len(want)
+    for i, (got, ref) in enumerate(zip(traj.psis, want)):
+        assert np.array_equal(got.data, ref)
+        assert not any(np.shares_memory(got.data, other.data)
+                       for other in traj.psis[i + 1:])
+    ends = nbody_evolve(state, dt, n_steps * dt, store_every=0)
+    assert np.array_equal(state.psi.data, before)
+    assert np.array_equal(ends.psis[-1].data, want[-1])
+    assert not np.shares_memory(ends.psis[-1].data, state.psi.data)
+
+
 def test_with_psi_shares_cached_operators():
     pot = pot8(3)
     state = smooth_symmetric_state(G8, 3, pot, 31)

@@ -96,3 +96,22 @@ def test_read_field_copies_the_payload_once(tmp_path):
     assert peak <= 2.1 * payload
     assert back.data.flags.writeable
     assert np.array_equal(back.data, f.data)
+
+
+def test_write_field_writes_the_payload_without_copies(tmp_path):
+    g = make_grid(1, 16, 2 * np.pi)
+    f = random_low_mode_field(g, 4, np.random.default_rng(6), unit_norm=False)
+    path = tmp_path / "rank4.hlab"
+    payload = 16 * f.data.size
+    tracemalloc.start()
+    try:
+        write_field(path, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the file gets the array's own bytes: no decoded or bytes copy
+    assert peak <= 0.1 * payload
+    back, _ = read_field(path)
+    assert np.array_equal(back.data, f.data)
+    raw = path.read_bytes()
+    assert raw[-payload:] == f.data.astype("<c16").tobytes()
