@@ -190,11 +190,11 @@ def apply_axes(data: np.ndarray, mats: Sequence[np.ndarray],
     contracts the leading axis and moves it to the end, so after data.ndim
     passes the axes are back in their original order.
 
-    Without ``scratch`` each pass writes a new array.  With a C-contiguous
-    complex ``scratch`` of data's size (and square mats), the passes write
-    alternately into scratch and ``data``, which is overwritten; the result
-    is a view of whichever of the two the last pass wrote (scratch when
-    data.ndim is odd).  The products are the same either way.
+    The passes alternate between two C-contiguous complex buffers of data's
+    size (mats are square).  With ``scratch`` the two are scratch and
+    ``data``, which is overwritten, and the result is a view of whichever
+    the last pass wrote (scratch when data.ndim is odd).  Without it both
+    are new arrays and ``data`` is left alone.
 
     A pass costs n complex multiply-adds per entry against the FFT's ~log n,
     but BLAS runs them near peak speed without pocketfft's per-axis overhead,
@@ -203,14 +203,15 @@ def apply_axes(data: np.ndarray, mats: Sequence[np.ndarray],
     (OpenBLAS 0.3.31) the crossover lay between n = 128 and n = 256."""
     if len(mats) != data.ndim:
         raise ValueError(f"need one matrix per axis ({data.ndim}), got {len(mats)}")
+    if scratch is not None:
+        bufs = (scratch, data)
+    else:
+        bufs = tuple(np.empty(data.shape, complex)
+                     for _ in range(min(data.ndim, 2)))
     out = data
     for i, mat in enumerate(mats):
         lhs = out.reshape(mat.shape[1], -1).T
-        if scratch is None:
-            out = lhs @ mat.T
-        else:
-            dest = (scratch, data)[i % 2].reshape(-1, mat.shape[0])
-            out = np.matmul(lhs, mat.T, out=dest)
+        out = np.matmul(lhs, mat.T, out=bufs[i % 2].reshape(-1, mat.shape[0]))
     return out.reshape(data.shape)
 
 
