@@ -11,13 +11,15 @@ Conventions used by every other module:
 * The forward transform is h^(d*r) * fftn and the inverse is its exact
   inverse, which makes Parseval hold in the form
   h^(d*r) * sum |f|^2 == L^(-d*r) * sum |fhat|^2.
-* This module owns every transform.  The exact free flow
-  exp(-i t sum_s sign_s |xi_s|^2) is one n x n unitary per axis,
-  M(t) = F^-1 diag(exp(-i t xi^2)) F (M(-t) on a slot of sign -1), which
-  free_propagate alone applies by one matrix product per axis (flow_matrix,
-  apply_axes).  Generators (apply_symbol), multipliers and the spectral
-  series stay on the FFT.  Only realize_potential and the momentum-domain
-  collision oracle (kept independent) call numpy's FFT outside this module.
+* This module owns every transform.  Its n-d transforms all go through
+  one unscaled pair, _fftn and _ifftn, which write into an output buffer.
+  The exact free flow exp(-i t sum_s sign_s |xi_s|^2) is one n x n unitary
+  per axis, M(t) = F^-1 diag(exp(-i t xi^2)) F (M(-t) on a slot of sign -1),
+  which free_propagate alone applies by one matrix product per axis
+  (flow_matrix, apply_axes).  Generators (apply_symbol), multipliers and the
+  spectral series stay on the FFT.  Only realize_potential and the
+  momentum-domain collision oracle (kept independent) call numpy's FFT
+  outside this module.
 
 A Field is a complex tensor with ``rank`` particle slots; slot j owns the d
 consecutive axes [j*d, (j+1)*d).  Flattened in row-major order this is indexed
@@ -114,20 +116,35 @@ class Field:
 # Transforms and Fourier multipliers
 
 
+def _fftn(data: np.ndarray, axes: Sequence[int] | None = None,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """Unscaled n-d DFT over ``axes`` (default: all) into ``out``, which may
+    be ``data``, or one new array: pocketfft then keeps no copy beside it."""
+    if out is None:
+        out = np.empty(data.shape, complex)
+    return np.fft.fftn(data, axes=axes, out=out)
+
+
+def _ifftn(data: np.ndarray, axes: Sequence[int] | None = None,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of _fftn (1/size included), written into ``out`` as there."""
+    if out is None:
+        out = np.empty(data.shape, complex)
+    return np.fft.ifftn(data, axes=axes, out=out)
+
+
 def dft_forward(f: Field) -> Field:
     """Quadrature-weighted DFT over all slots (h^(d*rank) * fftn).  Both
     transforms work in one output buffer, so they hold one tensor beyond
     their input."""
-    scale = f.grid.h ** (f.grid.dim * f.rank)
-    spec = np.fft.fftn(f.data, out=np.empty(f.data.shape, complex))
-    spec *= scale
+    spec = _fftn(f.data)
+    spec *= f.grid.h ** (f.grid.dim * f.rank)
     return Field(f.grid, f.rank, spec)
 
 
 def dft_inverse(f: Field) -> Field:
-    scale = f.grid.h ** (f.grid.dim * f.rank)
-    data = np.fft.ifftn(f.data, out=np.empty(f.data.shape, complex))
-    data /= scale
+    data = _ifftn(f.data)
+    data /= f.grid.h ** (f.grid.dim * f.rank)
     return Field(f.grid, f.rank, data)
 
 
@@ -144,33 +161,39 @@ def place_axes(values: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray
 
 
 def apply_multiplier(f: Field, per_slot: Sequence[np.ndarray | None]) -> Field:
-    """Multiply each slot's spectrum by the given symbol (None skips a slot)."""
+    """Multiply each slot's spectrum by the given symbol (None skips a slot),
+    transformed over the active slots in one output buffer."""
+    if len(per_slot) != f.rank:
+        raise ValueError(f"need one symbol or None per slot ({f.rank}), "
+                         f"got {len(per_slot)}")
     active = [s for s, m in enumerate(per_slot) if m is not None]
     if not active:
         return f.copy()
     axes = [ax for s in active for ax in f.grid.slot_axes(s)]
-    spec = np.fft.fftn(f.data, axes=axes)
+    spec = _fftn(f.data, axes)
     for s in active:
         spec *= place_axes(per_slot[s], f.grid.slot_axes(s), f.data.ndim)
-    return Field(f.grid, f.rank, np.fft.ifftn(spec, axes=axes))
+    return Field(f.grid, f.rank, _ifftn(spec, axes, out=spec))
 
 
 def apply_symbol(f: Field, symbol: np.ndarray) -> Field:
     """Multiply the spectrum over all slots by a full-rank symbol, e.g. a
     generator's additive symbol from free_symbol: ifftn(symbol * fftn(f)),
     transformed in one output buffer."""
-    spec = np.fft.fftn(f.data, out=np.empty(f.data.shape, complex))
+    spec = _fftn(f.data)
     spec *= symbol
-    return Field(f.grid, f.rank, np.fft.ifftn(spec, out=spec))
+    return Field(f.grid, f.rank, _ifftn(spec, out=spec))
 
 
 def bessel_multiply(f: Field, alpha: float, slots: Iterable[int] | None = None) -> Field:
     """Apply (1 - Laplacian)^(alpha/2) on the selected slots (default: all)."""
     if not (np.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
+    chosen = set(range(f.rank)) if slots is None else set(slots)
+    if not chosen <= set(range(f.rank)):
+        raise ValueError(f"slots must lie in 0..{f.rank - 1}, got {sorted(chosen)}")
     if alpha == 0:
         return f.copy()
-    chosen = set(range(f.rank)) if slots is None else set(slots)
     sym = (1.0 + f.grid.k2) ** (alpha / 2.0)
     return apply_multiplier(f, [sym if s in chosen else None for s in range(f.rank)])
 
@@ -298,7 +321,10 @@ def inner(f: Field, g: Field) -> complex:
 
 
 def sobolev_norm_field(f: Field, alpha: float) -> float:
-    """H^alpha norm of a field, the multiplier applied to every slot."""
+    """H^alpha norm of a field, the multiplier applied to every slot; order 0
+    is the L2 norm, taken without a copy of the field."""
+    if alpha == 0:
+        return l2_norm(f)
     return l2_norm(bessel_multiply(f, alpha))
 
 
@@ -332,6 +358,6 @@ def random_low_mode_field(grid: GridSpec, rank: int, rng: np.random.Generator,
     for ax in range(full.ndim):
         full = full * place_axes(weight_1d, (ax,), full.ndim)
     spec = rng.standard_normal(full.shape) + 1j * rng.standard_normal(full.shape)
-    data = np.fft.ifftn(spec * full)
-    f = Field(grid, rank, data)
+    spec *= full
+    f = Field(grid, rank, _ifftn(spec, out=spec))
     return normalized(f) if unit_norm else f

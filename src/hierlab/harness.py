@@ -441,8 +441,8 @@ class _KernelFiles:
 class _KernelFilesAndResidual(_KernelFiles):
     """``_KernelFiles`` that also keeps the last three stored states, every
     step being stored, and takes the contact-hierarchy residual at the middle
-    one (``gp_residual_row``): ``residual[k]`` lists level k's rows, as
-    ``gp_residual`` of the whole trajectory would."""
+    one (``gp_residual_row``): ``residual[k]`` lists level k's defects at
+    the interior steps in order."""
 
     held = 3
 

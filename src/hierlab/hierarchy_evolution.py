@@ -16,7 +16,7 @@ import math
 from collections import deque
 from itertools import islice
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Protocol
 
 import numpy as np
 
@@ -38,14 +38,19 @@ class InstabilityError(RuntimeError):
     """Trace drift exceeded the abort threshold during evolution."""
 
 
+def _check_dt(dt: float) -> None:
+    """Raise ``ValueError`` unless the time step is positive and finite."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+
+
 @dataclass
 class EvolutionConfig:
     dt: float = 1e-3
     t_final: float = 0.1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        _check_dt(self.dt)
 
 
 def t0_gate(xi: float) -> float:
@@ -292,67 +297,20 @@ def gp_residual_row(prev_s: HierarchyState, cur: HierarchyState,
     return row
 
 
-def gp_residual(traj: HierarchyTrajectory) -> dict[int, np.ndarray]:
-    """Central-difference defect of the stored trajectory against the contact
-    hierarchy with the trajectory's coupling, per level k < K, at interior
-    stored steps (``gp_residual_row``).  Requires every step stored (stride
-    one)."""
-    steps = traj.stored_steps
-    if len(steps) < 3 or any(b - a != 1 for a, b in zip(steps, steps[1:])):
-        raise ValueError("residual needs a trajectory stored at every step")
-    K = traj.states[0].K
-    out: dict[int, list[float]] = {k: [] for k in range(1, K)}
-    for triple in zip(traj.states, traj.states[1:], traj.states[2:]):
-        row = gp_residual_row(*triple, traj.dt, traj.kappa0)
-        for k, v in enumerate(row, start=1):
-            out[k].append(v)
-    return {k: np.array(v) for k, v in out.items()}
-
-
 # ---------------------------------------------------------------------------
 # Time series, iterated collision integrals, fixed point
 
 
 class TimeSeries:
-    """Hierarchy states sampled on the uniform grid j * dt, j = 0..len-1.
+    """The free flow of ``start`` sampled on the uniform grid j * dt,
+    j = 0..n_steps (build it with ``free_flow_series``).
 
-    ``states`` lists the physical samples; ``iter_states()`` and
-    ``level_spectra(k)`` stream them, and the spectra of level k, one sample
-    at a time.  This series stores its samples and transforms one as its
-    spectrum is read; a free-flow series (``free_flow_series``) stores no
-    sample at all.
+    Level k of sample j is base_k * E_k^j, with base_k the spectrum of the
+    start's level k and E_k = exp(-i dt S_k) the one-step phase.
+    ``level_spectra(k)`` steps the spectra of level k as they are read;
+    ``iter_states()`` streams the physical samples and ``states`` lists
+    them.  The series stores no sample.
     """
-
-    def __init__(self, dt: float, states: Sequence[HierarchyState]):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        if not states:
-            raise ValueError("series must not be empty")
-        self.dt, self.grid, self.K = dt, states[0].grid, states[0].K
-        self._states = list(states)
-
-    def __len__(self) -> int:
-        return len(self._states)
-
-    @property
-    def states(self) -> list[HierarchyState]:
-        return self._states
-
-    def iter_states(self) -> Iterator[HierarchyState]:
-        return iter(self._states)
-
-    def level_spectra(self, k: int) -> Iterator[np.ndarray]:
-        return (marginal_spectrum(s.entry(k)) for s in self._states)
-
-    @property
-    def horizon(self) -> float:
-        return self.dt * (len(self) - 1)
-
-
-class _FreeFlowSeries(TimeSeries):
-    """The free flow of ``start`` as a series: level k of sample j is
-    base_k * E_k^j, with base_k the spectrum of the start's level k and
-    E_k = exp(-i dt S_k) the one-step phase, stepped as it is read."""
 
     def __init__(self, start: HierarchyState, dt: float, n_steps: int):
         self.dt, self.grid, self.K = dt, start.grid, start.K
@@ -363,6 +321,10 @@ class _FreeFlowSeries(TimeSeries):
 
     def __len__(self) -> int:
         return self._length
+
+    @property
+    def horizon(self) -> float:
+        return self.dt * (len(self) - 1)
 
     @property
     def states(self) -> list[HierarchyState]:
@@ -414,12 +376,11 @@ def free_flow_series(state0: HierarchyState, dt: float, n_steps: int) -> TimeSer
     the base and the phase, is checked against the budget before the first
     transform.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_dt(dt)
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     check_series_budget(state0.grid, state0.K, 1, FREE_FLOW_WORKING_STATES)
-    return _FreeFlowSeries(state0, dt, n_steps)
+    return TimeSeries(state0, dt, n_steps)
 
 
 def _flowed_prefix(spectra: Iterable[np.ndarray], phase: np.ndarray, dt: float,
@@ -571,7 +532,8 @@ def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec, xi: float,
     level weight in (0, 1), which sets both the update norms and the
     heuristic contraction gate ``t0_gate(xi)`` the horizon must sit inside.
     A ratio of successive updates >= 1 three times in a row aborts: the
-    horizon is too large for the discrete surrogate.  The reported residual
+    horizon is too large for the discrete surrogate.  So does a non-finite
+    update, which ``max`` would otherwise drop.  The reported residual
     re-checks the converged iterate with an independent (Simpson)
     quadrature, in a sweep that stores nothing.
     """
@@ -610,9 +572,13 @@ def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec, xi: float,
         # prefix per level replaces the quadratic double loop over (t, s).
         prefixes = zip(*[_flowed_prefix(level, phase, dt, simpson)
                          for level, phase in zip(theta, phases)])
-        return max(advance(i, xi_state, prefix, keep=not simpson)
-                   for i, (xi_state, prefix)
-                   in enumerate(zip(xi_series.iter_states(), prefixes)))
+        gaps = [advance(i, xi_state, prefix, keep=not simpson)
+                for i, (xi_state, prefix)
+                in enumerate(zip(xi_series.iter_states(), prefixes))]
+        for i, gap in enumerate(gaps):
+            if not math.isfinite(gap):
+                raise RuntimeError(f"Picard update at sample {i} is {gap}")
+        return max(gaps)
 
     update_norms: list[float] = []
     ratios: list[float] = []

@@ -1,10 +1,15 @@
-"""Test tools: symmetry defects of density kernels, and a non-factorized
-bosonic N-body state."""
+"""Test tools: symmetry defects of density kernels, a non-factorized
+bosonic N-body state, a time series of stored samples and the contact
+residual of a whole stored trajectory."""
+
+import math
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from hierlab.grid import Field, normalized, place_axes
-from hierlab.marginals import Marginal
+from hierlab.hierarchy_evolution import HierarchyTrajectory, gp_residual_row
+from hierlab.marginals import HierarchyState, Marginal, marginal_spectrum
 from hierlab.nbody import NBodyState, factorized_state
 
 
@@ -42,3 +47,48 @@ def perturbed_product_state(phi: Field, bump: Field, eps: float, big_n: int,
         mod = mod + place_axes(bump.data, grid.slot_axes(slot), mod.ndim)
     data = state.psi.data * (1.0 + eps * mod)
     return NBodyState(grid, big_n, normalized(Field(grid, big_n, data)), pot)
+
+
+class StoredSeries:
+    """Hierarchy states sampled on the uniform grid j * dt, j = 0..len-1,
+    stored as given: the interface of ``hierarchy_evolution.TimeSeries``
+    over arbitrary samples.  A level's spectra are transformed one sample
+    at a time as they are read."""
+
+    def __init__(self, dt: float, states: Sequence[HierarchyState]):
+        if not (math.isfinite(dt) and dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {dt}")
+        if not states:
+            raise ValueError("series must not be empty")
+        self.dt, self.grid, self.K = dt, states[0].grid, states[0].K
+        self.states = list(states)
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    @property
+    def horizon(self) -> float:
+        return self.dt * (len(self) - 1)
+
+    def iter_states(self) -> Iterator[HierarchyState]:
+        return iter(self.states)
+
+    def level_spectra(self, k: int) -> Iterator[np.ndarray]:
+        return (marginal_spectrum(s.entry(k)) for s in self.states)
+
+
+def gp_residual(traj: HierarchyTrajectory) -> dict[int, np.ndarray]:
+    """Central-difference defect of the stored trajectory against the contact
+    hierarchy with the trajectory's coupling, per level k < K, at interior
+    stored steps (``gp_residual_row``).  Requires every step stored (stride
+    one)."""
+    steps = traj.stored_steps
+    if len(steps) < 3 or any(b - a != 1 for a, b in zip(steps, steps[1:])):
+        raise ValueError("residual needs a trajectory stored at every step")
+    K = traj.states[0].K
+    out: dict[int, list[float]] = {k: [] for k in range(1, K)}
+    for triple in zip(traj.states, traj.states[1:], traj.states[2:]):
+        row = gp_residual_row(*triple, traj.dt, traj.kappa0)
+        for k, v in enumerate(row, start=1):
+            out[k].append(v)
+    return {k: np.array(v) for k, v in out.items()}

@@ -15,8 +15,8 @@ from hierlab.definetti import (Mixture, energy_functional_direct,
 from hierlab.grid import make_grid, random_low_mode_field, sobolev_norm_field
 from hierlab.harness import ExperimentConfig, run_experiment
 from hierlab.hierarchy_evolution import (EvolutionConfig, free_flow_series,
-                                         gp_evolve, gp_residual,
-                                         picard_fixed_point, t0_gate)
+                                         gp_evolve, picard_fixed_point,
+                                         t0_gate)
 from hierlab.interactions import (bbgky_collision_main, bbgky_main_level,
                                   collision_fourier_oracle, gaussian_profile,
                                   gp_collision, realize_potential)
@@ -29,7 +29,7 @@ from hierlab.marginals import (HierarchyState, admissibility_defect,
 from hierlab.nbody import (energy_estimate_check, extract_marginal,
                            factorized_state as nb_factorized, nbody_evolve)
 
-from kernel_tools import perturbed_product_state
+from kernel_tools import gp_residual, perturbed_product_state
 
 G16 = make_grid(1, 16, 2 * np.pi)
 G8 = make_grid(1, 8, 2 * np.pi)

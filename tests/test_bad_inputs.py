@@ -11,8 +11,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hierlab.cli import main
-from hierlab.grid import make_grid, random_low_mode_field, sobolev_norm_field
+from hierlab.grid import (apply_multiplier, bessel_multiply, make_grid,
+                          random_low_mode_field, sobolev_norm_field)
 from hierlab.harness import ExperimentConfig, Report
+from hierlab.hierarchy_evolution import EvolutionConfig, free_flow_series
 from hierlab.interactions import bump_profile, gaussian_profile
 from hierlab.marginals import (factorized_state, hierarchy_norm, sobolev_norm,
                                trace_sobolev_norm)
@@ -21,6 +23,7 @@ from hierlab.nbody import factorized_state as nbody_factorized_state
 G8 = make_grid(1, 8)
 PHI = random_low_mode_field(G8, 1, np.random.default_rng(0), max_mode=2)
 STATE = factorized_state(PHI, 2)
+PAIR = STATE.entry(1).as_field()  # rank 2
 
 PROBES = {
     "grid-L-nan": (lambda: make_grid(1, 8, math.nan), "L must"),
@@ -40,6 +43,20 @@ PROBES = {
         lambda: trace_sobolev_norm(STATE.entry(1), math.inf), "alpha"),
     "field-sobolev-norm-alpha-nan": (lambda: sobolev_norm_field(PHI, math.nan),
                                      "alpha"),
+    "bessel-slot-above-rank": (lambda: bessel_multiply(PAIR, 1.0, slots=[5]),
+                               "slots"),
+    "bessel-slot-negative": (lambda: bessel_multiply(PAIR, 0.0, slots=[-1]),
+                             "slots"),
+    "multiplier-too-few-symbols": (
+        lambda: apply_multiplier(PAIR, [np.ones(G8.n)]), "per slot"),
+    "multiplier-too-many-symbols": (
+        lambda: apply_multiplier(PAIR, [None, None, np.ones(G8.n)]), "per slot"),
+    "free-flow-series-dt-nan": (lambda: free_flow_series(STATE, math.nan, 4),
+                                "dt"),
+    "free-flow-series-dt-inf": (lambda: free_flow_series(STATE, math.inf, 4),
+                                "dt"),
+    "evolution-dt-nan": (lambda: EvolutionConfig(dt=math.nan), "dt"),
+    "evolution-dt-inf": (lambda: EvolutionConfig(dt=math.inf), "dt"),
     "random-field-rank-0": (
         lambda: random_low_mode_field(G8, 0, np.random.default_rng(0)), "rank"),
     "random-field-max-mode-above-half": (

@@ -2,19 +2,23 @@
 
 Outside grid.py, numpy's FFT is called only by the potential's realization and
 by the momentum-domain collision oracle, which must stay independent of the
-paths it checks; only grid.py names the flow-matrix helpers.  The generator
+paths it checks; only grid.py names the flow-matrix helpers.  Inside it, every
+n-d transform goes through one forward and one inverse helper.  The generator
 sites that go through grid.apply_symbol are checked against plane waves,
 whose additive symbol sum_s sign_s |xi_s|^2 is known in closed form.
 """
 
 import ast
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hierlab
-from hierlab.grid import Field, make_grid, place_axes
+from hierlab.grid import (Field, apply_multiplier, make_grid, place_axes,
+                          random_low_mode_field)
 from hierlab.marginals import Marginal, free_generator
 from hierlab.nbody import NBodyState, hamiltonian_apply
 
@@ -63,6 +67,33 @@ def test_only_grid_calls_numpy_fft_and_flow_matrices():
                        for name, line in _names(tree) if name in GRID_ONLY]
     assert outside_fft == []
     assert grid_names == []
+
+
+def test_grid_has_one_call_site_per_nd_transform():
+    tree = ast.parse((SOURCE / "grid.py").read_text())
+    sites = Counter(node.func.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Attribute)
+                    and node.func.value.attr == "fft")
+    assert sites["fftn"] == 1
+    assert sites["ifftn"] == 1
+
+
+def test_apply_multiplier_holds_about_one_field_beyond_its_input():
+    g = make_grid(1, 16)
+    f = random_low_mode_field(g, 4, np.random.default_rng(8))
+    symbols = [(1.0 + g.k2) ** 0.5] * 4  # every slot active
+    apply_multiplier(f, symbols)  # warm numpy's FFT plan cache
+    tracemalloc.start()
+    try:
+        out = apply_multiplier(f, symbols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result's buffer, which the inverse transform writes in place
+    assert peak <= 1.2 * f.data.nbytes
+    assert out.data.shape == f.data.shape
 
 
 def plane_wave(grid, modes_per_slot):

@@ -16,8 +16,10 @@ from hierlab.harness import (CSV_HEADER, EXPERIMENTS, ExperimentConfig, Report,
                              run_convergence, run_duhamel_check, run_experiment,
                              run_picard, run_simulate_bbgky,
                              run_simulate_nbody)
-from hierlab.hierarchy_evolution import InstabilityError, gp_residual
+from hierlab.hierarchy_evolution import InstabilityError
 from hierlab.storage import read_marginal, write_marginal
+
+from kernel_tools import gp_residual
 
 
 def small_cfg(**kw):

@@ -12,11 +12,10 @@ from hierlab.hierarchy_evolution import (DUHAMEL_WORKING_STATES,
                                          PICARD_WORKING_STATES,
                                          RK4IP_WORKING_STATES,
                                          EvolutionConfig, HierarchyTrajectory,
-                                         MixtureClosure, TimeSeries,
-                                         bbgky_evolve, check_series_budget,
-                                         duhamel_tower, free_flow,
-                                         free_flow_series, gp_evolve,
-                                         gp_residual, k_schedule,
+                                         MixtureClosure, bbgky_evolve,
+                                         check_series_budget, duhamel_tower,
+                                         free_flow, free_flow_series,
+                                         gp_evolve, k_schedule,
                                          picard_fixed_point, t0_gate)
 from hierlab.interactions import (PotentialSpec, bbgky_main_level,
                                   gaussian_profile, realize_potential)
@@ -31,7 +30,8 @@ from hierlab.nbody import (HAMILTONIAN_WORKING_FIELDS,
                            factorized_state as nb_factorized,
                            hamiltonian_apply, nbody_evolve)
 
-from kernel_tools import hermiticity_defect, permutation_defect
+from kernel_tools import (StoredSeries, gp_residual, hermiticity_defect,
+                          permutation_defect)
 
 G16 = make_grid(1, 16, 2 * np.pi)
 G8 = make_grid(1, 8, 2 * np.pi)
@@ -554,8 +554,8 @@ def test_duhamel_j1_matches_independent_quadrature():
     base = factorized_state(atom(G16, 15), 2)
     T = 0.04
     # a genuinely time-dependent series: backwards free flow
-    series = TimeSeries(T / 128, [free_flow(base, -i * T / 128)
-                                  for i in range(129)])
+    series = StoredSeries(T / 128, [free_flow(base, -i * T / 128)
+                                    for i in range(129)])
     got = duhamel_tower(series, 1, pot, T)[1]
 
     def integrand(s):
@@ -622,11 +622,19 @@ def picard_setup(seed, steps=64):
 
 def test_picard_zero_input_fixed_at_zero():
     series, pot = picard_setup(18)
-    zeroed = TimeSeries(series.dt, [s * 0.0 for s in series.states])
+    zeroed = StoredSeries(series.dt, [s * 0.0 for s in series.states])
     result = picard_fixed_point(zeroed, pot, 0.5)
     assert result.converged
     assert all(np.array_equal(a, np.zeros_like(a))
                for level in result.spectra for a in level)
+
+
+def test_picard_raises_on_a_non_finite_update():
+    series, pot = picard_setup(18, steps=8)
+    states = series.states
+    states[3] = states[3] * float("nan")
+    with pytest.raises(RuntimeError, match="sample 3 is nan"):
+        picard_fixed_point(StoredSeries(series.dt, states), pot, 0.5)
 
 
 def test_picard_zero_potential_returns_input():
@@ -650,7 +658,7 @@ def test_picard_converges_with_contraction_and_small_residual():
 
 def test_picard_rejects_horizon_beyond_gate():
     series, pot = picard_setup(21)
-    long_series = TimeSeries(t0_gate(0.5) / 8, series.states)  # horizon > gate
+    long_series = StoredSeries(t0_gate(0.5) / 8, series.states)  # horizon > gate
     with pytest.raises(ValueError):
         picard_fixed_point(long_series, pot, 0.5)
 

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from hierlab.grid import (Field, make_grid, normalized, random_low_mode_field,
+from hierlab.grid import (Field, bessel_multiply, l2_norm, make_grid,
+                          normalized, random_low_mode_field,
                           sobolev_norm_field)
 from hierlab.marginals import (HierarchyState, Marginal, admissibility_defect,
                                factorized_state, free_propagate_marginal,
@@ -344,3 +347,20 @@ def test_entry_outside_the_levels_raises():
     for k in (0, 3, -1):
         with pytest.raises(ValueError, match="outside 1..2"):
             state.entry(k)
+
+
+def test_order_zero_sobolev_norm_copies_no_kernel():
+    g = make_grid(1, 16)
+    gamma = pure_product_marginal(random_low_mode_field(
+        g, 1, np.random.default_rng(9)), 2)  # 16^4 entries
+    # the value of the copying path, bit for bit
+    expected = l2_norm(bessel_multiply(gamma.as_field(), 0.0))
+    tracemalloc.start()
+    try:
+        got = sobolev_norm(gamma, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # |gamma| squared in one real array, half a kernel
+    assert peak <= 0.6 * gamma.kernel.nbytes
+    assert got == expected

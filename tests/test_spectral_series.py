@@ -14,7 +14,7 @@ import pytest
 from hierlab.cli import main
 from hierlab.grid import (dft_forward, make_grid, random_low_mode_field,
                           sobolev_norm_field, sobolev_weight)
-from hierlab.hierarchy_evolution import (TimeSeries, duhamel_tower, free_flow,
+from hierlab.hierarchy_evolution import (duhamel_tower, free_flow,
                                          free_flow_series, picard_fixed_point,
                                          t0_gate)
 from hierlab.interactions import (bbgky_main_level, bbgky_rhs,
@@ -23,6 +23,8 @@ from hierlab.marginals import (HierarchyState, factorized_state,
                                free_propagate_marginal, hierarchy_norm,
                                marginal_from_spectrum,
                                random_hermitian_marginal)
+
+from kernel_tools import StoredSeries
 
 GRIDS = [make_grid(1, 8), make_grid(2, 4)]
 GRID_IDS = ["d1n8", "d2n4"]
@@ -89,9 +91,9 @@ def pot_for(grid):
 def random_series(grid, K, n_pts, dt, seed):
     """A genuinely time-dependent series: independent product states."""
     rng = np.random.default_rng(seed)
-    return TimeSeries(dt, [factorized_state(random_low_mode_field(grid, 1, rng,
-                                                                  max_mode=1), K)
-                           for _ in range(n_pts)])
+    return StoredSeries(dt, [factorized_state(random_low_mode_field(grid, 1, rng,
+                                                                    max_mode=1), K)
+                             for _ in range(n_pts)])
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
@@ -150,7 +152,7 @@ def test_duhamel_tower_matches_physical_reference_at_every_depth(grid, K, free):
         series = free_flow_series(factorized_state(phi, K), 0.005, 8)
     else:
         series = random_series(grid, K, 9, 0.005, seed=30 + K)
-    stored = TimeSeries(series.dt, series.states)  # what the reference reads
+    stored = StoredSeries(series.dt, series.states)  # what the reference reads
     for t in (0.02, 0.04):  # an interior sample and the last one
         tower = duhamel_tower(series, K - 1, pot, t)
         assert sorted(tower) == list(range(1, K))
