@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (Field, GridSpec, bessel_multiply, free_propagate, l2_norm,
-                   sobolev_norm_field, step_count)
+                   random_low_mode_field, sobolev_norm_field, step_count)
 from .marginals import (HierarchyState, Marginal, admissibility_defect,
                         hierarchy_norm, mixture_state, pair_subscripts,
                         partial_trace_at, psd_defect, trace)
@@ -64,7 +64,6 @@ def random_mixture(grid: GridSpec, n_atoms: int, rng: np.random.Generator,
     raw = rng.random(n_atoms) + 0.25
     weights = raw / raw.sum()
     atoms = []
-    from .grid import random_low_mode_field
     for w in weights:
         phi = random_low_mode_field(grid, 1, rng, max_mode=max_mode)
         if support == "ball":
@@ -164,6 +163,7 @@ def gwp_window_chain(mix: Mixture, state0: HierarchyState, bound: float,
     Any window whose norm exceeds the bound beyond ``WINDOW_SLACK`` (relative)
     flags failure.
     """
+    # imported here: hierarchy_evolution imports this module
     from .hierarchy_evolution import EvolutionConfig, gp_evolve
 
     if mix.support != "sphere":

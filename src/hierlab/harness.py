@@ -45,7 +45,13 @@ from .marginals import (HierarchyState, admissibility_defect, factorized_state,
                         random_hermitian_marginal, sobolev_norm, trace)
 from .nbody import extract_marginal, factorized_state as nbody_factorized, \
     nbody_evolve, energy_moments, symmetry_defect
-from .storage import write_marginal
+from .storage import read_field, write_marginal
+
+
+# config field type -> conversion of its INI or flag text
+_FROM_TEXT = {"int": int, "float": float, "str": str,
+              "tuple[int, ...]": lambda raw: tuple(
+                  int(x) for x in raw.replace(",", " ").split())}
 
 
 @dataclass
@@ -123,7 +129,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, values: dict) -> "ExperimentConfig":
-        """Build from field-name keys; a key that names no field raises."""
+        """Build from field-name keys; a key that names no field raises.
+        A text value (an INI value or a flag) is converted to its field's
+        type, and one that fails to convert raises a ValueError naming the
+        field."""
         fields = dataclasses.fields(cls)
         unknown = sorted(set(values) - {f.name for f in fields})
         if unknown:
@@ -133,11 +142,12 @@ class ExperimentConfig:
             if f.name not in values or values[f.name] is None:
                 continue
             raw = values[f.name]
-            if isinstance(raw, str) and f.type in ("tuple[int, ...]",):
-                kwargs[f.name] = tuple(int(x) for x in raw.replace(",", " ").split())
-            elif isinstance(raw, str):
-                py_type = {"int": int, "float": float, "str": str}.get(f.type)
-                kwargs[f.name] = py_type(raw) if py_type else raw
+            if isinstance(raw, str):
+                try:
+                    kwargs[f.name] = _FROM_TEXT[f.type](raw)
+                except ValueError:
+                    raise ValueError(f"{f.name} must be {f.type}, "
+                                     f"got {raw!r}") from None
             elif f.type == "tuple[int, ...]":
                 kwargs[f.name] = tuple(int(x) for x in raw)
             else:
@@ -155,7 +165,6 @@ class ExperimentConfig:
         file when the name ends in .hlab."""
         grid = grid or self.grid()
         if self.profile.endswith(".hlab"):
-            from .storage import read_field
             field, _ = read_field(self.profile)
             if field.grid != grid or field.rank != 1:
                 raise ValueError(f"profile file {self.profile} does not match "

@@ -1,4 +1,5 @@
-"""Time evolution of truncated hierarchies.
+"""Time evolution of truncated hierarchies, and the integral equations
+on free-flow series.
 
 The free part is exponentiated exactly (it is a Fourier multiplier), the
 level-coupling collision term is integrated in the interaction picture by the
@@ -8,6 +9,11 @@ The collision term annihilates traces identically on the grid (the plus and
 minus restrictions agree on the kernel diagonal), so per-level traces are
 conserved to rounding by construction and a drifting trace signals an
 integrator failure, which aborts the run.
+
+A ``TimeSeries`` is the free flow of one state on a uniform time grid;
+``duhamel_tower`` and ``picard_fixed_point`` integrate along it.  The time
+step, horizon and coupling come from the caller; the Picard stopping rule is
+the module constants ``PICARD_TOL`` and ``PICARD_MAX_SWEEPS``.
 """
 
 from __future__ import annotations
@@ -103,6 +109,7 @@ class MixtureClosure:
         self._atoms: list[tuple[float, Field]] = list(mixture.pairs())
 
     def _atoms_at(self, index: int) -> list[tuple[float, Field]]:
+        # imported here: definetti imports this module
         from .definetti import nls_evolve
         if index < self._index:
             raise ValueError(f"closure queried at half-step {index} after "
@@ -170,8 +177,6 @@ class HierarchyTrajectory:
     traces: dict[int, np.ndarray]
     hs_norms: dict[int, np.ndarray]
     collision_h1: dict[int, np.ndarray]
-    dt: float
-    kappa0: float = 1.0
 
 
 class Store(Protocol):
@@ -188,7 +193,6 @@ def _evolve(state0: HierarchyState, config: EvolutionConfig,
             rhs: Callable[[HierarchyState, float], HierarchyState],
             store_every: int = 1,
             log_collision_norms: bool = False,
-            kappa0: float = 1.0,
             store: Store | None = None) -> HierarchyTrajectory:
     n_steps = step_count(config.t_final, config.dt)
     keep = stored_steps(n_steps, store_every)
@@ -234,8 +238,7 @@ def _evolve(state0: HierarchyState, config: EvolutionConfig,
         states=states, stored_steps=keep,
         traces={k: np.array(v) for k, v in traces.items()},
         hs_norms={k: np.array(v) for k, v in hs.items()},
-        collision_h1={k: np.array(v) for k, v in coll.items()},
-        dt=dt, kappa0=kappa0)
+        collision_h1={k: np.array(v) for k, v in coll.items()})
 
 
 def gp_evolve(state0: HierarchyState, config: EvolutionConfig,
@@ -261,8 +264,7 @@ def gp_evolve(state0: HierarchyState, config: EvolutionConfig,
         return HierarchyState(levels) * (-1j * kappa0)
 
     return _evolve(state0, config, rhs, store_every=store_every,
-                   log_collision_norms=log_collision_norms, kappa0=kappa0,
-                   store=store)
+                   log_collision_norms=log_collision_norms, store=store)
 
 
 def bbgky_evolve(state0: HierarchyState, config: EvolutionConfig,
@@ -279,8 +281,7 @@ def bbgky_evolve(state0: HierarchyState, config: EvolutionConfig,
         return bbgky_rhs(state, pot) * (-1j)
 
     return _evolve(state0, config, rhs, store_every=store_every,
-                   log_collision_norms=log_collision_norms, kappa0=pot.kappa0,
-                   store=store)
+                   log_collision_norms=log_collision_norms, store=store)
 
 
 def gp_residual_row(prev_s: HierarchyState, cur: HierarchyState,
@@ -308,8 +309,8 @@ class TimeSeries:
     Level k of sample j is base_k * E_k^j, with base_k the spectrum of the
     start's level k and E_k = exp(-i dt S_k) the one-step phase.
     ``level_spectra(k)`` steps the spectra of level k as they are read;
-    ``iter_states()`` streams the physical samples and ``states`` lists
-    them.  The series stores no sample.
+    ``iter_states()`` streams the physical samples.  The series stores no
+    sample.
     """
 
     def __init__(self, start: HierarchyState, dt: float, n_steps: int):
@@ -325,12 +326,6 @@ class TimeSeries:
     @property
     def horizon(self) -> float:
         return self.dt * (len(self) - 1)
-
-    @property
-    def states(self) -> list[HierarchyState]:
-        """The samples of ``iter_states``, checked against the budget first."""
-        check_series_budget(self.grid, self.K, len(self))
-        return list(self.iter_states())
 
     def iter_states(self) -> Iterator[HierarchyState]:
         """Sample 0 is the start itself; each later one costs one inverse
@@ -377,8 +372,9 @@ def free_flow_series(state0: HierarchyState, dt: float, n_steps: int) -> TimeSer
     transform.
     """
     _check_dt(dt)
-    if n_steps < 0:
-        raise ValueError("n_steps must be nonnegative")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) \
+            or n_steps < 0:
+        raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
     check_series_budget(state0.grid, state0.K, 1, FREE_FLOW_WORKING_STATES)
     return TimeSeries(state0, dt, n_steps)
 
@@ -510,12 +506,18 @@ class PicardResult:
 # tracemalloc puts the peak at 11.6 of them at d = 1 and d = 2.
 PICARD_WORKING_STATES = 14
 
+# the update norm below which the Picard iteration has converged, and the
+# sweeps it may take to get there
+PICARD_TOL = 1e-8
+PICARD_MAX_SWEEPS = 50
 
-def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec, xi: float,
-                       tol: float = 1e-8, max_iter: int = 50) -> PicardResult:
+
+def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec,
+                       xi: float) -> PicardResult:
     """Iterate Theta <- Xi + i Int_0^t B_N U(t-s) Theta(s) ds on the series
-    grid (trapezoid in s) until successive iterates are closer than ``tol``
-    in the weighted order-1 norm.
+    grid (trapezoid in s) until successive iterates are closer than
+    ``PICARD_TOL`` in the weighted order-1 norm, for at most
+    ``PICARD_MAX_SWEEPS`` sweeps.
 
     The iterate is one list of spectra per level, the only series-sized
     thing held; it and the working states are checked against the budget
@@ -585,7 +587,7 @@ def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec, xi: float,
     converged = False
     rising = 0
     iterations = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, PICARD_MAX_SWEEPS + 1):
         iterations = it
         delta = sweep(simpson=False)
         update_norms.append(delta)
@@ -598,7 +600,7 @@ def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec, xi: float,
                     f"no contraction after {it} sweeps (last ratios "
                     f"{ratios[-3:]}); the horizon is too large for the "
                     f"discrete surrogate")
-        if delta < tol:
+        if delta < PICARD_TOL:
             converged = True
             break
 

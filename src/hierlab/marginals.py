@@ -19,7 +19,7 @@ import numpy as np
 from .budget import default_budget
 from .grid import (Field, GridSpec, apply_symbol, bessel_multiply, dft_forward,
                    dft_inverse, free_propagate, free_symbol,
-                   sobolev_norm_field)
+                   random_low_mode_field, sobolev_norm_field)
 
 
 @dataclass
@@ -352,7 +352,6 @@ def random_hermitian_marginal(grid: GridSpec, k: int, rng: np.random.Generator,
                               max_mode: int | None = None,
                               symmetric: bool = False) -> Marginal:
     """Seeded smooth Hermitian test kernel (optionally permutation symmetric)."""
-    from .grid import random_low_mode_field
     raw = random_low_mode_field(grid, 2 * k, rng, max_mode=max_mode,
                                 unit_norm=False)
     gamma = hermitize(Marginal(grid, k, raw.data))

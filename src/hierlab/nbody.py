@@ -40,7 +40,7 @@ class NBodyState:
     grid: GridSpec
     big_n: int
     psi: Field
-    pot: PotentialSpec | None = None
+    pot: PotentialSpec
 
     def __post_init__(self):
         if self.psi.rank != self.big_n:
@@ -48,8 +48,6 @@ class NBodyState:
 
     @cached_property
     def pair_potential(self) -> np.ndarray:
-        if self.pot is None:
-            return np.zeros(self.grid.slot_shape(self.big_n))
         return _pair_potential_total(self.grid, self.big_n, self.pot)
 
     @cached_property
@@ -65,8 +63,7 @@ class NBodyState:
         return other
 
 
-def factorized_state(phi: Field, big_n: int,
-                     pot: PotentialSpec | None = None) -> NBodyState:
+def factorized_state(phi: Field, big_n: int, pot: PotentialSpec) -> NBodyState:
     """Product wavefunction phi tensored N times (normalized)."""
     if big_n < 1:
         raise ValueError(f"big_n must be >= 1, got {big_n}")
@@ -103,16 +100,16 @@ def symmetry_defect(psi: Field) -> float:
 HAMILTONIAN_WORKING_FIELDS = 4
 
 
-def hamiltonian_apply(state: NBodyState, psi: Field | None = None) -> Field:
-    """Kinetic part spectrally, pair potential pointwise with the 1/N weight,
-    added into the kinetic part's buffer."""
-    f = psi if psi is not None else state.psi
+def hamiltonian_apply(state: NBodyState, psi: Field) -> Field:
+    """H psi for the system of ``state``: kinetic part spectrally, pair
+    potential pointwise with the 1/N weight, added into the kinetic part's
+    buffer."""
     default_budget().check_elements(
-        HAMILTONIAN_WORKING_FIELDS * f.data.size,
+        HAMILTONIAN_WORKING_FIELDS * psi.data.size,
         f"N-body Hamiltonian of {HAMILTONIAN_WORKING_FIELDS} working "
         f"wavefunctions")
-    out = apply_symbol(f, state.kinetic).data
-    out += (state.pair_potential / state.big_n) * f.data
+    out = apply_symbol(psi, state.kinetic).data
+    out += (state.pair_potential / state.big_n) * psi.data
     return Field(state.grid, state.big_n, out)
 
 
@@ -167,10 +164,9 @@ def nbody_evolve(state: NBodyState, dt: float, t_final: float,
     return NBodyTrajectory(keep, psis, np.array(norms))
 
 
-def extract_marginal(state_or_psi, k: int) -> Marginal:
+def extract_marginal(psi: Field, k: int) -> Marginal:
     """k-particle reduction: contract the trailing slots of psi (x) conj(psi)
     with quadrature weights.  Unit-norm input gives a unit-trace kernel."""
-    psi = state_or_psi.psi if isinstance(state_or_psi, NBodyState) else state_or_psi
     grid, big_n = psi.grid, psi.rank
     if not 1 <= k <= big_n:
         raise ValueError(f"k must lie in 1..{big_n}")

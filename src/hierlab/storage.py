@@ -8,11 +8,13 @@ then k primed.
 
 from __future__ import annotations
 
+import json
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from .definetti import Mixture
 from .grid import Field, GridSpec, make_grid
 
 MAGIC = b"HLAB"
@@ -63,10 +65,9 @@ def read_marginal(path: str | Path) -> tuple[GridSpec, int, np.ndarray]:
     return f.grid, f.rank // 2, f.data
 
 
-def write_mixture(directory: str | Path, mixture, stem: str = "mixture") -> Path:
+def write_mixture(directory: str | Path, mixture: Mixture, stem: str = "mixture") -> Path:
     """Persist a mixture as one JSON manifest (weights, support flag, atom
     file names) plus one field file per atom.  Returns the manifest path."""
-    import json
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     names = []
@@ -84,10 +85,7 @@ def write_mixture(directory: str | Path, mixture, stem: str = "mixture") -> Path
     return path
 
 
-def read_mixture(manifest_path: str | Path):
-    import json
-
-    from .definetti import Mixture
+def read_mixture(manifest_path: str | Path) -> Mixture:
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text())
     atoms = []

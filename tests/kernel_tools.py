@@ -1,6 +1,6 @@
-"""Test tools: symmetry defects of density kernels, a non-factorized
-bosonic N-body state, a time series of stored samples and the contact
-residual of a whole stored trajectory."""
+"""Test tools: symmetry defects of density kernels, the zero potential, a
+non-factorized bosonic N-body state, a time series of stored samples and the
+contact residual of a whole stored trajectory."""
 
 import math
 from typing import Iterator, Sequence
@@ -9,6 +9,7 @@ import numpy as np
 
 from hierlab.grid import Field, normalized, place_axes
 from hierlab.hierarchy_evolution import HierarchyTrajectory, gp_residual_row
+from hierlab.interactions import PotentialSpec
 from hierlab.marginals import HierarchyState, Marginal, marginal_spectrum
 from hierlab.nbody import NBodyState, factorized_state
 
@@ -36,8 +37,14 @@ def permutation_defect(gamma: Marginal) -> float:
     return worst
 
 
+def zero_potential(grid, big_n=4) -> PotentialSpec:
+    """V = 0: no coupling, and an all-zero N-body pair potential."""
+    return PotentialSpec(grid=grid, big_n=big_n, kappa0=0.0,
+                         realized=Field(grid, 1, np.zeros(grid.slot_shape(1))))
+
+
 def perturbed_product_state(phi: Field, bump: Field, eps: float, big_n: int,
-                            pot=None) -> NBodyState:
+                            pot: PotentialSpec) -> NBodyState:
     """Non-factorized but exactly bosonic data: a product state modulated by
     the symmetric polynomial 1 + eps * sum_j bump(x_j)."""
     state = factorized_state(phi, big_n, pot)
@@ -77,18 +84,19 @@ class StoredSeries:
         return (marginal_spectrum(s.entry(k)) for s in self.states)
 
 
-def gp_residual(traj: HierarchyTrajectory) -> dict[int, np.ndarray]:
-    """Central-difference defect of the stored trajectory against the contact
-    hierarchy with the trajectory's coupling, per level k < K, at interior
-    stored steps (``gp_residual_row``).  Requires every step stored (stride
-    one)."""
+def gp_residual(traj: HierarchyTrajectory, dt: float,
+                kappa0: float) -> dict[int, np.ndarray]:
+    """Central-difference defect of the stored trajectory, taken with time
+    step ``dt``, against the contact hierarchy with coupling ``kappa0``, per
+    level k < K, at interior stored steps (``gp_residual_row``).  Requires
+    every step stored (stride one)."""
     steps = traj.stored_steps
     if len(steps) < 3 or any(b - a != 1 for a, b in zip(steps, steps[1:])):
         raise ValueError("residual needs a trajectory stored at every step")
     K = traj.states[0].K
     out: dict[int, list[float]] = {k: [] for k in range(1, K)}
     for triple in zip(traj.states, traj.states[1:], traj.states[2:]):
-        row = gp_residual_row(*triple, traj.dt, traj.kappa0)
+        row = gp_residual_row(*triple, dt, kappa0)
         for k, v in enumerate(row, start=1):
             out[k].append(v)
     return {k: np.array(v) for k, v in out.items()}

@@ -68,7 +68,7 @@ def test_criterion_02_admissibility_from_wavefunctions():
     phi = random_low_mode_field(G16, 1, rng, max_mode=2)
     bump = random_low_mode_field(G16, 1, rng, max_mode=1, unit_norm=False)
     state = perturbed_product_state(phi, bump, 0.2, 4, pot)
-    stack = HierarchyState([extract_marginal(state, k) for k in (1, 2, 3)])
+    stack = HierarchyState([extract_marginal(state.psi, k) for k in (1, 2, 3)])
     worst = max(admissibility_defect(stack))
     record(2, "admissibility from wavefunctions", worst < 1e-12,
            f"max chain defect {worst:.2e}")
@@ -156,7 +156,7 @@ def test_criterion_08_gp_residual_scaling():
         cfg = EvolutionConfig(dt=dt, t_final=0.02)
         traj = gp_evolve(mixture_state(mix, 2), cfg, kappa0=1.0, mixture=mix,
                          store_every=1)
-        maxima.append(float(np.max(gp_residual(traj)[1])))
+        maxima.append(float(np.max(gp_residual(traj, dt, 1.0)[1])))
     ratio = maxima[0] / maxima[1]
     record(8, "gp residual scaling", 3.0 < ratio < 5.0,
            f"halving dt changed residual by {ratio:.3f} (target 4 +- 25%)")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hierlab.cli import main
+from hierlab.cli import EXPERIMENT_ONLY, main
 from hierlab.grid import (apply_multiplier, bessel_multiply, make_grid,
                           random_low_mode_field, sobolev_norm_field)
 from hierlab.harness import ExperimentConfig, Report
@@ -19,6 +19,8 @@ from hierlab.interactions import bump_profile, gaussian_profile
 from hierlab.marginals import (factorized_state, hierarchy_norm, sobolev_norm,
                                trace_sobolev_norm)
 from hierlab.nbody import factorized_state as nbody_factorized_state
+
+from kernel_tools import zero_potential
 
 G8 = make_grid(1, 8)
 PHI = random_low_mode_field(G8, 1, np.random.default_rng(0), max_mode=2)
@@ -32,7 +34,8 @@ PROBES = {
     "gaussian-width-nan": (lambda: gaussian_profile(G8, math.nan), "width"),
     "bump-width-negative": (lambda: bump_profile(G8, -0.5), "width"),
     "bump-width-inf": (lambda: bump_profile(G8, math.inf), "width"),
-    "nbody-N-0": (lambda: nbody_factorized_state(PHI, 0), "big_n"),
+    "nbody-N-0": (lambda: nbody_factorized_state(PHI, 0, zero_potential(G8)),
+                  "big_n"),
     "hierarchy-norm-alpha-nan": (lambda: hierarchy_norm(STATE, math.nan, 0.5),
                                  "alpha"),
     "hierarchy-trace-norm-alpha-nan": (
@@ -55,6 +58,10 @@ PROBES = {
                                 "dt"),
     "free-flow-series-dt-inf": (lambda: free_flow_series(STATE, math.inf, 4),
                                 "dt"),
+    "free-flow-series-steps-float": (
+        lambda: free_flow_series(STATE, 0.01, 2.5), "n_steps"),
+    "free-flow-series-steps-bool": (
+        lambda: free_flow_series(STATE, 0.01, True), "n_steps"),
     "evolution-dt-nan": (lambda: EvolutionConfig(dt=math.nan), "dt"),
     "evolution-dt-inf": (lambda: EvolutionConfig(dt=math.inf), "dt"),
     "random-field-rank-0": (
@@ -75,6 +82,21 @@ PROBES = {
 def test_entry_point_rejects_bad_value(call, names):
     with pytest.raises(ValueError, match=names):
         call()
+
+
+@pytest.mark.parametrize("argv,ini,name", [
+    ([], "n = abc", "n"),
+    (["--n", "abc"], None, "n"),
+    (["--ladder", "2,x"], None, "ladder"),
+], ids=["ini-n", "flag-n", "flag-ladder"])
+def test_value_that_fails_to_convert_names_its_field(tmp_path, argv, ini, name):
+    outdir = tmp_path / "out"
+    if ini is not None:
+        (tmp_path / "cfg.ini").write_text(f"[run]\n{ini}\n")
+        argv = ["--config", str(tmp_path / "cfg.ini")]
+    with pytest.raises(ValueError, match=rf"^{name}\b"):
+        main(["convergence", *argv, "--outdir", str(outdir)])
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("argv,names", [
@@ -111,11 +133,6 @@ BAD_FIELDS = {
     "seed": st.integers(max_value=-1),
     **{name: NON_FINITE for name in ("beta", "b1", "xi", "xi_prime", "xi1")},
 }
-# the subcommand whose flags include the field; every other field is common
-COMMAND = {"ladder": "convergence", "collision_ladder": "collision-limit",
-           "k_marginals": "simulate-nbody", "m_max": "conservation",
-           "windows": "conservation", "atoms": "conservation",
-           "j_max": "duhamel-check"}
 
 
 def test_every_config_field_has_a_bad_value_strategy():
@@ -129,10 +146,12 @@ def test_every_config_field_has_a_bad_value_strategy():
     lambda name: st.tuples(st.just(name), BAD_FIELDS[name])))
 def test_bad_config_field_raises_before_a_random_field_is_drawn(
         tmp_path, monkeypatch, case):
+    import hierlab.definetti as definetti_mod
     import hierlab.grid as grid_mod
     import hierlab.harness as harness_mod
+    import hierlab.marginals as marginals_mod
     name, value = case
-    for mod in (harness_mod, grid_mod):
+    for mod in (harness_mod, grid_mod, marginals_mod, definetti_mod):
         monkeypatch.setattr(mod, "random_low_mode_field", lambda *a, **k:
                             pytest.fail("random_low_mode_field was called"))
     names_it = rf"^{name}\b"
@@ -140,6 +159,6 @@ def test_bad_config_field_raises_before_a_random_field_is_drawn(
         ExperimentConfig(**{name: value})
     text = ",".join(map(str, value)) if "ladder" in name else str(value)
     with pytest.raises(ValueError, match=names_it):
-        main([COMMAND.get(name, "simulate-gp"),
+        main([EXPERIMENT_ONLY.get(name, "simulate-gp"),
               f"--{name.replace('_', '-')}={text}", "--outdir", str(tmp_path)])
     assert not list(tmp_path.iterdir())

@@ -22,6 +22,8 @@ from hierlab.grid import (Field, apply_multiplier, make_grid, place_axes,
 from hierlab.marginals import Marginal, free_generator
 from hierlab.nbody import NBodyState, hamiltonian_apply
 
+from kernel_tools import zero_potential
+
 SOURCE = Path(hierlab.__file__).resolve().parent
 # (module file, top-level function) pairs that may call numpy's FFT directly
 FFT_EXCEPTIONS = {("interactions.py", "realize_potential"),
@@ -141,6 +143,6 @@ def test_hamiltonian_kinetic_part_on_plane_waves(dim, big_n):
     rng = np.random.default_rng(200 + 10 * dim + big_n)
     for _ in range(3):
         wave, k2 = plane_wave(grid, random_modes(rng, grid, big_n))
-        state = NBodyState(grid, big_n, wave)  # no potential: kinetic only
-        _assert_eigen(hamiltonian_apply(state).data, wave.data, sum(k2))
+        state = NBodyState(grid, big_n, wave, zero_potential(grid))
+        _assert_eigen(hamiltonian_apply(state, wave).data, wave.data, sum(k2))
 

@@ -224,7 +224,7 @@ def test_streamed_outputs_equal_in_memory_outputs(tmp_path, monkeypatch,
     rows = {line.split(",")[5]: float(line.split(",")[6])
             for line in csv_path.read_text().splitlines()[1:]
             if ",residual_max_k" in line}
-    residual = gp_residual(traj) if len(traj.states) >= 3 else {}
+    residual = gp_residual(traj, cfg.dt, 1.0) if len(traj.states) >= 3 else {}
     expected = {f"residual_max_k{k}": float(np.max(v))
                 for k, v in residual.items()} if name == "gp" else {}
     assert rows == expected
@@ -306,6 +306,27 @@ def test_cli_determinism_bit_identical(tmp_path):
               "--collision-ladder", "4,16", "--outdir", str(out)])
         outs.append((out / "collision_limit.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+# the option strings of every subcommand, and the ones only it takes
+COMMON_FLAGS = {"-h", "--help", "--config", "--outdir", "--seed", "--dim",
+                "--n", "--box-length", "--dt", "--t-final", "--beta",
+                "--big-n", "--profile", "--profile-width", "--xi",
+                "--xi-prime", "--xi1", "--b1", "--k-max"}
+OWN_FLAGS = {"convergence": {"--ladder"},
+             "conservation": {"--m-max", "--windows", "--atoms"},
+             "collision-limit": {"--collision-ladder"},
+             "duhamel-check": {"--j-max"},
+             "picard": set(), "simulate-gp": set(), "simulate-bbgky": set(),
+             "simulate-nbody": {"--k-marginals"}}
+
+
+def test_each_subcommand_takes_its_fixed_flag_set():
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    assert list(sub.choices) == list(OWN_FLAGS)
+    for name, own in OWN_FLAGS.items():
+        got = {s for a in sub.choices[name]._actions for s in a.option_strings}
+        assert got == COMMON_FLAGS | own, name
 
 
 def test_profile_loaded_from_field_file(tmp_path):

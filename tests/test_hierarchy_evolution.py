@@ -17,8 +17,8 @@ from hierlab.hierarchy_evolution import (DUHAMEL_WORKING_STATES,
                                          free_flow, free_flow_series,
                                          gp_evolve, k_schedule,
                                          picard_fixed_point, t0_gate)
-from hierlab.interactions import (PotentialSpec, bbgky_main_level,
-                                  gaussian_profile, realize_potential)
+from hierlab.interactions import (bbgky_main_level, gaussian_profile,
+                                  realize_potential)
 from hierlab.marginals import (HierarchyState, admissibility_defect,
                                factorized_state, free_propagate_marginal,
                                hierarchy_norm, marginal_spectrum,
@@ -31,7 +31,7 @@ from hierlab.nbody import (HAMILTONIAN_WORKING_FIELDS,
                            hamiltonian_apply, nbody_evolve)
 
 from kernel_tools import (StoredSeries, gp_residual, hermiticity_defect,
-                          permutation_defect)
+                          permutation_defect, zero_potential)
 
 G16 = make_grid(1, 16, 2 * np.pi)
 G8 = make_grid(1, 8, 2 * np.pi)
@@ -44,11 +44,6 @@ def atom(grid, seed, max_mode=2):
 
 def pot16(big_n):
     return realize_potential(gaussian_profile(G16, 0.6), 0.2, big_n)
-
-
-def zero_potential(grid, big_n=4):
-    return PotentialSpec(grid=grid, big_n=big_n, kappa0=0.0,
-                         realized=Field(grid, 1, np.zeros(grid.slot_shape(1))))
 
 
 # -- schedule ------------------------------------------------------------------------
@@ -242,14 +237,13 @@ def _injected_trajectory(phi, dt, t_final):
                                       pure_product_marginal(p, 2)]))
     return HierarchyTrajectory(states=states,
                                stored_steps=list(range(n_steps + 1)),
-                               traces={}, hs_norms={}, collision_h1={},
-                               dt=dt, kappa0=1.0)
+                               traces={}, hs_norms={}, collision_h1={})
 
 
 def test_residual_quarters_when_dt_halves():
     phi = atom(G16, 11)
-    r_coarse = gp_residual(_injected_trajectory(phi, 2e-3, 0.02))
-    r_fine = gp_residual(_injected_trajectory(phi, 1e-3, 0.02))
+    r_coarse = gp_residual(_injected_trajectory(phi, 2e-3, 0.02), 2e-3, 1.0)
+    r_fine = gp_residual(_injected_trajectory(phi, 1e-3, 0.02), 1e-3, 1.0)
     ratio = np.max(r_coarse[1]) / np.max(r_fine[1])
     assert 3.0 < ratio < 5.0
 
@@ -258,9 +252,8 @@ def test_residual_zero_state():
     zero = HierarchyState([zero_marginal(G16, 1), zero_marginal(G16, 2)])
     traj = HierarchyTrajectory(states=[zero.copy() for _ in range(4)],
                                stored_steps=list(range(4)), traces={},
-                               hs_norms={}, collision_h1={}, dt=1e-3,
-                               kappa0=1.0)
-    res = gp_residual(traj)
+                               hs_norms={}, collision_h1={})
+    res = gp_residual(traj, 1e-3, 1.0)
     assert np.max(res[1]) == 0.0
 
 
@@ -271,8 +264,8 @@ def test_residual_free_flow_equals_collision_norm():
     states = [free_flow(state, i * dt) for i in range(5)]
     traj = HierarchyTrajectory(states=states,
                                stored_steps=list(range(5)), traces={},
-                               hs_norms={}, collision_h1={}, dt=dt, kappa0=1.0)
-    res = gp_residual(traj)
+                               hs_norms={}, collision_h1={})
+    res = gp_residual(traj, dt, 1.0)
     from hierlab.interactions import gp_collision_level
     # the free part of the central difference cancels to O(dt^2), leaving
     # the un-modelled collision term at each interior time
@@ -288,7 +281,7 @@ def test_residual_needs_stride_one():
     traj = gp_evolve(factorized_state(phi, 2), cfg, kappa0=1.0, mixture=mix,
                      store_every=5)
     with pytest.raises(ValueError):
-        gp_residual(traj)
+        gp_residual(traj, 1e-3, 1.0)
 
 
 @pytest.mark.parametrize("store_every, steps", [(2, [0, 2, 4, 5]), (0, [0, 5])])
@@ -296,7 +289,8 @@ def test_time_loops_store_the_same_steps(store_every, steps):
     # without interaction each loop is the free flow, so the sample stored
     # for a step must be the free flow to that step's time
     phi = atom(G8, 20)
-    state, nstate = factorized_state(phi, 2), nb_factorized(phi, 3)
+    state, nstate = factorized_state(phi, 2), nb_factorized(phi, 3,
+                                                            zero_potential(G8))
     cfg = EvolutionConfig(dt=1e-3, t_final=5e-3)
     gp = gp_evolve(state, cfg, kappa0=0.0, store_every=store_every)
     bb = bbgky_evolve(state, cfg, zero_potential(G8), store_every=store_every)
@@ -461,10 +455,10 @@ def test_hamiltonian_budget_counts_its_working_fields(monkeypatch):
     need = HAMILTONIAN_WORKING_FIELDS * 8**3
     monkeypatch.setenv("HLAB_BUDGET", str(need - 1))
     with pytest.raises(BudgetExceeded, match="Hamiltonian"):
-        hamiltonian_apply(nstate)
+        hamiltonian_apply(nstate, nstate.psi)
     assert calls == []
     monkeypatch.setenv("HLAB_BUDGET", str(need))
-    hamiltonian_apply(nstate)
+    hamiltonian_apply(nstate, nstate.psi)
     assert calls == ["apply_symbol"]
 
 
@@ -473,10 +467,12 @@ def test_hamiltonian_peak_fits_its_budget_check(monkeypatch):
     # plan caches, the traced one builds its kinetic symbol and pair
     # potential inside the call
     pot = pot16(4)
-    hamiltonian_apply(nb_factorized(atom(G16, 30), 4, pot))
+    warm = nb_factorized(atom(G16, 30), 4, pot)
+    hamiltonian_apply(warm, warm.psi)
     nstate = nb_factorized(atom(G16, 31), 4, pot)
     peak, checked = _peak_and_checked(
-        monkeypatch, lambda: hamiltonian_apply(nstate), marker="Hamiltonian")
+        monkeypatch, lambda: hamiltonian_apply(nstate, nstate.psi),
+        marker="Hamiltonian")
     assert checked == [HAMILTONIAN_WORKING_FIELDS * 16**4]
     assert peak <= 16 * checked[0]
 
@@ -537,13 +533,11 @@ def test_series_budget_counts_every_sample_and_level(monkeypatch):
     need = 4 * (8**2 + 8**4)  # 4 samples of the k = 1 and k = 2 kernels
     monkeypatch.setenv("HLAB_BUDGET", str(need))
     check_series_budget(G8, 2, 4)
-    assert len(free_flow_series(state, 1e-3, 3).states) == 4
     monkeypatch.setenv("HLAB_BUDGET", str(need - 1))
     with pytest.raises(BudgetExceeded, match="4 samples"):
         check_series_budget(G8, 2, 4)
     series = free_flow_series(state, 1e-3, 3)  # stores no sample
-    with pytest.raises(BudgetExceeded, match="4 samples"):
-        series.states
+    assert len(list(series.iter_states())) == 4
 
 
 # -- nested collision integrals ------------------------------------------------------------
@@ -622,7 +616,7 @@ def picard_setup(seed, steps=64):
 
 def test_picard_zero_input_fixed_at_zero():
     series, pot = picard_setup(18)
-    zeroed = StoredSeries(series.dt, [s * 0.0 for s in series.states])
+    zeroed = StoredSeries(series.dt, [s * 0.0 for s in series.iter_states()])
     result = picard_fixed_point(zeroed, pot, 0.5)
     assert result.converged
     assert all(np.array_equal(a, np.zeros_like(a))
@@ -631,7 +625,7 @@ def test_picard_zero_input_fixed_at_zero():
 
 def test_picard_raises_on_a_non_finite_update():
     series, pot = picard_setup(18, steps=8)
-    states = series.states
+    states = list(series.iter_states())
     states[3] = states[3] * float("nan")
     with pytest.raises(RuntimeError, match="sample 3 is nan"):
         picard_fixed_point(StoredSeries(series.dt, states), pot, 0.5)
@@ -643,7 +637,7 @@ def test_picard_zero_potential_returns_input():
     assert result.converged
     assert all(np.array_equal(a, marginal_spectrum(s.entry(k)))
                for k, level in enumerate(result.spectra, start=1)
-               for a, s in zip(level, series.states, strict=True))
+               for a, s in zip(level, series.iter_states(), strict=True))
 
 
 @pytest.mark.slow
@@ -658,7 +652,8 @@ def test_picard_converges_with_contraction_and_small_residual():
 
 def test_picard_rejects_horizon_beyond_gate():
     series, pot = picard_setup(21)
-    long_series = StoredSeries(t0_gate(0.5) / 8, series.states)  # horizon > gate
+    long_series = StoredSeries(t0_gate(0.5) / 8,  # horizon > gate
+                               list(series.iter_states()))
     with pytest.raises(ValueError):
         picard_fixed_point(long_series, pot, 0.5)
 

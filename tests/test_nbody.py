@@ -10,7 +10,7 @@ from hierlab.nbody import (NBodyState, energy_estimate_check, energy_moments,
                            extract_marginal, factorized_state,
                            hamiltonian_apply, nbody_evolve, symmetry_defect)
 
-from kernel_tools import perturbed_product_state
+from kernel_tools import perturbed_product_state, zero_potential
 
 G16 = make_grid(1, 16, 2 * np.pi)
 G8 = make_grid(1, 8, 2 * np.pi)
@@ -33,7 +33,7 @@ def smooth_symmetric_state(grid, big_n, pot, seed, eps=0.2):
     return perturbed_product_state(phi, bump, eps, big_n, pot)
 
 
-def two_mode_state(phi, chi, big_n, amplitudes=(1.0, 0.5), pot=None):
+def two_mode_state(phi, chi, big_n, pot, amplitudes=(1.0, 0.5)):
     """Superposition of two product states, bosonic and non-factorized."""
     a = factorized_state(phi, big_n, pot)
     b = factorized_state(chi, big_n, pot)
@@ -53,8 +53,8 @@ def pot8(big_n):
 
 
 def test_hamiltonian_plane_wave_eigenvector():
-    state = factorized_state(plane_wave_atom(G16, 2), 3, pot=None)
-    out = hamiltonian_apply(state)
+    state = factorized_state(plane_wave_atom(G16, 2), 3, zero_potential(G16))
+    out = hamiltonian_apply(state, state.psi)
     eigenvalue = 3 * 2.0**2
     assert np.max(np.abs(out.data - eigenvalue * state.psi.data)) < 1e-10
 
@@ -64,7 +64,7 @@ def test_hamiltonian_constant_state_pair_energy():
     pot = pot16(big_n)
     const = normalized(Field(G16, 1, np.ones(16)))
     state = factorized_state(const, big_n, pot)
-    val = inner(state.psi, hamiltonian_apply(state)).real
+    val = inner(state.psi, hamiltonian_apply(state, state.psi)).real
     pairs = big_n * (big_n - 1) / 2
     expected = pairs / big_n * pot.kappa0 / G16.L
     assert val == pytest.approx(expected, rel=1e-10)
@@ -84,7 +84,7 @@ def test_hamiltonian_hermitian_on_random_pair():
 
 
 def test_factorized_state_is_symmetric_and_normalized():
-    state = factorized_state(smooth_atom(G16, 2), 3)
+    state = factorized_state(smooth_atom(G16, 2), 3, zero_potential(G16))
     assert symmetry_defect(state.psi) < 1e-12
     assert l2_norm(state.psi) == pytest.approx(1.0, abs=1e-12)
 
@@ -93,7 +93,7 @@ def test_perturbed_and_two_mode_states_are_bosonic():
     pot = pot8(3)
     pert = smooth_symmetric_state(G8, 3, pot, 3)
     assert symmetry_defect(pert.psi) < 1e-12
-    duo = two_mode_state(smooth_atom(G8, 4), smooth_atom(G8, 5), 3, pot=pot)
+    duo = two_mode_state(smooth_atom(G8, 4), smooth_atom(G8, 5), 3, pot)
     assert symmetry_defect(duo.psi) < 1e-12
 
 
@@ -101,7 +101,7 @@ def test_perturbed_and_two_mode_states_are_bosonic():
 
 
 def test_evolve_free_matches_spectral_flow():
-    state = factorized_state(smooth_atom(G16, 6), 2, pot=None)
+    state = factorized_state(smooth_atom(G16, 6), 2, zero_potential(G16))
     traj = nbody_evolve(state, 1e-3, 0.05, store_every=0)
     from hierlab.grid import free_propagate
     exact = free_propagate(state.psi, 0.05)
@@ -201,9 +201,9 @@ def test_evolve_energy_moment_conserved():
 
 def test_extract_product_state_marginal():
     phi = smooth_atom(G16, 10)
-    state = factorized_state(phi, 3)
+    state = factorized_state(phi, 3, zero_potential(G16))
     for k in (1, 2):
-        got = extract_marginal(state, k)
+        got = extract_marginal(state.psi, k)
         want = pure_product_marginal(phi, k)
         assert sobolev_norm(got - want, 0.0) < 1e-12
 
@@ -211,7 +211,7 @@ def test_extract_product_state_marginal():
 def test_extract_top_marginal_is_projector():
     pot = pot8(2)
     state = smooth_symmetric_state(G8, 2, pot, 11)
-    got = extract_marginal(state, 2)
+    got = extract_marginal(state.psi, 2)
     outer = np.tensordot(state.psi.data, np.conj(state.psi.data), axes=0)
     assert np.max(np.abs(got.kernel - outer)) < 1e-13
 
@@ -219,7 +219,7 @@ def test_extract_top_marginal_is_projector():
 def test_extract_admissibility_chain():
     pot = pot8(4)
     state = smooth_symmetric_state(G8, 4, pot, 12)
-    stack = HierarchyState([extract_marginal(state, k) for k in (1, 2, 3)])
+    stack = HierarchyState([extract_marginal(state.psi, k) for k in (1, 2, 3)])
     assert max(admissibility_defect(stack)) < 1e-12
 
 
@@ -227,7 +227,7 @@ def test_extract_unit_trace_and_psd():
     from hierlab.marginals import psd_defect, trace
     pot = pot8(3)
     state = smooth_symmetric_state(G8, 3, pot, 13)
-    gamma = extract_marginal(state, 2)
+    gamma = extract_marginal(state.psi, 2)
     assert trace(gamma).real == pytest.approx(1.0, abs=1e-12)
     assert psd_defect(gamma) < 1e-10
 
@@ -236,7 +236,7 @@ def test_extract_unit_trace_and_psd():
 
 
 def test_energy_moment_free_plane_waves():
-    state = factorized_state(plane_wave_atom(G16, 1), 3, pot=None)
+    state = factorized_state(plane_wave_atom(G16, 1), 3, zero_potential(G16))
     assert energy_moments(state, 0)[0] == pytest.approx(1.0, abs=1e-12)
     assert energy_moments(state, 1)[1] == pytest.approx(3.0, rel=1e-10)
     assert energy_moments(state, 2)[2] == pytest.approx(9.0, rel=1e-10)
@@ -256,7 +256,7 @@ def test_energy_moment_growth_constant_stable():
 
 def test_energy_estimate_free_plane_waves():
     big_n = 4
-    state = factorized_state(plane_wave_atom(G8, 1), big_n, pot=None)
+    state = factorized_state(plane_wave_atom(G8, 1), big_n, zero_potential(G8))
     ratio = energy_estimate_check(state, 1, 0.5)
     expected = (big_n * 1.0 + big_n) / (0.5 * big_n * (1.0 + 1.0))
     assert ratio == pytest.approx(expected, rel=1e-10)
@@ -271,7 +271,7 @@ def test_energy_estimate_instances(big_n, k):
 
 
 def test_energy_estimate_rejects_bad_arguments():
-    state = factorized_state(smooth_atom(G8, 15), 2)
+    state = factorized_state(smooth_atom(G8, 15), 2, zero_potential(G8))
     with pytest.raises(ValueError):
         energy_estimate_check(state, 3, 0.5)
     with pytest.raises(ValueError):
@@ -282,4 +282,4 @@ def test_budget_guards_large_state(monkeypatch):
     from hierlab.budget import BudgetExceeded
     monkeypatch.setenv("HLAB_BUDGET", "100")
     with pytest.raises(BudgetExceeded):
-        factorized_state(smooth_atom(G8, 16), 3)
+        factorized_state(smooth_atom(G8, 16), 3, zero_potential(G8))

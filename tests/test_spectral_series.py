@@ -11,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from hierlab import hierarchy_evolution
 from hierlab.cli import main
 from hierlab.grid import (dft_forward, make_grid, random_low_mode_field,
                           sobolev_norm_field, sobolev_weight)
@@ -47,10 +48,11 @@ def ref_duhamel(series, j, pot, t):
     dt = series.dt
     n_pts = int(round(t / dt)) + 1
     times = dt * np.arange(n_pts)
-    K = series.states[0].K
+    states = list(series.iter_states())
+    K = states[0].K
     comps = []
     for k in range(1, K - j + 1):
-        current = [series.states[i].entry(k + j) for i in range(n_pts)]
+        current = [states[i].entry(k + j) for i in range(n_pts)]
         for _ in range(j):
             back = [free_propagate_marginal(current[i], -times[i])
                     for i in range(n_pts)]
@@ -77,7 +79,7 @@ def ref_sweep(xi_series, theta, pot, simpson):
     back = [free_flow(s, -t) for s, t in zip(theta, times)]
     prefixes = ref_prefix(back, xi_series.dt, simpson)
     return [x + bbgky_rhs(free_flow(p, t), pot) * 1j
-            for x, p, t in zip(xi_series.states, prefixes, times)]
+            for x, p, t in zip(xi_series.iter_states(), prefixes, times)]
 
 
 def ref_distance(a, b):
@@ -111,11 +113,12 @@ def test_free_flow_series_matches_per_sample_free_flow(grid):
     state = HierarchyState([random_hermitian_marginal(grid, k, rng, max_mode=1)
                             for k in (1, 2)])
     series = free_flow_series(state, 0.01, 8)
-    assert series.dt == 0.01 and len(series.states) == 9
+    samples = list(series.iter_states())
+    assert series.dt == 0.01 and len(series) == len(samples) == 9
     worst = max(hierarchy_norm(s - free_flow(state, j * 0.01), 0.0, 0.5)
-                for j, s in enumerate(series.states))
+                for j, s in enumerate(samples))
     assert worst <= 1e-13
-    assert hierarchy_norm(series.states[0] - state, 0.0, 0.5) == 0.0
+    assert hierarchy_norm(samples[0] - state, 0.0, 0.5) == 0.0
 
 
 def test_free_flow_series_rejects_bad_steps():
@@ -152,7 +155,8 @@ def test_duhamel_tower_matches_physical_reference_at_every_depth(grid, K, free):
         series = free_flow_series(factorized_state(phi, K), 0.005, 8)
     else:
         series = random_series(grid, K, 9, 0.005, seed=30 + K)
-    stored = StoredSeries(series.dt, series.states)  # what the reference reads
+    # what the reference reads
+    stored = StoredSeries(series.dt, list(series.iter_states()))
     for t in (0.02, 0.04):  # an interior sample and the last one
         tower = duhamel_tower(series, K - 1, pot, t)
         assert sorted(tower) == list(range(1, K))
@@ -191,17 +195,20 @@ def test_picard_transform_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
-def test_picard_sweep_matches_physical_reference(grid):
+def test_picard_sweep_matches_physical_reference(grid, monkeypatch):
     pot = pot_for(grid)
     rng = np.random.default_rng(3)
     base = HierarchyState([random_hermitian_marginal(grid, k, rng, max_mode=1)
                            for k in (1, 2)])
     xi_series = free_flow_series(base, t0_gate(0.5) / 4.0 / 8, 8)
+    xi_states = list(xi_series.iter_states())
 
-    result = picard_fixed_point(xi_series, pot, 0.5, max_iter=1)
-    new = ref_sweep(xi_series, xi_series.states, pot, simpson=False)
+    with monkeypatch.context() as one_sweep:
+        one_sweep.setattr(hierarchy_evolution, "PICARD_MAX_SWEEPS", 1)
+        result = picard_fixed_point(xi_series, pot, 0.5)
+    new = ref_sweep(xi_series, xi_states, pot, simpson=False)
     assert result.update_norms[0] == pytest.approx(
-        ref_distance(new, xi_series.states), abs=1e-12)
+        ref_distance(new, xi_states), abs=1e-12)
     assert result.residual == pytest.approx(
         ref_distance(ref_sweep(xi_series, new, pot, simpson=True), new), abs=1e-12)
     swept = [HierarchyState([marginal_from_spectrum(grid, k, a)
@@ -211,7 +218,7 @@ def test_picard_sweep_matches_physical_reference(grid):
 
     # the full iteration follows the reference sweep for sweep
     result = picard_fixed_point(xi_series, pot, 0.5)
-    theta, norms = xi_series.states, []
+    theta, norms = xi_states, []
     for _ in range(result.iterations):
         new = ref_sweep(xi_series, theta, pot, simpson=False)
         norms.append(ref_distance(new, theta))
