@@ -2,14 +2,16 @@
 higher-order energy functionals evaluated both by explicit kernel algebra and
 by the closed mixture-side formula.
 
-A mixture is a finite convex combination of one-particle wavefunctions.  Its
-k-level kernels are always positive semidefinite, and on unit-norm (sphere)
-atoms the m-th energy functional collapses to sum_i w_i (1/2 + E[phi_i])^m
-where E is the conserved one-particle energy.
+A mixture is a finite convex combination of unit-norm one-particle
+wavefunctions: the de Finetti measure of a hierarchy whose marginals keep
+trace one lives on the unit sphere of L^2.  Its k-level kernels are positive
+semidefinite with trace one, and its m-th energy functional collapses to
+sum_i w_i (1/2 + E[phi_i])^m where E is the conserved one-particle energy.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,48 +30,39 @@ WINDOW_SLACK = 1e-6
 
 @dataclass
 class Mixture:
-    """Weighted list of one-particle wavefunctions.
+    """Weighted list of unit-norm one-particle wavefunctions.
 
-    ``support`` is 'sphere' (unit L^2 atoms) or 'ball' (norms at most one).
-    Weights must be a probability vector.
+    Weights must be a probability vector and every atom must have L^2 norm
+    one.  Iterating a mixture yields its (weight, atom) pairs.
     """
 
     atoms: list[tuple[float, Field]]
-    support: str = "sphere"
 
     def __post_init__(self):
         if not self.atoms:
             raise ValueError("mixture needs at least one atom")
-        if self.support not in ("sphere", "ball"):
-            raise ValueError("support must be 'sphere' or 'ball'")
         total = sum(w for w, _ in self.atoms)
         if any(w < 0 for w, _ in self.atoms):
             raise ValueError("weights must be nonnegative")
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {total}")
-        for w, phi in self.atoms:
+        for _, phi in self.atoms:
             nrm = l2_norm(phi)
-            if self.support == "sphere" and abs(nrm - 1.0) > 1e-10:
-                raise ValueError(f"sphere atom has norm {nrm}")
-            if self.support == "ball" and nrm > 1.0 + 1e-10:
-                raise ValueError(f"ball atom has norm {nrm} > 1")
+            if abs(nrm - 1.0) > 1e-10:
+                raise ValueError(f"atom has norm {nrm}, not 1")
 
-    def pairs(self) -> list[tuple[float, Field]]:
-        return list(self.atoms)
+    def __iter__(self) -> Iterator[tuple[float, Field]]:
+        return iter(self.atoms)
 
 
 def random_mixture(grid: GridSpec, n_atoms: int, rng: np.random.Generator,
-                   max_mode: int = 2, support: str = "sphere") -> Mixture:
+                   max_mode: int = 2) -> Mixture:
     """Seeded mixture of smooth low-mode atoms with random simplex weights."""
     raw = rng.random(n_atoms) + 0.25
     weights = raw / raw.sum()
-    atoms = []
-    for w in weights:
-        phi = random_low_mode_field(grid, 1, rng, max_mode=max_mode)
-        if support == "ball":
-            phi = Field(grid, 1, phi.data * float(0.5 + 0.5 * rng.random()))
-        atoms.append((float(w), phi))
-    return Mixture(atoms, support=support)
+    return Mixture([(float(w), random_low_mode_field(grid, 1, rng,
+                                                     max_mode=max_mode))
+                    for w in weights])
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +95,9 @@ def nls_energy(phi: Field) -> float:
 
 
 def flow_mixture(mix: Mixture, t: float, dt: float, coupling: float = 1.0) -> Mixture:
-    """Evolve every atom by the cubic flow; weights and support are untouched."""
-    atoms = [(w, nls_evolve(phi, dt, t, coupling=coupling)) for w, phi in mix.atoms]
-    return Mixture(atoms, mix.support)
+    """Evolve every atom by the cubic flow; the weights are untouched."""
+    return Mixture([(w, nls_evolve(phi, dt, t, coupling=coupling))
+                    for w, phi in mix])
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +108,7 @@ def energy_functional_mixture(mix: Mixture, m: int) -> float:
     """Mixture-side value sum_i w_i (1/2 + E[phi_i])^m."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return float(sum(w * (0.5 + nls_energy(phi)) ** m for w, phi in mix.atoms))
+    return float(sum(w * (0.5 + nls_energy(phi)) ** m for w, phi in mix))
 
 
 def energy_functional_direct(state: HierarchyState, m: int) -> float:
@@ -125,7 +118,7 @@ def energy_functional_direct(state: HierarchyState, m: int) -> float:
     half of (identity plus the order-2 multiplier on the surviving unprimed
     slot) applied to the partial trace, plus a quarter of the plus-type
     contact contraction.  The trace of the remaining m-particle kernel is the
-    value; on sphere mixtures it reproduces the closed formula.
+    value; on mixture kernels it reproduces the closed formula.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
@@ -166,8 +159,6 @@ def gwp_window_chain(mix: Mixture, state0: HierarchyState, bound: float,
     # imported here: hierarchy_evolution imports this module
     from .hierarchy_evolution import EvolutionConfig, gp_evolve
 
-    if mix.support != "sphere":
-        raise ValueError("window chaining requires a sphere-supported mixture")
     cfg = EvolutionConfig(dt=dt, t_final=window)
     current, state = mix, state0
     rows = []

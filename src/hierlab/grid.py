@@ -12,7 +12,7 @@ Conventions used by every other module:
   inverse, which makes Parseval hold in the form
   h^(d*r) * sum |f|^2 == L^(-d*r) * sum |fhat|^2.
 * This module owns every transform.  Its n-d transforms all go through
-  one unscaled pair, _fftn and _ifftn, which write into an output buffer.
+  one unscaled pair, _fftn and _ifftn, which write into one output buffer.
   The exact free flow exp(-i t sum_s sign_s |xi_s|^2) is one n x n unitary
   per axis, M(t) = F^-1 diag(exp(-i t xi^2)) F (M(-t) on a slot of sign -1),
   which free_propagate alone applies by one matrix product per axis
@@ -116,18 +116,16 @@ class Field:
 # Transforms and Fourier multipliers
 
 
-def _fftn(data: np.ndarray, axes: Sequence[int] | None = None,
-          out: np.ndarray | None = None) -> np.ndarray:
-    """Unscaled n-d DFT over ``axes`` (default: all) into ``out``, which may
-    be ``data``, or one new array: pocketfft then keeps no copy beside it."""
-    if out is None:
-        out = np.empty(data.shape, complex)
-    return np.fft.fftn(data, axes=axes, out=out)
+def _fftn(data: np.ndarray, axes: Sequence[int] | None = None) -> np.ndarray:
+    """Unscaled n-d DFT over ``axes`` (default: all) into one new array:
+    pocketfft then keeps no copy beside it."""
+    return np.fft.fftn(data, axes=axes, out=np.empty(data.shape, complex))
 
 
 def _ifftn(data: np.ndarray, axes: Sequence[int] | None = None,
            out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of _fftn (1/size included), written into ``out`` as there."""
+    """Inverse of _fftn (1/size included), written into ``out``, which may
+    be ``data``, or into one new array."""
     if out is None:
         out = np.empty(data.shape, complex)
     return np.fft.ifftn(data, axes=axes, out=out)

@@ -106,7 +106,7 @@ class MixtureClosure:
         self.dt_half = dt_half
         self.coupling = coupling
         self._index = 0
-        self._atoms: list[tuple[float, Field]] = list(mixture.pairs())
+        self._atoms: list[tuple[float, Field]] = list(mixture)
 
     def _atoms_at(self, index: int) -> list[tuple[float, Field]]:
         # imported here: definetti imports this module

@@ -115,21 +115,17 @@ def pure_product_marginal(phi: Field, k: int) -> Marginal:
     return Marginal(phi.grid, k, kern)
 
 
-def mixture_marginal(atoms: Iterable[tuple[float, Field]] | object, k: int) -> Marginal:
-    """Convex combination of product kernels from (weight, wavefunction) pairs.
-
-    Accepts either an iterable of pairs or any object exposing ``.pairs()``
-    (e.g. a de Finetti mixture).
-    """
-    pairs = atoms.pairs() if hasattr(atoms, "pairs") else list(atoms)
-    if not pairs:
-        raise ValueError("mixture must have at least one atom")
+def mixture_marginal(atoms: Iterable[tuple[float, Field]], k: int) -> Marginal:
+    """Convex combination of product kernels from (weight, wavefunction)
+    pairs, such as a de Finetti mixture's."""
     out = None
-    for w, phi in pairs:
+    for w, phi in atoms:
         if w < 0:
             raise ValueError("mixture weights must be nonnegative")
         term = pure_product_marginal(phi, k)
         out = term * w if out is None else out + term * w
+    if out is None:
+        raise ValueError("mixture must have at least one atom")
     return out
 
 

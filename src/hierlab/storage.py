@@ -67,17 +67,18 @@ def read_marginal(path: str | Path) -> tuple[GridSpec, int, np.ndarray]:
 
 def write_mixture(directory: str | Path, mixture: Mixture, stem: str = "mixture") -> Path:
     """Persist a mixture as one JSON manifest (weights, support flag, atom
-    file names) plus one field file per atom.  Returns the manifest path."""
+    file names) plus one field file per atom.  Returns the manifest path.
+    The support flag is always "sphere": a mixture's atoms have unit norm."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     names = []
-    for i, (w, phi) in enumerate(mixture.pairs()):
+    for i, (_, phi) in enumerate(mixture):
         name = f"{stem}_atom{i:03d}.hlab"
         write_field(directory / name, phi)
         names.append(name)
     manifest = {
-        "weights": [float(w) for w, _ in mixture.pairs()],
-        "support": mixture.support,
+        "weights": [float(w) for w, _ in mixture],
+        "support": "sphere",
         "atoms": names,
     }
     path = directory / f"{stem}.json"
@@ -86,10 +87,12 @@ def write_mixture(directory: str | Path, mixture: Mixture, stem: str = "mixture"
 
 
 def read_mixture(manifest_path: str | Path) -> Mixture:
+    """Load a mixture written by write_mixture; an atom whose norm is not one
+    (a legacy "ball" manifest) raises ValueError."""
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text())
     atoms = []
     for w, name in zip(manifest["weights"], manifest["atoms"]):
         phi, _ = read_field(manifest_path.parent / name)
         atoms.append((float(w), phi))
-    return Mixture(atoms, support=manifest["support"])
+    return Mixture(atoms)

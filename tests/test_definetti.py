@@ -96,7 +96,8 @@ def test_mixture_validation():
         Mixture([(0.5, phi)])  # weights must sum to one
     with pytest.raises(ValueError):
         Mixture([(1.0, Field(G16, 1, phi.data * 1.5))])  # off the sphere
-    Mixture([(1.0, Field(G16, 1, phi.data * 0.5))], support="ball")  # inside the ball is fine
+    with pytest.raises(ValueError, match="atom has norm 0.5"):
+        Mixture([(1.0, Field(G16, 1, phi.data * 0.5))])  # inside the ball
 
 
 def test_flow_mixture_identity_at_t0():
@@ -242,10 +243,3 @@ def test_flow_mixture_continued_frame_is_bit_identical():
     continued = flow_mixture(flow_mixture(mix, 0.004, 1e-3), 0.006, 1e-3)
     for (_, a), (_, b) in zip(direct.atoms, continued.atoms):
         assert np.array_equal(a.data, b.data)
-
-
-def test_window_chain_requires_sphere():
-    phi = constant_atom(G8)
-    mix = Mixture([(1.0, Field(G8, 1, phi.data * 0.9))], support="ball")
-    with pytest.raises(ValueError):
-        window_chain(mix, window=0.01, windows=1)

@@ -56,6 +56,13 @@ seed = 99
     assert cfg.ladder == (2, 3, 4) and cfg.seed == 99 and cfg.dt == 5e-3
 
 
+def test_config_from_ini_without_section_header(tmp_path):
+    ini = tmp_path / "bare.ini"
+    ini.write_text("seed = 5\nn = 8\n")
+    cfg = ExperimentConfig.from_ini(ini)
+    assert cfg.seed == 5 and cfg.n == 8
+
+
 def test_config_rejects_misspelled_keys(tmp_path):
     ini = tmp_path / "typo.ini"
     ini.write_text("[experiment]\nt_fnal = 0.5\nseeed = 3\nn = 8\n")
@@ -132,7 +139,11 @@ def test_conservation_flows_its_mixture_once(monkeypatch):
     states = count_calls(monkeypatch, "mixture_state", harness_mod,
                          definetti_mod)
     trace_norms = count_calls(monkeypatch, "trace_sobolev_norm", marginals_mod)
+    kernels = count_calls(monkeypatch, "mixture_marginal", harness_mod,
+                          marginals_mod)
     run_conservation(small_cfg())
+    # k = 1, 2 at four sample frames, and at t = 0 and t_final once each
+    assert len(kernels) == 12
     # five sample frames; the window chain's one window needs no flow
     assert len(flows) == 5
     # t = 0 and t_final; the t = 0 state also starts the chain's window 0

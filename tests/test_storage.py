@@ -1,9 +1,10 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hierlab.grid import make_grid, random_low_mode_field
+from hierlab.grid import Field, make_grid, random_low_mode_field
 from hierlab.marginals import pure_product_marginal
 from hierlab.storage import (FLAG_MARGINAL_SPLIT, read_field, read_marginal,
                              write_field, write_marginal)
@@ -74,10 +75,21 @@ def test_mixture_roundtrip(tmp_path):
     mix = random_mixture(g, 3, np.random.default_rng(5))
     manifest = write_mixture(tmp_path, mix, stem="mx")
     back = read_mixture(manifest)
-    assert back.support == mix.support
     for (w0, a0), (w1, a1) in zip(mix.atoms, back.atoms):
         assert w0 == pytest.approx(w1)
         assert np.array_equal(a0.data, a1.data)
+
+
+def test_legacy_ball_manifest_is_rejected(tmp_path):
+    from hierlab.storage import read_mixture
+    g = make_grid(1, 8, 2 * np.pi)
+    phi = random_low_mode_field(g, 1, np.random.default_rng(5))
+    write_field(tmp_path / "mx_atom000.hlab", Field(g, 1, 0.5 * phi.data))
+    manifest = tmp_path / "mx.json"
+    manifest.write_text(json.dumps({"weights": [1.0], "support": "ball",
+                                    "atoms": ["mx_atom000.hlab"]}))
+    with pytest.raises(ValueError, match="atom has norm"):
+        read_mixture(manifest)
 
 
 def test_read_field_copies_the_payload_once(tmp_path):
