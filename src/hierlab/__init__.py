@@ -13,8 +13,8 @@ from .marginals import (HierarchyState, Marginal, admissibility_defect,
                         partial_trace, psd_defect, pure_product_marginal,
                         sobolev_norm, symmetrize, trace, trace_sobolev_norm,
                         weakstar_metric, zero_marginal)
-from .interactions import (PotentialSpec, bbgky_collision_error,
-                           bbgky_collision_main, bbgky_main_level, bbgky_rhs,
+from .interactions import (PotentialSpec, bbgky_collision_main,
+                           bbgky_main_level, bbgky_rhs,
                            bump_profile, collision_fourier_oracle,
                            delta_surrogate, gaussian_profile, gp_collision,
                            gp_collision_level, gp_collision_sum,

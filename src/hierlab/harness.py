@@ -116,14 +116,28 @@ class ExperimentConfig:
     def from_ini(cls, path: str | Path, **overrides) -> "ExperimentConfig":
         """Load `key = value` sections; any section name is accepted, and a
         file without a section header is read as one section.  Keys map to
-        config fields with dashes normalized to underscores; a key that names
-        no field raises ValueError."""
+        config fields with dashes normalized to underscores, and values are
+        read as written (no `%` interpolation).  A key that names no field,
+        a line that is not `key = value` and a repeated key or section raise
+        ValueError."""
         text = Path(path).read_text()
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
+        shift = 0  # lines put in front of a file without a section header
         try:
-            parser.read_string(text, source=str(path))
-        except configparser.MissingSectionHeaderError:
-            parser.read_string("[config]\n" + text, source=str(path))
+            try:
+                parser.read_string(text, source=str(path))
+            except configparser.MissingSectionHeaderError:
+                shift = 1
+                parser.read_string("[config]\n" + text, source=str(path))
+        except configparser.DuplicateOptionError as err:
+            raise ValueError(f"{path}: key {err.option!r} is given twice") from None
+        except configparser.DuplicateSectionError as err:
+            raise ValueError(f"{path}: section [{err.section}] is given twice") from None
+        except configparser.ParsingError as err:
+            lines = text.splitlines()
+            bad = "; ".join(f"line {n - shift} {lines[n - shift - 1].strip()!r}"
+                            for n, _ in err.errors)
+            raise ValueError(f"{path}: {bad} is not a key = value line") from None
         values: dict = {}
         for section in parser.sections():
             for key, raw in parser.items(section):

@@ -143,24 +143,71 @@ class MixtureClosure:
 
 
 # Hierarchy states a step holds besides those its store keeps: the current
-# state, state_i, k1..k3 and k4's argument while k4's right-hand side runs,
-# and that right-hand side's levels and their scaled copy; a mixture closure
-# adds only its one top-level kernel.  tracemalloc puts the peak of a loop
-# whose store keeps nothing at 9.2 states, and of one that stores its two
-# ends at 10.2 (d = 1 and 2, K = 2 and 3, contact with and without a
+# state, state_i, k1, k2, k3's argument and k3 while k3's right-hand side
+# runs.  A flow adds one level of scratch, the finite-N error sum a slab and
+# a mixture closure its atoms' factors.  tracemalloc puts the peak of a loop
+# whose store keeps nothing at 6.0-6.5 states, and of one that stores its
+# two ends at 7.0-7.5 (d = 1 and 2, K = 2 and 3, contact with and without a
 # closure, and finite N).
-RK4IP_WORKING_STATES = 10
+RK4IP_WORKING_STATES = 7
+
+
+def _scaled(state: HierarchyState, c: complex) -> HierarchyState:
+    """``state`` with every level multiplied by c in place."""
+    for m in state.entries:
+        m.kernel *= c
+    return state
 
 
 def _rk4ip_step(state: HierarchyState, t: float, dt: float,
                 rhs: Callable[[HierarchyState, float], HierarchyState]) -> HierarchyState:
-    half = lambda s: free_flow(s, dt / 2.0)
-    state_i = half(state)
-    k1 = half(rhs(state, t) * dt)
-    k2 = rhs(state_i + k1 * 0.5, t + dt / 2.0) * dt
-    k3 = rhs(state_i + k2 * 0.5, t + dt / 2.0) * dt
-    k4 = rhs(half(state_i + k3), t + dt) * dt
-    return half(state_i + (k1 + 2.0 * k2 + 2.0 * k3) * (1.0 / 6.0)) + k4 * (1.0 / 6.0)
+    """One classical RK4 step in the interaction picture, anchored at the
+    step midpoint:
+
+        state_i = U(dt/2) state
+        k1 = U(dt/2) (rhs(state, t) dt)
+        k2 = rhs(state_i + k1/2, t + dt/2) dt
+        k3 = rhs(state_i + k2/2, t + dt/2) dt
+        k4 = rhs(U(dt/2) (state_i + k3), t + dt) dt
+        out = U(dt/2) (state_i + (k1 + 2 k2 + 2 k3)/6) + k4/6
+
+    ``state`` is left alone.  ``rhs`` must return arrays nothing else
+    holds: the scalings, sums and flows work in them.  A flow overwrites
+    its argument, working in one new level of scratch at a time, and
+    (k1 + 2 k2 + 2 k3)/6 forms in k1, which k2 and k3 leave before the
+    last flow.  Each operation is the one of the plain formula, with the
+    array as its first operand or in a single commutative sum, so the
+    result is bit for bit the formula's."""
+    def half(s: HierarchyState) -> HierarchyState:  # U(dt/2) s, in s
+        return HierarchyState([free_propagate_marginal(m, dt / 2.0,
+                                                       np.empty_like(m.kernel))
+                               for m in s.entries])
+
+    def plus_state_i(s: HierarchyState) -> HierarchyState:
+        for m, base in zip(s.entries, state_i.entries):
+            m.kernel += base.kernel
+        return s
+
+    state_i = free_flow(state, dt / 2.0)
+    k1 = half(_scaled(rhs(state, t), dt))
+    k2 = _scaled(rhs(plus_state_i(k1 * 0.5), t + dt / 2.0), dt)
+    k3 = _scaled(rhs(plus_state_i(k2 * 0.5), t + dt / 2.0), dt)
+    arg4 = state_i + k3
+    for a, b, c in zip(k1.entries, k2.entries, k3.entries):
+        b.kernel *= 2.0
+        a.kernel += b.kernel
+        c.kernel *= 2.0
+        a.kernel += c.kernel
+        a.kernel *= 1.0 / 6.0
+    del k2, k3, b, c  # the loop variables would keep the top level alive
+    combined = plus_state_i(k1)
+    del state_i
+    k4 = _scaled(rhs(half(arg4), t + dt), dt)
+    del arg4
+    out = half(combined)
+    for m, m4 in zip(out.entries, _scaled(k4, 1.0 / 6.0).entries):
+        m.kernel += m4.kernel
+    return out
 
 
 @dataclass
@@ -261,7 +308,7 @@ def gp_evolve(state0: HierarchyState, config: EvolutionConfig,
             return gp_collision_sum(state, -1j * kappa0)
         levels = [gp_collision_level(g) for g in state.entries[1:]]
         levels.append(closure.top_collision(t))
-        return HierarchyState(levels) * (-1j * kappa0)
+        return _scaled(HierarchyState(levels), -1j * kappa0)
 
     return _evolve(state0, config, rhs, store_every=store_every,
                    log_collision_norms=log_collision_norms, store=store)
@@ -278,7 +325,7 @@ def bbgky_evolve(state0: HierarchyState, config: EvolutionConfig,
         raise ValueError(f"K={state0.K} exceeds N={pot.big_n}")
 
     def rhs(state: HierarchyState, t: float) -> HierarchyState:
-        return bbgky_rhs(state, pot) * (-1j)
+        return _scaled(bbgky_rhs(state, pot), -1j)
 
     return _evolve(state0, config, rhs, store_every=store_every,
                    log_collision_norms=log_collision_norms, store=store)
@@ -501,9 +548,9 @@ class PicardResult:
 # Hierarchy states a Picard sweep holds besides the iterate's spectra: the
 # phases and the norm weights, the free term's sample and the spectrum it is
 # inverted from, the prefix (with the previous prefix for Simpson), the
-# prefix in physical space and the three kernels bbgky_error_level works in,
-# or the new sample and its spectrum, plus the temporaries of a prefix step.
-# tracemalloc puts the peak at 11.6 of them at d = 1 and d = 2.
+# prefix in physical space and the kernel bbgky_error_level works in, or the
+# new sample and its spectrum, plus the temporaries of a prefix step.
+# tracemalloc puts the peak at 11.0-11.8 of them at d = 1 and d = 2.
 PICARD_WORKING_STATES = 14
 
 # the update norm below which the Picard iteration has converged, and the

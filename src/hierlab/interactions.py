@@ -13,6 +13,7 @@ adjoints.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -221,8 +222,9 @@ def gp_collision_level(gamma_next: Marginal) -> Marginal:
 def gp_collision_sum(state: HierarchyState, kappa0: complex = 1.0) -> HierarchyState:
     """Contact collision term of the whole state times kappa0; level k reads
     level k+1.  The top level has no level above it, so it is zero."""
-    comps = [gp_collision_level(gamma_next) * kappa0
-             for gamma_next in state.entries[1:]]
+    comps = [gp_collision_level(gamma_next) for gamma_next in state.entries[1:]]
+    for m in comps:
+        m.kernel *= kappa0
     comps.append(zero_marginal(state.grid, state.K))
     return HierarchyState(comps)
 
@@ -254,37 +256,53 @@ def bbgky_main_level(gamma_next: Marginal, pot: PotentialSpec,
     out = _sum_over_j(gamma_next,
                       lambda j, sign: bbgky_collision_main(gamma_next, j, sign, pot),
                       plus_only)
-    return out * ((pot.big_n - k) / pot.big_n)
+    out.kernel *= (pot.big_n - k) / pot.big_n
+    return out
 
 
-def bbgky_collision_error(gamma: Marginal, i: int, j: int, sign: str,
-                          pot: PotentialSpec) -> Marginal:
-    """Same-level term: multiply the kernel by V(x_i - x_j) (or primed pair)."""
-    k, grid = gamma.k, gamma.grid
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    if not (1 <= i < j <= k):
-        raise ValueError(f"need 1 <= i < j <= k, got i={i}, j={j}, k={k}")
-    offset = 0 if sign == "+" else k
-    # w's axes are (x_i axes, x_j axes) and i < j, so the target axes increase
-    axes = grid.slot_axes(offset + i - 1) + grid.slot_axes(offset + j - 1)
-    w = place_axes(pot.difference_table, axes, gamma.kernel.ndim)
-    return Marginal(gamma.grid, k, gamma.kernel * w)
+# Largest slab, in entries, that bbgky_error_level forms its sum in, one
+# slab of the kernel's leading axes at a time: a slab's terms stay in cache,
+# and the sum holds one level-k kernel, not two.
+ERROR_SLAB_ENTRIES = 2**12
 
 
 def bbgky_error_level(gamma: Marginal, pot: PotentialSpec) -> Marginal:
-    """Sum over pairs i<j of plus-minus error terms, with the 1/N weight."""
-    k = gamma.k
+    """Sum over pairs i<j of plus-minus error terms, with the 1/N weight.
+
+    The sum is formed one slab of the kernel's leading axes at a time (the
+    first axis or more, so that a slab holds at most ERROR_SLAB_ENTRIES
+    entries): the first term is written into the sum and each
+    later one formed in a slab-sized buffer and added or subtracted, in the
+    order of the pairs, plus before minus.  So the sum works in one level-k
+    kernel beside its input, the products broadcast the potential over a
+    slab, not the kernel, and every entry sees the operations of the
+    term-by-term sum.  The weight is applied in place."""
+    k, grid, kernel = gamma.k, gamma.grid, gamma.kernel
     if k < 2:
-        return zero_marginal(gamma.grid, k)
-    out = None
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            plus = bbgky_collision_error(gamma, i, j, "+", pot)
-            out = plus if out is None else out + plus
-            del plus  # released before the minus term is formed
-            out = out - bbgky_collision_error(gamma, i, j, "-", pot)
-    return out * (1.0 / pot.big_n)
+        return zero_marginal(grid, k)
+    lead = 1
+    while math.prod(kernel.shape[lead:]) > ERROR_SLAB_ENTRIES:
+        lead += 1
+
+    def weight(i: int, j: int, offset: int) -> np.ndarray:
+        # V(x_i - x_j) on the unprimed (offset 0) or primed (offset k) slots,
+        # broadcast to the kernel; i < j, so the target axes increase
+        axes = grid.slot_axes(offset + i - 1) + grid.slot_axes(offset + j - 1)
+        return np.broadcast_to(
+            place_axes(pot.difference_table, axes, kernel.ndim), kernel.shape)
+
+    (first, _), *rest = [(weight(i, j, offset), accumulate)
+                         for i in range(1, k + 1) for j in range(i + 1, k + 1)
+                         for offset, accumulate in ((0, np.add), (k, np.subtract))]
+    out = np.empty_like(kernel)
+    product = np.empty(kernel.shape[lead:], complex)
+    for idx in np.ndindex(kernel.shape[:lead]):
+        np.multiply(kernel[idx], first[idx], out=out[idx])
+        for w, accumulate in rest:
+            np.multiply(kernel[idx], w[idx], out=product)
+            accumulate(out[idx], product, out=out[idx])
+    out *= 1.0 / pot.big_n
+    return Marginal(grid, k, out)
 
 
 def bbgky_rhs(state: HierarchyState, pot: PotentialSpec) -> HierarchyState:
@@ -297,7 +315,9 @@ def bbgky_rhs(state: HierarchyState, pot: PotentialSpec) -> HierarchyState:
         term = bbgky_main_level(state.entry(k + 1), pot) if k < state.K else None
         if k >= 2:
             error = bbgky_error_level(state.entry(k), pot)
-            term = error if term is None else term + error
+            if term is not None:  # main + error, added in the error's buffer
+                error.kernel += term.kernel
+            term = error
         comps.append(zero_marginal(state.grid, k) if term is None else term)
     return HierarchyState(comps)
 

@@ -208,11 +208,15 @@ def symmetrize(gamma: Marginal) -> Marginal:
     return hermitize(Marginal(gamma.grid, k, acc))
 
 
-def free_propagate_marginal(gamma: Marginal, t: float) -> Marginal:
-    """Conjugate by the free flow: +1 signs on unprimed, -1 on primed slots."""
+def free_propagate_marginal(gamma: Marginal, t: float,
+                            scratch: np.ndarray | None = None) -> Marginal:
+    """Conjugate by the free flow: +1 signs on unprimed, -1 on primed slots.
+    With ``scratch`` (an array like the kernel) the flow overwrites gamma's
+    kernel, which then holds the result: a kernel has an even number of
+    axes, so free_propagate's last pass writes the kernel, not scratch."""
     signs = [1] * gamma.k + [-1] * gamma.k
     return Marginal(gamma.grid, gamma.k,
-                    free_propagate(gamma.as_field(), t, signs).data)
+                    free_propagate(gamma.as_field(), t, signs, scratch).data)
 
 
 def flow_symbol(grid: GridSpec, k: int) -> np.ndarray:

@@ -1,16 +1,19 @@
 """Test tools: symmetry defects of density kernels, the zero potential, a
-non-factorized bosonic N-body state, a time series of stored samples and the
-contact residual of a whole stored trajectory."""
+non-factorized bosonic N-body state, a time series of stored samples, the
+contact residual of a whole stored trajectory, one finite-N error term, and
+out-of-place references for the in-place RK4 step and finite-N error sum."""
 
 import math
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from hierlab.grid import Field, normalized, place_axes
-from hierlab.hierarchy_evolution import HierarchyTrajectory, gp_residual_row
+from hierlab.hierarchy_evolution import (HierarchyTrajectory, free_flow,
+                                         gp_residual_row)
 from hierlab.interactions import PotentialSpec
-from hierlab.marginals import HierarchyState, Marginal, marginal_spectrum
+from hierlab.marginals import (HierarchyState, Marginal, marginal_spectrum,
+                               zero_marginal)
 from hierlab.nbody import NBodyState, factorized_state
 
 
@@ -100,3 +103,51 @@ def gp_residual(traj: HierarchyTrajectory, dt: float,
         for k, v in enumerate(row, start=1):
             out[k].append(v)
     return {k: np.array(v) for k, v in out.items()}
+
+
+def rk4ip_step_reference(state: HierarchyState, t: float, dt: float,
+                         rhs: Callable[[HierarchyState, float], HierarchyState]
+                         ) -> HierarchyState:
+    """One RK4 interaction-picture step as the plain out-of-place formula;
+    ``hierarchy_evolution._rk4ip_step`` must match it bit for bit."""
+    half = lambda s: free_flow(s, dt / 2.0)
+    state_i = half(state)
+    k1 = half(rhs(state, t) * dt)
+    k2 = rhs(state_i + k1 * 0.5, t + dt / 2.0) * dt
+    k3 = rhs(state_i + k2 * 0.5, t + dt / 2.0) * dt
+    k4 = rhs(half(state_i + k3), t + dt) * dt
+    return half(state_i + (k1 + 2.0 * k2 + 2.0 * k3) * (1.0 / 6.0)) + k4 * (1.0 / 6.0)
+
+
+def bbgky_collision_error(gamma: Marginal, i: int, j: int, sign: str,
+                          pot: PotentialSpec) -> Marginal:
+    """One same-level term: the kernel times V(x_i - x_j) (or the primed
+    pair)."""
+    k, grid = gamma.k, gamma.grid
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    if not (1 <= i < j <= k):
+        raise ValueError(f"need 1 <= i < j <= k, got i={i}, j={j}, k={k}")
+    offset = 0 if sign == "+" else k
+    axes = grid.slot_axes(offset + i - 1) + grid.slot_axes(offset + j - 1)
+    w = place_axes(pot.difference_table, axes, gamma.kernel.ndim)
+    return Marginal(gamma.grid, k, gamma.kernel * w)
+
+
+def bbgky_error_level_reference(gamma: Marginal, pot: PotentialSpec) -> Marginal:
+    """The finite-N error sum term by term, out of place;
+    ``interactions.bbgky_error_level`` must match it bit for bit."""
+    if gamma.k < 2:
+        return zero_marginal(gamma.grid, gamma.k)
+    out = None
+    for i in range(1, gamma.k + 1):
+        for j in range(i + 1, gamma.k + 1):
+            plus = bbgky_collision_error(gamma, i, j, "+", pot)
+            out = plus if out is None else out + plus
+            out = out - bbgky_collision_error(gamma, i, j, "-", pot)
+    return out * (1.0 / pot.big_n)
+
+
+def bits(state: HierarchyState) -> list[np.ndarray]:
+    """The raw bits of every level, for bit-for-bit comparisons."""
+    return [m.kernel.view(np.uint64) for m in state.entries]

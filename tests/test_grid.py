@@ -207,3 +207,27 @@ def test_stored_steps():
     for bad in (-1, 1.5):
         with pytest.raises(ValueError):
             stored_steps(5, bad)
+
+
+def test_flow_matrix_is_built_once_and_read_only():
+    g = make_grid(1, 8, 3.0)
+    mat = flow_matrix(g, 0.01)
+    assert flow_matrix(g, 0.01) is mat
+    with pytest.raises(ValueError):
+        mat[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("dim,n,L,rank", [(1, 16, 2 * np.pi, 4), (2, 8, 3.0, 2)])
+def test_dft_inverse_scaling_is_bitwise_the_division(dim, n, L, rank):
+    # the product by 1/h^(d*rank) rounds as numpy's division by h^(d*rank)
+    # does on every nonzero entry; spectra spanning 1e-20..1e20
+    g = make_grid(dim, n, L)
+    rng = np.random.default_rng(43)
+    shape = g.slot_shape(rank)
+    re, im = (10.0 ** rng.uniform(-20, 20, shape) * rng.choice([-1.0, 1.0], shape)
+              for _ in range(2))
+    spec = re + 1j * im
+    want = np.fft.ifftn(spec) / g.h ** (dim * rank)
+    got = dft_inverse(Field(g, rank, spec)).data
+    assert np.count_nonzero(want) == want.size
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -63,6 +63,28 @@ def test_config_from_ini_without_section_header(tmp_path):
     assert cfg.seed == 5 and cfg.n == 8
 
 
+@pytest.mark.parametrize("text,named", [
+    ("[run]\nseed\n", "line 2 'seed'"),
+    ("n = 8\nseed\n", "line 2 'seed'"),
+    ("[run]\nseed = 5\nseed = 5\n", "key 'seed'"),
+    ("seed = 5\nseed = 6\n", "key 'seed'"),
+    ("[run]\nseed = 5\n[run]\nn = 8\n", "section [run]"),
+], ids=["line-without-value", "line-without-value-no-header", "repeated-key",
+        "repeated-key-no-header", "repeated-section"])
+def test_config_from_ini_names_a_bad_line_or_repeated_key(tmp_path, text, named):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(text)
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig.from_ini(ini)
+    assert str(ini) in str(err.value) and named in str(err.value)
+
+
+def test_config_from_ini_reads_percent_literally(tmp_path):
+    ini = tmp_path / "percent.ini"
+    ini.write_text("[run]\noutdir = out%1\n")
+    assert ExperimentConfig.from_ini(ini).outdir == "out%1"
+
+
 def test_config_rejects_misspelled_keys(tmp_path):
     ini = tmp_path / "typo.ini"
     ini.write_text("[experiment]\nt_fnal = 0.5\nseeed = 3\nn = 8\n")

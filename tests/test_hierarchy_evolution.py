@@ -30,8 +30,9 @@ from hierlab.nbody import (HAMILTONIAN_WORKING_FIELDS,
                            factorized_state as nb_factorized,
                            hamiltonian_apply, nbody_evolve)
 
-from kernel_tools import (StoredSeries, gp_residual, hermiticity_defect,
-                          permutation_defect, zero_potential)
+from kernel_tools import (StoredSeries, bits, gp_residual, hermiticity_defect,
+                          permutation_defect, rk4ip_step_reference,
+                          zero_potential)
 
 G16 = make_grid(1, 16, 2 * np.pi)
 G8 = make_grid(1, 8, 2 * np.pi)
@@ -218,6 +219,49 @@ def test_bbgky_approaches_contact_hierarchy_along_ladder():
     assert dists[0] > dists[1] > dists[2]
 
 
+# n = 8 at d = 1, K = 2 puts the level-2 kernel (64 KiB) below numpy's
+# 256 KiB temporary-elision threshold; the other sizes lie above it
+@pytest.mark.parametrize("dim,n,K", [(1, 8, 2), (1, 16, 2), (1, 8, 3), (2, 4, 2)],
+                         ids=["d1-n8-K2", "d1-n16-K2", "d1-n8-K3", "d2-n4-K2"])
+@pytest.mark.parametrize("loop", ["gp", "gp_mixture", "bbgky"])
+def test_rk4ip_steps_are_bitwise_the_out_of_place_formula(monkeypatch, loop,
+                                                         dim, n, K):
+    import hierlab.hierarchy_evolution as evolution
+    grid = make_grid(dim, n, 2 * np.pi)
+    mix = random_mixture(grid, 2, np.random.default_rng(40))
+    state = mixture_state(mix, K)
+    pot = realize_potential(gaussian_profile(grid, 0.6), 0.2, 4)
+    # a step large enough that regrouping the stage sum changes bits
+    cfg = EvolutionConfig(dt=0.02, t_final=0.04)
+    run = {"gp": lambda: gp_evolve(state, cfg, store_every=0),
+           "gp_mixture": lambda: gp_evolve(state, cfg, mixture=mix,
+                                           store_every=0),
+           "bbgky": lambda: bbgky_evolve(state, cfg, pot, store_every=0)}[loop]
+    got = run().states[-1]
+    monkeypatch.setattr(evolution, "_rk4ip_step", rk4ip_step_reference)
+    want = run().states[-1]
+    assert all(np.array_equal(a, b) for a, b in zip(bits(got), bits(want)))
+
+
+def test_gp_evolve_builds_each_half_step_matrix_once(monkeypatch):
+    import hierlab.grid as grid_mod
+    grid = make_grid(1, 8, 5.0)  # a grid and step no other test flows with
+    state = factorized_state(atom(grid, 41), 2)
+    built, asked = [], []
+    real_ifft, real_flow_matrix = np.fft.ifft, grid_mod.flow_matrix
+    monkeypatch.setattr(np.fft, "ifft",
+                        lambda a: built.append(1) or real_ifft(a))
+    monkeypatch.setattr(grid_mod, "flow_matrix",
+                        lambda g, t: asked.append(t) or real_flow_matrix(g, t))
+    steps, dt = 3, 1.25e-3
+    gp_evolve(state, EvolutionConfig(dt=dt, t_final=steps * dt), store_every=0)
+    # four half flows a step, each of K = 2 levels asks for M(dt/2) and
+    # M(-dt/2); the two are built once
+    assert len(asked) == 4 * steps * 2 * 2
+    assert sorted(set(asked)) == [-dt / 2, dt / 2]
+    assert len(built) == 2
+
+
 def test_bbgky_rejects_k_above_n():
     state = factorized_state(atom(G16, 10), 3)
     cfg = EvolutionConfig(dt=1e-3, t_final=0.01)
@@ -323,10 +367,10 @@ def test_trajectory_budget_counts_every_stored_sample(monkeypatch):
     pot = realize_potential(gaussian_profile(G8, 0.6), 0.2, 3)
     state, nstate = factorized_state(phi, 2), nb_factorized(phi, 3, pot)
     cfg = EvolutionConfig(dt=1e-3, t_final=5e-3)
-    # store_every=2 over 5 steps stores 4 samples; the RK4 step works in 10
+    # store_every=2 over 5 steps stores 4 samples; the RK4 step works in 7
     # more hierarchy states (its current state among them), the split step
     # in 3 more wavefunctions
-    runs = [(14 * (8**2 + 8**4), lambda: bbgky_evolve(state, cfg, pot, store_every=2)),
+    runs = [(11 * (8**2 + 8**4), lambda: bbgky_evolve(state, cfg, pot, store_every=2)),
             (7 * 8**3, lambda: nbody_evolve(nstate, 1e-3, 5e-3, store_every=2))]
     for need, run in runs:
         monkeypatch.setenv("HLAB_BUDGET", str(need - 1))

@@ -6,7 +6,7 @@ import hierlab.interactions as interactions_mod
 import hierlab.marginals as marginals_mod
 from hierlab.budget import BudgetExceeded
 from hierlab.grid import Field, make_grid, normalized, random_low_mode_field
-from hierlab.interactions import (bbgky_collision_error, bbgky_collision_main,
+from hierlab.interactions import (bbgky_collision_main, bbgky_error_level,
                                   bbgky_rhs, bump_profile,
                                   collision_fourier_oracle, delta_surrogate,
                                   gaussian_profile, gp_collision,
@@ -16,9 +16,11 @@ from hierlab.interactions import (bbgky_collision_error, bbgky_collision_main,
 from hierlab.marginals import (HierarchyState, Marginal, factorized_state,
                                free_propagate_marginal, hierarchy_norm,
                                mixture_marginal, pure_product_marginal,
-                               sobolev_norm, trace, zero_marginal)
+                               random_hermitian_marginal, sobolev_norm, trace,
+                               zero_marginal)
 
-from kernel_tools import hermiticity_defect
+from kernel_tools import (bbgky_collision_error, bbgky_error_level_reference,
+                          hermiticity_defect)
 
 G16 = make_grid(1, 16, 2 * np.pi)
 G8 = make_grid(1, 8, 2 * np.pi)
@@ -217,6 +219,22 @@ def test_potential_table_built_once_and_budget_checked(monkeypatch):
     fresh = realize_potential(gaussian_profile(G8, 0.7), 0.2, 4)
     with pytest.raises(BudgetExceeded):
         fresh.difference_table
+
+
+# slabs of one axis (d1-n8-K2, d1-n16-K2) and of two (the rest); the bump's
+# potential has exact zeros
+@pytest.mark.parametrize("dim,n,K", [(1, 8, 2), (1, 16, 2), (1, 8, 3),
+                                     (2, 4, 2), (1, 4, 4)],
+                         ids=["d1-n8-K2", "d1-n16-K2", "d1-n8-K3", "d2-n4-K2",
+                              "d1-n4-K4"])
+@pytest.mark.parametrize("profile", [gaussian_profile, bump_profile])
+def test_bbgky_error_level_is_bitwise_the_term_by_term_sum(profile, dim, n, K):
+    grid = make_grid(dim, n, 2 * np.pi)
+    pot = realize_potential(profile(grid, 0.6), 0.2, 5)
+    gamma = random_hermitian_marginal(grid, K, np.random.default_rng(44))
+    got = bbgky_error_level(gamma, pot).kernel
+    want = bbgky_error_level_reference(gamma, pot).kernel
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_bbgky_error_index_order_enforced():

@@ -9,8 +9,7 @@ from hierlab.definetti import Mixture, nls_evolve
 from hierlab.grid import (Field, make_grid, normalized, place_axes,
                           random_low_mode_field)
 from hierlab.hierarchy_evolution import MixtureClosure
-from hierlab.interactions import (PotentialSpec, bbgky_collision_error,
-                                  bbgky_collision_main,
+from hierlab.interactions import (PotentialSpec, bbgky_collision_main,
                                   collision_fourier_oracle, delta_surrogate,
                                   gaussian_profile, gp_collision,
                                   realize_potential)
@@ -18,6 +17,8 @@ from hierlab.marginals import (Marginal, free_propagate_marginal,
                                partial_trace, partial_trace_at,
                                pure_product_marginal, sobolev_norm, trace)
 from hierlab.nbody import factorized_state as nbody_factorized_state
+
+from kernel_tools import bbgky_collision_error
 
 G2 = make_grid(2, 6, 2 * np.pi)
 # d = 2, n = 4: a level-2 kernel has 4^8 entries, small enough for loop
