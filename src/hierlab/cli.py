@@ -6,12 +6,18 @@ Subcommands map one-to-one onto the harness experiments.  Each field of
 Configuration comes from defaults, then an optional INI file (--config),
 then flag overrides; INI values and flag strings take the same conversion,
 ``ExperimentConfig.from_mapping``.
+
+``main`` owns its process, so it also sets the C library's heap policy
+(``_keep_freed_memory``); importing hierlab or calling ``run_experiment``
+leaves a host process's allocator as it is.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import os
 import sys
 
 from .harness import EXPERIMENTS, ExperimentConfig, run_experiment
@@ -31,6 +37,32 @@ HELP = {"outdir": "output directory", "n": "grid points per axis",
         "collision_ladder": "comma-separated potential ladder"}
 
 
+# glibc's mallopt parameters, set to the ceilings its own dynamic rule reaches
+# on 64-bit: the mmap threshold tops out at 32 MiB and the trim threshold
+# follows at twice that.  Below them a freed kernel (1 MiB at 16^4 entries)
+# stays in the heap for the next one, instead of going back to the OS and
+# being zero-filled page by page when it is allocated again.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 * 2**20
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+
+
+def _keep_freed_memory() -> None:
+    """Pin glibc's mmap and trim thresholds at ``MMAP_THRESHOLD`` and
+    ``TRIM_THRESHOLD`` for this process.  Does nothing off POSIX or where
+    the C library has no ``mallopt``.  It decides where freed blocks go,
+    not what is computed in them."""
+    if os.name != "posix":
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # the process's libc
+    if mallopt is None:
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hierlab",
@@ -48,6 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory()
     overrides = vars(build_parser().parse_args(argv))
     command, config = overrides.pop("command"), overrides.pop("config")
     if config:

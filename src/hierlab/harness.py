@@ -16,6 +16,8 @@ import configparser
 import dataclasses
 import json
 import math
+import sys
+import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,6 +48,14 @@ from .marginals import (HierarchyState, admissibility_defect, factorized_state,
 from .nbody import extract_marginal, factorized_state as nbody_factorized, \
     nbody_evolve, energy_moments, symmetry_defect
 from .storage import read_field, write_marginal
+
+try:
+    import resource
+except ImportError:  # no getrusage on Windows; telemetry then holds wall_s
+    resource = None
+
+# ru_maxrss counts KiB on Linux and bytes on macOS
+_MAXRSS_PER_MB = 2**20 if sys.platform == "darwin" else 2**10
 
 
 # config field type -> conversion of its INI or flag text
@@ -240,7 +250,8 @@ class Report:
 
 
 def write_manifest(path: str | Path, cfg: ExperimentConfig, experiment: str,
-                   extra: dict | None = None) -> Path:
+                   extra: dict | None = None,
+                   telemetry: dict | None = None) -> Path:
     budget = default_budget()
     manifest = {
         "experiment": experiment,
@@ -251,6 +262,8 @@ def write_manifest(path: str | Path, cfg: ExperimentConfig, experiment: str,
     }
     if extra:
         manifest["results"] = extra
+    if telemetry:
+        manifest["telemetry"] = telemetry
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str))
@@ -597,13 +610,23 @@ EXPERIMENTS = {
 
 
 def run_experiment(name: str, cfg: ExperimentConfig) -> tuple[Path, Path]:
-    """Run one named experiment and write CSV + manifest into the outdir."""
+    """Run one named experiment and write CSV + manifest into the outdir.
+    The manifest's ``telemetry`` holds the experiment's wall time
+    (``wall_s``) and minor page faults (``minor_faults``), and the process's
+    peak resident set so far (``peak_rss_mb``); the CSV holds none of it."""
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}")
+    usage0 = resource.getrusage(resource.RUSAGE_SELF) if resource else None
+    t0 = time.perf_counter()
     report, extra = EXPERIMENTS[name](cfg)
+    telemetry = {"wall_s": time.perf_counter() - t0}
+    if resource:
+        usage = resource.getrusage(resource.RUSAGE_SELF)
+        telemetry["peak_rss_mb"] = usage.ru_maxrss / _MAXRSS_PER_MB
+        telemetry["minor_faults"] = usage.ru_minflt - usage0.ru_minflt
     outdir = Path(cfg.outdir)
     stem = name.replace("-", "_")
     csv_path = report.write_csv(outdir / f"{stem}.csv")
     manifest_path = write_manifest(outdir / f"{stem}_manifest.json", cfg, name,
-                                   extra)
+                                   extra, telemetry)
     return csv_path, manifest_path

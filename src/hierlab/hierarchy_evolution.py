@@ -550,8 +550,12 @@ class PicardResult:
 # inverted from, the prefix (with the previous prefix for Simpson), the
 # prefix in physical space and the kernel bbgky_error_level works in, or the
 # new sample and its spectrum, plus the temporaries of a prefix step.
-# tracemalloc puts the peak at 11.0-11.8 of them at d = 1 and d = 2.
-PICARD_WORKING_STATES = 14
+# tracemalloc puts the peak at 11.0-11.9 of them beside a 33-sample iterate
+# (d = 1 at n = 8 and 16, d = 2 at n = 4), so 12 is the least count above
+# it.  The iterate's array headers, about 0.5 KB a sample, are part of that
+# peak: at n = 8 and 128 steps they add 0.6 of a state, which the budget,
+# counting entries, leaves out.
+PICARD_WORKING_STATES = 12
 
 # the update norm below which the Picard iteration has converged, and the
 # sweeps it may take to get there

@@ -1,10 +1,17 @@
+import ctypes
 import json
+import os
 import shlex
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hierlab
+import hierlab.cli as cli_mod
 import hierlab.definetti as definetti_mod
 import hierlab.harness as harness_mod
 import hierlab.hierarchy_evolution as evolution_mod
@@ -339,6 +346,86 @@ def test_cli_determinism_bit_identical(tmp_path):
               "--collision-ladder", "4,16", "--outdir", str(out)])
         outs.append((out / "collision_limit.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def _python(args: list[str]) -> subprocess.CompletedProcess:
+    """Run the interpreter on ``args`` with hierlab importable from this
+    checkout."""
+    src = str(Path(hierlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
+
+
+def _has_mallopt() -> bool:
+    return os.name == "posix" and hasattr(ctypes.CDLL(None), "mallopt")
+
+
+# allocates and frees three 16^4 kernels 200 times, as a time loop does, and
+# prints the minor page faults the loop took
+KERNEL_CHURN = """
+import resource
+import numpy as np
+from hierlab.cli import _keep_freed_memory
+_keep_freed_memory()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(200):
+    kernels = [np.full(16**4, 1j) for _ in range(3)]
+    del kernels
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_cli_heap_policy_reuses_freed_kernels():
+    # about 97,000 faults under glibc's default thresholds, about 740 with
+    # the policy: the freed kernels stay in the heap
+    faults = int(_python(["-c", KERNEL_CHURN]).stdout)
+    assert faults < 5000
+
+
+@pytest.mark.skipif(os.name != "posix", reason="the policy is set on POSIX")
+def test_cli_heap_policy_sets_the_glibc_ceilings(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+    monkeypatch.setattr(ctypes, "CDLL",
+                        lambda name: types.SimpleNamespace(mallopt=mallopt))
+    cli_mod._keep_freed_memory()
+    assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+
+
+def test_cli_heap_policy_without_mallopt_does_nothing(monkeypatch):
+    # a C library such as macOS's, which has no mallopt
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    assert cli_mod._keep_freed_memory() is None
+
+
+def test_cli_main_sets_the_heap_policy_before_the_run(tmp_path, monkeypatch):
+    order = []
+    monkeypatch.setattr(cli_mod, "_keep_freed_memory",
+                        lambda: order.append("heap policy"))
+
+    def run(name, cfg):
+        order.append(name)
+        return tmp_path / "a.csv", tmp_path / "a.json"
+    monkeypatch.setattr(cli_mod, "run_experiment", run)
+    assert main(["collision-limit", "--outdir", str(tmp_path)]) == 0
+    assert order == ["heap policy", "collision-limit"]
+
+
+def test_manifest_telemetry_reports_time_memory_and_faults(tmp_path):
+    _python(["-m", "hierlab.cli", "collision-limit", "--n", "8",
+             "--collision-ladder", "4", "--outdir", str(tmp_path)])
+    manifest = json.loads((tmp_path / "collision_limit_manifest.json").read_text())
+    telemetry = manifest["telemetry"]
+    assert sorted(telemetry) == ["minor_faults", "peak_rss_mb", "wall_s"]
+    assert all(v > 0 for v in telemetry.values())
+    assert isinstance(telemetry["minor_faults"], int)
 
 
 # the option strings of every subcommand, and the ones only it takes

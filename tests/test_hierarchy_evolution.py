@@ -468,6 +468,15 @@ def test_picard_peak_is_one_series_list_and_fixed_kernels(monkeypatch):
     assert peak <= 16 * checked[0]
 
 
+def test_picard_working_states_are_not_overcounted(monkeypatch):
+    # the sweep's peak beside the 33-sample iterate is 11.0 states at n = 16,
+    # so a count two states above it means the constant drifted upwards
+    series, pot = picard_setup(27, steps=32)
+    peak, _ = _peak_and_checked(
+        monkeypatch, lambda: picard_fixed_point(series, pot, 0.5))
+    assert peak > 16 * (33 + PICARD_WORKING_STATES - 2) * (16**2 + 16**4)
+
+
 @pytest.mark.parametrize("K", [2, 3])
 def test_duhamel_tower_peak_fits_its_budget_check(monkeypatch, K):
     pot = realize_potential(gaussian_profile(G8, 0.6), 0.2, 16)
