@@ -18,7 +18,7 @@ from .interactions import (PotentialSpec, bbgky_collision_main,
                            bump_profile, collision_fourier_oracle,
                            delta_surrogate, gaussian_profile, gp_collision,
                            gp_collision_level, gp_collision_sum,
-                           realize_potential)
+                           product_collision_level, realize_potential)
 from .definetti import (Mixture, energy_functional_direct,
                         energy_functional_mixture, flow_mixture,
                         gwp_window_chain, nls_energy, nls_evolve,

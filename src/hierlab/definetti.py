@@ -11,6 +11,7 @@ sum_i w_i (1/2 + E[phi_i])^m where E is the conserved one-particle energy.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -41,9 +42,9 @@ class Mixture:
     def __post_init__(self):
         if not self.atoms:
             raise ValueError("mixture needs at least one atom")
+        if not all(math.isfinite(w) and w >= 0 for w, _ in self.atoms):
+            raise ValueError("weights must be finite and nonnegative")
         total = sum(w for w, _ in self.atoms)
-        if any(w < 0 for w, _ in self.atoms):
-            raise ValueError("weights must be nonnegative")
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights must sum to 1, got {total}")
         for _, phi in self.atoms:

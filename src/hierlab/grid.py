@@ -273,8 +273,11 @@ def free_propagate(f: Field, t: float, signs: Sequence[int] | None = None,
     sign +1 is exp(i*t*Laplacian); -1 its inverse.  Default is +1 on every
     slot.  With ``scratch`` (an array like f.data) the flow works in f.data
     and scratch, overwriting f, and the result lives in one of the two
-    (apply_axes); without it f is left alone.
+    (apply_axes); without it f is left alone.  A non-finite t raises before
+    a flow matrix is built (and cached).
     """
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if t == 0:
         return f if scratch is not None else f.copy()
     if signs is None:

@@ -30,10 +30,8 @@ from .definetti import (Mixture, energy_functional_mixture, flow_mixture,
                         gwp_window_chain, random_mixture)
 from .grid import (Field, GridSpec, make_grid, random_low_mode_field,
                    step_count)
-from .hierarchy_evolution import (DUHAMEL_WORKING_STATES,
-                                  FREE_FLOW_WORKING_STATES, EvolutionConfig,
-                                  HierarchyTrajectory, bbgky_evolve,
-                                  check_series_budget, duhamel_tower,
+from .hierarchy_evolution import (EvolutionConfig, HierarchyTrajectory,
+                                  bbgky_evolve, duhamel_tower,
                                   free_flow_series, gp_evolve,
                                   gp_residual_row, k_schedule,
                                   picard_fixed_point, t0_gate)
@@ -401,26 +399,17 @@ def run_duhamel_check(cfg: ExperimentConfig) -> tuple[Report, dict]:
     """Norms of the nested collision integrals over a doubling horizon ladder
     and the fitted growth exponent per depth."""
     grid = cfg.grid()
-    levels, steps = 1 + cfg.j_max, 16
-    # the base state and its spectrum, the free flow's phase and stepped
-    # sample, and one Duhamel pass
-    check_series_budget(grid, levels, 2,
-                        FREE_FLOW_WORKING_STATES + DUHAMEL_WORKING_STATES)
     rng = cfg.rng()
     phi = random_low_mode_field(grid, 1, rng, max_mode=2)
     pot = cfg.potential(grid=grid)
-    base = factorized_state(phi, levels)
     report = Report()
     fitted = {}
     horizons = (0.01, 0.02, 0.04)
     depths = range(1, cfg.j_max + 1)
-    # one series and one pass per top level per horizon give every depth;
-    # each series is released before the next is built
+    # one tower per horizon gives every depth, read from the flowed atom
     norms = {j: [] for j in depths}
     for T in horizons:
-        tower = duhamel_tower(free_flow_series(base, T / steps, steps),
-                              cfg.j_max, pot, T)
-        for j, state in tower.items():
+        for j, state in duhamel_tower(phi, cfg.j_max, pot, T, 16).items():
             norms[j].append(hierarchy_norm(state, 1.0, cfg.xi))
     for j in depths:
         for T, norm in zip(horizons, norms[j]):

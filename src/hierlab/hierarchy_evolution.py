@@ -10,26 +10,29 @@ minus restrictions agree on the kernel diagonal), so per-level traces are
 conserved to rounding by construction and a drifting trace signals an
 integrator failure, which aborts the run.
 
-A ``TimeSeries`` is the free flow of one state on a uniform time grid;
-``duhamel_tower`` and ``picard_fixed_point`` integrate along it.  The time
-step, horizon and coupling come from the caller; the Picard stopping rule is
-the module constants ``PICARD_TOL`` and ``PICARD_MAX_SWEEPS``.
+A ``TimeSeries`` is the free flow of one state on a uniform time grid, and
+``picard_fixed_point`` integrates along it; ``duhamel_tower`` integrates
+along the free flow of a product state, read from its one-particle atom.
+The time step, horizon and coupling come from the caller; the Picard
+stopping rule is the module constants ``PICARD_TOL`` and
+``PICARD_MAX_SWEEPS``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from itertools import islice
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Protocol
 
 import numpy as np
 
 from .budget import default_budget
-from .grid import Field, GridSpec, sobolev_weight, step_count, stored_steps
+from .grid import (Field, GridSpec, free_propagate, sobolev_weight, step_count,
+                   stored_steps)
 from .interactions import (PotentialSpec, bbgky_main_level, bbgky_rhs,
-                           gp_collision_level, gp_collision_sum)
+                           gp_collision_level, gp_collision_sum,
+                           product_collision_level)
 from .marginals import (HierarchyState, Marginal, flow_symbol,
                         free_generator, free_propagate_marginal,
                         marginal_from_spectrum, marginal_spectrum,
@@ -44,10 +47,18 @@ class InstabilityError(RuntimeError):
     """Trace drift exceeded the abort threshold during evolution."""
 
 
-def _check_dt(dt: float) -> None:
-    """Raise ``ValueError`` unless the time step is positive and finite."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+def _check_positive(name: str, value: float) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is positive
+    and finite."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_steps(n_steps: int, least: int) -> None:
+    """Raise ``ValueError`` unless ``n_steps`` is an integer >= ``least``."""
+    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) \
+            or n_steps < least:
+        raise ValueError(f"n_steps must be an integer >= {least}, got {n_steps!r}")
 
 
 @dataclass
@@ -56,7 +67,7 @@ class EvolutionConfig:
     t_final: float = 0.1
 
     def __post_init__(self):
-        _check_dt(self.dt)
+        _check_positive("dt", self.dt)
 
 
 def t0_gate(xi: float) -> float:
@@ -70,8 +81,7 @@ def k_schedule(big_n: int, b1: float, cap: int = 8) -> int:
     """Truncation level floor(b1 * ln N), clamped to [1, cap]."""
     if big_n < 2:
         raise ValueError("N must be >= 2")
-    if b1 <= 0:
-        raise ValueError("b1 must be positive")
+    _check_positive("b1", b1)
     return int(np.clip(math.floor(b1 * math.log(big_n)), 1, cap))
 
 
@@ -87,15 +97,9 @@ class MixtureClosure:
     """Supply the missing top-level collision term from a mixture whose atoms
     are advanced alongside the hierarchy (cubic flow at half-step resolution).
 
-    ``top_collision(t)`` returns the level-K collision kernel computed on the
-    mixture side without materializing the (K+1)-level kernel.  On de Finetti
-    data that kernel is sum_a w_a Q_a(x) conj Q_a(x') (S_a(x) - S_a(x')),
-    with Q_a = phi_a^(tensor K) and S_a(x) = sum_j |phi_a(x_j)|^2, so with
-    the atoms stacked as the rows of Q, S and R = conj Q (A rows of n^(Kd)
-    entries each) it is one matrix product,
-    [w S Q ; -w Q]^T @ [R ; S R].  The closure holds those 2A-row factors and
-    the one level-K kernel the product writes, checked against the budget
-    before it is formed.
+    ``top_collision(t)`` returns the level-K collision kernel of the mixture
+    at t, formed from the atoms without materializing the (K+1)-level kernel
+    (``product_collision_level``).
 
     Only the latest atom frame is kept: the steppers query half-step indices
     in non-decreasing order, so an earlier index raises ``ValueError``.
@@ -121,21 +125,8 @@ class MixtureClosure:
         return self._atoms
 
     def top_collision(self, t: float) -> Marginal:
-        atoms = self._atoms_at(step_count(t, self.dt_half))
-        K, grid = self.K, atoms[0][1].grid
-        default_budget().check_elements(grid.num_points ** (2 * K),
-                                        f"mixture closure kernel k={K}")
-        weights = np.array([w for w, _ in atoms])[:, None]
-        phi = np.stack([p.data.reshape(-1) for _, p in atoms])
-        dens = np.abs(phi) ** 2
-        q, s = phi, dens
-        for _ in range(K - 1):  # one more slot: Q times phi, S plus |phi|^2
-            q = (q[:, :, None] * phi[:, None, :]).reshape(len(atoms), -1)
-            s = (s[:, :, None] + dens[:, None, :]).reshape(len(atoms), -1)
-        r = np.conj(q)
-        left = np.concatenate([weights * s * q, -weights * q])
-        right = np.concatenate([r, s * r])
-        return Marginal(grid, K, left.T @ right)
+        return product_collision_level(
+            self._atoms_at(step_count(t, self.dt_half)), self.K)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +345,7 @@ class TimeSeries:
     j = 0..n_steps (build it with ``free_flow_series``).
 
     Level k of sample j is base_k * E_k^j, with base_k the spectrum of the
-    start's level k and E_k = exp(-i dt S_k) the one-step phase.
-    ``level_spectra(k)`` steps the spectra of level k as they are read;
+    start's level k and E_k = exp(-i dt S_k) the one-step phase, stepped as
     ``iter_states()`` streams the physical samples.  The series stores no
     sample.
     """
@@ -375,21 +365,14 @@ class TimeSeries:
         return self.dt * (len(self) - 1)
 
     def iter_states(self) -> Iterator[HierarchyState]:
-        """Sample 0 is the start itself; each later one costs one inverse
-        transform per level."""
+        """Sample 0 is the start itself; each later one costs one step of
+        every level's spectrum and one inverse transform per level."""
         yield self.start
-        later = zip(*[islice(self.level_spectra(k), 1, None)
-                      for k in range(1, self.K + 1)])
-        for hats in later:
-            yield HierarchyState([marginal_from_spectrum(self.grid, k, a)
-                                  for k, a in enumerate(hats, start=1)])
-
-    def level_spectra(self, k: int) -> Iterator[np.ndarray]:
-        spec, phase = self._bases[k - 1], self._phases[k - 1]
-        yield spec
+        spectra = self._bases
         for _ in range(len(self) - 1):
-            spec = spec * phase
-            yield spec
+            spectra = [a * phase for a, phase in zip(spectra, self._phases)]
+            yield HierarchyState([marginal_from_spectrum(self.grid, k, a)
+                                  for k, a in enumerate(spectra, start=1)])
 
 
 def check_series_budget(grid: GridSpec, K: int, samples: int, working: int = 0) -> None:
@@ -418,10 +401,8 @@ def free_flow_series(state0: HierarchyState, dt: float, n_steps: int) -> TimeSer
     the base and the phase, is checked against the budget before the first
     transform.
     """
-    _check_dt(dt)
-    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) \
-            or n_steps < 0:
-        raise ValueError(f"n_steps must be a nonnegative integer, got {n_steps!r}")
+    _check_positive("dt", dt)
+    _check_steps(n_steps, 0)
     check_series_budget(state0.grid, state0.K, 1, FREE_FLOW_WORKING_STATES)
     return TimeSeries(state0, dt, n_steps)
 
@@ -454,80 +435,86 @@ def _flowed_prefix(spectra: Iterable[np.ndarray], phase: np.ndarray, dt: float,
         yield acc
 
 
-def _points_to(series: TimeSeries, t: float) -> int:
-    """Number of samples from 0 to the sample at t."""
-    n_idx = step_count(t, series.dt)
-    if n_idx >= len(series):
-        raise ValueError(f"t={t} lies beyond the series horizon {series.horizon}")
-    return n_idx + 1
+# Hierarchy states of levels 1..j_max a Duhamel tower holds besides its atom.
+# Its peak comes in the layer that reads level j_max: the phase, the prefix
+# and the spectrum a trapezoid step starts from, the spectrum it reads, the
+# new prefix and two temporaries while that forms, and the returned kernel
+# at t.  tracemalloc puts it at 2.8-8.1 states (d = 1 at n = 4, 8 and 16,
+# d = 2 at n = 4; j_max = 1-4; 4 and 16 steps), so 9 is the least count
+# above it.
+DUHAMEL_WORKING_STATES = 9
 
 
-# Hierarchy states a Duhamel pass holds besides its series.  Per layer, at
-# the layer's input level: the phase, the prefix and the sample a step starts
-# from, the sample it reads, two temporaries and the new prefix while that
-# forms, and then the prefix's inverse transform.  The layers of one pass sit
-# at different levels, so together they fit in this many whole level-1..K
-# states at any depth.
-DUHAMEL_WORKING_STATES = 8
-
-
-def _duhamel_pass(series: TimeSeries, top: int, layers: int, pot: PotentialSpec,
+def _duhamel_pass(phi: Field, top: int, pot: PotentialSpec, dt: float,
                   n_pts: int) -> list[Marginal]:
-    """Push level ``top`` of the series through ``layers`` integral layers,
-    each i int_0^s B U(s - sigma) (.) d sigma, and return depth j's level
-    top - j kernel at the last of the first ``n_pts`` samples, j = 1..layers.
+    """Push the free flow of |phi^(tensor top)><phi^(tensor top)|, sampled
+    at i * dt for i < n_pts, through top - 1 integral layers, each
+    i int_0^s B U(s - sigma) (.) d sigma, and return depth j's level
+    top - j kernel at the last sample, j = 1..top - 1.
 
-    The layers chain as generators over the samples.  A layer steps the
-    forward-propagated prefix of its input (``_flowed_prefix``), inverts it
-    once per sample to apply the collision operator, and transforms the
-    result once for the layer below; the deepest layer inverts only the
-    sample at t.
+    On a free flow U(-s) theta(s) is constant, so the first layer's prefix
+    at t_i is t_i U(t_i) gamma_top, whose collision level is read off the
+    flowed atom (``product_collision_level``): no kernel of level top is
+    formed.  The later layers chain as generators over the samples: a layer
+    reads the spectrum of each kernel of the layer above (one transform
+    each), steps the forward-propagated prefix (``_flowed_prefix``) and
+    inverts it once per sample to apply the collision operator.  The
+    deepest layer evaluates only the sample at t.
     """
-    grid, dt = series.grid, series.dt
+    grid, last = phi.grid, n_pts - 1
     at_t: list[Marginal] = []
 
-    def layer(spectra: Iterable[np.ndarray], level: int, deepest: bool):
+    def emit(i: int, out: Marginal, deepest: bool) -> np.ndarray | None:
+        """Keep the kernel at t; hand the next layer the kernel's spectrum."""
+        if i == last:
+            at_t.append(out)
+        return None if deepest else marginal_spectrum(out)
+
+    def first_layer(deepest: bool) -> Iterator[np.ndarray | None]:
+        for i in range(last if deepest else 0, n_pts):
+            flowed = [(1.0, free_propagate(phi, i * dt))]
+            yield emit(i, product_collision_level(flowed, top - 1, pot)
+                       * (1j * i * dt), deepest)
+
+    def layer(spectra: Iterable[np.ndarray], level: int,
+              deepest: bool) -> Iterator[np.ndarray | None]:
         phase = np.exp(-1j * dt * flow_symbol(grid, level))
         for i, a in enumerate(_flowed_prefix(spectra, phase, dt)):
-            if deepest and i < n_pts - 1:
-                continue
-            out = bbgky_main_level(marginal_from_spectrum(grid, level, a), pot) * 1j
-            if i == n_pts - 1:
-                at_t.append(out)
-            if not deepest:
-                yield marginal_spectrum(out)
+            if not deepest or i == last:
+                yield emit(i, bbgky_main_level(
+                    marginal_from_spectrum(grid, level, a), pot) * 1j, deepest)
 
-    stream = islice(series.level_spectra(top), n_pts)
-    for depth in range(1, layers + 1):
-        stream = layer(stream, top - depth + 1, depth == layers)
+    stream = first_layer(top == 2)
+    for depth in range(2, top):
+        stream = layer(stream, top - depth + 1, depth == top - 1)
     deque(stream, maxlen=0)  # drives every layer through the samples
     return at_t
 
 
-def duhamel_tower(series: TimeSeries, j_max: int, pot: PotentialSpec,
-                  t: float) -> dict[int, HierarchyState]:
-    """The j-fold nested time-ordered integrals at t, j = 1..j_max, each
-    interleaving the weighted main collision operator with free flows and
-    evaluated by composite trapezoid on the ordered simplex (the grid of the
-    series).
+def duhamel_tower(phi: Field, j_max: int, pot: PotentialSpec, t: float,
+                  n_steps: int) -> dict[int, HierarchyState]:
+    """The j-fold nested time-ordered integrals at t, j = 1..j_max, on the
+    free flow of the product hierarchy of ``phi`` truncated at j_max + 1,
+    each interleaving the weighted main collision operator with free flows
+    and evaluated by composite trapezoid on the ordered simplex over
+    ``n_steps`` uniform steps of t.
 
-    Depth j's level k reads level k + j of the series, so one pass per top
-    level (``_duhamel_pass``) gives every depth at once: the level-2
+    Depth j's level k reads level k + j of the product state, so one pass
+    per top level (``_duhamel_pass``) gives every depth at once: the level-2
     component of j = 1 is the last sample of the first layer that j = 2
-    pushes level 3 through.  The pass's working states are checked against
-    the budget before its first transform.
+    pushes level 3 through.  No pass forms a kernel above level j_max, and
+    the tower's working states are checked against the budget before its
+    first kernel.
     """
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
-    n_pts = _points_to(series, t)
-    K = series.K
-    if K - j_max < 1:
-        raise ValueError(f"series truncated at {K} is too shallow for j={j_max}")
-    check_series_budget(series.grid, K, 0, DUHAMEL_WORKING_STATES)
+    _check_positive("t", t)
+    _check_steps(n_steps, 1)
+    check_series_budget(phi.grid, j_max, 0, DUHAMEL_WORKING_STATES)
     comps: dict[int, list[Marginal]] = {j: [] for j in range(1, j_max + 1)}
-    for top in range(2, K + 1):
-        for j, m in enumerate(_duhamel_pass(series, top, min(top - 1, j_max),
-                                            pot, n_pts), start=1):
+    for top in range(2, j_max + 2):
+        for j, m in enumerate(_duhamel_pass(phi, top, pot, t / n_steps,
+                                            n_steps + 1), start=1):
             comps[j].append(m)
     return {j: HierarchyState(c) for j, c in comps.items()}
 

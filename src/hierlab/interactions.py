@@ -17,6 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -258,6 +259,45 @@ def bbgky_main_level(gamma_next: Marginal, pot: PotentialSpec,
                       plus_only)
     out.kernel *= (pot.big_n - k) / pot.big_n
     return out
+
+
+def product_collision_level(atoms: Sequence[tuple[float, Field]], k: int,
+                            pot: PotentialSpec | None = None) -> Marginal:
+    """Collision level k of the mixture of products
+    sum_a w_a |phi_a^(tensor k+1)><phi_a^(tensor k+1)|, formed from the
+    atoms without the level-(k+1) kernel.
+
+    On such data the level is sum_a w_a Q_a(x) conj Q_a(x') (S_a(x) -
+    S_a(x')), with Q_a = phi_a^(tensor k) and S_a(x) = sum_j rho_a(x_j).
+    Without ``pot`` rho = |phi|^2, the contact density, and this is
+    ``gp_collision_level``; with it rho = h^d sum_y V_N(x - y) |phi(y)|^2
+    and the weights carry (N - k)/N, and this is ``bbgky_main_level``.
+    With the atoms stacked as the rows of Q, S and R = conj Q (A rows of
+    n^(kd) entries each) it is one matrix product,
+    [w S Q ; -w Q]^T @ [R ; S R]; it holds those 2A-row factors and the one
+    level-k kernel the product writes, checked against the budget before it
+    is formed.
+    """
+    if not atoms or any(p.rank != 1 for _, p in atoms):
+        raise ValueError("atoms must be one or more (weight, rank-1 field) pairs")
+    grid = atoms[0][1].grid
+    default_budget().check_elements(grid.num_points ** (2 * k),
+                                    f"product collision kernel k={k}")
+    weights = np.array([w for w, _ in atoms])[:, None]
+    phi = np.stack([p.data.reshape(-1) for _, p in atoms])
+    dens = np.abs(phi) ** 2
+    if pot is not None:
+        table = pot.difference_table.reshape(grid.num_points, -1)
+        dens = grid.h ** grid.dim * (dens @ table.T)
+        weights = weights * ((pot.big_n - k) / pot.big_n)
+    q, s = phi, dens
+    for _ in range(k - 1):  # one more slot: Q times phi, S plus rho
+        q = (q[:, :, None] * phi[:, None, :]).reshape(len(atoms), -1)
+        s = (s[:, :, None] + dens[:, None, :]).reshape(len(atoms), -1)
+    r = np.conj(q)
+    left = np.concatenate([weights * s * q, -weights * q])
+    right = np.concatenate([r, s * r])
+    return Marginal(grid, k, left.T @ right)
 
 
 # Largest slab, in entries, that bbgky_error_level forms its sum in, one

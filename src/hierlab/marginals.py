@@ -120,8 +120,8 @@ def mixture_marginal(atoms: Iterable[tuple[float, Field]], k: int) -> Marginal:
     pairs, such as a de Finetti mixture's."""
     out = None
     for w, phi in atoms:
-        if w < 0:
-            raise ValueError("mixture weights must be nonnegative")
+        if not (np.isfinite(w) and w >= 0):
+            raise ValueError(f"mixture weights must be finite and >= 0, got {w}")
         term = pure_product_marginal(phi, k)
         out = term * w if out is None else out + term * w
     if out is None:

@@ -12,8 +12,7 @@ from hierlab.grid import Field, normalized, place_axes
 from hierlab.hierarchy_evolution import (HierarchyTrajectory, free_flow,
                                          gp_residual_row)
 from hierlab.interactions import PotentialSpec
-from hierlab.marginals import (HierarchyState, Marginal, marginal_spectrum,
-                               zero_marginal)
+from hierlab.marginals import HierarchyState, Marginal, zero_marginal
 from hierlab.nbody import NBodyState, factorized_state
 
 
@@ -62,8 +61,7 @@ def perturbed_product_state(phi: Field, bump: Field, eps: float, big_n: int,
 class StoredSeries:
     """Hierarchy states sampled on the uniform grid j * dt, j = 0..len-1,
     stored as given: the interface of ``hierarchy_evolution.TimeSeries``
-    over arbitrary samples.  A level's spectra are transformed one sample
-    at a time as they are read."""
+    over arbitrary samples."""
 
     def __init__(self, dt: float, states: Sequence[HierarchyState]):
         if not (math.isfinite(dt) and dt > 0):
@@ -82,9 +80,6 @@ class StoredSeries:
 
     def iter_states(self) -> Iterator[HierarchyState]:
         return iter(self.states)
-
-    def level_spectra(self, k: int) -> Iterator[np.ndarray]:
-        return (marginal_spectrum(s.entry(k)) for s in self.states)
 
 
 def gp_residual(traj: HierarchyTrajectory, dt: float,

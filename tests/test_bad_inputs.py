@@ -11,12 +11,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hierlab.cli import EXPERIMENT_ONLY, main
-from hierlab.grid import (apply_multiplier, bessel_multiply, make_grid,
-                          random_low_mode_field, sobolev_norm_field)
+from hierlab.definetti import Mixture
+from hierlab.grid import (apply_multiplier, bessel_multiply, free_propagate,
+                          make_grid, random_low_mode_field, sobolev_norm_field)
 from hierlab.harness import ExperimentConfig, Report
-from hierlab.hierarchy_evolution import EvolutionConfig, free_flow_series
-from hierlab.interactions import bump_profile, gaussian_profile
-from hierlab.marginals import (factorized_state, hierarchy_norm, sobolev_norm,
+from hierlab.hierarchy_evolution import (EvolutionConfig, free_flow_series,
+                                         k_schedule)
+from hierlab.interactions import (bump_profile, gaussian_profile,
+                                  product_collision_level)
+from hierlab.marginals import (factorized_state, hierarchy_norm,
+                               mixture_marginal, sobolev_norm,
                                trace_sobolev_norm)
 from hierlab.nbody import factorized_state as nbody_factorized_state
 
@@ -62,6 +66,18 @@ PROBES = {
         lambda: free_flow_series(STATE, 0.01, 2.5), "n_steps"),
     "free-flow-series-steps-bool": (
         lambda: free_flow_series(STATE, 0.01, True), "n_steps"),
+    "free-propagate-t-nan": (lambda: free_propagate(PHI, math.nan), "t must"),
+    "free-propagate-t-inf": (lambda: free_propagate(PHI, -math.inf), "t must"),
+    "mixture-weight-nan": (lambda: Mixture([(math.nan, PHI)]), "weights"),
+    "mixture-weight-inf": (lambda: Mixture([(math.inf, PHI)]), "weights"),
+    "mixture-marginal-weight-nan": (
+        lambda: mixture_marginal([(math.nan, PHI)], 1), "weights"),
+    "product-collision-no-atoms": (lambda: product_collision_level([], 1),
+                                   "atoms"),
+    "product-collision-rank-2-atom": (
+        lambda: product_collision_level([(1.0, PAIR)], 1), "atoms"),
+    "k-schedule-b1-nan": (lambda: k_schedule(16, math.nan), "b1"),
+    "k-schedule-b1-inf": (lambda: k_schedule(16, math.inf), "b1"),
     "evolution-dt-nan": (lambda: EvolutionConfig(dt=math.nan), "dt"),
     "evolution-dt-inf": (lambda: EvolutionConfig(dt=math.inf), "dt"),
     "random-field-rank-0": (

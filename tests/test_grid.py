@@ -217,6 +217,16 @@ def test_flow_matrix_is_built_once_and_read_only():
         mat[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_free_propagate_rejects_a_non_finite_time_before_a_matrix_is_cached(t):
+    g = make_grid(1, 8, 3.0)
+    phi = random_low_mode_field(g, 1, np.random.default_rng(44))
+    flow_matrix.cache_clear()
+    with pytest.raises(ValueError, match="t must be finite"):
+        free_propagate(phi, t)
+    assert flow_matrix.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize("dim,n,L,rank", [(1, 16, 2 * np.pi, 4), (2, 8, 3.0, 2)])
 def test_dft_inverse_scaling_is_bitwise_the_division(dim, n, L, rank):
     # the product by 1/h^(d*rank) rounds as numpy's division by h^(d*rank)

@@ -484,15 +484,22 @@ def test_simulate_nbody_applies_h_four_times(tmp_path, monkeypatch):
     assert len(calls) == 4
 
 
-def test_duhamel_check_series_over_budget_raises_before_transforms(
+def test_duhamel_check_below_its_need_raises_before_transforms(
         tmp_path, monkeypatch):
-    import hierlab.hierarchy_evolution as evolution
     from hierlab.budget import BudgetExceeded
-    monkeypatch.setenv("HLAB_BUDGET", "262144")  # one 8^6 kernel fits
-    monkeypatch.setattr(evolution, "marginal_spectrum",
-                        lambda *a: pytest.fail("series transformed"))
-    with pytest.raises(BudgetExceeded, match="series"):
-        main(["duhamel-check", "--n", "8", "--outdir", str(tmp_path)])
+    # n = 8, j_max = 2: the towers' working states of levels 1 and 2
+    need = evolution_mod.DUHAMEL_WORKING_STATES * (8**2 + 8**4)
+    monkeypatch.setenv("HLAB_BUDGET", str(need - 1))
+    with monkeypatch.context() as spies:
+        for name in ("free_propagate", "product_collision_level",
+                     "marginal_spectrum"):
+            spies.setattr(evolution_mod, name,
+                          lambda *a, _name=name: pytest.fail(f"{_name} ran"))
+        with pytest.raises(BudgetExceeded, match="working states"):
+            main(["duhamel-check", "--n", "8", "--outdir", str(tmp_path)])
+    monkeypatch.setenv("HLAB_BUDGET", str(need))
+    main(["duhamel-check", "--n", "8", "--outdir", str(tmp_path)])
+    assert (tmp_path / "duhamel_check.csv").exists()
 
 
 @pytest.mark.parametrize("raw", ["abc", "0", "-1"])
@@ -503,21 +510,19 @@ def test_malformed_budget_env_rejected(monkeypatch, raw):
         budget.default_budget()
 
 
-def test_default_duhamel_check_raises_before_building_kernels(
+def test_default_duhamel_check_runs_under_the_default_cap(
         tmp_path, monkeypatch):
-    import hierlab.marginals as marginals_mod
-    from hierlab.budget import BudgetExceeded
+    # n = 16, j_max = 2 builds no product kernel: the first layer of each
+    # pass is read off the flowed atom
     monkeypatch.delenv("HLAB_BUDGET", raising=False)
-    calls = []
-    real = marginals_mod.pure_product_marginal
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-    monkeypatch.setattr(marginals_mod, "pure_product_marginal", spy)
-    with pytest.raises(BudgetExceeded, match="series"):
-        main(["duhamel-check", "--outdir", str(tmp_path)])
-    assert calls == []
+    monkeypatch.setattr(marginals_mod, "pure_product_marginal",
+                        lambda *a: pytest.fail("a product kernel was built"))
+    main(["duhamel-check", "--outdir", str(tmp_path)])
+    lines = (tmp_path / "duhamel_check.csv").read_text().splitlines()
+    metrics = [line.split(",")[5] for line in lines[1:]]
+    for j in (1, 2):
+        assert metrics.count(f"duh{j}_fitted_exponent") == 1
+        assert metrics.count(f"duh{j}_h1_norm") == 3
 
 
 @pytest.mark.parametrize("argv,match,config", [

@@ -6,8 +6,9 @@ import pytest
 from hierlab.definetti import Mixture, nls_evolve, random_mixture
 from hierlab.grid import (Field, free_propagate, l2_norm, make_grid,
                           random_low_mode_field)
-from hierlab.harness import (ExperimentConfig, run_simulate_bbgky,
-                             run_simulate_gp, run_simulate_nbody)
+from hierlab.harness import (ExperimentConfig, run_duhamel_check,
+                             run_simulate_bbgky, run_simulate_gp,
+                             run_simulate_nbody)
 from hierlab.hierarchy_evolution import (DUHAMEL_WORKING_STATES,
                                          PICARD_WORKING_STATES,
                                          RK4IP_WORKING_STATES,
@@ -479,12 +480,38 @@ def test_picard_working_states_are_not_overcounted(monkeypatch):
 
 @pytest.mark.parametrize("K", [2, 3])
 def test_duhamel_tower_peak_fits_its_budget_check(monkeypatch, K):
+    # the tower of depth K - 1 forms no kernel above level K - 1, and its
+    # budget check counts states of levels 1..K - 1
     pot = realize_potential(gaussian_profile(G8, 0.6), 0.2, 16)
-    series = free_flow_series(factorized_state(atom(G8, 28), K), 0.04 / 16, 16)
+    phi = atom(G8, 28)
     peak, checked = _peak_and_checked(
-        monkeypatch, lambda: duhamel_tower(series, K - 1, pot, 0.04))
-    state = sum(8 ** (2 * k) for k in range(1, K + 1))
+        monkeypatch, lambda: duhamel_tower(phi, K - 1, pot, 0.04, 16))
+    state = sum(8 ** (2 * k) for k in range(1, K))
     assert checked == [DUHAMEL_WORKING_STATES * state]
+    assert peak <= 16 * checked[0]
+
+
+def test_duhamel_working_states_are_not_overcounted(monkeypatch):
+    # the tower's peak at n = 8 and depth 2 is 8.0-8.1 states of levels 1
+    # and 2, so a count two states above it means the constant drifted
+    # upwards
+    pot = realize_potential(gaussian_profile(G8, 0.6), 0.2, 16)
+    phi = atom(G8, 28)
+    peak, _ = _peak_and_checked(
+        monkeypatch, lambda: duhamel_tower(phi, 2, pot, 0.04, 16))
+    assert peak > 16 * (DUHAMEL_WORKING_STATES - 2) * (8**2 + 8**4)
+
+
+def test_default_duhamel_check_peak_fits_its_budget_check(monkeypatch, tmp_path):
+    # n = 16, j_max = 2: one tower per horizon, each checked for its levels
+    # 1 and 2 (16^2 + 16^4 entries a state); the norms and the fit read the
+    # towers' kernels, so the run's peak is the towers'.  A first run pays
+    # the lazy imports and the FFT's plan caches
+    run_duhamel_check(ExperimentConfig(n=8, outdir=str(tmp_path / "warm")))
+    cfg = ExperimentConfig(outdir=str(tmp_path / "run"))
+    assert (cfg.n, cfg.j_max) == (16, 2)
+    peak, checked = _peak_and_checked(monkeypatch, lambda: run_duhamel_check(cfg))
+    assert checked == [DUHAMEL_WORKING_STATES * (16**2 + 16**4)] * 3
     assert peak <= 16 * checked[0]
 
 
@@ -598,16 +625,13 @@ def test_series_budget_counts_every_sample_and_level(monkeypatch):
 
 def test_duhamel_j1_matches_independent_quadrature():
     pot = pot16(16)
-    base = factorized_state(atom(G16, 15), 2)
+    phi = atom(G16, 15)
+    gamma2 = pure_product_marginal(phi, 2)
     T = 0.04
-    # a genuinely time-dependent series: backwards free flow
-    series = StoredSeries(T / 128, [free_flow(base, -i * T / 128)
-                                    for i in range(129)])
-    got = duhamel_tower(series, 1, pot, T)[1]
+    got = duhamel_tower(phi, 1, pot, T, 128)[1]
 
-    def integrand(s):
-        g2 = free_propagate_marginal(free_propagate_marginal(base.entry(2), -s),
-                                     T - s)
+    def integrand(s):  # the dense level-2 kernel, flowed to s and on to T
+        g2 = free_propagate_marginal(free_propagate_marginal(gamma2, s), T - s)
         return bbgky_main_level(g2, pot) * 1j
 
     n_f, h = 256, T / 256
@@ -622,35 +646,38 @@ def test_duhamel_j1_matches_independent_quadrature():
 @pytest.mark.slow
 def test_duhamel_horizon_scaling_exponent():
     pot = realize_potential(gaussian_profile(G8, 0.7), 0.2, 16)
-    base = factorized_state(atom(G8, 16), 3)
+    phi = atom(G8, 16)
     for j in (1, 2):
         norms = []
         horizons = (0.01, 0.02, 0.04)
         for T in horizons:
-            series = free_flow_series(base, T / 16, 16)
-            tower = duhamel_tower(series, j, pot, T)
+            tower = duhamel_tower(phi, j, pot, T, 16)
             norms.append(hierarchy_norm(tower[j], 1.0, 0.5))
         slope = float(np.polyfit(np.log(horizons), np.log(norms), 1)[0])
         assert j / 2 - 0.6 <= slope <= j + 0.1
 
 
-def test_duhamel_rejects_shallow_series():
-    state = factorized_state(atom(G8, 17), 2)
-    series = free_flow_series(state, 1e-3, 4)
-    with pytest.raises(ValueError):
-        duhamel_tower(series, 2, pot16(16), 4e-3)
+@pytest.mark.parametrize("j_max", [0, -1])
+def test_duhamel_rejects_depth_below_one(j_max):
+    with pytest.raises(ValueError, match="j_max"):
+        duhamel_tower(atom(G8, 17), j_max, pot16(16), 4e-3, 4)
 
 
 def test_duhamel_rejects_negative_time():
-    series = free_flow_series(factorized_state(atom(G16, 17), 2), 1e-3, 4)
-    with pytest.raises(ValueError):
-        duhamel_tower(series, 1, pot16(16), -1e-3)
+    with pytest.raises(ValueError, match="t must"):
+        duhamel_tower(atom(G16, 17), 1, pot16(16), -1e-3, 4)
 
 
-def test_duhamel_rejects_time_past_the_series():
-    series = free_flow_series(factorized_state(atom(G16, 17), 2), 1e-3, 4)
-    with pytest.raises(ValueError):
-        duhamel_tower(series, 1, pot16(16), 5e-3)  # samples end at 4e-3
+@pytest.mark.parametrize("t", [0.0, float("nan"), float("inf")])
+def test_duhamel_rejects_a_zero_or_non_finite_time(t):
+    with pytest.raises(ValueError, match="t must"):
+        duhamel_tower(atom(G16, 17), 1, pot16(16), t, 4)
+
+
+@pytest.mark.parametrize("n_steps", [0, 2.5, True])
+def test_duhamel_rejects_a_bad_step_count(n_steps):
+    with pytest.raises(ValueError, match="n_steps"):
+        duhamel_tower(atom(G16, 17), 1, pot16(16), 4e-3, n_steps)
 
 
 # -- fixed point ------------------------------------------------------------------------------

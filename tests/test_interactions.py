@@ -5,14 +5,15 @@ import hierlab.grid as grid_mod
 import hierlab.interactions as interactions_mod
 import hierlab.marginals as marginals_mod
 from hierlab.budget import BudgetExceeded
+from hierlab.definetti import random_mixture
 from hierlab.grid import Field, make_grid, normalized, random_low_mode_field
 from hierlab.interactions import (bbgky_collision_main, bbgky_error_level,
-                                  bbgky_rhs, bump_profile,
+                                  bbgky_main_level, bbgky_rhs, bump_profile,
                                   collision_fourier_oracle, delta_surrogate,
                                   gaussian_profile, gp_collision,
                                   gp_collision_level, gp_collision_sum,
                                   potential_difference_tensor,
-                                  realize_potential)
+                                  product_collision_level, realize_potential)
 from hierlab.marginals import (HierarchyState, Marginal, factorized_state,
                                free_propagate_marginal, hierarchy_norm,
                                mixture_marginal, pure_product_marginal,
@@ -208,6 +209,33 @@ def test_bbgky_error_multiplies_kernel():
     assert np.max(np.abs(out.kernel - expected)) < 1e-13
     bound = np.max(pot.realized.data.real) * sobolev_norm(g2, 0.0)
     assert sobolev_norm(out, 0.0) <= bound * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("finite_n", [False, True], ids=["contact", "finite-N"])
+@pytest.mark.parametrize("n_atoms", [1, 3])
+@pytest.mark.parametrize("dim,n,k", [(1, 8, 1), (1, 8, 2), (2, 4, 1)],
+                         ids=["d1-k1", "d1-k2", "d2-k1"])
+def test_product_collision_level_matches_the_dense_operator(dim, n, k,
+                                                            n_atoms, finite_n):
+    grid = make_grid(dim, n)
+    rng = np.random.default_rng(40 + 10 * dim + k + n_atoms)
+    atoms = list(random_mixture(grid, n_atoms, rng))
+    upper = mixture_marginal(atoms, k + 1)
+    if finite_n:  # N = 4 puts a weight (N - k)/N below one on every level
+        pot = realize_potential(gaussian_profile(grid, 0.7), 0.2, 4)
+        got = product_collision_level(atoms, k, pot)
+        ref = bbgky_main_level(upper, pot)
+    else:
+        got, ref = product_collision_level(atoms, k), gp_collision_level(upper)
+    assert got.k == k and got.grid == grid
+    assert np.max(np.abs(got.kernel - ref.kernel)) <= \
+        1e-12 * np.max(np.abs(ref.kernel))
+
+
+def test_product_collision_level_checks_its_kernel_first(monkeypatch):
+    monkeypatch.setenv("HLAB_BUDGET", str(8**4 - 1))
+    with pytest.raises(BudgetExceeded, match="product collision kernel k=2"):
+        product_collision_level([(1.0, unit_atom(G8, 9))], 2)
 
 
 def test_potential_table_built_once_and_budget_checked(monkeypatch):

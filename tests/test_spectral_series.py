@@ -129,14 +129,23 @@ def test_free_flow_series_rejects_bad_steps():
             free_flow_series(state, dt, n_steps)
 
 
+def free_series(grid, K, seed):
+    """The free flow of a product state phi^(tensor K), stored at 9 samples
+    0.005 apart, and its atom phi."""
+    phi = random_low_mode_field(grid, 1, np.random.default_rng(seed), max_mode=1)
+    base = factorized_state(phi, K)
+    return phi, StoredSeries(0.005, [free_flow(base, i * 0.005) for i in range(9)])
+
+
 @pytest.mark.parametrize("grid,j", [(GRIDS[0], 1), (GRIDS[0], 2), (GRIDS[1], 1)],
                          ids=["d1n8-j1", "d1n8-j2", "d2n4-j1"])
 def test_duhamel_iterate_matches_physical_reference(grid, j):
-    # d = 2 stops at j = 1: j = 2 needs level-3 kernels of (4^2)^6 entries
+    # d = 2 stops at j = 1: the j = 2 reference needs level-3 kernels of
+    # (4^2)^6 entries
     pot = pot_for(grid)
-    series = random_series(grid, j + 1, 9, 0.005, seed=10 + j)
-    for t in (0.02, 0.04):  # an interior sample and the last one
-        got = duhamel_tower(series, j, pot, t)[j]
+    phi, series = free_series(grid, j + 1, seed=10 + j)
+    for t, n_steps in ((0.02, 4), (0.04, 8)):  # an interior sample and the last
+        got = duhamel_tower(phi, j, pot, t, n_steps)[j]
         ref = ref_duhamel(series, j, pot, t)
         rel = hierarchy_norm(got - ref, 0.0, 0.5) / hierarchy_norm(ref, 0.0, 0.5)
         assert rel <= 1e-12
@@ -145,35 +154,29 @@ def test_duhamel_iterate_matches_physical_reference(grid, j):
 TOWER_CASES = [(GRIDS[0], 3), (make_grid(1, 4), 4), (GRIDS[1], 2)]
 
 
-@pytest.mark.parametrize("free", [False, True], ids=["stored", "free-flow"])
 @pytest.mark.parametrize("grid,K", TOWER_CASES, ids=["d1n8-K3", "d1n4-K4", "d2n4-K2"])
-def test_duhamel_tower_matches_physical_reference_at_every_depth(grid, K, free):
+def test_duhamel_tower_matches_physical_reference_at_every_depth(grid, K):
     pot = pot_for(grid)
-    if free:
-        phi = random_low_mode_field(grid, 1, np.random.default_rng(30 + K),
-                                    max_mode=1)
-        series = free_flow_series(factorized_state(phi, K), 0.005, 8)
-    else:
-        series = random_series(grid, K, 9, 0.005, seed=30 + K)
-    # what the reference reads
-    stored = StoredSeries(series.dt, list(series.iter_states()))
-    for t in (0.02, 0.04):  # an interior sample and the last one
-        tower = duhamel_tower(series, K - 1, pot, t)
+    phi, series = free_series(grid, K, seed=30 + K)
+    for t, n_steps in ((0.02, 4), (0.04, 8)):  # an interior sample and the last
+        tower = duhamel_tower(phi, K - 1, pot, t, n_steps)
         assert sorted(tower) == list(range(1, K))
         for j, got in tower.items():
-            ref = ref_duhamel(stored, j, pot, t)
+            ref = ref_duhamel(series, j, pot, t)
             rel = hierarchy_norm(got - ref, 0.0, 0.5) / hierarchy_norm(ref, 0.0, 0.5)
             assert rel <= 1e-12
 
 
-def test_duhamel_check_makes_one_level3_inverse_per_sample(tmp_path, monkeypatch):
+def test_duhamel_check_makes_no_level3_transform(tmp_path, monkeypatch):
     counts = count_transforms(monkeypatch)
     main(["duhamel-check", "--n", "8", "--j-max", "2", "--outdir", str(tmp_path)])
-    # per horizon: the forward transform of the level-3 base, and one inverse
-    # per sample (17) of the layer that takes level 3 to level 2
-    assert counts["fftn", 6] == 3
-    assert counts["ifftn", 6] == 3 * 17
-    assert counts["fftn", 6] + counts["ifftn", 6] <= 60
+    # the first layer is read off the flowed atom, so no level-3 kernel is
+    # formed; per horizon the second layer transforms each of the first's 17
+    # level-2 kernels and inverts its prefix at t, and the order-1 norm of
+    # depth 1 takes one round trip
+    assert counts["fftn", 6] == counts["ifftn", 6] == 0
+    assert counts["fftn", 4] == 3 * (17 + 1)
+    assert counts["ifftn", 4] == 3 * (1 + 1)
 
 
 def test_picard_transform_counts(monkeypatch):
