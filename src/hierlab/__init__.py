@@ -27,10 +27,10 @@ from .nbody import (NBodyState, energy_estimate_check, energy_moments,
                     extract_marginal, factorized_state as nbody_factorized_state,
                     hamiltonian_apply, nbody_evolve, symmetry_defect)
 from .hierarchy_evolution import (EvolutionConfig, HierarchyTrajectory,
-                                  InstabilityError, TimeSeries, bbgky_evolve,
+                                  InstabilityError, bbgky_evolve,
                                   check_series_budget, duhamel_tower, free_flow,
-                                  free_flow_series, gp_evolve, k_schedule,
-                                  picard_fixed_point, t0_gate)
+                                  gp_evolve, k_schedule, picard_fixed_point,
+                                  t0_gate)
 from .harness import ExperimentConfig, Report, run_experiment
 from .storage import (read_field, read_marginal, read_mixture, write_field,
                       write_marginal, write_mixture)

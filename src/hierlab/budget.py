@@ -4,9 +4,10 @@ Dense kernels grow like (n^d)^(2k) and wavefunctions like n^(N*d); every
 operation that allocates one checks against a cap first so that an oversized
 request fails loudly instead of thrashing the machine.  The cap bounds the
 complex entries one public call holds for its result (a kernel, a
-wavefunction, a whole series, or a stored trajectory and the states its step
-works in).  Every check reads it through ``default_budget()``; the HLAB_BUDGET
-environment variable (a positive integer element count) is its only setting.
+wavefunction, a Picard iterate, or a stored trajectory, and the states its
+loop works in).  Every check reads it through ``default_budget()``; the
+HLAB_BUDGET environment variable (a positive integer element count) is its
+only setting.
 """
 
 from __future__ import annotations

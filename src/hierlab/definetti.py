@@ -49,7 +49,7 @@ class Mixture:
             raise ValueError(f"weights must sum to 1, got {total}")
         for _, phi in self.atoms:
             nrm = l2_norm(phi)
-            if abs(nrm - 1.0) > 1e-10:
+            if not abs(nrm - 1.0) <= 1e-10:  # a NaN norm fails too
                 raise ValueError(f"atom has norm {nrm}, not 1")
 
     def __iter__(self) -> Iterator[tuple[float, Field]]:
@@ -78,6 +78,8 @@ def nls_evolve(phi: Field, dt: float, t_final: float,
     Samples along a flow are chained calls, bit-identical to one long call."""
     if phi.rank != 1:
         raise ValueError("flow acts on one-particle fields")
+    if not math.isfinite(coupling):
+        raise ValueError(f"coupling must be finite, got {coupling}")
     data = phi.data.copy()
     for _ in range(step_count(t_final, dt)):
         data = data * np.exp(-0.5j * dt * coupling * np.abs(data) ** 2)

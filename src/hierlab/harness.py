@@ -31,8 +31,7 @@ from .definetti import (Mixture, energy_functional_mixture, flow_mixture,
 from .grid import (Field, GridSpec, make_grid, random_low_mode_field,
                    step_count)
 from .hierarchy_evolution import (EvolutionConfig, HierarchyTrajectory,
-                                  bbgky_evolve, duhamel_tower,
-                                  free_flow_series, gp_evolve,
+                                  bbgky_evolve, duhamel_tower, gp_evolve,
                                   gp_residual_row, k_schedule,
                                   picard_fixed_point, t0_gate)
 from .interactions import (PROFILES, PotentialSpec, bbgky_main_level,
@@ -431,9 +430,8 @@ def run_picard(cfg: ExperimentConfig) -> tuple[Report, dict]:
     steps = 128
     entries = [random_hermitian_marginal(grid, k, rng, max_mode=2, symmetric=True)
                for k in (1, 2)]
-    base = HierarchyState(entries)
-    series = free_flow_series(base, horizon / steps, steps)
-    result = picard_fixed_point(series, pot, cfg.xi)
+    result = picard_fixed_point(HierarchyState(entries), pot, cfg.xi, horizon,
+                                steps)
     report = Report()
     report.add("picard", "iterations", result.iterations, N=pot.big_n, t=horizon)
     report.add("picard", "converged", result.converged, N=pot.big_n, t=horizon)

@@ -1,5 +1,5 @@
 """Time evolution of truncated hierarchies, and the integral equations
-on free-flow series.
+on free flows.
 
 The free part is exponentiated exactly (it is a Fourier multiplier), the
 level-coupling collision term is integrated in the interaction picture by the
@@ -10,12 +10,11 @@ minus restrictions agree on the kernel diagonal), so per-level traces are
 conserved to rounding by construction and a drifting trace signals an
 integrator failure, which aborts the run.
 
-A ``TimeSeries`` is the free flow of one state on a uniform time grid, and
-``picard_fixed_point`` integrates along it; ``duhamel_tower`` integrates
-along the free flow of a product state, read from its one-particle atom.
-The time step, horizon and coupling come from the caller; the Picard
-stopping rule is the module constants ``PICARD_TOL`` and
-``PICARD_MAX_SWEEPS``.
+``picard_fixed_point`` integrates along the free flow of its start state,
+and ``duhamel_tower`` along the free flow of a product state, read from its
+one-particle atom; both sample it on ``n_steps`` uniform steps of t.  The
+time step, horizon and coupling come from the caller; the Picard stopping
+rule is the module constants ``PICARD_TOL`` and ``PICARD_MAX_SWEEPS``.
 """
 
 from __future__ import annotations
@@ -337,74 +336,17 @@ def gp_residual_row(prev_s: HierarchyState, cur: HierarchyState,
 
 
 # ---------------------------------------------------------------------------
-# Time series, iterated collision integrals, fixed point
-
-
-class TimeSeries:
-    """The free flow of ``start`` sampled on the uniform grid j * dt,
-    j = 0..n_steps (build it with ``free_flow_series``).
-
-    Level k of sample j is base_k * E_k^j, with base_k the spectrum of the
-    start's level k and E_k = exp(-i dt S_k) the one-step phase, stepped as
-    ``iter_states()`` streams the physical samples.  The series stores no
-    sample.
-    """
-
-    def __init__(self, start: HierarchyState, dt: float, n_steps: int):
-        self.dt, self.grid, self.K = dt, start.grid, start.K
-        self.start, self._length = start, n_steps + 1
-        self._bases = [marginal_spectrum(m) for m in start.entries]
-        self._phases = [np.exp(-1j * dt * flow_symbol(self.grid, k))
-                        for k in range(1, self.K + 1)]
-
-    def __len__(self) -> int:
-        return self._length
-
-    @property
-    def horizon(self) -> float:
-        return self.dt * (len(self) - 1)
-
-    def iter_states(self) -> Iterator[HierarchyState]:
-        """Sample 0 is the start itself; each later one costs one step of
-        every level's spectrum and one inverse transform per level."""
-        yield self.start
-        spectra = self._bases
-        for _ in range(len(self) - 1):
-            spectra = [a * phase for a, phase in zip(spectra, self._phases)]
-            yield HierarchyState([marginal_from_spectrum(self.grid, k, a)
-                                  for k, a in enumerate(spectra, start=1)])
+# Iterated collision integrals, fixed point
 
 
 def check_series_budget(grid: GridSpec, K: int, samples: int, working: int = 0) -> None:
     """Raise ``BudgetExceeded`` unless ``samples`` + ``working`` states of a
     level-1..K hierarchy, sum_k n^(2kd) complex entries each, fit the budget:
-    a time series, or a stored trajectory and the states its time loop works
+    a Picard iterate, or a stored trajectory, and the states its loop works
     in.  Allocates nothing."""
     default_budget().check_elements(
         (samples + working) * sum(grid.num_points ** (2 * k) for k in range(1, K + 1)),
         f"hierarchy series of {samples} samples and {working} working states")
-
-
-# States a free-flow series holds besides its base spectrum: the phase, and
-# the sample being stepped while a consumer reads it.
-FREE_FLOW_WORKING_STATES = 2
-
-
-def free_flow_series(state0: HierarchyState, dt: float, n_steps: int) -> TimeSeries:
-    """Free flow of ``state0`` sampled at j * dt, j = 0..n_steps.
-
-    One forward transform per level gives the base spectrum; level k of
-    sample j is the base times E^j, E = exp(-i dt S_k), stepped as a
-    consumer reads it.  The series stores no sample, so a consumer of its
-    spectra never transforms one; its physical samples cost one inverse
-    transform per later sample and level, on demand.  What the series holds,
-    the base and the phase, is checked against the budget before the first
-    transform.
-    """
-    _check_positive("dt", dt)
-    _check_steps(n_steps, 0)
-    check_series_budget(state0.grid, state0.K, 1, FREE_FLOW_WORKING_STATES)
-    return TimeSeries(state0, dt, n_steps)
 
 
 def _flowed_prefix(spectra: Iterable[np.ndarray], phase: np.ndarray, dt: float,
@@ -532,17 +474,18 @@ class PicardResult:
     residual: float
 
 
-# Hierarchy states a Picard sweep holds besides the iterate's spectra: the
-# phases and the norm weights, the free term's sample and the spectrum it is
-# inverted from, the prefix (with the previous prefix for Simpson), the
-# prefix in physical space and the kernel bbgky_error_level works in, or the
-# new sample and its spectrum, plus the temporaries of a prefix step.
-# tracemalloc puts the peak at 11.0-11.9 of them beside a 33-sample iterate
-# (d = 1 at n = 8 and 16, d = 2 at n = 4), so 12 is the least count above
-# it.  The iterate's array headers, about 0.5 KB a sample, are part of that
-# peak: at n = 8 and 128 steps they add 0.6 of a state, which the budget,
-# counting entries, leaves out.
-PICARD_WORKING_STATES = 12
+# Hierarchy states a Picard call holds besides the iterate's spectra: the
+# start's spectra, the phases and the norm weights, Xi's sample and the
+# stepped spectrum it is inverted from, the prefix (with the previous prefix
+# for Simpson), the prefix in physical space and the kernel
+# bbgky_error_level works in, or the new sample and its spectrum, plus the
+# temporaries of a prefix step.  tracemalloc puts the peak of the whole
+# call at 11.0-12.6 of them (d = 1 at n = 8 and 16, d = 2 at n = 4; 32 and
+# 128 steps), so 13 is the least count above it.  The iterate's array
+# headers, about 0.5 KB a sample, are part of that peak: at n = 8 and 128
+# steps they add 0.6 of a state, which the budget, counting entries, leaves
+# out.
+PICARD_WORKING_STATES = 13
 
 # the update norm below which the Picard iteration has converged, and the
 # sweeps it may take to get there
@@ -550,42 +493,60 @@ PICARD_TOL = 1e-8
 PICARD_MAX_SWEEPS = 50
 
 
-def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec,
-                       xi: float) -> PicardResult:
-    """Iterate Theta <- Xi + i Int_0^t B_N U(t-s) Theta(s) ds on the series
-    grid (trapezoid in s) until successive iterates are closer than
-    ``PICARD_TOL`` in the weighted order-1 norm, for at most
-    ``PICARD_MAX_SWEEPS`` sweeps.
+def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
+                       t: float, n_steps: int) -> PicardResult:
+    """Iterate Theta <- Xi + i Int_0^t B_N U(t-s) Theta(s) ds on the
+    ``n_steps`` uniform steps of t (trapezoid in s) until successive
+    iterates are closer than ``PICARD_TOL`` in the weighted order-1 norm,
+    for at most ``PICARD_MAX_SWEEPS`` sweeps.
 
-    The iterate is one list of spectra per level, the only series-sized
-    thing held; it and the working states are checked against the budget
-    before the first transform.  A sweep steps the forward-propagated prefix
-    integral through the samples (see ``_flowed_prefix``) and inverts it
-    once per sample and level to apply B_N.  The new sample is Xi + i B_N A
-    formed in physical space, as the sweep reads Xi's samples one at a time,
-    and transformed once; its spectrum gives the update norm by Parseval and
-    overwrites the old one, which the prefix has read by then.  Forming it
-    in physical space keeps the iterate's rounding that of an iteration
-    on stored physical samples.
+    The free term Xi(s) = U(s) start, capital Xi, is the free flow of the
+    start state.  The call holds the start's spectra, one phase
+    exp(-i dt S_k) per level, and the iterate, one list of spectra per
+    level and the only series-sized thing held; level k of Xi at sample i
+    is the start's spectrum stepped i times by the phase, and one inverse
+    transform gives its physical sample.  The time grid, the gate and then
+    what the call holds are checked before the first transform.  A sweep
+    steps the forward-propagated prefix integral through the samples by the
+    same phases (see ``_flowed_prefix``) and inverts it once per sample and
+    level to apply B_N.  The new sample is Xi + i B_N A formed in physical
+    space, as the sweep steps Xi one sample at a time, and transformed
+    once; its spectrum gives the update norm by Parseval and overwrites the
+    old one, which the prefix has read by then.  Forming it in physical
+    space keeps the iterate's rounding that of an iteration on stored
+    physical samples.
 
-    ``xi_series`` is the free term Xi(t), capital Xi; ``xi`` is the H^1_xi
-    level weight in (0, 1), which sets both the update norms and the
-    heuristic contraction gate ``t0_gate(xi)`` the horizon must sit inside.
-    A ratio of successive updates >= 1 three times in a row aborts: the
-    horizon is too large for the discrete surrogate.  So does a non-finite
-    update, which ``max`` would otherwise drop.  The reported residual
-    re-checks the converged iterate with an independent (Simpson)
+    ``xi`` is the H^1_xi level weight in (0, 1), which sets both the update
+    norms and the heuristic contraction gate ``t0_gate(xi)`` that t must
+    sit inside.  A ratio of successive updates >= 1 three times in a row
+    aborts: the horizon is too large for the discrete surrogate.  So does a
+    non-finite update, which ``max`` would otherwise drop.  The reported
+    residual re-checks the converged iterate with an independent (Simpson)
     quadrature, in a sweep that stores nothing.
     """
-    T, dt, grid, K = xi_series.horizon, xi_series.dt, xi_series.grid, xi_series.K
+    _check_positive("t", t)
+    _check_steps(n_steps, 1)
     gate = t0_gate(xi)
-    if T >= gate:
-        raise ValueError(f"horizon T={T} is not below the gate T0={gate}")
-    check_series_budget(grid, K, len(xi_series), PICARD_WORKING_STATES)
-    theta = [list(level) for level in zip(*(
-        [marginal_spectrum(m) for m in s.entries] for s in xi_series.iter_states()))]
+    if t >= gate:
+        raise ValueError(f"horizon t={t} is not below the gate T0={gate}")
+    grid, K, dt = start.grid, start.K, t / n_steps
+    check_series_budget(grid, K, n_steps + 1, PICARD_WORKING_STATES)
+    bases = [marginal_spectrum(m) for m in start.entries]
     phases = [np.exp(-1j * dt * flow_symbol(grid, k)) for k in range(1, K + 1)]
     weights = [sobolev_weight(grid, 2 * k, 1.0) for k in range(1, K + 1)]
+
+    def xi_states() -> Iterator[HierarchyState]:
+        """Xi's samples in order: the start, then one step of every level's
+        spectrum and one inverse transform per level for each later one."""
+        yield start
+        spectra = bases
+        for _ in range(n_steps):
+            spectra = [a * phase for a, phase in zip(spectra, phases)]
+            yield HierarchyState([marginal_from_spectrum(grid, k, a)
+                                  for k, a in enumerate(spectra, start=1)])
+
+    theta = [list(level) for level in zip(*(
+        [marginal_spectrum(m) for m in s.entries] for s in xi_states()))]
 
     def advance(i: int, xi_state: HierarchyState, prefix, keep: bool) -> float:
         """Form sample i of the next iterate, Xi + i B_N A, from Xi and the
@@ -614,7 +575,7 @@ def picard_fixed_point(xi_series: TimeSeries, pot: PotentialSpec,
                          for level, phase in zip(theta, phases)])
         gaps = [advance(i, xi_state, prefix, keep=not simpson)
                 for i, (xi_state, prefix)
-                in enumerate(zip(xi_series.iter_states(), prefixes))]
+                in enumerate(zip(xi_states(), prefixes))]
         for i, gap in enumerate(gaps):
             if not math.isfinite(gap):
                 raise RuntimeError(f"Picard update at sample {i} is {gap}")

@@ -88,11 +88,15 @@ def write_mixture(directory: str | Path, mixture: Mixture, stem: str = "mixture"
 
 def read_mixture(manifest_path: str | Path) -> Mixture:
     """Load a mixture written by write_mixture; an atom whose norm is not one
-    (a legacy "ball" manifest) raises ValueError."""
+    (a legacy "ball" manifest), or a manifest that does not list one weight
+    per atom file, raises ValueError."""
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text())
+    weights, names = manifest.get("weights"), manifest.get("atoms")
+    if weights is None or names is None or len(weights) != len(names):
+        raise ValueError(f"{manifest_path} must list one weight per atom file")
     atoms = []
-    for w, name in zip(manifest["weights"], manifest["atoms"]):
+    for w, name in zip(weights, names):
         phi, _ = read_field(manifest_path.parent / name)
         atoms.append((float(w), phi))
     return Mixture(atoms)

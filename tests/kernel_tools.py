@@ -1,12 +1,13 @@
 """Test tools: symmetry defects of density kernels, the zero potential, a
-non-factorized bosonic N-body state, a time series of stored samples, the
-contact residual of a whole stored trajectory, one finite-N error term, and
-out-of-place references for the in-place RK4 step and finite-N error sum."""
+non-factorized bosonic N-body state, the contact residual of a whole stored
+trajectory, one finite-N error term, out-of-place references for the
+in-place RK4 step and finite-N error sum, and a guard that fails a test
+when an n-d transform runs."""
 
-import math
-from typing import Callable, Iterator, Sequence
+from typing import Callable
 
 import numpy as np
+import pytest
 
 from hierlab.grid import Field, normalized, place_axes
 from hierlab.hierarchy_evolution import (HierarchyTrajectory, free_flow,
@@ -56,30 +57,6 @@ def perturbed_product_state(phi: Field, bump: Field, eps: float, big_n: int,
         mod = mod + place_axes(bump.data, grid.slot_axes(slot), mod.ndim)
     data = state.psi.data * (1.0 + eps * mod)
     return NBodyState(grid, big_n, normalized(Field(grid, big_n, data)), pot)
-
-
-class StoredSeries:
-    """Hierarchy states sampled on the uniform grid j * dt, j = 0..len-1,
-    stored as given: the interface of ``hierarchy_evolution.TimeSeries``
-    over arbitrary samples."""
-
-    def __init__(self, dt: float, states: Sequence[HierarchyState]):
-        if not (math.isfinite(dt) and dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {dt}")
-        if not states:
-            raise ValueError("series must not be empty")
-        self.dt, self.grid, self.K = dt, states[0].grid, states[0].K
-        self.states = list(states)
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-    @property
-    def horizon(self) -> float:
-        return self.dt * (len(self) - 1)
-
-    def iter_states(self) -> Iterator[HierarchyState]:
-        return iter(self.states)
 
 
 def gp_residual(traj: HierarchyTrajectory, dt: float,
@@ -146,3 +123,10 @@ def bbgky_error_level_reference(gamma: Marginal, pot: PotentialSpec) -> Marginal
 def bits(state: HierarchyState) -> list[np.ndarray]:
     """The raw bits of every level, for bit-for-bit comparisons."""
     return [m.kernel.view(np.uint64) for m in state.entries]
+
+
+def forbid_transforms(monkeypatch) -> None:
+    """Fail the test if ``np.fft.fftn`` or ``ifftn`` runs from here on."""
+    for name in ("fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, lambda *a, **k: pytest.fail(
+            "a transform ran before the call's checks"))

@@ -14,9 +14,8 @@ from hierlab.definetti import (Mixture, energy_functional_direct,
                                nls_evolve, random_mixture)
 from hierlab.grid import make_grid, random_low_mode_field, sobolev_norm_field
 from hierlab.harness import ExperimentConfig, run_experiment
-from hierlab.hierarchy_evolution import (EvolutionConfig, free_flow_series,
-                                         gp_evolve, picard_fixed_point,
-                                         t0_gate)
+from hierlab.hierarchy_evolution import (EvolutionConfig, gp_evolve,
+                                         picard_fixed_point, t0_gate)
 from hierlab.interactions import (bbgky_collision_main, bbgky_main_level,
                                   collision_fourier_oracle, gaussian_profile,
                                   gp_collision, realize_potential)
@@ -203,8 +202,7 @@ def test_criterion_11_picard_fixed_point():
     rng = np.random.default_rng(111)
     entries = [random_hermitian_marginal(G16, k, rng, max_mode=2,
                                          symmetric=True) for k in (1, 2)]
-    series = free_flow_series(HierarchyState(entries), horizon / 128, 128)
-    result = picard_fixed_point(series, pot, 0.5)
+    result = picard_fixed_point(HierarchyState(entries), pot, 0.5, horizon, 128)
     contracting = all(r < 1.0 for r in result.contraction_ratios)
     ok = result.converged and contracting and result.residual < 1e-7
     record(11, "picard fixed point", ok,

@@ -11,12 +11,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hierlab.cli import EXPERIMENT_ONLY, main
-from hierlab.definetti import Mixture
-from hierlab.grid import (apply_multiplier, bessel_multiply, free_propagate,
-                          make_grid, random_low_mode_field, sobolev_norm_field)
+from hierlab.definetti import Mixture, flow_mixture, nls_evolve
+from hierlab.grid import (Field, apply_multiplier, bessel_multiply,
+                          free_propagate, make_grid, random_low_mode_field,
+                          sobolev_norm_field)
 from hierlab.harness import ExperimentConfig, Report
-from hierlab.hierarchy_evolution import (EvolutionConfig, free_flow_series,
-                                         k_schedule)
+from hierlab.hierarchy_evolution import (EvolutionConfig, k_schedule,
+                                         picard_fixed_point)
 from hierlab.interactions import (bump_profile, gaussian_profile,
                                   product_collision_level)
 from hierlab.marginals import (factorized_state, hierarchy_norm,
@@ -24,12 +25,14 @@ from hierlab.marginals import (factorized_state, hierarchy_norm,
                                trace_sobolev_norm)
 from hierlab.nbody import factorized_state as nbody_factorized_state
 
-from kernel_tools import zero_potential
+from kernel_tools import forbid_transforms, zero_potential
 
 G8 = make_grid(1, 8)
 PHI = random_low_mode_field(G8, 1, np.random.default_rng(0), max_mode=2)
 STATE = factorized_state(PHI, 2)
 PAIR = STATE.entry(1).as_field()  # rank 2
+NAN_ATOM = Field(G8, 1, np.full(G8.slot_shape(1), math.nan, dtype=complex))
+ZERO_V = zero_potential(G8)
 
 PROBES = {
     "grid-L-nan": (lambda: make_grid(1, 8, math.nan), "L must"),
@@ -58,18 +61,30 @@ PROBES = {
         lambda: apply_multiplier(PAIR, [np.ones(G8.n)]), "per slot"),
     "multiplier-too-many-symbols": (
         lambda: apply_multiplier(PAIR, [None, None, np.ones(G8.n)]), "per slot"),
-    "free-flow-series-dt-nan": (lambda: free_flow_series(STATE, math.nan, 4),
-                                "dt"),
-    "free-flow-series-dt-inf": (lambda: free_flow_series(STATE, math.inf, 4),
-                                "dt"),
-    "free-flow-series-steps-float": (
-        lambda: free_flow_series(STATE, 0.01, 2.5), "n_steps"),
-    "free-flow-series-steps-bool": (
-        lambda: free_flow_series(STATE, 0.01, True), "n_steps"),
+    "picard-t-nan": (
+        lambda: picard_fixed_point(STATE, ZERO_V, 0.5, math.nan, 4), "t must"),
+    "picard-t-inf": (
+        lambda: picard_fixed_point(STATE, ZERO_V, 0.5, math.inf, 4), "t must"),
+    "picard-steps-float": (
+        lambda: picard_fixed_point(STATE, ZERO_V, 0.5, 0.01, 2.5), "n_steps"),
+    "picard-steps-bool": (
+        lambda: picard_fixed_point(STATE, ZERO_V, 0.5, 0.01, True), "n_steps"),
+    "picard-t-zero": (
+        lambda: picard_fixed_point(STATE, ZERO_V, 0.5, 0.0, 4), "t must"),
+    "picard-t-negative": (
+        lambda: picard_fixed_point(STATE, ZERO_V, 0.5, -0.01, 4), "t must"),
+    "picard-steps-zero": (
+        lambda: picard_fixed_point(STATE, ZERO_V, 0.5, 0.01, 0), "n_steps"),
     "free-propagate-t-nan": (lambda: free_propagate(PHI, math.nan), "t must"),
     "free-propagate-t-inf": (lambda: free_propagate(PHI, -math.inf), "t must"),
     "mixture-weight-nan": (lambda: Mixture([(math.nan, PHI)]), "weights"),
     "mixture-weight-inf": (lambda: Mixture([(math.inf, PHI)]), "weights"),
+    "mixture-atom-nan": (lambda: Mixture([(1.0, NAN_ATOM)]), "norm nan"),
+    "nls-coupling-nan": (lambda: nls_evolve(PHI, 1e-3, 1e-2, coupling=math.nan),
+                         "coupling"),
+    "flow-mixture-coupling-nan": (
+        lambda: flow_mixture(Mixture([(1.0, PHI)]), 1e-2, 1e-3,
+                             coupling=math.nan), "coupling"),
     "mixture-marginal-weight-nan": (
         lambda: mixture_marginal([(math.nan, PHI)], 1), "weights"),
     "product-collision-no-atoms": (lambda: product_collision_level([], 1),
@@ -96,6 +111,19 @@ PROBES = {
 
 @pytest.mark.parametrize("call,names", PROBES.values(), ids=PROBES.keys())
 def test_entry_point_rejects_bad_value(call, names):
+    with pytest.raises(ValueError, match=names):
+        call()
+
+
+PICARD_PROBES = {key: probe for key, probe in PROBES.items()
+                 if key.startswith("picard-")}
+
+
+@pytest.mark.parametrize("call,names", PICARD_PROBES.values(),
+                         ids=PICARD_PROBES.keys())
+def test_picard_rejects_a_bad_time_grid_before_a_transform(monkeypatch, call,
+                                                           names):
+    forbid_transforms(monkeypatch)
     with pytest.raises(ValueError, match=names):
         call()
 

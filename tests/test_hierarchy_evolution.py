@@ -15,8 +15,7 @@ from hierlab.hierarchy_evolution import (DUHAMEL_WORKING_STATES,
                                          EvolutionConfig, HierarchyTrajectory,
                                          MixtureClosure, bbgky_evolve,
                                          check_series_budget, duhamel_tower,
-                                         free_flow, free_flow_series,
-                                         gp_evolve, k_schedule,
+                                         free_flow, gp_evolve, k_schedule,
                                          picard_fixed_point, t0_gate)
 from hierlab.interactions import (bbgky_main_level, gaussian_profile,
                                   realize_potential)
@@ -31,9 +30,9 @@ from hierlab.nbody import (HAMILTONIAN_WORKING_FIELDS,
                            factorized_state as nb_factorized,
                            hamiltonian_apply, nbody_evolve)
 
-from kernel_tools import (StoredSeries, bits, gp_residual, hermiticity_defect,
-                          permutation_defect, rk4ip_step_reference,
-                          zero_potential)
+from kernel_tools import (bits, forbid_transforms, gp_residual,
+                          hermiticity_defect, permutation_defect,
+                          rk4ip_step_reference, zero_potential)
 
 G16 = make_grid(1, 16, 2 * np.pi)
 G8 = make_grid(1, 8, 2 * np.pi)
@@ -461,20 +460,26 @@ def test_bbgky_loop_peaks_no_higher_than_gp_loop(monkeypatch):
     assert bbgky_peak <= gp_peak + 0.1 * one_state
 
 
-def test_picard_peak_is_one_series_list_and_fixed_kernels(monkeypatch):
-    series, pot = picard_setup(27, steps=32)
+@pytest.mark.parametrize("grid,steps", [(G16, 32), (G8, 128)],
+                         ids=["n16-32steps", "n8-128steps"])
+def test_picard_peak_is_one_series_list_and_fixed_kernels(monkeypatch, grid,
+                                                          steps):
+    # n = 8 with 128 steps is what `hierlab picard --n 8` runs; its peak,
+    # 12.6 states beside the iterate, is the highest measured
+    start, pot = picard_setup(27, grid)
     peak, checked = _peak_and_checked(
-        monkeypatch, lambda: picard_fixed_point(series, pot, 0.5))
-    assert checked == [(33 + PICARD_WORKING_STATES) * (16**2 + 16**4)]
+        monkeypatch, lambda: picard_fixed_point(start, pot, 0.5, PICARD_T, steps))
+    assert checked == [(steps + 1 + PICARD_WORKING_STATES)
+                       * (grid.n**2 + grid.n**4)]
     assert peak <= 16 * checked[0]
 
 
 def test_picard_working_states_are_not_overcounted(monkeypatch):
-    # the sweep's peak beside the 33-sample iterate is 11.0 states at n = 16,
+    # the call's peak beside the 33-sample iterate is 11.0 states at n = 16,
     # so a count two states above it means the constant drifted upwards
-    series, pot = picard_setup(27, steps=32)
+    start, pot = picard_setup(27)
     peak, _ = _peak_and_checked(
-        monkeypatch, lambda: picard_fixed_point(series, pot, 0.5))
+        monkeypatch, lambda: picard_fixed_point(start, pot, 0.5, PICARD_T, 32))
     assert peak > 16 * (33 + PICARD_WORKING_STATES - 2) * (16**2 + 16**4)
 
 
@@ -609,15 +614,12 @@ def test_series_budget_estimator_allocates_nothing():
 
 def test_series_budget_counts_every_sample_and_level(monkeypatch):
     from hierlab.budget import BudgetExceeded
-    state = factorized_state(atom(G8, 13), 2)
     need = 4 * (8**2 + 8**4)  # 4 samples of the k = 1 and k = 2 kernels
     monkeypatch.setenv("HLAB_BUDGET", str(need))
     check_series_budget(G8, 2, 4)
     monkeypatch.setenv("HLAB_BUDGET", str(need - 1))
     with pytest.raises(BudgetExceeded, match="4 samples"):
         check_series_budget(G8, 2, 4)
-    series = free_flow_series(state, 1e-3, 3)  # stores no sample
-    assert len(list(series.iter_states())) == 4
 
 
 # -- nested collision integrals ------------------------------------------------------------
@@ -683,75 +685,84 @@ def test_duhamel_rejects_a_bad_step_count(n_steps):
 # -- fixed point ------------------------------------------------------------------------------
 
 
-def picard_setup(seed, steps=64):
-    pot = pot16(16)
-    horizon = t0_gate(0.5) / 4.0
+PICARD_T = t0_gate(0.5) / 4.0  # the horizon `hierlab picard` runs at xi = 0.5
+
+
+def picard_setup(seed, grid=G16):
+    """A symmetric level-1..2 start state on ``grid`` and the N = 16
+    potential."""
+    pot = realize_potential(gaussian_profile(grid, 0.6), 0.2, 16)
     rng = np.random.default_rng(seed)
-    entries = [random_hermitian_marginal(G16, k, rng, max_mode=2, symmetric=True)
-               for k in (1, 2)]
-    base = HierarchyState(entries)
-    series = free_flow_series(base, horizon / steps, steps)
-    return series, pot
+    start = HierarchyState([random_hermitian_marginal(grid, k, rng, max_mode=2,
+                                                      symmetric=True)
+                            for k in (1, 2)])
+    return start, pot
 
 
 def test_picard_zero_input_fixed_at_zero():
-    series, pot = picard_setup(18)
-    zeroed = StoredSeries(series.dt, [s * 0.0 for s in series.iter_states()])
-    result = picard_fixed_point(zeroed, pot, 0.5)
+    start, pot = picard_setup(18)
+    result = picard_fixed_point(start * 0.0, pot, 0.5, PICARD_T, 64)
     assert result.converged
     assert all(np.array_equal(a, np.zeros_like(a))
                for level in result.spectra for a in level)
 
 
 def test_picard_raises_on_a_non_finite_update():
-    series, pot = picard_setup(18, steps=8)
-    states = list(series.iter_states())
-    states[3] = states[3] * float("nan")
-    with pytest.raises(RuntimeError, match="sample 3 is nan"):
-        picard_fixed_point(StoredSeries(series.dt, states), pot, 0.5)
+    start, pot = picard_setup(18)
+    nan_level = HierarchyState([start.entry(1), start.entry(2) * float("nan")])
+    with pytest.raises(RuntimeError, match="sample 0 is nan"):
+        picard_fixed_point(nan_level, pot, 0.5, PICARD_T, 8)
 
 
 def test_picard_zero_potential_returns_input():
-    series, _ = picard_setup(19)
-    result = picard_fixed_point(series, zero_potential(G16, 16), 0.5)
-    assert result.converged
-    assert all(np.array_equal(a, marginal_spectrum(s.entry(k)))
-               for k, level in enumerate(result.spectra, start=1)
-               for a, s in zip(level, series.iter_states(), strict=True))
+    start, _ = picard_setup(19)
+    result = picard_fixed_point(start, zero_potential(G16, 16), 0.5, PICARD_T, 64)
+    # the first sweep leaves Xi, the free flow of the start, as it was
+    assert result.converged and result.update_norms == [0.0]
+    for i in range(65):
+        flowed = free_flow(start, i * PICARD_T / 64)
+        for k, level in enumerate(result.spectra, start=1):
+            want = marginal_spectrum(flowed.entry(k))
+            assert np.max(np.abs(level[i] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.slow
 def test_picard_converges_with_contraction_and_small_residual():
-    series, pot = picard_setup(20, steps=128)
-    result = picard_fixed_point(series, pot, 0.5)
+    start, pot = picard_setup(20)
+    result = picard_fixed_point(start, pot, 0.5, PICARD_T, 128)
     assert result.converged
     assert result.update_norms[-1] < 1e-8
     assert all(r < 1.0 for r in result.contraction_ratios)
     assert result.residual < 1e-7
 
 
-def test_picard_rejects_horizon_beyond_gate():
-    series, pot = picard_setup(21)
-    long_series = StoredSeries(t0_gate(0.5) / 8,  # horizon > gate
-                               list(series.iter_states()))
-    with pytest.raises(ValueError):
-        picard_fixed_point(long_series, pot, 0.5)
+def test_picard_rejects_horizon_beyond_gate(monkeypatch):
+    start, pot = picard_setup(21)
+    forbid_transforms(monkeypatch)
+    for t in (t0_gate(0.5), 2 * t0_gate(0.5)):  # at the gate and past it
+        with pytest.raises(ValueError, match="gate"):
+            picard_fixed_point(start, pot, 0.5, t, 64)
+
+
+def test_picard_below_its_need_raises_before_a_transform(monkeypatch):
+    from hierlab.budget import BudgetExceeded
+    start, pot = picard_setup(21, G8)
+    need = (129 + PICARD_WORKING_STATES) * (8**2 + 8**4)
+    monkeypatch.setenv("HLAB_BUDGET", str(need - 1))
+    forbid_transforms(monkeypatch)
+    with pytest.raises(BudgetExceeded, match="129 samples"):
+        picard_fixed_point(start, pot, 0.5, PICARD_T, 128)
 
 
 def test_picard_gate_follows_the_xi_argument():
-    rng = np.random.default_rng(24)
-    base = HierarchyState([random_hermitian_marginal(G16, k, rng, max_mode=2,
-                                                     symmetric=True)
-                           for k in (1, 2)])
-    series = free_flow_series(base, 0.3 / 8, 8)
+    start, _ = picard_setup(24)
     # 0.3 is past the gate of xi = 0.5 (0.25) and inside that of 0.6 (0.36)
     with pytest.raises(ValueError):
-        picard_fixed_point(series, zero_potential(G16, 16), 0.5)
-    result = picard_fixed_point(series, zero_potential(G16, 16), 0.6)
+        picard_fixed_point(start, zero_potential(G16, 16), 0.5, 0.3, 8)
+    result = picard_fixed_point(start, zero_potential(G16, 16), 0.6, 0.3, 8)
     assert result.converged
     with pytest.raises(ValueError):
-        picard_fixed_point(free_flow_series(base, 0.4 / 8, 8),
-                           zero_potential(G16, 16), 0.6)
+        picard_fixed_point(start, zero_potential(G16, 16), 0.6, 0.4, 8)
 
 
 def test_instability_detector_aborts_blowup():

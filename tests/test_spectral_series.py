@@ -16,16 +16,13 @@ from hierlab.cli import main
 from hierlab.grid import (dft_forward, make_grid, random_low_mode_field,
                           sobolev_norm_field, sobolev_weight)
 from hierlab.hierarchy_evolution import (duhamel_tower, free_flow,
-                                         free_flow_series, picard_fixed_point,
-                                         t0_gate)
+                                         picard_fixed_point, t0_gate)
 from hierlab.interactions import (bbgky_main_level, bbgky_rhs,
                                   gaussian_profile, realize_potential)
 from hierlab.marginals import (HierarchyState, factorized_state,
                                free_propagate_marginal, hierarchy_norm,
                                marginal_from_spectrum,
                                random_hermitian_marginal)
-
-from kernel_tools import StoredSeries
 
 GRIDS = [make_grid(1, 8), make_grid(2, 4)]
 GRID_IDS = ["d1n8", "d2n4"]
@@ -44,11 +41,10 @@ def ref_prefix(items, dt, simpson=False):
     return acc
 
 
-def ref_duhamel(series, j, pot, t):
-    dt = series.dt
+def ref_duhamel(dt, states, j, pot, t):
+    """Depth j at t of the Duhamel tower on ``states``, sampled dt apart."""
     n_pts = int(round(t / dt)) + 1
     times = dt * np.arange(n_pts)
-    states = list(series.iter_states())
     K = states[0].K
     comps = []
     for k in range(1, K - j + 1):
@@ -74,12 +70,14 @@ def count_transforms(monkeypatch):
     return counts
 
 
-def ref_sweep(xi_series, theta, pot, simpson):
-    times = xi_series.dt * np.arange(len(xi_series))
+def ref_sweep(dt, xi_states, theta, pot, simpson):
+    """One Picard sweep of ``theta`` with free term ``xi_states``, both
+    sampled dt apart."""
+    times = dt * np.arange(len(xi_states))
     back = [free_flow(s, -t) for s, t in zip(theta, times)]
-    prefixes = ref_prefix(back, xi_series.dt, simpson)
+    prefixes = ref_prefix(back, dt, simpson)
     return [x + bbgky_rhs(free_flow(p, t), pot) * 1j
-            for x, p, t in zip(xi_series.iter_states(), prefixes, times)]
+            for x, p, t in zip(xi_states, prefixes, times)]
 
 
 def ref_distance(a, b):
@@ -88,14 +86,6 @@ def ref_distance(a, b):
 
 def pot_for(grid):
     return realize_potential(gaussian_profile(grid, 0.6), 0.2, 16)
-
-
-def random_series(grid, K, n_pts, dt, seed):
-    """A genuinely time-dependent series: independent product states."""
-    rng = np.random.default_rng(seed)
-    return StoredSeries(dt, [factorized_state(random_low_mode_field(grid, 1, rng,
-                                                                    max_mode=1), K)
-                             for _ in range(n_pts)])
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
@@ -107,34 +97,12 @@ def test_sobolev_weight_is_parseval_of_the_h_alpha_norm(grid):
         assert got == pytest.approx(sobolev_norm_field(f, alpha), rel=1e-13)
 
 
-@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
-def test_free_flow_series_matches_per_sample_free_flow(grid):
-    rng = np.random.default_rng(2)
-    state = HierarchyState([random_hermitian_marginal(grid, k, rng, max_mode=1)
-                            for k in (1, 2)])
-    series = free_flow_series(state, 0.01, 8)
-    samples = list(series.iter_states())
-    assert series.dt == 0.01 and len(series) == len(samples) == 9
-    worst = max(hierarchy_norm(s - free_flow(state, j * 0.01), 0.0, 0.5)
-                for j, s in enumerate(samples))
-    assert worst <= 1e-13
-    assert hierarchy_norm(samples[0] - state, 0.0, 0.5) == 0.0
-
-
-def test_free_flow_series_rejects_bad_steps():
-    state = HierarchyState([random_hermitian_marginal(GRIDS[0], 1,
-                                                      np.random.default_rng(4))])
-    for dt, n_steps in ((0.0, 4), (-0.01, 4), (0.01, -1)):
-        with pytest.raises(ValueError):
-            free_flow_series(state, dt, n_steps)
-
-
 def free_series(grid, K, seed):
-    """The free flow of a product state phi^(tensor K), stored at 9 samples
-    0.005 apart, and its atom phi."""
+    """The free flow of a product state phi^(tensor K) at 9 samples 0.005
+    apart, and its atom phi."""
     phi = random_low_mode_field(grid, 1, np.random.default_rng(seed), max_mode=1)
     base = factorized_state(phi, K)
-    return phi, StoredSeries(0.005, [free_flow(base, i * 0.005) for i in range(9)])
+    return phi, [free_flow(base, i * 0.005) for i in range(9)]
 
 
 @pytest.mark.parametrize("grid,j", [(GRIDS[0], 1), (GRIDS[0], 2), (GRIDS[1], 1)],
@@ -143,10 +111,10 @@ def test_duhamel_iterate_matches_physical_reference(grid, j):
     # d = 2 stops at j = 1: the j = 2 reference needs level-3 kernels of
     # (4^2)^6 entries
     pot = pot_for(grid)
-    phi, series = free_series(grid, j + 1, seed=10 + j)
+    phi, states = free_series(grid, j + 1, seed=10 + j)
     for t, n_steps in ((0.02, 4), (0.04, 8)):  # an interior sample and the last
         got = duhamel_tower(phi, j, pot, t, n_steps)[j]
-        ref = ref_duhamel(series, j, pot, t)
+        ref = ref_duhamel(0.005, states, j, pot, t)
         rel = hierarchy_norm(got - ref, 0.0, 0.5) / hierarchy_norm(ref, 0.0, 0.5)
         assert rel <= 1e-12
 
@@ -157,12 +125,12 @@ TOWER_CASES = [(GRIDS[0], 3), (make_grid(1, 4), 4), (GRIDS[1], 2)]
 @pytest.mark.parametrize("grid,K", TOWER_CASES, ids=["d1n8-K3", "d1n4-K4", "d2n4-K2"])
 def test_duhamel_tower_matches_physical_reference_at_every_depth(grid, K):
     pot = pot_for(grid)
-    phi, series = free_series(grid, K, seed=30 + K)
+    phi, states = free_series(grid, K, seed=30 + K)
     for t, n_steps in ((0.02, 4), (0.04, 8)):  # an interior sample and the last
         tower = duhamel_tower(phi, K - 1, pot, t, n_steps)
         assert sorted(tower) == list(range(1, K))
         for j, got in tower.items():
-            ref = ref_duhamel(series, j, pot, t)
+            ref = ref_duhamel(0.005, states, j, pot, t)
             rel = hierarchy_norm(got - ref, 0.0, 0.5) / hierarchy_norm(ref, 0.0, 0.5)
             assert rel <= 1e-12
 
@@ -186,13 +154,13 @@ def test_picard_transform_counts(monkeypatch):
     base = HierarchyState([random_hermitian_marginal(grid, k, rng, max_mode=1)
                            for k in (1, 2)])
     counts = count_transforms(monkeypatch)
-    result = picard_fixed_point(free_flow_series(base, t0_gate(0.5) / 4.0 / n, n),
-                                pot, 0.5)
+    result = picard_fixed_point(base, pot, 0.5, t0_gate(0.5) / 4.0, n)
     sweeps = result.iterations + 1  # and the Simpson residual sweep
     for rank in (2, 4):  # levels 1 and 2
-        # the base; the first iterate, a round trip per later sample; then
-        # per sweep and sample one forward transform of the new sample, one
-        # inverse of the prefix and, past sample 0, one inverse of Xi
+        # the start's spectra; the first iterate, a round trip per later
+        # sample; then per sweep and sample one forward transform of the new
+        # sample, one inverse of the prefix and, past sample 0, one inverse
+        # of Xi
         assert counts["fftn", rank] == 1 + (n + 1) + (n + 1) * sweeps
         assert counts["ifftn", rank] == n + (2 * n + 1) * sweeps
 
@@ -203,31 +171,34 @@ def test_picard_sweep_matches_physical_reference(grid, monkeypatch):
     rng = np.random.default_rng(3)
     base = HierarchyState([random_hermitian_marginal(grid, k, rng, max_mode=1)
                            for k in (1, 2)])
-    xi_series = free_flow_series(base, t0_gate(0.5) / 4.0 / 8, 8)
-    xi_states = list(xi_series.iter_states())
+    t = t0_gate(0.5) / 4.0
+    dt = t / 8
+    # Xi by the GEMM flow, independent of Picard's stepped spectra
+    xi_states = [free_flow(base, i * dt) for i in range(9)]
 
     with monkeypatch.context() as one_sweep:
         one_sweep.setattr(hierarchy_evolution, "PICARD_MAX_SWEEPS", 1)
-        result = picard_fixed_point(xi_series, pot, 0.5)
-    new = ref_sweep(xi_series, xi_states, pot, simpson=False)
+        result = picard_fixed_point(base, pot, 0.5, t, 8)
+    new = ref_sweep(dt, xi_states, xi_states, pot, simpson=False)
     assert result.update_norms[0] == pytest.approx(
         ref_distance(new, xi_states), abs=1e-12)
     assert result.residual == pytest.approx(
-        ref_distance(ref_sweep(xi_series, new, pot, simpson=True), new), abs=1e-12)
+        ref_distance(ref_sweep(dt, xi_states, new, pot, simpson=True), new),
+        abs=1e-12)
     swept = [HierarchyState([marginal_from_spectrum(grid, k, a)
                              for k, a in enumerate(hats, start=1)])
              for hats in zip(*result.spectra)]
     assert ref_distance(swept, new) <= 1e-12
 
     # the full iteration follows the reference sweep for sweep
-    result = picard_fixed_point(xi_series, pot, 0.5)
+    result = picard_fixed_point(base, pot, 0.5, t, 8)
     theta, norms = xi_states, []
     for _ in range(result.iterations):
-        new = ref_sweep(xi_series, theta, pot, simpson=False)
+        new = ref_sweep(dt, xi_states, theta, pot, simpson=False)
         norms.append(ref_distance(new, theta))
         theta = new
     assert result.converged
     assert np.allclose(result.update_norms, norms, rtol=0.0, atol=1e-12)
     assert result.residual == pytest.approx(
-        ref_distance(ref_sweep(xi_series, theta, pot, simpson=True), theta),
+        ref_distance(ref_sweep(dt, xi_states, theta, pot, simpson=True), theta),
         abs=1e-12)

@@ -92,6 +92,24 @@ def test_legacy_ball_manifest_is_rejected(tmp_path):
         read_mixture(manifest)
 
 
+@pytest.mark.parametrize("weights", [[0.5, 0.5], None],
+                         ids=["two-weights-three-atoms", "no-weights"])
+def test_manifest_without_one_weight_per_atom_is_rejected(tmp_path, weights):
+    from hierlab.definetti import random_mixture
+    from hierlab.storage import read_mixture, write_mixture
+    g = make_grid(1, 8, 2 * np.pi)
+    manifest = write_mixture(tmp_path, random_mixture(
+        g, 3, np.random.default_rng(5)), stem="mx")
+    fields = json.loads(manifest.read_text())
+    if weights is None:
+        del fields["weights"]
+    else:  # a probability vector, so only the pairing can reject it
+        fields["weights"] = weights
+    manifest.write_text(json.dumps(fields))
+    with pytest.raises(ValueError, match="mx.json"):
+        read_mixture(manifest)
+
+
 def test_read_field_copies_the_payload_once(tmp_path):
     g = make_grid(1, 16, 2 * np.pi)
     f = random_low_mode_field(g, 4, np.random.default_rng(5), unit_norm=False)
