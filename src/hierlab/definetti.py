@@ -70,21 +70,19 @@ def random_mixture(grid: GridSpec, n_atoms: int, rng: np.random.Generator,
 # Cubic flow
 
 
-def nls_evolve(phi: Field, dt: float, t_final: float,
-               coupling: float = 1.0) -> Field:
-    """Cubic defocusing flow i dphi/dt = -Lap phi + coupling |phi|^2 phi
-    over t_final by symmetric splitting; both substeps are exact, so mass is
-    conserved to rounding and energy drift is bounded at second order.
-    Samples along a flow are chained calls, bit-identical to one long call."""
+def nls_evolve(phi: Field, dt: float, t_final: float) -> Field:
+    """Cubic defocusing flow i dphi/dt = -Lap phi + |phi|^2 phi, the unit
+    coupling of the contact hierarchy, over t_final by symmetric splitting;
+    both substeps are exact, so mass is conserved to rounding and energy
+    drift (of ``nls_energy``) is bounded at second order.  Samples along a
+    flow are chained calls, bit-identical to one long call."""
     if phi.rank != 1:
         raise ValueError("flow acts on one-particle fields")
-    if not math.isfinite(coupling):
-        raise ValueError(f"coupling must be finite, got {coupling}")
     data = phi.data.copy()
     for _ in range(step_count(t_final, dt)):
-        data = data * np.exp(-0.5j * dt * coupling * np.abs(data) ** 2)
+        data = data * np.exp(-0.5j * dt * np.abs(data) ** 2)
         data = free_propagate(Field(phi.grid, 1, data), dt).data
-        data = data * np.exp(-0.5j * dt * coupling * np.abs(data) ** 2)
+        data = data * np.exp(-0.5j * dt * np.abs(data) ** 2)
     return Field(phi.grid, 1, data)
 
 
@@ -97,10 +95,9 @@ def nls_energy(phi: Field) -> float:
     return 0.5 * h1**2 * mass**2 + 0.25 * l4_4
 
 
-def flow_mixture(mix: Mixture, t: float, dt: float, coupling: float = 1.0) -> Mixture:
+def flow_mixture(mix: Mixture, t: float, dt: float) -> Mixture:
     """Evolve every atom by the cubic flow; the weights are untouched."""
-    return Mixture([(w, nls_evolve(phi, dt, t, coupling=coupling))
-                    for w, phi in mix])
+    return Mixture([(w, nls_evolve(phi, dt, t)) for w, phi in mix])
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +147,8 @@ def energy_functional_direct(state: HierarchyState, m: int) -> float:
 
 
 def gwp_window_chain(mix: Mixture, state0: HierarchyState, bound: float,
-                     window: float, windows: int, xi: float, dt: float = 1e-3,
-                     kappa0: float = 1.0) -> dict:
+                     window: float, windows: int, xi: float,
+                     dt: float = 1e-3) -> dict:
     """Run the truncated contact hierarchy window by window from ``state0``,
     the hierarchy of ``mix``, re-anchoring on the flowed mixture after each
     window, and log each window's H^1_xi norm against ``bound``.
@@ -167,10 +164,9 @@ def gwp_window_chain(mix: Mixture, state0: HierarchyState, bound: float,
     rows = []
     for w in range(windows):
         if w > 0:  # re-anchor on the mixture flowed through the last window
-            current = flow_mixture(current, window, dt, coupling=kappa0)
+            current = flow_mixture(current, window, dt)
             state = mixture_state(current, state0.K)
-        traj = gp_evolve(state, cfg, kappa0=kappa0, mixture=current,
-                         store_every=0)
+        traj = gp_evolve(state, cfg, mixture=current, store_every=0)
         terminal = traj.states[-1]
         h1 = hierarchy_norm(terminal, 1.0, xi)
         psd = max(psd_defect(gamma) for gamma in terminal.entries)

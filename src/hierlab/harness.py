@@ -6,8 +6,8 @@ generator, and emits a fixed-schema CSV plus a JSON manifest that echoes the
 configuration.  Identical config and seed give bit-identical CSV output;
 ladder entries are executed in a fixed order for that reason.
 Each reported quantity is computed once per run; ``convergence`` evolves the
-contact hierarchy, and takes its collision sums, once per distinct K (and
-kappa0), shared by its ladder.
+contact hierarchy, and takes its collision sums, once per distinct K, shared
+by its ladder.
 """
 
 from __future__ import annotations
@@ -284,21 +284,20 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[Report, dict]:
     n_steps = step_count(cfg.t_final, cfg.dt)
     stride = max(1, n_steps // 2)
     evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final)
-    # (K, kappa0) -> {step: (GP state, its collision sum)}; neither depends on N
+    # K -> {step: (GP state, its collision sum)}; neither depends on N
     gp_runs = {}
     for big_n in cfg.ladder:
         pot = cfg.potential(big_n, grid)
         K = k_schedule(big_n, cfg.b1, cap=min(cfg.k_max, big_n))
         nstate = nbody_factorized(phi0, big_n, pot)
         ntraj = nbody_evolve(nstate, cfg.dt, cfg.t_final, store_every=stride)
-        if (K, pot.kappa0) not in gp_runs:
-            gtraj = gp_evolve(factorized_state(phi0, K), evo,
-                              kappa0=pot.kappa0, mixture=mixture,
+        if K not in gp_runs:
+            gtraj = gp_evolve(factorized_state(phi0, K), evo, mixture=mixture,
                               store_every=stride)
-            gp_runs[K, pot.kappa0] = {
-                step: (s, gp_collision_sum(s, pot.kappa0))
-                for step, s in zip(gtraj.stored_steps, gtraj.states) if step}
-        gp_at = gp_runs[K, pot.kappa0]
+            gp_runs[K] = {step: (s, gp_collision_sum(s))
+                          for step, s in zip(gtraj.stored_steps, gtraj.states)
+                          if step}
+        gp_at = gp_runs[K]
         for step, psi in zip(ntraj.stored_steps, ntraj.psis):
             if step not in gp_at:
                 continue
@@ -383,7 +382,7 @@ def run_collision_limit(cfg: ExperimentConfig) -> tuple[Report, dict]:
     for big_n in cfg.collision_ladder:
         pot = cfg.potential(big_n, grid)
         lhs = bbgky_main_level(gamma2, pot, plus_only=True)
-        dist = sobolev_norm(lhs - target_plus * pot.kappa0, 0.0)
+        dist = sobolev_norm(lhs - target_plus, 0.0)
         report.add("collision_limit", "main_minus_contact_hs", dist, N=big_n)
         for t, gamma_t in flowed.items():
             spatial = bbgky_collision_main(gamma_t, 1, "+", pot)
@@ -476,9 +475,9 @@ class _KernelFilesAndResidual(_KernelFiles):
 
     held = 3
 
-    def __init__(self, outdir: Path, name: str, dt: float, kappa0: float):
+    def __init__(self, outdir: Path, name: str, dt: float):
         super().__init__(outdir, name)
-        self.dt, self.kappa0 = dt, kappa0
+        self.dt = dt
         self.window: deque[HierarchyState] = deque(maxlen=self.held)
         self.residual: dict[int, list[float]] = {}
 
@@ -486,7 +485,7 @@ class _KernelFilesAndResidual(_KernelFiles):
         super().__call__(step, state)
         self.window.append(state)
         if len(self.window) == self.held:
-            row = gp_residual_row(*self.window, self.dt, self.kappa0)
+            row = gp_residual_row(*self.window, self.dt)
             for k, v in enumerate(row, start=1):
                 self.residual.setdefault(k, []).append(v)
 
@@ -518,8 +517,8 @@ def run_simulate_gp(cfg: ExperimentConfig) -> tuple[Report, dict]:
     mixture = Mixture([(1.0, phi)])
     state0 = factorized_state(phi, cfg.k_max)
     evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final)
-    store = _KernelFilesAndResidual(Path(cfg.outdir), "gp", cfg.dt, kappa0=1.0)
-    traj = gp_evolve(state0, evo, kappa0=1.0, mixture=mixture, store_every=1,
+    store = _KernelFilesAndResidual(Path(cfg.outdir), "gp", cfg.dt)
+    traj = gp_evolve(state0, evo, mixture=mixture, store_every=1,
                      log_collision_norms=True, store=store)
     report, extra = _report_hierarchy_run(cfg, traj, store)
     for k, vals in store.residual.items():

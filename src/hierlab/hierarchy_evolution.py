@@ -13,8 +13,13 @@ integrator failure, which aborts the run.
 ``picard_fixed_point`` integrates along the free flow of its start state,
 and ``duhamel_tower`` along the free flow of a product state, read from its
 one-particle atom; both sample it on ``n_steps`` uniform steps of t.  The
-time step, horizon and coupling come from the caller; the Picard stopping
-rule is the module constants ``PICARD_TOL`` and ``PICARD_MAX_SWEEPS``.
+time step and horizon come from the caller; the Picard stopping rule is the
+module constants ``PICARD_TOL`` and ``PICARD_MAX_SWEEPS``.  The coupling of
+the contact hierarchy is 1, the mass of a realized potential.
+
+The time loops and the integral equations reject non-finite start data,
+the start state's levels or the atom, before their first step or
+transform.
 """
 
 from __future__ import annotations
@@ -30,12 +35,11 @@ from .budget import default_budget
 from .grid import (Field, GridSpec, free_propagate, sobolev_weight, step_count,
                    stored_steps)
 from .interactions import (PotentialSpec, bbgky_main_level, bbgky_rhs,
-                           gp_collision_level, gp_collision_sum,
-                           product_collision_level)
+                           gp_collision_level, product_collision_level)
 from .marginals import (HierarchyState, Marginal, flow_symbol,
                         free_generator, free_propagate_marginal,
                         marginal_from_spectrum, marginal_spectrum,
-                        sobolev_norm, trace)
+                        sobolev_norm, trace, zero_marginal)
 
 
 # relative trace drift of any level that aborts an evolution
@@ -53,11 +57,25 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _check_steps(n_steps: int, least: int) -> None:
-    """Raise ``ValueError`` unless ``n_steps`` is an integer >= ``least``."""
-    if isinstance(n_steps, bool) or not isinstance(n_steps, (int, np.integer)) \
-            or n_steps < least:
-        raise ValueError(f"n_steps must be an integer >= {least}, got {n_steps!r}")
+def _check_count(name: str, value: int, least: int) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer
+    >= ``least`` (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_finite(name: str, data: np.ndarray) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless every entry of ``data``
+    is finite."""
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{name} must be finite")
+
+
+def _check_start(state: HierarchyState) -> None:
+    """``_check_finite`` on every level of a start state, naming the level."""
+    for k, m in enumerate(state.entries, start=1):
+        _check_finite(f"start level {k}", m.kernel)
 
 
 @dataclass
@@ -104,10 +122,9 @@ class MixtureClosure:
     in non-decreasing order, so an earlier index raises ``ValueError``.
     """
 
-    def __init__(self, mixture, K: int, dt_half: float, coupling: float = 1.0):
+    def __init__(self, mixture, K: int, dt_half: float):
         self.K = K
         self.dt_half = dt_half
-        self.coupling = coupling
         self._index = 0
         self._atoms: list[tuple[float, Field]] = list(mixture)
 
@@ -118,8 +135,8 @@ class MixtureClosure:
             raise ValueError(f"closure queried at half-step {index} after "
                              f"{self._index}; frames are not kept")
         while self._index < index:
-            self._atoms = [(w, nls_evolve(phi, self.dt_half, self.dt_half,
-                                          self.coupling)) for w, phi in self._atoms]
+            self._atoms = [(w, nls_evolve(phi, self.dt_half, self.dt_half))
+                           for w, phi in self._atoms]
             self._index += 1
         return self._atoms
 
@@ -149,25 +166,26 @@ def _scaled(state: HierarchyState, c: complex) -> HierarchyState:
     return state
 
 
-def _rk4ip_step(state: HierarchyState, t: float, dt: float,
+def _rk4ip_step(state: HierarchyState, deriv: HierarchyState,
+                t: float, dt: float,
                 rhs: Callable[[HierarchyState, float], HierarchyState]) -> HierarchyState:
     """One classical RK4 step in the interaction picture, anchored at the
-    step midpoint:
+    step midpoint, from ``deriv`` = rhs(state, t), which the caller forms:
 
         state_i = U(dt/2) state
-        k1 = U(dt/2) (rhs(state, t) dt)
+        k1 = U(dt/2) (deriv dt)
         k2 = rhs(state_i + k1/2, t + dt/2) dt
         k3 = rhs(state_i + k2/2, t + dt/2) dt
         k4 = rhs(U(dt/2) (state_i + k3), t + dt) dt
         out = U(dt/2) (state_i + (k1 + 2 k2 + 2 k3)/6) + k4/6
 
-    ``state`` is left alone.  ``rhs`` must return arrays nothing else
-    holds: the scalings, sums and flows work in them.  A flow overwrites
-    its argument, working in one new level of scratch at a time, and
-    (k1 + 2 k2 + 2 k3)/6 forms in k1, which k2 and k3 leave before the
-    last flow.  Each operation is the one of the plain formula, with the
-    array as its first operand or in a single commutative sum, so the
-    result is bit for bit the formula's."""
+    ``state`` is left alone.  ``deriv`` and ``rhs``'s results must hold
+    arrays nothing else holds: the scalings, sums and flows work in them.  A
+    flow overwrites its argument, working in one new level of scratch at a
+    time, and (k1 + 2 k2 + 2 k3)/6 forms in k1, which k2 and k3 leave
+    before the last flow.  Each operation is the one of the plain formula,
+    with the array as its first operand or in a single commutative sum, so
+    the result is bit for bit the formula's."""
     def half(s: HierarchyState) -> HierarchyState:  # U(dt/2) s, in s
         return HierarchyState([free_propagate_marginal(m, dt / 2.0,
                                                        np.empty_like(m.kernel))
@@ -179,7 +197,7 @@ def _rk4ip_step(state: HierarchyState, t: float, dt: float,
         return s
 
     state_i = free_flow(state, dt / 2.0)
-    k1 = half(_scaled(rhs(state, t), dt))
+    k1 = half(_scaled(deriv, dt))
     k2 = _scaled(rhs(plus_state_i(k1 * 0.5), t + dt / 2.0), dt)
     k3 = _scaled(rhs(plus_state_i(k2 * 0.5), t + dt / 2.0), dt)
     arg4 = state_i + k3
@@ -231,6 +249,7 @@ def _evolve(state0: HierarchyState, config: EvolutionConfig,
             store_every: int = 1,
             log_collision_norms: bool = False,
             store: Store | None = None) -> HierarchyTrajectory:
+    _check_start(state0)
     n_steps = step_count(config.t_final, config.dt)
     keep = stored_steps(n_steps, store_every)
     states: list[HierarchyState] = []
@@ -250,9 +269,13 @@ def _evolve(state0: HierarchyState, config: EvolutionConfig,
     hs = {k: [sobolev_norm(m, 0.0)] for k, m in enumerate(state.entries, start=1)}
     coll = {k: [] for k in range(1, K + 1)}
 
+    deriv = None  # rhs(state, t) when the last step logged it
     for step in range(1, n_steps + 1):
         t = (step - 1) * dt
-        state = _rk4ip_step(state, t, dt, rhs)
+        if deriv is None:
+            deriv = rhs(state, t)
+        state = _rk4ip_step(state, deriv, t, dt, rhs)
+        deriv = None  # the step worked in its arrays
         for k in range(1, K + 1):
             tr = trace(state.entry(k)).real
             traces[k].append(tr)
@@ -265,12 +288,12 @@ def _evolve(state0: HierarchyState, config: EvolutionConfig,
                 raise InstabilityError(
                     f"trace of level {k} drifted by {drift:.3e} at t={step * dt:.4f} "
                     f"(dt={dt})")
-        if log_collision_norms:  # the derivative is dropped before the next step
-            norms = [sobolev_norm(m, 1.0) for m in rhs(state, step * dt).entries]
-            for k, v in enumerate(norms, start=1):
-                coll[k].append(v)
         if step in kept:
             store(step, state)
+        if log_collision_norms:  # the logged derivative is the next step's k1
+            deriv = rhs(state, step * dt)
+            for k, m in enumerate(deriv.entries, start=1):
+                coll[k].append(sobolev_norm(m, 1.0))
     return HierarchyTrajectory(
         states=states, stored_steps=keep,
         traces={k: np.array(v) for k, v in traces.items()},
@@ -279,26 +302,26 @@ def _evolve(state0: HierarchyState, config: EvolutionConfig,
 
 
 def gp_evolve(state0: HierarchyState, config: EvolutionConfig,
-              kappa0: float = 1.0, mixture=None, store_every: int = 1,
+              mixture=None, store_every: int = 1,
               log_collision_norms: bool = False,
               store: Store | None = None) -> HierarchyTrajectory:
-    """Evolve the K-truncated contact hierarchy.
+    """Evolve the K-truncated contact hierarchy, with unit coupling.
 
-    Without a mixture the (K+1)-level is zero.  A mixture supplies that level
-    (``MixtureClosure``) from its atoms advanced by the cubic flow, which
-    keeps the truncated system exact on de Finetti data up to integrator
-    error.  A ``store`` takes the stored samples in place of the
+    Level k's collision term reads level k+1.  Without a mixture the
+    (K+1)-level is zero, and so is the top level's term.  A mixture supplies
+    that term (``MixtureClosure``) from its atoms advanced by the cubic
+    flow, which keeps the truncated system exact on de Finetti data up to
+    integrator error.  A ``store`` takes the stored samples in place of the
     trajectory's ``states`` (see ``Store``).
     """
     closure = None if mixture is None else \
-        MixtureClosure(mixture, state0.K, config.dt / 2.0, coupling=kappa0)
+        MixtureClosure(mixture, state0.K, config.dt / 2.0)
 
     def rhs(state: HierarchyState, t: float) -> HierarchyState:
-        if closure is None:
-            return gp_collision_sum(state, -1j * kappa0)
         levels = [gp_collision_level(g) for g in state.entries[1:]]
-        levels.append(closure.top_collision(t))
-        return _scaled(HierarchyState(levels), -1j * kappa0)
+        levels.append(zero_marginal(state.grid, state.K) if closure is None
+                      else closure.top_collision(t))
+        return _scaled(HierarchyState(levels), -1j)
 
     return _evolve(state0, config, rhs, store_every=store_every,
                    log_collision_norms=log_collision_norms, store=store)
@@ -322,15 +345,14 @@ def bbgky_evolve(state0: HierarchyState, config: EvolutionConfig,
 
 
 def gp_residual_row(prev_s: HierarchyState, cur: HierarchyState,
-                    nxt: HierarchyState, dt: float,
-                    kappa0: float) -> list[float]:
+                    nxt: HierarchyState, dt: float) -> list[float]:
     """Central-difference defect at ``cur`` of three states dt apart against
-    the contact hierarchy with coupling ``kappa0``, per level k < K."""
+    the contact hierarchy, per level k < K."""
     row = []
     for k in range(1, cur.K):
         dgamma = (nxt.entry(k) - prev_s.entry(k)) * (1.0 / (2.0 * dt))
         lhs = dgamma * 1j
-        rhs = free_generator(cur.entry(k)) + gp_collision_level(cur.entry(k + 1)) * kappa0
+        rhs = free_generator(cur.entry(k)) + gp_collision_level(cur.entry(k + 1))
         row.append(sobolev_norm(lhs - rhs, 0.0))
     return row
 
@@ -446,12 +468,12 @@ def duhamel_tower(phi: Field, j_max: int, pot: PotentialSpec, t: float,
     component of j = 1 is the last sample of the first layer that j = 2
     pushes level 3 through.  No pass forms a kernel above level j_max, and
     the tower's working states are checked against the budget before its
-    first kernel.
+    first kernel, after a non-finite atom has been refused.
     """
-    if j_max < 1:
-        raise ValueError(f"j_max must be >= 1, got {j_max}")
+    _check_count("j_max", j_max, 1)
     _check_positive("t", t)
-    _check_steps(n_steps, 1)
+    _check_count("n_steps", n_steps, 1)
+    _check_finite("atom", phi.data)
     check_series_budget(phi.grid, j_max, 0, DUHAMEL_WORKING_STATES)
     comps: dict[int, list[Marginal]] = {j: [] for j in range(1, j_max + 1)}
     for top in range(2, j_max + 2):
@@ -505,14 +527,14 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
     exp(-i dt S_k) per level, and the iterate, one list of spectra per
     level and the only series-sized thing held; level k of Xi at sample i
     is the start's spectrum stepped i times by the phase, and one inverse
-    transform gives its physical sample.  The time grid, the gate and then
-    what the call holds are checked before the first transform.  A sweep
-    steps the forward-propagated prefix integral through the samples by the
-    same phases (see ``_flowed_prefix``) and inverts it once per sample and
-    level to apply B_N.  The new sample is Xi + i B_N A formed in physical
-    space, as the sweep steps Xi one sample at a time, and transformed
-    once; its spectrum gives the update norm by Parseval and overwrites the
-    old one, which the prefix has read by then.  Forming it in physical
+    transform gives its physical sample.  The time grid, the gate, the
+    start's entries and then what the call holds are checked before the
+    first transform.  A sweep steps the forward-propagated prefix integral
+    through the samples by the same phases (see ``_flowed_prefix``) and
+    inverts it once per sample and level to apply B_N.  The new sample is
+    Xi + i B_N A formed in physical space, as the sweep steps Xi one sample
+    at a time, and transformed once; its spectrum gives the update norm by
+    Parseval and overwrites the old one, which the prefix has read by then.  Forming it in physical
     space keeps the iterate's rounding that of an iteration on stored
     physical samples.
 
@@ -525,10 +547,11 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
     quadrature, in a sweep that stores nothing.
     """
     _check_positive("t", t)
-    _check_steps(n_steps, 1)
+    _check_count("n_steps", n_steps, 1)
     gate = t0_gate(xi)
     if t >= gate:
         raise ValueError(f"horizon t={t} is not below the gate T0={gate}")
+    _check_start(start)
     grid, K, dt = start.grid, start.K, t / n_steps
     check_series_budget(grid, K, n_steps + 1, PICARD_WORKING_STATES)
     bases = [marginal_spectrum(m) for m in start.entries]

@@ -40,7 +40,6 @@ class PotentialSpec:
 
     grid: GridSpec
     big_n: int
-    kappa0: float
     realized: Field
 
     @cached_property
@@ -87,6 +86,8 @@ PROFILES = {"gaussian": gaussian_profile, "bump": bump_profile}
 
 def _check_profile(profile: Field) -> None:
     data = profile.data
+    if not np.all(np.isfinite(data)):  # NaN fails every comparison below
+        raise ValueError("potential profile must be finite")
     if np.max(np.abs(data.imag)) > 1e-12 * max(np.max(np.abs(data)), 1e-300):
         raise ValueError("potential profile must be real")
     if np.min(data.real) < -1e-12 * max(np.max(data.real), 1e-300):
@@ -99,7 +100,7 @@ def _check_profile(profile: Field) -> None:
 
 
 def realize_potential(profile: Field, beta: float, big_n: int,
-                      normalize: bool = True, width: float | None = None) -> PotentialSpec:
+                      width: float | None = None) -> PotentialSpec:
     """Build the desk realization of N^(d*beta) * V(N^beta x): the profile's
     spectral data, evaluated at frequencies shrunk by N^(-beta), inverted back
     to the grid.
@@ -107,9 +108,9 @@ def realize_potential(profile: Field, beta: float, big_n: int,
     Compressing the bump in space is stretching its spectrum; doing the
     scaling on the spectral side keeps the quadrature mass of the realization
     equal to the profile's mass exactly (the zero mode is untouched), which is
-    what makes the concentration limit measurable on a fixed grid.  With
-    ``normalize`` the profile is first rescaled to unit quadrature mass, so
-    the coupling constant kappa0 (the mass) defaults to 1.
+    what makes the concentration limit measurable on a fixed grid.  The
+    profile is first rescaled to unit quadrature mass: the coupling of the
+    contact hierarchy it converges to, the mass, is 1.
     """
     if not 0 < beta < 0.25:
         raise ValueError(f"beta must lie in (0, 1/4), got {beta}")
@@ -122,9 +123,7 @@ def realize_potential(profile: Field, beta: float, big_n: int,
     mass = float(grid.h**d * base.sum())
     if mass <= 0:
         raise ValueError("potential profile must have positive mass")
-    if normalize:
-        base = base / mass
-        mass = 1.0
+    base = base / mass
 
     scale = float(big_n) ** beta
     # Centered coordinates put the bump at the origin, so the spectral sum
@@ -149,8 +148,7 @@ def realize_potential(profile: Field, beta: float, big_n: int,
             f"scaled potential support {4.0 * width / scale:.3g} is below 4 "
             f"mesh cells; the realization is under-resolved at N={big_n}",
             RuntimeWarning, stacklevel=2)
-    return PotentialSpec(grid=grid, big_n=big_n, kappa0=mass,
-                         realized=Field(grid, 1, realized))
+    return PotentialSpec(grid=grid, big_n=big_n, realized=Field(grid, 1, realized))
 
 
 def delta_surrogate(grid: GridSpec, big_n: int = 1) -> PotentialSpec:
@@ -160,8 +158,7 @@ def delta_surrogate(grid: GridSpec, big_n: int = 1) -> PotentialSpec:
     """
     data = np.zeros(grid.slot_shape(1), dtype=np.complex128)
     data[(0,) * grid.dim] = 1.0 / grid.h**grid.dim
-    return PotentialSpec(grid=grid, big_n=big_n, kappa0=1.0,
-                         realized=Field(grid, 1, data))
+    return PotentialSpec(grid=grid, big_n=big_n, realized=Field(grid, 1, data))
 
 
 def potential_difference_tensor(realized: Field) -> np.ndarray:
@@ -220,12 +217,10 @@ def gp_collision_level(gamma_next: Marginal) -> Marginal:
                        lambda j, sign: gp_collision(gamma_next, j, sign))
 
 
-def gp_collision_sum(state: HierarchyState, kappa0: complex = 1.0) -> HierarchyState:
-    """Contact collision term of the whole state times kappa0; level k reads
-    level k+1.  The top level has no level above it, so it is zero."""
+def gp_collision_sum(state: HierarchyState) -> HierarchyState:
+    """Contact collision term of the whole state; level k reads level k+1.
+    The top level has no level above it, so it is zero."""
     comps = [gp_collision_level(gamma_next) for gamma_next in state.entries[1:]]
-    for m in comps:
-        m.kernel *= kappa0
     comps.append(zero_marginal(state.grid, state.K))
     return HierarchyState(comps)
 

@@ -41,8 +41,9 @@ def permutation_defect(gamma: Marginal) -> float:
 
 
 def zero_potential(grid, big_n=4) -> PotentialSpec:
-    """V = 0: no coupling, and an all-zero N-body pair potential."""
-    return PotentialSpec(grid=grid, big_n=big_n, kappa0=0.0,
+    """V = 0: an all-zero finite-N collision term and N-body pair
+    potential."""
+    return PotentialSpec(grid=grid, big_n=big_n,
                          realized=Field(grid, 1, np.zeros(grid.slot_shape(1))))
 
 
@@ -59,32 +60,33 @@ def perturbed_product_state(phi: Field, bump: Field, eps: float, big_n: int,
     return NBodyState(grid, big_n, normalized(Field(grid, big_n, data)), pot)
 
 
-def gp_residual(traj: HierarchyTrajectory, dt: float,
-                kappa0: float) -> dict[int, np.ndarray]:
+def gp_residual(traj: HierarchyTrajectory, dt: float) -> dict[int, np.ndarray]:
     """Central-difference defect of the stored trajectory, taken with time
-    step ``dt``, against the contact hierarchy with coupling ``kappa0``, per
-    level k < K, at interior stored steps (``gp_residual_row``).  Requires
-    every step stored (stride one)."""
+    step ``dt``, against the contact hierarchy, per level k < K, at interior
+    stored steps (``gp_residual_row``).  Requires every step stored (stride
+    one)."""
     steps = traj.stored_steps
     if len(steps) < 3 or any(b - a != 1 for a, b in zip(steps, steps[1:])):
         raise ValueError("residual needs a trajectory stored at every step")
     K = traj.states[0].K
     out: dict[int, list[float]] = {k: [] for k in range(1, K)}
     for triple in zip(traj.states, traj.states[1:], traj.states[2:]):
-        row = gp_residual_row(*triple, dt, kappa0)
+        row = gp_residual_row(*triple, dt)
         for k, v in enumerate(row, start=1):
             out[k].append(v)
     return {k: np.array(v) for k, v in out.items()}
 
 
-def rk4ip_step_reference(state: HierarchyState, t: float, dt: float,
+def rk4ip_step_reference(state: HierarchyState, deriv: HierarchyState,
+                         t: float, dt: float,
                          rhs: Callable[[HierarchyState, float], HierarchyState]
                          ) -> HierarchyState:
-    """One RK4 interaction-picture step as the plain out-of-place formula;
-    ``hierarchy_evolution._rk4ip_step`` must match it bit for bit."""
+    """One RK4 interaction-picture step from ``deriv`` = rhs(state, t) as the
+    plain out-of-place formula; ``hierarchy_evolution._rk4ip_step`` must
+    match it bit for bit."""
     half = lambda s: free_flow(s, dt / 2.0)
     state_i = half(state)
-    k1 = half(rhs(state, t) * dt)
+    k1 = half(deriv * dt)
     k2 = rhs(state_i + k1 * 0.5, t + dt / 2.0) * dt
     k3 = rhs(state_i + k2 * 0.5, t + dt / 2.0) * dt
     k4 = rhs(half(state_i + k3), t + dt) * dt

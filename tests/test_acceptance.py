@@ -99,7 +99,7 @@ def test_criterion_04_collision_limit_ladder():
     for big_n in (4, 16, 64, 256):
         pot = quiet_potential(G16, 0.6, 0.2, big_n)
         lhs = bbgky_main_level(gamma2, pot, plus_only=True)
-        dists.append(sobolev_norm(lhs - target * pot.kappa0, 0.0))
+        dists.append(sobolev_norm(lhs - target, 0.0))
     decreasing = all(b < a for a, b in zip(dists, dists[1:]))
     small_end = dists[-1] < 0.1 * dists[0]
     record(4, "collision limit", decreasing and small_end,
@@ -153,9 +153,9 @@ def test_criterion_08_gp_residual_scaling():
     maxima = []
     for dt in (2e-3, 1e-3):
         cfg = EvolutionConfig(dt=dt, t_final=0.02)
-        traj = gp_evolve(mixture_state(mix, 2), cfg, kappa0=1.0, mixture=mix,
+        traj = gp_evolve(mixture_state(mix, 2), cfg, mixture=mix,
                          store_every=1)
-        maxima.append(float(np.max(gp_residual(traj, dt, 1.0)[1])))
+        maxima.append(float(np.max(gp_residual(traj, dt)[1])))
     ratio = maxima[0] / maxima[1]
     record(8, "gp residual scaling", 3.0 < ratio < 5.0,
            f"halving dt changed residual by {ratio:.3f} (target 4 +- 25%)")

@@ -11,15 +11,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hierlab.cli import EXPERIMENT_ONLY, main
-from hierlab.definetti import Mixture, flow_mixture, nls_evolve
+from hierlab.definetti import Mixture
 from hierlab.grid import (Field, apply_multiplier, bessel_multiply,
                           free_propagate, make_grid, random_low_mode_field,
                           sobolev_norm_field)
 from hierlab.harness import ExperimentConfig, Report
-from hierlab.hierarchy_evolution import (EvolutionConfig, k_schedule,
+from hierlab.hierarchy_evolution import (EvolutionConfig, bbgky_evolve,
+                                         duhamel_tower, gp_evolve, k_schedule,
                                          picard_fixed_point)
 from hierlab.interactions import (bump_profile, gaussian_profile,
-                                  product_collision_level)
+                                  product_collision_level, realize_potential)
 from hierlab.marginals import (factorized_state, hierarchy_norm,
                                mixture_marginal, sobolev_norm,
                                trace_sobolev_norm)
@@ -32,7 +33,18 @@ PHI = random_low_mode_field(G8, 1, np.random.default_rng(0), max_mode=2)
 STATE = factorized_state(PHI, 2)
 PAIR = STATE.entry(1).as_field()  # rank 2
 NAN_ATOM = Field(G8, 1, np.full(G8.slot_shape(1), math.nan, dtype=complex))
+NAN_STATE = STATE.copy()  # level 2 holds one NaN entry
+NAN_STATE.entry(2).kernel[(0,) * 4] = math.nan
 ZERO_V = zero_potential(G8)
+EVOLUTION = EvolutionConfig(dt=1e-3, t_final=1e-2)
+
+
+def profile_with(value: float) -> Field:
+    """The n = 8 Gaussian profile with one entry set to ``value``."""
+    data = gaussian_profile(G8, 0.6).data.copy()
+    data[3] = value
+    return Field(G8, 1, data)
+
 
 PROBES = {
     "grid-L-nan": (lambda: make_grid(1, 8, math.nan), "L must"),
@@ -80,11 +92,27 @@ PROBES = {
     "mixture-weight-nan": (lambda: Mixture([(math.nan, PHI)]), "weights"),
     "mixture-weight-inf": (lambda: Mixture([(math.inf, PHI)]), "weights"),
     "mixture-atom-nan": (lambda: Mixture([(1.0, NAN_ATOM)]), "norm nan"),
-    "nls-coupling-nan": (lambda: nls_evolve(PHI, 1e-3, 1e-2, coupling=math.nan),
-                         "coupling"),
-    "flow-mixture-coupling-nan": (
-        lambda: flow_mixture(Mixture([(1.0, PHI)]), 1e-2, 1e-3,
-                             coupling=math.nan), "coupling"),
+    "profile-nan": (lambda: realize_potential(profile_with(math.nan), 0.2, 4),
+                    "profile must be finite"),
+    "profile-inf": (lambda: realize_potential(profile_with(math.inf), 0.2, 4),
+                    "profile must be finite"),
+    "picard-start-nan": (
+        lambda: picard_fixed_point(NAN_STATE, ZERO_V, 0.5, 0.01, 4),
+        "start level 2"),
+    "duhamel-atom-nan": (lambda: duhamel_tower(NAN_ATOM, 2, ZERO_V, 0.01, 4),
+                         "atom"),
+    "duhamel-j-max-bool": (lambda: duhamel_tower(PHI, True, ZERO_V, 0.01, 4),
+                           "j_max"),
+    "duhamel-j-max-float": (lambda: duhamel_tower(PHI, 2.0, ZERO_V, 0.01, 4),
+                            "j_max"),
+    "duhamel-j-max-zero": (lambda: duhamel_tower(PHI, 0, ZERO_V, 0.01, 4),
+                           "j_max"),
+    "duhamel-steps-bool": (lambda: duhamel_tower(PHI, 2, ZERO_V, 0.01, True),
+                           "n_steps"),
+    "gp-evolve-start-nan": (lambda: gp_evolve(NAN_STATE, EVOLUTION),
+                            "start level 2"),
+    "bbgky-evolve-start-nan": (
+        lambda: bbgky_evolve(NAN_STATE, EVOLUTION, ZERO_V), "start level 2"),
     "mixture-marginal-weight-nan": (
         lambda: mixture_marginal([(math.nan, PHI)], 1), "weights"),
     "product-collision-no-atoms": (lambda: product_collision_level([], 1),
@@ -115,15 +143,30 @@ def test_entry_point_rejects_bad_value(call, names):
         call()
 
 
-PICARD_PROBES = {key: probe for key, probe in PROBES.items()
-                 if key.startswith("picard-")}
+SERIES_PROBES = {key: probe for key, probe in PROBES.items()
+                 if key.startswith(("picard-", "duhamel-"))}
 
 
-@pytest.mark.parametrize("call,names", PICARD_PROBES.values(),
-                         ids=PICARD_PROBES.keys())
-def test_picard_rejects_a_bad_time_grid_before_a_transform(monkeypatch, call,
-                                                           names):
+@pytest.mark.parametrize("call,names", SERIES_PROBES.values(),
+                         ids=SERIES_PROBES.keys())
+def test_integral_equations_reject_bad_input_before_a_transform(
+        monkeypatch, call, names):
     forbid_transforms(monkeypatch)
+    with pytest.raises(ValueError, match=names):
+        call()
+
+
+LOOP_PROBES = {key: probe for key, probe in PROBES.items()
+               if "-evolve-" in key}
+
+
+@pytest.mark.parametrize("call,names", LOOP_PROBES.values(),
+                         ids=LOOP_PROBES.keys())
+def test_time_loops_reject_bad_start_data_before_a_step(monkeypatch, call,
+                                                        names):
+    import hierlab.hierarchy_evolution as evolution
+    monkeypatch.setattr(evolution, "_rk4ip_step", lambda *a: pytest.fail(
+        "a step ran before the loop's checks"))
     with pytest.raises(ValueError, match=names):
         call()
 

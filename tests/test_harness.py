@@ -1,5 +1,6 @@
 import ctypes
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -149,7 +150,7 @@ def count_calls(monkeypatch, name, *modules):
 
 
 def test_convergence_evolves_the_contact_hierarchy_once_per_k(monkeypatch):
-    # K = floor(2 ln N) capped at 2 is 2 for both N, and kappa0 is 1
+    # K = floor(2 ln N) capped at 2 is 2 for both N
     calls = count_calls(monkeypatch, "gp_evolve", harness_mod)
     rep, _ = run_convergence(small_cfg(ladder=(3, 4), k_max=2, b1=2.0))
     assert len(calls) == 1
@@ -157,7 +158,7 @@ def test_convergence_evolves_the_contact_hierarchy_once_per_k(monkeypatch):
 
 
 def test_convergence_takes_each_gp_collision_sum_once(monkeypatch):
-    # both entries share K = 2 and kappa0 = 1: one sum per stored step t > 0
+    # both entries share K = 2: one sum per stored step t > 0
     calls = count_calls(monkeypatch, "gp_collision_sum", harness_mod)
     run_convergence(small_cfg(ladder=(3, 4), k_max=2, b1=2.0))
     assert len(calls) == 2
@@ -264,7 +265,7 @@ def test_streamed_outputs_equal_in_memory_outputs(tmp_path, monkeypatch,
     rows = {line.split(",")[5]: float(line.split(",")[6])
             for line in csv_path.read_text().splitlines()[1:]
             if ",residual_max_k" in line}
-    residual = gp_residual(traj, cfg.dt, 1.0) if len(traj.states) >= 3 else {}
+    residual = gp_residual(traj, cfg.dt) if len(traj.states) >= 3 else {}
     expected = {f"residual_max_k{k}": float(np.max(v))
                 for k, v in residual.items()} if name == "gp" else {}
     assert rows == expected
@@ -450,7 +451,7 @@ def test_each_subcommand_takes_its_fixed_flag_set():
 
 
 def test_profile_loaded_from_field_file(tmp_path):
-    from hierlab.interactions import gaussian_profile
+    from hierlab.interactions import gaussian_profile, realize_potential
     from hierlab.storage import write_field
     from hierlab.grid import make_grid
     g = make_grid(1, 8, 2 * np.pi)
@@ -458,7 +459,25 @@ def test_profile_loaded_from_field_file(tmp_path):
     write_field(path, gaussian_profile(g, 0.7))
     cfg = small_cfg(profile=str(path))
     pot = cfg.potential(big_n=4)
-    assert pot.kappa0 == 1.0
+    built_in = realize_potential(gaussian_profile(g, 0.7), cfg.beta, 4)
+    assert np.array_equal(pot.realized.data, built_in.realized.data)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_profile_file_fails_before_the_run(tmp_path, bad):
+    from hierlab.interactions import gaussian_profile
+    from hierlab.storage import write_field
+    from hierlab.grid import Field, make_grid
+    g = make_grid(1, 8, 2 * np.pi)
+    data = gaussian_profile(g, 0.7).data.copy()
+    data[3] = bad
+    path = tmp_path / "prof.hlab"
+    write_field(path, Field(g, 1, data))
+    outdir = tmp_path / "out"
+    with pytest.raises(ValueError, match="potential profile must be finite"):
+        main(["collision-limit", "--n", "8", "--profile", str(path),
+              "--outdir", str(outdir)])
+    assert not (outdir / "collision_limit.csv").exists()
 
 
 def test_budget_env_override(monkeypatch):

@@ -17,8 +17,8 @@ from hierlab.hierarchy_evolution import (DUHAMEL_WORKING_STATES,
                                          check_series_budget, duhamel_tower,
                                          free_flow, gp_evolve, k_schedule,
                                          picard_fixed_point, t0_gate)
-from hierlab.interactions import (bbgky_main_level, gaussian_profile,
-                                  realize_potential)
+from hierlab.interactions import (PotentialSpec, bbgky_main_level,
+                                  gaussian_profile, realize_potential)
 from hierlab.marginals import (HierarchyState, admissibility_defect,
                                factorized_state, free_propagate_marginal,
                                hierarchy_norm, marginal_spectrum,
@@ -72,19 +72,11 @@ def test_k_schedule_rejects():
 # -- contact hierarchy evolution -----------------------------------------------------
 
 
-def test_gp_evolve_collision_disabled_is_free_flow():
-    state = factorized_state(atom(G16, 1), 2)
-    cfg = EvolutionConfig(dt=1e-3, t_final=0.02)
-    traj = gp_evolve(state, cfg, kappa0=0.0, store_every=0)
-    exact = free_flow(state, 0.02)
-    assert hierarchy_norm(traj.states[-1] - exact, 0.0, 0.5) < 1e-11
-
-
 def test_gp_evolve_tracks_cubic_flow():
     phi = atom(G16, 2)
     mix = Mixture([(1.0, phi)])
     cfg = EvolutionConfig(dt=1e-3, t_final=0.05)
-    traj = gp_evolve(factorized_state(phi, 2), cfg, kappa0=1.0, mixture=mix,
+    traj = gp_evolve(factorized_state(phi, 2), cfg, mixture=mix,
                      store_every=0)
     oracle = pure_product_marginal(nls_evolve(phi, 1e-5, 0.05), 1)
     assert sobolev_norm(traj.states[-1].entry(1) - oracle, 0.0) < 1e-9
@@ -96,7 +88,7 @@ def test_gp_evolve_second_order_against_same_dt_oracle():
     errs = []
     for dt in (2e-3, 1e-3):
         cfg = EvolutionConfig(dt=dt, t_final=0.05)
-        traj = gp_evolve(factorized_state(phi, 2), cfg, kappa0=1.0,
+        traj = gp_evolve(factorized_state(phi, 2), cfg,
                          mixture=mix, store_every=0)
         oracle = pure_product_marginal(nls_evolve(phi, dt, 0.05), 1)
         errs.append(sobolev_norm(traj.states[-1].entry(1) - oracle, 0.0))
@@ -107,7 +99,7 @@ def test_gp_evolve_structure_preserved_each_step():
     phi = atom(G16, 4)
     mix = Mixture([(1.0, phi)])
     cfg = EvolutionConfig(dt=1e-3, t_final=0.02)
-    traj = gp_evolve(factorized_state(phi, 2), cfg, kappa0=1.0, mixture=mix,
+    traj = gp_evolve(factorized_state(phi, 2), cfg, mixture=mix,
                      store_every=1)
     for k, vals in traj.traces.items():
         assert np.max(np.abs(vals - vals[0])) < 1e-8
@@ -123,7 +115,7 @@ def test_gp_evolve_admissibility_transport():
     state0 = mixture_state(mix, 3)
     dt = 2e-3
     cfg = EvolutionConfig(dt=dt, t_final=0.04)
-    traj = gp_evolve(state0, cfg, kappa0=1.0, mixture=mix, store_every=5)
+    traj = gp_evolve(state0, cfg, mixture=mix, store_every=5)
     # transport constant fitted on this configuration once, then frozen
     C_FROZEN = 2e-6
     for state in traj.states:
@@ -133,7 +125,7 @@ def test_gp_evolve_admissibility_transport():
 def test_gp_evolve_zero_top_closure_runs():
     state = factorized_state(atom(G16, 5), 2)
     cfg = EvolutionConfig(dt=1e-3, t_final=0.01)
-    traj = gp_evolve(state, cfg, kappa0=1.0, store_every=0)
+    traj = gp_evolve(state, cfg, store_every=0)
     assert traj.states[-1].K == 2
 
 
@@ -153,14 +145,15 @@ def test_mixture_closure_rejects_an_earlier_half_step():
 
 
 def test_gp_evolve_with_mixture_builds_no_zero_top_level(monkeypatch):
+    import hierlab.hierarchy_evolution as evolution_mod
     import hierlab.interactions as interactions_mod
     import hierlab.marginals as marginals_mod
-    for mod in (interactions_mod, marginals_mod):
+    for mod in (evolution_mod, interactions_mod, marginals_mod):
         monkeypatch.setattr(mod, "zero_marginal",
                             lambda *a: pytest.fail("zero kernel built"))
     phi = atom(G8, 6)
     cfg = EvolutionConfig(dt=1e-3, t_final=4e-3)
-    traj = gp_evolve(factorized_state(phi, 2), cfg, kappa0=1.0,
+    traj = gp_evolve(factorized_state(phi, 2), cfg,
                      mixture=Mixture([(1.0, phi)]), store_every=0,
                      log_collision_norms=True)
     assert traj.states[-1].K == 2
@@ -207,7 +200,7 @@ def test_bbgky_approaches_contact_hierarchy_along_ladder():
     phi = atom(G16, 5)
     state = factorized_state(phi, 2)
     cfg = EvolutionConfig(dt=2e-3, t_final=0.04)
-    ref = gp_evolve(state, cfg, kappa0=1.0, store_every=0).states[-1]
+    ref = gp_evolve(state, cfg, store_every=0).states[-1]
     dists = []
     for big_n in (16, 64, 256):
         with warnings.catch_warnings():
@@ -241,6 +234,35 @@ def test_rk4ip_steps_are_bitwise_the_out_of_place_formula(monkeypatch, loop,
     monkeypatch.setattr(evolution, "_rk4ip_step", rk4ip_step_reference)
     want = run().states[-1]
     assert all(np.array_equal(a, b) for a, b in zip(bits(got), bits(want)))
+
+
+@pytest.mark.parametrize("log", [False, True], ids=["quiet", "logged"])
+@pytest.mark.parametrize("loop", ["gp_mixture", "bbgky"])
+def test_logged_derivative_is_the_next_steps_k1(monkeypatch, loop, log):
+    # four right-hand sides a step; with logging the first step's k1 is the
+    # one extra call, and every later k1 is the derivative logged before it
+    import hierlab.hierarchy_evolution as evolution
+    calls = []
+    if loop == "bbgky":
+        real = evolution.bbgky_rhs
+        monkeypatch.setattr(evolution, "bbgky_rhs",
+                            lambda *a: calls.append(1) or real(*a))
+    else:
+        real = MixtureClosure.top_collision
+        monkeypatch.setattr(MixtureClosure, "top_collision",
+                            lambda self, t: calls.append(1) or real(self, t))
+    phi = atom(G8, 42)
+    state, steps = factorized_state(phi, 2), 5
+    cfg = EvolutionConfig(dt=1e-3, t_final=steps * 1e-3)
+    if loop == "bbgky":
+        pot = realize_potential(gaussian_profile(G8, 0.6), 0.2, 4)
+        traj = bbgky_evolve(state, cfg, pot, store_every=0,
+                            log_collision_norms=log)
+    else:
+        traj = gp_evolve(state, cfg, mixture=Mixture([(1.0, phi)]),
+                         store_every=0, log_collision_norms=log)
+    assert len(calls) == 4 * steps + log
+    assert len(traj.collision_h1[1]) == (steps if log else 0)
 
 
 def test_gp_evolve_builds_each_half_step_matrix_once(monkeypatch):
@@ -286,8 +308,8 @@ def _injected_trajectory(phi, dt, t_final):
 
 def test_residual_quarters_when_dt_halves():
     phi = atom(G16, 11)
-    r_coarse = gp_residual(_injected_trajectory(phi, 2e-3, 0.02), 2e-3, 1.0)
-    r_fine = gp_residual(_injected_trajectory(phi, 1e-3, 0.02), 1e-3, 1.0)
+    r_coarse = gp_residual(_injected_trajectory(phi, 2e-3, 0.02), 2e-3)
+    r_fine = gp_residual(_injected_trajectory(phi, 1e-3, 0.02), 1e-3)
     ratio = np.max(r_coarse[1]) / np.max(r_fine[1])
     assert 3.0 < ratio < 5.0
 
@@ -297,7 +319,7 @@ def test_residual_zero_state():
     traj = HierarchyTrajectory(states=[zero.copy() for _ in range(4)],
                                stored_steps=list(range(4)), traces={},
                                hs_norms={}, collision_h1={})
-    res = gp_residual(traj, 1e-3, 1.0)
+    res = gp_residual(traj, 1e-3)
     assert np.max(res[1]) == 0.0
 
 
@@ -309,7 +331,7 @@ def test_residual_free_flow_equals_collision_norm():
     traj = HierarchyTrajectory(states=states,
                                stored_steps=list(range(5)), traces={},
                                hs_norms={}, collision_h1={})
-    res = gp_residual(traj, dt, 1.0)
+    res = gp_residual(traj, dt)
     from hierlab.interactions import gp_collision_level
     # the free part of the central difference cancels to O(dt^2), leaving
     # the un-modelled collision term at each interior time
@@ -322,28 +344,28 @@ def test_residual_needs_stride_one():
     phi = atom(G16, 13)
     mix = Mixture([(1.0, phi)])
     cfg = EvolutionConfig(dt=1e-3, t_final=0.02)
-    traj = gp_evolve(factorized_state(phi, 2), cfg, kappa0=1.0, mixture=mix,
+    traj = gp_evolve(factorized_state(phi, 2), cfg, mixture=mix,
                      store_every=5)
     with pytest.raises(ValueError):
-        gp_residual(traj, 1e-3, 1.0)
+        gp_residual(traj, 1e-3)
 
 
 @pytest.mark.parametrize("store_every, steps", [(2, [0, 2, 4, 5]), (0, [0, 5])])
 def test_time_loops_store_the_same_steps(store_every, steps):
-    # without interaction each loop is the free flow, so the sample stored
-    # for a step must be the free flow to that step's time
+    # without interaction the finite-N and N-body loops are the free flow, so
+    # the sample they store for a step must be the free flow to that step's
+    # time
     phi = atom(G8, 20)
     state, nstate = factorized_state(phi, 2), nb_factorized(phi, 3,
                                                             zero_potential(G8))
     cfg = EvolutionConfig(dt=1e-3, t_final=5e-3)
-    gp = gp_evolve(state, cfg, kappa0=0.0, store_every=store_every)
+    gp = gp_evolve(state, cfg, store_every=store_every)
     bb = bbgky_evolve(state, cfg, zero_potential(G8), store_every=store_every)
     nb = nbody_evolve(nstate, 1e-3, 5e-3, store_every=store_every)
     assert gp.stored_steps == bb.stored_steps == nb.stored_steps == steps
     assert len(gp.states) == len(bb.states) == len(nb.psis) == len(steps)
-    for step, g, b, psi in zip(steps, gp.states, bb.states, nb.psis):
+    for step, b, psi in zip(steps, bb.states, nb.psis):
         exact = free_flow(state, step * 1e-3)
-        assert hierarchy_norm(g - exact, 0.0, 0.5) < 1e-11
         assert hierarchy_norm(b - exact, 0.0, 0.5) < 1e-11
         exact_psi = free_propagate(nstate.psi, step * 1e-3)
         assert l2_norm(Field(G8, 3, psi.data - exact_psi.data)) < 1e-11
@@ -708,10 +730,13 @@ def test_picard_zero_input_fixed_at_zero():
 
 
 def test_picard_raises_on_a_non_finite_update():
+    # a finite start (a non-finite one is refused before the sweep) under a
+    # NaN potential: the first update is NaN
     start, pot = picard_setup(18)
-    nan_level = HierarchyState([start.entry(1), start.entry(2) * float("nan")])
+    nan_v = PotentialSpec(grid=G16, big_n=pot.big_n, realized=Field(
+        G16, 1, np.full(G16.slot_shape(1), np.nan)))
     with pytest.raises(RuntimeError, match="sample 0 is nan"):
-        picard_fixed_point(nan_level, pot, 0.5, PICARD_T, 8)
+        picard_fixed_point(start, nan_v, 0.5, PICARD_T, 8)
 
 
 def test_picard_zero_potential_returns_input():

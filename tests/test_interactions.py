@@ -46,22 +46,23 @@ def hermitian_mixture(grid, seed, k):
 
 def test_realize_identity_at_n1():
     prof = gaussian_profile(G16, 0.6)
-    pot = realize_potential(prof, 0.2, 1, normalize=False)
-    assert np.max(np.abs(pot.realized.data - prof.data)) < 1e-10
-    assert pot.kappa0 == pytest.approx(G16.h * prof.data.real.sum(), rel=1e-12)
+    mass = G16.h * prof.data.real.sum()
+    pot = realize_potential(prof, 0.2, 1)
+    assert np.max(np.abs(pot.realized.data - prof.data / mass)) < 1e-10
+    assert G16.h * pot.realized.data.real.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_realize_normalized_mass_is_one():
     pot = realize_potential(gaussian_profile(G16, 0.6), 0.2, 16)
-    assert pot.kappa0 == 1.0
-    mass_ratio = G16.h * pot.realized.data.real.sum() / pot.kappa0
-    assert abs(mass_ratio - 1.0) < 0.05
+    mass = G16.h * pot.realized.data.real.sum()
+    assert abs(mass - 1.0) < 0.05
 
 
 def test_realize_sup_scaling():
     prof = gaussian_profile(G16, 0.8)
-    pot = realize_potential(prof, 0.2, 4, normalize=False)
-    expected = 4 ** 0.2 * np.max(prof.data.real)
+    mass = G16.h * prof.data.real.sum()
+    pot = realize_potential(prof, 0.2, 4)
+    expected = 4 ** 0.2 * np.max(prof.data.real) / mass
     assert np.max(pot.realized.data.real) == pytest.approx(expected, rel=1e-4)
 
 
@@ -83,7 +84,7 @@ def test_realize_rejects_bad_inputs():
 
 def test_bump_profile_is_valid_input():
     pot = realize_potential(bump_profile(G16, 1.2), 0.2, 8)
-    assert pot.kappa0 == 1.0
+    assert G16.h * pot.realized.data.real.sum() == pytest.approx(1.0)
 
 
 def test_difference_tensor_periodicity():
@@ -152,9 +153,9 @@ def test_gp_collision_sum_zero_state():
 def test_gp_collision_sum_k1_factorized():
     phi = unit_atom(G16, 5)
     state = factorized_state(phi, 2)
-    out = gp_collision_sum(state, kappa0=2.0)
+    out = gp_collision_sum(state)
     gamma2 = state.entry(2)
-    expected = (gp_collision(gamma2, 1, "+") - gp_collision(gamma2, 1, "-")) * 2.0
+    expected = gp_collision(gamma2, 1, "+") - gp_collision(gamma2, 1, "-")
     assert sobolev_norm(out.entry(1) - expected, 0.0) < 1e-12
 
 
@@ -165,12 +166,12 @@ def test_gp_collision_sum_top_level_without_upper_kernel(monkeypatch, K):
     for mod in (marginals_mod, interactions_mod):
         monkeypatch.setattr(mod, "zero_marginal",
                             lambda grid, k: levels.append(k) or zero_marginal(grid, k))
-    out = gp_collision_sum(state, kappa0=-1.5)
+    out = gp_collision_sum(state)
     assert max(levels) <= K
     # the old path: every level, the top one included, contracts level k+1
     for k in range(1, K + 1):
         upper = state.entry(k + 1) if k < K else zero_marginal(G8, K + 1)
-        old = gp_collision_level(upper) * -1.5
+        old = gp_collision_level(upper)
         assert np.array_equal(out.entry(k).kernel, old.kernel)
 
 
@@ -299,7 +300,7 @@ def test_bbgky_rhs_converges_to_contact_sum():
     phi = unit_atom(G16, 12, max_mode=1)
     prof = gaussian_profile(G16, 0.8)
     state = factorized_state(phi, 2)
-    target = gp_collision_sum(state, kappa0=1.0)
+    target = gp_collision_sum(state)
     dists = []
     for big_n in (100, 1000, 10000):
         with np.errstate(all="ignore"):
@@ -315,7 +316,7 @@ def test_full_collision_distance_monotone_on_geometric_ladder():
     phi = unit_atom(G16, 13, max_mode=1)
     prof = gaussian_profile(G16, 0.6)
     state = factorized_state(phi, 2)
-    target = gp_collision_sum(state, kappa0=1.0)
+    target = gp_collision_sum(state)
     import warnings as _w
     dists = []
     for big_n in (4, 16, 64, 256):

@@ -49,8 +49,8 @@ def test_planar_fourier_oracle_agreement():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         pot = realize_potential(gaussian_profile(G2, 0.8), 0.2, 9, width=0.8)
-    mass_ratio = G2.h**2 * pot.realized.data.real.sum() / pot.kappa0
-    assert mass_ratio == pytest.approx(1.0, abs=1e-12)
+    mass = G2.h**2 * pot.realized.data.real.sum()
+    assert mass == pytest.approx(1.0, abs=1e-12)
     oracle = collision_fourier_oracle(g2, 0.07, pot)
     spatial = bbgky_collision_main(free_propagate_marginal(g2, 0.07), 1, "+", pot)
     rel = sobolev_norm(oracle - spatial, 0.0) / sobolev_norm(spatial, 0.0)
@@ -89,7 +89,7 @@ def _random_potential(seed):
     on swapped or transposed axes changes the product."""
     v = np.random.default_rng(seed).standard_normal(G24.slot_shape(1))
     field = Field(G24, 1, v)
-    pot = PotentialSpec(grid=G24, big_n=3, kappa0=1.0, realized=field.copy())
+    pot = PotentialSpec(grid=G24, big_n=3, realized=field.copy())
     return pot, v
 
 

@@ -66,7 +66,7 @@ def test_hamiltonian_constant_state_pair_energy():
     state = factorized_state(const, big_n, pot)
     val = inner(state.psi, hamiltonian_apply(state, state.psi)).real
     pairs = big_n * (big_n - 1) / 2
-    expected = pairs / big_n * pot.kappa0 / G16.L
+    expected = pairs / big_n / G16.L
     assert val == pytest.approx(expected, rel=1e-10)
     assert val >= 0
 
