@@ -35,8 +35,8 @@ from .hierarchy_evolution import (EvolutionConfig, HierarchyTrajectory,
                                   gp_residual_row, k_schedule,
                                   picard_fixed_point, t0_gate)
 from .interactions import (PROFILES, PotentialSpec, bbgky_main_level,
-                           bbgky_rhs, collision_fourier_oracle, gp_collision,
-                           gp_collision_sum, realize_potential,
+                           bbgky_rhs, check_profile, collision_fourier_oracle,
+                           gp_collision, gp_collision_sum, realize_potential,
                            bbgky_collision_main)
 from .marginals import (HierarchyState, admissibility_defect, factorized_state,
                         hierarchy_norm, mixture_marginal, mixture_state,
@@ -187,20 +187,24 @@ class ExperimentConfig:
 
     def profile_field(self, grid: GridSpec | None = None) -> Field:
         """Built-in profile by name, or a rank-1 field loaded from a tensor
-        file when the name ends in .hlab."""
+        file when the name ends in .hlab.  A loaded profile is checked here
+        (``check_profile``), so a run that reads it first fails before it
+        draws or computes anything."""
         grid = grid or self.grid()
         if self.profile.endswith(".hlab"):
             field, _ = read_field(self.profile)
             if field.grid != grid or field.rank != 1:
                 raise ValueError(f"profile file {self.profile} does not match "
                                  f"the configured grid")
+            check_profile(field)
             return field
         return PROFILES[self.profile](grid, self.profile_width)
 
-    def potential(self, big_n: int | None = None,
-                  grid: GridSpec | None = None) -> PotentialSpec:
-        return realize_potential(self.profile_field(grid), self.beta,
-                                 big_n or self.big_n, width=self.profile_width)
+    def potential(self, profile: Field, big_n: int | None = None) -> PotentialSpec:
+        """The potential of ``profile``, the run's ``profile_field``,
+        realized at N = ``big_n``, by default the configured N."""
+        return realize_potential(profile, self.beta, big_n or self.big_n,
+                                 width=self.profile_width)
 
 
 CSV_HEADER = "experiment,id,N,K,t,metric,value"
@@ -277,6 +281,7 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[Report, dict]:
     extracted marginal stack and the hierarchy, and between the two collision
     terms."""
     grid = cfg.grid()
+    profile = cfg.profile_field(grid)
     rng = cfg.rng()
     phi0 = random_low_mode_field(grid, 1, rng, max_mode=2)
     mixture = Mixture([(1.0, phi0)])
@@ -287,7 +292,7 @@ def run_convergence(cfg: ExperimentConfig) -> tuple[Report, dict]:
     # K -> {step: (GP state, its collision sum)}; neither depends on N
     gp_runs = {}
     for big_n in cfg.ladder:
-        pot = cfg.potential(big_n, grid)
+        pot = cfg.potential(profile, big_n)
         K = k_schedule(big_n, cfg.b1, cap=min(cfg.k_max, big_n))
         nstate = nbody_factorized(phi0, big_n, pot)
         ntraj = nbody_evolve(nstate, cfg.dt, cfg.t_final, store_every=stride)
@@ -373,6 +378,7 @@ def run_collision_limit(cfg: ExperimentConfig) -> tuple[Report, dict]:
     """Distance of the weighted finite-N plus-main operator from the contact
     target along the potential ladder, plus momentum-domain oracle agreement."""
     grid = cfg.grid()
+    profile = cfg.profile_field(grid)
     rng = cfg.rng()
     phi = random_low_mode_field(grid, 1, rng, max_mode=1)
     gamma2 = mixture_marginal([(1.0, phi)], 2)
@@ -380,7 +386,7 @@ def run_collision_limit(cfg: ExperimentConfig) -> tuple[Report, dict]:
     flowed = {t: free_propagate_marginal(gamma2, t) for t in (0.0, 0.1)}
     report = Report()
     for big_n in cfg.collision_ladder:
-        pot = cfg.potential(big_n, grid)
+        pot = cfg.potential(profile, big_n)
         lhs = bbgky_main_level(gamma2, pot, plus_only=True)
         dist = sobolev_norm(lhs - target_plus, 0.0)
         report.add("collision_limit", "main_minus_contact_hs", dist, N=big_n)
@@ -397,9 +403,9 @@ def run_duhamel_check(cfg: ExperimentConfig) -> tuple[Report, dict]:
     """Norms of the nested collision integrals over a doubling horizon ladder
     and the fitted growth exponent per depth."""
     grid = cfg.grid()
+    pot = cfg.potential(cfg.profile_field(grid))
     rng = cfg.rng()
     phi = random_low_mode_field(grid, 1, rng, max_mode=2)
-    pot = cfg.potential(grid=grid)
     report = Report()
     fitted = {}
     horizons = (0.01, 0.02, 0.04)
@@ -423,8 +429,8 @@ def run_picard(cfg: ExperimentConfig) -> tuple[Report, dict]:
     contraction gate; reports convergence, ratio, and the independent-quadrature
     residual."""
     grid = cfg.grid()
+    pot = cfg.potential(cfg.profile_field(grid))
     rng = cfg.rng()
-    pot = cfg.potential(grid=grid)
     horizon = t0_gate(cfg.xi) / 4.0
     steps = 128
     entries = [random_hermitian_marginal(grid, k, rng, max_mode=2, symmetric=True)
@@ -530,9 +536,9 @@ def run_simulate_gp(cfg: ExperimentConfig) -> tuple[Report, dict]:
 
 def run_simulate_bbgky(cfg: ExperimentConfig) -> tuple[Report, dict]:
     grid = cfg.grid()
+    pot = cfg.potential(cfg.profile_field(grid))
     rng = cfg.rng()
     phi = random_low_mode_field(grid, 1, rng, max_mode=2)
-    pot = cfg.potential(grid=grid)
     K = min(cfg.k_max, pot.big_n)
     state0 = factorized_state(phi, K)
     evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final)
@@ -544,9 +550,9 @@ def run_simulate_bbgky(cfg: ExperimentConfig) -> tuple[Report, dict]:
 
 def run_simulate_nbody(cfg: ExperimentConfig) -> tuple[Report, dict]:
     grid = cfg.grid()
+    pot = cfg.potential(cfg.profile_field(grid))
     rng = cfg.rng()
     phi = random_low_mode_field(grid, 1, rng, max_mode=2)
-    pot = cfg.potential(grid=grid)
     state = nbody_factorized(phi, cfg.big_n, pot)
     moments = energy_moments(state, 2)
     moments0 = {k: moments[k] for k in (1, 2)}
@@ -598,8 +604,11 @@ EXPERIMENTS = {
 def run_experiment(name: str, cfg: ExperimentConfig) -> tuple[Path, Path]:
     """Run one named experiment and write CSV + manifest into the outdir.
     The manifest's ``telemetry`` holds the experiment's wall time
-    (``wall_s``) and minor page faults (``minor_faults``), and the process's
-    peak resident set so far (``peak_rss_mb``); the CSV holds none of it."""
+    (``wall_s``), the CPU time of all the process's threads over it
+    (``cpu_s``, user plus system) and its minor page faults
+    (``minor_faults``), and the process's peak resident set so far
+    (``peak_rss_mb``); the CSV holds none of it.  A ``cpu_s`` above
+    ``wall_s`` shows threads that ran at once."""
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}")
     usage0 = resource.getrusage(resource.RUSAGE_SELF) if resource else None
@@ -608,6 +617,8 @@ def run_experiment(name: str, cfg: ExperimentConfig) -> tuple[Path, Path]:
     telemetry = {"wall_s": time.perf_counter() - t0}
     if resource:
         usage = resource.getrusage(resource.RUSAGE_SELF)
+        telemetry["cpu_s"] = (usage.ru_utime + usage.ru_stime
+                              - usage0.ru_utime - usage0.ru_stime)
         telemetry["peak_rss_mb"] = usage.ru_maxrss / _MAXRSS_PER_MB
         telemetry["minor_faults"] = usage.ru_minflt - usage0.ru_minflt
     outdir = Path(cfg.outdir)

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -371,6 +372,14 @@ def check_series_budget(grid: GridSpec, K: int, samples: int, working: int = 0) 
         f"hierarchy series of {samples} samples and {working} working states")
 
 
+def _added(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b, formed in a, a temporary of the caller's expression: nothing
+    else holds the sum returned, so the expression treats it as it would
+    treat the temporary a + b."""
+    a += b
+    return a
+
+
 def _flowed_prefix(spectra: Iterable[np.ndarray], phase: np.ndarray, dt: float,
                    simpson: bool = False) -> Iterator[np.ndarray]:
     """Spectra of A_i = U(t_i) int_0^t_i U(-s) theta(s) ds for t_i = i * dt,
@@ -383,29 +392,34 @@ def _flowed_prefix(spectra: Iterable[np.ndarray], phase: np.ndarray, dt: float,
     sample at a time: theta_i has been read when A_i is yielded, and no
     earlier prefix or sample than the next step needs is held.
     """
-    a_prev = a_prev2 = th_prev = th_prev2 = None
+    # a step starts from the prefix and sample at i - 1, or at i - 2 for
+    # Simpson's even points: a_from, th_from; th_prev is the sample at i - 1
+    a_from = th_from = th_prev = None
     for i, th in enumerate(spectra):
+        # the last term is added in place; the products by the phase stay
+        # expressions on temporaries, which numpy may form in place with
+        # their operands swapped, and which order rounds a complex product
         if i == 0:
             acc = np.zeros_like(th)
         elif simpson and i % 2 == 0:
-            acc = (phase * (phase * (a_prev2 + (dt / 3.0) * th_prev2)
-                            + (4.0 * dt / 3.0) * th_prev)
-                   + (dt / 3.0) * th)
+            acc = phase * _added(phase * (a_from + (dt / 3.0) * th_from),
+                                 (4.0 * dt / 3.0) * th_prev)
+            acc += (dt / 3.0) * th
         else:
-            acc = phase * (a_prev + (dt / 2.0) * th_prev) + (dt / 2.0) * th
-        if simpson:
-            a_prev2, th_prev2 = a_prev, th_prev
-        a_prev, th_prev = acc, th
+            acc = phase * (a_from + (dt / 2.0) * th_prev)
+            acc += (dt / 2.0) * th
+        if not simpson or i % 2 == 0:
+            a_from, th_from = acc, th
+        th_prev = th
         yield acc
 
 
 # Hierarchy states of levels 1..j_max a Duhamel tower holds besides its atom.
 # Its peak comes in the layer that reads level j_max: the phase, the prefix
 # and the spectrum a trapezoid step starts from, the spectrum it reads, the
-# new prefix and two temporaries while that forms, and the returned kernel
-# at t.  tracemalloc puts it at 2.8-8.1 states (d = 1 at n = 4, 8 and 16,
-# d = 2 at n = 4; j_max = 1-4; 4 and 16 steps), so 9 is the least count
-# above it.
+# new prefix and one temporary while that forms, and the returned kernel at
+# t.  tracemalloc puts it at 2.8-7.6 states (d = 1 at n = 8 and 16, d = 2 at
+# n = 4; j_max = 1-3; 4 and 16 steps), below 9.
 DUHAMEL_WORKING_STATES = 9
 
 
@@ -485,10 +499,11 @@ def duhamel_tower(phi: Field, j_max: int, pot: PotentialSpec, t: float,
 
 @dataclass
 class PicardResult:
-    """The fixed point Theta, held as its spectra ``spectra[k - 1][i]``, with
-    the record of the sweeps."""
+    """The fixed point Theta, held as its spectra: ``spectra[k - 1]`` is one
+    array of level k's samples, ``spectra[k - 1][i]`` the spectrum at sample
+    i; with the record of the sweeps."""
 
-    spectra: list[list[np.ndarray]]
+    spectra: list[np.ndarray]
     iterations: int
     update_norms: list[float]
     contraction_ratios: list[float]
@@ -496,23 +511,36 @@ class PicardResult:
     residual: float
 
 
-# Hierarchy states a Picard call holds besides the iterate's spectra: the
-# start's spectra, the phases and the norm weights, Xi's sample and the
-# stepped spectrum it is inverted from, the prefix (with the previous prefix
-# for Simpson), the prefix in physical space and the kernel
-# bbgky_error_level works in, or the new sample and its spectrum, plus the
-# temporaries of a prefix step.  tracemalloc puts the peak of the whole
-# call at 11.0-12.6 of them (d = 1 at n = 8 and 16, d = 2 at n = 4; 32 and
-# 128 steps), so 13 is the least count above it.  The iterate's array
-# headers, about 0.5 KB a sample, are part of that peak: at n = 8 and 128
-# steps they add 0.6 of a state, which the budget, counting entries, leaves
-# out.
+# Hierarchy states a Picard call holds besides the iterate's spectra, on
+# its two threads together: the start's spectra, the phases and the norm
+# weights; on the calling thread Xi's stepped spectra and the prefix it
+# hands over next, the prefix a step starts from and a step's temporary, and
+# the sample it reads back, that sample's spectrum and the gap's temporary;
+# on the worker the spectra it was handed, the prefix in physical space, the
+# kernel bbgky_error_level works in and Xi's physical sample.  tracemalloc
+# puts the peak of the whole call at 10.9-12.6 of them (d = 1 at n = 8 and
+# 16, d = 2 at n = 4; 32 and 128 steps), so 13 is the least count above it.
+# The iterate is one array per level, so its sample count adds no array
+# headers to that peak.
 PICARD_WORKING_STATES = 13
 
 # the update norm below which the Picard iteration has converged, and the
 # sweeps it may take to get there
 PICARD_TOL = 1e-8
 PICARD_MAX_SWEEPS = 50
+
+
+def _one_ahead(futures: Iterable[Future]) -> Iterator[Future]:
+    """``futures`` in order, each yielded once the next one has been drawn:
+    drawing a future submits its call, so the worker has the next call in
+    hand while the caller reads this one's result."""
+    held = iter(futures)
+    last = next(held, None)
+    for item in held:
+        yield last
+        last = item
+    if last is not None:
+        yield last
 
 
 def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
@@ -524,7 +552,7 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
 
     The free term Xi(s) = U(s) start, capital Xi, is the free flow of the
     start state.  The call holds the start's spectra, one phase
-    exp(-i dt S_k) per level, and the iterate, one list of spectra per
+    exp(-i dt S_k) per level, and the iterate, one array of spectra per
     level and the only series-sized thing held; level k of Xi at sample i
     is the start's spectrum stepped i times by the phase, and one inverse
     transform gives its physical sample.  The time grid, the gate, the
@@ -532,11 +560,24 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
     first transform.  A sweep steps the forward-propagated prefix integral
     through the samples by the same phases (see ``_flowed_prefix``) and
     inverts it once per sample and level to apply B_N.  The new sample is
-    Xi + i B_N A formed in physical space, as the sweep steps Xi one sample
-    at a time, and transformed once; its spectrum gives the update norm by
-    Parseval and overwrites the old one, which the prefix has read by then.  Forming it in physical
-    space keeps the iterate's rounding that of an iteration on stored
-    physical samples.
+    Xi + i B_N A formed in physical space and transformed once; its
+    spectrum gives the update norm by Parseval and overwrites the old one,
+    which the prefix has read by then.  Forming it in physical space keeps
+    the iterate's rounding that of an iteration on stored physical samples.
+
+    The samples pass through two threads, one sample apart, and numpy's
+    transforms release the interpreter lock, so the two overlap.  A worker
+    thread, which the call starts and joins before it returns or raises,
+    forms each physical sample: the inverse transforms of Xi's spectra and
+    of the prefix, B_N, and the sum.  The calling thread steps Xi's spectra
+    and the prefix and hands them over, then reads back the sample before
+    it, makes its forward transform and its gap, and writes its spectrum
+    into the iterate.  The first iterate, Xi itself, passes through the
+    same two threads.  Every operation keeps its operands and their order,
+    so the bits are those of one thread doing all of it.  The iterate is
+    allocated once, on the calling thread, and written in place: the C
+    library may give the worker a heap of its own, and long-lived spectra
+    allocated there would leave the memory of the ones they replace unused.
 
     ``xi`` is the H^1_xi level weight in (0, 1), which sets both the update
     norms and the heuristic contraction gate ``t0_gate(xi)`` that t must
@@ -558,47 +599,71 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
     phases = [np.exp(-1j * dt * flow_symbol(grid, k)) for k in range(1, K + 1)]
     weights = [sobolev_weight(grid, 2 * k, 1.0) for k in range(1, K + 1)]
 
-    def xi_states() -> Iterator[HierarchyState]:
-        """Xi's samples in order: the start, then one step of every level's
-        spectrum and one inverse transform per level for each later one."""
-        yield start
+    def xi_spectra() -> Iterator[list[np.ndarray] | None]:
+        """Xi's spectra in sample order, each level stepped once more by its
+        phase; None at sample 0, where Xi is the start itself."""
+        yield None
         spectra = bases
         for _ in range(n_steps):
             spectra = [a * phase for a, phase in zip(spectra, phases)]
-            yield HierarchyState([marginal_from_spectrum(grid, k, a)
-                                  for k, a in enumerate(spectra, start=1)])
+            yield spectra
 
-    theta = [list(level) for level in zip(*(
-        [marginal_spectrum(m) for m in s.entries] for s in xi_states()))]
+    def physical(spectra: Sequence[np.ndarray] | None) -> HierarchyState:
+        """The state of ``spectra``, one inverse transform per level, or the
+        start for None."""
+        if spectra is None:
+            return start
+        return HierarchyState([marginal_from_spectrum(grid, k, a)
+                               for k, a in enumerate(spectra, start=1)])
 
-    def advance(i: int, xi_state: HierarchyState, prefix, keep: bool) -> float:
-        """Form sample i of the next iterate, Xi + i B_N A, from Xi and the
-        spectra of A, and return its distance to theta's sample i in
-        hierarchy_norm(., 1.0, xi), by Parseval; with ``keep`` it then
-        replaces that sample."""
-        new = xi_state + bbgky_rhs(HierarchyState(
-            [marginal_from_spectrum(grid, k, a)
-             for k, a in enumerate(prefix, start=1)]), pot) * 1j
+    def combine(xs: Sequence[np.ndarray] | None,
+                prefix: Sequence[np.ndarray]) -> HierarchyState:
+        """The next iterate's physical sample, Xi + i B_N A, from the spectra
+        of Xi (``xs``) and of A; runs on the worker."""
+        new = _scaled(bbgky_rhs(physical(prefix), pot), 1j)
+        for m, x in zip(new.entries, physical(xs).entries):
+            m.kernel += x.kernel
+        return new
+
+    def absorb(i: int, new: HierarchyState, keep: bool) -> float:
+        """The distance of the physical sample ``new`` to theta's sample i
+        in hierarchy_norm(., 1.0, xi), by Parseval; with ``keep`` its
+        spectrum then replaces that sample."""
         gap = 0.0
         for k, (m, level, w) in enumerate(zip(new.entries, theta, weights),
                                           start=1):
             spec = marginal_spectrum(m)
-            gap += xi**k * math.sqrt(np.sum(w * np.abs(spec - level[i]) ** 2))
+            # w * |spec - level[i]|^2: the difference goes into m's kernel,
+            # which the transform has spent, and the modulus is squared and
+            # weighted in place
+            sq = np.abs(np.subtract(spec, level[i], out=m.kernel))
+            np.square(sq, out=sq)
+            sq *= w
+            gap += xi**k * math.sqrt(np.sum(sq))
             if keep:
                 level[i] = spec
         return gap
 
-    def sweep(simpson: bool) -> float:
+    def write(i: int, state: HierarchyState) -> None:
+        """Write the spectra of ``state`` into theta's sample i."""
+        for level, m in zip(theta, state.entries):
+            level[i] = marginal_spectrum(m)
+
+    def sweep(pool: ThreadPoolExecutor, simpson: bool) -> float:
         """Max-over-samples distance of the next iterate to theta.  The
         trapezoid sweep overwrites theta with the next iterate; the Simpson
-        sweep keeps it."""
+        sweep keeps it.  ``_one_ahead`` steps the prefix past sample i
+        before theta's sample i is overwritten."""
         # B_N U(t-s) Theta(s) = B_N U(t) [U(-s) Theta(s)], so one running
         # prefix per level replaces the quadratic double loop over (t, s).
         prefixes = zip(*[_flowed_prefix(level, phase, dt, simpson)
                          for level, phase in zip(theta, phases)])
-        gaps = [advance(i, xi_state, prefix, keep=not simpson)
-                for i, (xi_state, prefix)
-                in enumerate(zip(xi_states(), prefixes))]
+        samples = _one_ahead(pool.submit(combine, xs, prefix)
+                             for xs, prefix in zip(xi_spectra(), prefixes))
+        gaps = []
+        for i, sample in enumerate(samples):
+            gaps.append(absorb(i, sample.result(), keep=not simpson))
+            del sample  # its kernels go before the next sample is handed over
         for i, gap in enumerate(gaps):
             if not math.isfinite(gap):
                 raise RuntimeError(f"Picard update at sample {i} is {gap}")
@@ -609,23 +674,30 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
     converged = False
     rising = 0
     iterations = 0
-    for it in range(1, PICARD_MAX_SWEEPS + 1):
-        iterations = it
-        delta = sweep(simpson=False)
-        update_norms.append(delta)
-        if len(update_norms) >= 2 and update_norms[-2] > 0:
-            ratio = delta / update_norms[-2]
-            ratios.append(ratio)
-            rising = rising + 1 if ratio >= 1.0 else 0
-            if rising >= 3:
-                raise RuntimeError(
-                    f"no contraction after {it} sweeps (last ratios "
-                    f"{ratios[-3:]}); the horizon is too large for the "
-                    f"discrete surrogate")
-        if delta < PICARD_TOL:
-            converged = True
-            break
-
-    residual = sweep(simpson=True)
+    theta = [np.empty((n_steps + 1,) + m.kernel.shape, complex)
+             for m in start.entries]
+    # one worker whatever the CPU count, so the working states stay fixed
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for i, sample in enumerate(_one_ahead(pool.submit(physical, xs)
+                                              for xs in xi_spectra())):
+            write(i, sample.result())
+            del sample
+        for it in range(1, PICARD_MAX_SWEEPS + 1):
+            iterations = it
+            delta = sweep(pool, simpson=False)
+            update_norms.append(delta)
+            if len(update_norms) >= 2 and update_norms[-2] > 0:
+                ratio = delta / update_norms[-2]
+                ratios.append(ratio)
+                rising = rising + 1 if ratio >= 1.0 else 0
+                if rising >= 3:
+                    raise RuntimeError(
+                        f"no contraction after {it} sweeps (last ratios "
+                        f"{ratios[-3:]}); the horizon is too large for the "
+                        f"discrete surrogate")
+            if delta < PICARD_TOL:
+                converged = True
+                break
+        residual = sweep(pool, simpson=True)
     return PicardResult(theta, iterations, update_norms, ratios, converged,
                         residual)

@@ -84,7 +84,9 @@ def bump_profile(grid: GridSpec, width: float) -> Field:
 PROFILES = {"gaussian": gaussian_profile, "bump": bump_profile}
 
 
-def _check_profile(profile: Field) -> None:
+def check_profile(profile: Field) -> None:
+    """Raise a ``ValueError`` unless ``profile`` is finite, real,
+    nonnegative and even under x -> -x, as a potential profile must be."""
     data = profile.data
     if not np.all(np.isfinite(data)):  # NaN fails every comparison below
         raise ValueError("potential profile must be finite")
@@ -116,7 +118,7 @@ def realize_potential(profile: Field, beta: float, big_n: int,
         raise ValueError(f"beta must lie in (0, 1/4), got {beta}")
     if big_n < 1:
         raise ValueError("N must be >= 1")
-    _check_profile(profile)
+    check_profile(profile)
     grid = profile.grid
     d = grid.dim
     base = profile.data.real.astype(np.float64)

@@ -1,9 +1,11 @@
 """Test tools: symmetry defects of density kernels, the zero potential, a
 non-factorized bosonic N-body state, the contact residual of a whole stored
 trajectory, one finite-N error term, out-of-place references for the
-in-place RK4 step and finite-N error sum, and a guard that fails a test
-when an n-d transform runs."""
+in-place RK4 step, finite-N error sum and prefix steps, a guard that fails
+a test when an n-d transform runs, and an executor that runs each call on
+the calling thread."""
 
+from concurrent.futures import Future
 from typing import Callable
 
 import numpy as np
@@ -120,6 +122,49 @@ def bbgky_error_level_reference(gamma: Marginal, pot: PotentialSpec) -> Marginal
             out = plus if out is None else out + plus
             out = out - bbgky_collision_error(gamma, i, j, "-", pot)
     return out * (1.0 / pot.big_n)
+
+
+def flowed_prefix_reference(spectra: list[np.ndarray], phase: np.ndarray,
+                            dt: float, simpson: bool = False
+                            ) -> list[np.ndarray]:
+    """The forward-propagated prefixes of ``spectra`` with each step one
+    expression, as its formula is written;
+    ``hierarchy_evolution._flowed_prefix`` must match it bit for bit."""
+    acc: list[np.ndarray] = []
+    for i, th in enumerate(spectra):
+        if i == 0:
+            acc.append(np.zeros_like(th))
+        elif simpson and i % 2 == 0:
+            acc.append(phase * (phase * (acc[i - 2] + (dt / 3.0) * spectra[i - 2])
+                                + (4.0 * dt / 3.0) * spectra[i - 1])
+                       + (dt / 3.0) * th)
+        else:
+            acc.append(phase * (acc[i - 1] + (dt / 2.0) * spectra[i - 1])
+                       + (dt / 2.0) * th)
+    return acc
+
+
+class SerialExecutor:
+    """Stands in for ``concurrent.futures.ThreadPoolExecutor``: each
+    submitted call runs at once on the calling thread, and its future holds
+    the result or the exception."""
+
+    def __init__(self, max_workers: int | None = None):
+        pass
+
+    def __enter__(self) -> "SerialExecutor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        return None
+
+    def submit(self, fn, *args, **kwargs) -> Future:
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as err:  # the future re-raises it on result()
+            future.set_exception(err)
+        return future
 
 
 def bits(state: HierarchyState) -> list[np.ndarray]:

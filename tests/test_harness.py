@@ -424,9 +424,24 @@ def test_manifest_telemetry_reports_time_memory_and_faults(tmp_path):
              "--collision-ladder", "4", "--outdir", str(tmp_path)])
     manifest = json.loads((tmp_path / "collision_limit_manifest.json").read_text())
     telemetry = manifest["telemetry"]
-    assert sorted(telemetry) == ["minor_faults", "peak_rss_mb", "wall_s"]
+    assert sorted(telemetry) == ["cpu_s", "minor_faults", "peak_rss_mb",
+                                 "wall_s"]
     assert all(v > 0 for v in telemetry.values())
     assert isinstance(telemetry["minor_faults"], int)
+
+
+def test_every_manifest_carries_the_telemetry(tmp_path):
+    # in one process a later run may fault in no new page, so only the
+    # times and the peak resident set must be positive here
+    for name in EXPERIMENTS:
+        cfg = small_cfg(big_n=4, outdir=str(tmp_path))
+        _, manifest_path = run_experiment(name, cfg)
+        telemetry = json.loads(manifest_path.read_text())["telemetry"]
+        assert sorted(telemetry) == ["cpu_s", "minor_faults", "peak_rss_mb",
+                                     "wall_s"], name
+        assert telemetry["wall_s"] > 0 and telemetry["cpu_s"] > 0, name
+        assert telemetry["peak_rss_mb"] > 0, name
+        assert isinstance(telemetry["minor_faults"], int), name
 
 
 # the option strings of every subcommand, and the ones only it takes
@@ -458,13 +473,14 @@ def test_profile_loaded_from_field_file(tmp_path):
     path = tmp_path / "prof.hlab"
     write_field(path, gaussian_profile(g, 0.7))
     cfg = small_cfg(profile=str(path))
-    pot = cfg.potential(big_n=4)
+    pot = cfg.potential(cfg.profile_field(), big_n=4)
     built_in = realize_potential(gaussian_profile(g, 0.7), cfg.beta, 4)
     assert np.array_equal(pot.realized.data, built_in.realized.data)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_non_finite_profile_file_fails_before_the_run(tmp_path, bad):
+def test_non_finite_profile_file_fails_before_the_run(tmp_path, monkeypatch,
+                                                      bad):
     from hierlab.interactions import gaussian_profile
     from hierlab.storage import write_field
     from hierlab.grid import Field, make_grid
@@ -474,10 +490,32 @@ def test_non_finite_profile_file_fails_before_the_run(tmp_path, bad):
     path = tmp_path / "prof.hlab"
     write_field(path, Field(g, 1, data))
     outdir = tmp_path / "out"
+    monkeypatch.setattr(harness_mod, "random_low_mode_field", lambda *a, **k:
+                        pytest.fail("the atom was drawn before the check"))
     with pytest.raises(ValueError, match="potential profile must be finite"):
         main(["collision-limit", "--n", "8", "--profile", str(path),
               "--outdir", str(outdir)])
     assert not (outdir / "collision_limit.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["convergence", "collision-limit"])
+def test_profile_file_is_read_once_per_run(tmp_path, monkeypatch, name):
+    from hierlab.grid import make_grid
+    from hierlab.interactions import gaussian_profile
+    from hierlab.storage import write_field
+    path = tmp_path / "prof.hlab"
+    write_field(path, gaussian_profile(make_grid(1, 8, 2 * np.pi), 0.7))
+    reads = []
+    real = harness_mod.read_field
+
+    def spy(where):
+        reads.append(where)
+        return real(where)
+    monkeypatch.setattr(harness_mod, "read_field", spy)
+    cfg = small_cfg(profile=str(path), outdir=str(tmp_path / "out"))
+    assert len(cfg.ladder) == len(cfg.collision_ladder) == 2
+    run_experiment(name, cfg)
+    assert reads == [str(path)]
 
 
 def test_budget_env_override(monkeypatch):

@@ -1,7 +1,11 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+
+from hierlab import hierarchy_evolution
 
 from hierlab.definetti import Mixture, nls_evolve, random_mixture
 from hierlab.grid import (Field, free_propagate, l2_norm, make_grid,
@@ -30,7 +34,7 @@ from hierlab.nbody import (HAMILTONIAN_WORKING_FIELDS,
                            factorized_state as nb_factorized,
                            hamiltonian_apply, nbody_evolve)
 
-from kernel_tools import (bits, forbid_transforms, gp_residual,
+from kernel_tools import (SerialExecutor, bits, forbid_transforms, gp_residual,
                           hermiticity_defect, permutation_defect,
                           rk4ip_step_reference, zero_potential)
 
@@ -487,7 +491,7 @@ def test_bbgky_loop_peaks_no_higher_than_gp_loop(monkeypatch):
 def test_picard_peak_is_one_series_list_and_fixed_kernels(monkeypatch, grid,
                                                           steps):
     # n = 8 with 128 steps is what `hierlab picard --n 8` runs; its peak,
-    # 12.6 states beside the iterate, is the highest measured
+    # 12.2-12.6 states beside the iterate, is the highest measured
     start, pot = picard_setup(27, grid)
     peak, checked = _peak_and_checked(
         monkeypatch, lambda: picard_fixed_point(start, pot, 0.5, PICARD_T, steps))
@@ -497,7 +501,7 @@ def test_picard_peak_is_one_series_list_and_fixed_kernels(monkeypatch, grid,
 
 
 def test_picard_working_states_are_not_overcounted(monkeypatch):
-    # the call's peak beside the 33-sample iterate is 11.0 states at n = 16,
+    # the call's peak beside the 33-sample iterate is 11.6 states at n = 16,
     # so a count two states above it means the constant drifted upwards
     start, pot = picard_setup(27)
     peak, _ = _peak_and_checked(
@@ -735,8 +739,50 @@ def test_picard_raises_on_a_non_finite_update():
     start, pot = picard_setup(18)
     nan_v = PotentialSpec(grid=G16, big_n=pot.big_n, realized=Field(
         G16, 1, np.full(G16.slot_shape(1), np.nan)))
+    threads = threading.active_count()
     with pytest.raises(RuntimeError, match="sample 0 is nan"):
         picard_fixed_point(start, nan_v, 0.5, PICARD_T, 8)
+    assert threading.active_count() == threads  # the worker was joined
+
+
+@pytest.mark.parametrize("grid", [G16, G8], ids=["n16", "n8"])
+def test_picard_worker_moves_no_bit(monkeypatch, grid):
+    # a level-2 kernel is 1 MiB at n = 16 and 64 KiB at n = 8, above and
+    # below the size from which numpy reuses a temporary's buffer
+    start, pot = picard_setup(27, grid)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the threads trade the lock at every chance
+    try:
+        threaded = picard_fixed_point(start, pot, 0.5, PICARD_T, 32)
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(hierarchy_evolution, "ThreadPoolExecutor",
+                        SerialExecutor)
+    serial = picard_fixed_point(start, pot, 0.5, PICARD_T, 32)
+    assert threaded.converged and serial.converged
+    assert threaded.iterations == serial.iterations
+    for a, b in zip(threaded.spectra, serial.spectra):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    assert threaded.update_norms == serial.update_norms
+    assert threaded.contraction_ratios == serial.contraction_ratios
+    assert threaded.residual == serial.residual
+
+
+def test_picard_joins_its_worker_on_return_and_on_a_worker_error(monkeypatch):
+    start, pot = picard_setup(18)
+    threads = threading.active_count()
+    picard_fixed_point(start, pot, 0.5, PICARD_T, 8)
+    assert threading.active_count() == threads
+    ran_on = []
+
+    def broken_rhs(state, pot):
+        ran_on.append(threading.current_thread())
+        raise ArithmeticError("B_N failed")
+    monkeypatch.setattr(hierarchy_evolution, "bbgky_rhs", broken_rhs)
+    with pytest.raises(ArithmeticError, match="B_N failed"):
+        picard_fixed_point(start, pot, 0.5, PICARD_T, 8)
+    assert ran_on and threading.main_thread() not in ran_on
+    assert threading.active_count() == threads
 
 
 def test_picard_zero_potential_returns_input():

@@ -6,6 +6,7 @@ list of trapezoid (or Simpson) sums of physical kernels, and each prefix is
 pushed forward by its own free flow again.
 """
 
+import threading
 from collections import Counter
 
 import numpy as np
@@ -19,10 +20,12 @@ from hierlab.hierarchy_evolution import (duhamel_tower, free_flow,
                                          picard_fixed_point, t0_gate)
 from hierlab.interactions import (bbgky_main_level, bbgky_rhs,
                                   gaussian_profile, realize_potential)
-from hierlab.marginals import (HierarchyState, factorized_state,
+from hierlab.marginals import (HierarchyState, factorized_state, flow_symbol,
                                free_propagate_marginal, hierarchy_norm,
                                marginal_from_spectrum,
                                random_hermitian_marginal)
+
+from kernel_tools import flowed_prefix_reference
 
 GRIDS = [make_grid(1, 8), make_grid(2, 4)]
 GRID_IDS = ["d1n8", "d2n4"]
@@ -60,11 +63,14 @@ def ref_duhamel(dt, states, j, pot, t):
 
 
 def count_transforms(monkeypatch):
-    """Count np.fft.fftn / ifftn calls by the rank of the array transformed."""
+    """Count np.fft.fftn / ifftn calls by the rank of the array transformed,
+    from any thread."""
     counts = Counter()
+    lock = threading.Lock()
     for name in ("fftn", "ifftn"):
         def spy(a, *args, _real=getattr(np.fft, name), _name=name, **kwargs):
-            counts[_name, np.ndim(a)] += 1
+            with lock:
+                counts[_name, np.ndim(a)] += 1
             return _real(a, *args, **kwargs)
         monkeypatch.setattr(np.fft, name, spy)
     return counts
@@ -133,6 +139,24 @@ def test_duhamel_tower_matches_physical_reference_at_every_depth(grid, K):
             ref = ref_duhamel(0.005, states, j, pot, t)
             rel = hierarchy_norm(got - ref, 0.0, 0.5) / hierarchy_norm(ref, 0.0, 0.5)
             assert rel <= 1e-12
+
+
+@pytest.mark.parametrize("simpson", [False, True], ids=["trapezoid", "simpson"])
+@pytest.mark.parametrize("n", [8, 16], ids=["n8", "n16"])
+def test_flowed_prefix_is_its_formula_bit_for_bit(n, simpson):
+    # a level-2 spectrum is 64 KiB at n = 8 and 1 MiB at n = 16, below and
+    # above the size from which numpy forms a temporary's product in place
+    grid = make_grid(1, n)
+    rng = np.random.default_rng(31)
+    shape = grid.slot_shape(4)
+    spectra = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+               for _ in range(7)]
+    phase = np.exp(-1j * 1e-3 * flow_symbol(grid, 2))
+    got = list(hierarchy_evolution._flowed_prefix(spectra, phase, 1e-3, simpson))
+    want = flowed_prefix_reference(spectra, phase, 1e-3, simpson)
+    assert len(got) == len(want) == 7
+    for a, b in zip(got, want):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_duhamel_check_makes_no_level3_transform(tmp_path, monkeypatch):
