@@ -28,6 +28,7 @@ by (slot 1 point, ..., slot r point).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
@@ -77,13 +78,46 @@ class GridSpec:
         return (self.n,) * (self.dim * rank)
 
 
+def _check_positive(name: str, value: float) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is positive
+    and finite."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_count(name: str, value: int, least: int) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer
+    >= ``least`` (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_finite(name: str, data: np.ndarray) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless every entry of ``data``
+    is finite."""
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{name} must be finite")
+
+
+def check_same_grid(**operands) -> None:
+    """Raise a ``ValueError`` naming two of ``operands`` (each anything with
+    a ``grid``, by keyword) and their grids unless all share one grid."""
+    (first, a), *rest = operands.items()
+    for name, b in rest:
+        if b.grid != a.grid:
+            raise ValueError(f"{first} and {name} live on different grids: "
+                             f"{a.grid} and {b.grid}")
+
+
 def make_grid(dim: int, n: int, L: float = 2.0 * np.pi) -> GridSpec:
+    _check_count("dim", dim, 1)
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
-    if n % 2 != 0 or n < 4:
+    _check_count("n", n, 4)
+    if n % 2 != 0:
         raise ValueError(f"n must be even and >= 4, got {n}")
-    if not (np.isfinite(L) and L > 0):
-        raise ValueError(f"L must be positive and finite, got {L}")
+    _check_positive("L", L)
     return GridSpec(dim=dim, n=int(n), L=float(L))
 
 
@@ -322,6 +356,7 @@ def l2_norm(f: Field) -> float:
 
 
 def inner(f: Field, g: Field) -> complex:
+    check_same_grid(f=f, g=g)
     w = f.grid.h ** (f.grid.dim * f.rank)
     prod = np.conj(f.data)
     prod *= g.data

@@ -33,8 +33,9 @@ from typing import Callable, Iterable, Iterator, Protocol, Sequence
 import numpy as np
 
 from .budget import default_budget
-from .grid import (Field, GridSpec, free_propagate, sobolev_weight, step_count,
-                   stored_steps)
+from .grid import (Field, GridSpec, _check_count, _check_finite,
+                   _check_positive, check_same_grid, free_propagate,
+                   sobolev_weight, step_count, stored_steps)
 from .interactions import (PotentialSpec, bbgky_main_level, bbgky_rhs,
                            gp_collision_level, product_collision_level)
 from .marginals import (HierarchyState, Marginal, flow_symbol,
@@ -49,28 +50,6 @@ TRACE_DRIFT_ABORT = 0.01
 
 class InstabilityError(RuntimeError):
     """Trace drift exceeded the abort threshold during evolution."""
-
-
-def _check_positive(name: str, value: float) -> None:
-    """Raise a ``ValueError`` naming ``name`` unless ``value`` is positive
-    and finite."""
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
-def _check_count(name: str, value: int, least: int) -> None:
-    """Raise a ``ValueError`` naming ``name`` unless ``value`` is an integer
-    >= ``least`` (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-            or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def _check_finite(name: str, data: np.ndarray) -> None:
-    """Raise a ``ValueError`` naming ``name`` unless every entry of ``data``
-    is finite."""
-    if not np.all(np.isfinite(data)):
-        raise ValueError(f"{name} must be finite")
 
 
 def _check_start(state: HierarchyState) -> None:
@@ -97,8 +76,7 @@ def t0_gate(xi: float) -> float:
 
 def k_schedule(big_n: int, b1: float, cap: int = 8) -> int:
     """Truncation level floor(b1 * ln N), clamped to [1, cap]."""
-    if big_n < 2:
-        raise ValueError("N must be >= 2")
+    _check_count("big_n", big_n, 2)
     _check_positive("b1", b1)
     return int(np.clip(math.floor(b1 * math.log(big_n)), 1, cap))
 
@@ -335,6 +313,7 @@ def bbgky_evolve(state0: HierarchyState, config: EvolutionConfig,
     """Evolve the K-truncated finite-N hierarchy (levels above K stay zero,
     so the top level sees only its same-level interaction term).  A
     ``store`` takes the stored samples as in ``gp_evolve``."""
+    check_same_grid(state0=state0, pot=pot)
     if state0.K > pot.big_n:
         raise ValueError(f"K={state0.K} exceeds N={pot.big_n}")
 
@@ -372,23 +351,17 @@ def check_series_budget(grid: GridSpec, K: int, samples: int, working: int = 0) 
         f"hierarchy series of {samples} samples and {working} working states")
 
 
-def _added(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a + b, formed in a, a temporary of the caller's expression: nothing
-    else holds the sum returned, so the expression treats it as it would
-    treat the temporary a + b."""
-    a += b
-    return a
-
-
 def _flowed_prefix(spectra: Iterable[np.ndarray], phase: np.ndarray, dt: float,
                    simpson: bool = False) -> Iterator[np.ndarray]:
     """Spectra of A_i = U(t_i) int_0^t_i U(-s) theta(s) ds for t_i = i * dt,
     from the spectra of theta(t_i); ``phase`` is exp(-i dt S), one step of U.
 
     Since U(t_i) = U(dt) U(t_(i-1)), the forward-propagated trapezoid prefix
-    obeys A_i = E (A_(i-1) + dt/2 theta_(i-1)) + dt/2 theta_i; composite
-    Simpson's even points use E^2 with weights dt/3, 4 dt/3, dt/3 and its odd
-    points close with one trapezoid step.  Spectra are read lazily, one
+    obeys A_i = (A_(i-1) + dt/2 theta_(i-1)) E + dt/2 theta_i; composite
+    Simpson's even points use E twice with weights dt/3, 4 dt/3, dt/3 and
+    its odd points close with one trapezoid step.  Each step forms in the
+    new prefix's array, every product by the phase as acc *= phase, so the
+    rounding is the same at every size.  Spectra are read lazily, one
     sample at a time: theta_i has been read when A_i is yielded, and no
     earlier prefix or sample than the next step needs is held.
     """
@@ -396,17 +369,19 @@ def _flowed_prefix(spectra: Iterable[np.ndarray], phase: np.ndarray, dt: float,
     # Simpson's even points: a_from, th_from; th_prev is the sample at i - 1
     a_from = th_from = th_prev = None
     for i, th in enumerate(spectra):
-        # the last term is added in place; the products by the phase stay
-        # expressions on temporaries, which numpy may form in place with
-        # their operands swapped, and which order rounds a complex product
         if i == 0:
             acc = np.zeros_like(th)
         elif simpson and i % 2 == 0:
-            acc = phase * _added(phase * (a_from + (dt / 3.0) * th_from),
-                                 (4.0 * dt / 3.0) * th_prev)
+            acc = (dt / 3.0) * th_from
+            acc += a_from
+            acc *= phase
+            acc += (4.0 * dt / 3.0) * th_prev
+            acc *= phase
             acc += (dt / 3.0) * th
         else:
-            acc = phase * (a_from + (dt / 2.0) * th_prev)
+            acc = (dt / 2.0) * th_prev
+            acc += a_from
+            acc *= phase
             acc += (dt / 2.0) * th
         if not simpson or i % 2 == 0:
             a_from, th_from = acc, th
@@ -418,8 +393,12 @@ def _flowed_prefix(spectra: Iterable[np.ndarray], phase: np.ndarray, dt: float,
 # Its peak comes in the layer that reads level j_max: the phase, the prefix
 # and the spectrum a trapezoid step starts from, the spectrum it reads, the
 # new prefix and one temporary while that forms, and the returned kernel at
-# t.  tracemalloc puts it at 2.8-7.6 states (d = 1 at n = 8 and 16, d = 2 at
-# n = 4; j_max = 1-3; 4 and 16 steps), below 9.
+# t.  The prefix steps form in place at every size, so for j_max = 2 and 3
+# tracemalloc puts it at 6.95-7.2 states at n = 8 and 7.0 at n = 16 (d = 1;
+# d = 2 at n = 4 also 7.0; 4 and 16 steps): the n = 8 excess is about 10 KB
+# that does not grow with n, most of it cached flow matrices.  At
+# j_max = 1 it reads 2.8-6.1 states with 16 steps and, where a state is
+# 1 KiB (n = 8, 4 steps), up to 9.2.
 DUHAMEL_WORKING_STATES = 9
 
 
@@ -484,6 +463,7 @@ def duhamel_tower(phi: Field, j_max: int, pot: PotentialSpec, t: float,
     the tower's working states are checked against the budget before its
     first kernel, after a non-finite atom has been refused.
     """
+    check_same_grid(phi=phi, pot=pot)
     _check_count("j_max", j_max, 1)
     _check_positive("t", t)
     _check_count("n_steps", n_steps, 1)
@@ -513,16 +493,16 @@ class PicardResult:
 
 # Hierarchy states a Picard call holds besides the iterate's spectra, on
 # its two threads together: the start's spectra, the phases and the norm
-# weights; on the calling thread Xi's stepped spectra and the prefix it
-# hands over next, the prefix a step starts from and a step's temporary, and
-# the sample it reads back, that sample's spectrum and the gap's temporary;
-# on the worker the spectra it was handed, the prefix in physical space, the
-# kernel bbgky_error_level works in and Xi's physical sample.  tracemalloc
-# puts the peak of the whole call at 10.9-12.6 of them (d = 1 at n = 8 and
-# 16, d = 2 at n = 4; 32 and 128 steps), so 13 is the least count above it.
-# The iterate is one array per level, so its sample count adds no array
-# headers to that peak.
-PICARD_WORKING_STATES = 13
+# weights; on the calling thread the Xi spectra and prefix the worker is
+# using and the next ones, a prefix step's temporary, and the sample it
+# reads back with the gap's temporaries; on the worker the prefix in
+# physical space, then B_N's result and its spectrum.  The prefix is
+# stepped before Xi, so a step's temporary and Xi's next spectra are not
+# held at once.  tracemalloc puts the peak of the whole call at 9.5-11.6 of
+# them (d = 1 at n = 8 and 16, d = 2 at n = 4; 32 and 128 steps), so 12 is
+# the least count above it.  The iterate is one array per level, so its
+# sample count adds no array headers to that peak.
+PICARD_WORKING_STATES = 12
 
 # the update norm below which the Picard iteration has converged, and the
 # sweeps it may take to get there
@@ -554,30 +534,28 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
     start state.  The call holds the start's spectra, one phase
     exp(-i dt S_k) per level, and the iterate, one array of spectra per
     level and the only series-sized thing held; level k of Xi at sample i
-    is the start's spectrum stepped i times by the phase, and one inverse
-    transform gives its physical sample.  The time grid, the gate, the
-    start's entries and then what the call holds are checked before the
-    first transform.  A sweep steps the forward-propagated prefix integral
-    through the samples by the same phases (see ``_flowed_prefix``) and
-    inverts it once per sample and level to apply B_N.  The new sample is
-    Xi + i B_N A formed in physical space and transformed once; its
-    spectrum gives the update norm by Parseval and overwrites the old one,
-    which the prefix has read by then.  Forming it in physical space keeps
-    the iterate's rounding that of an iteration on stored physical samples.
+    is the start's spectrum stepped i times by the phase.  The operands'
+    grids, the time grid, the gate, the start's entries and then what the
+    call holds are checked before the first transform.  The first iterate
+    is Xi's spectra, written as they are.  A sweep steps the
+    forward-propagated prefix integral through the samples by the same
+    phases (see ``_flowed_prefix``) and inverts it once per sample and
+    level to apply B_N.  The new sample's spectra are F(i B_N A) + Xi_hat,
+    one forward transform per level; they give the update norm by Parseval
+    and overwrite the old ones, which the prefix has read by then.
 
     The samples pass through two threads, one sample apart, and numpy's
     transforms release the interpreter lock, so the two overlap.  A worker
     thread, which the call starts and joins before it returns or raises,
-    forms each physical sample: the inverse transforms of Xi's spectra and
-    of the prefix, B_N, and the sum.  The calling thread steps Xi's spectra
-    and the prefix and hands them over, then reads back the sample before
-    it, makes its forward transform and its gap, and writes its spectrum
-    into the iterate.  The first iterate, Xi itself, passes through the
-    same two threads.  Every operation keeps its operands and their order,
-    so the bits are those of one thread doing all of it.  The iterate is
-    allocated once, on the calling thread, and written in place: the C
-    library may give the worker a heap of its own, and long-lived spectra
-    allocated there would leave the memory of the ones they replace unused.
+    forms each sample's spectra: the inverse transform of the prefix, B_N,
+    the forward transform and the sum.  The calling thread steps the prefix
+    and then Xi's spectra and hands them over, then reads back the sample
+    before it, takes its gap and writes its spectra into the iterate.
+    Every operation keeps its operands and their order, so the bits are
+    those of one thread doing all of it.  The iterate is allocated once, on
+    the calling thread, and written in place: the C library may give the
+    worker a heap of its own, and long-lived spectra allocated there would
+    leave the memory of the ones they replace unused.
 
     ``xi`` is the H^1_xi level weight in (0, 1), which sets both the update
     norms and the heuristic contraction gate ``t0_gate(xi)`` that t must
@@ -587,6 +565,7 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
     residual re-checks the converged iterate with an independent (Simpson)
     quadrature, in a sweep that stores nothing.
     """
+    check_same_grid(start=start, pot=pot)
     _check_positive("t", t)
     _check_count("n_steps", n_steps, 1)
     gate = t0_gate(xi)
@@ -599,55 +578,41 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
     phases = [np.exp(-1j * dt * flow_symbol(grid, k)) for k in range(1, K + 1)]
     weights = [sobolev_weight(grid, 2 * k, 1.0) for k in range(1, K + 1)]
 
-    def xi_spectra() -> Iterator[list[np.ndarray] | None]:
+    def xi_spectra() -> Iterator[list[np.ndarray]]:
         """Xi's spectra in sample order, each level stepped once more by its
-        phase; None at sample 0, where Xi is the start itself."""
-        yield None
+        phase, without end: each is formed only when it is asked for."""
         spectra = bases
-        for _ in range(n_steps):
-            spectra = [a * phase for a, phase in zip(spectra, phases)]
+        while True:
             yield spectra
+            spectra = [a * phase for a, phase in zip(spectra, phases)]
 
-    def physical(spectra: Sequence[np.ndarray] | None) -> HierarchyState:
-        """The state of ``spectra``, one inverse transform per level, or the
-        start for None."""
-        if spectra is None:
-            return start
-        return HierarchyState([marginal_from_spectrum(grid, k, a)
-                               for k, a in enumerate(spectra, start=1)])
-
-    def combine(xs: Sequence[np.ndarray] | None,
-                prefix: Sequence[np.ndarray]) -> HierarchyState:
-        """The next iterate's physical sample, Xi + i B_N A, from the spectra
+    def combine(xs: Sequence[np.ndarray],
+                prefix: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """The next iterate's spectra, F(i B_N A) + Xi_hat, from the spectra
         of Xi (``xs``) and of A; runs on the worker."""
-        new = _scaled(bbgky_rhs(physical(prefix), pot), 1j)
-        for m, x in zip(new.entries, physical(xs).entries):
-            m.kernel += x.kernel
-        return new
+        new = _scaled(bbgky_rhs(HierarchyState(
+            [marginal_from_spectrum(grid, k, a)
+             for k, a in enumerate(prefix, start=1)]), pot), 1j)
+        spectra = [marginal_spectrum(m) for m in new.entries]
+        for spec, x in zip(spectra, xs):
+            spec += x
+        return spectra
 
-    def absorb(i: int, new: HierarchyState, keep: bool) -> float:
-        """The distance of the physical sample ``new`` to theta's sample i
-        in hierarchy_norm(., 1.0, xi), by Parseval; with ``keep`` its
-        spectrum then replaces that sample."""
+    def absorb(i: int, spectra: Sequence[np.ndarray], keep: bool) -> float:
+        """The distance of the new ``spectra`` to theta's sample i in
+        hierarchy_norm(., 1.0, xi), by Parseval; with ``keep`` they then
+        replace that sample."""
         gap = 0.0
-        for k, (m, level, w) in enumerate(zip(new.entries, theta, weights),
-                                          start=1):
-            spec = marginal_spectrum(m)
-            # w * |spec - level[i]|^2: the difference goes into m's kernel,
-            # which the transform has spent, and the modulus is squared and
-            # weighted in place
-            sq = np.abs(np.subtract(spec, level[i], out=m.kernel))
+        for k, (spec, level, w) in enumerate(zip(spectra, theta, weights),
+                                             start=1):
+            # w * |spec - level[i]|^2, squared and weighted in place
+            sq = np.abs(spec - level[i])
             np.square(sq, out=sq)
             sq *= w
             gap += xi**k * math.sqrt(np.sum(sq))
             if keep:
                 level[i] = spec
         return gap
-
-    def write(i: int, state: HierarchyState) -> None:
-        """Write the spectra of ``state`` into theta's sample i."""
-        for level, m in zip(theta, state.entries):
-            level[i] = marginal_spectrum(m)
 
     def sweep(pool: ThreadPoolExecutor, simpson: bool) -> float:
         """Max-over-samples distance of the next iterate to theta.  The
@@ -656,14 +621,16 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
         before theta's sample i is overwritten."""
         # B_N U(t-s) Theta(s) = B_N U(t) [U(-s) Theta(s)], so one running
         # prefix per level replaces the quadratic double loop over (t, s).
+        # The prefixes are drawn first: their end ends the sweep, and a
+        # step's temporary is gone before Xi's next spectra form.
         prefixes = zip(*[_flowed_prefix(level, phase, dt, simpson)
                          for level, phase in zip(theta, phases)])
         samples = _one_ahead(pool.submit(combine, xs, prefix)
-                             for xs, prefix in zip(xi_spectra(), prefixes))
+                             for prefix, xs in zip(prefixes, xi_spectra()))
         gaps = []
         for i, sample in enumerate(samples):
             gaps.append(absorb(i, sample.result(), keep=not simpson))
-            del sample  # its kernels go before the next sample is handed over
+            del sample  # its spectra go before the next sample is handed over
         for i, gap in enumerate(gaps):
             if not math.isfinite(gap):
                 raise RuntimeError(f"Picard update at sample {i} is {gap}")
@@ -671,33 +638,27 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
 
     update_norms: list[float] = []
     ratios: list[float] = []
-    converged = False
-    rising = 0
-    iterations = 0
     theta = [np.empty((n_steps + 1,) + m.kernel.shape, complex)
              for m in start.entries]
+    # the first iterate is Xi, stepped as xi_spectra steps it
+    for level, base, phase in zip(theta, bases, phases):
+        level[0] = base
+        for i in range(n_steps):
+            np.multiply(level[i], phase, out=level[i + 1])
     # one worker whatever the CPU count, so the working states stay fixed
     with ThreadPoolExecutor(max_workers=1) as pool:
-        for i, sample in enumerate(_one_ahead(pool.submit(physical, xs)
-                                              for xs in xi_spectra())):
-            write(i, sample.result())
-            del sample
         for it in range(1, PICARD_MAX_SWEEPS + 1):
-            iterations = it
             delta = sweep(pool, simpson=False)
             update_norms.append(delta)
             if len(update_norms) >= 2 and update_norms[-2] > 0:
-                ratio = delta / update_norms[-2]
-                ratios.append(ratio)
-                rising = rising + 1 if ratio >= 1.0 else 0
-                if rising >= 3:
+                ratios.append(delta / update_norms[-2])
+                if len(ratios) >= 3 and min(ratios[-3:]) >= 1.0:
                     raise RuntimeError(
                         f"no contraction after {it} sweeps (last ratios "
                         f"{ratios[-3:]}); the horizon is too large for the "
                         f"discrete surrogate")
             if delta < PICARD_TOL:
-                converged = True
                 break
         residual = sweep(pool, simpson=True)
-    return PicardResult(theta, iterations, update_norms, ratios, converged,
-                        residual)
+    return PicardResult(theta, len(update_norms), update_norms, ratios,
+                        update_norms[-1] < PICARD_TOL, residual)

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .budget import default_budget
-from .grid import Field, GridSpec, place_axes
+from .grid import Field, GridSpec, _check_count, check_same_grid, place_axes
 from .marginals import HierarchyState, Marginal, pair_subscripts, zero_marginal
 
 # boxes summed on each side when a Gaussian profile is periodized
@@ -116,8 +116,7 @@ def realize_potential(profile: Field, beta: float, big_n: int,
     """
     if not 0 < beta < 0.25:
         raise ValueError(f"beta must lie in (0, 1/4), got {beta}")
-    if big_n < 1:
-        raise ValueError("N must be >= 1")
+    _check_count("big_n", big_n, 1)
     check_profile(profile)
     grid = profile.grid
     d = grid.dim
@@ -250,6 +249,7 @@ def bbgky_collision_main(gamma_next: Marginal, j: int, sign: str,
 def bbgky_main_level(gamma_next: Marginal, pot: PotentialSpec,
                      plus_only: bool = False) -> Marginal:
     """Sum over j of the finite-N main operator, with the (N-k)/N weight."""
+    check_same_grid(gamma_next=gamma_next, pot=pot)
     k = gamma_next.k - 1
     out = _sum_over_j(gamma_next,
                       lambda j, sign: bbgky_collision_main(gamma_next, j, sign, pot),
@@ -277,6 +277,10 @@ def product_collision_level(atoms: Sequence[tuple[float, Field]], k: int,
     """
     if not atoms or any(p.rank != 1 for _, p in atoms):
         raise ValueError("atoms must be one or more (weight, rank-1 field) pairs")
+    operands = {f"atom {i}": p for i, (_, p) in enumerate(atoms)}
+    if pot is not None:
+        operands["pot"] = pot
+    check_same_grid(**operands)
     grid = atoms[0][1].grid
     default_budget().check_elements(grid.num_points ** (2 * k),
                                     f"product collision kernel k={k}")
@@ -314,6 +318,7 @@ def bbgky_error_level(gamma: Marginal, pot: PotentialSpec) -> Marginal:
     kernel beside its input, the products broadcast the potential over a
     slab, not the kernel, and every entry sees the operations of the
     term-by-term sum.  The weight is applied in place."""
+    check_same_grid(gamma=gamma, pot=pot)
     k, grid, kernel = gamma.k, gamma.grid, gamma.kernel
     if k < 2:
         return zero_marginal(grid, k)
@@ -345,6 +350,7 @@ def bbgky_error_level(gamma: Marginal, pot: PotentialSpec) -> Marginal:
 def bbgky_rhs(state: HierarchyState, pot: PotentialSpec) -> HierarchyState:
     """Collision part of the finite-N hierarchy: weighted main term reading one
     level up plus weighted same-level error term.  Levels above N are zero."""
+    check_same_grid(state=state, pot=pot)
     if state.K > pot.big_n:
         raise ValueError(f"state truncated at K={state.K} > N={pot.big_n}")
     comps = []

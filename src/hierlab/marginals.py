@@ -17,9 +17,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .budget import default_budget
-from .grid import (Field, GridSpec, apply_symbol, bessel_multiply, dft_forward,
-                   dft_inverse, free_propagate, free_symbol,
-                   random_low_mode_field, sobolev_norm_field)
+from .grid import (Field, GridSpec, _check_count, apply_symbol,
+                   bessel_multiply, dft_forward, dft_inverse, free_propagate,
+                   free_symbol, random_low_mode_field, sobolev_norm_field)
 
 
 @dataclass
@@ -107,8 +107,7 @@ def pure_product_marginal(phi: Field, k: int) -> Marginal:
     """Rank-one product kernel, prod_j phi(x_j) * conj(phi(x'_j))."""
     if phi.rank != 1:
         raise ValueError("phi must be a rank-1 field")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_count("k", k, 1)
     default_budget().check_elements(phi.grid.num_points ** (2 * k),
                                     f"product kernel k={k}")
     kern = _tensor_product([phi.data] * k + [np.conj(phi.data)] * k)

@@ -15,9 +15,10 @@ from functools import cached_property
 import numpy as np
 
 from .budget import default_budget
-from .grid import (Field, GridSpec, apply_symbol, bessel_multiply,
-                   free_propagate, free_symbol, inner, l2_norm, normalized,
-                   place_axes, step_count, stored_steps)
+from .grid import (Field, GridSpec, _check_count, apply_symbol,
+                   bessel_multiply, check_same_grid, free_propagate,
+                   free_symbol, inner, l2_norm, normalized, place_axes,
+                   step_count, stored_steps)
 from .interactions import PotentialSpec
 from .marginals import Marginal, _tensor_product
 
@@ -65,8 +66,8 @@ class NBodyState:
 
 def factorized_state(phi: Field, big_n: int, pot: PotentialSpec) -> NBodyState:
     """Product wavefunction phi tensored N times (normalized)."""
-    if big_n < 1:
-        raise ValueError(f"big_n must be >= 1, got {big_n}")
+    check_same_grid(phi=phi, pot=pot)
+    _check_count("big_n", big_n, 1)
     grid = phi.grid
     default_budget().check_elements(grid.num_points**big_n,
                                     f"N-body state N={big_n}")

@@ -128,18 +128,19 @@ def flowed_prefix_reference(spectra: list[np.ndarray], phase: np.ndarray,
                             dt: float, simpson: bool = False
                             ) -> list[np.ndarray]:
     """The forward-propagated prefixes of ``spectra`` with each step one
-    expression, as its formula is written;
-    ``hierarchy_evolution._flowed_prefix`` must match it bit for bit."""
+    expression, as its formula is written, every product by the phase with
+    the bracket first; ``hierarchy_evolution._flowed_prefix`` must match it
+    bit for bit."""
     acc: list[np.ndarray] = []
     for i, th in enumerate(spectra):
         if i == 0:
             acc.append(np.zeros_like(th))
         elif simpson and i % 2 == 0:
-            acc.append(phase * (phase * (acc[i - 2] + (dt / 3.0) * spectra[i - 2])
-                                + (4.0 * dt / 3.0) * spectra[i - 1])
+            acc.append(((acc[i - 2] + (dt / 3.0) * spectra[i - 2]) * phase
+                        + (4.0 * dt / 3.0) * spectra[i - 1]) * phase
                        + (dt / 3.0) * th)
         else:
-            acc.append(phase * (acc[i - 1] + (dt / 2.0) * spectra[i - 1])
+            acc.append((acc[i - 1] + (dt / 2.0) * spectra[i - 1]) * phase
                        + (dt / 2.0) * th)
     return acc
 

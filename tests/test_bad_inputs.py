@@ -4,6 +4,7 @@ they compute with it."""
 import dataclasses
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,17 +14,18 @@ from hypothesis import strategies as st
 from hierlab.cli import EXPERIMENT_ONLY, main
 from hierlab.definetti import Mixture
 from hierlab.grid import (Field, apply_multiplier, bessel_multiply,
-                          free_propagate, make_grid, random_low_mode_field,
-                          sobolev_norm_field)
+                          free_propagate, inner, make_grid,
+                          random_low_mode_field, sobolev_norm_field)
 from hierlab.harness import ExperimentConfig, Report
 from hierlab.hierarchy_evolution import (EvolutionConfig, bbgky_evolve,
                                          duhamel_tower, gp_evolve, k_schedule,
                                          picard_fixed_point)
-from hierlab.interactions import (bump_profile, gaussian_profile,
+from hierlab.interactions import (bbgky_error_level, bbgky_main_level,
+                                  bbgky_rhs, bump_profile, gaussian_profile,
                                   product_collision_level, realize_potential)
 from hierlab.marginals import (factorized_state, hierarchy_norm,
-                               mixture_marginal, sobolev_norm,
-                               trace_sobolev_norm)
+                               mixture_marginal, pure_product_marginal,
+                               sobolev_norm, trace_sobolev_norm)
 from hierlab.nbody import factorized_state as nbody_factorized_state
 
 from kernel_tools import forbid_transforms, zero_potential
@@ -37,6 +39,11 @@ NAN_STATE = STATE.copy()  # level 2 holds one NaN entry
 NAN_STATE.entry(2).kernel[(0,) * 4] = math.nan
 ZERO_V = zero_potential(G8)
 EVOLUTION = EvolutionConfig(dt=1e-3, t_final=1e-2)
+# the same n on another box, and another n on the same box
+G8_L3 = make_grid(1, 8, 3.0)
+PHI_L3 = random_low_mode_field(G8_L3, 1, np.random.default_rng(0), max_mode=2)
+PHI_N16 = random_low_mode_field(make_grid(1, 16), 1, np.random.default_rng(0))
+V_L3 = zero_potential(G8_L3)
 
 
 def profile_with(value: float) -> Field:
@@ -55,6 +62,38 @@ PROBES = {
     "bump-width-inf": (lambda: bump_profile(G8, math.inf), "width"),
     "nbody-N-0": (lambda: nbody_factorized_state(PHI, 0, zero_potential(G8)),
                   "big_n"),
+    "grid-n-float": (lambda: make_grid(1, 8.0), "n must"),
+    "grid-dim-bool": (lambda: make_grid(True, 8), "dim must"),
+    "potential-N-float": (
+        lambda: realize_potential(gaussian_profile(G8, 0.6), 0.2, 2.5), "big_n"),
+    "potential-N-bool": (
+        lambda: realize_potential(gaussian_profile(G8, 0.6), 0.2, True), "big_n"),
+    "nbody-N-bool": (
+        lambda: nbody_factorized_state(PHI, True, zero_potential(G8)), "big_n"),
+    "k-schedule-N-float": (lambda: k_schedule(2.5, 0.5), "big_n"),
+    "product-marginal-k-float": (lambda: pure_product_marginal(PHI, 2.0),
+                                 "k must"),
+    "bbgky-main-level-foreign-pot": (
+        lambda: bbgky_main_level(STATE.entry(2), V_L3), "gamma_next and pot"),
+    "bbgky-error-level-foreign-pot": (
+        lambda: bbgky_error_level(STATE.entry(2), V_L3), "gamma and pot"),
+    "bbgky-rhs-foreign-pot": (lambda: bbgky_rhs(STATE, V_L3), "state and pot"),
+    "product-collision-foreign-atom": (
+        lambda: product_collision_level([(0.5, PHI), (0.5, PHI_L3)], 1),
+        "atom 0 and atom 1"),
+    "product-collision-foreign-pot": (
+        lambda: product_collision_level([(1.0, PHI)], 1, V_L3),
+        "atom 0 and pot"),
+    "picard-foreign-pot": (
+        lambda: picard_fixed_point(STATE, V_L3, 0.5, 0.01, 4), "start and pot"),
+    "duhamel-foreign-pot": (lambda: duhamel_tower(PHI, 1, V_L3, 0.01, 4),
+                            "phi and pot"),
+    "bbgky-evolve-foreign-pot": (
+        lambda: bbgky_evolve(STATE, EVOLUTION, V_L3), "state0 and pot"),
+    "nbody-foreign-pot": (lambda: nbody_factorized_state(PHI, 3, V_L3),
+                          "phi and pot"),
+    "inner-foreign-box": (lambda: inner(PHI, PHI_L3), "f and g"),
+    "inner-foreign-n": (lambda: inner(PHI, PHI_N16), "f and g"),
     "hierarchy-norm-alpha-nan": (lambda: hierarchy_norm(STATE, math.nan, 0.5),
                                  "alpha"),
     "hierarchy-trace-norm-alpha-nan": (
@@ -154,6 +193,22 @@ def test_integral_equations_reject_bad_input_before_a_transform(
     forbid_transforms(monkeypatch)
     with pytest.raises(ValueError, match=names):
         call()
+
+
+GRID_PROBES = {key: probe for key, probe in PROBES.items() if "-foreign-" in key}
+
+
+@pytest.mark.parametrize("call,names", GRID_PROBES.values(),
+                         ids=GRID_PROBES.keys())
+def test_operands_on_two_grids_raise_before_a_kernel_is_allocated(call, names):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="different grids"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8**4  # one level-2 kernel at n = 8
 
 
 LOOP_PROBES = {key: probe for key, probe in PROBES.items()

@@ -8,8 +8,6 @@ import csv
 import json
 from pathlib import Path
 
-import pytest
-
 from hierlab.cli import main
 from hierlab.harness import EXPERIMENTS
 
@@ -24,7 +22,6 @@ def _rows(path):
         return list(csv.DictReader(fh))
 
 
-@pytest.mark.slow
 def test_experiments_match_golden_outputs(tmp_path, monkeypatch):
     monkeypatch.delenv("HLAB_BUDGET", raising=False)
     for name in EXPERIMENTS:

@@ -199,7 +199,6 @@ def test_conservation_run_reports_small_defects():
     assert extra["window_chain_passed"]
 
 
-@pytest.mark.slow
 def test_duhamel_check_exponents_in_window():
     cfg = small_cfg()
     rep, extra = run_duhamel_check(cfg)

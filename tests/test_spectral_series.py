@@ -181,12 +181,11 @@ def test_picard_transform_counts(monkeypatch):
     result = picard_fixed_point(base, pot, 0.5, t0_gate(0.5) / 4.0, n)
     sweeps = result.iterations + 1  # and the Simpson residual sweep
     for rank in (2, 4):  # levels 1 and 2
-        # the start's spectra; the first iterate, a round trip per later
-        # sample; then per sweep and sample one forward transform of the new
-        # sample, one inverse of the prefix and, past sample 0, one inverse
-        # of Xi
-        assert counts["fftn", rank] == 1 + (n + 1) + (n + 1) * sweeps
-        assert counts["ifftn", rank] == n + (2 * n + 1) * sweeps
+        # the start's spectra, which are the first iterate's sample 0 and
+        # step to the others; then per sweep and sample one inverse
+        # transform of the prefix and one forward transform of B_N's result
+        assert counts["fftn", rank] == 1 + (n + 1) * sweeps
+        assert counts["ifftn", rank] == (n + 1) * sweeps
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
