@@ -17,7 +17,8 @@ Conventions used by every other module:
   per axis, M(t) = F^-1 diag(exp(-i t xi^2)) F (M(-t) on a slot of sign -1),
   which free_propagate alone applies by one matrix product per axis
   (flow_matrix, apply_axes).  Generators (apply_symbol), multipliers and the
-  spectral series stay on the FFT.  Only realize_potential and the
+  spectral series stay on the FFT; order-alpha norms are Parseval sums on
+  the forward spectrum (spectral_norm).  Only realize_potential and the
   momentum-domain collision oracle (kept independent) call numpy's FFT
   outside this module.
 
@@ -91,6 +92,13 @@ def _check_count(name: str, value: int, least: int) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
             or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_order(alpha: float) -> None:
+    """Raise a ``ValueError`` naming alpha unless the order ``alpha`` is
+    finite and nonnegative."""
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
 
 
 def _check_finite(name: str, data: np.ndarray) -> None:
@@ -194,22 +202,6 @@ def place_axes(values: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray
     return values.reshape(shape)
 
 
-def apply_multiplier(f: Field, per_slot: Sequence[np.ndarray | None]) -> Field:
-    """Multiply each slot's spectrum by the given symbol (None skips a slot),
-    transformed over the active slots in one output buffer."""
-    if len(per_slot) != f.rank:
-        raise ValueError(f"need one symbol or None per slot ({f.rank}), "
-                         f"got {len(per_slot)}")
-    active = [s for s, m in enumerate(per_slot) if m is not None]
-    if not active:
-        return f.copy()
-    axes = [ax for s in active for ax in f.grid.slot_axes(s)]
-    spec = _fftn(f.data, axes)
-    for s in active:
-        spec *= place_axes(per_slot[s], f.grid.slot_axes(s), f.data.ndim)
-    return Field(f.grid, f.rank, _ifftn(spec, axes, out=spec))
-
-
 def apply_symbol(f: Field, symbol: np.ndarray) -> Field:
     """Multiply the spectrum over all slots by a full-rank symbol, e.g. a
     generator's additive symbol from free_symbol: ifftn(symbol * fftn(f)),
@@ -220,16 +212,20 @@ def apply_symbol(f: Field, symbol: np.ndarray) -> Field:
 
 
 def bessel_multiply(f: Field, alpha: float, slots: Iterable[int] | None = None) -> Field:
-    """Apply (1 - Laplacian)^(alpha/2) on the selected slots (default: all)."""
-    if not (np.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
-    chosen = set(range(f.rank)) if slots is None else set(slots)
-    if not chosen <= set(range(f.rank)):
-        raise ValueError(f"slots must lie in 0..{f.rank - 1}, got {sorted(chosen)}")
-    if alpha == 0:
+    """Apply (1 - Laplacian)^(alpha/2) on the selected slots (default: all),
+    transformed over their axes in one output buffer."""
+    _check_order(alpha)
+    chosen = sorted(range(f.rank) if slots is None else set(slots))
+    if not set(chosen) <= set(range(f.rank)):
+        raise ValueError(f"slots must lie in 0..{f.rank - 1}, got {chosen}")
+    if alpha == 0 or not chosen:
         return f.copy()
     sym = (1.0 + f.grid.k2) ** (alpha / 2.0)
-    return apply_multiplier(f, [sym if s in chosen else None for s in range(f.rank)])
+    axes = [ax for s in chosen for ax in f.grid.slot_axes(s)]
+    spec = _fftn(f.data, axes)
+    for s in chosen:
+        spec *= place_axes(sym, f.grid.slot_axes(s), f.data.ndim)
+    return Field(f.grid, f.rank, _ifftn(spec, axes, out=spec))
 
 
 @lru_cache(maxsize=8)
@@ -334,9 +330,8 @@ def free_symbol(grid: GridSpec, signs: Sequence[int]) -> np.ndarray:
 
 
 def sobolev_weight(grid: GridSpec, rank: int, alpha: float) -> np.ndarray:
-    """Parseval weight of the H^alpha norm on dft_forward spectra:
-    sobolev_norm_field(f, alpha)**2 == sum(weight * |dft_forward(f).data|**2),
-    i.e. prod_s (1 + |xi_s|^2)^alpha / L^(d*rank)."""
+    """Parseval weight of the H^alpha norm on dft_forward spectra
+    (spectral_norm), prod_s (1 + |xi_s|^2)^alpha / L^(d*rank)."""
     weight = np.full(grid.slot_shape(rank), grid.L ** (-grid.dim * rank))
     sym = (1.0 + grid.k2) ** alpha
     for slot in range(rank):
@@ -363,12 +358,25 @@ def inner(f: Field, g: Field) -> complex:
     return complex(w * np.sum(prod))
 
 
+def spectral_norm(spec: np.ndarray, weight: np.ndarray) -> float:
+    """sqrt(sum(weight * |spec|^2)), squared and weighted in place: with
+    spec = dft_forward(f).data and weight = sobolev_weight(f.grid, f.rank,
+    alpha) it is f's H^alpha norm, by Parseval."""
+    sq = np.abs(spec)
+    np.square(sq, out=sq)
+    sq *= weight
+    return math.sqrt(np.sum(sq))
+
+
 def sobolev_norm_field(f: Field, alpha: float) -> float:
-    """H^alpha norm of a field, the multiplier applied to every slot; order 0
-    is the L2 norm, taken without a copy of the field."""
+    """H^alpha norm of a field, the multiplier applied to every slot: a
+    Parseval sum on its forward spectrum, and at order 0 the L2 norm,
+    taken without a copy of the field."""
+    _check_order(alpha)
     if alpha == 0:
         return l2_norm(f)
-    return l2_norm(bessel_multiply(f, alpha))
+    return spectral_norm(dft_forward(f).data,
+                         sobolev_weight(f.grid, f.rank, alpha))
 
 
 def normalized(f: Field) -> Field:

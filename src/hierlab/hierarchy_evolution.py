@@ -35,7 +35,7 @@ import numpy as np
 from .budget import default_budget
 from .grid import (Field, GridSpec, _check_count, _check_finite,
                    _check_positive, check_same_grid, free_propagate,
-                   sobolev_weight, step_count, stored_steps)
+                   sobolev_weight, spectral_norm, step_count, stored_steps)
 from .interactions import (PotentialSpec, bbgky_main_level, bbgky_rhs,
                            gp_collision_level, product_collision_level)
 from .marginals import (HierarchyState, Marginal, flow_symbol,
@@ -605,11 +605,7 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
         gap = 0.0
         for k, (spec, level, w) in enumerate(zip(spectra, theta, weights),
                                              start=1):
-            # w * |spec - level[i]|^2, squared and weighted in place
-            sq = np.abs(spec - level[i])
-            np.square(sq, out=sq)
-            sq *= w
-            gap += xi**k * math.sqrt(np.sum(sq))
+            gap += xi**k * spectral_norm(spec - level[i], w)
             if keep:
                 level[i] = spec
         return gap

@@ -17,9 +17,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .budget import default_budget
-from .grid import (Field, GridSpec, _check_count, apply_symbol,
-                   bessel_multiply, dft_forward, dft_inverse, free_propagate,
-                   free_symbol, random_low_mode_field, sobolev_norm_field)
+from .grid import (Field, GridSpec, _check_count, _check_finite,
+                   apply_symbol, bessel_multiply, dft_forward, dft_inverse,
+                   free_propagate, free_symbol, random_low_mode_field,
+                   sobolev_norm_field)
 
 
 @dataclass
@@ -159,22 +160,30 @@ def sobolev_norm(gamma: Marginal, alpha: float) -> float:
     return sobolev_norm_field(gamma.as_field(), alpha)
 
 
+def _hermitian_eigenvalues(gamma: Marginal, what: str,
+                           alpha: float = 0.0) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of gamma's operator,
+    dressed first by the order-alpha multiplier on every slot.  The
+    eigensolve budget is checked before the dressing, and a non-finite
+    kernel raises a ValueError naming ``what`` where eigvalsh would fail
+    to converge."""
+    default_budget().check_eig_rows(gamma.rows, f"{what} k={gamma.k}")
+    kernel = (bessel_multiply(gamma.as_field(), alpha).data if alpha
+              else gamma.kernel)
+    _check_finite(f"{what} kernel", kernel)
+    m = Marginal(gamma.grid, gamma.k, kernel).weighted_matrix()
+    return np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+
+
 def trace_sobolev_norm(gamma: Marginal, alpha: float) -> float:
     """Trace norm of the Hermitian part of the multiplier-dressed operator."""
-    default_budget().check_eig_rows(gamma.rows, f"trace norm k={gamma.k}")
-    dressed = bessel_multiply(gamma.as_field(), alpha)
-    m = Marginal(gamma.grid, gamma.k, dressed.data).weighted_matrix()
-    herm = 0.5 * (m + m.conj().T)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(herm))))
+    return float(np.sum(np.abs(_hermitian_eigenvalues(gamma, "trace norm",
+                                                      alpha))))
 
 
 def psd_defect(gamma: Marginal) -> float:
     """max(0, -lambda_min) of the Hermitized operator; 0 means psd."""
-    default_budget().check_eig_rows(gamma.rows, f"psd defect k={gamma.k}")
-    m = gamma.weighted_matrix()
-    herm = 0.5 * (m + m.conj().T)
-    lam_min = float(np.linalg.eigvalsh(herm)[0])
-    return max(0.0, -lam_min)
+    return max(0.0, -float(_hermitian_eigenvalues(gamma, "psd defect")[0]))
 
 
 def _permute_kernel(kernel: np.ndarray, k: int, d: int,

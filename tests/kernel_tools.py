@@ -2,9 +2,11 @@
 non-factorized bosonic N-body state, the contact residual of a whole stored
 trajectory, one finite-N error term, out-of-place references for the
 in-place RK4 step, finite-N error sum and prefix steps, a guard that fails
-a test when an n-d transform runs, and an executor that runs each call on
-the calling thread."""
+a test when an n-d transform runs, a counter of n-d transforms by rank, and
+an executor that runs each call on the calling thread."""
 
+import threading
+from collections import Counter
 from concurrent.futures import Future
 from typing import Callable
 
@@ -178,3 +180,17 @@ def forbid_transforms(monkeypatch) -> None:
     for name in ("fftn", "ifftn"):
         monkeypatch.setattr(np.fft, name, lambda *a, **k: pytest.fail(
             "a transform ran before the call's checks"))
+
+
+def count_transforms(monkeypatch):
+    """Count np.fft.fftn / ifftn calls by the rank of the array transformed,
+    from any thread."""
+    counts = Counter()
+    lock = threading.Lock()
+    for name in ("fftn", "ifftn"):
+        def spy(a, *args, _real=getattr(np.fft, name), _name=name, **kwargs):
+            with lock:
+                counts[_name, np.ndim(a)] += 1
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, spy)
+    return counts

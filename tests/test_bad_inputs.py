@@ -13,9 +13,8 @@ from hypothesis import strategies as st
 
 from hierlab.cli import EXPERIMENT_ONLY, main
 from hierlab.definetti import Mixture
-from hierlab.grid import (Field, apply_multiplier, bessel_multiply,
-                          free_propagate, inner, make_grid,
-                          random_low_mode_field, sobolev_norm_field)
+from hierlab.grid import (Field, bessel_multiply, free_propagate, inner,
+                          make_grid, random_low_mode_field, sobolev_norm_field)
 from hierlab.harness import ExperimentConfig, Report
 from hierlab.hierarchy_evolution import (EvolutionConfig, bbgky_evolve,
                                          duhamel_tower, gp_evolve, k_schedule,
@@ -23,9 +22,10 @@ from hierlab.hierarchy_evolution import (EvolutionConfig, bbgky_evolve,
 from hierlab.interactions import (bbgky_error_level, bbgky_main_level,
                                   bbgky_rhs, bump_profile, gaussian_profile,
                                   product_collision_level, realize_potential)
-from hierlab.marginals import (factorized_state, hierarchy_norm,
-                               mixture_marginal, pure_product_marginal,
-                               sobolev_norm, trace_sobolev_norm)
+from hierlab.marginals import (Marginal, factorized_state, hierarchy_norm,
+                               mixture_marginal, psd_defect,
+                               pure_product_marginal, sobolev_norm,
+                               trace_sobolev_norm)
 from hierlab.nbody import factorized_state as nbody_factorized_state
 
 from kernel_tools import forbid_transforms, zero_potential
@@ -37,6 +37,7 @@ PAIR = STATE.entry(1).as_field()  # rank 2
 NAN_ATOM = Field(G8, 1, np.full(G8.slot_shape(1), math.nan, dtype=complex))
 NAN_STATE = STATE.copy()  # level 2 holds one NaN entry
 NAN_STATE.entry(2).kernel[(0,) * 4] = math.nan
+NAN_KERNEL = Marginal(G8, 1, np.full(G8.slot_shape(2), math.nan, dtype=complex))
 ZERO_V = zero_potential(G8)
 EVOLUTION = EvolutionConfig(dt=1e-3, t_final=1e-2)
 # the same n on another box, and another n on the same box
@@ -108,10 +109,9 @@ PROBES = {
                                "slots"),
     "bessel-slot-negative": (lambda: bessel_multiply(PAIR, 0.0, slots=[-1]),
                              "slots"),
-    "multiplier-too-few-symbols": (
-        lambda: apply_multiplier(PAIR, [np.ones(G8.n)]), "per slot"),
-    "multiplier-too-many-symbols": (
-        lambda: apply_multiplier(PAIR, [None, None, np.ones(G8.n)]), "per slot"),
+    "psd-defect-kernel-nan": (lambda: psd_defect(NAN_KERNEL), "kernel"),
+    "trace-sobolev-norm-kernel-nan": (
+        lambda: trace_sobolev_norm(NAN_KERNEL, 1.0), "kernel"),
     "picard-t-nan": (
         lambda: picard_fixed_point(STATE, ZERO_V, 0.5, math.nan, 4), "t must"),
     "picard-t-inf": (

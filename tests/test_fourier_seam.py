@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import hierlab
-from hierlab.grid import (Field, apply_multiplier, make_grid, place_axes,
+from hierlab.grid import (Field, bessel_multiply, make_grid, place_axes,
                           random_low_mode_field)
 from hierlab.marginals import Marginal, free_generator
 from hierlab.nbody import NBodyState, hamiltonian_apply
@@ -82,14 +82,14 @@ def test_grid_has_one_call_site_per_nd_transform():
     assert sites["ifftn"] == 1
 
 
-def test_apply_multiplier_holds_about_one_field_beyond_its_input():
+def test_bessel_multiply_holds_about_one_field_beyond_its_input():
     g = make_grid(1, 16)
     f = random_low_mode_field(g, 4, np.random.default_rng(8))
-    symbols = [(1.0 + g.k2) ** 0.5] * 4  # every slot active
-    apply_multiplier(f, symbols)  # warm numpy's FFT plan cache
+    slots = range(4)  # every slot chosen
+    bessel_multiply(f, 1.0, slots)  # warm numpy's FFT plan cache
     tracemalloc.start()
     try:
-        out = apply_multiplier(f, symbols)
+        out = bessel_multiply(f, 1.0, slots)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from hierlab.grid import (Field, apply_axes, apply_multiplier, bessel_multiply,
-                          dft_forward, dft_inverse, flow_matrix, free_propagate,
-                          inner, l2_norm, make_grid, normalized,
+from hierlab.grid import (Field, apply_axes, bessel_multiply, dft_forward,
+                          dft_inverse, flow_matrix, free_propagate, inner,
+                          l2_norm, make_grid, normalized, place_axes,
                           random_low_mode_field, sobolev_norm_field,
                           step_count, stored_steps)
 
@@ -83,11 +83,15 @@ def test_bessel_plane_wave_alpha2():
     assert np.max(np.abs(out.data - 2.0 * f.data)) < 1e-10
 
 
-def test_bessel_alpha_zero_identity():
+@pytest.mark.parametrize("alpha,slots", [(0.0, None), (1.0, [])],
+                         ids=["alpha-zero", "no-slot"])
+def test_bessel_identity_returns_a_copy(alpha, slots):
     g = make_grid(1, 8, 2 * np.pi)
     rng = np.random.default_rng(2)
     f = random_low_mode_field(g, 1, rng)
-    assert np.max(np.abs(bessel_multiply(f, 0.0).data - f.data)) == 0.0
+    out = bessel_multiply(f, alpha, slots)
+    assert np.array_equal(out.data, f.data)
+    assert not np.shares_memory(out.data, f.data)
 
 
 def test_bessel_rejects_negative_alpha():
@@ -177,7 +181,11 @@ def test_free_propagate_matches_fft_phases(dim, n, signs):
     f = Field(g, len(signs), rng.standard_normal(shape)
               + 1j * rng.standard_normal(shape))
     t = 0.37
-    ref = apply_multiplier(f, [np.exp(-1j * s * t * g.k2) for s in signs]).data
+    ref = f.data
+    for slot, s in enumerate(signs):  # the phase in each slot's spectrum
+        axes = g.slot_axes(slot)
+        phase = place_axes(np.exp(-1j * s * t * g.k2), axes, ref.ndim)
+        ref = np.fft.ifftn(phase * np.fft.fftn(ref, axes=axes), axes=axes)
     got = free_propagate(f, t, signs).data
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 

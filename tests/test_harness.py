@@ -27,7 +27,7 @@ from hierlab.harness import (CSV_HEADER, EXPERIMENTS, ExperimentConfig, Report,
 from hierlab.hierarchy_evolution import InstabilityError
 from hierlab.storage import read_marginal, write_marginal
 
-from kernel_tools import gp_residual
+from kernel_tools import count_transforms, gp_residual
 
 
 def small_cfg(**kw):
@@ -231,6 +231,15 @@ def test_simulate_bbgky_trace_drift_small(tmp_path):
     rep, extra = run_simulate_bbgky(cfg)
     drifts = [row[6] for row in rep.rows if row[5].startswith("trace_drift")]
     assert max(drifts) < 1e-10
+
+
+def test_simulate_bbgky_inverts_no_kernel_transform(tmp_path, monkeypatch):
+    # the logged collision norms are Parseval sums on forward spectra
+    counts = count_transforms(monkeypatch)
+    main(["simulate-bbgky", "--n", "16", "--dt", "2e-3", "--t-final", "0.004",
+          "--outdir", str(tmp_path)])
+    assert counts["fftn", 2] > 0 and counts["fftn", 4] > 0
+    assert counts["ifftn", 2] == counts["ifftn", 4] == 0
 
 
 @pytest.mark.parametrize("t_final", [0.01, 2e-3], ids=["10steps", "1step"])

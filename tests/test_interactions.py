@@ -350,9 +350,9 @@ def test_oracle_matches_spatial_path_with_potential():
         assert rel < 1e-9
 
 
-GRID_TRANSFORMS = ("dft_forward", "dft_inverse", "apply_multiplier",
-                   "apply_symbol", "bessel_multiply", "free_propagate",
-                   "flow_matrix", "apply_axes")
+GRID_TRANSFORMS = ("dft_forward", "dft_inverse", "apply_symbol",
+                   "bessel_multiply", "free_propagate", "flow_matrix",
+                   "apply_axes")
 
 
 def test_oracle_calls_no_flow_matrix(monkeypatch):

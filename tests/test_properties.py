@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hierlab.definetti import random_mixture
-from hierlab.grid import (Field, dft_forward, make_grid, random_low_mode_field,
-                          sobolev_norm_field, sobolev_weight)
+from hierlab.grid import (Field, bessel_multiply, dft_forward, l2_norm,
+                          make_grid, random_low_mode_field, sobolev_norm_field,
+                          sobolev_weight)
 from hierlab.interactions import (bbgky_collision_main, bbgky_main_level,
                                   delta_surrogate, gaussian_profile,
                                   gp_collision, gp_collision_level,
@@ -95,7 +96,9 @@ def test_sobolev_weight_is_parseval(grid_case, L, rank, alpha, seed):
     spec = dft_forward(f).data
     got = float(np.sqrt(np.sum(sobolev_weight(grid, rank, alpha)
                                * np.abs(spec) ** 2)))
-    assert got == pytest.approx(sobolev_norm_field(f, alpha), rel=1e-13)
+    ref = l2_norm(bessel_multiply(f, alpha))  # in physical space
+    for value in (got, sobolev_norm_field(f, alpha)):
+        assert value == pytest.approx(ref, rel=1e-13)
 
 
 @FEW

@@ -6,16 +6,14 @@ list of trapezoid (or Simpson) sums of physical kernels, and each prefix is
 pushed forward by its own free flow again.
 """
 
-import threading
-from collections import Counter
-
 import numpy as np
 import pytest
 
 from hierlab import hierarchy_evolution
 from hierlab.cli import main
-from hierlab.grid import (dft_forward, make_grid, random_low_mode_field,
-                          sobolev_norm_field, sobolev_weight)
+from hierlab.grid import (bessel_multiply, dft_forward, l2_norm, make_grid,
+                          random_low_mode_field, sobolev_norm_field,
+                          sobolev_weight)
 from hierlab.hierarchy_evolution import (duhamel_tower, free_flow,
                                          picard_fixed_point, t0_gate)
 from hierlab.interactions import (bbgky_main_level, bbgky_rhs,
@@ -25,7 +23,7 @@ from hierlab.marginals import (HierarchyState, factorized_state, flow_symbol,
                                marginal_from_spectrum,
                                random_hermitian_marginal)
 
-from kernel_tools import flowed_prefix_reference
+from kernel_tools import count_transforms, flowed_prefix_reference
 
 GRIDS = [make_grid(1, 8), make_grid(2, 4)]
 GRID_IDS = ["d1n8", "d2n4"]
@@ -62,20 +60,6 @@ def ref_duhamel(dt, states, j, pot, t):
     return HierarchyState(comps)
 
 
-def count_transforms(monkeypatch):
-    """Count np.fft.fftn / ifftn calls by the rank of the array transformed,
-    from any thread."""
-    counts = Counter()
-    lock = threading.Lock()
-    for name in ("fftn", "ifftn"):
-        def spy(a, *args, _real=getattr(np.fft, name), _name=name, **kwargs):
-            with lock:
-                counts[_name, np.ndim(a)] += 1
-            return _real(a, *args, **kwargs)
-        monkeypatch.setattr(np.fft, name, spy)
-    return counts
-
-
 def ref_sweep(dt, xi_states, theta, pot, simpson):
     """One Picard sweep of ``theta`` with free term ``xi_states``, both
     sampled dt apart."""
@@ -100,7 +84,18 @@ def test_sobolev_weight_is_parseval_of_the_h_alpha_norm(grid):
     for alpha in (0.0, 1.0):
         spec = dft_forward(f).data
         got = np.sqrt(np.sum(sobolev_weight(grid, 2, alpha) * np.abs(spec) ** 2))
-        assert got == pytest.approx(sobolev_norm_field(f, alpha), rel=1e-13)
+        ref = l2_norm(bessel_multiply(f, alpha))  # in physical space
+        for value in (got, sobolev_norm_field(f, alpha)):
+            assert value == pytest.approx(ref, rel=1e-13)
+
+
+def test_sobolev_norm_takes_one_forward_transform(monkeypatch):
+    f = random_low_mode_field(GRIDS[0], 2, np.random.default_rng(1))
+    counts = count_transforms(monkeypatch)
+    sobolev_norm_field(f, 0.0)
+    assert not counts  # order 0 is the L2 norm
+    sobolev_norm_field(f, 1.0)
+    assert counts == {("fftn", 2): 1}
 
 
 def free_series(grid, K, seed):
@@ -165,10 +160,11 @@ def test_duhamel_check_makes_no_level3_transform(tmp_path, monkeypatch):
     # the first layer is read off the flowed atom, so no level-3 kernel is
     # formed; per horizon the second layer transforms each of the first's 17
     # level-2 kernels and inverts its prefix at t, and the order-1 norm of
-    # depth 1 takes one round trip
+    # depth 1 takes one forward transform
     assert counts["fftn", 6] == counts["ifftn", 6] == 0
     assert counts["fftn", 4] == 3 * (17 + 1)
-    assert counts["ifftn", 4] == 3 * (1 + 1)
+    assert counts["ifftn", 4] == 3
+    assert counts["ifftn", 2] == 0
 
 
 def test_picard_transform_counts(monkeypatch):
