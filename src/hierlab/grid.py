@@ -158,10 +158,14 @@ class Field:
 # Transforms and Fourier multipliers
 
 
-def _fftn(data: np.ndarray, axes: Sequence[int] | None = None) -> np.ndarray:
-    """Unscaled n-d DFT over ``axes`` (default: all) into one new array:
-    pocketfft then keeps no copy beside it."""
-    return np.fft.fftn(data, axes=axes, out=np.empty(data.shape, complex))
+def _fftn(data: np.ndarray, axes: Sequence[int] | None = None,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """Unscaled n-d DFT over ``axes`` (default: all), written into ``out``,
+    which may be ``data``, or into one new array: pocketfft then keeps no
+    copy beside it."""
+    if out is None:
+        out = np.empty(data.shape, complex)
+    return np.fft.fftn(data, axes=axes, out=out)
 
 
 def _ifftn(data: np.ndarray, axes: Sequence[int] | None = None,
@@ -173,11 +177,12 @@ def _ifftn(data: np.ndarray, axes: Sequence[int] | None = None,
     return np.fft.ifftn(data, axes=axes, out=out)
 
 
-def dft_forward(f: Field) -> Field:
-    """Quadrature-weighted DFT over all slots (h^(d*rank) * fftn).  Both
-    transforms work in one output buffer, so they hold one tensor beyond
-    their input."""
-    spec = _fftn(f.data)
+def dft_forward(f: Field, out: np.ndarray | None = None) -> Field:
+    """Quadrature-weighted DFT over all slots (h^(d*rank) * fftn), into
+    ``out`` (which may be f.data) or one new array.  Both transforms work
+    in one output buffer, so they hold one tensor beyond their input; in
+    place the spectrum has the same bits."""
+    spec = _fftn(f.data, out=out)
     spec *= f.grid.h ** (f.grid.dim * f.rank)
     return Field(f.grid, f.rank, spec)
 
@@ -329,13 +334,17 @@ def free_symbol(grid: GridSpec, signs: Sequence[int]) -> np.ndarray:
     return symbol
 
 
+@lru_cache(maxsize=8)
 def sobolev_weight(grid: GridSpec, rank: int, alpha: float) -> np.ndarray:
     """Parseval weight of the H^alpha norm on dft_forward spectra
-    (spectral_norm), prod_s (1 + |xi_s|^2)^alpha / L^(d*rank)."""
+    (spectral_norm), prod_s (1 + |xi_s|^2)^alpha / L^(d*rank).  A time
+    loop logs its norms at the same few (grid, rank, alpha), so each weight
+    is built once and shared, read-only, like flow_matrix."""
     weight = np.full(grid.slot_shape(rank), grid.L ** (-grid.dim * rank))
     sym = (1.0 + grid.k2) ** alpha
     for slot in range(rank):
         weight = weight * place_axes(sym, grid.slot_axes(slot), weight.ndim)
+    weight.flags.writeable = False
     return weight
 
 

@@ -446,7 +446,10 @@ def run_picard(cfg: ExperimentConfig) -> tuple[Report, dict]:
     report.add("picard", "final_update", result.update_norms[-1],
                N=pot.big_n, t=horizon)
     report.add("picard", "residual", result.residual, N=pot.big_n, t=horizon)
-    return report, {"converged": result.converged, "residual": result.residual}
+    return report, {"converged": result.converged, "residual": result.residual,
+                    "telemetry": {
+                        "picard_worker_busy_s": result.worker_busy_s,
+                        "picard_result_wait_s": result.result_wait_s}}
 
 
 # ---------------------------------------------------------------------------
@@ -608,13 +611,18 @@ def run_experiment(name: str, cfg: ExperimentConfig) -> tuple[Path, Path]:
     (``cpu_s``, user plus system) and its minor page faults
     (``minor_faults``), and the process's peak resident set so far
     (``peak_rss_mb``); the CSV holds none of it.  A ``cpu_s`` above
-    ``wall_s`` shows threads that ran at once."""
+    ``wall_s`` shows threads that ran at once.  An experiment may add its
+    own timings under its results' ``telemetry`` key, which moves into the
+    manifest's ``telemetry``: ``picard`` adds each worker thread's busy
+    time (``picard_worker_busy_s``) and the calling thread's wait for the
+    workers' samples (``picard_result_wait_s``)."""
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}")
     usage0 = resource.getrusage(resource.RUSAGE_SELF) if resource else None
     t0 = time.perf_counter()
     report, extra = EXPERIMENTS[name](cfg)
     telemetry = {"wall_s": time.perf_counter() - t0}
+    telemetry.update(extra.pop("telemetry", {}))
     if resource:
         usage = resource.getrusage(resource.RUSAGE_SELF)
         telemetry["cpu_s"] = (usage.ru_utime + usage.ru_stime

@@ -24,7 +24,10 @@ transform.
 
 from __future__ import annotations
 
+import itertools
 import math
+import threading
+import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,8 +37,9 @@ import numpy as np
 
 from .budget import default_budget
 from .grid import (Field, GridSpec, _check_count, _check_finite,
-                   _check_positive, check_same_grid, free_propagate,
-                   sobolev_weight, spectral_norm, step_count, stored_steps)
+                   _check_positive, check_same_grid, dft_forward,
+                   free_propagate, sobolev_weight, spectral_norm, step_count,
+                   stored_steps)
 from .interactions import (PotentialSpec, bbgky_main_level, bbgky_rhs,
                            gp_collision_level, product_collision_level)
 from .marginals import (HierarchyState, Marginal, flow_symbol,
@@ -481,7 +485,10 @@ def duhamel_tower(phi: Field, j_max: int, pot: PotentialSpec, t: float,
 class PicardResult:
     """The fixed point Theta, held as its spectra: ``spectra[k - 1]`` is one
     array of level k's samples, ``spectra[k - 1][i]`` the spectrum at sample
-    i; with the record of the sweeps."""
+    i; with the record of the sweeps.  ``worker_busy_s`` is the time each
+    worker thread spent forming samples, in the order the workers first
+    finished one, and ``result_wait_s`` the time the calling thread waited
+    for them; neither changes what is computed."""
 
     spectra: list[np.ndarray]
     iterations: int
@@ -489,20 +496,31 @@ class PicardResult:
     contraction_ratios: list[float]
     converged: bool
     residual: float
+    worker_busy_s: list[float]
+    result_wait_s: float
 
 
 # Hierarchy states a Picard call holds besides the iterate's spectra, on
-# its two threads together: the start's spectra, the phases and the norm
-# weights; on the calling thread the Xi spectra and prefix the worker is
-# using and the next ones, a prefix step's temporary, and the sample it
-# reads back with the gap's temporaries; on the worker the prefix in
-# physical space, then B_N's result and its spectrum.  The prefix is
-# stepped before Xi, so a step's temporary and Xi's next spectra are not
-# held at once.  tracemalloc puts the peak of the whole call at 9.5-11.6 of
-# them (d = 1 at n = 8 and 16, d = 2 at n = 4; 32 and 128 steps), so 12 is
+# its three threads together: the start's spectra, the phases and the norm
+# weights; on the calling thread the Xi spectra of the sample it reads back
+# and that sample, or the prefix a step starts from, the new one and a
+# temporary; the prefixes of the samples in flight, until their worker has
+# inverted them; and on each worker the prefix in physical space, then
+# B_N's result, which the forward transform overwrites and which waits in
+# its future until the calling thread reads it.  tracemalloc puts the peak
+# of the whole call at 10.2-14.0 of them (d = 1 at n = 8 and 16, d = 2 at
+# n = 4; 32 and 128 steps; about 0.5 lower when the norm weights were
+# cached before the call, and highest at n = 8 with 128 steps), so 14 is
 # the least count above it.  The iterate is one array per level, so its
 # sample count adds no array headers to that peak.
-PICARD_WORKING_STATES = 12
+PICARD_WORKING_STATES = 14
+
+# Picard's worker threads, each forming one sample of a sweep at a time: a
+# fixed count, whatever the CPU count, so the working states stay fixed.
+# The calling thread keeps one sample more than this submitted beyond the
+# one it reads back, so a worker that finishes finds the next one queued.
+PICARD_WORKERS = 2
+
 
 # the update norm below which the Picard iteration has converged, and the
 # sweeps it may take to get there
@@ -510,17 +528,16 @@ PICARD_TOL = 1e-8
 PICARD_MAX_SWEEPS = 50
 
 
-def _one_ahead(futures: Iterable[Future]) -> Iterator[Future]:
-    """``futures`` in order, each yielded once the next one has been drawn:
-    drawing a future submits its call, so the worker has the next call in
-    hand while the caller reads this one's result."""
+def _ahead(futures: Iterable[Future], depth: int) -> Iterator[Future]:
+    """``futures`` in order, each yielded once the ``depth`` after it have
+    been drawn: drawing a future submits its call, so the workers have the
+    next ``depth`` calls in hand while the caller reads this one's result."""
     held = iter(futures)
-    last = next(held, None)
+    window = deque(itertools.islice(held, depth))
     for item in held:
-        yield last
-        last = item
-    if last is not None:
-        yield last
+        window.append(item)
+        yield window.popleft()
+    yield from window
 
 
 def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
@@ -541,19 +558,25 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
     forward-propagated prefix integral through the samples by the same
     phases (see ``_flowed_prefix``) and inverts it once per sample and
     level to apply B_N.  The new sample's spectra are F(i B_N A) + Xi_hat,
-    one forward transform per level; they give the update norm by Parseval
-    and overwrite the old ones, which the prefix has read by then.
+    one forward transform per level, in B_N's result; they give the update
+    norm by Parseval and overwrite the old ones, which the prefix has read
+    by then.
 
-    The samples pass through two threads, one sample apart, and numpy's
-    transforms release the interpreter lock, so the two overlap.  A worker
-    thread, which the call starts and joins before it returns or raises,
-    forms each sample's spectra: the inverse transform of the prefix, B_N,
-    the forward transform and the sum.  The calling thread steps the prefix
-    and then Xi's spectra and hands them over, then reads back the sample
-    before it, takes its gap and writes its spectra into the iterate.
-    Every operation keeps its operands and their order, so the bits are
-    those of one thread doing all of it.  The iterate is allocated once, on
-    the calling thread, and written in place: the C library may give the
+    A sweep's samples are formed on a pool of ``PICARD_WORKERS`` = 2
+    worker threads, and numpy's transforms release the interpreter lock, so
+    the three threads overlap.  Every sample reads only the old iterate, so
+    samples i + 1 and i + 2 can be formed at once; when the calling thread
+    reads back sample i it has submitted samples up to i + 3, so a worker
+    that finishes finds the next sample queued.  A worker forms F(i B_N A)
+    for one sample: the inverse transform of the prefix, B_N and the
+    forward transform.  The calling thread steps the prefixes and hands
+    them over, then reads the samples back in order, adds Xi's spectra,
+    takes each gap and writes each sample's spectra into the iterate;
+    sample i is written only after the prefix has stepped past it.  Every
+    operation keeps its operands and their order, so the bits are those of
+    one thread doing all of it.  The pool is started and joined inside the
+    call, before it returns or raises.  The iterate is allocated once, on
+    the calling thread, and written in place: the C library may give each
     worker a heap of its own, and long-lived spectra allocated there would
     leave the memory of the ones they replace unused.
 
@@ -577,35 +600,51 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
     bases = [marginal_spectrum(m) for m in start.entries]
     phases = [np.exp(-1j * dt * flow_symbol(grid, k)) for k in range(1, K + 1)]
     weights = [sobolev_weight(grid, 2 * k, 1.0) for k in range(1, K + 1)]
+    busy: dict[int, float] = {}  # worker thread -> seconds in combine
+    waited = 0.0  # seconds the calling thread waited for a sample
 
     def xi_spectra() -> Iterator[list[np.ndarray]]:
         """Xi's spectra in sample order, each level stepped once more by its
-        phase, without end: each is formed only when it is asked for."""
-        spectra = bases
+        phase, without end: each is formed only when it is asked for, and
+        from the second on in one set of arrays, stepped in place, so a
+        sample's spectra are used before the next is asked for."""
+        yield bases
+        spectra = [a * phase for a, phase in zip(bases, phases)]
         while True:
             yield spectra
-            spectra = [a * phase for a, phase in zip(spectra, phases)]
+            for a, phase in zip(spectra, phases):
+                a *= phase
 
-    def combine(xs: Sequence[np.ndarray],
-                prefix: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """The next iterate's spectra, F(i B_N A) + Xi_hat, from the spectra
-        of Xi (``xs``) and of A; runs on the worker."""
-        new = _scaled(bbgky_rhs(HierarchyState(
-            [marginal_from_spectrum(grid, k, a)
-             for k, a in enumerate(prefix, start=1)]), pot), 1j)
-        spectra = [marginal_spectrum(m) for m in new.entries]
-        for spec, x in zip(spectra, xs):
-            spec += x
-        return spectra
+    def combine(prefix: list[np.ndarray]) -> list[np.ndarray]:
+        """F(i B_N A) from the spectra of A, each formed in B_N's result;
+        runs on a worker, which empties ``prefix`` once it has inverted it,
+        so the worker holds A no longer than it needs it."""
+        t0 = time.perf_counter()
+        try:
+            physical = HierarchyState([marginal_from_spectrum(grid, k, a)
+                                       for k, a in enumerate(prefix, start=1)])
+            prefix.clear()
+            new = _scaled(bbgky_rhs(physical, pot), 1j)
+            del physical
+            return [dft_forward(m.as_field(), out=m.kernel).data
+                    for m in new.entries]
+        finally:
+            worker = threading.get_ident()
+            busy[worker] = busy.get(worker, 0.0) + time.perf_counter() - t0
 
-    def absorb(i: int, spectra: Sequence[np.ndarray], keep: bool) -> float:
-        """The distance of the new ``spectra`` to theta's sample i in
-        hierarchy_norm(., 1.0, xi), by Parseval; with ``keep`` they then
-        replace that sample."""
+    def absorb(i: int, spectra: Sequence[np.ndarray],
+               xs: Sequence[np.ndarray], keep: bool) -> float:
+        """Add Xi's spectra ``xs`` to a worker's ``spectra``, giving the next
+        iterate's sample i, and return its distance to theta's sample i in
+        hierarchy_norm(., 1.0, xi), by Parseval.  With ``keep`` the
+        difference forms in theta's sample, which the new one then
+        replaces; without it, in the new sample."""
         gap = 0.0
-        for k, (spec, level, w) in enumerate(zip(spectra, theta, weights),
-                                             start=1):
-            gap += xi**k * spectral_norm(spec - level[i], w)
+        for k, (spec, x, level, w) in enumerate(
+                zip(spectra, xs, theta, weights), start=1):
+            spec += x
+            diff = np.subtract(spec, level[i], out=level[i] if keep else spec)
+            gap += xi**k * spectral_norm(diff, w)
             if keep:
                 level[i] = spec
         return gap
@@ -613,20 +652,27 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
     def sweep(pool: ThreadPoolExecutor, simpson: bool) -> float:
         """Max-over-samples distance of the next iterate to theta.  The
         trapezoid sweep overwrites theta with the next iterate; the Simpson
-        sweep keeps it.  ``_one_ahead`` steps the prefix past sample i
+        sweep keeps it.  ``_ahead`` steps the prefix past sample i + 3
         before theta's sample i is overwritten."""
+        nonlocal waited
         # B_N U(t-s) Theta(s) = B_N U(t) [U(-s) Theta(s)], so one running
         # prefix per level replaces the quadratic double loop over (t, s).
         # The prefixes are drawn first: their end ends the sweep, and a
-        # step's temporary is gone before Xi's next spectra form.
+        # step's temporary is gone before Xi's next spectra form, in place.
         prefixes = zip(*[_flowed_prefix(level, phase, dt, simpson)
                          for level, phase in zip(theta, phases)])
-        samples = _one_ahead(pool.submit(combine, xs, prefix)
-                             for prefix, xs in zip(prefixes, xi_spectra()))
+        samples = _ahead((pool.submit(combine, list(prefix))
+                          for prefix in prefixes), PICARD_WORKERS + 1)
+        xis = xi_spectra()
         gaps = []
-        for i, sample in enumerate(samples):
-            gaps.append(absorb(i, sample.result(), keep=not simpson))
-            del sample  # its spectra go before the next sample is handed over
+        # a plain loop over the samples: enumerate or zip would keep the
+        # last sample in their result tuple while the next one is drawn
+        for sample in samples:
+            t0 = time.perf_counter()
+            spectra = sample.result()
+            waited += time.perf_counter() - t0
+            gaps.append(absorb(len(gaps), spectra, next(xis), keep=not simpson))
+            del sample, spectra  # they go before the next sample is handed over
         for i, gap in enumerate(gaps):
             if not math.isfinite(gap):
                 raise RuntimeError(f"Picard update at sample {i} is {gap}")
@@ -641,8 +687,7 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
         level[0] = base
         for i in range(n_steps):
             np.multiply(level[i], phase, out=level[i + 1])
-    # one worker whatever the CPU count, so the working states stay fixed
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    with ThreadPoolExecutor(max_workers=PICARD_WORKERS) as pool:
         for it in range(1, PICARD_MAX_SWEEPS + 1):
             delta = sweep(pool, simpson=False)
             update_norms.append(delta)
@@ -657,4 +702,5 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
                 break
         residual = sweep(pool, simpson=True)
     return PicardResult(theta, len(update_norms), update_norms, ratios,
-                        update_norms[-1] < PICARD_TOL, residual)
+                        update_norms[-1] < PICARD_TOL, residual,
+                        list(busy.values()), waited)

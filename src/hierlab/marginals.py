@@ -205,7 +205,9 @@ def hermitize(gamma: Marginal) -> Marginal:
 
 def symmetrize(gamma: Marginal) -> Marginal:
     """Project onto the kernels invariant under independent slot permutations
-    of the unprimed and primed blocks, then Hermitize.  Idempotent."""
+    of the unprimed and primed blocks, then Hermitize.  Idempotent.  A
+    non-finite kernel raises a ValueError before the sum is allocated."""
+    _check_finite("symmetrize kernel", gamma.kernel)
     k, d = gamma.k, gamma.grid.dim
     perms = list(itertools.permutations(range(k)))
     acc = np.zeros_like(gamma.kernel)

@@ -25,7 +25,7 @@ from hierlab.interactions import (bbgky_error_level, bbgky_main_level,
 from hierlab.marginals import (Marginal, factorized_state, hierarchy_norm,
                                mixture_marginal, psd_defect,
                                pure_product_marginal, sobolev_norm,
-                               trace_sobolev_norm)
+                               symmetrize, trace_sobolev_norm)
 from hierlab.nbody import factorized_state as nbody_factorized_state
 
 from kernel_tools import forbid_transforms, zero_potential
@@ -112,6 +112,8 @@ PROBES = {
     "psd-defect-kernel-nan": (lambda: psd_defect(NAN_KERNEL), "kernel"),
     "trace-sobolev-norm-kernel-nan": (
         lambda: trace_sobolev_norm(NAN_KERNEL, 1.0), "kernel"),
+    "symmetrize-kernel-nan": (lambda: symmetrize(NAN_KERNEL),
+                              "symmetrize kernel"),
     "picard-t-nan": (
         lambda: picard_fixed_point(STATE, ZERO_V, 0.5, math.nan, 4), "t must"),
     "picard-t-inf": (
@@ -205,6 +207,17 @@ def test_operands_on_two_grids_raise_before_a_kernel_is_allocated(call, names):
     try:
         with pytest.raises(ValueError, match="different grids"):
             call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 8**4  # one level-2 kernel at n = 8
+
+
+def test_symmetrize_refuses_a_non_finite_kernel_before_its_sum():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="symmetrize kernel must be finite"):
+            symmetrize(NAN_STATE.entry(2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -440,16 +440,48 @@ def test_manifest_telemetry_reports_time_memory_and_faults(tmp_path):
 
 def test_every_manifest_carries_the_telemetry(tmp_path):
     # in one process a later run may fault in no new page, so only the
-    # times and the peak resident set must be positive here
+    # times and the peak resident set must be positive here; picard adds
+    # its two workers' busy times and the calling thread's wait for them
     for name in EXPERIMENTS:
         cfg = small_cfg(big_n=4, outdir=str(tmp_path))
         _, manifest_path = run_experiment(name, cfg)
-        telemetry = json.loads(manifest_path.read_text())["telemetry"]
-        assert sorted(telemetry) == ["cpu_s", "minor_faults", "peak_rss_mb",
-                                     "wall_s"], name
+        manifest = json.loads(manifest_path.read_text())
+        telemetry = manifest["telemetry"]
+        own = (["picard_result_wait_s", "picard_worker_busy_s"]
+               if name == "picard" else [])
+        assert sorted(telemetry) == sorted(["cpu_s", "minor_faults",
+                                            "peak_rss_mb", "wall_s", *own]), name
+        assert "telemetry" not in manifest.get("results", {}), name
         assert telemetry["wall_s"] > 0 and telemetry["cpu_s"] > 0, name
         assert telemetry["peak_rss_mb"] > 0, name
         assert isinstance(telemetry["minor_faults"], int), name
+        if name == "picard":
+            busy = telemetry["picard_worker_busy_s"]
+            assert len(busy) == 2 and all(b > 0 for b in busy)
+            assert sum(busy) < 2 * telemetry["wall_s"]
+            assert 0 <= telemetry["picard_result_wait_s"] < telemetry["wall_s"]
+
+
+def test_simulate_bbgky_builds_each_norm_weight_once(tmp_path, monkeypatch):
+    # the run logs 100 order-1 collision norms on the same two levels; each
+    # (grid, rank, alpha) weight is built once and shared read-only
+    import hierlab.grid as grid_mod
+    cached = grid_mod.sobolev_weight
+    cached.cache_clear()
+    asked, handed = [], []
+
+    def spy(grid, rank, alpha):
+        asked.append((grid, rank, alpha))
+        handed.append(cached(grid, rank, alpha))
+        return handed[-1]
+    monkeypatch.setattr(grid_mod, "sobolev_weight", spy)
+    run_experiment("simulate-bbgky", ExperimentConfig(
+        t_final=0.05, outdir=str(tmp_path)))
+    assert len(asked) >= 100
+    assert cached.cache_info().misses == len(set(asked))
+    assert not any(w.flags.writeable for w in handed)
+    with pytest.raises(ValueError, match="read-only"):
+        handed[0][(0,) * handed[0].ndim] = 0.0
 
 
 # the option strings of every subcommand, and the ones only it takes

@@ -21,7 +21,7 @@ from hierlab.hierarchy_evolution import (DUHAMEL_WORKING_STATES,
                                          check_series_budget, duhamel_tower,
                                          free_flow, gp_evolve, k_schedule,
                                          picard_fixed_point, t0_gate)
-from hierlab.interactions import (PotentialSpec, bbgky_main_level,
+from hierlab.interactions import (PotentialSpec, bbgky_main_level, bbgky_rhs,
                                   gaussian_profile, realize_potential)
 from hierlab.marginals import (HierarchyState, admissibility_defect,
                                factorized_state, free_propagate_marginal,
@@ -491,7 +491,7 @@ def test_bbgky_loop_peaks_no_higher_than_gp_loop(monkeypatch):
 def test_picard_peak_is_one_series_list_and_fixed_kernels(monkeypatch, grid,
                                                           steps):
     # n = 8 with 128 steps is what `hierlab picard --n 8` runs; its peak,
-    # 9.8-11.6 states beside the iterate, is the highest measured
+    # 11.8-14.0 states beside the iterate, is the highest measured
     start, pot = picard_setup(27, grid)
     peak, checked = _peak_and_checked(
         monkeypatch, lambda: picard_fixed_point(start, pot, 0.5, PICARD_T, steps))
@@ -501,8 +501,10 @@ def test_picard_peak_is_one_series_list_and_fixed_kernels(monkeypatch, grid,
 
 
 def test_picard_working_states_are_not_overcounted(monkeypatch):
-    # the call's peak beside the 33-sample iterate is 10.6 states at n = 16,
-    # so a count two states above it means the constant drifted upwards
+    # the call's peak beside the 33-sample iterate is 12.3 states at n = 16
+    # (12.8 when the call builds the norm weights rather than finding them
+    # cached), so a count two states above it means the constant drifted
+    # upwards
     start, pot = picard_setup(27)
     peak, _ = _peak_and_checked(
         monkeypatch, lambda: picard_fixed_point(start, pot, 0.5, PICARD_T, 32))
@@ -748,12 +750,22 @@ def test_picard_worker_moves_no_bit(monkeypatch, grid):
     # a level-2 kernel is 1 MiB at n = 16 and 64 KiB at n = 8, above and
     # below the size from which numpy reuses a temporary's buffer
     start, pot = picard_setup(27, grid)
+    ran_on = []
+
+    def recorded_rhs(state, pot):
+        ran_on.append(threading.current_thread())
+        return bbgky_rhs(state, pot)
+    monkeypatch.setattr(hierarchy_evolution, "bbgky_rhs", recorded_rhs)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # the threads trade the lock at every chance
     try:
         threaded = picard_fixed_point(start, pot, 0.5, PICARD_T, 32)
     finally:
         sys.setswitchinterval(interval)
+    # the samples were formed on the pool's two workers, never the caller
+    assert len(set(ran_on)) == 2
+    assert threading.main_thread() not in ran_on
+    assert len(threaded.worker_busy_s) == 2
     monkeypatch.setattr(hierarchy_evolution, "ThreadPoolExecutor",
                         SerialExecutor)
     serial = picard_fixed_point(start, pot, 0.5, PICARD_T, 32)
@@ -780,6 +792,32 @@ def test_picard_joins_its_worker_on_return_and_on_a_worker_error(monkeypatch):
     with pytest.raises(ArithmeticError, match="B_N failed"):
         picard_fixed_point(start, pot, 0.5, PICARD_T, 8)
     assert ran_on and threading.main_thread() not in ran_on
+    assert threading.active_count() == threads
+
+    # one worker raises while the other is inside B_N: the first call
+    # raises only once the second has started, and the second finishes
+    # after the error was raised
+    second_started, first_raised = threading.Event(), threading.Event()
+    lock, ran_on = threading.Lock(), []
+
+    def rhs_raising_mid_sample(state, pot):
+        with lock:
+            ran_on.append(threading.current_thread())
+            call = len(ran_on)
+        if call == 1:
+            assert second_started.wait(timeout=30)
+            first_raised.set()
+            raise ArithmeticError("B_N failed mid-sample")
+        if call == 2:
+            second_started.set()
+            assert first_raised.wait(timeout=30)
+        return bbgky_rhs(state, pot)
+    monkeypatch.setattr(hierarchy_evolution, "bbgky_rhs",
+                        rhs_raising_mid_sample)
+    with pytest.raises(ArithmeticError, match="B_N failed mid-sample"):
+        picard_fixed_point(start, pot, 0.5, PICARD_T, 8)
+    assert len(set(ran_on[:2])) == 2
+    assert threading.main_thread() not in ran_on
     assert threading.active_count() == threads
 
 
