@@ -334,17 +334,13 @@ def free_symbol(grid: GridSpec, signs: Sequence[int]) -> np.ndarray:
     return symbol
 
 
-@lru_cache(maxsize=8)
 def sobolev_weight(grid: GridSpec, rank: int, alpha: float) -> np.ndarray:
     """Parseval weight of the H^alpha norm on dft_forward spectra
-    (spectral_norm), prod_s (1 + |xi_s|^2)^alpha / L^(d*rank).  A time
-    loop logs its norms at the same few (grid, rank, alpha), so each weight
-    is built once and shared, read-only, like flow_matrix."""
+    (spectral_norm), prod_s (1 + |xi_s|^2)^alpha / L^(d*rank)."""
     weight = np.full(grid.slot_shape(rank), grid.L ** (-grid.dim * rank))
     sym = (1.0 + grid.k2) ** alpha
     for slot in range(rank):
         weight = weight * place_axes(sym, grid.slot_axes(slot), weight.ndim)
-    weight.flags.writeable = False
     return weight
 
 

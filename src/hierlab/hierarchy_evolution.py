@@ -367,7 +367,12 @@ def _flowed_prefix(spectra: Iterable[np.ndarray], phase: np.ndarray, dt: float,
     new prefix's array, every product by the phase as acc *= phase, so the
     rounding is the same at every size.  Spectra are read lazily, one
     sample at a time: theta_i has been read when A_i is yielded, and no
-    earlier prefix or sample than the next step needs is held.
+    earlier prefix or sample than the next step needs is held.  A step
+    lets go of the prefix it starts from once it has added it, unless the
+    next step reads it too (Simpson's odd points, whose last product then
+    forms one row at a time), so no step holds three prefix-sized arrays;
+    and no later step reads an odd Simpson prefix, so it is not held once
+    yielded.
     """
     # a step starts from the prefix and sample at i - 1, or at i - 2 for
     # Simpson's even points: a_from, th_from; th_prev is the sample at i - 1
@@ -378,19 +383,30 @@ def _flowed_prefix(spectra: Iterable[np.ndarray], phase: np.ndarray, dt: float,
         elif simpson and i % 2 == 0:
             acc = (dt / 3.0) * th_from
             acc += a_from
+            a_from = None
             acc *= phase
             acc += (4.0 * dt / 3.0) * th_prev
             acc *= phase
             acc += (dt / 3.0) * th
-        else:
+        elif simpson:
             acc = (dt / 2.0) * th_prev
             acc += a_from
             acc *= phase
+            for r in range(len(acc)):
+                np.add(acc[r], (dt / 2.0) * th[r], out=acc[r])
+        else:
+            acc = (dt / 2.0) * th_prev
+            acc += a_from
+            a_from = None
+            acc *= phase
             acc += (dt / 2.0) * th
+        th_prev = th
         if not simpson or i % 2 == 0:
             a_from, th_from = acc, th
-        th_prev = th
-        yield acc
+            yield acc
+        else:
+            odd, acc = [acc], None  # the generator holds no reference
+            yield odd.pop()
 
 
 # Hierarchy states of levels 1..j_max a Duhamel tower holds besides its atom.
@@ -501,24 +517,29 @@ class PicardResult:
 
 
 # Hierarchy states a Picard call holds besides the iterate's spectra, on
-# its three threads together: the start's spectra, the phases and the norm
-# weights; on the calling thread the Xi spectra of the sample it reads back
-# and that sample, or the prefix a step starts from, the new one and a
-# temporary; the prefixes of the samples in flight, until their worker has
-# inverted them; and on each worker the prefix in physical space, then
-# B_N's result, which the forward transform overwrites and which waits in
-# its future until the calling thread reads it.  tracemalloc puts the peak
-# of the whole call at 10.2-14.0 of them (d = 1 at n = 8 and 16, d = 2 at
-# n = 4; 32 and 128 steps; about 0.5 lower when the norm weights were
-# cached before the call, and highest at n = 8 with 128 steps), so 14 is
-# the least count above it.  The iterate is one array per level, so its
-# sample count adds no array headers to that peak.
-PICARD_WORKING_STATES = 14
+# its three threads together.  The start's spectra, the phases, Xi's
+# stepped spectra and the norm weights: 3.5.  On the calling thread, the
+# sample it reads back, the prefix the next step starts from and the norm's
+# |.|^2 (2.5), or a step's new prefix and its temporary (2).  In flight,
+# the PICARD_WORKERS + 1 samples submitted beyond the one read back: each
+# holds 1 state while it waits for a worker or to be read back, and at most
+# 2 while a worker forms it (the prefix and its inverse, then the inverse
+# and B_N's result, which is transformed forward into the inverse's
+# array), so at most 2 + 2 + 1.  That is 11.0, reached when both workers
+# form samples while one more waits.  tracemalloc puts the peak of the
+# whole call at 10.7-12.6 of them (d = 1 at n = 8 and 16, d = 2 at n = 4;
+# 32 and 128 steps; on one CPU or two): 11.16-11.3 at n = 16, and up to
+# 12.6 at n = 8, where about 100 KB of interpreter objects and B_N's slab
+# buffers come to 1.6 states of 66 KB.  So 13 is the least count above it.
+# The iterate is one array per level, so its sample count adds no array
+# headers to that peak.
+PICARD_WORKING_STATES = 13
 
 # Picard's worker threads, each forming one sample of a sweep at a time: a
 # fixed count, whatever the CPU count, so the working states stay fixed.
 # The calling thread keeps one sample more than this submitted beyond the
-# one it reads back, so a worker that finishes finds the next one queued.
+# one it reads back, so a worker that finishes finds the next one queued,
+# and no more.
 PICARD_WORKERS = 2
 
 
@@ -558,27 +579,29 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
     forward-propagated prefix integral through the samples by the same
     phases (see ``_flowed_prefix``) and inverts it once per sample and
     level to apply B_N.  The new sample's spectra are F(i B_N A) + Xi_hat,
-    one forward transform per level, in B_N's result; they give the update
-    norm by Parseval and overwrite the old ones, which the prefix has read
-    by then.
+    one forward transform per level, into the array the prefix was inverted
+    in; they give the update norm by Parseval and overwrite the old ones,
+    which the prefix has read by then.
 
     A sweep's samples are formed on a pool of ``PICARD_WORKERS`` = 2
     worker threads, and numpy's transforms release the interpreter lock, so
     the three threads overlap.  Every sample reads only the old iterate, so
     samples i + 1 and i + 2 can be formed at once; when the calling thread
-    reads back sample i it has submitted samples up to i + 3, so a worker
-    that finishes finds the next sample queued.  A worker forms F(i B_N A)
-    for one sample: the inverse transform of the prefix, B_N and the
-    forward transform.  The calling thread steps the prefixes and hands
-    them over, then reads the samples back in order, adds Xi's spectra,
-    takes each gap and writes each sample's spectra into the iterate;
-    sample i is written only after the prefix has stepped past it.  Every
-    operation keeps its operands and their order, so the bits are those of
-    one thread doing all of it.  The pool is started and joined inside the
-    call, before it returns or raises.  The iterate is allocated once, on
-    the calling thread, and written in place: the C library may give each
-    worker a heap of its own, and long-lived spectra allocated there would
-    leave the memory of the ones they replace unused.
+    reads back sample i it has submitted samples up to i + 3, no further,
+    so a worker that finishes finds the next sample queued and the memory
+    in flight is bounded.  A worker forms F(i B_N A) for one sample: the
+    inverse transform of the prefix, B_N, and the forward transform of
+    B_N's result into the array the prefix was inverted into.  The calling
+    thread steps the prefixes and hands them over, then reads the samples
+    back in order, adds Xi's spectra, takes each gap and writes each
+    sample's spectra into the iterate; sample i is written only after the
+    prefix has stepped past it.  Every operation keeps its operands and
+    their order, so the bits are those of one thread doing all of it.  The
+    pool is started and joined inside the call, before it returns or
+    raises.  The iterate is allocated once, on the calling thread, and
+    written in place: the C library may give each worker a heap of its
+    own, and long-lived spectra allocated there would leave the memory of
+    the ones they replace unused.
 
     ``xi`` is the H^1_xi level weight in (0, 1), which sets both the update
     norms and the heuristic contraction gate ``t0_gate(xi)`` that t must
@@ -616,18 +639,19 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
                 a *= phase
 
     def combine(prefix: list[np.ndarray]) -> list[np.ndarray]:
-        """F(i B_N A) from the spectra of A, each formed in B_N's result;
-        runs on a worker, which empties ``prefix`` once it has inverted it,
-        so the worker holds A no longer than it needs it."""
+        """F(i B_N A) from the spectra of A, formed in the arrays the
+        prefix is inverted into: the worker empties ``prefix`` once it has
+        inverted it, so it holds A no longer than it needs it, and
+        transforms B_N's result forward into its input's arrays.  Runs on a
+        worker."""
         t0 = time.perf_counter()
         try:
             physical = HierarchyState([marginal_from_spectrum(grid, k, a)
                                        for k, a in enumerate(prefix, start=1)])
             prefix.clear()
             new = _scaled(bbgky_rhs(physical, pot), 1j)
-            del physical
-            return [dft_forward(m.as_field(), out=m.kernel).data
-                    for m in new.entries]
+            return [dft_forward(m.as_field(), out=p.kernel).data
+                    for m, p in zip(new.entries, physical.entries)]
         finally:
             worker = threading.get_ident()
             busy[worker] = busy.get(worker, 0.0) + time.perf_counter() - t0
@@ -659,10 +683,18 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
         # prefix per level replaces the quadratic double loop over (t, s).
         # The prefixes are drawn first: their end ends the sweep, and a
         # step's temporary is gone before Xi's next spectra form, in place.
-        prefixes = zip(*[_flowed_prefix(level, phase, dt, simpson)
-                         for level, phase in zip(theta, phases)])
-        samples = _ahead((pool.submit(combine, list(prefix))
-                          for prefix in prefixes), PICARD_WORKERS + 1)
+        def submitted() -> Iterator[Future]:
+            """Each sample's prefix handed to the pool; no zip, whose result
+            tuple would keep the prefixes of two samples back."""
+            levels = [_flowed_prefix(level, phase, dt, simpson)
+                      for level, phase in zip(theta, phases)]
+            while True:
+                prefix = [next(level, None) for level in levels]
+                if prefix[0] is None:
+                    return
+                yield pool.submit(combine, prefix)
+
+        samples = _ahead(submitted(), PICARD_WORKERS + 1)
         xis = xi_spectra()
         gaps = []
         # a plain loop over the samples: enumerate or zip would keep the

@@ -462,28 +462,6 @@ def test_every_manifest_carries_the_telemetry(tmp_path):
             assert 0 <= telemetry["picard_result_wait_s"] < telemetry["wall_s"]
 
 
-def test_simulate_bbgky_builds_each_norm_weight_once(tmp_path, monkeypatch):
-    # the run logs 100 order-1 collision norms on the same two levels; each
-    # (grid, rank, alpha) weight is built once and shared read-only
-    import hierlab.grid as grid_mod
-    cached = grid_mod.sobolev_weight
-    cached.cache_clear()
-    asked, handed = [], []
-
-    def spy(grid, rank, alpha):
-        asked.append((grid, rank, alpha))
-        handed.append(cached(grid, rank, alpha))
-        return handed[-1]
-    monkeypatch.setattr(grid_mod, "sobolev_weight", spy)
-    run_experiment("simulate-bbgky", ExperimentConfig(
-        t_final=0.05, outdir=str(tmp_path)))
-    assert len(asked) >= 100
-    assert cached.cache_info().misses == len(set(asked))
-    assert not any(w.flags.writeable for w in handed)
-    with pytest.raises(ValueError, match="read-only"):
-        handed[0][(0,) * handed[0].ndim] = 0.0
-
-
 # the option strings of every subcommand, and the ones only it takes
 COMMON_FLAGS = {"-h", "--help", "--config", "--outdir", "--seed", "--dim",
                 "--n", "--box-length", "--dt", "--t-final", "--beta",

@@ -491,7 +491,7 @@ def test_bbgky_loop_peaks_no_higher_than_gp_loop(monkeypatch):
 def test_picard_peak_is_one_series_list_and_fixed_kernels(monkeypatch, grid,
                                                           steps):
     # n = 8 with 128 steps is what `hierlab picard --n 8` runs; its peak,
-    # 11.8-14.0 states beside the iterate, is the highest measured
+    # 11.8-12.6 states beside the iterate, is the highest measured
     start, pot = picard_setup(27, grid)
     peak, checked = _peak_and_checked(
         monkeypatch, lambda: picard_fixed_point(start, pot, 0.5, PICARD_T, steps))
@@ -501,9 +501,8 @@ def test_picard_peak_is_one_series_list_and_fixed_kernels(monkeypatch, grid,
 
 
 def test_picard_working_states_are_not_overcounted(monkeypatch):
-    # the call's peak beside the 33-sample iterate is 12.3 states at n = 16
-    # (12.8 when the call builds the norm weights rather than finding them
-    # cached), so a count two states above it means the constant drifted
+    # the call's peak beside the 33-sample iterate is 11.2-11.3 states at
+    # n = 16, so a count two states above it means the constant drifted
     # upwards
     start, pot = picard_setup(27)
     peak, _ = _peak_and_checked(
