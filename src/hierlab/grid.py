@@ -399,8 +399,7 @@ def random_low_mode_field(grid: GridSpec, rank: int, rng: np.random.Generator,
     Smooth by construction (Gaussian mode decay), so resolution studies are
     not starved by unresolved content.  Default max_mode is n//4.
     """
-    if rank < 1:
-        raise ValueError(f"rank must be >= 1, got {rank}")
+    _check_count("rank", rank, 1)
     if max_mode is None:
         max_mode = grid.n // 4
     if not 0 <= max_mode <= grid.n // 2:

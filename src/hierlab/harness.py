@@ -460,13 +460,16 @@ class _KernelFiles:
     """Store (``hierarchy_evolution.Store``) of ``simulate-<name>``: writes
     each stored state's kernels to the outdir as the time loop hands it over,
     one ``<name>_k<k>_step<step>.hlab`` file per level, and records the file
-    names in order.  It keeps no hierarchy state."""
+    names and each level's Hilbert-Schmidt norm in order: ``hs_norms[k]``
+    lists level k's, one per state handed over.  It keeps no hierarchy
+    state."""
 
     held = 0
 
     def __init__(self, outdir: Path, name: str):
         self.outdir, self.name = outdir, name
         self.files: list[str] = []
+        self.hs_norms: dict[int, list[float]] = {}
         outdir.mkdir(parents=True, exist_ok=True)
 
     def __call__(self, step: int, state: HierarchyState) -> None:
@@ -474,6 +477,7 @@ class _KernelFiles:
             fname = f"{self.name}_k{k}_step{step:05d}.hlab"
             write_marginal(self.outdir / fname, state.grid, k, gamma.kernel)
             self.files.append(fname)
+            self.hs_norms.setdefault(k, []).append(sobolev_norm(gamma, 0.0))
 
 
 class _KernelFilesAndResidual(_KernelFiles):
@@ -503,8 +507,9 @@ def _report_hierarchy_run(cfg: ExperimentConfig, traj: HierarchyTrajectory,
                           store: _KernelFiles, N: int | None = None
                           ) -> tuple[Report, dict]:
     """Trace-drift and collision-norm rows of ``simulate-<name>``, and the
-    manifest's files, traces and hs_norms.  The kernels were written by
-    ``store`` during the time loop."""
+    manifest's files, traces and hs_norms.  The kernels were written, and
+    their norms taken, by ``store`` during the time loop, which hands it
+    every step."""
     experiment = f"simulate_{store.name}"
     report = Report()
     for k, vals in traj.traces.items():
@@ -516,7 +521,7 @@ def _report_hierarchy_run(cfg: ExperimentConfig, traj: HierarchyTrajectory,
                    float(np.max(vals)) if len(vals) else 0.0, N=N, K=k)
     return report, {"files": store.files,
                     "traces": {k: v.tolist() for k, v in traj.traces.items()},
-                    "hs_norms": {k: v.tolist() for k, v in traj.hs_norms.items()}}
+                    "hs_norms": store.hs_norms}
 
 
 def run_simulate_gp(cfg: ExperimentConfig) -> tuple[Report, dict]:

@@ -24,7 +24,6 @@ transform.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 import time
@@ -203,7 +202,9 @@ def _rk4ip_step(state: HierarchyState, deriv: HierarchyState,
 
 @dataclass
 class HierarchyTrajectory:
-    """States at ``stored_steps``; traces and norms at every step.
+    """States at ``stored_steps``; each level's trace at every step, and,
+    when the loop logs them, its collision term's order-1 norm at every
+    step after step 0.  Any other per-step figure is the store's to take.
 
     ``states`` holds the stored states only when the time loop ran with its
     default store; a loop given its own ``store`` hands each stored state to
@@ -213,7 +214,6 @@ class HierarchyTrajectory:
     states: list[HierarchyState]
     stored_steps: list[int]
     traces: dict[int, np.ndarray]
-    hs_norms: dict[int, np.ndarray]
     collision_h1: dict[int, np.ndarray]
 
 
@@ -249,7 +249,6 @@ def _evolve(state0: HierarchyState, config: EvolutionConfig,
 
     store(0, state)
     traces = {k: [base_traces[k - 1]] for k in range(1, K + 1)}
-    hs = {k: [sobolev_norm(m, 0.0)] for k, m in enumerate(state.entries, start=1)}
     coll = {k: [] for k in range(1, K + 1)}
 
     deriv = None  # rhs(state, t) when the last step logged it
@@ -262,7 +261,6 @@ def _evolve(state0: HierarchyState, config: EvolutionConfig,
         for k in range(1, K + 1):
             tr = trace(state.entry(k)).real
             traces[k].append(tr)
-            hs[k].append(sobolev_norm(state.entry(k), 0.0))
             drift = abs(tr - base_traces[k - 1])
             # the collision term is traceless on the grid, so a drifting or
             # non-finite trace is an integrator blow-up, not physics
@@ -280,7 +278,6 @@ def _evolve(state0: HierarchyState, config: EvolutionConfig,
     return HierarchyTrajectory(
         states=states, stored_steps=keep,
         traces={k: np.array(v) for k, v in traces.items()},
-        hs_norms={k: np.array(v) for k, v in hs.items()},
         collision_h1={k: np.array(v) for k, v in coll.items()})
 
 
@@ -549,18 +546,6 @@ PICARD_TOL = 1e-8
 PICARD_MAX_SWEEPS = 50
 
 
-def _ahead(futures: Iterable[Future], depth: int) -> Iterator[Future]:
-    """``futures`` in order, each yielded once the ``depth`` after it have
-    been drawn: drawing a future submits its call, so the workers have the
-    next ``depth`` calls in hand while the caller reads this one's result."""
-    held = iter(futures)
-    window = deque(itertools.islice(held, depth))
-    for item in held:
-        window.append(item)
-        yield window.popleft()
-    yield from window
-
-
 def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
                        t: float, n_steps: int) -> PicardResult:
     """Iterate Theta <- Xi + i Int_0^t B_N U(t-s) Theta(s) ds on the
@@ -645,16 +630,15 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
         transforms B_N's result forward into its input's arrays.  Runs on a
         worker."""
         t0 = time.perf_counter()
-        try:
-            physical = HierarchyState([marginal_from_spectrum(grid, k, a)
-                                       for k, a in enumerate(prefix, start=1)])
-            prefix.clear()
-            new = _scaled(bbgky_rhs(physical, pot), 1j)
-            return [dft_forward(m.as_field(), out=p.kernel).data
-                    for m, p in zip(new.entries, physical.entries)]
-        finally:
-            worker = threading.get_ident()
-            busy[worker] = busy.get(worker, 0.0) + time.perf_counter() - t0
+        physical = HierarchyState([marginal_from_spectrum(grid, k, a)
+                                   for k, a in enumerate(prefix, start=1)])
+        prefix.clear()
+        new = _scaled(bbgky_rhs(physical, pot), 1j)
+        spectra = [dft_forward(m.as_field(), out=p.kernel).data
+                   for m, p in zip(new.entries, physical.entries)]
+        worker = threading.get_ident()
+        busy[worker] = busy.get(worker, 0.0) + time.perf_counter() - t0
+        return spectra
 
     def absorb(i: int, spectra: Sequence[np.ndarray],
                xs: Sequence[np.ndarray], keep: bool) -> float:
@@ -676,38 +660,38 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
     def sweep(pool: ThreadPoolExecutor, simpson: bool) -> float:
         """Max-over-samples distance of the next iterate to theta.  The
         trapezoid sweep overwrites theta with the next iterate; the Simpson
-        sweep keeps it.  ``_ahead`` steps the prefix past sample i + 3
-        before theta's sample i is overwritten."""
+        sweep keeps it.  Sample i is read back once samples up to
+        i + PICARD_WORKERS + 1 have been submitted, or all of them: the
+        prefix has stepped past sample i + 3 before theta's sample i is
+        overwritten, and no more than that is in flight."""
         nonlocal waited
         # B_N U(t-s) Theta(s) = B_N U(t) [U(-s) Theta(s)], so one running
-        # prefix per level replaces the quadratic double loop over (t, s).
-        # The prefixes are drawn first: their end ends the sweep, and a
-        # step's temporary is gone before Xi's next spectra form, in place.
-        def submitted() -> Iterator[Future]:
-            """Each sample's prefix handed to the pool; no zip, whose result
-            tuple would keep the prefixes of two samples back."""
-            levels = [_flowed_prefix(level, phase, dt, simpson)
-                      for level, phase in zip(theta, phases)]
-            while True:
-                prefix = [next(level, None) for level in levels]
-                if prefix[0] is None:
-                    return
-                yield pool.submit(combine, prefix)
-
-        samples = _ahead(submitted(), PICARD_WORKERS + 1)
+        # prefix per level replaces the quadratic double loop over (t, s)
+        prefixes = [_flowed_prefix(level, phase, dt, simpson)
+                    for level, phase in zip(theta, phases)]
         xis = xi_spectra()
-        gaps = []
-        # a plain loop over the samples: enumerate or zip would keep the
-        # last sample in their result tuple while the next one is drawn
-        for sample in samples:
-            t0 = time.perf_counter()
-            spectra = sample.result()
-            waited += time.perf_counter() - t0
-            gaps.append(absorb(len(gaps), spectra, next(xis), keep=not simpson))
-            del sample, spectra  # they go before the next sample is handed over
-        for i, gap in enumerate(gaps):
-            if not math.isfinite(gap):
-                raise RuntimeError(f"Picard update at sample {i} is {gap}")
+        pending: deque[Future] = deque()
+        gaps: list[float] = []
+        drawn = True
+        while drawn or pending:
+            # no zip, whose result tuple would keep the prefixes of two
+            # samples back
+            prefix = [next(level, None) for level in prefixes]
+            drawn = prefix[0] is not None
+            if drawn:
+                pending.append(pool.submit(combine, prefix))
+            if not drawn or len(pending) > PICARD_WORKERS + 1:
+                t0 = time.perf_counter()
+                pending[0].result()  # the wait for the oldest sample
+                waited += time.perf_counter() - t0
+                # bound to no name, the sample's spectra are freed when
+                # absorb returns, before the next prefix is drawn
+                gap = absorb(len(gaps), pending.popleft().result(), next(xis),
+                             keep=not simpson)
+                if not math.isfinite(gap):
+                    raise RuntimeError(
+                        f"Picard update at sample {len(gaps)} is {gap}")
+                gaps.append(gap)
         return max(gaps)
 
     update_norms: list[float] = []

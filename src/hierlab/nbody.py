@@ -169,7 +169,8 @@ def extract_marginal(psi: Field, k: int) -> Marginal:
     """k-particle reduction: contract the trailing slots of psi (x) conj(psi)
     with quadrature weights.  Unit-norm input gives a unit-trace kernel."""
     grid, big_n = psi.grid, psi.rank
-    if not 1 <= k <= big_n:
+    _check_count("k", k, 1)
+    if k > big_n:
         raise ValueError(f"k must lie in 1..{big_n}")
     default_budget().check_elements(grid.num_points ** (2 * k), f"marginal k={k}")
     rows = grid.num_points**k
@@ -181,8 +182,7 @@ def extract_marginal(psi: Field, k: int) -> Marginal:
 def energy_moments(state: NBodyState, k: int) -> list[float]:
     """[<psi, H^j psi> for j = 0..k] from k successive applications of H; each
     imaginary part is checked against the Hermiticity tolerance."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    _check_count("k", k, 0)
     if k > 3:
         raise ValueError("moments above k=3 are outside the budget")
     vec = state.psi

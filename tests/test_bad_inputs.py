@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hierlab.cli import EXPERIMENT_ONLY, main
-from hierlab.definetti import Mixture
+from hierlab.definetti import (Mixture, energy_functional_direct,
+                               energy_functional_mixture, random_mixture)
 from hierlab.grid import (Field, bessel_multiply, free_propagate, inner,
                           make_grid, random_low_mode_field, sobolev_norm_field)
 from hierlab.harness import ExperimentConfig, Report
@@ -26,6 +27,7 @@ from hierlab.marginals import (Marginal, factorized_state, hierarchy_norm,
                                mixture_marginal, psd_defect,
                                pure_product_marginal, sobolev_norm,
                                symmetrize, trace_sobolev_norm)
+from hierlab.nbody import energy_moments, extract_marginal
 from hierlab.nbody import factorized_state as nbody_factorized_state
 
 from kernel_tools import forbid_transforms, zero_potential
@@ -45,6 +47,7 @@ G8_L3 = make_grid(1, 8, 3.0)
 PHI_L3 = random_low_mode_field(G8_L3, 1, np.random.default_rng(0), max_mode=2)
 PHI_N16 = random_low_mode_field(make_grid(1, 16), 1, np.random.default_rng(0))
 V_L3 = zero_potential(G8_L3)
+NBODY = nbody_factorized_state(PHI, 3, ZERO_V)
 
 
 def profile_with(value: float) -> Field:
@@ -166,6 +169,19 @@ PROBES = {
     "evolution-dt-inf": (lambda: EvolutionConfig(dt=math.inf), "dt"),
     "random-field-rank-0": (
         lambda: random_low_mode_field(G8, 0, np.random.default_rng(0)), "rank"),
+    "random-field-rank-bool": (
+        lambda: random_low_mode_field(G8, True, np.random.default_rng(0)),
+        "rank must"),
+    "random-mixture-atoms-bool": (
+        lambda: random_mixture(G8, True, np.random.default_rng(0)), "n_atoms"),
+    "extract-marginal-k-bool": (lambda: extract_marginal(NBODY.psi, True),
+                                "k must"),
+    "energy-moments-k-float": (lambda: energy_moments(NBODY, 1.5), "k must"),
+    "functional-mixture-m-float": (
+        lambda: energy_functional_mixture(Mixture([(1.0, PHI)]), 1.5),
+        "m must"),
+    "functional-direct-m-bool": (
+        lambda: energy_functional_direct(STATE, True), "m must"),
     "random-field-max-mode-above-half": (
         lambda: random_low_mode_field(G8, 1, np.random.default_rng(0),
                                       max_mode=5), "max_mode"),

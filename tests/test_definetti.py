@@ -7,8 +7,9 @@ from hierlab.definetti import (Mixture, energy_functional_direct,
                                random_mixture)
 from hierlab.grid import Field, l2_norm, make_grid, random_low_mode_field
 from hierlab.hierarchy_evolution import EvolutionConfig, gp_evolve
-from hierlab.marginals import (hierarchy_norm, mixture_marginal, mixture_state,
-                               psd_defect, pure_product_marginal, sobolev_norm,
+from hierlab.marginals import (admissibility_defect, hierarchy_norm,
+                               mixture_marginal, mixture_state, psd_defect,
+                               pure_product_marginal, sobolev_norm,
                                trace_sobolev_norm)
 
 G16 = make_grid(1, 16, 2 * np.pi)
@@ -222,10 +223,17 @@ def test_window_chain_four_windows_within_bound():
     mix = random_mixture(G8, 3, np.random.default_rng(16))
     out = window_chain(mix, window=0.05, windows=4, dt=1e-3)
     assert out["passed"]
-    for row in out["rows"]:
-        assert row["h1_norm"] <= row["bound"] + 1e-6 * row["bound"]
-        assert row["psd_defect"] < 1e-9
-        assert row["admissibility_defect"] < 1e-8
+    bound = hierarchy_norm(mixture_state(mix, 2), 1.0, 0.7, flavor="trace")
+    cfg = EvolutionConfig(dt=1e-3, t_final=0.05)
+    current = mix
+    for w, row in enumerate(out["rows"]):
+        assert row["h1_norm"] <= bound + 1e-6 * bound
+        if w > 0:
+            current = flow_mixture(current, 0.05, 1e-3)
+        terminal = gp_evolve(mixture_state(current, 2), cfg, mixture=current,
+                             store_every=0).states[-1]
+        assert max(psd_defect(gamma) for gamma in terminal.entries) < 1e-9
+        assert max(admissibility_defect(terminal)) < 1e-8
 
 
 def test_window_chain_flows_between_windows_only(monkeypatch):

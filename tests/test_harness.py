@@ -267,6 +267,11 @@ def test_streamed_outputs_equal_in_memory_outputs(tmp_path, monkeypatch,
             ref_files.append(fname)
     manifest = json.loads(manifest_path.read_text())
     assert manifest["results"]["files"] == ref_files
+    # the store takes each level's norm of every step, from step 0
+    assert manifest["results"]["hs_norms"] == {
+        str(k): [marginals_mod.sobolev_norm(state.entry(k), 0.0)
+                 for state in traj.states]
+        for k in range(1, traj.states[0].K + 1)}
     for fname in ref_files:
         assert (Path(cfg.outdir) / fname).read_bytes() == \
             (ref_dir / fname).read_bytes()

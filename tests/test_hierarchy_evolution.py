@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -307,7 +308,7 @@ def _injected_trajectory(phi, dt, t_final):
                                       pure_product_marginal(p, 2)]))
     return HierarchyTrajectory(states=states,
                                stored_steps=list(range(n_steps + 1)),
-                               traces={}, hs_norms={}, collision_h1={})
+                               traces={}, collision_h1={})
 
 
 def test_residual_quarters_when_dt_halves():
@@ -322,7 +323,7 @@ def test_residual_zero_state():
     zero = HierarchyState([zero_marginal(G16, 1), zero_marginal(G16, 2)])
     traj = HierarchyTrajectory(states=[zero.copy() for _ in range(4)],
                                stored_steps=list(range(4)), traces={},
-                               hs_norms={}, collision_h1={})
+                               collision_h1={})
     res = gp_residual(traj, 1e-3)
     assert np.max(res[1]) == 0.0
 
@@ -334,7 +335,7 @@ def test_residual_free_flow_equals_collision_norm():
     states = [free_flow(state, i * dt) for i in range(5)]
     traj = HierarchyTrajectory(states=states,
                                stored_steps=list(range(5)), traces={},
-                               hs_norms={}, collision_h1={})
+                               collision_h1={})
     res = gp_residual(traj, dt)
     from hierlab.interactions import gp_collision_level
     # the free part of the central difference cancels to O(dt^2), leaving
@@ -775,6 +776,43 @@ def test_picard_worker_moves_no_bit(monkeypatch, grid):
     assert threaded.update_norms == serial.update_norms
     assert threaded.contraction_ratios == serial.contraction_ratios
     assert threaded.residual == serial.residual
+
+
+def test_picard_reads_sample_i_back_with_i_plus_workers_plus_2_submitted(
+        monkeypatch):
+    # the prefix has stepped past sample i + 3 when theta's sample i is
+    # written, and no further, in the trapezoid sweeps and in Simpson's
+    start, pot = picard_setup(27, G8)
+    steps, threads = 16, set()
+    submitted = 0
+    read_at: dict[int, int] = {}  # future -> futures submitted when first read
+
+    class LoggedFuture:
+        def __init__(self, future, index):
+            self.future, self.index = future, index
+
+        def result(self):
+            threads.add(threading.current_thread())
+            read_at.setdefault(self.index, submitted)
+            return self.future.result()
+
+    class LoggedPool(ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            nonlocal submitted
+            threads.add(threading.current_thread())
+            submitted += 1
+            return LoggedFuture(super().submit(fn, *args, **kwargs),
+                                submitted - 1)
+    monkeypatch.setattr(hierarchy_evolution, "ThreadPoolExecutor", LoggedPool)
+    result = picard_fixed_point(start, pot, 0.5, PICARD_T, steps)
+    assert threads == {threading.main_thread()}
+    sweeps = result.iterations + 1  # the trapezoid sweeps, then Simpson's
+    assert submitted == sweeps * (steps + 1)
+    assert list(read_at) == list(range(submitted))  # read back in order
+    for i, at in read_at.items():
+        sweep, sample = divmod(i, steps + 1)
+        assert at - sweep * (steps + 1) == min(
+            sample + hierarchy_evolution.PICARD_WORKERS + 2, steps + 1)
 
 
 def test_picard_joins_its_worker_on_return_and_on_a_worker_error(monkeypatch):
