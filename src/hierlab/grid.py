@@ -402,7 +402,8 @@ def random_low_mode_field(grid: GridSpec, rank: int, rng: np.random.Generator,
     _check_count("rank", rank, 1)
     if max_mode is None:
         max_mode = grid.n // 4
-    if not 0 <= max_mode <= grid.n // 2:
+    _check_count("max_mode", max_mode, 0)
+    if max_mode > grid.n // 2:
         raise ValueError(f"max_mode must lie in 0..{grid.n // 2} (n // 2), "
                          f"got {max_mode}")
     default_budget().check_elements(grid.num_points**rank, "random field")

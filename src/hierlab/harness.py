@@ -460,9 +460,10 @@ class _KernelFiles:
     """Store (``hierarchy_evolution.Store``) of ``simulate-<name>``: writes
     each stored state's kernels to the outdir as the time loop hands it over,
     one ``<name>_k<k>_step<step>.hlab`` file per level, and records the file
-    names and each level's Hilbert-Schmidt norm in order: ``hs_norms[k]``
-    lists level k's, one per state handed over.  It keeps no hierarchy
-    state."""
+    names and two norms per level in order: ``hs_norms[k]`` lists level k's
+    Hilbert-Schmidt norm, one per state handed over, and ``collision_h1[k]``
+    the order-1 norm of level k's collision term, one per state after step
+    0.  It keeps no hierarchy state."""
 
     held = 0
 
@@ -470,14 +471,19 @@ class _KernelFiles:
         self.outdir, self.name = outdir, name
         self.files: list[str] = []
         self.hs_norms: dict[int, list[float]] = {}
+        self.collision_h1: dict[int, list[float]] = {}
         outdir.mkdir(parents=True, exist_ok=True)
 
-    def __call__(self, step: int, state: HierarchyState) -> None:
+    def __call__(self, step: int, state: HierarchyState,
+                 deriv: HierarchyState) -> None:
         for k, gamma in enumerate(state.entries, start=1):
             fname = f"{self.name}_k{k}_step{step:05d}.hlab"
             write_marginal(self.outdir / fname, state.grid, k, gamma.kernel)
             self.files.append(fname)
             self.hs_norms.setdefault(k, []).append(sobolev_norm(gamma, 0.0))
+            coll = self.collision_h1.setdefault(k, [])
+            if step >= 1:
+                coll.append(sobolev_norm(deriv.entry(k), 1.0))
 
 
 class _KernelFilesAndResidual(_KernelFiles):
@@ -494,8 +500,9 @@ class _KernelFilesAndResidual(_KernelFiles):
         self.window: deque[HierarchyState] = deque(maxlen=self.held)
         self.residual: dict[int, list[float]] = {}
 
-    def __call__(self, step: int, state: HierarchyState) -> None:
-        super().__call__(step, state)
+    def __call__(self, step: int, state: HierarchyState,
+                 deriv: HierarchyState) -> None:
+        super().__call__(step, state, deriv)
         self.window.append(state)
         if len(self.window) == self.held:
             row = gp_residual_row(*self.window, self.dt)
@@ -507,18 +514,18 @@ def _report_hierarchy_run(cfg: ExperimentConfig, traj: HierarchyTrajectory,
                           store: _KernelFiles, N: int | None = None
                           ) -> tuple[Report, dict]:
     """Trace-drift and collision-norm rows of ``simulate-<name>``, and the
-    manifest's files, traces and hs_norms.  The kernels were written, and
-    their norms taken, by ``store`` during the time loop, which hands it
-    every step."""
+    manifest's files, traces and hs_norms.  ``store`` wrote the kernels and
+    took both norms during the time loop, which hands it every step with its
+    right-hand side."""
     experiment = f"simulate_{store.name}"
     report = Report()
     for k, vals in traj.traces.items():
         report.add(experiment, f"trace_drift_k{k}",
                    float(np.max(np.abs(vals - vals[0]))), N=N, K=k,
                    t=cfg.t_final)
-    for k, vals in traj.collision_h1.items():
+    for k, vals in store.collision_h1.items():
         report.add(experiment, f"collision_h1_max_k{k}",
-                   float(np.max(vals)) if len(vals) else 0.0, N=N, K=k)
+                   float(np.max(vals)) if vals else 0.0, N=N, K=k)
     return report, {"files": store.files,
                     "traces": {k: v.tolist() for k, v in traj.traces.items()},
                     "hs_norms": store.hs_norms}
@@ -532,8 +539,7 @@ def run_simulate_gp(cfg: ExperimentConfig) -> tuple[Report, dict]:
     state0 = factorized_state(phi, cfg.k_max)
     evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final)
     store = _KernelFilesAndResidual(Path(cfg.outdir), "gp", cfg.dt)
-    traj = gp_evolve(state0, evo, mixture=mixture, store_every=1,
-                     log_collision_norms=True, store=store)
+    traj = gp_evolve(state0, evo, mixture=mixture, store=store)
     report, extra = _report_hierarchy_run(cfg, traj, store)
     for k, vals in store.residual.items():
         report.add("simulate_gp", f"residual_max_k{k}", float(np.max(vals)), K=k)
@@ -551,8 +557,7 @@ def run_simulate_bbgky(cfg: ExperimentConfig) -> tuple[Report, dict]:
     state0 = factorized_state(phi, K)
     evo = EvolutionConfig(dt=cfg.dt, t_final=cfg.t_final)
     store = _KernelFiles(Path(cfg.outdir), "bbgky")
-    traj = bbgky_evolve(state0, evo, pot, store_every=1,
-                        log_collision_norms=True, store=store)
+    traj = bbgky_evolve(state0, evo, pot, store=store)
     return _report_hierarchy_run(cfg, traj, store, N=pot.big_n)
 
 

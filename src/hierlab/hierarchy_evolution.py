@@ -202,9 +202,8 @@ def _rk4ip_step(state: HierarchyState, deriv: HierarchyState,
 
 @dataclass
 class HierarchyTrajectory:
-    """States at ``stored_steps``; each level's trace at every step, and,
-    when the loop logs them, its collision term's order-1 norm at every
-    step after step 0.  Any other per-step figure is the store's to take.
+    """States at ``stored_steps`` and each level's trace at every step.  Any
+    other per-step figure is the store's to take.
 
     ``states`` holds the stored states only when the time loop ran with its
     default store; a loop given its own ``store`` hands each stored state to
@@ -214,24 +213,25 @@ class HierarchyTrajectory:
     states: list[HierarchyState]
     stored_steps: list[int]
     traces: dict[int, np.ndarray]
-    collision_h1: dict[int, np.ndarray]
 
 
 class Store(Protocol):
-    """Takes each stored sample of a time loop as ``store(step, state)``, in
-    step order.  ``held`` is the number of hierarchy states it keeps at
-    once; the loop's budget check counts those as its stored samples."""
+    """Takes each stored sample of a time loop as ``store(step, state,
+    deriv)``, in step order, where ``deriv`` is the right-hand side at
+    ``state``.  The next step works in ``deriv``'s arrays, so a store reads
+    it before it returns and keeps none of it.  ``held`` is the number of
+    hierarchy states it keeps at once; the loop's budget check counts those
+    as its stored samples."""
 
     held: int
 
-    def __call__(self, step: int, state: HierarchyState) -> None: ...
+    def __call__(self, step: int, state: HierarchyState,
+                 deriv: HierarchyState) -> None: ...
 
 
 def _evolve(state0: HierarchyState, config: EvolutionConfig,
             rhs: Callable[[HierarchyState, float], HierarchyState],
-            store_every: int = 1,
-            log_collision_norms: bool = False,
-            store: Store | None = None) -> HierarchyTrajectory:
+            store_every: int, store: Store | None) -> HierarchyTrajectory:
     _check_start(state0)
     n_steps = step_count(config.t_final, config.dt)
     keep = stored_steps(n_steps, store_every)
@@ -239,25 +239,20 @@ def _evolve(state0: HierarchyState, config: EvolutionConfig,
     held = len(keep) if store is None else store.held
     check_series_budget(state0.grid, state0.K, held, RK4IP_WORKING_STATES)
     if store is None:  # the default store keeps every sample in the trajectory
-        def store(step: int, s: HierarchyState) -> None:
+        def store(step: int, s: HierarchyState, deriv: HierarchyState) -> None:
             states.append(s)
     kept = set(keep)
     dt = config.dt
     K = state0.K
     state = state0.copy()
     base_traces = [trace(m).real for m in state.entries]
-
-    store(0, state)
     traces = {k: [base_traces[k - 1]] for k in range(1, K + 1)}
-    coll = {k: [] for k in range(1, K + 1)}
 
-    deriv = None  # rhs(state, t) when the last step logged it
+    deriv = rhs(state, 0.0)
+    store(0, state, deriv)
     for step in range(1, n_steps + 1):
         t = (step - 1) * dt
-        if deriv is None:
-            deriv = rhs(state, t)
         state = _rk4ip_step(state, deriv, t, dt, rhs)
-        deriv = None  # the step worked in its arrays
         for k in range(1, K + 1):
             tr = trace(state.entry(k)).real
             traces[k].append(tr)
@@ -269,21 +264,16 @@ def _evolve(state0: HierarchyState, config: EvolutionConfig,
                 raise InstabilityError(
                     f"trace of level {k} drifted by {drift:.3e} at t={step * dt:.4f} "
                     f"(dt={dt})")
+        deriv = rhs(state, step * dt)  # the next step's k1
         if step in kept:
-            store(step, state)
-        if log_collision_norms:  # the logged derivative is the next step's k1
-            deriv = rhs(state, step * dt)
-            for k, m in enumerate(deriv.entries, start=1):
-                coll[k].append(sobolev_norm(m, 1.0))
+            store(step, state, deriv)
     return HierarchyTrajectory(
         states=states, stored_steps=keep,
-        traces={k: np.array(v) for k, v in traces.items()},
-        collision_h1={k: np.array(v) for k, v in coll.items()})
+        traces={k: np.array(v) for k, v in traces.items()})
 
 
 def gp_evolve(state0: HierarchyState, config: EvolutionConfig,
               mixture=None, store_every: int = 1,
-              log_collision_norms: bool = False,
               store: Store | None = None) -> HierarchyTrajectory:
     """Evolve the K-truncated contact hierarchy, with unit coupling.
 
@@ -303,13 +293,11 @@ def gp_evolve(state0: HierarchyState, config: EvolutionConfig,
                       else closure.top_collision(t))
         return _scaled(HierarchyState(levels), -1j)
 
-    return _evolve(state0, config, rhs, store_every=store_every,
-                   log_collision_norms=log_collision_norms, store=store)
+    return _evolve(state0, config, rhs, store_every, store)
 
 
 def bbgky_evolve(state0: HierarchyState, config: EvolutionConfig,
                  pot: PotentialSpec, store_every: int = 1,
-                 log_collision_norms: bool = False,
                  store: Store | None = None) -> HierarchyTrajectory:
     """Evolve the K-truncated finite-N hierarchy (levels above K stay zero,
     so the top level sees only its same-level interaction term).  A
@@ -321,8 +309,7 @@ def bbgky_evolve(state0: HierarchyState, config: EvolutionConfig,
     def rhs(state: HierarchyState, t: float) -> HierarchyState:
         return _scaled(bbgky_rhs(state, pot), -1j)
 
-    return _evolve(state0, config, rhs, store_every=store_every,
-                   log_collision_norms=log_collision_norms, store=store)
+    return _evolve(state0, config, rhs, store_every, store)
 
 
 def gp_residual_row(prev_s: HierarchyState, cur: HierarchyState,

@@ -1,7 +1,8 @@
 """Test tools: symmetry defects of density kernels, the zero potential, a
 non-factorized bosonic N-body state, the contact residual of a whole stored
 trajectory, one finite-N error term, out-of-place references for the
-in-place RK4 step, finite-N error sum and prefix steps, a guard that fails
+in-place RK4 step, finite-N error sum and prefix steps, the time loops'
+right-hand side formed afresh at a state, a guard that fails
 a test when an n-d transform runs, a counter of n-d transforms by rank, and
 an executor that runs each call on the calling thread."""
 
@@ -14,9 +15,9 @@ import numpy as np
 import pytest
 
 from hierlab.grid import Field, normalized, place_axes
-from hierlab.hierarchy_evolution import (HierarchyTrajectory, free_flow,
-                                         gp_residual_row)
-from hierlab.interactions import PotentialSpec
+from hierlab.hierarchy_evolution import (HierarchyTrajectory, MixtureClosure,
+                                         free_flow, gp_residual_row)
+from hierlab.interactions import PotentialSpec, bbgky_rhs, gp_collision_level
 from hierlab.marginals import HierarchyState, Marginal, zero_marginal
 from hierlab.nbody import NBodyState, factorized_state
 
@@ -168,6 +169,24 @@ class SerialExecutor:
         except Exception as err:  # the future re-raises it on result()
             future.set_exception(err)
         return future
+
+
+def loop_rhs(state: HierarchyState, step: int, dt: float, *, mixture=None,
+             pot: PotentialSpec | None = None) -> HierarchyState:
+    """The right-hand side of ``bbgky_evolve`` with ``pot``, else of
+    ``gp_evolve`` with ``mixture``, at ``state``, the state of step ``step``,
+    formed afresh: the mixture's closure is a new one, queried at step * dt.
+    """
+    if pot is not None:
+        rhs = bbgky_rhs(state, pot)
+    else:
+        levels = [gp_collision_level(g) for g in state.entries[1:]]
+        levels.append(MixtureClosure(mixture, state.K, dt / 2.0)
+                      .top_collision(step * dt))
+        rhs = HierarchyState(levels)
+    for m in rhs.entries:
+        m.kernel *= -1j
+    return rhs
 
 
 def bits(state: HierarchyState) -> list[np.ndarray]:

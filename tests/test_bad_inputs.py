@@ -182,6 +182,18 @@ PROBES = {
         "m must"),
     "functional-direct-m-bool": (
         lambda: energy_functional_direct(STATE, True), "m must"),
+    "random-field-max-mode-bool": (
+        lambda: random_low_mode_field(G8, 1, np.random.default_rng(0),
+                                      max_mode=True), "max_mode must"),
+    "random-field-max-mode-float": (
+        lambda: random_low_mode_field(G8, 1, np.random.default_rng(0),
+                                      max_mode=2.5), "max_mode must"),
+    "random-mixture-max-mode-bool": (
+        lambda: random_mixture(G8, 2, np.random.default_rng(0), max_mode=True),
+        "max_mode must"),
+    "random-mixture-max-mode-float": (
+        lambda: random_mixture(G8, 2, np.random.default_rng(0), max_mode=2.5),
+        "max_mode must"),
     "random-field-max-mode-above-half": (
         lambda: random_low_mode_field(G8, 1, np.random.default_rng(0),
                                       max_mode=5), "max_mode"),

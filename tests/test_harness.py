@@ -27,7 +27,7 @@ from hierlab.harness import (CSV_HEADER, EXPERIMENTS, ExperimentConfig, Report,
 from hierlab.hierarchy_evolution import InstabilityError
 from hierlab.storage import read_marginal, write_marginal
 
-from kernel_tools import count_transforms, gp_residual
+from kernel_tools import count_transforms, gp_residual, loop_rhs
 
 
 def small_cfg(**kw):
@@ -252,12 +252,12 @@ def test_streamed_outputs_equal_in_memory_outputs(tmp_path, monkeypatch,
     real, kept = getattr(harness_mod, evolve), []
 
     def both(*args, store, **kw):
-        kept.append(real(*args, **kw))
+        kept.append((real(*args, **kw), args, kw))
         return real(*args, store=store, **kw)
     monkeypatch.setattr(harness_mod, evolve, both)
     cfg = small_cfg(outdir=str(tmp_path / "streamed"), t_final=t_final)
     csv_path, manifest_path = run_experiment(f"simulate-{name}", cfg)
-    (traj,) = kept
+    ((traj, args, kw),) = kept
     ref_dir, ref_files = tmp_path / "in_memory", []
     ref_dir.mkdir()
     for step, state in zip(traj.stored_steps, traj.states):
@@ -275,6 +275,19 @@ def test_streamed_outputs_equal_in_memory_outputs(tmp_path, monkeypatch,
     for fname in ref_files:
         assert (Path(cfg.outdir) / fname).read_bytes() == \
             (ref_dir / fname).read_bytes()
+    collision = {line.split(",")[5]: float(line.split(",")[6])
+                 for line in csv_path.read_text().splitlines()[1:]
+                 if ",collision_h1_max_k" in line}
+    # each level's largest collision norm over the steps after step 0, of
+    # the right-hand side formed afresh at the in-memory states
+    derivs = [loop_rhs(state, step, cfg.dt,
+                       **({"pot": args[2]} if name == "bbgky"
+                          else {"mixture": kw["mixture"]}))
+              for step, state in zip(traj.stored_steps, traj.states) if step]
+    assert collision == {
+        f"collision_h1_max_k{k}": max(marginals_mod.sobolev_norm(d.entry(k), 1.0)
+                                      for d in derivs)
+        for k in range(1, traj.states[0].K + 1)}
     rows = {line.split(",")[5]: float(line.split(",")[6])
             for line in csv_path.read_text().splitlines()[1:]
             if ",residual_max_k" in line}

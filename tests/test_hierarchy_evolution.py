@@ -36,7 +36,7 @@ from hierlab.nbody import (HAMILTONIAN_WORKING_FIELDS,
                            hamiltonian_apply, nbody_evolve)
 
 from kernel_tools import (SerialExecutor, bits, forbid_transforms, gp_residual,
-                          hermiticity_defect, permutation_defect,
+                          hermiticity_defect, loop_rhs, permutation_defect,
                           rk4ip_step_reference, zero_potential)
 
 G16 = make_grid(1, 16, 2 * np.pi)
@@ -159,8 +159,7 @@ def test_gp_evolve_with_mixture_builds_no_zero_top_level(monkeypatch):
     phi = atom(G8, 6)
     cfg = EvolutionConfig(dt=1e-3, t_final=4e-3)
     traj = gp_evolve(factorized_state(phi, 2), cfg,
-                     mixture=Mixture([(1.0, phi)]), store_every=0,
-                     log_collision_norms=True)
+                     mixture=Mixture([(1.0, phi)]), store_every=0)
     assert traj.states[-1].K == 2
 
 
@@ -241,11 +240,14 @@ def test_rk4ip_steps_are_bitwise_the_out_of_place_formula(monkeypatch, loop,
     assert all(np.array_equal(a, b) for a, b in zip(bits(got), bits(want)))
 
 
-@pytest.mark.parametrize("log", [False, True], ids=["quiet", "logged"])
+@pytest.mark.parametrize("store_every", [0, 1])
 @pytest.mark.parametrize("loop", ["gp_mixture", "bbgky"])
-def test_logged_derivative_is_the_next_steps_k1(monkeypatch, loop, log):
-    # four right-hand sides a step; with logging the first step's k1 is the
-    # one extra call, and every later k1 is the derivative logged before it
+def test_time_loop_forms_four_right_hand_sides_a_step_and_one(monkeypatch,
+                                                              loop,
+                                                              store_every):
+    # the loop forms rhs at the start state and after every step, each the
+    # next step's k1 and the derivative handed to the store; the step forms
+    # three more.  How many steps are stored does not change the count
     import hierlab.hierarchy_evolution as evolution
     calls = []
     if loop == "bbgky":
@@ -261,13 +263,42 @@ def test_logged_derivative_is_the_next_steps_k1(monkeypatch, loop, log):
     cfg = EvolutionConfig(dt=1e-3, t_final=steps * 1e-3)
     if loop == "bbgky":
         pot = realize_potential(gaussian_profile(G8, 0.6), 0.2, 4)
-        traj = bbgky_evolve(state, cfg, pot, store_every=0,
-                            log_collision_norms=log)
+        bbgky_evolve(state, cfg, pot, store_every=store_every)
     else:
-        traj = gp_evolve(state, cfg, mixture=Mixture([(1.0, phi)]),
-                         store_every=0, log_collision_norms=log)
-    assert len(calls) == 4 * steps + log
-    assert len(traj.collision_h1[1]) == (steps if log else 0)
+        gp_evolve(state, cfg, mixture=Mixture([(1.0, phi)]),
+                  store_every=store_every)
+    assert len(calls) == 4 * steps + 1
+
+
+class _Recording:
+    """A store that keeps a copy of every sample and of its derivative."""
+
+    def __init__(self, held):
+        self.held, self.samples = held, []
+
+    def __call__(self, step, state, deriv):
+        self.samples.append((step, state.copy(), deriv.copy()))
+
+
+@pytest.mark.parametrize("loop", ["gp_mixture", "bbgky"])
+def test_store_gets_the_right_hand_side_at_each_state(loop):
+    # the derivative handed over with a state is the loop's right-hand side
+    # at that state and time, bit for bit
+    mix = random_mixture(G8, 2, np.random.default_rng(43))
+    state, steps, dt = mixture_state(mix, 2), 4, 1e-3
+    cfg = EvolutionConfig(dt=dt, t_final=steps * dt)
+    store = _Recording(steps + 1)
+    if loop == "bbgky":
+        kw = {"pot": realize_potential(gaussian_profile(G8, 0.6), 0.2, 4)}
+        bbgky_evolve(state, cfg, kw["pot"], store=store)
+    else:
+        kw = {"mixture": mix}
+        gp_evolve(state, cfg, mixture=mix, store=store)
+    assert [step for step, _, _ in store.samples] == list(range(steps + 1))
+    for step, s, deriv in store.samples:
+        want = loop_rhs(s, step, dt, **kw)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(bits(deriv), bits(want)))
 
 
 def test_gp_evolve_builds_each_half_step_matrix_once(monkeypatch):
@@ -308,7 +339,7 @@ def _injected_trajectory(phi, dt, t_final):
                                       pure_product_marginal(p, 2)]))
     return HierarchyTrajectory(states=states,
                                stored_steps=list(range(n_steps + 1)),
-                               traces={}, collision_h1={})
+                               traces={})
 
 
 def test_residual_quarters_when_dt_halves():
@@ -322,8 +353,7 @@ def test_residual_quarters_when_dt_halves():
 def test_residual_zero_state():
     zero = HierarchyState([zero_marginal(G16, 1), zero_marginal(G16, 2)])
     traj = HierarchyTrajectory(states=[zero.copy() for _ in range(4)],
-                               stored_steps=list(range(4)), traces={},
-                               collision_h1={})
+                               stored_steps=list(range(4)), traces={})
     res = gp_residual(traj, 1e-3)
     assert np.max(res[1]) == 0.0
 
@@ -334,8 +364,7 @@ def test_residual_free_flow_equals_collision_norm():
     dt = 1e-3
     states = [free_flow(state, i * dt) for i in range(5)]
     traj = HierarchyTrajectory(states=states,
-                               stored_steps=list(range(5)), traces={},
-                               collision_h1={})
+                               stored_steps=list(range(5)), traces={})
     res = gp_residual(traj, dt)
     from hierlab.interactions import gp_collision_level
     # the free part of the central difference cancels to O(dt^2), leaving
@@ -437,7 +466,7 @@ class _KeepNothing:
 
     held = 0
 
-    def __call__(self, step, state):
+    def __call__(self, step, state, deriv):
         pass
 
 
@@ -452,21 +481,16 @@ def test_hierarchy_loop_peak_fits_its_budget_check(monkeypatch, loop, K, atoms):
     state = mixture_state(mix, K)
     pot = realize_potential(gaussian_profile(G8, 0.6), 0.2, 4)
     cfg = EvolutionConfig(dt=1e-3, t_final=5e-3)
-    runs = {"gp": lambda: gp_evolve(state, cfg, store_every=0,
-                                    log_collision_norms=True),
+    runs = {"gp": lambda: gp_evolve(state, cfg, store_every=0),
             "gp_mixture": lambda: gp_evolve(state, cfg, mixture=mix,
-                                            store_every=0,
-                                            log_collision_norms=True),
-            "bbgky": lambda: bbgky_evolve(state, cfg, pot, store_every=0,
-                                          log_collision_norms=True),
+                                            store_every=0),
+            "bbgky": lambda: bbgky_evolve(state, cfg, pot, store_every=0),
             # the loop still holds its current state when its store keeps
             # none, as the simulate commands' stores do
             "gp_mixture_kept_nothing": lambda: gp_evolve(
-                state, cfg, mixture=mix, log_collision_norms=True,
-                store=_KeepNothing()),
+                state, cfg, mixture=mix, store=_KeepNothing()),
             "bbgky_kept_nothing": lambda: bbgky_evolve(
-                state, cfg, pot, log_collision_norms=True,
-                store=_KeepNothing())}
+                state, cfg, pot, store=_KeepNothing())}
     peak, checked = _peak_and_checked(monkeypatch, runs[loop])
     assert len(checked) == 1
     assert peak <= 16 * checked[0]
