@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Field, GridSpec, _check_count, bessel_multiply,
-                   free_propagate, l2_norm, random_low_mode_field,
-                   sobolev_norm_field, step_count)
+from .grid import (Field, GridSpec, _check_count, _check_finite,
+                   bessel_multiply, free_propagate, l2_norm,
+                   random_low_mode_field, sobolev_norm_field, step_count)
 from .marginals import (HierarchyState, Marginal, hierarchy_norm,
                         mixture_state, pair_subscripts, partial_trace_at,
                         trace)
@@ -154,11 +154,14 @@ def gwp_window_chain(mix: Mixture, state0: HierarchyState, bound: float,
     window, and log each window's H^1_xi norm against ``bound``.
 
     Any window whose norm exceeds the bound beyond ``WINDOW_SLACK`` (relative)
-    flags failure.
+    flags failure.  ``windows`` and ``bound`` are checked before the first
+    window.
     """
     # imported here: hierarchy_evolution imports this module
     from .hierarchy_evolution import EvolutionConfig, gp_evolve
 
+    _check_count("windows", windows, 0)
+    _check_finite("bound", bound)
     cfg = EvolutionConfig(dt=dt, t_final=window)
     current, state = mix, state0
     rows = []

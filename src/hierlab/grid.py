@@ -283,8 +283,7 @@ def step_count(t: float, dt: float) -> int:
     multiple of dt (to 1e-9 relative)."""
     if not (np.isfinite(t) and np.isfinite(dt)):
         raise ValueError(f"t={t} and dt={dt} must be finite")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_positive("dt", dt)
     n_steps = int(round(t / dt))
     if t < 0 or abs(n_steps * dt - t) > 1e-9 * max(1.0, abs(t)):
         raise ValueError(f"t={t} is not a nonnegative multiple of dt={dt}")
@@ -294,9 +293,7 @@ def step_count(t: float, dt: float) -> int:
 def stored_steps(n_steps: int, store_every: int) -> list[int]:
     """Steps a time loop of n_steps steps stores: step 0, every
     store_every-th step and the last; store_every = 0 keeps only the ends."""
-    if not isinstance(store_every, (int, np.integer)) or store_every < 0:
-        raise ValueError(f"store_every must be a nonnegative integer, "
-                         f"got {store_every!r}")
+    _check_count("store_every", store_every, 0)
     return [s for s in range(n_steps + 1)
             if s in (0, n_steps) or (store_every and s % store_every == 0)]
 

@@ -28,8 +28,8 @@ from . import __version__
 from .budget import default_budget
 from .definetti import (Mixture, energy_functional_mixture, flow_mixture,
                         gwp_window_chain, random_mixture)
-from .grid import (Field, GridSpec, make_grid, random_low_mode_field,
-                   step_count)
+from .grid import (Field, GridSpec, _check_count, _check_finite, make_grid,
+                   random_low_mode_field, step_count)
 from .hierarchy_evolution import (EvolutionConfig, HierarchyTrajectory,
                                   bbgky_evolve, duhamel_tower, gp_evolve,
                                   gp_residual_row, k_schedule,
@@ -89,7 +89,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Reject a bad field with a ValueError that names it, before any
-        experiment computes with it."""
+        experiment computes with it.  An int field and each ladder entry
+        must be an integer, not a bool or a float (``_check_count``), of at
+        least 1 (4 for n, 0 for windows and seed); a float field must be
+        finite."""
         def need(ok: bool, name: str, rule: str) -> None:
             if not ok:
                 raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
@@ -97,25 +100,23 @@ class ExperimentConfig:
         need(math.isfinite(self.box_length) and self.box_length > 0,
              "box_length", "L must be positive and finite")
         for f in dataclasses.fields(self):
-            if f.type == "float":
-                need(math.isfinite(getattr(self, f.name)), f.name,
-                     "must be finite")
-        need(self.dim in (1, 2, 3), "dim", "must be 1, 2 or 3")
-        need(self.n % 2 == 0 and self.n >= 4, "n", "must be even and >= 4")
+            value = getattr(self, f.name)
+            if f.type == "int":
+                _check_count(f.name, value,
+                             {"n": 4, "windows": 0, "seed": 0}.get(f.name, 1))
+            elif f.type == "tuple[int, ...]":
+                need(len(value) > 0, f.name, "must be a nonempty list")
+                for entry in value:
+                    _check_count(f.name, entry, 1)
+            elif f.type == "float":
+                need(math.isfinite(value), f.name, "must be finite")
+        need(self.dim <= 3, "dim", "must be 1, 2 or 3")
+        need(self.n % 2 == 0, "n", "must be even and >= 4")
         need(self.profile in PROFILES or self.profile.endswith(".hlab"),
              "profile", f"must name one of {sorted(PROFILES)} or a .hlab file")
         need(self.profile_width > 0, "profile_width", "must be positive")
         need(self.dt > 0, "dt", "must be positive")
         need(self.t_final >= 0, "t_final", "must be nonnegative")
-        for name in ("big_n", "k_max", "k_marginals", "m_max", "atoms",
-                     "j_max"):
-            need(getattr(self, name) >= 1, name, "must be >= 1")
-        for name in ("ladder", "collision_ladder"):
-            entries = getattr(self, name)
-            need(len(entries) > 0 and min(entries) >= 1, name,
-                 "must be a nonempty list of entries >= 1")
-        need(self.windows >= 0, "windows", "must be >= 0")
-        need(self.seed >= 0, "seed", "must be >= 0")
         if not 0 < self.xi1 < self.xi < self.xi_prime < 1:
             raise ValueError("weights must satisfy 0 < xi1 < xi < xi_prime < 1")
 
@@ -125,10 +126,13 @@ class ExperimentConfig:
         file without a section header is read as one section.  Keys map to
         config fields with dashes normalized to underscores, and values are
         read as written (no `%` interpolation).  A key that names no field,
-        a line that is not `key = value` and a repeated key or section raise
-        ValueError."""
+        a line that is not `key = value`, a repeated section and a key
+        repeated in one section or across sections raise ValueError.
+        `[DEFAULT]` is a section like any other."""
         text = Path(path).read_text()
-        parser = configparser.ConfigParser(interpolation=None)
+        # no header matches "", so no section feeds its keys into the others
+        parser = configparser.ConfigParser(interpolation=None,
+                                           default_section="")
         shift = 0  # lines put in front of a file without a section header
         try:
             try:
@@ -146,9 +150,14 @@ class ExperimentConfig:
                             for n, _ in err.errors)
             raise ValueError(f"{path}: {bad} is not a key = value line") from None
         values: dict = {}
+        given_in: dict[str, str] = {}  # key -> the section that gave it
         for section in parser.sections():
             for key, raw in parser.items(section):
-                values[key.replace("-", "_")] = raw
+                name = key.replace("-", "_")
+                if name in given_in:
+                    raise ValueError(f"{path}: key {name!r} is given twice, in "
+                                     f"[{given_in[name]}] and in [{section}]")
+                values[name], given_in[name] = raw, section
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls.from_mapping(values)
 
@@ -174,7 +183,7 @@ class ExperimentConfig:
                     raise ValueError(f"{f.name} must be {f.type}, "
                                      f"got {raw!r}") from None
             elif f.type == "tuple[int, ...]":
-                kwargs[f.name] = tuple(int(x) for x in raw)
+                kwargs[f.name] = tuple(raw)
             else:
                 kwargs[f.name] = raw
         return cls(**kwargs)
@@ -217,9 +226,7 @@ class Report:
         self.rows: list[tuple] = []
 
     def add(self, experiment: str, metric: str, value, N=None, K=None, t=None):
-        if not np.isfinite(value):
-            raise ValueError(
-                f"{experiment} metric {metric} is not finite: {value}")
+        _check_finite(f"{experiment} metric {metric}", value)
         self.rows.append((experiment, len(self.rows), N, K, t, metric, value))
 
     @staticmethod

@@ -35,6 +35,7 @@ from typing import Callable, Iterable, Iterator, Protocol, Sequence
 import numpy as np
 
 from .budget import default_budget
+from .definetti import nls_evolve
 from .grid import (Field, GridSpec, _check_count, _check_finite,
                    _check_positive, check_same_grid, dft_forward,
                    free_propagate, sobolev_weight, spectral_norm, step_count,
@@ -81,6 +82,7 @@ def k_schedule(big_n: int, b1: float, cap: int = 8) -> int:
     """Truncation level floor(b1 * ln N), clamped to [1, cap]."""
     _check_count("big_n", big_n, 2)
     _check_positive("b1", b1)
+    _check_count("cap", cap, 1)
     return int(np.clip(math.floor(b1 * math.log(big_n)), 1, cap))
 
 
@@ -111,8 +113,6 @@ class MixtureClosure:
         self._atoms: list[tuple[float, Field]] = list(mixture)
 
     def _atoms_at(self, index: int) -> list[tuple[float, Field]]:
-        # imported here: definetti imports this module
-        from .definetti import nls_evolve
         if index < self._index:
             raise ValueError(f"closure queried at half-step {index} after "
                              f"{self._index}; frames are not kept")

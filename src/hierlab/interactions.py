@@ -22,7 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from .budget import default_budget
-from .grid import Field, GridSpec, _check_count, check_same_grid, place_axes
+from .grid import (Field, GridSpec, _check_count, _check_finite,
+                   _check_positive, check_same_grid, place_axes)
 from .marginals import HierarchyState, Marginal, pair_subscripts, zero_marginal
 
 # boxes summed on each side when a Gaussian profile is periodized
@@ -50,15 +51,10 @@ class PotentialSpec:
         return potential_difference_tensor(self.realized)
 
 
-def _check_width(width: float) -> None:
-    if not (np.isfinite(width) and width > 0):
-        raise ValueError(f"profile width must be positive and finite, got {width}")
-
-
 def gaussian_profile(grid: GridSpec, width: float) -> Field:
     """Centered Gaussian of the given width, periodized per axis over
     PERIODIC_IMAGES boxes on each side."""
-    _check_width(width)
+    _check_positive("profile width", width)
     x = grid.points
     offsets = np.arange(-PERIODIC_IMAGES, PERIODIC_IMAGES + 1) * grid.L
     axis_val = np.exp(-0.5 * ((x[:, None] - offsets[None, :]) / width) ** 2).sum(axis=1)
@@ -70,7 +66,7 @@ def gaussian_profile(grid: GridSpec, width: float) -> Field:
 
 def bump_profile(grid: GridSpec, width: float) -> Field:
     """Compactly supported smooth bump of the given radius."""
-    _check_width(width)
+    _check_positive("profile width", width)
     x = grid.points
     centered = np.minimum(x, grid.L - x)  # torus distance to the origin
     axes = np.meshgrid(*([centered] * grid.dim), indexing="ij")
@@ -88,8 +84,7 @@ def check_profile(profile: Field) -> None:
     """Raise a ``ValueError`` unless ``profile`` is finite, real,
     nonnegative and even under x -> -x, as a potential profile must be."""
     data = profile.data
-    if not np.all(np.isfinite(data)):  # NaN fails every comparison below
-        raise ValueError("potential profile must be finite")
+    _check_finite("potential profile", data)  # NaN fails every comparison below
     if np.max(np.abs(data.imag)) > 1e-12 * max(np.max(np.abs(data)), 1e-300):
         raise ValueError("potential profile must be real")
     if np.min(data.real) < -1e-12 * max(np.max(data.real), 1e-300):
@@ -348,20 +343,19 @@ def bbgky_error_level(gamma: Marginal, pot: PotentialSpec) -> Marginal:
 
 
 def bbgky_rhs(state: HierarchyState, pot: PotentialSpec) -> HierarchyState:
-    """Collision part of the finite-N hierarchy: weighted main term reading one
-    level up plus weighted same-level error term.  Levels above N are zero."""
+    """Collision part of the finite-N hierarchy: at each level k the weighted
+    same-level error term (``bbgky_error_level``), which is zero at level 1,
+    plus, below the top level, the weighted main term reading level k+1,
+    added in the error term's buffer.  Levels above N are zero."""
     check_same_grid(state=state, pot=pot)
     if state.K > pot.big_n:
         raise ValueError(f"state truncated at K={state.K} > N={pot.big_n}")
     comps = []
     for k in range(1, state.K + 1):
-        term = bbgky_main_level(state.entry(k + 1), pot) if k < state.K else None
-        if k >= 2:
-            error = bbgky_error_level(state.entry(k), pot)
-            if term is not None:  # main + error, added in the error's buffer
-                error.kernel += term.kernel
-            term = error
-        comps.append(zero_marginal(state.grid, k) if term is None else term)
+        term = bbgky_error_level(state.entry(k), pot)
+        if k < state.K:
+            term.kernel += bbgky_main_level(state.entry(k + 1), pot).kernel
+        comps.append(term)
     return HierarchyState(comps)
 
 

@@ -325,10 +325,12 @@ class HierarchyState:
 
 
 def factorized_state(phi: Field, K: int) -> HierarchyState:
+    _check_count("K", K, 1)
     return HierarchyState([pure_product_marginal(phi, k) for k in range(1, K + 1)])
 
 
 def mixture_state(atoms, K: int) -> HierarchyState:
+    _check_count("K", K, 1)
     return HierarchyState([mixture_marginal(atoms, k) for k in range(1, K + 1)])
 
 

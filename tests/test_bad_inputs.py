@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from hierlab.cli import EXPERIMENT_ONLY, main
 from hierlab.definetti import (Mixture, energy_functional_direct,
-                               energy_functional_mixture, random_mixture)
+                               energy_functional_mixture, gwp_window_chain,
+                               random_mixture)
 from hierlab.grid import (Field, bessel_multiply, free_propagate, inner,
                           make_grid, random_low_mode_field, sobolev_norm_field)
 from hierlab.harness import ExperimentConfig, Report
@@ -24,10 +25,10 @@ from hierlab.interactions import (bbgky_error_level, bbgky_main_level,
                                   bbgky_rhs, bump_profile, gaussian_profile,
                                   product_collision_level, realize_potential)
 from hierlab.marginals import (Marginal, factorized_state, hierarchy_norm,
-                               mixture_marginal, psd_defect,
+                               mixture_marginal, mixture_state, psd_defect,
                                pure_product_marginal, sobolev_norm,
                                symmetrize, trace_sobolev_norm)
-from hierlab.nbody import energy_moments, extract_marginal
+from hierlab.nbody import energy_moments, extract_marginal, nbody_evolve
 from hierlab.nbody import factorized_state as nbody_factorized_state
 
 from kernel_tools import forbid_transforms, zero_potential
@@ -48,6 +49,13 @@ PHI_L3 = random_low_mode_field(G8_L3, 1, np.random.default_rng(0), max_mode=2)
 PHI_N16 = random_low_mode_field(make_grid(1, 16), 1, np.random.default_rng(0))
 V_L3 = zero_potential(G8_L3)
 NBODY = nbody_factorized_state(PHI, 3, ZERO_V)
+MIX = Mixture([(1.0, PHI)])
+
+
+def window_chain(bound=1.0, windows=1):
+    """One n = 8 window of one step from the product state of PHI."""
+    return gwp_window_chain(MIX, STATE, bound, window=1e-3, windows=windows,
+                            xi=0.5, dt=1e-3)
 
 
 def profile_with(value: float) -> Field:
@@ -201,6 +209,24 @@ PROBES = {
                          "drift"),
     "report-value-inf": (lambda: Report().add("demo", "drift", -math.inf),
                          "drift"),
+    "window-chain-windows-float": (lambda: window_chain(windows=2.5),
+                                   "windows must"),
+    "window-chain-windows-bool": (lambda: window_chain(windows=True),
+                                  "windows must"),
+    "window-chain-bound-nan": (lambda: window_chain(bound=math.nan),
+                               "bound must be finite"),
+    "factorized-state-K-float": (lambda: factorized_state(PHI, 2.0), "K must"),
+    "mixture-state-K-bool": (lambda: mixture_state(MIX, True), "K must"),
+    "k-schedule-cap-bool": (lambda: k_schedule(16, 2.0, cap=True), "cap must"),
+    "k-schedule-cap-float": (lambda: k_schedule(16, 2.0, cap=2.5), "cap must"),
+    "gp-evolve-store-every-bool": (
+        lambda: gp_evolve(STATE, EVOLUTION, store_every=True), "store_every"),
+    "nbody-evolve-store-every-bool": (
+        lambda: nbody_evolve(NBODY, 1e-3, 1e-2, store_every=True),
+        "store_every"),
+    "config-ladder-float-entry": (
+        lambda: ExperimentConfig.from_mapping({"ladder": [2.5, 3]}),
+        "ladder must"),
     # os.devnull: a missing check writes nothing anywhere
     "report-no-rows": (lambda: Report().write_csv(os.devnull), "no rows"),
 }
@@ -295,14 +321,20 @@ def test_cli_rejects_bad_value_before_writing(tmp_path, argv, names):
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 NONPOSITIVE = st.one_of(NON_FINITE, st.floats(max_value=0.0, allow_nan=False))
-BELOW_ONE = st.integers(max_value=0)
-BAD_LADDER = st.lists(st.integers(-4, 64), min_size=1, max_size=4).filter(
-    lambda entries: min(entries) < 1)
+# a bool and a float, which the bounds of most int fields would let through
+NOT_AN_INT = st.sampled_from([True, 4.0])
+BELOW_ONE = st.one_of(st.integers(max_value=0), NOT_AN_INT)
+BAD_LADDER = st.one_of(
+    st.lists(st.integers(-4, 64), min_size=1, max_size=4).filter(
+        lambda entries: min(entries) < 1),
+    st.sampled_from([[2.5, 3], [True]]))
 # config field -> its bad values; the float fields besides those listed take
 # the non-finite ones
 BAD_FIELDS = {
-    "dim": st.integers(-4, 9).filter(lambda d: d not in (1, 2, 3)),
-    "n": st.integers(-8, 64).filter(lambda n: n % 2 or n < 4),
+    "dim": st.one_of(st.integers(-4, 9).filter(lambda d: d not in (1, 2, 3)),
+                     NOT_AN_INT),
+    "n": st.one_of(st.integers(-8, 64).filter(lambda n: n % 2 or n < 4),
+                   NOT_AN_INT),
     "box_length": NONPOSITIVE,
     "profile": st.sampled_from(["", "square", "gaussian.csv"]),
     "profile_width": NONPOSITIVE,
@@ -312,8 +344,8 @@ BAD_FIELDS = {
     "big_n": BELOW_ONE, "k_max": BELOW_ONE, "k_marginals": BELOW_ONE,
     "m_max": BELOW_ONE, "atoms": BELOW_ONE, "j_max": BELOW_ONE,
     "ladder": BAD_LADDER, "collision_ladder": BAD_LADDER,
-    "windows": st.integers(max_value=-1),
-    "seed": st.integers(max_value=-1),
+    "windows": st.one_of(st.integers(max_value=-1), NOT_AN_INT),
+    "seed": st.one_of(st.integers(max_value=-1), NOT_AN_INT),
     **{name: NON_FINITE for name in ("beta", "b1", "xi", "xi_prime", "xi1")},
 }
 

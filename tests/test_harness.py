@@ -77,8 +77,12 @@ def test_config_from_ini_without_section_header(tmp_path):
     ("[run]\nseed = 5\nseed = 5\n", "key 'seed'"),
     ("seed = 5\nseed = 6\n", "key 'seed'"),
     ("[run]\nseed = 5\n[run]\nn = 8\n", "section [run]"),
+    ("[a]\nn = 8\n[b]\nn = 12\n", "key 'n' is given twice, in [a] and in [b]"),
+    ("[DEFAULT]\nn = 8\n[run]\nn = 12\n",
+     "key 'n' is given twice, in [DEFAULT] and in [run]"),
 ], ids=["line-without-value", "line-without-value-no-header", "repeated-key",
-        "repeated-key-no-header", "repeated-section"])
+        "repeated-key-no-header", "repeated-section", "key-in-two-sections",
+        "key-in-default-and-a-section"])
 def test_config_from_ini_names_a_bad_line_or_repeated_key(tmp_path, text, named):
     ini = tmp_path / "bad.ini"
     ini.write_text(text)

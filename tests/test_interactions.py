@@ -274,6 +274,31 @@ def test_bbgky_error_index_order_enforced():
         bbgky_collision_error(g2, 2, 1, "+", pot)
 
 
+@pytest.mark.parametrize("dim,n,K", [(1, 8, 1), (1, 8, 2), (1, 8, 3),
+                                     (2, 4, 2)],
+                         ids=["d1-n8-K1", "d1-n8-K2", "d1-n8-K3", "d2-n4-K2"])
+def test_bbgky_rhs_levels_are_error_plus_main_bit_for_bit(dim, n, K):
+    """Level 1 of B_N is the main term from level 2; a middle level is its
+    error term with the main term from the level above added in the error
+    term's buffer; the top level is its error term alone."""
+    grid = make_grid(dim, n, 2 * np.pi)
+    pot = realize_potential(gaussian_profile(grid, 0.6), 0.2, 5)
+    rng = np.random.default_rng(45)
+    state = HierarchyState([random_hermitian_marginal(grid, k, rng,
+                                                      symmetric=True)
+                            for k in range(1, K + 1)])
+    rhs = bbgky_rhs(state, pot)
+    for k in range(1, K + 1):
+        if k == 1 and K > 1:
+            want = bbgky_main_level(state.entry(2), pot).kernel
+        else:
+            want = bbgky_error_level(state.entry(k), pot).kernel
+            if k < K:
+                want += bbgky_main_level(state.entry(k + 1), pot).kernel
+        got = rhs.entry(k).kernel
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_bbgky_rhs_trace_annihilation_and_hermitian_adjointness():
     phi = unit_atom(G8, 10)
     pot = realize_potential(gaussian_profile(G8, 0.7), 0.2, 8)
