@@ -37,21 +37,27 @@ HELP = {"outdir": "output directory", "n": "grid points per axis",
         "collision_ladder": "comma-separated potential ladder"}
 
 
-# glibc's mallopt parameters, set to the ceilings its own dynamic rule reaches
-# on 64-bit: the mmap threshold tops out at 32 MiB and the trim threshold
-# follows at twice that.  Below them a freed kernel (1 MiB at 16^4 entries)
-# stays in the heap for the next one, instead of going back to the OS and
-# being zero-filled page by page when it is allocated again.
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+# glibc's mallopt parameters.  The mmap and trim thresholds are set to the
+# ceilings its own dynamic rule reaches on 64-bit: the mmap threshold tops
+# out at 32 MiB and the trim threshold follows at twice that.  Below them a
+# freed kernel (1 MiB at 16^4 entries) stays in the heap for the next one,
+# instead of going back to the OS and being zero-filled page by page when it
+# is allocated again.  One arena serves every thread: Picard's two workers
+# would otherwise each keep a heap of their own, whose freed kernels the
+# thresholds above keep resident beside the main heap's (about 2.7 MB of
+# series' peak resident set, with no loss of time measured).
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
 MMAP_THRESHOLD = 32 * 2**20
 TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+ARENA_MAX = 1
 
 
 def _keep_freed_memory() -> None:
     """Pin glibc's mmap and trim thresholds at ``MMAP_THRESHOLD`` and
-    ``TRIM_THRESHOLD`` for this process.  Does nothing off POSIX or where
-    the C library has no ``mallopt``.  It decides where freed blocks go,
-    not what is computed in them."""
+    ``TRIM_THRESHOLD``, and its arena count at ``ARENA_MAX``, for this
+    process.  Does nothing off POSIX or where the C library has no
+    ``mallopt``.  It decides where freed blocks go, not what is computed in
+    them."""
     if os.name != "posix":
         return
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # the process's libc
@@ -61,6 +67,7 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
     mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+    mallopt(M_ARENA_MAX, ARENA_MAX)
 
 
 def build_parser() -> argparse.ArgumentParser:

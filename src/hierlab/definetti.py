@@ -89,7 +89,9 @@ def nls_evolve(phi: Field, dt: float, t_final: float) -> Field:
 
 
 def nls_energy(phi: Field) -> float:
-    """One-particle energy 0.5*|phi|_{H1}^2*|phi|_{L2}^2 + 0.25*|phi|_{L4}^4."""
+    """One-particle energy 0.5*|phi|_{H1}^2*|phi|_{L2}^2 + 0.25*|phi|_{L4}^4.
+    A non-finite atom raises a ``ValueError`` naming phi."""
+    _check_finite("phi", phi.data)
     grid = phi.grid
     h1 = sobolev_norm_field(phi, 1.0)
     mass = l2_norm(phi)

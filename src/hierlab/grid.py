@@ -94,6 +94,13 @@ def _check_count(name: str, value: int, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _check_open_unit(name: str, value: float) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``value`` lies in the
+    open interval (0, 1), as a level weight xi must."""
+    if not 0 < value < 1:
+        raise ValueError(f"{name} must lie in (0, 1), got {value}")
+
+
 def _check_order(alpha: float) -> None:
     """Raise a ``ValueError`` naming alpha unless the order ``alpha`` is
     finite and nonnegative."""
@@ -187,8 +194,10 @@ def dft_forward(f: Field, out: np.ndarray | None = None) -> Field:
     return Field(f.grid, f.rank, spec)
 
 
-def dft_inverse(f: Field) -> Field:
-    data = _ifftn(f.data)
+def dft_inverse(f: Field, out: np.ndarray | None = None) -> Field:
+    """Inverse of dft_forward, into ``out`` (which may be f.data) or one new
+    array."""
+    data = _ifftn(f.data, out=out)
     # numpy divides by s + 0j as (re + im*0) * (1/s): this product gives the
     # same bits on every nonzero entry, at a fifth of the division's cost
     data *= 1.0 / f.grid.h ** (f.grid.dim * f.rank)

@@ -91,12 +91,16 @@ class ExperimentConfig:
         """Reject a bad field with a ValueError that names it, before any
         experiment computes with it.  An int field and each ladder entry
         must be an integer, not a bool or a float (``_check_count``), of at
-        least 1 (4 for n, 0 for windows and seed); a float field must be
-        finite."""
+        least 1 (4 for n, 0 for windows and seed); a float field, box_length
+        included, must be a finite number, not a bool."""
         def need(ok: bool, name: str, rule: str) -> None:
             if not ok:
                 raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
 
+        for f in dataclasses.fields(self):  # a bool passes every rule below
+            if f.type == "float":
+                need(not isinstance(getattr(self, f.name), bool), f.name,
+                     "must be a number, not a bool")
         need(math.isfinite(self.box_length) and self.box_length > 0,
              "box_length", "L must be positive and finite")
         for f in dataclasses.fields(self):

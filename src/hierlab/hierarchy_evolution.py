@@ -19,7 +19,8 @@ the contact hierarchy is 1, the mass of a realized potential.
 
 The time loops and the integral equations reject non-finite start data,
 the start state's levels or the atom, before their first step or
-transform.
+transform; Picard also rejects a start level that is not Hermitian, since
+it holds every sample as half its entries.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ import numpy as np
 from .budget import default_budget
 from .definetti import nls_evolve
 from .grid import (Field, GridSpec, _check_count, _check_finite,
-                   _check_positive, check_same_grid, dft_forward,
-                   free_propagate, sobolev_weight, spectral_norm, step_count,
-                   stored_steps)
+                   _check_open_unit, _check_positive, check_same_grid,
+                   dft_forward, free_propagate, sobolev_weight, spectral_norm,
+                   step_count, stored_steps)
 from .interactions import (PotentialSpec, bbgky_main_level, bbgky_rhs,
                            gp_collision_level, product_collision_level)
 from .marginals import (HierarchyState, Marginal, flow_symbol,
@@ -73,8 +74,7 @@ class EvolutionConfig:
 
 def t0_gate(xi: float) -> float:
     """Heuristic contraction horizon xi^2 of the H^1_xi-weighted Picard map."""
-    if not 0 < xi < 1:
-        raise ValueError("xi must lie in (0, 1)")
+    _check_open_unit("xi", xi)
     return xi**2
 
 
@@ -329,14 +329,22 @@ def gp_residual_row(prev_s: HierarchyState, cur: HierarchyState,
 # Iterated collision integrals, fixed point
 
 
-def check_series_budget(grid: GridSpec, K: int, samples: int, working: int = 0) -> None:
+def check_series_budget(grid: GridSpec, K: int, samples: int, working: int = 0,
+                        packed: bool = False, fixed: int = 0) -> None:
     """Raise ``BudgetExceeded`` unless ``samples`` + ``working`` states of a
-    level-1..K hierarchy, sum_k n^(2kd) complex entries each, fit the budget:
-    a Picard iterate, or a stored trajectory, and the states its loop works
-    in.  Allocates nothing."""
+    level-1..K hierarchy, sum_k n^(2kd) complex entries each, and ``fixed``
+    entries more fit the budget: a stored trajectory, or a Picard iterate,
+    the states its loop works in and what it holds that does not grow with
+    n.  With ``packed`` the samples are held as half their entries
+    (``HermitianPacking``), sum_k m_k (m_k + 1) / 2 for m_k = n^(kd), as
+    Picard's iterate is.  Allocates nothing."""
+    rows = [grid.num_points ** k for k in range(1, K + 1)]
+    state = sum(m * m for m in rows)
+    sample = sum(m * (m + 1) // 2 for m in rows) if packed else state
     default_budget().check_elements(
-        (samples + working) * sum(grid.num_points ** (2 * k) for k in range(1, K + 1)),
-        f"hierarchy series of {samples} samples and {working} working states")
+        samples * sample + working * state + fixed,
+        f"hierarchy series of {samples} {'packed ' if packed else ''}samples, "
+        f"{working} working states and {fixed} fixed entries")
 
 
 def _flowed_prefix(spectra: Iterable[np.ndarray], phase: np.ndarray, dt: float,
@@ -481,16 +489,87 @@ def duhamel_tower(phi: Field, j_max: int, pot: PotentialSpec, t: float,
     return {j: HierarchyState(c) for j, c in comps.items()}
 
 
+class HermitianPacking:
+    """Level k's spectra held as half their entries.
+
+    A kernel is Hermitian when gamma(x; x') = conj(gamma(x'; x)), and then
+    its spectrum obeys ghat(p, q') = conj(ghat(-q', -p)).  So the matrix
+    G(p, q') = ghat(p, -q'), with the unprimed frequencies p and the primed
+    q' each flattened and -q' flipped on every primed axis, is Hermitian.
+    ``pack`` keeps G's upper triangle, diagonal included, row by row, with
+    the diagonal's imaginary part set to zero: m (m + 1) / 2 entries for
+    m = n^(kd), held as one C-contiguous (m / 2, m + 1) array (n is even).
+    ``unpack`` rebuilds the full spectrum from it, exactly Hermitian, so
+    packing a spectrum keeps its Hermitian part.
+
+    An entrywise sum or product of packed arrays is the packing of the same
+    operation on the full spectra, both being Hermitian in G: the free-flow
+    phase exp(-i dt S_k) is, since S_k(p, -q') = |p|^2 - |q'|^2 changes
+    sign under p <-> q'.  The index maps are built once per level and only
+    read afterwards, so one packing serves every thread.
+    """
+
+    def __init__(self, grid: GridSpec, k: int):
+        block = grid.slot_shape(k)  # the unprimed slots, or the primed ones
+        m = grid.num_points ** k
+        self.shape = grid.slot_shape(2 * k)
+        self.packed_shape = (m // 2, m + 1)
+        # the flat primed index of -q' for each q'
+        flip = np.ravel_multi_index(tuple(-np.indices(block) % grid.n),
+                                    block).ravel()
+        rows, cols = np.triu_indices(m)
+        # where G(i, j) = ghat(i, -j) and its mirror G(j, i) sit in the
+        # flattened spectrum, for each packed entry (i <= j)
+        self.gather = rows * m + flip[cols]
+        mirror = cols * m + flip[rows]
+        self.diagonal = np.flatnonzero(rows == cols)
+        entry = np.arange(self.gather.size)
+        self.scatter = np.empty(m * m, np.intp)
+        self.scatter[mirror] = entry
+        self.scatter[self.gather] = entry
+        # the spectrum's entries read from a mirror off the diagonal
+        self.mirrored = np.ones(m * m, bool)
+        self.mirrored[self.gather] = False
+
+    def pack(self, spec: np.ndarray) -> np.ndarray:
+        """G's upper triangle of the C-contiguous spectrum ``spec``, its
+        diagonal made real, as a new array."""
+        packed = np.take(spec.reshape(-1), self.gather)
+        packed.imag[self.diagonal] = 0.0
+        return packed.reshape(self.packed_shape)
+
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        """The full spectrum of a packed one, as a new array: each entry
+        read from its place in the triangle, and conjugated where it is a
+        mirror's."""
+        spec = np.take(packed.reshape(-1), self.scatter)
+        np.negative(spec.imag, out=spec.imag, where=self.mirrored)
+        return spec.reshape(self.shape)
+
+    def parseval_weight(self, weight: np.ndarray) -> np.ndarray:
+        """A real weight on the full spectrum, even under G's transpose (as
+        ``sobolev_weight`` is), on the packed entries with those off the
+        diagonal doubled: on an exactly Hermitian spectrum,
+        spectral_norm(packed, the result) equals spectral_norm(spec,
+        weight) in exact arithmetic."""
+        w = 2.0 * np.take(weight.reshape(-1), self.gather)
+        w[self.diagonal] *= 0.5
+        return w.reshape(self.packed_shape)
+
+
 @dataclass
 class PicardResult:
-    """The fixed point Theta, held as its spectra: ``spectra[k - 1]`` is one
-    array of level k's samples, ``spectra[k - 1][i]`` the spectrum at sample
-    i; with the record of the sweeps.  ``worker_busy_s`` is the time each
-    worker thread spent forming samples, in the order the workers first
-    finished one, and ``result_wait_s`` the time the calling thread waited
-    for them; neither changes what is computed."""
+    """The fixed point Theta, held as its packed spectra on ``grid``:
+    ``packed[k - 1]`` is one array of level k's samples,
+    ``packed[k - 1][i]`` the spectrum at sample i as ``HermitianPacking``
+    holds it, which ``spectrum(k, i)`` unpacks; with the record of the
+    sweeps.  ``worker_busy_s`` is the time each worker thread spent forming
+    samples, in the order the workers first finished one, and
+    ``result_wait_s`` the time the calling thread waited for them; neither
+    changes what is computed."""
 
-    spectra: list[np.ndarray]
+    grid: GridSpec
+    packed: list[np.ndarray]
     iterations: int
     update_norms: list[float]
     contraction_ratios: list[float]
@@ -499,25 +578,30 @@ class PicardResult:
     worker_busy_s: list[float]
     result_wait_s: float
 
+    def spectrum(self, k: int, i: int) -> np.ndarray:
+        """Level k's full spectrum at sample i, as a new array."""
+        return HermitianPacking(self.grid, k).unpack(self.packed[k - 1][i])
 
-# Hierarchy states a Picard call holds besides the iterate's spectra, on
-# its three threads together.  The start's spectra, the phases, Xi's
-# stepped spectra and the norm weights: 3.5.  On the calling thread, the
-# sample it reads back, the prefix the next step starts from and the norm's
-# |.|^2 (2.5), or a step's new prefix and its temporary (2).  In flight,
-# the PICARD_WORKERS + 1 samples submitted beyond the one read back: each
-# holds 1 state while it waits for a worker or to be read back, and at most
-# 2 while a worker forms it (the prefix and its inverse, then the inverse
-# and B_N's result, which is transformed forward into the inverse's
-# array), so at most 2 + 2 + 1.  That is 11.0, reached when both workers
-# form samples while one more waits.  tracemalloc puts the peak of the
-# whole call at 10.7-12.6 of them (d = 1 at n = 8 and 16, d = 2 at n = 4;
-# 32 and 128 steps; on one CPU or two): 11.16-11.3 at n = 16, and up to
-# 12.6 at n = 8, where about 100 KB of interpreter objects and B_N's slab
-# buffers come to 1.6 states of 66 KB.  So 13 is the least count above it.
-# The iterate is one array per level, so its sample count adds no array
-# headers to that peak.
-PICARD_WORKING_STATES = 13
+
+# What a Picard call holds besides its packed iterate, on its three threads
+# together, in states of levels 1..K and in entries that do not grow with n.
+# The start's packed spectra, the packed phases, Xi's stepped spectra (0.5
+# each) and the packed norm weights (0.25), and the index maps of the
+# packings (0.81: 8 bytes per packed entry, 8 and 1 per full one), so 2.56.
+# On the calling thread, the sample it reads back, the prefix the next step
+# starts from and the norm's |.|^2 (1.25).  In flight, the PICARD_WORKERS +
+# 1 samples submitted beyond the one read back: each holds 0.5 while it
+# waits for a worker or to be read back, and at most 2 while a worker forms
+# it (the packed prefix and its unpacked array, then that array inverted in
+# place and B_N's result, then the forward spectrum and its packing), so at
+# most 2 + 2 + 0.5.  That is 8.3 states.  tracemalloc puts the peak of the
+# whole call at 8.5-8.65 states at n = 16 (32 and 128 steps), 7.9-8.2 at
+# d = 2, n = 4, and 9.1-10.03 at n = 8, where a state is 66 KB: about
+# 80 KB, and up to 100 KB in a process's first call, of interpreter objects
+# and B_N's slab buffers do not grow with n (d = 1 and 2; on one CPU or
+# two).  So 9 states and 8192 entries (128 KiB) hold the call at every size.
+PICARD_WORKING_STATES = 9
+PICARD_FIXED_ENTRIES = 8192
 
 # Picard's worker threads, each forming one sample of a sweep at a time: a
 # fixed count, whatever the CPU count, so the working states stay fixed.
@@ -532,6 +616,21 @@ PICARD_WORKERS = 2
 PICARD_TOL = 1e-8
 PICARD_MAX_SWEEPS = 50
 
+# the largest max |M - M^H| / max |M| a level of Picard's start may have
+PICARD_HERMITIAN_TOL = 1e-12
+
+
+def _check_hermitian(state: HierarchyState) -> None:
+    """Raise a ``ValueError`` naming the first level of ``state`` whose
+    matrix M has max |M - M^H| > PICARD_HERMITIAN_TOL * max |M|."""
+    for k, m in enumerate(state.entries, start=1):
+        mat = m.as_matrix()
+        defect = np.max(np.abs(mat - mat.conj().T))
+        if defect > PICARD_HERMITIAN_TOL * np.max(np.abs(mat)):
+            raise ValueError(
+                f"start level {k} must be Hermitian: max |M - M^H| = "
+                f"{defect:.3e} exceeds {PICARD_HERMITIAN_TOL} max |M|")
+
 
 def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
                        t: float, n_steps: int) -> PicardResult:
@@ -540,20 +639,28 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
     iterates are closer than ``PICARD_TOL`` in the weighted order-1 norm,
     for at most ``PICARD_MAX_SWEEPS`` sweeps.
 
+    The start must be Hermitian: a level whose matrix M has
+    max |M - M^H| > ``PICARD_HERMITIAN_TOL`` (1e-12) * max |M| raises a
+    ``ValueError`` naming the level.  Every sample of the iterate is then
+    Hermitian too, and is held packed, as half its entries
+    (``HermitianPacking``): the calling thread works on packed arrays only,
+    and a worker unpacks the one sample it forms.
+
     The free term Xi(s) = U(s) start, capital Xi, is the free flow of the
-    start state.  The call holds the start's spectra, one phase
-    exp(-i dt S_k) per level, and the iterate, one array of spectra per
-    level and the only series-sized thing held; level k of Xi at sample i
-    is the start's spectrum stepped i times by the phase.  The operands'
-    grids, the time grid, the gate, the start's entries and then what the
-    call holds are checked before the first transform.  The first iterate
-    is Xi's spectra, written as they are.  A sweep steps the
-    forward-propagated prefix integral through the samples by the same
-    phases (see ``_flowed_prefix``) and inverts it once per sample and
-    level to apply B_N.  The new sample's spectra are F(i B_N A) + Xi_hat,
-    one forward transform per level, into the array the prefix was inverted
-    in; they give the update norm by Parseval and overwrite the old ones,
-    which the prefix has read by then.
+    start state.  The call holds the start's packed spectra, one packed
+    phase exp(-i dt S_k) per level, and the iterate, one array of packed
+    spectra per level and the only series-sized thing held; level k of Xi
+    at sample i is the start's spectrum stepped i times by the phase.  The
+    operands' grids, the time grid, the gate, the start's entries (finite,
+    then Hermitian) and then what the call holds are checked before the
+    first transform.  The first iterate is Xi's packed spectra, written as
+    they are.  A sweep steps the forward-propagated prefix integral through
+    the samples by the same phases (see ``_flowed_prefix``), on packed
+    arrays, and inverts it once per sample and level to apply B_N.  The new
+    sample's spectra are F(i B_N A) + Xi_hat, one forward transform per
+    level, packed; they give the update norm by Parseval, with the packed
+    weights of ``HermitianPacking.parseval_weight``, and overwrite the old
+    ones, which the prefix has read by then.
 
     A sweep's samples are formed on a pool of ``PICARD_WORKERS`` = 2
     worker threads, and numpy's transforms release the interpreter lock, so
@@ -561,13 +668,13 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
     samples i + 1 and i + 2 can be formed at once; when the calling thread
     reads back sample i it has submitted samples up to i + 3, no further,
     so a worker that finishes finds the next sample queued and the memory
-    in flight is bounded.  A worker forms F(i B_N A) for one sample: the
-    inverse transform of the prefix, B_N, and the forward transform of
-    B_N's result into the array the prefix was inverted into.  The calling
-    thread steps the prefixes and hands them over, then reads the samples
-    back in order, adds Xi's spectra, takes each gap and writes each
-    sample's spectra into the iterate; sample i is written only after the
-    prefix has stepped past it.  Every operation keeps its operands and
+    in flight is bounded.  A worker forms F(i B_N A) for one sample: it
+    unpacks the prefix into the array it inverts in place, applies B_N,
+    transforms B_N's result forward into that array and packs it.  The
+    calling thread steps the prefixes and hands them over, then reads the
+    samples back in order, adds Xi's spectra, takes each gap and writes
+    each sample's spectra into the iterate; sample i is written only after
+    the prefix has stepped past it.  Every operation keeps its operands and
     their order, so the bits are those of one thread doing all of it.  The
     pool is started and joined inside the call, before it returns or
     raises.  The iterate is allocated once, on the calling thread, and
@@ -590,19 +697,26 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
     if t >= gate:
         raise ValueError(f"horizon t={t} is not below the gate T0={gate}")
     _check_start(start)
+    _check_hermitian(start)
     grid, K, dt = start.grid, start.K, t / n_steps
-    check_series_budget(grid, K, n_steps + 1, PICARD_WORKING_STATES)
-    bases = [marginal_spectrum(m) for m in start.entries]
-    phases = [np.exp(-1j * dt * flow_symbol(grid, k)) for k in range(1, K + 1)]
-    weights = [sobolev_weight(grid, 2 * k, 1.0) for k in range(1, K + 1)]
+    check_series_budget(grid, K, n_steps + 1, PICARD_WORKING_STATES,
+                        packed=True, fixed=PICARD_FIXED_ENTRIES)
+    packings = [HermitianPacking(grid, k) for k in range(1, K + 1)]
+    bases = [p.pack(marginal_spectrum(m))
+             for p, m in zip(packings, start.entries)]
+    phases = [p.pack(np.exp(-1j * dt * flow_symbol(grid, k)))
+              for k, p in enumerate(packings, start=1)]
+    weights = [p.parseval_weight(sobolev_weight(grid, 2 * k, 1.0))
+               for k, p in enumerate(packings, start=1)]
     busy: dict[int, float] = {}  # worker thread -> seconds in combine
     waited = 0.0  # seconds the calling thread waited for a sample
 
     def xi_spectra() -> Iterator[list[np.ndarray]]:
-        """Xi's spectra in sample order, each level stepped once more by its
-        phase, without end: each is formed only when it is asked for, and
-        from the second on in one set of arrays, stepped in place, so a
-        sample's spectra are used before the next is asked for."""
+        """Xi's packed spectra in sample order, each level stepped once
+        more by its phase, without end: each is formed only when it is
+        asked for, and from the second on in one set of arrays, stepped in
+        place, so a sample's spectra are used before the next is asked
+        for."""
         yield bases
         spectra = [a * phase for a, phase in zip(bases, phases)]
         while True:
@@ -611,27 +725,31 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
                 a *= phase
 
     def combine(prefix: list[np.ndarray]) -> list[np.ndarray]:
-        """F(i B_N A) from the spectra of A, formed in the arrays the
-        prefix is inverted into: the worker empties ``prefix`` once it has
-        inverted it, so it holds A no longer than it needs it, and
-        transforms B_N's result forward into its input's arrays.  Runs on a
-        worker."""
+        """F(i B_N A), packed, from the packed spectra of A.  The worker
+        unpacks each level into the array it inverts in place and empties
+        ``prefix`` once it has unpacked it, so it holds A no longer than it
+        needs it; it transforms B_N's result forward into the same arrays
+        and packs them.  Runs on a worker."""
         t0 = time.perf_counter()
-        physical = HierarchyState([marginal_from_spectrum(grid, k, a)
-                                   for k, a in enumerate(prefix, start=1)])
+        spectra = [p.unpack(a) for p, a in zip(packings, prefix)]
         prefix.clear()
-        new = _scaled(bbgky_rhs(physical, pot), 1j)
-        spectra = [dft_forward(m.as_field(), out=p.kernel).data
-                   for m, p in zip(new.entries, physical.entries)]
+        new = _scaled(bbgky_rhs(HierarchyState(
+            [marginal_from_spectrum(grid, k, a, out=a)
+             for k, a in enumerate(spectra, start=1)]), pot), 1j)
+        for m, a in zip(new.entries, spectra):
+            dft_forward(m.as_field(), out=a)
+        del new, m  # the loop variable would keep the top level alive
+        packed = [p.pack(a) for p, a in zip(packings, spectra)]
         worker = threading.get_ident()
         busy[worker] = busy.get(worker, 0.0) + time.perf_counter() - t0
-        return spectra
+        return packed
 
     def absorb(i: int, spectra: Sequence[np.ndarray],
                xs: Sequence[np.ndarray], keep: bool) -> float:
-        """Add Xi's spectra ``xs`` to a worker's ``spectra``, giving the next
-        iterate's sample i, and return its distance to theta's sample i in
-        hierarchy_norm(., 1.0, xi), by Parseval.  With ``keep`` the
+        """Add Xi's packed spectra ``xs`` to a worker's ``spectra``, giving
+        the next iterate's sample i, and return its distance to theta's
+        sample i in hierarchy_norm(., 1.0, xi), by Parseval on the packed
+        arrays.  With ``keep`` the
         difference forms in theta's sample, which the new one then
         replaces; without it, in the new sample."""
         gap = 0.0
@@ -683,8 +801,8 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
 
     update_norms: list[float] = []
     ratios: list[float] = []
-    theta = [np.empty((n_steps + 1,) + m.kernel.shape, complex)
-             for m in start.entries]
+    theta = [np.empty((n_steps + 1,) + p.packed_shape, complex)
+             for p in packings]
     # the first iterate is Xi, stepped as xi_spectra steps it
     for level, base, phase in zip(theta, bases, phases):
         level[0] = base
@@ -704,6 +822,6 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
             if delta < PICARD_TOL:
                 break
         residual = sweep(pool, simpson=True)
-    return PicardResult(theta, len(update_norms), update_norms, ratios,
+    return PicardResult(grid, theta, len(update_norms), update_norms, ratios,
                         update_norms[-1] < PICARD_TOL, residual,
                         list(busy.values()), waited)

@@ -215,7 +215,10 @@ def gp_collision_level(gamma_next: Marginal) -> Marginal:
 
 def gp_collision_sum(state: HierarchyState) -> HierarchyState:
     """Contact collision term of the whole state; level k reads level k+1.
-    The top level has no level above it, so it is zero."""
+    The top level has no level above it, so it is zero.  A non-finite
+    level raises a ``ValueError`` naming it before any term is formed."""
+    for k, m in enumerate(state.entries, start=1):
+        _check_finite(f"state level {k}", m.kernel)
     comps = [gp_collision_level(gamma_next) for gamma_next in state.entries[1:]]
     comps.append(zero_marginal(state.grid, state.K))
     return HierarchyState(comps)

@@ -18,9 +18,9 @@ import numpy as np
 
 from .budget import default_budget
 from .grid import (Field, GridSpec, _check_count, _check_finite,
-                   apply_symbol, bessel_multiply, dft_forward, dft_inverse,
-                   free_propagate, free_symbol, random_low_mode_field,
-                   sobolev_norm_field)
+                   _check_open_unit, apply_symbol, bessel_multiply,
+                   dft_forward, dft_inverse, free_propagate, free_symbol,
+                   random_low_mode_field, sobolev_norm_field)
 
 
 @dataclass
@@ -240,9 +240,11 @@ def marginal_spectrum(gamma: Marginal) -> np.ndarray:
     return dft_forward(gamma.as_field()).data
 
 
-def marginal_from_spectrum(grid: GridSpec, k: int, spec: np.ndarray) -> Marginal:
-    """Inverse of marginal_spectrum."""
-    return Marginal(grid, k, dft_inverse(Field(grid, 2 * k, spec)).data)
+def marginal_from_spectrum(grid: GridSpec, k: int, spec: np.ndarray,
+                           out: np.ndarray | None = None) -> Marginal:
+    """Inverse of marginal_spectrum, into ``out`` (which may be spec) or one
+    new array."""
+    return Marginal(grid, k, dft_inverse(Field(grid, 2 * k, spec), out).data)
 
 
 def free_generator(gamma: Marginal) -> Marginal:
@@ -338,8 +340,7 @@ def hierarchy_norm(state: HierarchyState, alpha: float, xi: float, *,
                    flavor: str = "hilbert_schmidt") -> float:
     """Weighted hierarchy norm sum_k xi^k ||gamma^(k)||, the level norm of
     order alpha in the chosen flavor; xi is the H_xi weight, in (0, 1)."""
-    if not 0 < xi < 1:
-        raise ValueError(f"xi must lie in (0, 1), got {xi}")
+    _check_open_unit("xi", xi)
     if flavor == "hilbert_schmidt":
         per_k = (sobolev_norm(m, alpha) for m in state.entries)
     elif flavor == "trace":
@@ -350,9 +351,12 @@ def hierarchy_norm(state: HierarchyState, alpha: float, xi: float, *,
 
 
 def admissibility_defect(state: HierarchyState) -> list[float]:
-    """HS norms of Tr_(k+1) gamma^(k+1) - gamma^(k) for k = 1..K-1."""
+    """HS norms of Tr_(k+1) gamma^(k+1) - gamma^(k) for k = 1..K-1.  A
+    non-finite level raises a ``ValueError`` naming it before any trace."""
     if state.K < 2:
         raise ValueError("admissibility needs K >= 2")
+    for k, m in enumerate(state.entries, start=1):
+        _check_finite(f"state level {k}", m.kernel)
     out = []
     for k in range(1, state.K):
         residual = partial_trace(state.entry(k + 1)) - state.entry(k)

@@ -1,7 +1,8 @@
 """Test tools: symmetry defects of density kernels, the zero potential, a
 non-factorized bosonic N-body state, the contact residual of a whole stored
 trajectory, one finite-N error term, out-of-place references for the
-in-place RK4 step, finite-N error sum and prefix steps, the time loops'
+in-place RK4 step, finite-N error sum and prefix steps, a Picard sweep
+that stores full spectra, the time loops'
 right-hand side formed afresh at a state, a guard that fails
 a test when an n-d transform runs, a counter of n-d transforms by rank, and
 an executor that runs each call on the calling thread."""
@@ -18,7 +19,9 @@ from hierlab.grid import Field, normalized, place_axes
 from hierlab.hierarchy_evolution import (HierarchyTrajectory, MixtureClosure,
                                          free_flow, gp_residual_row)
 from hierlab.interactions import PotentialSpec, bbgky_rhs, gp_collision_level
-from hierlab.marginals import HierarchyState, Marginal, zero_marginal
+from hierlab.marginals import (HierarchyState, Marginal, flow_symbol,
+                               marginal_from_spectrum, marginal_spectrum,
+                               zero_marginal)
 from hierlab.nbody import NBodyState, factorized_state
 
 
@@ -146,6 +149,32 @@ def flowed_prefix_reference(spectra: list[np.ndarray], phase: np.ndarray,
             acc.append((acc[i - 1] + (dt / 2.0) * spectra[i - 1]) * phase
                        + (dt / 2.0) * th)
     return acc
+
+
+def picard_sweep_reference(start: HierarchyState, pot: PotentialSpec,
+                           t: float, n_steps: int) -> list[list[np.ndarray]]:
+    """Picard's first trapezoid sweep from its first iterate Xi, the free
+    flow of ``start``, with every sample's spectra stored in full: level
+    k's new spectra at the samples i * t / n_steps.  The unpacked samples
+    of ``hierarchy_evolution.picard_fixed_point`` after one sweep must
+    match them to rounding."""
+    grid, dt = start.grid, t / n_steps
+    xi, prefixes = [], []
+    for k, m in enumerate(start.entries, start=1):
+        phase = np.exp(-1j * dt * flow_symbol(grid, k))
+        samples = [marginal_spectrum(m)]
+        for _ in range(n_steps):
+            samples.append(samples[-1] * phase)
+        xi.append(samples)
+        prefixes.append(flowed_prefix_reference(samples, phase, dt))
+    new: list[list[np.ndarray]] = [[] for _ in start.entries]
+    for i in range(n_steps + 1):
+        rhs = bbgky_rhs(HierarchyState(
+            [marginal_from_spectrum(grid, k, level[i])
+             for k, level in enumerate(prefixes, start=1)]), pot)
+        for level, m, x in zip(new, rhs.entries, xi):
+            level.append(marginal_spectrum(m * 1j) + x[i])
+    return new
 
 
 class SerialExecutor:

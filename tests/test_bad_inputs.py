@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hierlab.cli import EXPERIMENT_ONLY, main
 from hierlab.definetti import (Mixture, energy_functional_direct,
                                energy_functional_mixture, gwp_window_chain,
-                               random_mixture)
+                               nls_energy, random_mixture)
 from hierlab.grid import (Field, bessel_multiply, free_propagate, inner,
                           make_grid, random_low_mode_field, sobolev_norm_field)
 from hierlab.harness import ExperimentConfig, Report
@@ -23,8 +23,10 @@ from hierlab.hierarchy_evolution import (EvolutionConfig, bbgky_evolve,
                                          picard_fixed_point)
 from hierlab.interactions import (bbgky_error_level, bbgky_main_level,
                                   bbgky_rhs, bump_profile, gaussian_profile,
-                                  product_collision_level, realize_potential)
-from hierlab.marginals import (Marginal, factorized_state, hierarchy_norm,
+                                  gp_collision_sum, product_collision_level,
+                                  realize_potential)
+from hierlab.marginals import (Marginal, admissibility_defect,
+                               factorized_state, hierarchy_norm,
                                mixture_marginal, mixture_state, psd_defect,
                                pure_product_marginal, sobolev_norm,
                                symmetrize, trace_sobolev_norm)
@@ -41,6 +43,8 @@ NAN_ATOM = Field(G8, 1, np.full(G8.slot_shape(1), math.nan, dtype=complex))
 NAN_STATE = STATE.copy()  # level 2 holds one NaN entry
 NAN_STATE.entry(2).kernel[(0,) * 4] = math.nan
 NAN_KERNEL = Marginal(G8, 1, np.full(G8.slot_shape(2), math.nan, dtype=complex))
+SKEW_STATE = STATE.copy()  # level 2 is not Hermitian
+SKEW_STATE.entry(2).kernel[(0,) * 3 + (1,)] += 1e-3
 ZERO_V = zero_potential(G8)
 EVOLUTION = EvolutionConfig(dt=1e-3, t_final=1e-2)
 # the same n on another box, and another n on the same box
@@ -151,6 +155,14 @@ PROBES = {
     "picard-start-nan": (
         lambda: picard_fixed_point(NAN_STATE, ZERO_V, 0.5, 0.01, 4),
         "start level 2"),
+    "picard-start-not-hermitian": (
+        lambda: picard_fixed_point(SKEW_STATE, ZERO_V, 0.5, 0.01, 4),
+        "start level 2 must be Hermitian"),
+    "admissibility-kernel-nan": (lambda: admissibility_defect(NAN_STATE),
+                                 "state level 2 must be finite"),
+    "gp-collision-sum-kernel-nan": (lambda: gp_collision_sum(NAN_STATE),
+                                    "state level 2 must be finite"),
+    "nls-energy-atom-nan": (lambda: nls_energy(NAN_ATOM), "phi must be finite"),
     "duhamel-atom-nan": (lambda: duhamel_tower(NAN_ATOM, 2, ZERO_V, 0.01, 4),
                          "atom"),
     "duhamel-j-max-bool": (lambda: duhamel_tower(PHI, True, ZERO_V, 0.01, 4),
@@ -323,6 +335,8 @@ NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 NONPOSITIVE = st.one_of(NON_FINITE, st.floats(max_value=0.0, allow_nan=False))
 # a bool and a float, which the bounds of most int fields would let through
 NOT_AN_INT = st.sampled_from([True, 4.0])
+# a bool, which is finite and positive as a number
+NOT_A_FLOAT = st.sampled_from([True, False])
 BELOW_ONE = st.one_of(st.integers(max_value=0), NOT_AN_INT)
 BAD_LADDER = st.one_of(
     st.lists(st.integers(-4, 64), min_size=1, max_size=4).filter(
@@ -335,19 +349,29 @@ BAD_FIELDS = {
                      NOT_AN_INT),
     "n": st.one_of(st.integers(-8, 64).filter(lambda n: n % 2 or n < 4),
                    NOT_AN_INT),
-    "box_length": NONPOSITIVE,
+    "box_length": st.one_of(NONPOSITIVE, NOT_A_FLOAT),
     "profile": st.sampled_from(["", "square", "gaussian.csv"]),
-    "profile_width": NONPOSITIVE,
-    "dt": NONPOSITIVE,
-    "t_final": st.one_of(NON_FINITE, st.floats(max_value=-1e-9,
-                                               allow_infinity=False)),
+    "profile_width": st.one_of(NONPOSITIVE, NOT_A_FLOAT),
+    "dt": st.one_of(NONPOSITIVE, NOT_A_FLOAT),
+    "t_final": st.one_of(NON_FINITE, NOT_A_FLOAT,
+                         st.floats(max_value=-1e-9, allow_infinity=False)),
     "big_n": BELOW_ONE, "k_max": BELOW_ONE, "k_marginals": BELOW_ONE,
     "m_max": BELOW_ONE, "atoms": BELOW_ONE, "j_max": BELOW_ONE,
     "ladder": BAD_LADDER, "collision_ladder": BAD_LADDER,
     "windows": st.one_of(st.integers(max_value=-1), NOT_AN_INT),
     "seed": st.one_of(st.integers(max_value=-1), NOT_AN_INT),
-    **{name: NON_FINITE for name in ("beta", "b1", "xi", "xi_prime", "xi1")},
+    **{name: st.one_of(NON_FINITE, NOT_A_FLOAT)
+       for name in ("beta", "b1", "xi", "xi_prime", "xi1")},
 }
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(
+    ExperimentConfig) if f.type == "float"])
+def test_float_config_field_refuses_a_bool_by_name(name):
+    for value in (True, False):
+        with pytest.raises(ValueError, match=rf"^{name} must be a number, "
+                                             "not a bool"):
+            ExperimentConfig(**{name: value})
 
 
 def test_every_config_field_has_a_bad_value_strategy():

@@ -427,7 +427,8 @@ def test_cli_heap_policy_sets_the_glibc_ceilings(monkeypatch):
     monkeypatch.setattr(ctypes, "CDLL",
                         lambda name: types.SimpleNamespace(mallopt=mallopt))
     cli_mod._keep_freed_memory()
-    assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20)]
+    # the mmap and trim thresholds, then one arena for every thread
+    assert calls == [(-3, 32 * 2**20), (-1, 64 * 2**20), (-8, 1)]
 
 
 def test_cli_heap_policy_without_mallopt_does_nothing(monkeypatch):

@@ -15,6 +15,7 @@ from hierlab.harness import (ExperimentConfig, run_duhamel_check,
                              run_simulate_bbgky, run_simulate_gp,
                              run_simulate_nbody)
 from hierlab.hierarchy_evolution import (DUHAMEL_WORKING_STATES,
+                                         PICARD_FIXED_ENTRIES,
                                          PICARD_WORKING_STATES,
                                          RK4IP_WORKING_STATES,
                                          EvolutionConfig, HierarchyTrajectory,
@@ -511,28 +512,34 @@ def test_bbgky_loop_peaks_no_higher_than_gp_loop(monkeypatch):
     assert bbgky_peak <= gp_peak + 0.1 * one_state
 
 
+def picard_need(n: int, samples: int, working: int) -> int:
+    """Entries of ``samples`` packed level-1..2 samples at d = 1,
+    ``working`` full states and Picard's fixed entries."""
+    packed = n * (n + 1) // 2 + n**2 * (n**2 + 1) // 2
+    return samples * packed + working * (n**2 + n**4) + PICARD_FIXED_ENTRIES
+
+
 @pytest.mark.parametrize("grid,steps", [(G16, 32), (G8, 128)],
                          ids=["n16-32steps", "n8-128steps"])
 def test_picard_peak_is_one_series_list_and_fixed_kernels(monkeypatch, grid,
                                                           steps):
     # n = 8 with 128 steps is what `hierlab picard --n 8` runs; its peak,
-    # 11.8-12.6 states beside the iterate, is the highest measured
+    # 9.1-10.0 states beside the packed iterate, is the highest measured
     start, pot = picard_setup(27, grid)
     peak, checked = _peak_and_checked(
         monkeypatch, lambda: picard_fixed_point(start, pot, 0.5, PICARD_T, steps))
-    assert checked == [(steps + 1 + PICARD_WORKING_STATES)
-                       * (grid.n**2 + grid.n**4)]
+    assert checked == [picard_need(grid.n, steps + 1, PICARD_WORKING_STATES)]
     assert peak <= 16 * checked[0]
 
 
 def test_picard_working_states_are_not_overcounted(monkeypatch):
-    # the call's peak beside the 33-sample iterate is 11.2-11.3 states at
-    # n = 16, so a count two states above it means the constant drifted
-    # upwards
+    # the call's peak beside the 33-sample packed iterate is 8.5-8.65
+    # states at n = 16, so a count two states above it means the constant
+    # drifted upwards
     start, pot = picard_setup(27)
     peak, _ = _peak_and_checked(
         monkeypatch, lambda: picard_fixed_point(start, pot, 0.5, PICARD_T, 32))
-    assert peak > 16 * (33 + PICARD_WORKING_STATES - 2) * (16**2 + 16**4)
+    assert peak > 16 * picard_need(16, 33, PICARD_WORKING_STATES - 2)
 
 
 @pytest.mark.parametrize("K", [2, 3])
@@ -754,7 +761,7 @@ def test_picard_zero_input_fixed_at_zero():
     result = picard_fixed_point(start * 0.0, pot, 0.5, PICARD_T, 64)
     assert result.converged
     assert all(np.array_equal(a, np.zeros_like(a))
-               for level in result.spectra for a in level)
+               for level in result.packed for a in level)
 
 
 def test_picard_raises_on_a_non_finite_update():
@@ -795,7 +802,7 @@ def test_picard_worker_moves_no_bit(monkeypatch, grid):
     serial = picard_fixed_point(start, pot, 0.5, PICARD_T, 32)
     assert threaded.converged and serial.converged
     assert threaded.iterations == serial.iterations
-    for a, b in zip(threaded.spectra, serial.spectra):
+    for a, b in zip(threaded.packed, serial.packed):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
     assert threaded.update_norms == serial.update_norms
     assert threaded.contraction_ratios == serial.contraction_ratios
@@ -899,9 +906,10 @@ def test_picard_zero_potential_returns_input():
     assert result.converged and result.update_norms == [0.0]
     for i in range(65):
         flowed = free_flow(start, i * PICARD_T / 64)
-        for k, level in enumerate(result.spectra, start=1):
+        for k in (1, 2):
             want = marginal_spectrum(flowed.entry(k))
-            assert np.max(np.abs(level[i] - want)) <= 1e-12 * np.max(np.abs(want))
+            got = result.spectrum(k, i)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.slow
@@ -925,11 +933,41 @@ def test_picard_rejects_horizon_beyond_gate(monkeypatch):
 def test_picard_below_its_need_raises_before_a_transform(monkeypatch):
     from hierlab.budget import BudgetExceeded
     start, pot = picard_setup(21, G8)
-    need = (129 + PICARD_WORKING_STATES) * (8**2 + 8**4)
+    need = picard_need(8, 129, PICARD_WORKING_STATES)
     monkeypatch.setenv("HLAB_BUDGET", str(need - 1))
     forbid_transforms(monkeypatch)
-    with pytest.raises(BudgetExceeded, match="129 samples"):
+    with pytest.raises(BudgetExceeded, match="129 packed samples"):
         picard_fixed_point(start, pot, 0.5, PICARD_T, 128)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_picard_refuses_a_non_hermitian_start_before_a_transform(
+        monkeypatch, level):
+    # the tolerance is max |M - M^H| <= 1e-12 max |M|: an entry moved by
+    # half of it off its mirror is accepted, by twice it refused
+    start, _ = picard_setup(21, G8)
+    kernel = start.entry(level).kernel
+    scale = np.max(np.abs(kernel))
+    corner = (0,) * (kernel.ndim - 1) + (1,)  # off the diagonal
+    kernel[corner] += 0.5e-12 * scale
+    picard_fixed_point(start, zero_potential(G8, 16), 0.5, PICARD_T, 4)
+    kernel[corner] += 1.5e-12 * scale
+    forbid_transforms(monkeypatch)
+    with pytest.raises(ValueError, match=f"start level {level} must be Hermitian"):
+        picard_fixed_point(start, zero_potential(G8, 16), 0.5, PICARD_T, 4)
+
+
+@pytest.mark.parametrize("seed", [11, 7])
+def test_run_picard_start_passes_the_hermitian_check(seed):
+    # the start `hierlab picard` draws, at the golden n = 8 and the default n
+    for n in (8, 16):
+        grid = make_grid(1, n)
+        rng = ExperimentConfig(n=n, seed=seed).rng()
+        for k in (1, 2):
+            gamma = random_hermitian_marginal(grid, k, rng, max_mode=2,
+                                              symmetric=True)
+            assert hermiticity_defect(gamma) <= 1e-12 * np.max(
+                np.abs(gamma.kernel))
 
 
 def test_picard_gate_follows_the_xi_argument():

@@ -13,17 +13,19 @@ from hierlab import hierarchy_evolution
 from hierlab.cli import main
 from hierlab.grid import (bessel_multiply, dft_forward, l2_norm, make_grid,
                           random_low_mode_field, sobolev_norm_field,
-                          sobolev_weight)
-from hierlab.hierarchy_evolution import (duhamel_tower, free_flow,
-                                         picard_fixed_point, t0_gate)
+                          sobolev_weight, spectral_norm)
+from hierlab.hierarchy_evolution import (HermitianPacking, duhamel_tower,
+                                         free_flow, picard_fixed_point,
+                                         t0_gate)
 from hierlab.interactions import (bbgky_main_level, bbgky_rhs,
                                   gaussian_profile, realize_potential)
 from hierlab.marginals import (HierarchyState, factorized_state, flow_symbol,
                                free_propagate_marginal, hierarchy_norm,
-                               marginal_from_spectrum,
+                               marginal_from_spectrum, marginal_spectrum,
                                random_hermitian_marginal)
 
-from kernel_tools import count_transforms, flowed_prefix_reference
+from kernel_tools import (count_transforms, flowed_prefix_reference,
+                          picard_sweep_reference)
 
 GRIDS = [make_grid(1, 8), make_grid(2, 4)]
 GRID_IDS = ["d1n8", "d2n4"]
@@ -204,9 +206,10 @@ def test_picard_sweep_matches_physical_reference(grid, monkeypatch):
     assert result.residual == pytest.approx(
         ref_distance(ref_sweep(dt, xi_states, new, pot, simpson=True), new),
         abs=1e-12)
-    swept = [HierarchyState([marginal_from_spectrum(grid, k, a)
-                             for k, a in enumerate(hats, start=1)])
-             for hats in zip(*result.spectra)]
+    swept = [HierarchyState([marginal_from_spectrum(grid, k,
+                                                    result.spectrum(k, i))
+                             for k in (1, 2)])
+             for i in range(9)]
     assert ref_distance(swept, new) <= 1e-12
 
     # the full iteration follows the reference sweep for sweep
@@ -221,3 +224,56 @@ def test_picard_sweep_matches_physical_reference(grid, monkeypatch):
     assert result.residual == pytest.approx(
         ref_distance(ref_sweep(dt, xi_states, theta, pot, simpson=True), theta),
         abs=1e-12)
+
+
+def reflected(spec, k, d):
+    """conj(ghat(-q', -p)) at (p, q') for a level-k spectrum ``spec``: every
+    axis flipped, the unprimed and primed slots swapped, conjugated.  A
+    Hermitian kernel's spectrum equals it."""
+    neg = -np.arange(spec.shape[0]) % spec.shape[0]
+    flipped = spec[np.ix_(*[neg] * spec.ndim)]
+    swap = list(range(k * d, 2 * k * d)) + list(range(k * d))
+    return np.conj(np.transpose(flipped, swap))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("grid", [make_grid(1, 8), make_grid(1, 16),
+                                  make_grid(2, 4)], ids=["d1n8", "d1n16", "d2n4"])
+def test_pack_then_unpack_is_exactly_hermitian(grid, k):
+    packing = HermitianPacking(grid, k)
+    m = grid.num_points**k
+    rng = np.random.default_rng(5)
+    # any spectrum, Nyquist rows included, comes back exactly Hermitian,
+    # and its packing survives the round trip bit for bit
+    raw = rng.standard_normal(packing.shape) \
+        + 1j * rng.standard_normal(packing.shape)
+    packed = packing.pack(raw)
+    assert packed.shape == (m // 2, m + 1) and packed.flags.c_contiguous
+    full = packing.unpack(packed)
+    assert np.array_equal(full, reflected(full, k, grid.dim))
+    assert np.array_equal(packing.pack(full).view(np.uint64),
+                          packed.view(np.uint64))
+    # a Hermitian kernel's spectrum comes back to its own rounding, and the
+    # packed Parseval weight gives its H^1 norm
+    spec = marginal_spectrum(random_hermitian_marginal(grid, k, rng))
+    back = packing.unpack(packing.pack(spec))
+    assert np.max(np.abs(back - spec)) <= 1e-15 * np.max(np.abs(spec))
+    weight = sobolev_weight(grid, 2 * k, 1.0)
+    assert spectral_norm(packing.pack(spec), packing.parseval_weight(weight)) \
+        == pytest.approx(spectral_norm(spec, weight), rel=1e-14)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_packed_picard_sweep_matches_full_spectra(grid, monkeypatch):
+    pot = pot_for(grid)
+    rng = np.random.default_rng(8)
+    start = HierarchyState([random_hermitian_marginal(grid, k, rng, max_mode=1)
+                            for k in (1, 2)])
+    t = t0_gate(0.5) / 4.0
+    monkeypatch.setattr(hierarchy_evolution, "PICARD_MAX_SWEEPS", 1)
+    result = picard_fixed_point(start, pot, 0.5, t, 8)
+    want = picard_sweep_reference(start, pot, t, 8)
+    for k, level in enumerate(want, start=1):
+        for i, spec in enumerate(level):
+            got = result.spectrum(k, i)
+            assert np.max(np.abs(got - spec)) <= 1e-13 * np.max(np.abs(spec))
