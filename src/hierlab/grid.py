@@ -216,6 +216,13 @@ def place_axes(values: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray
     return values.reshape(shape)
 
 
+def reflect(data: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """``data`` read at -j mod n along each of ``axes``: the torus
+    reflection x -> -x of those axes, as a new array."""
+    axes = tuple(axes)
+    return np.roll(np.flip(data, axes), 1, axes)
+
+
 def apply_symbol(f: Field, symbol: np.ndarray) -> Field:
     """Multiply the spectrum over all slots by a full-rank symbol, e.g. a
     generator's additive symbol from free_symbol: ifftn(symbol * fftn(f)),

@@ -39,8 +39,8 @@ from .budget import default_budget
 from .definetti import nls_evolve
 from .grid import (Field, GridSpec, _check_count, _check_finite,
                    _check_open_unit, _check_positive, check_same_grid,
-                   dft_forward, free_propagate, sobolev_weight, spectral_norm,
-                   step_count, stored_steps)
+                   dft_forward, free_propagate, reflect, sobolev_weight,
+                   spectral_norm, step_count, stored_steps)
 from .interactions import (PotentialSpec, bbgky_main_level, bbgky_rhs,
                            gp_collision_level, product_collision_level)
 from .marginals import (HierarchyState, Marginal, flow_symbol,
@@ -55,12 +55,6 @@ TRACE_DRIFT_ABORT = 0.01
 
 class InstabilityError(RuntimeError):
     """Trace drift exceeded the abort threshold during evolution."""
-
-
-def _check_start(state: HierarchyState) -> None:
-    """``_check_finite`` on every level of a start state, naming the level."""
-    for k, m in enumerate(state.entries, start=1):
-        _check_finite(f"start level {k}", m.kernel)
 
 
 @dataclass
@@ -232,7 +226,7 @@ class Store(Protocol):
 def _evolve(state0: HierarchyState, config: EvolutionConfig,
             rhs: Callable[[HierarchyState, float], HierarchyState],
             store_every: int, store: Store | None) -> HierarchyTrajectory:
-    _check_start(state0)
+    state0.check_finite("start")
     n_steps = step_count(config.t_final, config.dt)
     keep = stored_steps(n_steps, store_every)
     states: list[HierarchyState] = []
@@ -515,8 +509,7 @@ class HermitianPacking:
         self.shape = grid.slot_shape(2 * k)
         self.packed_shape = (m // 2, m + 1)
         # the flat primed index of -q' for each q'
-        flip = np.ravel_multi_index(tuple(-np.indices(block) % grid.n),
-                                    block).ravel()
+        flip = reflect(np.arange(m).reshape(block), range(len(block))).ravel()
         rows, cols = np.triu_indices(m)
         # where G(i, j) = ghat(i, -j) and its mirror G(j, i) sit in the
         # flattened spectrum, for each packed entry (i <= j)
@@ -559,16 +552,16 @@ class HermitianPacking:
 
 @dataclass
 class PicardResult:
-    """The fixed point Theta, held as its packed spectra on ``grid``:
+    """The fixed point Theta, held as its packed spectra:
     ``packed[k - 1]`` is one array of level k's samples,
-    ``packed[k - 1][i]`` the spectrum at sample i as ``HermitianPacking``
+    ``packed[k - 1][i]`` the spectrum at sample i as ``packings[k - 1]``
     holds it, which ``spectrum(k, i)`` unpacks; with the record of the
     sweeps.  ``worker_busy_s`` is the time each worker thread spent forming
     samples, in the order the workers first finished one, and
     ``result_wait_s`` the time the calling thread waited for them; neither
     changes what is computed."""
 
-    grid: GridSpec
+    packings: list[HermitianPacking]
     packed: list[np.ndarray]
     iterations: int
     update_norms: list[float]
@@ -580,7 +573,7 @@ class PicardResult:
 
     def spectrum(self, k: int, i: int) -> np.ndarray:
         """Level k's full spectrum at sample i, as a new array."""
-        return HermitianPacking(self.grid, k).unpack(self.packed[k - 1][i])
+        return self.packings[k - 1].unpack(self.packed[k - 1][i])
 
 
 # What a Picard call holds besides its packed iterate, on its three threads
@@ -649,18 +642,20 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
     The free term Xi(s) = U(s) start, capital Xi, is the free flow of the
     start state.  The call holds the start's packed spectra, one packed
     phase exp(-i dt S_k) per level, and the iterate, one array of packed
-    spectra per level and the only series-sized thing held; level k of Xi
-    at sample i is the start's spectrum stepped i times by the phase.  The
-    operands' grids, the time grid, the gate, the start's entries (finite,
-    then Hermitian) and then what the call holds are checked before the
-    first transform.  The first iterate is Xi's packed spectra, written as
-    they are.  A sweep steps the forward-propagated prefix integral through
-    the samples by the same phases (see ``_flowed_prefix``), on packed
-    arrays, and inverts it once per sample and level to apply B_N.  The new
-    sample's spectra are F(i B_N A) + Xi_hat, one forward transform per
-    level, packed; they give the update norm by Parseval, with the packed
-    weights of ``HermitianPacking.parseval_weight``, and overwrite the old
-    ones, which the prefix has read by then.
+    spectra per level and the only series-sized thing held; level k of Xi at
+    sample i is the start's spectrum stepped i times by the phase.  The
+    operands' grids, the time grid, the gate, what the call holds and then
+    the start's entries (finite, then Hermitian) are checked before the
+    first transform, so a start too large for the budget is refused before
+    anything of its size is formed.  The first iterate is Xi's packed
+    spectra, written as they are.  A sweep steps the forward-propagated
+    prefix integral through the samples by the same phases (see
+    ``_flowed_prefix``), on packed arrays, and inverts it once per sample
+    and level to apply B_N.  The new sample's spectra are F(i B_N A) +
+    Xi_hat, one forward transform per level, packed; they give the update
+    norm by Parseval, with the packed weights of
+    ``HermitianPacking.parseval_weight``, and overwrite the old ones, which
+    the prefix has read by then.
 
     A sweep's samples are formed on a pool of ``PICARD_WORKERS`` = 2
     worker threads, and numpy's transforms release the interpreter lock, so
@@ -696,11 +691,11 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
     gate = t0_gate(xi)
     if t >= gate:
         raise ValueError(f"horizon t={t} is not below the gate T0={gate}")
-    _check_start(start)
-    _check_hermitian(start)
     grid, K, dt = start.grid, start.K, t / n_steps
     check_series_budget(grid, K, n_steps + 1, PICARD_WORKING_STATES,
                         packed=True, fixed=PICARD_FIXED_ENTRIES)
+    start.check_finite("start")
+    _check_hermitian(start)
     packings = [HermitianPacking(grid, k) for k in range(1, K + 1)]
     bases = [p.pack(marginal_spectrum(m))
              for p, m in zip(packings, start.entries)]
@@ -822,6 +817,6 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
             if delta < PICARD_TOL:
                 break
         residual = sweep(pool, simpson=True)
-    return PicardResult(grid, theta, len(update_norms), update_norms, ratios,
-                        update_norms[-1] < PICARD_TOL, residual,
+    return PicardResult(packings, theta, len(update_norms), update_norms,
+                        ratios, update_norms[-1] < PICARD_TOL, residual,
                         list(busy.values()), waited)

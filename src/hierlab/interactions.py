@@ -23,7 +23,7 @@ import numpy as np
 
 from .budget import default_budget
 from .grid import (Field, GridSpec, _check_count, _check_finite,
-                   _check_positive, check_same_grid, place_axes)
+                   _check_positive, check_same_grid, place_axes, reflect)
 from .marginals import HierarchyState, Marginal, pair_subscripts, zero_marginal
 
 # boxes summed on each side when a Gaussian profile is periodized
@@ -89,9 +89,7 @@ def check_profile(profile: Field) -> None:
         raise ValueError("potential profile must be real")
     if np.min(data.real) < -1e-12 * max(np.max(data.real), 1e-300):
         raise ValueError("potential profile must be nonnegative")
-    flipped = data
-    for ax in range(data.ndim):
-        flipped = np.flip(np.roll(flipped, -1, axis=ax), axis=ax)
+    flipped = reflect(data, range(data.ndim))
     if np.max(np.abs(data - flipped)) > 1e-10 * max(np.max(np.abs(data)), 1e-300):
         raise ValueError("potential profile must be even under x -> -x")
 
@@ -134,7 +132,7 @@ def realize_potential(profile: Field, beta: float, big_n: int,
     # enforce an exactly even (hence real) realization; the grid point at
     # -L/2 has no mirror partner and would otherwise leave odd residue
     for ax in range(d):
-        spec = 0.5 * (spec + np.roll(np.flip(spec, axis=ax), 1, axis=ax))
+        spec = 0.5 * (spec + reflect(spec, (ax,)))
     realized = np.fft.ifftn(spec.real).real / grid.h**d
 
     # support heuristic: the bump spans about 4*width, under-resolved when
@@ -217,8 +215,7 @@ def gp_collision_sum(state: HierarchyState) -> HierarchyState:
     """Contact collision term of the whole state; level k reads level k+1.
     The top level has no level above it, so it is zero.  A non-finite
     level raises a ``ValueError`` naming it before any term is formed."""
-    for k, m in enumerate(state.entries, start=1):
-        _check_finite(f"state level {k}", m.kernel)
+    state.check_finite("state")
     comps = [gp_collision_level(gamma_next) for gamma_next in state.entries[1:]]
     comps.append(zero_marginal(state.grid, state.K))
     return HierarchyState(comps)
@@ -299,6 +296,21 @@ def product_collision_level(atoms: Sequence[tuple[float, Field]], k: int,
     return Marginal(grid, k, left.T @ right)
 
 
+def pair_potential(pot: PotentialSpec, k: int) -> np.ndarray:
+    """V_k = sum_{i<j<=k} V_N(x_i - x_j) on the rank-k grid, real and
+    without the 1/N factor: the interaction of k particles, which the
+    N-body Hamiltonian takes at k = N and the finite-N hierarchy's
+    same-level term at every level k.  Summed from zeros, pair by pair in
+    the order (1, 2), (1, 3), ..., (k - 1, k)."""
+    grid = pot.grid
+    total = np.zeros(grid.slot_shape(k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            axes = grid.slot_axes(i) + grid.slot_axes(j)
+            total += place_axes(pot.difference_table, axes, total.ndim)
+    return total
+
+
 # Largest slab, in entries, that bbgky_error_level forms its sum in, one
 # slab of the kernel's leading axes at a time: a slab's terms stay in cache,
 # and the sum holds one level-k kernel, not two.
@@ -306,16 +318,17 @@ ERROR_SLAB_ENTRIES = 2**12
 
 
 def bbgky_error_level(gamma: Marginal, pot: PotentialSpec) -> Marginal:
-    """Sum over pairs i<j of plus-minus error terms, with the 1/N weight.
+    """The same-level term (1/N) [V_k, gamma] of level k, with V_k =
+    sum_{i<j<=k} V_N(x_i - x_j) (``pair_potential``): the kernel times
+    V_k(x) minus the kernel times V_k(x'), weighted by 1/N.  Zero at k = 1.
 
-    The sum is formed one slab of the kernel's leading axes at a time (the
-    first axis or more, so that a slab holds at most ERROR_SLAB_ENTRIES
-    entries): the first term is written into the sum and each
-    later one formed in a slab-sized buffer and added or subtracted, in the
-    order of the pairs, plus before minus.  So the sum works in one level-k
-    kernel beside its input, the products broadcast the potential over a
-    slab, not the kernel, and every entry sees the operations of the
-    term-by-term sum.  The weight is applied in place."""
+    The difference is formed one slab of the kernel's leading axes at a
+    time (the first axis or more, so that a slab holds at most
+    ERROR_SLAB_ENTRIES entries): the product with V_k(x) is written into
+    the sum, the one with V_k(x') formed in a slab-sized buffer and
+    subtracted.  So the term works in one level-k kernel beside its input,
+    and the products broadcast V_k over a slab, not the kernel.  The weight
+    is applied in place."""
     check_same_grid(gamma=gamma, pot=pot)
     k, grid, kernel = gamma.k, gamma.grid, gamma.kernel
     if k < 2:
@@ -323,33 +336,28 @@ def bbgky_error_level(gamma: Marginal, pot: PotentialSpec) -> Marginal:
     lead = 1
     while math.prod(kernel.shape[lead:]) > ERROR_SLAB_ENTRIES:
         lead += 1
-
-    def weight(i: int, j: int, offset: int) -> np.ndarray:
-        # V(x_i - x_j) on the unprimed (offset 0) or primed (offset k) slots,
-        # broadcast to the kernel; i < j, so the target axes increase
-        axes = grid.slot_axes(offset + i - 1) + grid.slot_axes(offset + j - 1)
-        return np.broadcast_to(
-            place_axes(pot.difference_table, axes, kernel.ndim), kernel.shape)
-
-    (first, _), *rest = [(weight(i, j, offset), accumulate)
-                         for i in range(1, k + 1) for j in range(i + 1, k + 1)
-                         for offset, accumulate in ((0, np.add), (k, np.subtract))]
+    vk = pair_potential(pot, k)
+    # V_k(x) on the kernel's leading, unprimed, axes; V_k(x') on the
+    # trailing, primed, ones
+    unprimed = np.broadcast_to(vk.reshape(vk.shape + (1,) * vk.ndim),
+                               kernel.shape)
+    primed = np.broadcast_to(vk, kernel.shape)
     out = np.empty_like(kernel)
     product = np.empty(kernel.shape[lead:], complex)
     for idx in np.ndindex(kernel.shape[:lead]):
-        np.multiply(kernel[idx], first[idx], out=out[idx])
-        for w, accumulate in rest:
-            np.multiply(kernel[idx], w[idx], out=product)
-            accumulate(out[idx], product, out=out[idx])
+        np.multiply(kernel[idx], unprimed[idx], out=out[idx])
+        np.multiply(kernel[idx], primed[idx], out=product)
+        np.subtract(out[idx], product, out=out[idx])
     out *= 1.0 / pot.big_n
     return Marginal(grid, k, out)
 
 
 def bbgky_rhs(state: HierarchyState, pot: PotentialSpec) -> HierarchyState:
-    """Collision part of the finite-N hierarchy: at each level k the weighted
-    same-level error term (``bbgky_error_level``), which is zero at level 1,
-    plus, below the top level, the weighted main term reading level k+1,
-    added in the error term's buffer.  Levels above N are zero."""
+    """Collision part of the finite-N hierarchy: at each level k the
+    same-level error term (1/N) [V_k, gamma^(k)], V_k = sum_{i<j<=k}
+    V_N(x_i - x_j) (``bbgky_error_level``), which is zero at level 1, plus,
+    below the top level, the weighted main term reading level k+1, added in
+    the error term's buffer.  Levels above N are zero."""
     check_same_grid(state=state, pot=pot)
     if state.K > pot.big_n:
         raise ValueError(f"state truncated at K={state.K} > N={pot.big_n}")

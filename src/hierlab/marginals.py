@@ -306,6 +306,12 @@ class HierarchyState:
             raise ValueError(f"level {k} outside 1..{self.K}")
         return self.entries[k - 1]
 
+    def check_finite(self, what: str) -> None:
+        """Raise a ``ValueError`` naming the first level whose kernel has a
+        non-finite entry, as "``what`` level k"."""
+        for k, m in enumerate(self.entries, start=1):
+            _check_finite(f"{what} level {k}", m.kernel)
+
     def copy(self) -> "HierarchyState":
         return HierarchyState([m.copy() for m in self.entries])
 
@@ -355,8 +361,7 @@ def admissibility_defect(state: HierarchyState) -> list[float]:
     non-finite level raises a ``ValueError`` naming it before any trace."""
     if state.K < 2:
         raise ValueError("admissibility needs K >= 2")
-    for k, m in enumerate(state.entries, start=1):
-        _check_finite(f"state level {k}", m.kernel)
+    state.check_finite("state")
     out = []
     for k in range(1, state.K):
         residual = partial_trace(state.entry(k + 1)) - state.entry(k)

@@ -17,23 +17,13 @@ import numpy as np
 from .budget import default_budget
 from .grid import (Field, GridSpec, _check_count, apply_symbol,
                    bessel_multiply, check_same_grid, free_propagate,
-                   free_symbol, inner, l2_norm, normalized, place_axes,
-                   step_count, stored_steps)
-from .interactions import PotentialSpec
+                   free_symbol, inner, l2_norm, normalized, step_count,
+                   stored_steps)
+from .interactions import PotentialSpec, pair_potential
 from .marginals import Marginal, _tensor_product
 
 # relative imaginary residue of <psi, H^j psi> tolerated as rounding
 MOMENT_IMAG_TOL = 1e-9
-
-
-def _pair_potential_total(grid: GridSpec, big_n: int, pot: PotentialSpec) -> np.ndarray:
-    """sum_{i<j} V(x_i - x_j) over the full rank-N grid (no 1/N factor)."""
-    total = np.zeros(grid.slot_shape(big_n))
-    for i in range(big_n):
-        for j in range(i + 1, big_n):
-            axes = grid.slot_axes(i) + grid.slot_axes(j)
-            total += place_axes(pot.difference_table, axes, total.ndim)
-    return total
 
 
 @dataclass
@@ -49,7 +39,9 @@ class NBodyState:
 
     @cached_property
     def pair_potential(self) -> np.ndarray:
-        return _pair_potential_total(self.grid, self.big_n, self.pot)
+        """sum_{i<j} V(x_i - x_j) over the full rank-N grid (no 1/N
+        factor), ``interactions.pair_potential`` at k = N."""
+        return pair_potential(self.pot, self.big_n)
 
     @cached_property
     def kinetic(self) -> np.ndarray:

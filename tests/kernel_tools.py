@@ -1,7 +1,8 @@
 """Test tools: symmetry defects of density kernels, the zero potential, a
 non-factorized bosonic N-body state, the contact residual of a whole stored
-trajectory, one finite-N error term, out-of-place references for the
-in-place RK4 step, finite-N error sum and prefix steps, a Picard sweep
+trajectory, one finite-N error term and their sum over pairs, the
+k-particle pair potential, out-of-place references for the
+in-place RK4 step, finite-N error term and prefix steps, a Picard sweep
 that stores full spectra, the time loops'
 right-hand side formed afresh at a state, a guard that fails
 a test when an n-d transform runs, a counter of n-d transforms by rank, and
@@ -116,17 +117,42 @@ def bbgky_collision_error(gamma: Marginal, i: int, j: int, sign: str,
     return Marginal(gamma.grid, k, gamma.kernel * w)
 
 
+def pair_potential_reference(pot: PotentialSpec, k: int) -> np.ndarray:
+    """sum_{i<j<=k} V(x_i - x_j) on the rank-k grid as the N-body
+    Hamiltonian first summed it, from ``pot.difference_table``: zeros, then
+    each pair (i, j) added in order; ``interactions.pair_potential`` must
+    match it bit for bit."""
+    grid = pot.grid
+    total = np.zeros(grid.slot_shape(k))
+    for i in range(k):
+        for j in range(i + 1, k):
+            axes = grid.slot_axes(i) + grid.slot_axes(j)
+            total += place_axes(pot.difference_table, axes, total.ndim)
+    return total
+
+
 def bbgky_error_level_reference(gamma: Marginal, pot: PotentialSpec) -> Marginal:
-    """The finite-N error sum term by term, out of place;
-    ``interactions.bbgky_error_level`` must match it bit for bit."""
+    """The finite-N same-level term (1/N) [V_k, gamma] out of place, as
+    (kernel V_k(x) - kernel V_k(x')) (1/N) with V_k from
+    ``pair_potential_reference``; ``interactions.bbgky_error_level`` must
+    match it bit for bit."""
     if gamma.k < 2:
         return zero_marginal(gamma.grid, gamma.k)
-    out = None
+    vk, kernel = pair_potential_reference(pot, gamma.k), gamma.kernel
+    unprimed = vk.reshape(vk.shape + (1,) * vk.ndim)
+    # vk itself broadcasts onto the kernel's trailing, primed, axes
+    return Marginal(gamma.grid, gamma.k,
+                    (kernel * unprimed - kernel * vk) * (1.0 / pot.big_n))
+
+
+def bbgky_error_pair_sum(gamma: Marginal, pot: PotentialSpec) -> Marginal:
+    """The finite-N same-level term by its definition, the sum over pairs
+    i < j of the plus minus the minus term, with the 1/N weight."""
+    out = zero_marginal(gamma.grid, gamma.k)
     for i in range(1, gamma.k + 1):
         for j in range(i + 1, gamma.k + 1):
-            plus = bbgky_collision_error(gamma, i, j, "+", pot)
-            out = plus if out is None else out + plus
-            out = out - bbgky_collision_error(gamma, i, j, "-", pot)
+            out = out + bbgky_collision_error(gamma, i, j, "+", pot) \
+                - bbgky_collision_error(gamma, i, j, "-", pot)
     return out * (1.0 / pot.big_n)
 
 

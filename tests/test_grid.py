@@ -4,7 +4,7 @@ import pytest
 from hierlab.grid import (Field, apply_axes, bessel_multiply, dft_forward,
                           dft_inverse, flow_matrix, free_propagate, inner,
                           l2_norm, make_grid, normalized, place_axes,
-                          random_low_mode_field, sobolev_norm_field,
+                          random_low_mode_field, reflect, sobolev_norm_field,
                           step_count, stored_steps)
 
 
@@ -249,3 +249,19 @@ def test_dft_inverse_scaling_is_bitwise_the_division(dim, n, L, rank):
     got = dft_inverse(Field(g, rank, spec)).data
     assert np.count_nonzero(want) == want.size
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("dim,n", [(1, 8), (2, 4), (3, 4)])
+def test_reflect_reads_minus_j_mod_n_and_is_an_involution(dim, n):
+    # a rank-2 field, reflected on the first slot's axes, then on all axes
+    g = make_grid(dim, n)
+    rng = np.random.default_rng(47)
+    data = rng.standard_normal(g.slot_shape(2)) \
+        + 1j * rng.standard_normal(g.slot_shape(2))
+    for axes in (range(dim), range(2 * dim)):
+        idx = np.indices(data.shape)
+        for ax in axes:
+            idx[ax] = -idx[ax] % n
+        got = reflect(data, axes)
+        assert np.array_equal(got, data[tuple(idx)])
+        assert np.array_equal(reflect(got, axes), data)

@@ -334,7 +334,7 @@ def test_simulate_nbody_moments_and_files(tmp_path):
 
 
 def test_simulate_nbody_builds_its_operators_once(tmp_path, monkeypatch):
-    built = {"_pair_potential_total": 0, "free_symbol": 0}
+    built = {"pair_potential": 0, "free_symbol": 0}
     for name in built:
         real = getattr(nbody_mod, name)
 
@@ -345,7 +345,7 @@ def test_simulate_nbody_builds_its_operators_once(tmp_path, monkeypatch):
     cfg = small_cfg(outdir=str(tmp_path / "nb"), big_n=3, t_final=0.01,
                     dt=1e-3, k_marginals=2)
     run_simulate_nbody(cfg)
-    assert built == {"_pair_potential_total": 1, "free_symbol": 1}
+    assert built == {"pair_potential": 1, "free_symbol": 1}
 
 
 def test_cli_runs_collision_limit(tmp_path, capsys):

@@ -18,7 +18,8 @@ from hierlab.hierarchy_evolution import (DUHAMEL_WORKING_STATES,
                                          PICARD_FIXED_ENTRIES,
                                          PICARD_WORKING_STATES,
                                          RK4IP_WORKING_STATES,
-                                         EvolutionConfig, HierarchyTrajectory,
+                                         EvolutionConfig, HermitianPacking,
+                                         HierarchyTrajectory,
                                          MixtureClosure, bbgky_evolve,
                                          check_series_budget, duhamel_tower,
                                          free_flow, gp_evolve, k_schedule,
@@ -938,6 +939,36 @@ def test_picard_below_its_need_raises_before_a_transform(monkeypatch):
     forbid_transforms(monkeypatch)
     with pytest.raises(BudgetExceeded, match="129 packed samples"):
         picard_fixed_point(start, pot, 0.5, PICARD_T, 128)
+
+
+def test_picard_checks_its_budget_before_the_hermitian_check(monkeypatch):
+    # the Hermitian check forms M - M^H and its modulus, about two level-K
+    # states, so a start too large for the budget is refused before it
+    from hierlab.budget import BudgetExceeded
+    start, pot = picard_setup(21, G8)
+    monkeypatch.setenv("HLAB_BUDGET",
+                       str(picard_need(8, 129, PICARD_WORKING_STATES) - 1))
+    monkeypatch.setattr(hierarchy_evolution, "_check_hermitian",
+                        lambda state: pytest.fail("checked Hermitian first"))
+    with pytest.raises(BudgetExceeded, match="129 packed samples"):
+        picard_fixed_point(start, pot, 0.5, PICARD_T, 128)
+
+
+def test_picard_result_unpacks_with_the_packings_of_the_call(monkeypatch):
+    built = []
+    real_init = HermitianPacking.__init__
+
+    def counting(self, grid, k):
+        built.append(k)
+        real_init(self, grid, k)
+    monkeypatch.setattr(HermitianPacking, "__init__", counting)
+    start, pot = picard_setup(22, G8)
+    result = picard_fixed_point(start, pot, 0.5, PICARD_T, 8)
+    assert built == [1, 2]
+    for k in (1, 2):
+        for i in range(9):
+            assert result.spectrum(k, i).shape == G8.slot_shape(2 * k)
+    assert built == [1, 2]
 
 
 @pytest.mark.parametrize("level", [1, 2])

@@ -12,7 +12,7 @@ from hierlab.interactions import (bbgky_collision_main, bbgky_error_level,
                                   collision_fourier_oracle, delta_surrogate,
                                   gaussian_profile, gp_collision,
                                   gp_collision_level, gp_collision_sum,
-                                  potential_difference_tensor,
+                                  pair_potential, potential_difference_tensor,
                                   product_collision_level, realize_potential)
 from hierlab.marginals import (HierarchyState, Marginal, factorized_state,
                                free_propagate_marginal, hierarchy_norm,
@@ -21,7 +21,8 @@ from hierlab.marginals import (HierarchyState, Marginal, factorized_state,
                                zero_marginal)
 
 from kernel_tools import (bbgky_collision_error, bbgky_error_level_reference,
-                          hermiticity_defect)
+                          bbgky_error_pair_sum, hermiticity_defect,
+                          pair_potential_reference)
 
 G16 = make_grid(1, 16, 2 * np.pi)
 G8 = make_grid(1, 8, 2 * np.pi)
@@ -257,13 +258,38 @@ def test_potential_table_built_once_and_budget_checked(monkeypatch):
                          ids=["d1-n8-K2", "d1-n16-K2", "d1-n8-K3", "d2-n4-K2",
                               "d1-n4-K4"])
 @pytest.mark.parametrize("profile", [gaussian_profile, bump_profile])
-def test_bbgky_error_level_is_bitwise_the_term_by_term_sum(profile, dim, n, K):
+def test_bbgky_error_level_is_bitwise_the_commutator_with_v_k(profile, dim,
+                                                              n, K):
     grid = make_grid(dim, n, 2 * np.pi)
     pot = realize_potential(profile(grid, 0.6), 0.2, 5)
     gamma = random_hermitian_marginal(grid, K, np.random.default_rng(44))
     got = bbgky_error_level(gamma, pot).kernel
     want = bbgky_error_level_reference(gamma, pot).kernel
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("dim,n,K", [(1, 8, 3), (1, 4, 4), (2, 4, 3)],
+                         ids=["d1-n8-K3", "d1-n4-K4", "d2-n4-K3"])
+@pytest.mark.parametrize("profile", [gaussian_profile, bump_profile])
+def test_bbgky_error_level_is_the_sum_over_pairs(profile, dim, n, K):
+    """From K = 3 the commutator sums the pairs before the product, so it
+    meets the pair-by-pair definition to rounding, not bit for bit."""
+    grid = make_grid(dim, n, 2 * np.pi)
+    pot = realize_potential(profile(grid, 0.6), 0.2, 5)
+    gamma = random_hermitian_marginal(grid, K, np.random.default_rng(46))
+    got = bbgky_error_level(gamma, pot)
+    want = bbgky_error_pair_sum(gamma, pot)
+    assert sobolev_norm(got - want, 0.0) <= 1e-13 * sobolev_norm(want, 0.0)
+
+
+@pytest.mark.parametrize("dim,K", [(1, 2), (1, 3), (1, 5), (2, 3)])
+def test_pair_potential_is_bitwise_the_pair_loop(dim, K):
+    grid = make_grid(dim, 4, 2 * np.pi)
+    pot = realize_potential(bump_profile(grid, 0.6), 0.2, 5)
+    got = pair_potential(pot, K)
+    assert got.shape == grid.slot_shape(K) and got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64),
+                          pair_potential_reference(pot, K).view(np.uint64))
 
 
 def test_bbgky_error_index_order_enforced():

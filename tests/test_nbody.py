@@ -10,7 +10,8 @@ from hierlab.nbody import (NBodyState, energy_estimate_check, energy_moments,
                            extract_marginal, factorized_state,
                            hamiltonian_apply, nbody_evolve, symmetry_defect)
 
-from kernel_tools import perturbed_product_state, zero_potential
+from kernel_tools import (pair_potential_reference, perturbed_product_state,
+                          zero_potential)
 
 G16 = make_grid(1, 16, 2 * np.pi)
 G8 = make_grid(1, 8, 2 * np.pi)
@@ -150,6 +151,18 @@ def test_evolve_in_place_loop_leaves_its_input_and_samples_apart(dim, big_n):
     assert np.array_equal(state.psi.data, before)
     assert np.array_equal(ends.psis[-1].data, want[-1])
     assert not np.shares_memory(ends.psis[-1].data, state.psi.data)
+
+
+@pytest.mark.parametrize("big_n", [3, 5])
+def test_pair_potential_is_bitwise_the_pair_loop(big_n):
+    """The N-body table is ``interactions.pair_potential`` at k = N: the
+    same bits as H_N's own loop over the pairs, cached on the state."""
+    pot = pot8(big_n)
+    state = factorized_state(smooth_atom(G8, 33), big_n, pot)
+    want = pair_potential_reference(pot, big_n)
+    assert np.array_equal(state.pair_potential.view(np.uint64),
+                          want.view(np.uint64))
+    assert state.pair_potential is state.pair_potential
 
 
 def test_with_psi_shares_cached_operators():

@@ -7,6 +7,7 @@ name that only tests read belongs in tests/, next to the tests that use it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,3 +61,12 @@ def test_keep_list_names_only_exports_nothing_else_reads():
     exports, read = set(_exports()), _read_names()
     stale = sorted(name for name in KEEP if name not in exports or name in read)
     assert stale == [], f"KEEP entries no longer needed: {stale}"
+
+
+def test_declared_numpy_floor_is_at_least_2():
+    # grid's transforms pass out= to np.fft.fftn/ifftn, which numpy added in
+    # 2.0: on numpy 1.x every transform raises TypeError
+    text = (ROOT / "pyproject.toml").read_text()
+    floor = re.search(r'"numpy>=([0-9.]+)"', text)
+    assert floor, "pyproject.toml declares no numpy floor"
+    assert tuple(int(p) for p in floor.group(1).split(".")) >= (2, 0)
