@@ -219,7 +219,6 @@ def place_axes(values: np.ndarray, axes: Sequence[int], ndim: int) -> np.ndarray
 def reflect(data: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     """``data`` read at -j mod n along each of ``axes``: the torus
     reflection x -> -x of those axes, as a new array."""
-    axes = tuple(axes)
     return np.roll(np.flip(data, axes), 1, axes)
 
 
