@@ -496,10 +496,16 @@ class HermitianPacking:
     ``unpack`` rebuilds the full spectrum from it, exactly Hermitian, so
     packing a spectrum keeps its Hermitian part.
 
+    Two packed Hermitian spectra a and b travel as one full spectrum,
+    G = G_a + i G_b, which is Hermitian in neither: ``unpack_pair`` forms
+    it, and ``split`` takes a and b back from it (or from any full spectrum
+    whose G is such a sum) as G's Hermitian part (G + G^H) / 2 and
+    (G - G^H) / (2i).
+
     An entrywise sum or product of packed arrays is the packing of the same
     operation on the full spectra, both being Hermitian in G: the free-flow
     phase exp(-i dt S_k) is, since S_k(p, -q') = |p|^2 - |q'|^2 changes
-    sign under p <-> q'.  The index maps are built once per level and only
+    sign under p <-> q'.  The level's one index map is built once and only
     read afterwards, so one packing serves every thread.
     """
 
@@ -511,33 +517,57 @@ class HermitianPacking:
         # the flat primed index of -q' for each q'
         flip = reflect(np.arange(m).reshape(block), range(len(block))).ravel()
         rows, cols = np.triu_indices(m)
-        # where G(i, j) = ghat(i, -j) and its mirror G(j, i) sit in the
-        # flattened spectrum, for each packed entry (i <= j)
-        self.gather = rows * m + flip[cols]
-        mirror = cols * m + flip[rows]
+        # where G(i, j) = ghat(i, -j) (row 0) and its mirror G(j, i) (row 1)
+        # sit in the flattened spectrum, for each packed entry (i <= j)
+        self.places = np.stack([rows * m + flip[cols], cols * m + flip[rows]])
         self.diagonal = np.flatnonzero(rows == cols)
-        entry = np.arange(self.gather.size)
-        self.scatter = np.empty(m * m, np.intp)
-        self.scatter[mirror] = entry
-        self.scatter[self.gather] = entry
-        # the spectrum's entries read from a mirror off the diagonal
-        self.mirrored = np.ones(m * m, bool)
-        self.mirrored[self.gather] = False
 
     def pack(self, spec: np.ndarray) -> np.ndarray:
         """G's upper triangle of the C-contiguous spectrum ``spec``, its
         diagonal made real, as a new array."""
-        packed = np.take(spec.reshape(-1), self.gather)
+        packed = np.take(spec.reshape(-1), self.places[0])
         packed.imag[self.diagonal] = 0.0
         return packed.reshape(self.packed_shape)
 
     def unpack(self, packed: np.ndarray) -> np.ndarray:
         """The full spectrum of a packed one, as a new array: each entry
-        read from its place in the triangle, and conjugated where it is a
-        mirror's."""
-        spec = np.take(packed.reshape(-1), self.scatter)
-        np.negative(spec.imag, out=spec.imag, where=self.mirrored)
-        return spec.reshape(self.shape)
+        written to its place in the triangle, and conjugated to its
+        mirror's; the diagonal, its own mirror, keeps the entry."""
+        spec = np.empty(self.shape, complex)
+        flat, packed = spec.reshape(-1), packed.reshape(-1)
+        flat[self.places[1]] = packed.conj()
+        flat[self.places[0]] = packed
+        return spec
+
+    def unpack_pair(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """unpack(a) + 1j * unpack(b), as a new array: a + ib at each
+        place in the triangle and conj(a) + i conj(b) at its mirror, each
+        formed in one packed-sized buffer from the parts of a and b."""
+        spec = np.empty(self.shape, complex)
+        flat, a, b = spec.reshape(-1), a.reshape(-1), b.reshape(-1)
+        part = np.empty_like(a)
+        np.add(a.real, b.imag, out=part.real)
+        np.subtract(b.real, a.imag, out=part.imag)
+        flat[self.places[1]] = part
+        np.subtract(a.real, b.imag, out=part.real)
+        np.add(a.imag, b.real, out=part.imag)
+        flat[self.places[0]] = part
+        return spec
+
+    def split(self, spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The packed a and b of a full spectrum G = G_a + i G_b with G_a
+        and G_b Hermitian, as new arrays: (G + G^H) / 2 and
+        (G - G^H) / (2i) at each place in the triangle, where G^H is the
+        conjugate of G at the mirror.  The diagonals come out real."""
+        flat = spec.reshape(-1)
+        a = np.take(flat, self.places[0])
+        mirror = np.take(flat, self.places[1])
+        np.conjugate(mirror, out=mirror)
+        b = a - mirror
+        b *= -0.5j
+        a += mirror
+        a *= 0.5
+        return a.reshape(self.packed_shape), b.reshape(self.packed_shape)
 
     def parseval_weight(self, weight: np.ndarray) -> np.ndarray:
         """A real weight on the full spectrum, even under G's transpose (as
@@ -545,7 +575,7 @@ class HermitianPacking:
         diagonal doubled: on an exactly Hermitian spectrum,
         spectral_norm(packed, the result) equals spectral_norm(spec,
         weight) in exact arithmetic."""
-        w = 2.0 * np.take(weight.reshape(-1), self.gather)
+        w = 2.0 * np.take(weight.reshape(-1), self.places[0])
         w[self.diagonal] *= 0.5
         return w.reshape(self.packed_shape)
 
@@ -579,26 +609,29 @@ class PicardResult:
 # What a Picard call holds besides its packed iterate, on its three threads
 # together, in states of levels 1..K and in entries that do not grow with n.
 # The start's packed spectra, the packed phases, Xi's stepped spectra (0.5
-# each) and the packed norm weights (0.25), and the index maps of the
-# packings (0.81: 8 bytes per packed entry, 8 and 1 per full one), so 2.56.
-# On the calling thread, the sample it reads back, the prefix the next step
-# starts from and the norm's |.|^2 (1.25).  In flight, the PICARD_WORKERS +
-# 1 samples submitted beyond the one read back: each holds 0.5 while it
-# waits for a worker or to be read back, and at most 2 while a worker forms
-# it (the packed prefix and its unpacked array, then that array inverted in
-# place and B_N's result, then the forward spectrum and its packing), so at
-# most 2 + 2 + 0.5.  That is 8.3 states.  tracemalloc puts the peak of the
-# whole call at 8.5-8.65 states at n = 16 (32 and 128 steps), 7.9-8.2 at
-# d = 2, n = 4, and 9.1-10.03 at n = 8, where a state is 66 KB: about
-# 80 KB, and up to 100 KB in a process's first call, of interpreter objects
-# and B_N's slab buffers do not grow with n (d = 1 and 2; on one CPU or
-# two).  So 9 states and 8192 entries (128 KiB) hold the call at every size.
-PICARD_WORKING_STATES = 9
+# each), the packed norm weights (0.25) and the packings' index maps (0.5:
+# two places of 8 bytes per packed entry), so 2.25.  On the calling thread,
+# the two samples of the job it reads back (1), the prefix the next step
+# starts from (0.5) and the norm's |.|^2 (0.25), so 1.75.  In flight, the
+# PICARD_WORKERS jobs submitted beyond the one read back, each of two
+# samples: a job holds its two packed prefixes (1) while it waits, and at
+# most 2.5 while a worker forms it: the two prefixes, the full array
+# ``unpack_pair`` writes and its packed-sized buffer; then that array
+# inverted in place and B_N's result (2); then the array transformed
+# forward and the two packed halves of its split, with one packed
+# temporary.  That is 2.25 + 1.75 + 2.5 + 2.5 = 9 states.  tracemalloc puts
+# the peak of the whole call at 8.55-8.8 states at n = 16 and at d = 2,
+# n = 4 (32 and 128 steps), up to 9.06 at n = 16 on one CPU, where both
+# workers peak at once, and 9.05-9.6 at n = 8, where a state is 66 KB:
+# about 80 KB, and up to 100 KB in a process's first call, of interpreter
+# objects and B_N's slab buffers do not grow with n.  So 10 states and 8192
+# entries (128 KiB) hold the call at every size.
+PICARD_WORKING_STATES = 10
 PICARD_FIXED_ENTRIES = 8192
 
-# Picard's worker threads, each forming one sample of a sweep at a time: a
-# fixed count, whatever the CPU count, so the working states stay fixed.
-# The calling thread keeps one sample more than this submitted beyond the
+# Picard's worker threads, each forming two samples of a sweep at a time
+# (one job): a fixed count, whatever the CPU count, so the working states
+# stay fixed.  The calling thread keeps this many jobs submitted beyond the
 # one it reads back, so a worker that finishes finds the next one queued,
 # and no more.
 PICARD_WORKERS = 2
@@ -625,6 +658,36 @@ def _check_hermitian(state: HierarchyState) -> None:
                 f"{defect:.3e} exceeds {PICARD_HERMITIAN_TOL} max |M|")
 
 
+def _picard_pair(packings: Sequence[HermitianPacking], pot: PotentialSpec,
+                 first: list[np.ndarray],
+                 second: list[np.ndarray]) -> tuple[list[np.ndarray],
+                                                    list[np.ndarray]]:
+    """F(i B_N A) and F(i B_N B), packed, from the packed spectra of two
+    Hermitian prefixes A and B, one per level in ``first`` and ``second``.
+
+    The transforms and B_N are complex-linear and i B_N maps a Hermitian
+    kernel to a Hermitian one, so the spectrum of i B_N (A + iB) is
+    F(i B_N A) + i F(i B_N B), two spectra Hermitian in G, which
+    ``HermitianPacking.split`` takes apart.  So each level is unpacked into
+    one array (``unpack_pair``), inverted in place, B_N is applied once,
+    and its result is transformed forward into the same array and split:
+    one transform per level each way for two samples.  ``first`` and
+    ``second`` are emptied once they are unpacked, so the job holds A and B
+    no longer than it needs them."""
+    spectra = [p.unpack_pair(a, b) for p, a, b in zip(packings, first, second)]
+    first.clear()
+    second.clear()
+    grid = pot.grid
+    new = _scaled(bbgky_rhs(HierarchyState(
+        [marginal_from_spectrum(grid, k, a, out=a)
+         for k, a in enumerate(spectra, start=1)]), pot), 1j)
+    for m, a in zip(new.entries, spectra):
+        dft_forward(m.as_field(), out=a)
+    del new, m, a  # the loop variables would keep the top level alive
+    halves = [p.split(a) for p, a in zip(packings, spectra)]
+    return [h[0] for h in halves], [h[1] for h in halves]
+
+
 def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
                        t: float, n_steps: int) -> PicardResult:
     """Iterate Theta <- Xi + i Int_0^t B_N U(t-s) Theta(s) ds on the
@@ -637,7 +700,7 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
     ``ValueError`` naming the level.  Every sample of the iterate is then
     Hermitian too, and is held packed, as half its entries
     (``HermitianPacking``): the calling thread works on packed arrays only,
-    and a worker unpacks the one sample it forms.
+    and a worker unpacks the two samples it forms as one full array.
 
     The free term Xi(s) = U(s) start, capital Xi, is the free flow of the
     start state.  The call holds the start's packed spectra, one packed
@@ -650,27 +713,29 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
     anything of its size is formed.  The first iterate is Xi's packed
     spectra, written as they are.  A sweep steps the forward-propagated
     prefix integral through the samples by the same phases (see
-    ``_flowed_prefix``), on packed arrays, and inverts it once per sample
-    and level to apply B_N.  The new sample's spectra are F(i B_N A) +
-    Xi_hat, one forward transform per level, packed; they give the update
-    norm by Parseval, with the packed weights of
-    ``HermitianPacking.parseval_weight``, and overwrite the old ones, which
-    the prefix has read by then.
+    ``_flowed_prefix``), on packed arrays, and inverts it once per pair of
+    samples and level to apply B_N.  The new sample's spectra are
+    F(i B_N A) + Xi_hat, packed; they give the update norm by Parseval, with
+    the packed weights of ``HermitianPacking.parseval_weight``, and
+    overwrite the old ones, which the prefix has read by then.
 
     A sweep's samples are formed on a pool of ``PICARD_WORKERS`` = 2
     worker threads, and numpy's transforms release the interpreter lock, so
-    the three threads overlap.  Every sample reads only the old iterate, so
-    samples i + 1 and i + 2 can be formed at once; when the calling thread
-    reads back sample i it has submitted samples up to i + 3, no further,
-    so a worker that finishes finds the next sample queued and the memory
-    in flight is bounded.  A worker forms F(i B_N A) for one sample: it
-    unpacks the prefix into the array it inverts in place, applies B_N,
-    transforms B_N's result forward into that array and packs it.  The
-    calling thread steps the prefixes and hands them over, then reads the
-    samples back in order, adds Xi's spectra, takes each gap and writes
-    each sample's spectra into the iterate; sample i is written only after
-    the prefix has stepped past it.  Every operation keeps its operands and
-    their order, so the bits are those of one thread doing all of it.  The
+    the three threads overlap.  A worker forms two samples per job, 2j and
+    2j + 1, fixed by their index, with the last sample of an odd count
+    paired with zeros: B_N and the transforms are complex-linear, so one
+    full array carries the prefixes A + iB of both, with one inverse and
+    one forward transform per level and one B_N for the two
+    (``_picard_pair``).  Every job reads only the old iterate, so jobs
+    j + 1 and j + 2 can be formed at once; when the calling thread reads
+    back job j it has submitted jobs up to j + 2, no further, so a worker
+    that finishes finds the next job queued and the memory in flight is
+    bounded.  The calling thread steps the prefixes and hands them over in
+    pairs, then reads the jobs back in order, adds Xi's spectra to each
+    sample, takes each gap and writes each sample's spectra into the
+    iterate; samples 2j and 2j + 1 are written only after the prefix has
+    stepped past them.  Every operation keeps its operands and their
+    order, so the bits are those of one thread doing all of it.  The
     pool is started and joined inside the call, before it returns or
     raises.  The iterate is allocated once, on the calling thread, and
     written in place: the C library may give each worker a heap of its
@@ -719,25 +784,15 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
             for a, phase in zip(spectra, phases):
                 a *= phase
 
-    def combine(prefix: list[np.ndarray]) -> list[np.ndarray]:
-        """F(i B_N A), packed, from the packed spectra of A.  The worker
-        unpacks each level into the array it inverts in place and empties
-        ``prefix`` once it has unpacked it, so it holds A no longer than it
-        needs it; it transforms B_N's result forward into the same arrays
-        and packs them.  Runs on a worker."""
+    def combine(first: list[np.ndarray], second: list[np.ndarray]
+                ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """``_picard_pair`` of two samples' packed prefixes, timed.  Runs
+        on a worker."""
         t0 = time.perf_counter()
-        spectra = [p.unpack(a) for p, a in zip(packings, prefix)]
-        prefix.clear()
-        new = _scaled(bbgky_rhs(HierarchyState(
-            [marginal_from_spectrum(grid, k, a, out=a)
-             for k, a in enumerate(spectra, start=1)]), pot), 1j)
-        for m, a in zip(new.entries, spectra):
-            dft_forward(m.as_field(), out=a)
-        del new, m  # the loop variable would keep the top level alive
-        packed = [p.pack(a) for p, a in zip(packings, spectra)]
+        halves = _picard_pair(packings, pot, first, second)
         worker = threading.get_ident()
         busy[worker] = busy.get(worker, 0.0) + time.perf_counter() - t0
-        return packed
+        return halves
 
     def absorb(i: int, spectra: Sequence[np.ndarray],
                xs: Sequence[np.ndarray], keep: bool) -> float:
@@ -760,10 +815,11 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
     def sweep(pool: ThreadPoolExecutor, simpson: bool) -> float:
         """Max-over-samples distance of the next iterate to theta.  The
         trapezoid sweep overwrites theta with the next iterate; the Simpson
-        sweep keeps it.  Sample i is read back once samples up to
-        i + PICARD_WORKERS + 1 have been submitted, or all of them: the
-        prefix has stepped past sample i + 3 before theta's sample i is
-        overwritten, and no more than that is in flight."""
+        sweep keeps it.  Job j forms samples 2j and 2j + 1, the last sample
+        of an odd count paired with zeros.  Job j is read back once jobs up
+        to j + PICARD_WORKERS have been submitted, or all of them: the
+        prefix has stepped past sample 2j + 5 before theta's samples 2j and
+        2j + 1 are overwritten, and no more than that is in flight."""
         nonlocal waited
         # B_N U(t-s) Theta(s) = B_N U(t) [U(-s) Theta(s)], so one running
         # prefix per level replaces the quadratic double loop over (t, s)
@@ -776,22 +832,27 @@ def picard_fixed_point(start: HierarchyState, pot: PotentialSpec, xi: float,
         while drawn or pending:
             # no zip, whose result tuple would keep the prefixes of two
             # samples back
-            prefix = [next(level, None) for level in prefixes]
-            drawn = prefix[0] is not None
+            first = [next(level, None) for level in prefixes]
+            drawn = first[0] is not None
             if drawn:
-                pending.append(pool.submit(combine, prefix))
-            if not drawn or len(pending) > PICARD_WORKERS + 1:
+                second = [next(level, None) for level in prefixes]
+                if second[0] is None:
+                    second = [np.zeros_like(a) for a in first]
+                pending.append(pool.submit(combine, first, second))
+            if not drawn or len(pending) > PICARD_WORKERS:
                 t0 = time.perf_counter()
-                pending[0].result()  # the wait for the oldest sample
+                pair = list(pending.popleft().result())
                 waited += time.perf_counter() - t0
-                # bound to no name, the sample's spectra are freed when
-                # absorb returns, before the next prefix is drawn
-                gap = absorb(len(gaps), pending.popleft().result(), next(xis),
-                             keep=not simpson)
-                if not math.isfinite(gap):
-                    raise RuntimeError(
-                        f"Picard update at sample {len(gaps)} is {gap}")
-                gaps.append(gap)
+                del pair[n_steps + 1 - len(gaps):]  # the zeros' half
+                while pair:
+                    # popped, each sample's spectra are freed when absorb
+                    # returns
+                    gap = absorb(len(gaps), pair.pop(0), next(xis),
+                                 keep=not simpson)
+                    if not math.isfinite(gap):
+                        raise RuntimeError(
+                            f"Picard update at sample {len(gaps)} is {gap}")
+                    gaps.append(gap)
         return max(gaps)
 
     update_norms: list[float] = []

@@ -146,7 +146,9 @@ def partial_trace_at(gamma: Marginal, pos: int) -> Marginal:
 
 
 def partial_trace(gamma: Marginal) -> Marginal:
-    """Trace out the last particle pair."""
+    """Trace out the last particle pair.  A non-finite kernel raises a
+    ``ValueError`` naming gamma before the contraction."""
+    _check_finite("gamma", gamma.kernel)
     return partial_trace_at(gamma, gamma.k - 1)
 
 

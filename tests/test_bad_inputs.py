@@ -27,7 +27,8 @@ from hierlab.interactions import (bbgky_error_level, bbgky_main_level,
                                   realize_potential)
 from hierlab.marginals import (Marginal, admissibility_defect,
                                factorized_state, hierarchy_norm,
-                               mixture_marginal, mixture_state, psd_defect,
+                               mixture_marginal, mixture_state,
+                               partial_trace, psd_defect,
                                pure_product_marginal, sobolev_norm,
                                symmetrize, trace_sobolev_norm)
 from hierlab.nbody import energy_moments, extract_marginal, nbody_evolve
@@ -43,6 +44,7 @@ NAN_ATOM = Field(G8, 1, np.full(G8.slot_shape(1), math.nan, dtype=complex))
 NAN_STATE = STATE.copy()  # level 2 holds one NaN entry
 NAN_STATE.entry(2).kernel[(0,) * 4] = math.nan
 NAN_KERNEL = Marginal(G8, 1, np.full(G8.slot_shape(2), math.nan, dtype=complex))
+NAN_KERNEL2 = Marginal(G8, 2, np.full(G8.slot_shape(4), math.nan, dtype=complex))
 SKEW_STATE = STATE.copy()  # level 2 is not Hermitian
 SKEW_STATE.entry(2).kernel[(0,) * 3 + (1,)] += 1e-3
 ZERO_V = zero_potential(G8)
@@ -158,6 +160,8 @@ PROBES = {
     "picard-start-not-hermitian": (
         lambda: picard_fixed_point(SKEW_STATE, ZERO_V, 0.5, 0.01, 4),
         "start level 2 must be Hermitian"),
+    "partial-trace-kernel-nan": (lambda: partial_trace(NAN_KERNEL2),
+                                 "gamma must be finite"),
     "admissibility-kernel-nan": (lambda: admissibility_defect(NAN_STATE),
                                  "state level 2 must be finite"),
     "gp-collision-sum-kernel-nan": (lambda: gp_collision_sum(NAN_STATE),

@@ -525,7 +525,7 @@ def picard_need(n: int, samples: int, working: int) -> int:
 def test_picard_peak_is_one_series_list_and_fixed_kernels(monkeypatch, grid,
                                                           steps):
     # n = 8 with 128 steps is what `hierlab picard --n 8` runs; its peak,
-    # 9.1-10.0 states beside the packed iterate, is the highest measured
+    # 9.4-9.6 states beside the packed iterate, is the highest measured
     start, pot = picard_setup(27, grid)
     peak, checked = _peak_and_checked(
         monkeypatch, lambda: picard_fixed_point(start, pot, 0.5, PICARD_T, steps))
@@ -534,7 +534,7 @@ def test_picard_peak_is_one_series_list_and_fixed_kernels(monkeypatch, grid,
 
 
 def test_picard_working_states_are_not_overcounted(monkeypatch):
-    # the call's peak beside the 33-sample packed iterate is 8.5-8.65
+    # the call's peak beside the 33-sample packed iterate is 8.55-8.8
     # states at n = 16, so a count two states above it means the constant
     # drifted upwards
     start, pot = picard_setup(27)
@@ -810,13 +810,19 @@ def test_picard_worker_moves_no_bit(monkeypatch, grid):
     assert threaded.residual == serial.residual
 
 
-def test_picard_reads_sample_i_back_with_i_plus_workers_plus_2_submitted(
-        monkeypatch):
-    # the prefix has stepped past sample i + 3 when theta's sample i is
-    # written, and no further, in the trapezoid sweeps and in Simpson's
+@pytest.mark.parametrize("steps", [16, 15], ids=["odd-count", "even-count"])
+def test_picard_reads_job_j_back_with_j_plus_workers_plus_1_submitted(
+        monkeypatch, steps):
+    # job j forms samples 2j and 2j + 1.  When it is read back, and theta's
+    # samples 2j and 2j + 1 are written, jobs up to j + 2 have been drawn,
+    # and no further: the prefix has stepped to sample 2j + 5, past sample
+    # 2j + 2, the last step that reads sample 2j + 1, in the trapezoid
+    # sweeps and in Simpson's.  With an odd count the last job pairs its
+    # sample with zeros.
     start, pot = picard_setup(27, G8)
-    steps, threads = 16, set()
+    threads = set()
     submitted = 0
+    zero_pairs = []  # jobs whose second sample's prefixes were all zero
     read_at: dict[int, int] = {}  # future -> futures submitted when first read
 
     class LoggedFuture:
@@ -829,22 +835,28 @@ def test_picard_reads_sample_i_back_with_i_plus_workers_plus_2_submitted(
             return self.future.result()
 
     class LoggedPool(ThreadPoolExecutor):
-        def submit(self, fn, *args, **kwargs):
+        def submit(self, fn, first, second):
             nonlocal submitted
             threads.add(threading.current_thread())
+            if not any(np.any(a) for a in second):
+                zero_pairs.append(submitted)
             submitted += 1
-            return LoggedFuture(super().submit(fn, *args, **kwargs),
+            return LoggedFuture(super().submit(fn, first, second),
                                 submitted - 1)
     monkeypatch.setattr(hierarchy_evolution, "ThreadPoolExecutor", LoggedPool)
     result = picard_fixed_point(start, pot, 0.5, PICARD_T, steps)
     assert threads == {threading.main_thread()}
     sweeps = result.iterations + 1  # the trapezoid sweeps, then Simpson's
-    assert submitted == sweeps * (steps + 1)
+    jobs = (steps + 2) // 2
+    assert submitted == sweeps * jobs
+    assert zero_pairs == ([jobs * (s + 1) - 1 for s in range(sweeps)]
+                          if steps % 2 == 0 else [])
     assert list(read_at) == list(range(submitted))  # read back in order
     for i, at in read_at.items():
-        sweep, sample = divmod(i, steps + 1)
-        assert at - sweep * (steps + 1) == min(
-            sample + hierarchy_evolution.PICARD_WORKERS + 2, steps + 1)
+        sweep, job = divmod(i, jobs)
+        drawn = at - sweep * jobs
+        assert drawn == min(job + hierarchy_evolution.PICARD_WORKERS + 1, jobs)
+        assert drawn >= min(job + 2, jobs)  # sample 2j + 2's step is taken
 
 
 def test_picard_joins_its_worker_on_return_and_on_a_worker_error(monkeypatch):

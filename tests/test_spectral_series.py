@@ -178,12 +178,14 @@ def test_picard_transform_counts(monkeypatch):
     counts = count_transforms(monkeypatch)
     result = picard_fixed_point(base, pot, 0.5, t0_gate(0.5) / 4.0, n)
     sweeps = result.iterations + 1  # and the Simpson residual sweep
+    jobs = -(-(n + 1) // 2)  # two samples a job, the last with zeros
     for rank in (2, 4):  # levels 1 and 2
         # the start's spectra, which are the first iterate's sample 0 and
-        # step to the others; then per sweep and sample one inverse
-        # transform of the prefix and one forward transform of B_N's result
-        assert counts["fftn", rank] == 1 + (n + 1) * sweeps
-        assert counts["ifftn", rank] == (n + 1) * sweeps
+        # step to the others; then per sweep and job one inverse transform
+        # of the two samples' prefixes and one forward transform of B_N's
+        # result
+        assert counts["fftn", rank] == 1 + jobs * sweeps
+        assert counts["ifftn", rank] == jobs * sweeps
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
@@ -261,6 +263,63 @@ def test_pack_then_unpack_is_exactly_hermitian(grid, k):
     weight = sobolev_weight(grid, 2 * k, 1.0)
     assert spectral_norm(packing.pack(spec), packing.parseval_weight(weight)) \
         == pytest.approx(spectral_norm(spec, weight), rel=1e-14)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("grid", [make_grid(1, 8), make_grid(1, 16),
+                                  make_grid(2, 4)], ids=["d1n8", "d1n16", "d2n4"])
+def test_pair_unpack_is_the_sum_and_split_takes_it_apart(grid, k):
+    packing = HermitianPacking(grid, k)
+    rng = np.random.default_rng(6)
+    a, b = (packing.pack(rng.standard_normal(packing.shape)
+                         + 1j * rng.standard_normal(packing.shape))
+            for _ in range(2))
+    pair = packing.unpack_pair(a, b)
+    assert np.array_equal(pair, packing.unpack(a) + 1j * packing.unpack(b))
+    scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
+    for got, want in zip(packing.split(pair), (a, b)):
+        assert got.shape == packing.packed_shape and got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-15 * scale
+        assert not np.any(got.reshape(-1)[packing.diagonal].imag)
+
+
+def one_sample_job(packings, pot, prefix):
+    """F(i B_N A), packed, for the packed prefix spectra of one sample: the
+    unpack, inverse transforms, B_N, forward transforms and pack of a job
+    that forms one sample."""
+    grid = pot.grid
+    rhs = bbgky_rhs(HierarchyState(
+        [marginal_from_spectrum(grid, k, p.unpack(a))
+         for k, (p, a) in enumerate(zip(packings, prefix), start=1)]), pot)
+    return [p.pack(marginal_spectrum(m * 1j))
+            for p, m in zip(packings, rhs.entries)]
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_paired_job_is_two_one_sample_jobs(grid):
+    pot = pot_for(grid)
+    rng = np.random.default_rng(12)
+    packings = [HermitianPacking(grid, k) for k in (1, 2)]
+    a, b = ([p.pack(marginal_spectrum(random_hermitian_marginal(grid, k, rng)))
+             for k, p in enumerate(packings, start=1)] for _ in range(2))
+    zeros = [np.zeros_like(x) for x in a]
+
+    def spectra(packed):  # a sample's full spectra, level after level
+        return np.concatenate([p.unpack(x).ravel()
+                               for p, x in zip(packings, packed)])
+
+    # (a, zeros) is how the last sample of an odd count is formed
+    for first, second in ((a, b), (b, a), (a, zeros)):
+        got = hierarchy_evolution._picard_pair(packings, pot, list(first),
+                                               list(second))
+        want = [spectra(one_sample_job(packings, pot, x))
+                for x in (first, second)]
+        assert len(got) == 2
+        for half, ref in zip(got, want):
+            # relative Hilbert-Schmidt norm, by Parseval; the zeros' half is
+            # rounding, measured against the sample paired with it
+            scale = np.linalg.norm(ref) or np.linalg.norm(want[0])
+            assert np.linalg.norm(spectra(half) - ref) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
